@@ -49,21 +49,6 @@ func BenchmarkExecuteScheduled(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteParallel measures the per-level parallel path on the
-// same workload.
-func BenchmarkExecuteParallel(b *testing.B) {
-	store := benchStore(b, 1.0)
-	en := &Engine{Store: store, Parallel: true}
-	a := benchAnalyzed(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := en.Execute(nil, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExecuteUnscheduled is the scheduling ablation on the same
 // workload (declaration order, no constraint feeding).
 func BenchmarkExecuteUnscheduled(b *testing.B) {
@@ -107,9 +92,9 @@ func BenchmarkCompile(b *testing.B) {
 	store := benchStore(b, 1.0)
 	a := benchAnalyzed(b)
 	compileAll := func(en *Engine) {
-		plan := en.planFor(a, nil)
+		plan := en.planFor(a, nil, false)
 		for i := range plan.pats {
-			if plan.pats[i].usesGraph {
+			if plan.pats[i].meta.UsesGraph {
 				continue
 			}
 			if _, err := plan.pats[i].prepared(en.Store, plan.bounds); err != nil {

@@ -13,10 +13,9 @@ import (
 )
 
 // TestExecutionPathEquivalence guards the storage/executor refactor: the
-// scheduled plan, the unscheduled ablation, the monolithic SQL plan, and
-// the parallel per-level plan must return identical result sets (compared
-// as sorted rows) for the TBQL query synthesized from every generated
-// case's report.
+// scheduled plan, the unscheduled ablation, and the monolithic SQL plan
+// must return identical result sets (compared as sorted rows) for the TBQL
+// query synthesized from every generated case's report.
 func TestExecutionPathEquivalence(t *testing.T) {
 	for _, c := range cases.All() {
 		c := c
@@ -55,18 +54,6 @@ func TestExecutionPathEquivalence(t *testing.T) {
 				t.Errorf("unscheduled differs:\n%v\n%v", want, ures.Set.Strings())
 			}
 
-			pres, _, err := sched.ExecuteParallel(nil, a)
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if !sameRows(want, pres.Set.Strings()) {
-				t.Errorf("parallel differs:\n%v\n%v", want, pres.Set.Strings())
-			}
-			if len(pres.MatchedEvents) != len(res.MatchedEvents) {
-				t.Errorf("parallel matched %d events, scheduled %d",
-					len(pres.MatchedEvents), len(res.MatchedEvents))
-			}
-
 			mres, _, err := sched.ExecuteMonolithicSQL(nil, a)
 			if err != nil {
 				// Variable-length path patterns cannot compile to one SQL
@@ -87,7 +74,7 @@ func TestExecutionPathEquivalence(t *testing.T) {
 // tables land on 0, 1, exactly-one-batch, batch±1, and many-batch
 // boundaries — and forces the sharded scan path, asserting every
 // configuration returns exactly the default configuration's results on
-// the scheduled, parallel, and monolithic SQL plans.
+// the scheduled and monolithic SQL plans.
 func TestBatchSizeEquivalence(t *testing.T) {
 	origBS, origShard := relational.BatchSize, relational.ShardMinRows
 	defer func() {
@@ -109,15 +96,11 @@ func TestBatchSizeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, _, err := en.ExecuteParallel(nil, a)
-		if err != nil {
-			t.Fatal(err)
-		}
 		mres, _, err := en.ExecuteMonolithicSQL(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return [][][]string{res.Set.Strings(), pres.Set.Strings(), mres.Strings()}
+		return [][][]string{res.Set.Strings(), mres.Strings()}
 	}
 
 	want := execAll(&Engine{Store: store})
@@ -148,31 +131,6 @@ func TestBatchSizeEquivalence(t *testing.T) {
 					cfg.name, path, want[path], got[path])
 			}
 		}
-	}
-}
-
-// TestParallelFlagEquivalence exercises the Parallel engine flag on the
-// hand-written data_leak hunt, including the multi-level dependency chain.
-func TestParallelFlagEquivalence(t *testing.T) {
-	store, _ := dataLeakStore(t, 400)
-	serial := &Engine{Store: store}
-	parallel := &Engine{Store: store, Parallel: true}
-	a := analyzed(t, dataLeakTBQL)
-
-	sres, _, err := serial.Execute(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, pstats, err := parallel.Execute(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRows(sres.Set.Strings(), pres.Set.Strings()) {
-		t.Fatalf("parallel flag changed results:\n%v\n%v",
-			sres.Set.Strings(), pres.Set.Strings())
-	}
-	if pstats.DataQueries != 8 {
-		t.Fatalf("parallel data queries = %d, want 8", pstats.DataQueries)
 	}
 }
 
@@ -209,28 +167,5 @@ return distinct p`
 	// the start event never has subject == object, so no binding exists.
 	if res.Set.Len() != 0 {
 		t.Fatalf("self-loop conjunction should not match: %v", res.Set.Strings())
-	}
-}
-
-// TestDependencyLevels checks the level grouping: chained patterns
-// serialize, unrelated patterns coalesce into the same level.
-func TestDependencyLevels(t *testing.T) {
-	src := `proc p1["%a%"] read file f1 as evt1
-proc p1 write file f2 as evt2
-proc p9["%z%"] read file f9 as evt3
-return distinct p1`
-	a := analyzed(t, src)
-	order := []int{0, 1, 2}
-	levels := dependencyLevels(a.Query.Patterns, order)
-	if len(levels) != 2 {
-		t.Fatalf("levels = %v, want 2 levels", levels)
-	}
-	// Pattern 2 shares nothing with pattern 0, so it joins level 0;
-	// pattern 1 shares p1 with pattern 0 and must wait.
-	if len(levels[0]) != 2 || levels[0][0] != 0 || levels[0][1] != 2 {
-		t.Errorf("level 0 = %v, want [0 2]", levels[0])
-	}
-	if len(levels[1]) != 1 || levels[1][0] != 1 {
-		t.Errorf("level 1 = %v, want [1]", levels[1])
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,6 +28,20 @@ type Stats struct {
 	Graph          graphdb.ExecStats
 }
 
+// Add folds another execution's counters into st (EmptyPatternID names
+// one execution's short-circuit and does not aggregate).
+func (st *Stats) Add(o Stats) {
+	st.DataQueries += o.DataQueries
+	st.PatternRows += o.PatternRows
+	st.JoinBindings += o.JoinBindings
+	st.Rel.RowsScanned += o.Rel.RowsScanned
+	st.Rel.IndexLookups += o.Rel.IndexLookups
+	st.Rel.HashJoinBuilds += o.Rel.HashJoinBuilds
+	st.Graph.NodesVisited += o.Graph.NodesVisited
+	st.Graph.EdgesTraversed += o.Graph.EdgesTraversed
+	st.Graph.IndexLookups += o.Graph.IndexLookups
+}
+
 // Engine executes TBQL queries against a store.
 type Engine struct {
 	Store *Store
@@ -38,15 +51,10 @@ type Engine struct {
 	MaxInList int
 	// DisableScheduling turns off pruning-score ordering and constraint
 	// feeding (the ablation of the paper's core RQ4 optimization): data
-	// queries run in declaration order without added constraints.
+	// queries run in declaration order without added constraints. Set it
+	// before the first execution — cached plans keep the order they were
+	// compiled with.
 	DisableScheduling bool
-	// Parallel runs each dependency level's data queries in concurrent
-	// goroutines (patterns in one level share no entity variable, so no
-	// constraint can flow between them). The result set is identical to
-	// the serial scheduled plan; only Stats.DataQueries can differ when a
-	// pattern comes up empty, because a whole level completes before the
-	// short-circuit is taken.
-	Parallel bool
 	// ViewHighWater caps the total rows the engine may hold in
 	// materialized pattern views (the standing-query match caches): 0
 	// selects DefaultViewHighWater, a negative value disables views
@@ -55,8 +63,11 @@ type Engine struct {
 	// O(delta).
 	ViewHighWater int
 
+	// planMu guards the compiled-query cache (see plan.go): plans by
+	// analyzed query, and Hunt's source-text index into them.
 	planMu sync.Mutex
-	plans  map[planKey]*queryPlan
+	plans  map[*tbql.Analyzed]*queryPlan
+	texts  map[string]*tbql.Analyzed
 
 	// Materialized-view accounting and counters (see view.go).
 	viewRows             atomic.Int64
@@ -67,17 +78,7 @@ type Engine struct {
 	viewCatchupSkips     atomic.Int64
 	viewWindowMigrations atomic.Int64
 	scratchPool          sync.Pool
-
-	// huntMu guards the parse/analyze cache keyed by TBQL source text, so
-	// repeat Hunt calls reuse one *tbql.Analyzed — which in turn keeps the
-	// compiled query plans (IR and backend plan variants) hot across hunts.
-	huntMu   sync.Mutex
-	analyzed map[string]*tbql.Analyzed
 }
-
-// maxCachedAnalyzed bounds the Hunt source cache (flushed wholesale on
-// overflow, like the other engine caches).
-const maxCachedAnalyzed = 256
 
 // Result is the outcome of a scheduled TBQL execution: the projected
 // return rows plus the audit event IDs that participated in at least one
@@ -88,100 +89,107 @@ type Result struct {
 	MatchedEvents map[int64]bool
 }
 
-// patternRows is the result of one pattern's data query.
-type patternRows struct {
-	idx  int // pattern index
-	rows [][5]int64
-	// hasEvent is false for variable-length paths (no event/time columns).
-	hasEvent bool
+// PatternRows is one pattern's data-query result: [event, subject, object,
+// start, end] per row (only the subject/object columns are meaningful when
+// HasEvent is false — variable-length paths bind no event).
+type PatternRows struct {
+	Idx      int
+	Rows     [][5]int64
+	HasEvent bool
 }
 
-// extrasSpec is everything that can vary in one pattern's data query
-// between executions: the scheduler's subject/object binding sets (sorted
-// unique ID slices), the standing-query delta floor (only events with
-// ID >= delta match; 0 means no floor), and the pinned snapshot the
-// execution reads (nil = live store, writer-synchronized paths only). The
-// spec binds as parameter values on the pattern's one compiled plan (whose
-// optional parameter predicates prune themselves when a spec field is
-// unset) — nothing is rendered to text and no per-shape plan variant
-// exists.
-type extrasSpec struct {
-	subj, obj []int64
-	delta     int64
-	snap      *Snapshot
+// PatternQuery is one data query of the scheduled plan: "the rows of
+// pattern Idx under these subject/object binding sets and this delta
+// floor". Everything that varies between executions of a pattern is here;
+// it binds as parameter values on the pattern's one compiled plan (whose
+// optional parameter predicates prune themselves when a field is unset) —
+// nothing is rendered to text and no per-shape plan variant exists.
+type PatternQuery struct {
+	Idx int
+	// Meta is the pattern's routing shape, from the compiled plan (set by
+	// the scheduled loop; a scatter coordinator prunes shards with it).
+	Meta *PatternMeta
+	// Subj and Obj are the scheduler's binding sets: sorted unique entity
+	// IDs the subject / object must lie in (nil = unconstrained).
+	Subj, Obj []int64
+	// Delta is the standing-query floor: only events with ID >= Delta
+	// match (0 = no floor).
+	Delta int64
 }
 
-// any reports whether the spec carries any constraint at all.
-func (sp extrasSpec) any() bool {
-	return len(sp.subj) > 0 || len(sp.obj) > 0 || sp.delta > 0
-}
+// RowSource answers the scheduled plan's data queries. The engine's own
+// source runs each query on its backends against the pinned snapshot; a
+// view-backed delta round reads materialized match sets; a sharded
+// coordinator scatters the query and merges the gathered rows. The
+// returned Stats count the work that one query cost.
+type RowSource func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error)
 
-// runPattern executes one pattern's data query with the given extras spec
-// (scheduler binding sets plus the delta floor), against the backend the
-// pattern lowers to. Both backends consume the pattern's compiled plan
-// directly; the extras bind as parameter values, so no query text is
-// assembled and no parser runs.
-func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, idx int, sp extrasSpec) (patternRows, relational.ExecStats, graphdb.ExecStats, error) {
-	p := a.Query.Patterns[idx]
-	pr := patternRows{idx: idx, hasEvent: true}
+// runPattern executes one data query against the backend its pattern
+// lowers to, reading the pinned snapshot snap (nil = live store,
+// writer-synchronized paths only). Both backends consume the pattern's
+// compiled plan directly; binding sets and the delta floor bind as
+// parameter values, so no query text is assembled and no parser runs.
+func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, q PatternQuery) (PatternRows, Stats, error) {
+	p := a.Query.Patterns[q.Idx]
+	pr := PatternRows{Idx: q.Idx, HasEvent: true}
 	if err := ctxErr(ctx); err != nil {
-		return pr, relational.ExecStats{}, graphdb.ExecStats{}, err
+		return pr, Stats{}, err
 	}
 	if err := faultinject.Hit(FaultExecutePattern); err != nil {
-		return pr, relational.ExecStats{}, graphdb.ExecStats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 	}
-	pp := &plan.pats[idx]
-	if pp.usesGraph {
+	pp := &plan.pats[q.Idx]
+	if pp.meta.UsesGraph {
 		var params *graphdb.ExecParams
-		if sp.any() || sp.snap != nil {
+		if len(q.Subj) > 0 || len(q.Obj) > 0 || q.Delta > 0 || snap != nil {
 			var gp graphdb.ExecParams
 			var nb [2]graphdb.NodeBinding
 			n := 0
-			if len(sp.subj) > 0 {
-				nb[n] = graphdb.NodeBinding{Var: "s", IDs: sp.subj}
+			if len(q.Subj) > 0 {
+				nb[n] = graphdb.NodeBinding{Var: "s", IDs: q.Subj}
 				n++
 			}
-			if len(sp.obj) > 0 {
-				nb[n] = graphdb.NodeBinding{Var: "o", IDs: sp.obj}
+			if len(q.Obj) > 0 {
+				nb[n] = graphdb.NodeBinding{Var: "o", IDs: q.Obj}
 				n++
 			}
 			gp.Nodes = nb[:n]
-			if sp.delta > 0 && pp.ir.Path.HasEdgeVar {
+			if q.Delta > 0 && pp.ir.Path.HasEdgeVar {
 				// The graph executor's floor is a dense edge-arena offset,
 				// which equals the event ID only when the store holds the
 				// full 1..n ID space. A shard's sub-log has gaps, so the
 				// global event-ID floor translates through the snapshot's
 				// ID-ordered event slice (identity for dense stores).
 				gp.EdgeVar = "e"
-				gp.MinEdgeID = snapEdgeFloor(sp.snap, sp.delta)
+				gp.MinEdgeID = snapEdgeFloor(snap, q.Delta)
 			}
-			if sp.snap != nil {
-				gp.View = &sp.snap.Graph
+			if snap != nil {
+				gp.View = &snap.Graph
 			}
 			params = &gp
 		}
 		rs, gs, err := en.Store.Graph.ExecWithCtx(ctx, pp.gq, params)
 		if err != nil {
-			return pr, relational.ExecStats{}, gs, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+			return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 		}
-		pr.hasEvent = len(rs.Columns) == 5
-		pr.rows = make([][5]int64, 0, len(rs.Rows))
+		pr.HasEvent = len(rs.Columns) == 5
+		pr.Rows = make([][5]int64, 0, len(rs.Rows))
 		for _, row := range rs.Rows {
 			var r [5]int64
-			if pr.hasEvent {
+			if pr.HasEvent {
 				for i := 0; i < 5; i++ {
 					r[i] = row[i].I
 				}
 			} else {
 				r[1], r[2] = row[0].I, row[1].I
 			}
-			pr.rows = append(pr.rows, r)
+			pr.Rows = append(pr.Rows, r)
 		}
-		return pr, relational.ExecStats{}, gs, nil
+		return pr, Stats{DataQueries: 1, PatternRows: len(pr.Rows), Graph: gs}, nil
 	}
 	var prep *relational.Prepared
 	var err error
-	if sp.delta > 0 {
+	if q.Delta > 0 {
 		// Delta rounds anchor on the events table so the scan starts at
 		// the floor instead of walking the entity anchor's history.
 		prep, err = pp.preparedDelta(en.Store, plan.bounds)
@@ -189,24 +197,24 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 		prep, err = pp.prepared(en.Store, plan.bounds)
 	}
 	if err != nil {
-		return pr, relational.ExecStats{}, graphdb.ExecStats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 	}
 	var params relational.Params
-	params.Lists[qir.SlotSubjIDs] = sp.subj
-	params.Lists[qir.SlotObjIDs] = sp.obj
-	params.Ints[qir.SlotDelta] = sp.delta
-	if sp.snap != nil {
-		params.Snap = &sp.snap.Rel
+	params.Lists[qir.SlotSubjIDs] = q.Subj
+	params.Lists[qir.SlotObjIDs] = q.Obj
+	params.Ints[qir.SlotDelta] = q.Delta
+	if snap != nil {
+		params.Snap = &snap.Rel
 	}
 	rs, qs, err := prep.QueryCtx(ctx, &params)
 	if err != nil {
-		return pr, qs, graphdb.ExecStats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 	}
-	pr.rows = make([][5]int64, 0, len(rs.Rows))
+	pr.Rows = make([][5]int64, 0, len(rs.Rows))
 	for _, row := range rs.Rows {
-		pr.rows = append(pr.rows, [5]int64{row[0].I, row[1].I, row[2].I, row[3].I, row[4].I})
+		pr.Rows = append(pr.Rows, [5]int64{row[0].I, row[1].I, row[2].I, row[3].I, row[4].I})
 	}
-	return pr, qs, graphdb.ExecStats{}, nil
+	return pr, Stats{DataQueries: 1, PatternRows: len(pr.Rows), Rel: qs}, nil
 }
 
 // bindingSpec selects the scheduler's binding-set constraints for a
@@ -230,10 +238,11 @@ func (en *Engine) maxIn() int {
 	return 2000
 }
 
-// emptyResult is the short-circuit outcome when a pattern matches nothing.
-func emptyResult(a *tbql.Analyzed) *Result {
+// emptyResult is the outcome of a conjunction short-circuited by a pattern
+// that matched nothing.
+func emptyResult(cols []string) *Result {
 	return &Result{
-		Set:           &relational.ResultSet{Columns: returnColumns(a)},
+		Set:           &relational.ResultSet{Columns: cols},
 		MatchedEvents: map[int64]bool{},
 	}
 }
@@ -243,204 +252,112 @@ func emptyResult(a *tbql.Analyzed) *Result {
 // the relational backend for event patterns, the graph backend for path
 // patterns), the scheduler orders them by pruning score, feeds entity
 // bindings forward as bound parameters, and a final in-engine join applies
-// the temporal and attribute relationships. With Parallel set, independent
-// patterns within one dependency level run concurrently.
+// the temporal and attribute relationships.
 //
-// ctx cancels cooperatively: the executors poll it at pattern and level
-// boundaries, relational batch boundaries, and graph DFS depth steps, and
-// the call returns ctx.Err() promptly. A nil context never cancels. Panics
-// anywhere in execution surface as a typed *InternalError instead of
-// unwinding into the caller.
+// ctx cancels cooperatively: the executors poll it at pattern boundaries,
+// relational batch boundaries, and graph DFS depth steps, and the call
+// returns ctx.Err() promptly. A nil context never cancels. Panics anywhere
+// in execution surface as a typed *InternalError instead of unwinding into
+// the caller.
 //
 // Execute pins the latest published store snapshot at entry and runs
 // entirely against it: every data query, attribute resolution, and window
 // lowering reads that one frozen generation, so the call is safe to run
 // concurrently with AppendBatch (and with other executions) without any
 // session-wide lock.
-func (en *Engine) Execute(ctx context.Context, a *tbql.Analyzed) (res *Result, stats Stats, err error) {
-	defer guard(a, &err)
-	return en.execute(ctx, a, en.Store.Snapshot(), nil)
+func (en *Engine) Execute(ctx context.Context, a *tbql.Analyzed) (*Result, Stats, error) {
+	return en.ExecuteSource(ctx, a, en.Store.Snapshot(), nil)
 }
 
-// execute is Execute with an optional per-pattern delta floor: deltaFor
-// (nil for none) returns the minimum event ID pattern idx may match, the
-// hook standing queries use to join only new rows against history. Delta
-// rounds run the serial scheduled plan with the delta-constrained patterns
-// hoisted to the front: a floor over a small append usually matches
-// nothing (short-circuiting the round after one data query) or a handful
-// of rows whose bindings prune every later pattern.
-func (en *Engine) execute(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, deltaFor func(idx int) int64) (*Result, Stats, error) {
-	plan := en.planFor(a, snap)
-	if en.Parallel && !en.DisableScheduling && deltaFor == nil {
-		return en.executeLevels(ctx, a, snap, plan)
+// ExecuteSource is Execute against an explicit pinned snapshot of this
+// engine's store, with the plan's data queries answered by src (nil: the
+// engine's own backends on snap). The scheduled plan, the join, and the
+// attribute resolution (through snap) stay here, and src runs under this
+// call's panic boundary — which is how a sharded coordinator executes: it
+// passes its global snapshot and a source that scatters each data query.
+func (en *Engine) ExecuteSource(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, src RowSource) (res *Result, stats Stats, err error) {
+	defer guard(a, &err)
+	plan := en.planFor(a, snap, false)
+	if src == nil {
+		src = en.localSource(a, plan, snap)
 	}
+	sc := en.acquireScratch(len(plan.pats))
+	defer en.releaseScratch(sc)
+	return en.runFull(ctx, a, plan, snap, src, sc)
+}
 
+// localSource is the engine's own row source: each data query runs on the
+// backends against the pinned snapshot.
+func (en *Engine) localSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot) RowSource {
+	return func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error) {
+		return en.runPattern(ctx, a, plan, snap, q)
+	}
+}
+
+// run is the scheduled plan (Section III-F), the one place the engine
+// orders patterns, feeds bindings, short-circuits, and joins: patterns go
+// in pruning-score order (declaration order under DisableScheduling), each
+// asks src for its rows under the binding sets narrowed by the patterns
+// before it, a pattern with no rows empties the conjunction (nil result),
+// and the surviving rows join into complete bindings. deltaIdx >= 0 makes
+// it one turn of the delta-join rule: that pattern matches only events
+// with ID >= floor and is hoisted to the front — a floor over a small
+// append usually matches nothing (ending the turn after one data query) or
+// a handful of rows whose bindings prune every later pattern.
+func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, src RowSource, sc *loopScratch, deltaIdx int, floor int64) (*Result, Stats, error) {
 	order := plan.order
-	if deltaFor != nil {
-		hoisted := make([]int, 0, len(order))
-		for _, idx := range order {
-			if deltaFor(idx) > 0 {
-				hoisted = append(hoisted, idx)
+	if deltaIdx >= 0 {
+		sc.order = append(sc.order[:0], deltaIdx)
+		for _, idx := range plan.order {
+			if idx != deltaIdx {
+				sc.order = append(sc.order, idx)
 			}
 		}
-		for _, idx := range order {
-			if deltaFor(idx) <= 0 {
-				hoisted = append(hoisted, idx)
-			}
-		}
-		order = hoisted
+		order = sc.order
 	}
 
 	var stats Stats
-	bindings := make(map[string][]int64) // entity ID -> allowed IDs, sorted unique
-	results := make([]patternRows, len(a.Query.Patterns))
+	clear(sc.bindings) // entity ID -> allowed IDs, sorted unique
 	maxIn := en.maxIn()
-	var scratch []int64
-
 	for _, idx := range order {
 		p := a.Query.Patterns[idx]
-		sp := extrasSpec{snap: snap}
+		q := PatternQuery{Idx: idx, Meta: &plan.pats[idx].meta}
 		if !en.DisableScheduling {
-			sp.subj, sp.obj = en.bindingSpec(p, bindings, maxIn)
+			q.Subj, q.Obj = en.bindingSpec(p, sc.bindings, maxIn)
 		}
-		if deltaFor != nil {
-			sp.delta = deltaFor(idx)
+		if idx == deltaIdx {
+			q.Delta = floor
 		}
-		pr, qs, gs, err := en.runPattern(ctx, a, plan, idx, sp)
+		pr, st, err := src(ctx, q)
 		if err != nil {
 			return nil, stats, err
 		}
-		stats.Rel.RowsScanned += qs.RowsScanned
-		stats.Rel.IndexLookups += qs.IndexLookups
-		stats.Rel.HashJoinBuilds += qs.HashJoinBuilds
-		stats.Graph.NodesVisited += gs.NodesVisited
-		stats.Graph.EdgesTraversed += gs.EdgesTraversed
-		stats.Graph.IndexLookups += gs.IndexLookups
-		stats.DataQueries++
-		stats.PatternRows += len(pr.rows)
-		results[idx] = pr
-
-		if len(pr.rows) == 0 {
+		stats.Add(st)
+		if len(pr.Rows) == 0 {
 			// A pattern with no matches empties the whole conjunction.
 			stats.EmptyPatternID = p.ID
-			return emptyResult(a), stats, nil
+			return nil, stats, nil
 		}
+		sc.results[idx] = pr
 		if !en.DisableScheduling {
-			narrow(bindings, p.Subject.ID, pr.rows, 1, &scratch)
-			narrow(bindings, p.Object.ID, pr.rows, 2, &scratch)
+			narrow(sc.bindings, p.Subject.ID, pr.Rows, 1, &sc.ids)
+			narrow(sc.bindings, p.Object.ID, pr.Rows, 2, &sc.ids)
 		}
 	}
 
-	res, joined, err := en.join(ctx, a, snap, results)
-	if err != nil {
-		return nil, stats, err
-	}
+	res, joined, err := joinRows(ctx, a, plan.cols, snap.EntityAttr, sc.results)
 	stats.JoinBindings = joined
-	return res, stats, nil
+	return res, stats, err
 }
 
-// executeLevels is the parallel scheduled plan: the scheduler's order is
-// partitioned into dependency levels, each level's patterns execute in
-// concurrent goroutines (they share no entity variable, so no constraint
-// could flow between them), and binding sets are narrowed between levels.
-// Delta rounds never come here: execute() routes them through the serial
-// plan, whose binding feed the hoisted delta patterns rely on.
-func (en *Engine) executeLevels(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan) (*Result, Stats, error) {
-	var stats Stats
-	bindings := make(map[string][]int64)
-	results := make([]patternRows, len(a.Query.Patterns))
-	maxIn := en.maxIn()
-	var scratch []int64
-
-	type outcome struct {
-		pr  patternRows
-		rel relational.ExecStats
-		gr  graphdb.ExecStats
-		err error
+// runFull is one complete execution of the scheduled plan: run without a
+// delta pattern, an emptied conjunction returned as the empty result.
+func (en *Engine) runFull(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, src RowSource, sc *loopScratch) (*Result, Stats, error) {
+	res, stats, err := en.run(ctx, a, plan, snap, src, sc, -1, 0)
+	if res == nil && err == nil {
+		res = emptyResult(plan.cols)
 	}
-	for _, level := range plan.levels {
-		outs := make([]outcome, len(level))
-		levelSpec := func(idx int) extrasSpec {
-			sp := extrasSpec{snap: snap}
-			if !en.DisableScheduling {
-				sp.subj, sp.obj = en.bindingSpec(a.Query.Patterns[idx], bindings, maxIn)
-			}
-			return sp
-		}
-		if len(level) == 1 {
-			o := &outs[0]
-			o.pr, o.rel, o.gr, o.err = en.runPattern(ctx, a, plan, level[0], levelSpec(level[0]))
-		} else {
-			var wg sync.WaitGroup
-			for i, idx := range level {
-				sp := levelSpec(idx)
-				wg.Add(1)
-				go func(i, idx int, sp extrasSpec) {
-					defer wg.Done()
-					// A worker panic would kill the process (the caller's
-					// recover boundary cannot see it), so each worker has its
-					// own, producing the same typed error.
-					defer func() {
-						if r := recover(); r != nil {
-							outs[i].err = &InternalError{
-								Query: "pattern " + a.Query.Patterns[idx].ID,
-								Panic: r,
-								Stack: debug.Stack(),
-							}
-						}
-					}()
-					o := &outs[i]
-					o.pr, o.rel, o.gr, o.err = en.runPattern(ctx, a, plan, idx, sp)
-				}(i, idx, sp)
-			}
-			wg.Wait()
-		}
-		empty := -1
-		for i, idx := range level {
-			o := &outs[i]
-			if o.err != nil {
-				return nil, stats, o.err
-			}
-			stats.Rel.RowsScanned += o.rel.RowsScanned
-			stats.Rel.IndexLookups += o.rel.IndexLookups
-			stats.Rel.HashJoinBuilds += o.rel.HashJoinBuilds
-			stats.Graph.NodesVisited += o.gr.NodesVisited
-			stats.Graph.EdgesTraversed += o.gr.EdgesTraversed
-			stats.Graph.IndexLookups += o.gr.IndexLookups
-			stats.DataQueries++
-			stats.PatternRows += len(o.pr.rows)
-			results[idx] = o.pr
-			if len(o.pr.rows) == 0 && empty < 0 {
-				empty = idx
-			}
-		}
-		if empty >= 0 {
-			stats.EmptyPatternID = a.Query.Patterns[empty].ID
-			return emptyResult(a), stats, nil
-		}
-		if !en.DisableScheduling {
-			for _, idx := range level {
-				p := a.Query.Patterns[idx]
-				narrow(bindings, p.Subject.ID, results[idx].rows, 1, &scratch)
-				narrow(bindings, p.Object.ID, results[idx].rows, 2, &scratch)
-			}
-		}
-	}
-
-	res, joined, err := en.join(ctx, a, snap, results)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.JoinBindings = joined
-	return res, stats, nil
-}
-
-// ExecuteParallel runs the scheduled plan with per-level concurrency
-// regardless of the Parallel flag.
-func (en *Engine) ExecuteParallel(ctx context.Context, a *tbql.Analyzed) (res *Result, stats Stats, err error) {
-	defer guard(a, &err)
-	snap := en.Store.Snapshot()
-	return en.executeLevels(ctx, a, snap, en.planFor(a, snap))
+	return res, stats, err
 }
 
 // ExecuteDelta evaluates a query incrementally after an append: it returns
@@ -451,63 +368,61 @@ func (en *Engine) ExecuteParallel(ctx context.Context, a *tbql.Analyzed) (res *R
 // O(new events) — and a delta pattern's fresh rows join against the other
 // patterns' cached sets, so a round costs O(delta), not O(store). When the
 // ViewHighWater cap disables a view (or ViewHighWater < 0 disables views),
-// the recompute path runs: one constrained execution per pattern (the
-// standard delta-join rule). Both paths produce the same binding set; a
+// the same delta rule runs over the engine's data queries instead: one
+// constrained execution per pattern. Both produce the same binding set; a
 // binding with several new events appears once per delta pattern, so
 // callers deduplicate firings. Queries containing a variable-length path
 // pattern fall back to one full execution: even a typed path binds the
 // event variable only on its final hop, so an ID floor would miss paths
 // completed by a newly appended intermediate edge.
-func (en *Engine) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (res *Result, stats Stats, err error) {
-	defer guard(a, &err)
+//
+// The query's compiled plan (and the views it holds) stays in the engine's
+// cache until DropViews(a), however many other queries pass through.
+func (en *Engine) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*Result, Stats, error) {
 	// One snapshot pins the whole round: the view catch-up frontier, every
 	// data query, and the join all read the same store generation.
-	snap := en.Store.Snapshot()
-	if HasVarLenPath(a) {
-		return en.execute(ctx, a, snap, nil)
-	}
-	plan := en.planFor(a, snap)
-	if en.viewCap() > 0 {
-		res, stats, ok, err := en.executeDeltaViews(ctx, a, snap, plan, minEventID)
-		if err != nil {
-			return nil, stats, err
-		}
-		if ok {
-			return res, stats, nil
-		}
-	}
-	return en.executeDeltaRecompute(ctx, a, snap, minEventID)
+	return en.ExecuteDeltaSource(ctx, a, en.Store.Snapshot(), minEventID, nil)
 }
 
-// executeDeltaRecompute is the pre-view delta join: every pattern takes a
-// turn as the delta pattern and the others re-run their full data
-// queries, narrowed by the scheduler's binding feed.
-func (en *Engine) executeDeltaRecompute(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, minEventID int64) (*Result, Stats, error) {
-	combined := &Result{
-		Set:           &relational.ResultSet{Columns: returnColumns(a)},
-		MatchedEvents: map[int64]bool{},
+// ExecuteDeltaSource is ExecuteDelta against an explicit pinned snapshot,
+// with the data queries answered by src (see ExecuteSource). A nil src
+// selects the engine's own backends and materialized views; an external
+// source always evaluates the delta rule through its data queries.
+func (en *Engine) ExecuteDeltaSource(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, minEventID int64, src RowSource) (res *Result, stats Stats, err error) {
+	defer guard(a, &err)
+	plan := en.planFor(a, snap, true)
+	sc := en.acquireScratch(len(plan.pats))
+	defer en.releaseScratch(sc)
+	views := false
+	if src == nil {
+		src, views = en.localSource(a, plan, snap), en.viewCap() > 0
 	}
+	if HasVarLenPath(a) {
+		return en.runFull(ctx, a, plan, snap, src, sc)
+	}
+	if views {
+		res, stats, ok, err := en.deltaViews(ctx, a, plan, snap, sc, minEventID)
+		if err != nil || ok {
+			return res, stats, err
+		}
+	}
+	return en.deltaRule(ctx, a, plan, snap, src, sc, minEventID)
+}
+
+// deltaRule is the standard delta join: every pattern takes a turn as the
+// delta pattern (see run) and the turns' bindings concatenate.
+func (en *Engine) deltaRule(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, src RowSource, sc *loopScratch, minEventID int64) (*Result, Stats, error) {
+	combined := emptyResult(plan.cols)
 	var total Stats
-	for i := range a.Query.Patterns {
-		i := i
-		res, stats, err := en.execute(ctx, a, snap, func(idx int) int64 {
-			if idx == i {
-				return minEventID
-			}
-			return 0
-		})
+	for i := range plan.pats {
+		res, stats, err := en.run(ctx, a, plan, snap, src, sc, i, minEventID)
+		total.Add(stats)
 		if err != nil {
 			return nil, total, err
 		}
-		total.DataQueries += stats.DataQueries
-		total.PatternRows += stats.PatternRows
-		total.JoinBindings += stats.JoinBindings
-		total.Rel.RowsScanned += stats.Rel.RowsScanned
-		total.Rel.IndexLookups += stats.Rel.IndexLookups
-		total.Rel.HashJoinBuilds += stats.Rel.HashJoinBuilds
-		total.Graph.NodesVisited += stats.Graph.NodesVisited
-		total.Graph.EdgesTraversed += stats.Graph.EdgesTraversed
-		total.Graph.IndexLookups += stats.Graph.IndexLookups
+		if res == nil {
+			continue
+		}
 		combined.Set.Rows = append(combined.Set.Rows, res.Set.Rows...)
 		for ev := range res.MatchedEvents {
 			combined.MatchedEvents[ev] = true
@@ -519,24 +434,26 @@ func (en *Engine) executeDeltaRecompute(ctx context.Context, a *tbql.Analyzed, s
 	return combined, total, nil
 }
 
-// deltaScratch is the reusable per-round state of a view-backed delta
-// join: the per-pattern result slots, the binding-set map, the narrow
-// scratch, and the per-pattern filter output buffers. Pooled on the
-// engine so steady-state standing-query rounds allocate almost nothing.
-type deltaScratch struct {
-	results  []patternRows
+// loopScratch is the reusable per-execution state of the scheduled loop:
+// the per-pattern result slots, the binding-set map, the narrow scratch,
+// the hoisted order, and the view source's per-pattern filter output
+// buffers. Pooled on the engine so steady-state hunts and standing-query
+// rounds allocate almost nothing outside their data queries.
+type loopScratch struct {
+	results  []PatternRows
 	bindings map[string][]int64
 	ids      []int64
+	order    []int
 	bufs     [][][5]int64
 }
 
-func (en *Engine) acquireDeltaScratch(n int) *deltaScratch {
-	sc, _ := en.scratchPool.Get().(*deltaScratch)
+func (en *Engine) acquireScratch(n int) *loopScratch {
+	sc, _ := en.scratchPool.Get().(*loopScratch)
 	if sc == nil {
-		sc = &deltaScratch{bindings: make(map[string][]int64)}
+		sc = &loopScratch{bindings: make(map[string][]int64)}
 	}
 	if cap(sc.results) < n {
-		sc.results = make([]patternRows, n)
+		sc.results = make([]PatternRows, n)
 		sc.bufs = make([][][5]int64, n)
 	}
 	sc.results = sc.results[:n]
@@ -544,9 +461,9 @@ func (en *Engine) acquireDeltaScratch(n int) *deltaScratch {
 	return sc
 }
 
-func (en *Engine) releaseDeltaScratch(sc *deltaScratch) {
+func (en *Engine) releaseScratch(sc *loopScratch) {
 	for i := range sc.results {
-		sc.results[i] = patternRows{}
+		sc.results[i] = PatternRows{}
 	}
 	clear(sc.bindings)
 	en.scratchPool.Put(sc)
@@ -638,27 +555,18 @@ func returnColumns(a *tbql.Analyzed) []string {
 	return cols
 }
 
-// join combines per-pattern rows into complete bindings, enforcing shared
-// entity identity, temporal relationships, attribute relationships, and
-// global filters, then projects the return clause. The 2-pattern case
-// hash-joins on the shared entity variables; larger conjunctions use the
-// backtracking walk. Entity attributes resolve through the pinned snapshot
-// when one is given (concurrent executions must not probe the live intern
-// maps, which the writer mutates).
-func (en *Engine) join(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, results []patternRows) (*Result, int, error) {
-	attrOf := en.Store.EntityAttr
-	if snap != nil {
-		attrOf = snap.EntityAttr
-	}
-	return joinRows(ctx, a, attrOf, results)
-}
-
-// joinRows is join with the attribute resolver abstracted: the sharded
-// coordinator joins merged pattern rows with its global snapshot's
-// resolver through the same code path (see JoinPatternRows).
-func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr string) relational.Value, results []patternRows) (*Result, int, error) {
+// joinRows combines per-pattern rows into complete bindings, enforcing
+// shared entity identity, temporal relationships, attribute relationships,
+// and global filters, then projects the return clause (cols labels the
+// projection). The 2-pattern case hash-joins on the shared entity
+// variables; larger conjunctions use the backtracking walk. Entity
+// attributes resolve through attrOf — the pinned snapshot's resolver, since
+// concurrent executions must not probe the live intern maps, which the
+// writer mutates. results holds one entry per query pattern, indexed by
+// pattern.
+func joinRows(ctx context.Context, a *tbql.Analyzed, cols []string, attrOf func(id int64, attr string) relational.Value, results []PatternRows) (*Result, int, error) {
 	q := a.Query
-	rs := &relational.ResultSet{Columns: returnColumns(a)}
+	rs := &relational.ResultSet{Columns: cols}
 	matched := make(map[int64]bool)
 	joined := 0
 
@@ -691,7 +599,7 @@ func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr 
 		order[i] = i
 	}
 	sort.SliceStable(order, func(x, y int) bool {
-		return len(results[order[x]].rows) < len(results[order[y]].rows)
+		return len(results[order[x]].Rows) < len(results[order[y]].Rows)
 	})
 
 	entityBind := make(map[string]int64)
@@ -757,8 +665,8 @@ func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr 
 
 	// bindRow binds one pattern's row, returning false when it conflicts
 	// with existing bindings, plus an undo closure.
-	bindRow := func(pr patternRows, r [5]int64) (bool, func()) {
-		p := q.Patterns[pr.idx]
+	bindRow := func(pr PatternRows, r [5]int64) (bool, func()) {
+		p := q.Patterns[pr.Idx]
 		sPrev, sBound := entityBind[p.Subject.ID]
 		if sBound && sPrev != r[1] {
 			return false, nil
@@ -782,12 +690,12 @@ func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr 
 		if !oBound {
 			entityBind[p.Object.ID] = r[2]
 		}
-		if pr.hasEvent {
+		if pr.HasEvent {
 			pattTimes[p.ID] = [2]int64{r[3], r[4]}
 			pattEvent[p.ID] = r[0]
 		}
 		return true, func() {
-			if pr.hasEvent {
+			if pr.HasEvent {
 				delete(pattTimes, p.ID)
 				delete(pattEvent, p.ID)
 			}
@@ -812,7 +720,7 @@ func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr 
 				return emit()
 			}
 			pr := results[order[k]]
-			for _, r := range pr.rows {
+			for _, r := range pr.Rows {
 				if err := checkCancel(); err != nil {
 					return err
 				}
@@ -844,12 +752,12 @@ func joinRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr 
 // the smaller side is indexed by its shared-variable values, the larger
 // side probes. Returns ok=false (and does nothing) when the patterns
 // share no entity variable — the cross-product walk handles that case.
-func hashJoin2(q *tbql.Query, results []patternRows, order []int,
-	bindRow func(patternRows, [5]int64) (bool, func()), emit func() error,
+func hashJoin2(q *tbql.Query, results []PatternRows, order []int,
+	bindRow func(PatternRows, [5]int64) (bool, func()), emit func() error,
 	checkCancel func() error) (bool, error) {
 
 	small, large := results[order[0]], results[order[1]]
-	ps, pl := q.Patterns[small.idx], q.Patterns[large.idx]
+	ps, pl := q.Patterns[small.Idx], q.Patterns[large.Idx]
 
 	// Shared entity variables, as (column in small row, column in large
 	// row) pairs; row columns 1 and 2 hold subject and object IDs. Up to
@@ -888,12 +796,12 @@ func hashJoin2(q *tbql.Query, results []patternRows, order []int,
 		return k
 	}
 
-	idx := make(map[key][][5]int64, len(small.rows))
-	for _, r := range small.rows {
+	idx := make(map[key][][5]int64, len(small.Rows))
+	for _, r := range small.Rows {
 		k := keyOfSmall(r)
 		idx[k] = append(idx[k], r)
 	}
-	for _, rl := range large.rows {
+	for _, rl := range large.Rows {
 		if err := checkCancel(); err != nil {
 			return true, err
 		}
@@ -953,7 +861,7 @@ func temporalHolds(rel tbql.Relation, startA, startB int64) bool {
 // lowered to an AST and compiled once per plan — no SQL text, no parser.
 func (en *Engine) ExecuteMonolithicSQL(ctx context.Context, a *tbql.Analyzed) (rs *relational.ResultSet, stats Stats, err error) {
 	defer guard(a, &err)
-	pr, err := en.planFor(a, nil).monolithicSQL(en.Store, a)
+	pr, err := en.planFor(a, nil, false).monolithicSQL(en.Store, a)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -968,7 +876,7 @@ func (en *Engine) ExecuteMonolithicSQL(ctx context.Context, a *tbql.Analyzed) (r
 // graph databases use for multi-MATCH statements (query type (d) in RQ4).
 func (en *Engine) ExecuteMonolithicCypher(ctx context.Context, a *tbql.Analyzed) (rs *relational.ResultSet, stats Stats, err error) {
 	defer guard(a, &err)
-	q, err := en.planFor(a, nil).monolithicCypher(en.Store, a)
+	q, err := en.planFor(a, nil, false).monolithicCypher(en.Store, a)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -987,16 +895,16 @@ func (en *Engine) MatchEventsPerPattern(ctx context.Context, a *tbql.Analyzed) (
 	defer guard(a, &err)
 	matched = make(map[int64]bool)
 	snap := en.Store.Snapshot()
-	plan := en.planFor(a, snap)
+	plan := en.planFor(a, snap, false)
 	for idx := range a.Query.Patterns {
-		pr, _, _, err := en.runPattern(ctx, a, plan, idx, extrasSpec{snap: snap})
+		pr, _, err := en.runPattern(ctx, a, plan, snap, PatternQuery{Idx: idx})
 		if err != nil {
 			return nil, err
 		}
-		if !pr.hasEvent {
+		if !pr.HasEvent {
 			continue
 		}
-		for _, r := range pr.rows {
+		for _, r := range pr.Rows {
 			matched[r[0]] = true
 		}
 	}
@@ -1004,44 +912,13 @@ func (en *Engine) MatchEventsPerPattern(ctx context.Context, a *tbql.Analyzed) (
 }
 
 // Hunt parses, analyzes, and executes TBQL source with the scheduled
-// plan. The analyzed form is cached by source text, so a repeat hunt
-// reuses the compiled query plan (IR and backend plan variants) instead of
-// re-parsing anything. ctx cancels the execution cooperatively (see
-// Execute); a nil context never cancels.
+// plan. The compiled query is cached by source text (see Compile), so a
+// repeat hunt re-parses nothing. ctx cancels the execution cooperatively
+// (see Execute); a nil context never cancels.
 func (en *Engine) Hunt(ctx context.Context, src string) (*Result, Stats, error) {
-	a, err := en.analyzedFor(src)
+	a, err := en.Compile(src)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return en.Execute(ctx, a)
-}
-
-// analyzedFor returns the cached parse+analyze result for src.
-func (en *Engine) analyzedFor(src string) (*tbql.Analyzed, error) {
-	en.huntMu.Lock()
-	if a, ok := en.analyzed[src]; ok {
-		en.huntMu.Unlock()
-		return a, nil
-	}
-	en.huntMu.Unlock()
-
-	q, err := tbql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	a, err := tbql.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-
-	en.huntMu.Lock()
-	if len(en.analyzed) >= maxCachedAnalyzed {
-		en.analyzed = nil
-	}
-	if en.analyzed == nil {
-		en.analyzed = make(map[string]*tbql.Analyzed)
-	}
-	en.analyzed[src] = a
-	en.huntMu.Unlock()
-	return a, nil
 }

@@ -615,14 +615,14 @@ func compileMonolithicCypher(b timeBounds, a *tbql.Analyzed) (string, error) {
 // live ingestion (no session lock, no read of writer-mutated fields).
 func (en *Engine) Explain(a *tbql.Analyzed) (string, error) {
 	snap := en.Store.Snapshot()
-	plan := en.planFor(a, snap)
+	plan := en.planFor(a, snap, false)
 	var sb strings.Builder
 	sb.WriteString("--- per-pattern logical plans (IR) and physical plans ---\n")
 	for i := range a.Query.Patterns {
 		pp := &plan.pats[i]
 		sb.WriteString(pp.ir.String())
 		sb.WriteString("\n")
-		if pp.usesGraph {
+		if pp.meta.UsesGraph {
 			parts := compilePatternCypherParts(plan.bounds, a, i)
 			sb.WriteString("physical: graph traversal plan\n")
 			sb.WriteString("  equivalent Cypher: " + parts.assemble(nil) + "\n")

@@ -31,17 +31,17 @@ func caseAnalyzed(t *testing.T, c *cases.Case) *tbql.Analyzed {
 // legacyPatternRows executes one pattern through the legacy text path: the
 // EXPLAIN-only SQL/Cypher generators render the query with the extras
 // spliced as text, and the backend's parser-fed entry point runs it.
-func legacyPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, idx int, sp extrasSpec) [][5]int64 {
+func legacyPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, idx int, sp PatternQuery) [][5]int64 {
 	t.Helper()
 	var extra []string
-	if len(sp.subj) > 0 {
-		extra = append(extra, inList("s", sp.subj))
+	if len(sp.Subj) > 0 {
+		extra = append(extra, inList("s", sp.Subj))
 	}
-	if len(sp.obj) > 0 {
-		extra = append(extra, inList("o", sp.obj))
+	if len(sp.Obj) > 0 {
+		extra = append(extra, inList("o", sp.Obj))
 	}
-	if sp.delta > 0 {
-		extra = append(extra, fmt.Sprintf("e.id >= %d", sp.delta))
+	if sp.Delta > 0 {
+		extra = append(extra, fmt.Sprintf("e.id >= %d", sp.Delta))
 	}
 	p := a.Query.Patterns[idx]
 	var rows [][5]int64
@@ -128,37 +128,37 @@ func TestIRGoldenEquivalence(t *testing.T) {
 			}
 			a := caseAnalyzed(t, c)
 			en := &Engine{Store: store}
-			plan := en.planFor(a, nil)
+			plan := en.planFor(a, nil, false)
 
 			for idx, p := range a.Query.Patterns {
 				// Unconstrained rows drive the binding-set samples.
-				base, _, _, err := en.runPattern(nil, a, plan, idx, extrasSpec{})
+				base, _, err := en.runPattern(nil, a, plan, nil, PatternQuery{Idx: idx})
 				if err != nil {
 					t.Fatal(err)
 				}
-				subj := bindingSample(base.rows, 1, 8)
-				obj := bindingSample(base.rows, 2, 8)
+				subj := bindingSample(base.Rows, 1, 8)
+				obj := bindingSample(base.Rows, 2, 8)
 				delta := int64(len(gen.Log.Events)/2 + 1)
 
-				specs := []extrasSpec{
-					{},
-					{subj: subj},
-					{obj: obj},
-					{subj: subj, obj: obj},
+				specs := []PatternQuery{
+					{Idx: idx},
+					{Idx: idx, Subj: subj},
+					{Idx: idx, Obj: obj},
+					{Idx: idx, Subj: subj, Obj: obj},
 				}
 				// The delta floor applies only where the data query binds
 				// an event: relational patterns and edge-var path queries
 				// (ExecuteDelta routes everything else to full re-runs).
 				if p.Path == nil || plan.pats[idx].ir.Path.HasEdgeVar {
-					specs = append(specs, extrasSpec{delta: delta}, extrasSpec{subj: subj, delta: delta})
+					specs = append(specs, PatternQuery{Idx: idx, Delta: delta}, PatternQuery{Idx: idx, Subj: subj, Delta: delta})
 				}
 				for si, sp := range specs {
-					got, _, _, err := en.runPattern(nil, a, plan, idx, sp)
+					got, _, err := en.runPattern(nil, a, plan, nil, sp)
 					if err != nil {
 						t.Fatalf("pattern %s spec %d: %v", p.ID, si, err)
 					}
 					want := legacyPatternRows(t, store, a, idx, sp)
-					g, w := sortedRows(got.rows), sortedRows(want)
+					g, w := sortedRows(got.Rows), sortedRows(want)
 					if len(g) != len(w) {
 						t.Fatalf("pattern %s spec %d: IR %d rows, legacy %d rows", p.ID, si, len(g), len(w))
 					}

@@ -19,15 +19,12 @@ func TestExecutePathsInvokeNoParser(t *testing.T) {
 	aPath := analyzed(t, `proc p["%/bin/tar%"] ~>(1~3) file f["%upload%"] return distinct p, f`)
 
 	en := &Engine{Store: store}
-	enPar := &Engine{Store: store, Parallel: true}
 	enUnsched := &Engine{Store: store, DisableScheduling: true}
 
 	rel0, gr0 := relational.ParseCalls(), graphdb.ParseCalls()
 
 	for _, run := range []func() error{
 		func() error { _, _, err := en.Execute(nil, a); return err },
-		func() error { _, _, err := en.ExecuteParallel(nil, a); return err },
-		func() error { _, _, err := enPar.Execute(nil, a); return err },
 		func() error { _, _, err := enUnsched.Execute(nil, a); return err },
 		func() error { _, _, err := en.ExecuteDelta(nil, a, 1); return err },
 		func() error { _, _, err := en.ExecuteMonolithicSQL(nil, a); return err },

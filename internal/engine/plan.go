@@ -21,13 +21,13 @@ import (
 // compiled physical plan and binds values — no text, no parsing, no
 // per-binding-set cache, no per-extras-shape variants.
 type patternPlan struct {
-	usesGraph bool
-	ir        *qir.DataQuery
-	gq        *graphdb.Query
-	// opMask is the OR of the op-code bits the pattern's bound event can
-	// take (^0 when unconstrained): view catch-up skips its data query
-	// entirely when a delta's batch op bitmap doesn't intersect it.
-	opMask uint32
+	ir *qir.DataQuery
+	gq *graphdb.Query
+	// meta is the pattern's routing shape: which backend it lowers to, and
+	// what a scatter coordinator prunes shards with. View catch-up skips
+	// its data query entirely when a delta's batch op bitmap doesn't
+	// intersect meta.OpMask.
+	meta PatternMeta
 
 	mu       sync.Mutex
 	rel      *relational.Prepared // entity-anchored, runtime-pruned params
@@ -97,22 +97,22 @@ func (pp *patternPlan) preparedDelta(s *Store, b timeBounds) (*relational.Prepar
 	return pp.relDelta, nil
 }
 
-// queryPlan caches everything about an analyzed TBQL query that does not
-// change between executions: the pruning-score order, the dependency
-// levels for the parallel path, the per-pattern IR, and the lowered
-// backend plans.
+// queryPlan is one entry of the engine's compiled-query cache: everything
+// about an analyzed TBQL query that does not change between executions —
+// the pruning-score order, the per-pattern IR and routing metadata, and
+// the lowered backend plans.
 type queryPlan struct {
+	// src is the TBQL text Compile cached the query under ("" for a query
+	// the caller analyzed itself); pinned marks a standing query's plan,
+	// which overflow never evicts. Both are guarded by Engine.planMu.
+	src    string
+	pinned bool
+
 	order []int
-	// levels partitions the scheduled order into dependency levels:
-	// patterns within one level share no entity variable with each other,
-	// so they cannot feed constraints to one another and may execute
-	// concurrently; every pattern shares at least one entity variable
-	// with some earlier level (or is in level 0).
-	levels [][]int
-	irs    []*qir.DataQuery
-	pats   []patternPlan
+	irs   []*qir.DataQuery
+	pats  []patternPlan
 	// cols caches the query's projected column labels (shared by every
-	// delta round's result set).
+	// result set the query produces).
 	cols []string
 	// windowSensitive marks plans whose lowered window conditions resolve
 	// against the store's time bounds (LAST/BEFORE/AFTER); they are
@@ -146,16 +146,41 @@ type queryPlan struct {
 	monoCyErr  error
 }
 
-type planKey struct {
-	a     *tbql.Analyzed
-	sched bool
-}
-
-// maxCachedQueryPlans bounds the per-engine plan cache; entries are keyed
-// by *tbql.Analyzed identity, so callers that re-analyze per call (Hunt)
-// miss and would otherwise grow the map without bound. On overflow the
-// cache is flushed wholesale.
+// maxCachedQueryPlans bounds the compiled-query cache. Ad-hoc hunts with
+// never-repeating texts would otherwise grow it without bound; on overflow
+// every plan no standing query pins is dropped wholesale.
 const maxCachedQueryPlans = 256
+
+// Compile returns the analyzed form of TBQL source through the
+// compiled-query cache: a repeat text re-parses nothing and finds its
+// plan (IR, backend plans, routing metadata) already built.
+func (en *Engine) Compile(src string) (*tbql.Analyzed, error) {
+	en.planMu.Lock()
+	a := en.texts[src]
+	en.planMu.Unlock()
+	if a != nil {
+		return a, nil
+	}
+	q, err := tbql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if a, err = tbql.Analyze(q); err != nil {
+		return nil, err
+	}
+	snap := en.Store.Snapshot()
+	en.planMu.Lock()
+	defer en.planMu.Unlock()
+	if won := en.texts[src]; won != nil {
+		return won, nil // a concurrent Compile of the same text got there first
+	}
+	en.planLocked(a, snap, false).src = src
+	if en.texts == nil {
+		en.texts = make(map[string]*tbql.Analyzed)
+	}
+	en.texts[src] = a
+	return a, nil
+}
 
 // planFor returns the cached plan for a, building it on first use. A
 // cached plan whose lowered window conditions depend on the store's time
@@ -165,9 +190,16 @@ const maxCachedQueryPlans = 256
 // plan's epoch and window bounds come from it, so a hunt racing an append
 // gets a plan consistent with the store generation it reads (and never
 // loads the writer-mutated live bounds). A nil snap (writer-synchronized
-// paths: the monolithic RQ4 comparisons) uses the live bounds.
-func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot) *queryPlan {
-	key := planKey{a: a, sched: !en.DisableScheduling}
+// paths: the monolithic RQ4 comparisons) uses the live bounds. pin marks
+// the plan as a standing query's: it (and the views it comes to hold)
+// stays cached until DropViews.
+func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan {
+	en.planMu.Lock()
+	defer en.planMu.Unlock()
+	return en.planLocked(a, snap, pin)
+}
+
+func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan {
 	var epoch uint64
 	var b timeBounds
 	if snap != nil {
@@ -175,33 +207,33 @@ func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot) *queryPlan {
 	} else {
 		epoch, b = en.Store.BoundsEpoch(), en.Store.bounds()
 	}
-	en.planMu.Lock()
-	defer en.planMu.Unlock()
-	prev := en.plans[key]
+	prev := en.plans[a]
 	if prev != nil && (!prev.windowSensitive || prev.boundsEpoch == epoch) {
+		prev.pinned = prev.pinned || pin
 		return prev
 	}
-	if len(en.plans) >= maxCachedQueryPlans {
-		for _, old := range en.plans {
-			en.releasePlanViews(old)
-		}
-		en.plans = nil
-	}
-	var irs []*qir.DataQuery
+	p := &queryPlan{pinned: pin, order: en.schedule(a), boundsEpoch: epoch, bounds: b, cols: returnColumns(a)}
 	if prev != nil {
-		irs = prev.irs // bounds moved: recompile from the cached IR
+		p.irs = prev.irs // bounds moved: recompile from the cached IR
+		p.src, p.pinned = prev.src, prev.pinned || pin
 	} else {
-		irs = tbql.Lower(a)
+		p.irs = tbql.Lower(a)
+		if len(en.plans) >= maxCachedQueryPlans {
+			for old, op := range en.plans {
+				if !op.pinned {
+					en.releasePlanViews(op)
+					delete(en.plans, old)
+					delete(en.texts, op.src)
+				}
+			}
+		}
 	}
-	p := &queryPlan{order: en.schedule(a), boundsEpoch: epoch, bounds: b, irs: irs, cols: returnColumns(a)}
-	p.levels = dependencyLevels(a.Query.Patterns, p.order)
-	p.pats = make([]patternPlan, len(irs))
-	for i, ir := range irs {
+	p.pats = make([]patternPlan, len(p.irs))
+	for i, ir := range p.irs {
 		pp := &p.pats[i]
 		pp.ir = ir
-		pp.usesGraph = ir.UsesGraph()
-		pp.opMask = patternOpMask(ir)
-		if pp.usesGraph {
+		pp.meta = patternMeta(ir)
+		if pp.meta.UsesGraph {
 			pp.gq = lowerPathQuery(b, ir.Path)
 		}
 		if ir.Window().Sensitive() {
@@ -237,9 +269,9 @@ func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot) *queryPlan {
 		prev.viewMu.Unlock()
 	}
 	if en.plans == nil {
-		en.plans = make(map[planKey]*queryPlan)
+		en.plans = make(map[*tbql.Analyzed]*queryPlan)
 	}
-	en.plans[key] = p
+	en.plans[a] = p
 	return p
 }
 
@@ -259,17 +291,16 @@ func (en *Engine) releasePlanViews(p *queryPlan) {
 }
 
 // DropViews releases the materialized pattern views cached for an
-// analyzed query (both scheduling modes). The standing-query layer calls
-// it when a subscription is removed, so long-lived sessions do not keep
-// match caches for queries nobody watches; the plans themselves stay
-// cached and the next ExecuteDelta rematerializes on demand.
+// analyzed query and unpins its plan. The standing-query layer calls it
+// when a subscription is removed, so long-lived sessions do not keep match
+// caches for queries nobody watches; the plan itself stays cached until
+// overflow and the next ExecuteDelta rematerializes on demand.
 func (en *Engine) DropViews(a *tbql.Analyzed) {
 	en.planMu.Lock()
 	defer en.planMu.Unlock()
-	for _, sched := range []bool{false, true} {
-		if p := en.plans[planKey{a: a, sched: sched}]; p != nil {
-			en.releasePlanViews(p)
-		}
+	if p := en.plans[a]; p != nil {
+		p.pinned = false
+		en.releasePlanViews(p)
 	}
 }
 
@@ -353,34 +384,4 @@ func (en *Engine) pruningScore(a *tbql.Analyzed, p *tbql.Pattern) int {
 		}
 	}
 	return score
-}
-
-// dependencyLevels walks the scheduled order and assigns each pattern to
-// the earliest level after every earlier pattern it shares an entity
-// variable with: a pattern that shares nothing with anything before it
-// lands in an existing level and runs concurrently with that level's
-// patterns, while chained patterns serialize so the scheduler can feed
-// bindings forward.
-func dependencyLevels(patterns []*tbql.Pattern, order []int) [][]int {
-	var levels [][]int
-	entLevel := make(map[string]int) // entity var -> highest level seen
-	for _, idx := range order {
-		p := patterns[idx]
-		lvl := 0
-		for _, id := range []string{p.Subject.ID, p.Object.ID} {
-			if l, ok := entLevel[id]; ok && l+1 > lvl {
-				lvl = l + 1
-			}
-		}
-		for len(levels) <= lvl {
-			levels = append(levels, nil)
-		}
-		levels[lvl] = append(levels[lvl], idx)
-		for _, id := range []string{p.Subject.ID, p.Object.ID} {
-			if l, ok := entLevel[id]; !ok || lvl > l {
-				entLevel[id] = lvl
-			}
-		}
-	}
-	return levels
 }

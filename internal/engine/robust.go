@@ -34,8 +34,9 @@ const (
 	// FaultAppendLog fires before the batch appends to the store's log.
 	FaultAppendLog = "engine/append/log"
 	// FaultExecutePattern fires at the head of every pattern data query —
-	// inside the parallel plan's worker goroutines when Parallel is set,
-	// which is exactly where an unisolated panic would kill the process.
+	// on a scatter goroutine when a sharded coordinator fans the query
+	// out, which is exactly where an unisolated panic would kill the
+	// process.
 	FaultExecutePattern = "engine/execute/pattern"
 )
 
@@ -77,7 +78,7 @@ func guard(a *tbql.Analyzed, errp *error) {
 	}
 }
 
-// ctxErr is the engine-level cancellation checkpoint (pattern and level
+// ctxErr is the engine-level cancellation checkpoint (pattern
 // boundaries); a nil context is never cancelled.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {

@@ -84,34 +84,6 @@ func TestExecutorPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestExecutorPanicIsolatedParallel does the same through the parallel
-// plan, where the panic happens on a worker goroutine — exactly the place
-// an unrecovered panic would kill the whole process.
-func TestExecutorPanicIsolatedParallel(t *testing.T) {
-	store, _ := dataLeakStore(t, 400)
-	en := &Engine{Store: store}
-	a := analyzed(t, dataLeakTBQL)
-
-	faultinject.Arm(faultinject.Plan{
-		FaultExecutePattern: {Hits: []int{2}, Mode: faultinject.ModePanic},
-	})
-	t.Cleanup(faultinject.Disarm)
-	_, _, err := en.ExecuteParallel(nil, a)
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("panicking parallel execute: got %v (%T), want *InternalError", err, err)
-	}
-	faultinject.Disarm()
-
-	res, _, err := en.ExecuteParallel(nil, a)
-	if err != nil {
-		t.Fatalf("post-panic parallel execute: %v", err)
-	}
-	if len(res.Set.Rows) == 0 {
-		t.Fatal("post-panic parallel execute found nothing")
-	}
-}
-
 // storeSnap is the observable shape AppendBatch's rollback must restore.
 type storeSnap struct {
 	entRows, evRows  int

@@ -1,15 +1,14 @@
 package engine
 
-// This file is the engine's scatter surface: the exported pieces a
-// coordinator needs to run one query across several stores (see
-// internal/shard). A sharded execution keeps the whole scheduled plan —
-// pruning-score order, binding-set feed, final join — at the coordinator
-// and only scatters the per-pattern data queries, so each piece of the
-// single-store pipeline is exported at exactly that seam: ScatterPattern
-// runs one pattern against one pinned snapshot, JoinPatternRows folds the
-// merged per-pattern rows into complete bindings, and QueryMeta exposes
-// the routing-relevant shape (op mask, window, host pins) the coordinator
-// prunes shards with.
+// This file is the engine's scatter surface: what a coordinator needs to
+// run one query across several stores (see internal/shard). A sharded
+// execution keeps the whole scheduled plan at the coordinator's engine
+// (ExecuteSource / ExecuteDeltaSource run the one loop over the global
+// snapshot) and scatters only the per-pattern data queries, so exactly
+// that seam is exported: the loop hands its RowSource a PatternQuery
+// carrying the pattern's PatternMeta — the routing-relevant shape (op
+// mask, window, host pins) the coordinator prunes shards with — and
+// ScatterPattern runs the query against one shard's pinned snapshot.
 
 import (
 	"context"
@@ -19,16 +18,6 @@ import (
 	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
-
-// PatternRows is one pattern's data-query result rows in exported form:
-// [event, subject, object, start, end] per row (only the subject/object
-// columns are meaningful when HasEvent is false — variable-length paths
-// bind no event).
-type PatternRows struct {
-	Idx      int
-	Rows     [][5]int64
-	HasEvent bool
-}
 
 // snapEdgeFloor translates a global event-ID delta floor into the
 // snapshot's dense edge-arena floor: edges are appended one per event in
@@ -42,74 +31,15 @@ func snapEdgeFloor(snap *Snapshot, delta int64) int64 {
 	return int64(i) + 1
 }
 
-// ScatterPattern executes pattern idx of a against the pinned snapshot
-// with the given binding sets and delta floor — one shard's share of a
-// scattered data query. The snapshot must belong to this engine's store;
-// binding-set and delta parameters carry global entity and event IDs
-// (shards store global IDs, so no remapping happens anywhere).
-func (en *Engine) ScatterPattern(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, idx int, subj, obj []int64, delta int64) (res PatternRows, stats Stats, err error) {
+// ScatterPattern executes one data query of a against the pinned snapshot
+// — one shard's share of a scattered data query. The snapshot must belong
+// to this engine's store; binding-set and delta parameters carry global
+// entity and event IDs (shards store global IDs, so no remapping happens
+// anywhere).
+func (en *Engine) ScatterPattern(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, q PatternQuery) (res PatternRows, stats Stats, err error) {
 	defer guard(a, &err)
-	plan := en.planFor(a, snap)
-	pr, qs, gs, err := en.runPattern(ctx, a, plan, idx, extrasSpec{subj: subj, obj: obj, delta: delta, snap: snap})
-	if err != nil {
-		return PatternRows{Idx: idx}, stats, err
-	}
-	stats.DataQueries = 1
-	stats.PatternRows = len(pr.rows)
-	stats.Rel = qs
-	stats.Graph = gs
-	return PatternRows{Idx: pr.idx, Rows: pr.rows, HasEvent: pr.hasEvent}, stats, nil
+	return en.runPattern(ctx, a, en.planFor(a, snap, false), snap, q)
 }
-
-// JoinPatternRows combines per-pattern rows into complete bindings with
-// the engine's join (shared-entity identity, temporal and attribute
-// relations, return projection). attrOf resolves entity attributes; a
-// coordinator passes its global snapshot's resolver. results must hold
-// one entry per query pattern, indexed by pattern.
-func JoinPatternRows(ctx context.Context, a *tbql.Analyzed, attrOf func(id int64, attr string) relational.Value, results []PatternRows) (res *Result, joined int, err error) {
-	defer guard(a, &err)
-	inner := make([]patternRows, len(results))
-	for i, pr := range results {
-		inner[i] = patternRows{idx: pr.Idx, rows: pr.Rows, hasEvent: pr.HasEvent}
-	}
-	return joinRows(ctx, a, attrOf, inner)
-}
-
-// EmptyResult is the result of a conjunction short-circuited by a pattern
-// that matched nothing, shared with coordinators that schedule their own
-// scatter rounds.
-func EmptyResult(a *tbql.Analyzed) *Result { return emptyResult(a) }
-
-// ScheduleOrder returns the pruning-score pattern order for a — the same
-// order a single-store scheduled execution uses.
-func ScheduleOrder(a *tbql.Analyzed) []int {
-	var en Engine
-	return en.schedule(a)
-}
-
-// BindingSpec selects the scheduler's binding-set constraints for pattern
-// idx out of the accumulated binding map (sorted unique ID slices),
-// applying the engine's IN-list cap semantics. maxIn <= 0 selects the
-// default cap.
-func BindingSpec(a *tbql.Analyzed, idx int, bindings map[string][]int64, maxIn int) (subj, obj []int64) {
-	var en Engine
-	if maxIn > 0 {
-		en.MaxInList = maxIn
-	}
-	return en.bindingSpec(a.Query.Patterns[idx], bindings, en.maxIn())
-}
-
-// Narrow intersects the binding sets of pattern idx's subject and object
-// variables with the IDs seen in its rows — the coordinator-side binding
-// feed between scattered patterns.
-func Narrow(a *tbql.Analyzed, idx int, rows [][5]int64, bindings map[string][]int64, scratch *[]int64) {
-	p := a.Query.Patterns[idx]
-	narrow(bindings, p.Subject.ID, rows, 1, scratch)
-	narrow(bindings, p.Object.ID, rows, 2, scratch)
-}
-
-// ReturnColumns returns the query's projected column labels.
-func ReturnColumns(a *tbql.Analyzed) []string { return returnColumns(a) }
 
 // PatternMeta is the routing-relevant shape of one pattern: everything a
 // scatter coordinator needs to decide which shards the pattern's data
@@ -136,26 +66,18 @@ type PatternMeta struct {
 	ObjHost  string
 }
 
-// QueryMeta derives the per-pattern routing metadata for a query from
-// its lowered IR.
-func QueryMeta(a *tbql.Analyzed) []PatternMeta {
-	irs := tbql.Lower(a)
-	metas := make([]PatternMeta, len(irs))
-	for i, ir := range irs {
-		m := &metas[i]
-		m.OpMask = patternOpMask(ir)
-		m.Window = ir.Window()
-		m.UsesGraph = ir.UsesGraph()
-		if ir.Path != nil {
-			m.VarLen = ir.Path.MinLen != 1 || ir.Path.MaxLen != 1
-			m.SubjHost = hostEquality(ir.Path.SubjPred)
-			m.ObjHost = hostEquality(ir.Path.ObjPred)
-		} else if ir.Event != nil {
-			m.SubjHost = hostEquality(ir.Event.SubjPred)
-			m.ObjHost = hostEquality(ir.Event.ObjPred)
-		}
+// patternMeta derives a pattern's routing metadata from its lowered IR.
+func patternMeta(ir *qir.DataQuery) PatternMeta {
+	m := PatternMeta{OpMask: patternOpMask(ir), Window: ir.Window(), UsesGraph: ir.UsesGraph()}
+	if ir.Path != nil {
+		m.VarLen = ir.Path.MinLen != 1 || ir.Path.MaxLen != 1
+		m.SubjHost = hostEquality(ir.Path.SubjPred)
+		m.ObjHost = hostEquality(ir.Path.ObjPred)
+	} else if ir.Event != nil {
+		m.SubjHost = hostEquality(ir.Event.SubjPred)
+		m.ObjHost = hostEquality(ir.Event.ObjPred)
 	}
-	return metas
+	return m
 }
 
 // hostEquality extracts the host a predicate pins its entity to with a

@@ -84,7 +84,7 @@ func TestConcurrentHuntsSnapshotConsistency(t *testing.T) {
 				default:
 				}
 				snap := en.Store.Snapshot()
-				res, _, err := en.execute(nil, a, snap, nil)
+				res, _, err := en.ExecuteSource(nil, a, snap, nil)
 				if err != nil {
 					t.Errorf("concurrent hunt: %v", err)
 					return
@@ -192,7 +192,7 @@ func TestHuntNeverObservesPartialAppend(t *testing.T) {
 		if snap.NextEventID != int64(half)+1 {
 			t.Fatalf("%s snapshot frontier = %d after failed append, want %d", name, snap.NextEventID, half+1)
 		}
-		res, _, err := en.execute(nil, a, snap, nil)
+		res, _, err := en.ExecuteSource(nil, a, snap, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestHuntNeverObservesPartialAppend(t *testing.T) {
 	if err := live.AppendBatch(nil, rest); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := en.execute(nil, a, pinned, nil)
+	res, _, err := en.ExecuteSource(nil, a, pinned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestHuntNeverObservesPartialAppend(t *testing.T) {
 			wantHalf, res.Set.Strings())
 	}
 	wantFull := truncatedOracle(t, gen.Log, n, dataLeakTBQL)
-	resFull, _, err := en.execute(nil, a, live.Snapshot(), nil)
+	resFull, _, err := en.ExecuteSource(nil, a, live.Snapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@ package engine
 // untouched. Window-sensitive patterns ride the plan-invalidation
 // machinery: LAST windows slide their frontier — the old view keeps its
 // rows minus those below the new lower bound (see migrateSensitiveView) —
-// while BEFORE/AFTER windows rematerialize from scratch. Total materialized rows are capped by Engine.ViewHighWater:
-// a query that would exceed the cap falls back to the recompute path.
+// while BEFORE/AFTER windows rematerialize from scratch. Total
+// materialized rows are capped by Engine.ViewHighWater: a query that would
+// exceed the cap falls back to the recompute path.
 
 import (
 	"context"
@@ -172,7 +173,7 @@ func (v *matView) evictBelow(lo int64) int {
 func (en *Engine) migrateSensitiveView(old *patternPlan, b timeBounds) *matView {
 	v := old.view
 	w := old.ir.Window()
-	if v == nil || v.upTo == 0 || w.Kind != qir.WindLast || old.usesGraph {
+	if v == nil || v.upTo == 0 || w.Kind != qir.WindLast || old.meta.UsesGraph {
 		return nil
 	}
 	lo, _ := w.Bounds(b.min, b.max)
@@ -249,10 +250,7 @@ func (en *Engine) disablePlanViewsLocked(plan *queryPlan) {
 // the recompute path. Stats from the catch-up data queries accumulate into
 // st. Callers hold plan.viewMu.
 func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan, st *Stats) (bool, error) {
-	next := en.Store.NextEventID()
-	if snap != nil {
-		next = snap.NextEventID
-	}
+	next := snap.NextEventID
 	for idx := range plan.pats {
 		pp := &plan.pats[idx]
 		v := pp.view
@@ -263,47 +261,40 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 		if v.upTo >= next {
 			continue
 		}
-		sp := extrasSpec{snap: snap}
+		q := PatternQuery{Idx: idx}
 		if v.upTo > 0 {
 			// A catch-up query can only add rows whose bound event lies
 			// in [upTo, next); if no event in that delta carries one of
 			// the pattern's operations, the result is empty by
 			// construction — advance the frontier without running it.
-			if snap != nil && snap.OpMaskBetween(v.upTo, next)&pp.opMask == 0 {
+			if snap.OpMaskBetween(v.upTo, next)&pp.meta.OpMask == 0 {
 				v.upTo = next
 				en.viewCatchupSkips.Add(1)
 				continue
 			}
-			sp.delta = v.upTo
+			q.Delta = v.upTo
 		}
-		pr, qs, gs, err := en.runPattern(ctx, a, plan, idx, sp)
+		pr, qst, err := en.runPattern(ctx, a, plan, snap, q)
 		if err != nil {
 			return false, err
 		}
-		st.DataQueries++
-		st.PatternRows += len(pr.rows)
-		st.Rel.RowsScanned += qs.RowsScanned
-		st.Rel.IndexLookups += qs.IndexLookups
-		st.Rel.HashJoinBuilds += qs.HashJoinBuilds
-		st.Graph.NodesVisited += gs.NodesVisited
-		st.Graph.EdgesTraversed += gs.EdgesTraversed
-		st.Graph.IndexLookups += gs.IndexLookups
-		if !pr.hasEvent || !en.reserveViewRows(len(pr.rows)) {
-			// !hasEvent is defensive: a view without event IDs cannot
+		st.Add(qst)
+		if !pr.HasEvent || !en.reserveViewRows(len(pr.Rows)) {
+			// !HasEvent is defensive: a view without event IDs cannot
 			// maintain its frontier (ExecuteDelta's var-len fallback
 			// should make it unreachable). Either way the query falls
 			// back to recompute as a whole.
 			en.disablePlanViewsLocked(plan)
 			return false, nil
 		}
-		sortRowsByEvent(pr.rows)
+		sortRowsByEvent(pr.Rows)
 		if v.upTo == 0 {
-			v.rows = pr.rows
+			v.rows = pr.Rows
 			v.indexRows(0)
 			en.viewMaterializations.Add(1)
 		} else {
 			fresh := len(v.rows)
-			v.rows = append(v.rows, pr.rows...)
+			v.rows = append(v.rows, pr.Rows...)
 			v.indexRows(fresh)
 			en.viewDeltaMerges.Add(1)
 		}
@@ -312,12 +303,14 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 	return true, nil
 }
 
-// executeDeltaViews is the materialized-view delta round: for each
-// pattern, its fresh rows (event ID >= minEventID, read straight off the
-// view) join against the other patterns' cached sets, with the
-// scheduler's binding sets narrowing each read. Returns ok=false when a
-// view is capped and the recompute path must run instead.
-func (en *Engine) executeDeltaViews(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan, minEventID int64) (*Result, Stats, bool, error) {
+// deltaViews is the materialized-view delta round: the views catch up to
+// the snapshot frontier, then the delta rule runs over a row source that
+// reads them instead of issuing data queries — the delta pattern's fresh
+// rows are its view's suffix from the floor (it is hoisted first, so no
+// binding set constrains it), and every other pattern's cached set is read
+// through the binding feed. Returns ok=false when a view is capped and the
+// rule must run over the engine's data queries instead.
+func (en *Engine) deltaViews(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, sc *loopScratch, minEventID int64) (*Result, Stats, bool, error) {
 	var stats Stats
 	plan.viewMu.Lock()
 	defer plan.viewMu.Unlock()
@@ -338,70 +331,18 @@ func (en *Engine) executeDeltaViews(ctx context.Context, a *tbql.Analyzed, snap 
 		en.viewFallbacks.Add(1)
 		return nil, stats, false, nil
 	}
-
-	combined := &Result{
-		Set:           &relational.ResultSet{Columns: plan.cols},
-		MatchedEvents: map[int64]bool{},
-	}
-	sc := en.acquireDeltaScratch(len(plan.pats))
-	defer en.releaseDeltaScratch(sc)
-	maxIn := en.maxIn()
-
-	for i := range plan.pats {
-		deltaRows := plan.pats[i].view.since(minEventID)
-		if len(deltaRows) == 0 {
-			continue
+	res, st, err := en.deltaRule(ctx, a, plan, snap, func(_ context.Context, q PatternQuery) (PatternRows, Stats, error) {
+		v := plan.pats[q.Idx].view
+		rows := v.rows
+		switch {
+		case q.Delta > 0:
+			rows = v.since(q.Delta)
+		case q.Subj != nil || q.Obj != nil:
+			rows = v.filter(q.Subj, q.Obj, sc.bufs[q.Idx][:0])
+			sc.bufs[q.Idx] = rows[:0:cap(rows)] // retain the grown buffer
 		}
-		// The delta pattern runs first (the recompute path hoists it the
-		// same way); the remaining patterns follow the scheduled order,
-		// reading their materialized sets narrowed by the binding feed.
-		clear(sc.bindings)
-		empty := false
-		bind := func(idx int, rows [][5]int64) {
-			p := a.Query.Patterns[idx]
-			sc.results[idx] = patternRows{idx: idx, rows: rows, hasEvent: true}
-			stats.PatternRows += len(rows)
-			if !en.DisableScheduling {
-				narrow(sc.bindings, p.Subject.ID, rows, 1, &sc.ids)
-				narrow(sc.bindings, p.Object.ID, rows, 2, &sc.ids)
-			}
-		}
-		bind(i, deltaRows)
-		for _, idx := range plan.order {
-			if idx == i {
-				continue
-			}
-			var subj, obj []int64
-			if !en.DisableScheduling {
-				subj, obj = en.bindingSpec(a.Query.Patterns[idx], sc.bindings, maxIn)
-			}
-			v := plan.pats[idx].view
-			rows := v.rows
-			if subj != nil || obj != nil {
-				rows = v.filter(subj, obj, sc.bufs[idx][:0])
-				sc.bufs[idx] = rows[:0:cap(rows)] // retain the grown buffer
-			}
-			if len(rows) == 0 {
-				empty = true
-				break
-			}
-			bind(idx, rows)
-		}
-		if empty {
-			continue
-		}
-		res, joined, err := en.join(ctx, a, snap, sc.results)
-		if err != nil {
-			return nil, stats, false, err
-		}
-		stats.JoinBindings += joined
-		combined.Set.Rows = append(combined.Set.Rows, res.Set.Rows...)
-		for ev := range res.MatchedEvents {
-			combined.MatchedEvents[ev] = true
-		}
-	}
-	if a.Query.Return.Distinct {
-		combined.Set.Rows = relational.DedupRows(combined.Set.Rows)
-	}
-	return combined, stats, true, nil
+		return PatternRows{Idx: q.Idx, Rows: rows, HasEvent: true}, Stats{PatternRows: len(rows)}, nil
+	}, sc, minEventID)
+	stats.Add(st)
+	return res, stats, err == nil, err
 }

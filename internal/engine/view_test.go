@@ -256,3 +256,46 @@ func TestDropViewsReleasesRows(t *testing.T) {
 		t.Fatalf("rematerialized accounting %d != original %d", after.CachedRows, before.CachedRows)
 	}
 }
+
+// TestAdHocHuntsKeepStandingViews pins the compiled-query cache's overflow
+// rule: any number of distinct ad-hoc Hunt texts must not evict a standing
+// query's plan, or every watch would rematerialize its views — a
+// full-history data query per pattern — on the next round. The cache still
+// stays bounded, and DropViews hands the plan back to overflow.
+func TestAdHocHuntsKeepStandingViews(t *testing.T) {
+	full, _ := dataLeakStore(t, 300)
+	a := analyzed(t, dataLeakTBQL)
+	live, floor := appendHalves(t, full)
+	en := &Engine{Store: live}
+	deltaRows(t, en, a, floor)
+	before := en.Views()
+	if before.Materializations != int64(len(a.Query.Patterns)) || before.CachedRows == 0 {
+		t.Fatalf("expected one materialized view per pattern: %+v", before)
+	}
+
+	hunts := func() {
+		t.Helper()
+		for i := 0; i < maxCachedQueryPlans+50; i++ {
+			if _, _, err := en.Hunt(nil, fmt.Sprintf(`proc p["%%/no/such/exe%d%%"] read file f return p, f`, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hunts()
+	if n := len(en.plans); n > maxCachedQueryPlans+1 || len(en.texts) > n {
+		t.Fatalf("cache grew past its bound: %d plans, %d texts", n, len(en.texts))
+	}
+	if vs := en.Views(); vs.CachedRows != before.CachedRows {
+		t.Fatalf("ad-hoc hunts evicted standing views: cached rows %d -> %d", before.CachedRows, vs.CachedRows)
+	}
+	deltaRows(t, en, a, floor)
+	if vs := en.Views(); vs.Materializations != before.Materializations {
+		t.Fatalf("round after the hunts rematerialized: %d -> %d", before.Materializations, vs.Materializations)
+	}
+
+	en.DropViews(a)
+	hunts()
+	if _, cached := en.plans[a]; cached {
+		t.Fatal("plan stayed pinned after DropViews")
+	}
+}

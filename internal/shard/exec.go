@@ -1,14 +1,15 @@
 package shard
 
-// Scatter-gather execution. A hunt keeps the single-store scheduled plan
-// at the coordinator — the pruning-score pattern order, the binding-set
-// feed between patterns, and the final cross-pattern join — and scatters
-// only the per-pattern data queries: each pattern runs concurrently
-// against the pinned snapshots of exactly the partitions its window, op
-// mask, and host pins can touch, and the gathered rows merge in global
-// event-ID order before feeding the next pattern's bindings. The merged
-// order is a pure function of the data, so results are identical across
-// shard counts and partitioners.
+// Scatter-gather execution. A hunt runs the single-store scheduled plan on
+// the coordinator's global engine — the pruning-score pattern order, the
+// binding-set feed between patterns, the final cross-pattern join, and the
+// delta rule are engine.ExecuteSource / ExecuteDeltaSource over the global
+// snapshot — and this package supplies only the row source: each pattern's
+// data query runs concurrently against the pinned snapshots of exactly the
+// partitions its window, op mask, and host pins can touch, and the
+// gathered rows merge in global event-ID order before feeding the next
+// pattern's bindings. The merged order is a pure function of the data, so
+// results are identical across shard counts and partitioners.
 
 import (
 	"context"
@@ -16,129 +17,44 @@ import (
 	"sync"
 
 	"threatraptor/internal/engine"
-	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
 
-// maxCachedAnalyzed bounds the Hunt source cache (flushed wholesale on
-// overflow, the idiom every engine cache uses).
-const maxCachedAnalyzed = 256
-
-// analyzedEntry caches one query's compiled form plus the coordinator's
-// routing metadata: the scheduled pattern order and each pattern's
-// routing-relevant shape.
-type analyzedEntry struct {
-	a     *tbql.Analyzed
-	order []int
-	metas []engine.PatternMeta
-}
-
-// Analyzed returns the cached parse+analyze (and routing metadata) for a
-// TBQL source.
-func (s *Store) Analyzed(src string) (*tbql.Analyzed, error) {
-	e, err := s.entryFor(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.a, nil
-}
-
-func (s *Store) entryFor(src string) (*analyzedEntry, error) {
-	s.huntMu.Lock()
-	if e, ok := s.analyzed[src]; ok {
-		s.huntMu.Unlock()
-		return e, nil
-	}
-	s.huntMu.Unlock()
-
-	q, err := tbql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	a, err := tbql.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	e := &analyzedEntry{a: a, order: engine.ScheduleOrder(a), metas: engine.QueryMeta(a)}
-
-	s.huntMu.Lock()
-	if len(s.analyzed) >= maxCachedAnalyzed {
-		s.analyzed = nil
-	}
-	if s.analyzed == nil {
-		s.analyzed = make(map[string]*analyzedEntry)
-	}
-	s.analyzed[src] = e
-	s.huntMu.Unlock()
-	return e, nil
-}
-
-// entryOf returns routing metadata for an externally analyzed query
-// (Watch hands the session pre-analyzed queries); derived fresh — the
-// schedule and metadata derivations are cheap next to a data query.
-func entryOf(a *tbql.Analyzed) *analyzedEntry {
-	return &analyzedEntry{a: a, order: engine.ScheduleOrder(a), metas: engine.QueryMeta(a)}
-}
-
 // Hunt parses, analyzes, and executes TBQL source scatter-gather against
-// the latest published View.
+// the latest published View. The compiled query (and its routing
+// metadata) is cached by the global engine.
 func (s *Store) Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error) {
-	e, err := s.entryFor(src)
+	a, err := s.globalEngine.Compile(src)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	return s.execute(ctx, e, s.View(), nil)
+	return s.Execute(ctx, a)
 }
 
 // Execute runs an analyzed query scatter-gather against the latest
 // published View. Results equal the unsharded engine's on the same data
 // (row order may differ; scattered rows merge in event-ID order).
 func (s *Store) Execute(ctx context.Context, a *tbql.Analyzed) (*engine.Result, engine.Stats, error) {
-	return s.execute(ctx, entryOf(a), s.View(), nil)
+	v := s.View()
+	return s.globalEngine.ExecuteSource(ctx, a, v.Global, s.scatter(a, v))
 }
 
 // ExecuteDelta evaluates a query incrementally after an append: complete
-// bindings using at least one event with ID >= minEventID. Every pattern
-// takes a turn as the delta pattern (the recompute delta-join rule); the
-// delta pattern's scatter is pruned to partitions whose event-ID frontier
-// passed the floor, so a small batch routed to one partition costs one
-// shard-local probe plus whatever its bindings no longer prune away.
-// Variable-length-path queries fall back to one full execution, exactly
-// like the unsharded engine.
+// bindings using at least one event with ID >= minEventID, by the engine's
+// delta rule over scattered data queries. The delta pattern's scatter is
+// pruned to partitions whose event-ID frontier passed the floor, so a
+// small batch routed to one partition costs one shard-local probe plus
+// whatever its bindings no longer prune away. Variable-length-path queries
+// fall back to one full execution, exactly like the unsharded engine.
 func (s *Store) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*engine.Result, engine.Stats, error) {
-	e := entryOf(a)
 	v := s.View()
-	if engine.HasVarLenPath(a) {
-		return s.execute(ctx, e, v, nil)
-	}
-	combined := engine.EmptyResult(a)
-	var total engine.Stats
-	for i := range a.Query.Patterns {
-		i := i
-		res, st, err := s.execute(ctx, e, v, func(idx int) int64 {
-			if idx == i {
-				return minEventID
-			}
-			return 0
-		})
-		if err != nil {
-			return nil, total, err
-		}
-		addStats(&total, st)
-		combined.Set.Rows = append(combined.Set.Rows, res.Set.Rows...)
-		for ev := range res.MatchedEvents {
-			combined.MatchedEvents[ev] = true
-		}
-	}
-	if a.Query.Return.Distinct {
-		combined.Set.Rows = relational.DedupRows(combined.Set.Rows)
-	}
-	return combined, total, nil
+	return s.globalEngine.ExecuteDeltaSource(ctx, a, v.Global, minEventID, s.scatter(a, v))
 }
 
-// DropViews implements the stream backend surface; partitions never
-// materialize views (see SetViewHighWater), so there is nothing to drop.
-func (s *Store) DropViews(*tbql.Analyzed) {}
+// DropViews implements the stream backend surface. Partitions never
+// materialize views (see SetViewHighWater); what a removed standing query
+// still holds is its pinned plan in the global engine's cache.
+func (s *Store) DropViews(a *tbql.Analyzed) { s.globalEngine.DropViews(a) }
 
 // target is one store a pattern's data query scatters to.
 type target struct {
@@ -195,76 +111,25 @@ func (s *Store) route(v *View, m *engine.PatternMeta, delta int64) []target {
 	return out
 }
 
-// execute is the coordinator's scheduled plan: the engine's serial
-// scheduled execution with each pattern's data query scattered.
-func (s *Store) execute(ctx context.Context, e *analyzedEntry, v *View, deltaFor func(idx int) int64) (*engine.Result, engine.Stats, error) {
-	a := e.a
-	order := e.order
-	if deltaFor != nil {
-		// Delta-constrained patterns go first: a floor over a small append
-		// usually matches nothing (short-circuiting the round after one
-		// scatter) or a handful of rows whose bindings prune the rest.
-		hoisted := make([]int, 0, len(order))
-		for _, idx := range order {
-			if deltaFor(idx) > 0 {
-				hoisted = append(hoisted, idx)
-			}
-		}
-		for _, idx := range order {
-			if deltaFor(idx) <= 0 {
-				hoisted = append(hoisted, idx)
-			}
-		}
-		order = hoisted
-	}
-
-	var stats engine.Stats
-	bindings := make(map[string][]int64)
-	results := make([]engine.PatternRows, len(a.Query.Patterns))
-	var scratch []int64
-
-	for _, idx := range order {
-		subj, obj := engine.BindingSpec(a, idx, bindings, s.MaxInList)
-		var delta int64
-		if deltaFor != nil {
-			delta = deltaFor(idx)
-		}
-		targets := s.route(v, &e.metas[idx], delta)
+// scatter is the coordinator's row source over view v: each data query of
+// the scheduled plan routes to the partitions that can hold a match and
+// fans out there. A query every partition pruned away gathers no rows —
+// the pattern matches nothing, which empties the whole conjunction.
+func (s *Store) scatter(a *tbql.Analyzed, v *View) engine.RowSource {
+	return func(ctx context.Context, q engine.PatternQuery) (engine.PatternRows, engine.Stats, error) {
+		targets := s.route(v, q.Meta, q.Delta)
 		if len(targets) == 1 && targets[0].shard < 0 {
 			s.globalRouted.Add(1)
 		} else {
 			s.fanout[len(targets)].Add(1)
 		}
-		if len(targets) == 0 {
-			// Every partition pruned away: the pattern matches nothing,
-			// which empties the whole conjunction.
-			stats.EmptyPatternID = a.Query.Patterns[idx].ID
-			return engine.EmptyResult(a), stats, nil
-		}
-		pr, pst, err := scatterPattern(ctx, a, targets, idx, subj, obj, delta)
-		if err != nil {
-			return nil, stats, err
-		}
-		addStats(&stats, pst)
-		results[idx] = pr
-		if len(pr.Rows) == 0 {
-			stats.EmptyPatternID = a.Query.Patterns[idx].ID
-			return engine.EmptyResult(a), stats, nil
-		}
-		engine.Narrow(a, idx, pr.Rows, bindings, &scratch)
+		return scatterPattern(ctx, a, targets, q)
 	}
-
-	res, joined, err := engine.JoinPatternRows(ctx, a, v.Global.EntityAttr, results)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.JoinBindings = joined
-	return res, stats, nil
 }
 
 // scatterPattern fans one pattern's data query out to its targets and
 // merges the gathered rows in global event-ID order.
-func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, idx int, subj, obj []int64, delta int64) (engine.PatternRows, engine.Stats, error) {
+func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, q engine.PatternQuery) (engine.PatternRows, engine.Stats, error) {
 	type outcome struct {
 		pr  engine.PatternRows
 		st  engine.Stats
@@ -274,7 +139,7 @@ func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, idx
 	if len(targets) == 1 {
 		t := targets[0]
 		o := &outs[0]
-		o.pr, o.st, o.err = t.en.ScatterPattern(ctx, a, t.snap, idx, subj, obj, delta)
+		o.pr, o.st, o.err = t.en.ScatterPattern(ctx, a, t.snap, q)
 	} else {
 		var wg sync.WaitGroup
 		for i, t := range targets {
@@ -284,13 +149,13 @@ func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, idx
 				// ScatterPattern recovers its own panics into typed errors,
 				// so nothing unwinds past this goroutine.
 				o := &outs[i]
-				o.pr, o.st, o.err = t.en.ScatterPattern(ctx, a, t.snap, idx, subj, obj, delta)
+				o.pr, o.st, o.err = t.en.ScatterPattern(ctx, a, t.snap, q)
 			}(i, t)
 		}
 		wg.Wait()
 	}
 
-	merged := engine.PatternRows{Idx: idx}
+	merged := engine.PatternRows{Idx: q.Idx}
 	var stats engine.Stats
 	for i := range outs {
 		o := &outs[i]
@@ -299,7 +164,7 @@ func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, idx
 		}
 		merged.HasEvent = o.pr.HasEvent
 		merged.Rows = append(merged.Rows, o.pr.Rows...)
-		addStats(&stats, o.st)
+		stats.Add(o.st)
 	}
 	if merged.HasEvent {
 		// Event-bearing rows merge in global event-ID order (IDs are
@@ -318,17 +183,4 @@ func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, idx
 		})
 	}
 	return merged, stats, nil
-}
-
-// addStats folds one scatter's counters into the round totals.
-func addStats(total *engine.Stats, st engine.Stats) {
-	total.DataQueries += st.DataQueries
-	total.PatternRows += st.PatternRows
-	total.JoinBindings += st.JoinBindings
-	total.Rel.RowsScanned += st.Rel.RowsScanned
-	total.Rel.IndexLookups += st.Rel.IndexLookups
-	total.Rel.HashJoinBuilds += st.Rel.HashJoinBuilds
-	total.Graph.NodesVisited += st.Graph.NodesVisited
-	total.Graph.EdgesTraversed += st.Graph.EdgesTraversed
-	total.Graph.IndexLookups += st.Graph.IndexLookups
 }

@@ -14,12 +14,13 @@
 // reference), while each event's row and graph edge live in exactly one
 // partition.
 //
-// A hunt keeps the whole scheduled plan at the coordinator — pruning-score
-// order, binding-set feed, final join — and scatters only the per-pattern
-// data queries, routing each to the partitions its window, op mask, and
-// host pins can possibly touch (engine.QueryMeta) and merging the gathered
-// rows in global event-ID order, so the result is deterministic across
-// shard counts and partitioners.
+// A hunt keeps the whole scheduled plan at the coordinator — the global
+// engine runs pruning-score order, binding-set feed, final join — and
+// scatters only the per-pattern data queries, routing each to the
+// partitions its window, op mask, and host pins can possibly touch
+// (engine.PatternMeta) and merging the gathered rows in global event-ID
+// order, so the result is deterministic across shard counts and
+// partitioners.
 package shard
 
 import (

@@ -16,10 +16,6 @@ import (
 // a consistent prefix (any partition failure unwinds the partitions that
 // already committed AND the global append). All reads pin a View.
 type Store struct {
-	// MaxInList bounds the binding sets pushed into scattered data queries
-	// as IN constraints (0: the engine default).
-	MaxInList int
-
 	part Partitioner
 
 	// mu serializes writers (AppendBatch); readers never take it.
@@ -29,11 +25,6 @@ type Store struct {
 	shards       []*partition
 
 	view atomic.Pointer[View]
-
-	// analyzed caches parse+analyze by source (Hunt's fast path), info
-	// caches per-query routing metadata and schedule order.
-	huntMu   sync.Mutex
-	analyzed map[string]*analyzedEntry
 
 	// fanout[k] counts scattered data queries that touched k partitions;
 	// globalRouted counts pattern queries routed to the global store
