@@ -11,9 +11,12 @@
 // standard tooling reports, then parses the benchmark lines into JSON.
 //
 // With -gate it becomes the CI regression guard: instead of overwriting
-// the baseline file it re-runs the gated benchmarks, compares their ns/op
-// and allocs/op against the committed file, and exits non-zero when either
-// regresses by more than the threshold.
+// the baseline file it re-runs the gated benchmarks, compares them against
+// the committed file, and exits non-zero when allocs/op or B/op regresses
+// by more than the threshold, or when a store-size sweep's large leg
+// allocates more than sweepSlack times its small one. ns/op is printed as
+// advisory only: it moves with the machine, and the committed numbers
+// come from one run on one box.
 package main
 
 import (
@@ -58,10 +61,10 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 func main() {
 	out := flag.String("o", "BENCH_engine.json", "output file (in -gate mode: the committed baseline to compare against)")
 	benchtime := flag.String("benchtime", "2s", "go test -benchtime value")
-	pattern := flag.String("bench", "BenchmarkExecuteScheduled|BenchmarkExecuteUnscheduled|BenchmarkStoreLoadEngine|BenchmarkStoreOpenSegment|BenchmarkStreamIngest|BenchmarkStandingQuery|BenchmarkStandingQueryScale|BenchmarkConcurrentHunts|BenchmarkTacticalRound|BenchmarkCompile|BenchmarkShardedHunt", "benchmark regexp")
+	pattern := flag.String("bench", "BenchmarkExecuteScheduled|BenchmarkExecuteUnscheduled|BenchmarkStoreLoadEngine|BenchmarkStoreOpenSegment|BenchmarkStreamIngest|BenchmarkStandingQuery|BenchmarkStandingQueryScale|BenchmarkConcurrentHunts|BenchmarkTacticalRound|BenchmarkCompile|BenchmarkShardedHunt|BenchmarkSegmentFlush", "benchmark regexp")
 	gate := flag.Bool("gate", false, "compare against the committed baseline instead of rewriting it; exit 1 on regression")
 	gateThreshold := flag.Float64("gate-threshold", 0.25, "fractional regression tolerated by -gate (0.25 = 25%)")
-	gateBench := flag.String("gate-bench", "BenchmarkExecuteScheduled,BenchmarkStreamIngest,BenchmarkStandingQuery,BenchmarkStandingQueryScale/8x,BenchmarkStandingQueryScale/8x-shards2,BenchmarkStandingQueryScale/8x-shards4,BenchmarkConcurrentHunts,BenchmarkTacticalRound,BenchmarkCompile/cold,BenchmarkCompile/hit,BenchmarkShardedHunt/shards4,BenchmarkStoreOpenSegment", "comma-separated benchmarks checked by -gate")
+	gateBench := flag.String("gate-bench", "BenchmarkExecuteScheduled,BenchmarkStreamIngest,BenchmarkStandingQuery,BenchmarkStandingQueryScale/8x,BenchmarkStandingQueryScale/8x-shards2,BenchmarkStandingQueryScale/8x-shards4,BenchmarkConcurrentHunts,BenchmarkTacticalRound,BenchmarkCompile/cold,BenchmarkCompile/hit,BenchmarkShardedHunt/shards4,BenchmarkStoreOpenSegment,BenchmarkSegmentFlush/1x,BenchmarkSegmentFlush/8x", "comma-separated benchmarks checked by -gate")
 	flag.Parse()
 
 	if *gate {
@@ -129,9 +132,17 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(doc.Results))
 }
 
+// sweeps pairs the small and large legs of store-size sweeps whose O(delta)
+// claim the gate holds: the large leg's B/op must stay within sweepSlack
+// of the small one's in the same run.
+var sweeps = [][2]string{{"BenchmarkSegmentFlush/1x", "BenchmarkSegmentFlush/8x"}}
+
+const sweepSlack = 1.5
+
 // runGate compares fresh measurements against the committed baseline file
-// and returns the process exit code: 0 when every gated benchmark's ns/op
-// and allocs/op are within (1+threshold) of the committed numbers.
+// and returns the process exit code: 0 when every gated benchmark's
+// allocs/op and B/op are within (1+threshold) of the committed numbers and
+// every gated sweep stays flat. ns/op is reported, never failed on.
 func runGate(baselinePath string, fresh []Result, gateBench string, threshold float64) int {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -153,18 +164,22 @@ func runGate(baselinePath string, fresh []Result, gateBench string, threshold fl
 	}
 
 	code := 0
-	check := func(name, metric string, old, new float64) {
-		limit := old * (1 + threshold)
+	check := func(name, metric string, old, new, limit float64, gated bool) {
 		status := "ok"
-		if new > limit {
+		switch {
+		case !gated:
+			status = "advisory"
+		case new > limit:
 			status = "REGRESSION"
 			code = 1
 		}
 		fmt.Printf("%-28s %-10s %14.0f -> %10.0f (limit %.0f) %s\n",
 			name, metric, old, new, limit, status)
 	}
+	gatedNames := map[string]bool{}
 	for _, name := range strings.Split(gateBench, ",") {
 		name = strings.TrimSpace(name)
+		gatedNames[name] = true
 		base, ok := byName[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchjson: baseline %s has no entry for %s\n", baselinePath, name)
@@ -175,12 +190,21 @@ func runGate(baselinePath string, fresh []Result, gateBench string, threshold fl
 			fmt.Fprintf(os.Stderr, "benchjson: fresh run produced no result for %s\n", name)
 			return 1
 		}
-		check(name, "ns/op", base.NsPerOp, cur.NsPerOp)
-		check(name, "allocs/op", float64(base.AllocsPerOp), float64(cur.AllocsPerOp))
+		limit := 1 + threshold
+		check(name, "ns/op", base.NsPerOp, cur.NsPerOp, base.NsPerOp*limit, false)
+		check(name, "allocs/op", float64(base.AllocsPerOp), float64(cur.AllocsPerOp), float64(base.AllocsPerOp)*limit, true)
+		check(name, "B/op", float64(base.BytesPerOp), float64(cur.BytesPerOp), float64(base.BytesPerOp)*limit, true)
+	}
+	for _, sw := range sweeps {
+		if gatedNames[sw[0]] && gatedNames[sw[1]] {
+			small, large := freshByName[sw[0]], freshByName[sw[1]]
+			check(sw[1], "B/op vs "+sw[0][strings.LastIndex(sw[0], "/")+1:], float64(small.BytesPerOp), float64(large.BytesPerOp),
+				float64(small.BytesPerOp)*sweepSlack, true)
+		}
 	}
 	if code != 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: benchmark regression beyond %.0f%% — if intended, refresh %s with `go run ./cmd/benchjson`\n",
-			threshold*100, baselinePath)
+		fmt.Fprintf(os.Stderr, "benchjson: allocation regression beyond %.0f%% (or a sweep beyond %.1fx) — if intended, refresh %s with `go run ./cmd/benchjson`\n",
+			threshold*100, sweepSlack, baselinePath)
 	}
 	return code
 }

@@ -271,6 +271,8 @@ type server struct {
 
 	walFsyncSeconds   *metrics.Histogram
 	segmentsTotal     *metrics.Counter
+	segmentBytes      *metrics.Counter
+	segmentFilesLive  *metrics.Gauge
 	segmentFlushFails *metrics.Counter
 	recoveryTruncated *metrics.Counter
 	lastFlushNano     atomic.Int64
@@ -313,7 +315,11 @@ func newServer(sys system, huntTimeout time.Duration) *server {
 			"WAL fsync latency per appended frame (durable mode only).",
 			[]float64{.00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1}),
 		segmentsTotal: reg.NewCounter("threatraptor_segments_total",
-			"Segment files written across all committed flush generations."),
+			"Segment files written by committed flushes (deltas and merges)."),
+		segmentBytes: reg.NewCounter("threatraptor_segment_bytes_written_total",
+			"Bytes of segment files written by committed flushes."),
+		segmentFilesLive: reg.NewGauge("threatraptor_segment_files_live",
+			"Segment files the committed manifest names (the live set, every role)."),
 		segmentFlushFails: reg.NewCounter("threatraptor_segment_flush_failures_total",
 			"Segment flushes that failed (the previous generation stayed live)."),
 		recoveryTruncated: reg.NewCounter("threatraptor_recovery_truncated_frames_total",
@@ -707,13 +713,16 @@ func (s *server) observeSegmentFlush(fs stream.FlushStats) {
 		s.segmentFlushFails.Inc()
 		return
 	}
-	s.segmentsTotal.Add(uint64(fs.Segments))
+	s.segmentsTotal.Add(uint64(fs.Written))
+	s.segmentBytes.Add(uint64(fs.Bytes))
+	s.segmentFilesLive.Set(int64(fs.Segments))
 	s.lastFlushNano.Store(time.Now().UnixNano())
 }
 
 // observeRecovery folds what the durable open recovered into the metrics
 // (no-op for the zero stats of a non-durable start).
 func (s *server) observeRecovery(rs stream.RecoveryStats) {
+	s.segmentFilesLive.Set(int64(rs.Segments))
 	if rs.TornTailTruncated {
 		s.recoveryTruncated.Inc()
 	}

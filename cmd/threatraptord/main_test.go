@@ -629,6 +629,8 @@ func TestDurableDaemonWarmRestart(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE threatraptor_wal_fsync_seconds histogram",
 		"# TYPE threatraptor_segments_total counter",
+		"# TYPE threatraptor_segment_bytes_written_total counter",
+		"# TYPE threatraptor_segment_files_live gauge",
 		"threatraptor_last_segment_flush_seconds",
 		"threatraptor_recovery_truncated_frames_total 0",
 	} {
@@ -636,8 +638,10 @@ func TestDurableDaemonWarmRestart(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	if strings.Contains(body, "threatraptor_segments_total 0") {
-		t.Fatalf("segments_total still 0 after a flush:\n%s", body)
+	for _, zero := range []string{"threatraptor_segments_total 0", "threatraptor_segment_bytes_written_total 0", "threatraptor_segment_files_live 0"} {
+		if strings.Contains(body, zero) {
+			t.Fatalf("%s after a flush:\n%s", zero, body)
+		}
 	}
 	if strings.Contains(body, "threatraptor_wal_fsync_seconds_count 0") {
 		t.Fatalf("no WAL fsyncs observed under the always policy:\n%s", body)

@@ -1,16 +1,19 @@
 package engine
 
-// Segment dump and restore. DumpImage flattens a store into the columnar
-// segment image (internal/segment) and OpenStore rebuilds a store from a
-// decoded image by adopting the columns directly: the relational tables
-// take the decoded vectors without replaying appendRow, indexes rebuild
-// with counting sort, and the graph installs its node/edge arenas and
-// CSR adjacency verbatim. Node properties are not materialized at all —
-// they resolve lazily through the restored entity slab — which is what
-// makes opening a segment several times cheaper than reloading the log.
+// Segment dump and restore. DumpRange flattens the part of a store
+// appended since a given point into a columnar range segment image
+// (internal/segment) — DumpImage is the full range — and OpenStore
+// rebuilds a store from a decoded (or folded) full image by adopting the
+// columns directly: the relational tables take the decoded vectors
+// without replaying appendRow, indexes rebuild with counting sort, and
+// the graph installs its node/edge arenas and CSR adjacency verbatim.
+// Node properties are not materialized at all — they resolve lazily
+// through the restored entity slab — which is what makes opening a
+// segment several times cheaper than reloading the log.
 
 import (
 	"fmt"
+	"sort"
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/graphdb"
@@ -18,22 +21,35 @@ import (
 	"threatraptor/internal/segment"
 )
 
-// DumpImage flattens the store's current state into a segment image.
-// withEntities controls whether the entity table is included: the global
-// store dumps it, shard partition stores share the global image's
-// entities and dump only their routed events and adjacency. Writer-side
-// only (it reads the live arenas and re-sorts dirty adjacency).
+// DumpImage flattens the store's current state into a full segment
+// image: DumpRange from the start.
 func DumpImage(s *Store, withEntities bool) *segment.Image {
+	return DumpRange(s, withEntities, segment.Base{})
+}
+
+// DumpRange flattens what the store appended since from into a range
+// segment image: the entities with IDs above from.Entity (only when
+// withEntities — the global store dumps its entities, shard partition
+// stores share the global image's), the events with IDs at or above
+// from.Event, and their adjacency, built from the event columns. The
+// store-wide frontier, time bounds and node count are recorded, so the
+// range ends where the store ends. The cost follows the range, not the
+// store. Writer-side only (it reads the live arenas).
+func DumpRange(s *Store, withEntities bool, from segment.Base) *segment.Image {
+	nodes := s.Graph.NumNodes()
 	img := &segment.Image{
+		Base:        from,
 		NextEventID: s.nextEventID,
 		MinTime:     s.MinTime,
 		MaxTime:     s.MaxTime,
+		Nodes:       nodes,
 	}
 	if withEntities {
-		img.Entities = s.Log.Entities.Dense()
+		img.Entities = s.Log.Entities.Dense()[from.Entity:nodes]
 		img.EntityCols = segment.BuildEntityCols(img.Entities)
 	}
 	evs := s.Log.Events
+	evs = evs[sort.Search(len(evs), func(i int) bool { return evs[i].ID >= from.Event }):]
 	n := len(evs)
 	slab := make([]int64, 7*n)
 	e := &img.Events
@@ -48,18 +64,21 @@ func DumpImage(s *Store, withEntities bool) *segment.Image {
 		e.Amount[i], e.Failure[i] = ev.DataAmount, int64(ev.FailureCode)
 		e.Op[i] = uint8(ev.Op)
 	}
-	img.Adj.OutCounts, img.Adj.Out, img.Adj.InCounts, img.Adj.In = s.Graph.DumpAdjacency()
-	img.Nodes = len(img.Adj.OutCounts)
+	img.Adj = segment.BuildAdjacency(e)
 	return img
 }
 
-// OpenStore rebuilds a store from a decoded segment image. cols and
+// OpenStore rebuilds a store from a full segment image: one decoded full
+// segment, or a role's live range segments after segment.Fold. cols and
 // dense are the entity columns and the dense entity slab — the image's
 // own for a global store, the global image's for a shard partition
 // (partition images carry no entities but their graphs hold every
 // entity as a node). table becomes the store's entity table and may be
 // shared across sibling partition stores.
 func OpenStore(img *segment.Image, cols *segment.EntityCols, dense []*audit.Entity, table *audit.EntityTable) (*Store, error) {
+	if img.Base != (segment.Base{}) {
+		return nil, fmt.Errorf("engine: open: image covers a range from %+v; fold the live segments first", img.Base)
+	}
 	nEnt := len(dense)
 	if cols == nil || len(cols.Kind) != nEnt {
 		return nil, fmt.Errorf("engine: open: entity columns cover %d entities, slab has %d", colsLen(cols), nEnt)
@@ -292,7 +311,8 @@ func restoreGraph(g *graphdb.Graph, img *segment.Image, cols *segment.EntityCols
 	if err := g.RestoreEventEdges(ev.ID, ev.Subject, ev.Object, ev.Start, ev.End, ev.Amount, types); err != nil {
 		return err
 	}
-	if err := g.RestoreAdjacency(img.Adj.OutCounts, img.Adj.Out, img.Adj.InCounts, img.Adj.In); err != nil {
+	a := &img.Adj
+	if err := g.RestoreAdjacency(a.OutNodes, a.OutCounts, a.Out, a.InNodes, a.InCounts, a.In); err != nil {
 		return err
 	}
 	g.RestorePropIndexLazy(LabelProcess, "exename")

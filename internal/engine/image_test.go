@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -128,6 +129,81 @@ func TestOpenStoreThenAppend(t *testing.T) {
 	// And a second round trip after the append captures the appended state.
 	s3 := roundTripStore(t, s2)
 	assertStoresEquivalent(t, s1, s3)
+}
+
+// TestDumpRangeFoldsToDumpImage dumps a growing store as range segments —
+// one per append round, each round interning new entities and carrying an
+// event that starts before events already stored on its process, so
+// adjacency lists must re-sort across ranges — and holds the fold of the
+// decoded ranges (and of a list where one range merges several) to the
+// full dump byte for byte, then restores it and compares the store.
+func TestDumpRangeFoldsToDumpImage(t *testing.T) {
+	gen, err := cases.ByID("data_leak").Generate(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := gen.Log.Events
+	third := len(events) / 3
+	s, err := NewStore(&audit.Log{Entities: gen.Log.Entities, Events: append([]audit.Event(nil), events[:third]...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := []*segment.Image{DumpImage(s, true)}
+	rest := events[third:]
+	for round := 0; len(rest) > 0; round++ {
+		n := min(len(rest), 1+len(rest)/3)
+		batch := append([]audit.Event(nil), rest[:n]...)
+		rest = rest[n:]
+		for i := range batch {
+			batch[i].ID = 0 // the store numbers appended events
+		}
+		// One late process across all rounds, so its lists span ranges.
+		tbl := s.Log.Entities
+		p := tbl.InternProcessOn("hostR", 7000, "/bin/late", "root", "root", "late")
+		f := tbl.InternFileOn("hostR", fmt.Sprintf("/tmp/r%d", round), "root", "root")
+		early := s.MinTime + int64(round)
+		batch = append(batch,
+			audit.Event{SubjectID: p.ID, ObjectID: f.ID, Op: audit.OpWrite, StartTime: s.MaxTime + 1, EndTime: s.MaxTime + 2},
+			audit.Event{SubjectID: p.ID, ObjectID: f.ID, Op: audit.OpRead, StartTime: early, EndTime: early + 1})
+		if err := s.AppendBatch(tbl.Since(ranges[len(ranges)-1].End().Entity), batch); err != nil {
+			t.Fatal(err)
+		}
+		ranges = append(ranges, DumpRange(s, true, ranges[len(ranges)-1].End()))
+	}
+	want := segment.Encode(DumpImage(s, true))
+	for name, list := range map[string][]*segment.Image{
+		"every round": ranges,
+		"merged tail": {ranges[0], DumpRange(s, true, ranges[1].Base)},
+	} {
+		decoded := make([]*segment.Image, len(list))
+		for i, img := range list {
+			if decoded[i], err = segment.DecodeSegment(segment.Encode(img)); err != nil {
+				t.Fatalf("%s: decode range %d: %v", name, i, err)
+			}
+		}
+		folded, err := segment.Fold(decoded)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := segment.Encode(folded); !bytes.Equal(got, want) {
+			t.Fatalf("%s: folded ranges encode %d bytes, the full dump %d, or the bytes differ", name, len(got), len(want))
+		}
+		restored, err := OpenStore(folded, folded.EntityCols, folded.Entities, audit.RestoreTable(folded.Entities))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		assertStoresEquivalent(t, s, restored)
+		// The hunts above re-sorted the live graph's dirty lists; the lists
+		// built from event columns must be in that same canonical order.
+		for id := int64(1); id <= int64(s.Graph.NumNodes()); id++ {
+			if !reflect.DeepEqual(s.Graph.Out(id), restored.Graph.Out(id)) || !reflect.DeepEqual(s.Graph.In(id), restored.Graph.In(id)) {
+				t.Fatalf("%s: node %d adjacency differs from the live graph's", name, id)
+			}
+		}
+	}
+	if _, err := OpenStore(ranges[1], ranges[1].EntityCols, ranges[1].Entities, audit.RestoreTable(ranges[1].Entities)); err == nil {
+		t.Fatal("OpenStore accepted a range that does not start at zero")
+	}
 }
 
 // BenchmarkStoreOpenSegment measures the segment-restore path —

@@ -142,36 +142,33 @@ func (g *Graph) RestoreEventEdges(evID, from, to, start, end, amount []int64, ty
 	return nil
 }
 
-// RestoreAdjacency installs the adjacency lists from CSR arrays of edge
-// arena offsets: node offset i owns out[sum(outCounts[:i]) :
-// +outCounts[i]], time-sorted. The lists alias the flat arrays with
-// capacity == length, so a later append relocates the list privately
-// and never writes into a neighbor's range.
-func (g *Graph) RestoreAdjacency(outCounts, out, inCounts, in []int32) error {
-	n := len(g.nodes)
-	if len(outCounts) != n || len(inCounts) != n {
-		return fmt.Errorf("graphdb: adjacency counts cover %d/%d nodes, have %d", len(outCounts), len(inCounts), n)
-	}
+// RestoreAdjacency installs the adjacency lists from sparse CSR arrays
+// of edge arena offsets: node offset outNodes[i] owns
+// out[sum(outCounts[:i]) : +outCounts[i]], time-sorted, and nodes not
+// listed have no outgoing edges (likewise for in). The lists alias the
+// flat arrays with capacity == length, so a later append relocates the
+// list privately and never writes into a neighbor's range.
+func (g *Graph) RestoreAdjacency(outNodes, outCounts, out, inNodes, inCounts, in []int32) error {
+	n := int32(len(g.nodes))
 	nEdges := int32(len(g.edges))
-	for _, ei := range out {
-		if ei < 0 || ei >= nEdges {
-			return fmt.Errorf("graphdb: adjacency edge offset %d outside %d edges", ei, nEdges)
+	fill := func(dst [][]int32, nodes, counts, flat []int32) error {
+		if len(nodes) != len(counts) {
+			return fmt.Errorf("graphdb: adjacency lists %d nodes, %d counts", len(nodes), len(counts))
 		}
-	}
-	for _, ei := range in {
-		if ei < 0 || ei >= nEdges {
-			return fmt.Errorf("graphdb: adjacency edge offset %d outside %d edges", ei, nEdges)
+		for _, ei := range flat {
+			if ei < 0 || ei >= nEdges {
+				return fmt.Errorf("graphdb: adjacency edge offset %d outside %d edges", ei, nEdges)
+			}
 		}
-	}
-	fill := func(dst [][]int32, counts, flat []int32) error {
 		pos := int32(0)
 		for i, c := range counts {
-			if c < 0 || int64(pos)+int64(c) > int64(len(flat)) {
+			if c <= 0 || int64(pos)+int64(c) > int64(len(flat)) {
 				return fmt.Errorf("graphdb: adjacency counts overrun flat list")
 			}
-			if c > 0 {
-				dst[i] = flat[pos : pos+c : pos+c]
+			if nd := nodes[i]; nd < 0 || nd >= n {
+				return fmt.Errorf("graphdb: adjacency node offset %d outside %d nodes", nd, n)
 			}
+			dst[nodes[i]] = flat[pos : pos+c : pos+c]
 			pos += c
 		}
 		if int(pos) != len(flat) {
@@ -179,10 +176,10 @@ func (g *Graph) RestoreAdjacency(outCounts, out, inCounts, in []int32) error {
 		}
 		return nil
 	}
-	if err := fill(g.out, outCounts, out); err != nil {
+	if err := fill(g.out, outNodes, outCounts, out); err != nil {
 		return err
 	}
-	return fill(g.in, inCounts, in)
+	return fill(g.in, inNodes, inCounts, in)
 }
 
 // RestorePropIndexLazy declares a property index on (label, prop)
@@ -202,27 +199,4 @@ func (g *Graph) RestorePropIndexLazy(label, prop string) {
 		g.lazyProp[label] = m
 	}
 	m[prop] = true
-}
-
-// DumpAdjacency flattens the adjacency lists to CSR arrays of edge
-// arena offsets for a segment dump, re-sorting any dirty lists first so
-// the dumped order is the canonical time order. Writer-side only.
-func (g *Graph) DumpAdjacency() (outCounts, out, inCounts, in []int32) {
-	g.ensureAdjSorted()
-	flatten := func(adj [][]int32) ([]int32, []int32) {
-		counts := make([]int32, len(adj))
-		total := 0
-		for i, l := range adj {
-			counts[i] = int32(len(l))
-			total += len(l)
-		}
-		flat := make([]int32, 0, total)
-		for _, l := range adj {
-			flat = append(flat, l...)
-		}
-		return counts, flat
-	}
-	outCounts, out = flatten(g.out)
-	inCounts, in = flatten(g.in)
-	return outCounts, out, inCounts, in
 }

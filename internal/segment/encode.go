@@ -11,12 +11,19 @@ package segment
 // one offsets array (10n+1 u32 values) and one byte blob, so decoding
 // every string in the segment costs a single string conversion plus one
 // header write per value.
+//
+// Version 2 records the range a segment covers (meta gains the entity
+// and event bases) and stores adjacency sparsely — only nodes with edges
+// in the range — so a delta segment's size follows the delta, not the
+// store. Version 1 files (full images, dense per-node counts) still
+// decode, as ranges starting at zero.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -26,7 +33,7 @@ import (
 
 const (
 	segMagic   = "TRSG"
-	segVersion = 1
+	segVersion = 2
 
 	secMeta      = 1
 	secEntities  = 2
@@ -52,27 +59,20 @@ func appendI32s(b []byte, vs []int32) []byte {
 	return b
 }
 
-// entityStrCols returns the ten entity string columns in their fixed
-// on-disk order.
-func entityStrCols(c *EntityCols) [10][]string {
-	return [10][]string{c.Name, c.Path, c.User, c.Group, c.Exe,
-		c.Cmd, c.SrcIP, c.DstIP, c.Protocol, c.Host}
-}
-
 // appendStrCols encodes string columns as one shared offsets array (one
 // leading 0 then a running end offset per value, column-major) followed
 // by one concatenated blob.
-func appendStrCols(b []byte, cols [10][]string) []byte {
+func appendStrCols(b []byte, cols [10]*[]string) []byte {
 	off := uint32(0)
 	b = appendU32(b, off)
 	for _, col := range cols {
-		for _, s := range col {
+		for _, s := range *col {
 			off += uint32(len(s))
 			b = appendU32(b, off)
 		}
 	}
 	for _, col := range cols {
-		for _, s := range col {
+		for _, s := range *col {
 			b = append(b, s...)
 		}
 	}
@@ -116,7 +116,8 @@ func Encode(img *Image) []byte {
 		nEnt = len(cols.Kind)
 	}
 	b = appendI64s(b, []int64{img.NextEventID, img.MinTime, img.MaxTime,
-		int64(nEnt), int64(len(img.Events.ID)), int64(img.Nodes)})
+		int64(nEnt), int64(len(img.Events.ID)), int64(img.Nodes),
+		img.Base.Entity, img.Base.Event})
 	b = endSection(b, start)
 
 	// entities
@@ -124,10 +125,10 @@ func Encode(img *Image) []byte {
 	b = appendU32(b, uint32(nEnt))
 	if cols != nil {
 		b = append(b, cols.Kind...)
-		b = appendI64s(b, cols.PID)
-		b = appendI64s(b, cols.SrcPort)
-		b = appendI64s(b, cols.DstPort)
-		b = appendStrCols(b, entityStrCols(cols))
+		for _, col := range cols.intCols() {
+			b = appendI64s(b, *col)
+		}
+		b = appendStrCols(b, cols.strCols())
 	}
 	b = endSection(b, start)
 
@@ -135,32 +136,30 @@ func Encode(img *Image) []byte {
 	ev := &img.Events
 	b, start = beginSection(b, secEvents)
 	b = appendU32(b, uint32(len(ev.ID)))
-	b = appendI64s(b, ev.ID)
-	b = appendI64s(b, ev.Subject)
-	b = appendI64s(b, ev.Object)
-	b = appendI64s(b, ev.Start)
-	b = appendI64s(b, ev.End)
-	b = appendI64s(b, ev.Amount)
-	b = appendI64s(b, ev.Failure)
+	for _, col := range ev.intCols() {
+		b = appendI64s(b, *col)
+	}
 	b = append(b, ev.Op...)
 	b = endSection(b, start)
 
 	// adjacency
+	a := &img.Adj
 	b, start = beginSection(b, secAdjacency)
-	b = appendU32(b, uint32(len(img.Adj.OutCounts)))
-	b = appendU32(b, uint32(len(img.Adj.Out)))
-	b = appendU32(b, uint32(len(img.Adj.In)))
-	b = appendI32s(b, img.Adj.OutCounts)
-	b = appendI32s(b, img.Adj.Out)
-	b = appendI32s(b, img.Adj.InCounts)
-	b = appendI32s(b, img.Adj.In)
+	b = appendU32(b, uint32(len(a.OutNodes)))
+	b = appendU32(b, uint32(len(a.Out)))
+	b = appendU32(b, uint32(len(a.InNodes)))
+	b = appendU32(b, uint32(len(a.In)))
+	for _, col := range [][]int32{a.OutNodes, a.OutCounts, a.Out, a.InNodes, a.InCounts, a.In} {
+		b = appendI32s(b, col)
+	}
 	b = endSection(b, start)
 
 	return b
 }
 
 func encodedSizeHint(img *Image, cols *EntityCols) int {
-	n := 64 + len(img.Events.ID)*57 + (len(img.Adj.Out)+len(img.Adj.In)+2*len(img.Adj.OutCounts))*4
+	a := &img.Adj
+	n := 96 + len(img.Events.ID)*57 + (len(a.Out)+len(a.In)+2*len(a.OutNodes)+2*len(a.InNodes))*4
 	if cols != nil {
 		n += len(cols.Kind)*70 + 1024
 	}
@@ -275,7 +274,7 @@ func DecodeSegment(data []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != segVersion {
+	if ver != 1 && ver != segVersion {
 		return nil, r.fail(fmt.Sprintf("unsupported segment version %d", ver))
 	}
 
@@ -283,14 +282,22 @@ func DecodeSegment(data []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := meta.i64s(6)
+	nMeta := 8
+	if ver == 1 {
+		nMeta = 6 // no range: a full image
+	}
+	m, err := meta.i64s(nMeta)
 	if err != nil {
 		return nil, err
 	}
 	img := &Image{NextEventID: m[0], MinTime: m[1], MaxTime: m[2], Nodes: int(m[5])}
+	if ver > 1 {
+		img.Base = Base{Entity: m[6], Event: m[7]}
+	}
 	nEnt, nEv := m[3], m[4]
-	if nEnt < 0 || nEv < 0 || img.Nodes < 0 || img.NextEventID < 0 {
-		return nil, meta.fail("negative meta count")
+	if nEnt < 0 || nEv < 0 || m[5] < 0 || m[5] > math.MaxInt32 || img.NextEventID < 0 ||
+		img.Base.Entity < 0 || img.Base.Event < 0 || img.Base.Event > img.NextEventID {
+		return nil, meta.fail("meta count or range out of bounds")
 	}
 
 	ents, err := r.section(secEntities)
@@ -323,9 +330,9 @@ func DecodeSegment(data []byte) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.PID = ints[0*n : 1*n : 1*n]
-		c.SrcPort = ints[1*n : 2*n : 2*n]
-		c.DstPort = ints[2*n : 3*n : 3*n]
+		for i, dst := range c.intCols() {
+			*dst = ints[i*n : (i+1)*n : (i+1)*n]
+		}
 		// All ten string columns decode from one offsets array and one blob
 		// copy into one header slab, carved per column with capped
 		// capacities so appends never cross columns.
@@ -352,8 +359,7 @@ func DecodeSegment(data []byte) (*Image, error) {
 			strs[i] = blob[prev:end]
 			prev = end
 		}
-		for i, dst := range []*[]string{&c.Name, &c.Path, &c.User, &c.Group, &c.Exe,
-			&c.Cmd, &c.SrcIP, &c.DstIP, &c.Protocol, &c.Host} {
+		for i, dst := range c.strCols() {
 			*dst = strs[i*n : (i+1)*n : (i+1)*n]
 		}
 		for i, k := range c.Kind {
@@ -364,7 +370,7 @@ func DecodeSegment(data []byte) (*Image, error) {
 			}
 		}
 		img.EntityCols = c
-		img.Entities = buildEntities(c)
+		img.Entities = buildEntities(c, img.Base.Entity)
 	}
 
 	evs, err := r.section(secEvents)
@@ -388,7 +394,7 @@ func DecodeSegment(data []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, dst := range []*[]int64{&e.ID, &e.Subject, &e.Object, &e.Start, &e.End, &e.Amount, &e.Failure} {
+	for i, dst := range e.intCols() {
 		*dst = evInts[i*evn : (i+1)*evn : (i+1)*evn]
 	}
 	op, err := evs.bytes(evn)
@@ -401,38 +407,97 @@ func DecodeSegment(data []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes, err := adj.u32()
+	if ver == 1 {
+		err = decodeDenseAdj(adj, img)
+	} else {
+		err = decodeSparseAdj(adj, &img.Adj)
+	}
 	if err != nil {
 		return nil, err
 	}
-	outLen, err := adj.u32()
-	if err != nil {
-		return nil, err
-	}
-	inLen, err := adj.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(nodes) != img.Nodes {
-		return nil, adj.fail("adjacency node count disagrees with meta")
-	}
-	if err := adj.need(int(nodes)*8 + int(outLen)*4 + int(inLen)*4); err != nil {
-		return nil, err
-	}
-	a := &img.Adj
-	nN, nOut, nIn := int(nodes), int(outLen), int(inLen)
-	adjInts, err := adj.i32s(2*nN + nOut + nIn)
-	if err != nil {
-		return nil, err
-	}
-	a.OutCounts = adjInts[:nN:nN]
-	a.Out = adjInts[nN : nN+nOut : nN+nOut]
-	a.InCounts = adjInts[nN+nOut : 2*nN+nOut : 2*nN+nOut]
-	a.In = adjInts[2*nN+nOut : 2*nN+nOut+nIn : 2*nN+nOut+nIn]
 	if err := validateImage(img); err != nil {
 		return nil, err
 	}
 	return img, nil
+}
+
+// decodeSparseAdj reads the version-2 adjacency section: four u32 lengths
+// (out nodes, out edges, in nodes, in edges), then the six arrays as one
+// slab carved per column.
+func decodeSparseAdj(r *reader, a *AdjCSR) error {
+	var n [4]int
+	for i := range n {
+		v, err := r.u32()
+		if err != nil {
+			return err
+		}
+		n[i] = int(v)
+	}
+	nOutN, nOut, nInN, nIn := n[0], n[1], n[2], n[3]
+	ints, err := r.i32s(2*nOutN + nOut + 2*nInN + nIn)
+	if err != nil {
+		return err
+	}
+	for _, c := range []struct {
+		dst *[]int32
+		n   int
+	}{{&a.OutNodes, nOutN}, {&a.OutCounts, nOutN}, {&a.Out, nOut}, {&a.InNodes, nInN}, {&a.InCounts, nInN}, {&a.In, nIn}} {
+		*c.dst = ints[:c.n:c.n]
+		ints = ints[c.n:]
+	}
+	return nil
+}
+
+// decodeDenseAdj reads the version-1 adjacency section — a node count,
+// the two flat lengths, then per-node counts — and keeps only the nodes
+// with edges.
+func decodeDenseAdj(r *reader, img *Image) error {
+	nodes, err := r.u32()
+	if err != nil {
+		return err
+	}
+	outLen, err := r.u32()
+	if err != nil {
+		return err
+	}
+	inLen, err := r.u32()
+	if err != nil {
+		return err
+	}
+	if int(nodes) != img.Nodes {
+		return r.fail("adjacency node count disagrees with meta")
+	}
+	nN, nOut, nIn := int(nodes), int(outLen), int(inLen)
+	ints, err := r.i32s(2*nN + nOut + nIn)
+	if err != nil {
+		return err
+	}
+	a := &img.Adj
+	a.OutNodes, a.OutCounts = sparseCounts(ints[:nN])
+	a.Out = ints[nN : nN+nOut : nN+nOut]
+	a.InNodes, a.InCounts = sparseCounts(ints[nN+nOut : 2*nN+nOut])
+	a.In = ints[2*nN+nOut : 2*nN+nOut+nIn : 2*nN+nOut+nIn]
+	return nil
+}
+
+// sparseCounts turns dense per-node counts into the node list and counts
+// of the nodes whose count is non-zero.
+func sparseCounts(dense []int32) (nodes, counts []int32) {
+	n := 0
+	for _, c := range dense {
+		if c != 0 {
+			n++
+		}
+	}
+	slab := make([]int32, 2*n)
+	nodes, counts = slab[:0:n], slab[n:n:2*n]
+	for i, c := range dense {
+		if c != 0 {
+			nodes = append(nodes, int32(i))
+			counts = append(counts, c)
+		}
+	}
+	return nodes, counts
 }
 
 // validateImage enforces the cross-section invariants a store restore
@@ -441,38 +506,35 @@ func validateImage(img *Image) error {
 	bad := func(reason string) error {
 		return &CorruptError{File: "segment", Offset: 0, Reason: reason}
 	}
-	var sumOut, sumIn int64
-	for _, c := range img.Adj.OutCounts {
-		if c < 0 {
-			return bad("negative adjacency count")
-		}
-		sumOut += int64(c)
-	}
-	for _, c := range img.Adj.InCounts {
-		if c < 0 {
-			return bad("negative adjacency count")
-		}
-		sumIn += int64(c)
-	}
-	if sumOut != int64(len(img.Adj.Out)) || sumIn != int64(len(img.Adj.In)) {
-		return bad("adjacency counts disagree with flat list length")
-	}
 	nEdges := int32(len(img.Events.ID))
-	for _, ei := range img.Adj.Out {
-		if ei < 0 || ei >= nEdges {
-			return bad("adjacency edge offset out of range")
+	for _, dir := range img.Adj.dirs() {
+		if len(dir.nodes) != len(dir.counts) {
+			return bad("adjacency node list and counts disagree")
 		}
-	}
-	for _, ei := range img.Adj.In {
-		if ei < 0 || ei >= nEdges {
-			return bad("adjacency edge offset out of range")
+		var sum int64
+		for i, c := range dir.counts {
+			if c <= 0 {
+				return bad("adjacency count not positive")
+			}
+			if nd := dir.nodes[i]; nd < 0 || int(nd) >= img.Nodes || i > 0 && nd <= dir.nodes[i-1] {
+				return bad("adjacency nodes not ascending within the node count")
+			}
+			sum += int64(c)
+		}
+		if sum != int64(len(dir.flat)) {
+			return bad("adjacency counts disagree with flat list length")
+		}
+		for _, ei := range dir.flat {
+			if ei < 0 || ei >= nEdges {
+				return bad("adjacency edge offset out of range")
+			}
 		}
 	}
 	nodes := int64(img.Nodes)
-	prev := int64(0)
+	prev := max(img.Base.Event-1, 0)
 	for i, id := range img.Events.ID {
 		if id <= prev || id >= img.NextEventID {
-			return bad("event IDs not ascending within the frontier")
+			return bad("event IDs not ascending within the range")
 		}
 		prev = id
 		if s := img.Events.Subject[i]; s < 1 || s > nodes {
@@ -485,7 +547,7 @@ func validateImage(img *Image) error {
 			return bad("event op code out of range")
 		}
 	}
-	if img.Entities != nil && len(img.Entities) > img.Nodes {
+	if img.Base.Entity > nodes || img.End().Entity > nodes {
 		return bad("more entities than graph nodes")
 	}
 	return nil

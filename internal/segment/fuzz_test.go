@@ -12,7 +12,8 @@ import (
 // unvalidated counts, and either return a typed error or an image whose
 // cross-section invariants hold (column lengths agree, adjacency offsets
 // in range). Seeds are a valid encoding plus truncated, bit-flipped, and
-// garbage mutations.
+// garbage mutations, then range segments (a later batch's delta, a
+// merged range) and a version-1 full image.
 func FuzzSegmentOpen(f *testing.F) {
 	valid := Encode(testImage())
 	f.Add(valid)
@@ -23,6 +24,10 @@ func FuzzSegmentOpen(f *testing.F) {
 	f.Add(flip)
 	f.Add([]byte("TSEG"))
 	f.Add([]byte{})
+	full, parts := rangeFixture(5, 5)
+	f.Add(Encode(parts[3]))
+	f.Add(Encode(merged(full, parts, 1, 4)))
+	f.Add(encodeV1(full))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := DecodeSegment(data)
 		if err != nil {
@@ -41,17 +46,32 @@ func FuzzSegmentOpen(f *testing.F) {
 		if len(img.Events.Op) != n {
 			t.Fatalf("op column length %d, want %d", len(img.Events.Op), n)
 		}
-		if len(img.Adj.OutCounts) != img.Nodes || len(img.Adj.InCounts) != img.Nodes {
-			t.Fatalf("adjacency counts sized %d/%d for %d nodes",
-				len(img.Adj.OutCounts), len(img.Adj.InCounts), img.Nodes)
-		}
-		for _, ei := range img.Adj.Out {
-			if ei < 0 || int(ei) >= n {
-				t.Fatalf("out-edge offset %d outside %d events", ei, n)
+		for _, dir := range img.Adj.dirs() {
+			if len(dir.nodes) != len(dir.counts) {
+				t.Fatalf("adjacency lists %d nodes, %d counts", len(dir.nodes), len(dir.counts))
+			}
+			for _, nd := range dir.nodes {
+				if nd < 0 || int(nd) >= img.Nodes {
+					t.Fatalf("adjacency node %d outside %d nodes", nd, img.Nodes)
+				}
+			}
+			for _, ei := range dir.flat {
+				if ei < 0 || int(ei) >= n {
+					t.Fatalf("edge offset %d outside %d events", ei, n)
+				}
 			}
 		}
 		if img.Entities != nil && len(img.Entities) != len(img.EntityCols.Kind) {
 			t.Fatal("entity slice and columns disagree")
+		}
+		if img.Base.Event > img.NextEventID || img.End().Entity > int64(img.Nodes) {
+			t.Fatalf("range %+v..%+v outside the frontier", img.Base, img.End())
+		}
+		// Any image decode accepts is a one-segment live list: Fold takes
+		// it when it starts at zero and refuses it with a typed error when
+		// it does not.
+		if _, err := Fold([]*Image{img}); (err == nil) != (img.Base == Base{}) {
+			t.Fatalf("Fold of a lone range from %+v: %v", img.Base, err)
 		}
 	})
 }

@@ -5,13 +5,16 @@
 // The on-disk contract is crash consistency by construction. Every sealed
 // batch is framed into the WAL (length-prefixed, CRC32C over the payload)
 // before it is applied to the in-memory store, so a crash at any point
-// loses at most the batch being written. Every K batches the published
-// store snapshot is dumped as a segment file — a near-verbatim image of
-// the typed column vectors, the entity table, and the graph adjacency
-// arenas, each section independently checksummed — and the manifest is
-// swapped (tmp + rename + directory fsync) to name the new live segment
-// set and the WAL replay floor. Recovery validates checksums, restores
-// the arenas directly (no log reparsing), and replays the WAL tail:
+// loses at most the batch being written. A segment file covers a range
+// of the store's append order — the entities and events appended between
+// two flushes, as typed column vectors plus the range's graph adjacency,
+// each section independently checksummed — so every K batches a flush
+// writes only what was sealed since the previous one (or, when a role's
+// newest segments fill a size tier, one segment over their union), and
+// the manifest is swapped (tmp + rename + directory fsync) to name the
+// new live segment list and the WAL replay floor. Recovery validates
+// checksums, folds each role's contiguous ranges into one image that the
+// store adopts directly (no log reparsing), and replays the WAL tail:
 // a torn tail (crash mid-append) is truncated and ingestion continues,
 // while a checksum failure with valid frames beyond it is bit rot and
 // refuses startup unless the operator opts into degrading to the last
@@ -74,23 +77,34 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func crc32Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
+// Base is where a segment's range starts in a store's append order: its
+// entity rows are IDs Entity+1, Entity+2, ... and its events have IDs in
+// [Event, NextEventID). The zero Base starts a full image.
+type Base struct {
+	Entity int64
+	Event  int64
+}
+
 // Image is the in-memory form of one segment: the decoded column
 // vectors a store restores its arenas from directly. The store open path
 // adopts the slices (zero-copy where the layout allows); an Image must
 // not be reused after being handed to a store.
 type Image struct {
-	// NextEventID is the event-ID frontier at dump time.
+	// Base opens the range the image covers (zero for a full image); the
+	// range ends at End().
+	Base Base
+	// NextEventID is the store's event-ID frontier at dump time.
 	NextEventID int64
-	// MinTime/MaxTime are the store's event-time bounds (µs).
+	// MinTime/MaxTime are the store's event-time bounds (µs) at dump time.
 	MinTime int64
 	MaxTime int64
-	// Nodes is the graph node count the adjacency arrays cover. For a
-	// partition image this exceeds len(Entities): partitions hold every
-	// entity but only their routed events.
+	// Nodes is the store's graph node count at dump time. For a partition
+	// image this exceeds len(Entities): partitions hold every entity but
+	// only their routed events.
 	Nodes int
-	// Entities is the dense entity slice (ID i at offset i-1), rebuilt
-	// from EntityCols on decode. Nil for partition images, which share
-	// the global image's entities.
+	// Entities is the range's dense entity slice (ID Base.Entity+i+1 at
+	// offset i), rebuilt from EntityCols on decode. Nil for partition
+	// images, which share the global image's entities.
 	Entities []*audit.Entity
 	// EntityCols are the decoded entity columns, kept so the relational
 	// restore can adopt them without re-extracting from Entities. Nil for
@@ -99,10 +113,18 @@ type Image struct {
 	// Events are the event columns in ID order (a partition image holds
 	// only its routed events, with gaps in the global ID sequence).
 	Events EventCols
-	// Adj is the graph adjacency in CSR form, per-node lists
-	// time-sorted.
+	// Adj is the range's graph adjacency: edge offsets index Events.
 	Adj AdjCSR
 }
+
+// End is where the image's range ends: the Base of the range that
+// follows it.
+func (img *Image) End() Base {
+	return Base{Entity: img.Base.Entity + int64(len(img.Entities)), Event: img.NextEventID}
+}
+
+// Rows is the image's size in entity plus event rows.
+func (img *Image) Rows() int64 { return int64(len(img.Entities) + len(img.Events.ID)) }
 
 // EntityCols are the columnarized entity attributes, one row per entity
 // in ID order. Integer columns hold zero and string columns hold "" at
@@ -114,17 +136,39 @@ type EntityCols struct {
 	SrcIP, DstIP, Protocol, Host []string
 }
 
+// strCols returns the ten entity string columns in their fixed on-disk
+// order.
+func (c *EntityCols) strCols() [10]*[]string {
+	return [10]*[]string{&c.Name, &c.Path, &c.User, &c.Group, &c.Exe,
+		&c.Cmd, &c.SrcIP, &c.DstIP, &c.Protocol, &c.Host}
+}
+
+// intCols returns the three entity integer columns in on-disk order.
+func (c *EntityCols) intCols() [3]*[]int64 {
+	return [3]*[]int64{&c.PID, &c.SrcPort, &c.DstPort}
+}
+
 // EventCols are the columnarized event attributes, one row per event.
 type EventCols struct {
 	ID, Subject, Object, Start, End, Amount, Failure []int64
 	Op                                               []uint8
 }
 
-// AdjCSR is graph adjacency in compressed-sparse-row form: node at
-// offset i owns Out[sum(OutCounts[:i]) : +OutCounts[i]] (0-based edge
-// arena offsets, time-sorted), and symmetrically for In.
+// intCols returns the seven event integer columns in on-disk order.
+func (e *EventCols) intCols() [7]*[]int64 {
+	return [7]*[]int64{&e.ID, &e.Subject, &e.Object, &e.Start, &e.End, &e.Amount, &e.Failure}
+}
+
+// AdjCSR is graph adjacency in sparse compressed-row form: OutNodes
+// lists, ascending, the node offsets (node ID - 1) that own a non-empty
+// outgoing list, and node OutNodes[i] owns Out[sum(OutCounts[:i]) :
+// +OutCounts[i]] — 0-based edge offsets in the graph's canonical
+// (start time, offset) order. In is the same for incoming lists. Only
+// nodes with edges are listed, so a range's adjacency costs O(range),
+// not O(nodes).
 type AdjCSR struct {
-	OutCounts, Out, InCounts, In []int32
+	OutNodes, OutCounts, Out []int32
+	InNodes, InCounts, In    []int32
 }
 
 // RoleGlobal is the segment role of the full (unsharded-equivalent)
@@ -180,8 +224,8 @@ func BuildEntityCols(dense []*audit.Entity) *EntityCols {
 }
 
 // buildEntities rebuilds the dense *Entity slice from decoded columns,
-// slab-allocating the per-kind attribute structs.
-func buildEntities(c *EntityCols) []*audit.Entity {
+// slab-allocating the per-kind attribute structs; row i is ID base+i+1.
+func buildEntities(c *EntityCols, base int64) []*audit.Entity {
 	n := len(c.Kind)
 	var nf, np, nn int
 	for _, k := range c.Kind {
@@ -202,7 +246,7 @@ func buildEntities(c *EntityCols) []*audit.Entity {
 	fi, pi, ni := 0, 0, 0
 	for i := 0; i < n; i++ {
 		e := &slab[i]
-		e.ID = int64(i) + 1
+		e.ID = base + int64(i) + 1
 		e.Kind = audit.EntityKind(c.Kind[i])
 		switch e.Kind {
 		case audit.EntityFile:

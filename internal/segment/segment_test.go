@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"threatraptor/internal/audit"
@@ -34,8 +35,8 @@ func testImage() *Image {
 			Op: []uint8{uint8(audit.OpRead), uint8(audit.OpSend)},
 		},
 		Adj: AdjCSR{
-			OutCounts: []int32{0, 2, 0}, Out: []int32{0, 1},
-			InCounts: []int32{1, 0, 1}, In: []int32{0, 1},
+			OutNodes: []int32{1}, OutCounts: []int32{2}, Out: []int32{0, 1},
+			InNodes: []int32{0, 2}, InCounts: []int32{1, 1}, In: []int32{0, 1},
 		},
 	}
 }
@@ -62,8 +63,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if len(got.Events.ID) != 2 || got.Events.Op[1] != uint8(audit.OpSend) || got.Events.Amount[0] != 4096 {
 		t.Fatalf("event columns mismatch: %+v", got.Events)
 	}
-	if len(got.Adj.Out) != 2 || got.Adj.Out[0] != 0 || got.Adj.OutCounts[1] != 2 || got.Adj.InCounts[2] != 1 {
+	if !reflect.DeepEqual(got.Adj, img.Adj) {
 		t.Fatalf("adjacency mismatch: %+v", got.Adj)
+	}
+	if !reflect.DeepEqual(BuildAdjacency(&img.Events), img.Adj) {
+		t.Fatalf("adjacency built from the event columns differs: %+v", BuildAdjacency(&img.Events))
 	}
 }
 

@@ -1,9 +1,10 @@
 package shard
 
 // Segment dump and restore for the sharded store. The fleet persists as
-// one segment generation: the global store's image (with the entity
-// table) plus one per-partition image (events and adjacency only —
-// partitions share the global entities). Restore rebuilds each store by
+// one segment role per store: "global" (with the entity table) plus one
+// per partition (events and adjacency only — partitions share the global
+// entities); every flush dumps each role's range since its previous
+// segment. Restore rebuilds each store from its role's folded image by
 // direct arena restoration over the shared entity slab, so a recovered
 // coordinator is indistinguishable from one built by New over the same
 // input.
@@ -17,20 +18,18 @@ import (
 	"threatraptor/internal/segment"
 )
 
-// DumpImages flattens the whole fleet: the global store under role
-// "global" (with entities), then every partition under "p0".."pN-1"
-// (without — they share the global image's entity slab). Writer-side
-// only (the stream session calls it under its write lock, serialized
-// against AppendBatch).
-func (s *Store) DumpImages() []segment.RoleImage {
+// DumpRange dumps one store of the fleet from base: role 0 is the global
+// store, with entities, and role i+1 is partition i ("p<i>"), without —
+// partitions share the global image's entity slab. Writer-side only (the
+// stream session calls it under its write lock, serialized against
+// AppendBatch).
+func (s *Store) DumpRange(role int, from segment.Base) *segment.Image {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]segment.RoleImage, 0, 1+len(s.shards))
-	out = append(out, segment.RoleImage{Role: segment.RoleGlobal, Image: engine.DumpImage(s.global, true)})
-	for i, p := range s.shards {
-		out = append(out, segment.RoleImage{Role: segment.PartitionRole(i), Image: engine.DumpImage(p.store, false)})
+	if role == 0 {
+		return engine.DumpRange(s.global, true, from)
 	}
-	return out
+	return engine.DumpRange(s.shards[role-1].store, false, from)
 }
 
 // Topology names the sharding layout for the manifest.
@@ -38,12 +37,12 @@ func (s *Store) Topology() segment.Topology {
 	return segment.Topology{Shards: len(s.shards), PartitionBy: s.part.Name()}
 }
 
-// OpenImages rebuilds a sharded store from one recovered segment
-// generation: the "global" image supplies the entity slab and the
-// authoritative store, and each "p<i>" image restores its partition over
-// the same shared entity table. part must match the partitioner the
-// generation was dumped under (the manifest records its name); shards is
-// the expected partition count.
+// OpenImages rebuilds a sharded store from one recovered image per role
+// (its live segments folded): the "global" image supplies the entity
+// slab and the authoritative store, and each "p<i>" image restores its
+// partition over the same shared entity table. part must match the
+// partitioner the store was dumped under (the manifest records its
+// name); shards is the expected partition count.
 func OpenImages(imgs []segment.RoleImage, shards int, part Partitioner) (*Store, error) {
 	if shards < 1 {
 		shards = 1

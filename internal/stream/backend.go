@@ -62,9 +62,9 @@ func NewBackend(store *engine.Store, en *engine.Engine) DurableBackend {
 	return engineBackend{store: store, en: en}
 }
 
-// DumpImages flattens the single store as the one "global" role.
-func (b engineBackend) DumpImages() []segment.RoleImage {
-	return []segment.RoleImage{{Role: segment.RoleGlobal, Image: engine.DumpImage(b.store, true)}}
+// DumpRange dumps the single store, the one "global" role (role 0).
+func (b engineBackend) DumpRange(_ int, from segment.Base) *segment.Image {
+	return engine.DumpRange(b.store, true, from)
 }
 
 // Topology reports the unsharded layout.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"threatraptor/internal/audit"
+	"threatraptor/internal/segment"
 	"threatraptor/internal/shard"
 	"threatraptor/internal/tactical"
 )
@@ -151,6 +152,70 @@ func BenchmarkTacticalRound(b *testing.B) {
 	b.ReportMetric(float64(st.AlertsTagged-startAlerts)/float64(b.N), "alerts/op")
 	if st.AlertsTagged == startAlerts {
 		b.Fatal("no alerts tagged; the tactical path was not exercised")
+	}
+}
+
+// BenchmarkSegmentFlush is the store-size sweep behind O(delta) segment
+// flushes: one flush of 64 sealed 16-record batches on a durable store
+// preloaded 1× and 8× with the data_leak history. Every iteration
+// flushes the same 64 batches: the role's live list is put back to what
+// it was before them, ending in one flush of 64 batches, so each timed
+// flush writes one plain delta — no merge, whose share of a flush would
+// depend on b.N — and the store does not grow with b.N. Flat B/op and
+// allocs/op from 1x to 8x is the claim; a flush that rewrote the whole
+// store grew with the preload.
+func BenchmarkSegmentFlush(b *testing.B) {
+	for _, mult := range []int{1, 8} {
+		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
+			cfg := Config{}
+			cfg.Durability = Durability{Dir: b.TempDir(), Fsync: segment.FsyncOff, SegmentEvery: 1 << 30}
+			sess, _, err := openSingle(b, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sess.Close()
+			recs := dataLeakRecords(b, 1)
+			span := recs[len(recs)-1].Time - recs[0].Time + 10_000_000
+			buf := make([]audit.Record, 0, len(recs))
+			for i := 0; i < mult; i++ {
+				if _, err := sess.IngestRecords(shiftRecords(recs, buf, int64(i)*span)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := sess.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			template := recs[:16]
+			chunkSpan := template[len(template)-1].Time - template[0].Time + 10_000_000
+			base := sess.Store().MaxTime + 10_000_000 - template[0].Time
+			next := 0
+			seal := func() {
+				for j := 0; j < 64; j++ {
+					if _, err := sess.IngestRecords(shiftRecords(template, buf, base+int64(next)*chunkSpan)); err != nil {
+						b.Fatal(err)
+					}
+					next++
+				}
+			}
+			flush := func() {
+				sess.mu.Lock()
+				defer sess.mu.Unlock()
+				if err := sess.flushSegmentsLocked(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			flush() // the preload
+			seal()
+			flush() // one delta: the live list now ends in a delta-sized segment
+			seal()
+			live := sess.dur.live[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sess.dur.live[0] = live
+				flush()
+			}
+		})
 	}
 }
 

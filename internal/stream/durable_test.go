@@ -255,12 +255,30 @@ var crashPoints = []string{
 	segment.FaultManifestRename,
 }
 
+// flushMerges reports whether a flush of sess's current state merges —
+// whether some role's new segment replaces live segments. A crash inside
+// a flush leaves the store and the live lists exactly as that flush saw
+// them, so asked after the crash it classifies the flush that died.
+func flushMerges(sess *Session) bool {
+	for r := range sess.dur.roles {
+		if _, k := sess.dur.nextImage(r); k > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// chaosCrashes counts where a chaos run's flush-point crashes landed.
+type chaosCrashes struct{ inDelta, inMerge int }
+
 // chaosRun drives one full crash/recovery schedule: feed records one at a
 // time, crash at randomized fault points (ModePanic), recover from the
 // directory, resume from the recovered event count, and finally compare
 // against the never-crashed oracle. open is the session factory, so the
-// same harness runs the single and sharded backends.
-func chaosRun(t *testing.T, seed int64, open func(testing.TB, Config) (*Session, RecoveryStats, error)) {
+// same harness runs the single and sharded backends. Records that will
+// trigger a flush draw flush-point crashes more often, so crashes land
+// inside both delta flushes and merges; the counts are returned.
+func chaosRun(t *testing.T, seed int64, open func(testing.TB, Config) (*Session, RecoveryStats, error)) chaosCrashes {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
@@ -272,14 +290,20 @@ func chaosRun(t *testing.T, seed int64, open func(testing.TB, Config) (*Session,
 	if err != nil {
 		t.Fatal(err)
 	}
+	var landed chaosCrashes
 	crashes := 0
 	for i := 0; i < len(recs); {
-		if crashes < 6 && rng.Intn(3) == 0 {
+		flushNext := sess.dur.sinceFlush == cfg.Durability.SegmentEvery-1
+		point := ""
+		if crashes < 6 && (rng.Intn(3) == 0 || flushNext && rng.Intn(2) == 0) {
 			// Schedule a crash at a random upcoming hit of a random point.
 			// Each fed record appends (and under FsyncAlways syncs) up to
 			// two WAL frames, and flush batches write several segments, so
 			// small hit numbers land within the next record or two.
-			point := crashPoints[rng.Intn(len(crashPoints))]
+			point = crashPoints[rng.Intn(len(crashPoints))]
+			if flushNext && rng.Intn(2) == 0 {
+				point = []string{segment.FaultSegmentFlush, segment.FaultManifestRename}[rng.Intn(2)]
+			}
 			faultinject.Arm(faultinject.Plan{point: {Hits: []int{1 + rng.Intn(3)}, Mode: faultinject.ModePanic}})
 		}
 		panicked := func() (panicked bool) {
@@ -305,6 +329,13 @@ func chaosRun(t *testing.T, seed int64, open func(testing.TB, Config) (*Session,
 		// must fail (or panic), and the retry with the fault disarmed must
 		// succeed from the same directory.
 		crashes++
+		if point == segment.FaultSegmentFlush || point == segment.FaultManifestRename {
+			if flushMerges(sess) {
+				landed.inMerge++
+			} else {
+				landed.inDelta++
+			}
+		}
 		if rng.Intn(3) == 0 {
 			faultinject.Arm(faultinject.Plan{segment.FaultRecoveryRead: {Hits: []int{1}, Mode: faultinject.ModePanic}})
 			func() {
@@ -336,27 +367,46 @@ func chaosRun(t *testing.T, seed int64, open func(testing.TB, Config) (*Session,
 		t.Log("schedule produced no crashes; equivalence still checked")
 	}
 	sess.Close()
+	return landed
+}
+
+// requireFlushCrashes asserts the seeded schedules crashed inside at
+// least one delta flush and one merge.
+func requireFlushCrashes(t *testing.T, total chaosCrashes) {
+	t.Helper()
+	t.Logf("flush-point crashes: %d inside delta flushes, %d inside merges", total.inDelta, total.inMerge)
+	if total.inDelta == 0 || total.inMerge == 0 {
+		t.Fatalf("crashes landed in %d delta flushes and %d merges; the schedules must hit both", total.inDelta, total.inMerge)
+	}
 }
 
 func TestDurableChaosRestartEquivalence(t *testing.T) {
 	defer faultinject.Disarm()
+	var total chaosCrashes
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			chaosRun(t, seed, openSingle)
+			c := chaosRun(t, seed, openSingle)
+			total.inDelta += c.inDelta
+			total.inMerge += c.inMerge
 		})
 	}
+	requireFlushCrashes(t, total)
 }
 
 func TestDurableChaosShardedEquivalence(t *testing.T) {
 	defer faultinject.Disarm()
+	var total chaosCrashes
 	for _, n := range []int{2, 4} {
 		n := n
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			chaosRun(t, int64(100+n), func(tb testing.TB, cfg Config) (*Session, RecoveryStats, error) {
+			c := chaosRun(t, int64(100+n), func(tb testing.TB, cfg Config) (*Session, RecoveryStats, error) {
 				return openSharded(tb, cfg, n)
 			})
+			total.inDelta += c.inDelta
+			total.inMerge += c.inMerge
 		})
 	}
+	requireFlushCrashes(t, total)
 }
 
 // TestDurableShardedPartialFlushRollsBack pins fleet-wide flush
@@ -631,7 +681,9 @@ func TestDurableFsyncPolicyAndCallbacks(t *testing.T) {
 		if st.Err != nil {
 			t.Fatalf("flush failed: %v", st.Err)
 		}
-		if st.ManifestSeq == 0 || st.Segments != 1 || st.Bytes == 0 {
+		// One role, so each flush writes one file (its delta or a merge);
+		// the live list grows by at most that file.
+		if st.ManifestSeq == 0 || st.Written != 1 || st.Segments < 1 || st.Bytes == 0 {
 			t.Fatalf("flush stats: %+v", st)
 		}
 	}
