@@ -6,7 +6,7 @@
 //	tbql -log audit.log 'proc p read file f["%/etc/passwd%"] return distinct p'
 //	tbql -demo password_crack 'proc p read file f["%shadow%"] return p'
 //	echo 'proc p read file f return distinct p' | tbql -log audit.log
-//	tbql -log audit.log -explain '...'   # show the IR and compiled plans
+//	tbql -log audit.log -explain '...'   # print the plan the hunt runs
 //	tbql -demo data_leak -i              # interactive hunting session
 package main
 
@@ -27,7 +27,7 @@ func main() {
 	logPath := flag.String("log", "", "audit log file (newline-delimited raw records)")
 	demo := flag.String("demo", "", "use a built-in benchmark case's log")
 	scale := flag.Float64("scale", 1.0, "benign noise scale for -demo")
-	explain := flag.Bool("explain", false, "print the compiled logical-plan IR, physical plans, and equivalent SQL/Cypher")
+	explain := flag.Bool("explain", false, "print the plan the hunt runs: logical-plan IR, compiled SQL/Cypher, physical plans, order, monolithic baselines")
 	useFuzzy := flag.Bool("fuzzy", false, "execute in fuzzy search mode")
 	interactive := flag.Bool("i", false, "interactive session: one query per line, blank line executes")
 	flag.Parse()

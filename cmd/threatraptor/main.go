@@ -48,7 +48,7 @@ func main() {
 	useFuzzy := flag.Bool("fuzzy", false, "execute in fuzzy search mode")
 	demo := flag.String("demo", "", "run a built-in benchmark case (e.g. data_leak)")
 	scale := flag.Float64("scale", 1.0, "benign noise scale for -demo")
-	explain := flag.Bool("explain", false, "print the compiled logical-plan IR and physical plans before executing")
+	explain := flag.Bool("explain", false, "print the plan the hunt runs (IR, compiled SQL/Cypher, physical plans, order) before executing")
 	watch := flag.Bool("watch", false, "tail -log continuously, firing the query as behaviors appear")
 	queryPath := flag.String("query", "", "TBQL query file (watch mode; skips report synthesis)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "watch mode poll interval")

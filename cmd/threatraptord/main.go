@@ -17,7 +17,7 @@
 //
 //	POST /v1/hunt      TBQL in the body; JSON results. 429 + Retry-After
 //	                   when admission control sheds the hunt.
-//	POST /v1/explain   TBQL in the body; the compilation report as text.
+//	POST /v1/explain   TBQL in the body; the plan a hunt of it runs, as text.
 //	POST /v1/watch     TBQL in the body; firings stream back as
 //	                   Server-Sent Events (Accept: text/event-stream) or
 //	                   newline-delimited JSON until the client disconnects.

@@ -92,7 +92,7 @@ func BenchmarkCompile(b *testing.B) {
 	store := benchStore(b, 1.0)
 	a := benchAnalyzed(b)
 	compileAll := func(en *Engine) {
-		plan := en.planFor(a, nil, false)
+		plan := en.planFor(a, en.Store.Snapshot(), false)
 		for i := range plan.pats {
 			if plan.pats[i].meta.UsesGraph {
 				continue

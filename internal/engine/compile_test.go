@@ -3,10 +3,10 @@ package engine
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/graphdb"
+	"threatraptor/internal/qir"
 	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
@@ -40,13 +40,21 @@ func parse(t testing.TB, src string) *tbql.Analyzed {
 	return a
 }
 
+// patternSQL prints the first pattern's lowered statement with its
+// optional parameters unbound: the SQL a scheduler-free execution runs.
+func patternSQL(t *testing.T, store *Store, a *tbql.Analyzed) string {
+	t.Helper()
+	ir := tbql.Lower(a)[0]
+	return literalSQL(lowerEventStmt(store.Snapshot().bounds(), ir.Event), PatternQuery{})
+}
+
 func TestCompilePatternSQLParsesAndRuns(t *testing.T) {
 	store := tinyStore(t)
 	a := parse(t, `proc p["%tar%"] read file f["%passwd%"] as e1 return distinct p`)
-	sql := CompilePatternSQL(store, a, 0, nil)
+	sql := patternSQL(t, store, a)
 	rs, err := store.Rel.Query(sql)
 	if err != nil {
-		t.Fatalf("compiled SQL must run: %v\n%s", err, sql)
+		t.Fatalf("printed SQL must run: %v\n%s", err, sql)
 	}
 	if rs.Len() != 1 {
 		t.Fatalf("rows = %d\n%s", rs.Len(), sql)
@@ -57,14 +65,14 @@ func TestCompilePatternSQLAnchorSwap(t *testing.T) {
 	store := tinyStore(t)
 	// Object heavily filtered, subject unfiltered: anchor on the object.
 	a := parse(t, `proc p read file f[name = "/etc/passwd" && user = "root"] as e1 return distinct p`)
-	sql := CompilePatternSQL(store, a, 0, nil)
-	if !strings.HasPrefix(sql[strings.Index(sql, "FROM"):], "FROM entities o") {
+	sql := patternSQL(t, store, a)
+	if !strings.Contains(sql, "FROM entities o, events e, entities s ") {
 		t.Errorf("expected object-anchored FROM:\n%s", sql)
 	}
 	// Subject filtered: anchor on the subject.
 	a = parse(t, `proc p["%tar%"] read file f as e1 return distinct p`)
-	sql = CompilePatternSQL(store, a, 0, nil)
-	if !strings.Contains(sql, "FROM entities s") {
+	sql = patternSQL(t, store, a)
+	if !strings.Contains(sql, "FROM entities s, events e, entities o ") {
 		t.Errorf("expected subject-anchored FROM:\n%s", sql)
 	}
 }
@@ -72,7 +80,7 @@ func TestCompilePatternSQLAnchorSwap(t *testing.T) {
 func TestCompilePatternSQLWindow(t *testing.T) {
 	store := tinyStore(t)
 	a := parse(t, `proc p read file f as e1 from "1970-01-01 00:00:01" to "1970-01-01 00:00:01" return distinct f`)
-	sql := CompilePatternSQL(store, a, 0, nil)
+	sql := patternSQL(t, store, a)
 	if !strings.Contains(sql, "e.start_time >= 1000000") ||
 		!strings.Contains(sql, "e.start_time <= 1000000") {
 		t.Errorf("window bounds missing:\n%s", sql)
@@ -155,13 +163,13 @@ func TestCompilePatternCypherVarLenForms(t *testing.T) {
 		{`proc p ~> file f return distinct p`, "-[*1..]-"},
 	}
 	for _, c := range cases {
-		a := parse(t, c.src)
-		cy := CompilePatternCypher(store, a, 0, nil)
+		ir := tbql.Lower(parse(t, c.src))[0]
+		cy := lowerPathQuery(store.Snapshot().bounds(), ir.Path).String()
 		if !strings.Contains(cy, c.want) {
-			t.Errorf("%s\ncompiled %q, want fragment %q", c.src, cy, c.want)
+			t.Errorf("%s\nprinted %q, want fragment %q", c.src, cy, c.want)
 		}
 		if _, err := graphdb.ParseQuery(cy); err != nil {
-			t.Errorf("%s: compiled Cypher must parse: %v\n%s", c.src, err, cy)
+			t.Errorf("%s: printed Cypher must parse: %v\n%s", c.src, err, cy)
 		}
 	}
 }
@@ -171,10 +179,11 @@ func TestTemporalSQLForms(t *testing.T) {
 proc p write file g as e2
 with e1 before[1-5 sec] e2
 return distinct p`)
-	c, err := temporalSQL(a, a.Query.Relations[0])
+	e, err := temporalExpr(a, a.Query.Relations[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := relational.ExprString(e)
 	for _, frag := range []string{"e1.start_time < e2.start_time", ">= 1000000", "<= 5000000"} {
 		if !strings.Contains(c, frag) {
 			t.Errorf("missing %q in %q", frag, c)
@@ -185,35 +194,50 @@ return distinct p`)
 proc p write file g as e2
 with e1 within[0-2 sec] e2
 return distinct p`)
-	if _, err := temporalSQL(a, a.Query.Relations[0]); err != nil {
+	if _, err := temporalExpr(a, a.Query.Relations[0]); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestTimeWindowKinds resolves every TBQL window form through the IR
+// (tbql.Lower) and qir.Window.Bounds against the store's bounds.
 func TestTimeWindowKinds(t *testing.T) {
 	store := tinyStore(t)
-	mk := func(kind tbql.WindowKind, from, to time.Time, dur time.Duration) (int64, int64) {
-		return store.timeWindow(&tbql.Window{Kind: kind, From: from, To: to, Dur: dur})
+	b := store.Snapshot().bounds()
+	window := func(w string) (int64, int64) {
+		t.Helper()
+		ir := tbql.Lower(parse(t, `proc p read file f as e1 `+w+` return f`))[0]
+		return ir.Window().Bounds(b.min, b.max)
 	}
-	epoch1 := time.Unix(1, 0).UTC()
-	if lo, hi := mk(tbql.WindRange, epoch1, epoch1, 0); lo != 1_000_000 || hi != 1_000_000 {
+	const day = 24 * 3600 * 1_000_000
+	if lo, hi := window(`from "1970-01-01 00:00:01" to "1970-01-01 00:00:01"`); lo != 1_000_000 || hi != 1_000_000 {
 		t.Errorf("range window = [%d,%d]", lo, hi)
 	}
-	if lo, _ := mk(tbql.WindAfter, epoch1, time.Time{}, 0); lo != 1_000_000 {
-		t.Errorf("after window lo = %d", lo)
+	if lo, hi := window(`at "1970-01-02"`); lo != day || hi != 2*day-1 {
+		t.Errorf("at window = [%d,%d]", lo, hi)
 	}
-	if _, hi := mk(tbql.WindBefore, time.Time{}, epoch1, 0); hi != 1_000_000 {
-		t.Errorf("before window hi = %d", hi)
+	if lo, hi := window(`after "1970-01-01 00:00:01"`); lo != 1_000_000 || hi != store.MaxTime {
+		t.Errorf("after window = [%d,%d]", lo, hi)
 	}
-	if lo, hi := mk(tbql.WindLast, time.Time{}, time.Time{}, time.Second); hi != store.MaxTime || lo != store.MaxTime-1_000_000 {
+	if lo, hi := window(`before "1970-01-01 00:00:01"`); lo != store.MinTime || hi != 1_000_000 {
+		t.Errorf("before window = [%d,%d]", lo, hi)
+	}
+	if lo, hi := window(`last 1 sec`); hi != store.MaxTime || lo != store.MaxTime-1_000_000 {
 		t.Errorf("last window = [%d,%d]", lo, hi)
 	}
 }
 
+// TestInListRendering pins the two forms a binding set prints in: the
+// runtime parameter a compiled plan carries, and the literal list the
+// golden reference binds it to.
 func TestInListRendering(t *testing.T) {
-	got := inList("s", []int64{3, 1, 2})
-	if got != "s.id IN (3, 1, 2)" {
-		t.Errorf("inList = %q", got)
+	s := relational.ColRef{Qualifier: "s", Column: "id"}
+	if got := relational.ExprString(relational.ParamIDs{E: s, Slot: qir.SlotSubjIDs}); got != "s.id IN ?list0" {
+		t.Errorf("param list = %q", got)
+	}
+	lits := relational.InList{E: s, Vals: []relational.Expr{intLit(3), intLit(1), intLit(2)}}
+	if got := relational.ExprString(lits); got != "s.id IN (3, 1, 2)" {
+		t.Errorf("literal list = %q", got)
 	}
 }
 
@@ -222,15 +246,14 @@ func TestRenderSQLExprOperators(t *testing.T) {
 		L: relational.BinOp{Op: "like", L: relational.ColRef{Column: "name"}, R: relational.Lit{V: relational.Str("%x%")}},
 		R: relational.InList{E: relational.ColRef{Column: "group"}, Vals: []relational.Expr{relational.Lit{V: relational.Str("root")}}, Negate: true},
 	}
-	got := renderSQLExpr(e, "t")
+	got := relational.ExprString(qualify(e, "t", sqlColumn))
 	for _, frag := range []string{"t.name LIKE '%x%'", "t.grp NOT IN ('root')", " OR "} {
 		if !strings.Contains(got, frag) {
 			t.Errorf("missing %q in %q", frag, got)
 		}
 	}
 	// Cypher keeps "group" as a property name.
-	cy := renderCypherExpr(e, "n")
-	if !strings.Contains(cy, "n.group") {
+	if cy := relational.ExprString(qualify(e, "n", nil)); !strings.Contains(cy, "n.group") {
 		t.Errorf("cypher render = %q", cy)
 	}
 }

@@ -13,9 +13,12 @@ import (
 )
 
 // TestExecutionPathEquivalence guards the storage/executor refactor: the
-// scheduled plan, the unscheduled ablation, and the monolithic SQL plan
-// must return identical result sets (compared as sorted rows) for the TBQL
-// query synthesized from every generated case's report.
+// scheduled plan, the unscheduled ablation, and the monolithic SQL and
+// Cypher plans — lowered straight from the analyzed query, an independent
+// reference on each backend — must return identical result sets (compared
+// as sorted rows) for the TBQL query synthesized from every generated
+// case's report. Each monolithic plan's printed text must also parse and
+// return the same rows through the backend's parser-fed entry point.
 func TestExecutionPathEquivalence(t *testing.T) {
 	for _, c := range cases.All() {
 		c := c
@@ -54,16 +57,44 @@ func TestExecutionPathEquivalence(t *testing.T) {
 				t.Errorf("unscheduled differs:\n%v\n%v", want, ures.Set.Strings())
 			}
 
+			cres, _, err := sched.ExecuteMonolithicCypher(nil, a)
+			if err != nil {
+				t.Fatalf("monolithic Cypher: %v", err)
+			}
+			if !sameRows(want, cres.Strings()) {
+				t.Errorf("monolithic Cypher differs:\n%v\n%v", want, cres.Strings())
+			}
+			cy, err := CompileMonolithicCypher(store, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trs, err := store.Graph.Query(cy); err != nil {
+				t.Errorf("printed monolithic Cypher: %v\n%s", err, cy)
+			} else if !sameRows(cres.Strings(), trs.Strings()) {
+				t.Errorf("printed monolithic Cypher differs:\n%v\n%v", cres.Strings(), trs.Strings())
+			}
+
 			mres, _, err := sched.ExecuteMonolithicSQL(nil, a)
 			if err != nil {
 				// Variable-length path patterns cannot compile to one SQL
 				// statement; that is the documented monolithic limitation,
 				// not an equivalence failure.
-				t.Logf("monolithic SQL not applicable: %v", err)
+				if !HasVarLenPath(a) {
+					t.Fatalf("monolithic SQL: %v", err)
+				}
 				return
 			}
 			if !sameRows(want, mres.Strings()) {
 				t.Errorf("monolithic SQL differs:\n%v\n%v", want, mres.Strings())
+			}
+			sql, err := CompileMonolithicSQL(store, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trs, err := store.Rel.Query(sql); err != nil {
+				t.Errorf("printed monolithic SQL: %v\n%s", err, sql)
+			} else if !sameRows(mres.Strings(), trs.Strings()) {
+				t.Errorf("printed monolithic SQL differs:\n%v\n%v", mres.Strings(), trs.Strings())
 			}
 		})
 	}

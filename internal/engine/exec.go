@@ -858,10 +858,12 @@ func temporalHolds(rel tbql.Relation, startA, startB int64) bool {
 
 // ExecuteMonolithicSQL lowers the query into one giant statement and runs
 // it on the relational backend (query type (b) in RQ4). The statement is
-// lowered to an AST and compiled once per plan — no SQL text, no parser.
+// lowered to an AST against the plan's snapshot bounds and compiled once
+// per plan — no SQL text, no parser. Like ExecuteMonolithicCypher it reads
+// the live tables, so callers synchronize with the writer.
 func (en *Engine) ExecuteMonolithicSQL(ctx context.Context, a *tbql.Analyzed) (rs *relational.ResultSet, stats Stats, err error) {
 	defer guard(a, &err)
-	pr, err := en.planFor(a, nil, false).monolithicSQL(en.Store, a)
+	pr, err := en.planFor(a, en.Store.Snapshot(), false).monolithicSQL(en.Store, a)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -876,7 +878,7 @@ func (en *Engine) ExecuteMonolithicSQL(ctx context.Context, a *tbql.Analyzed) (r
 // graph databases use for multi-MATCH statements (query type (d) in RQ4).
 func (en *Engine) ExecuteMonolithicCypher(ctx context.Context, a *tbql.Analyzed) (rs *relational.ResultSet, stats Stats, err error) {
 	defer guard(a, &err)
-	q, err := en.planFor(a, nil, false).monolithicCypher(en.Store, a)
+	q, err := en.planFor(a, en.Store.Snapshot(), false).monolithicCypher(a)
 	if err != nil {
 		return nil, stats, err
 	}

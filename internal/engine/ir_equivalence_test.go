@@ -1,13 +1,15 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/cases"
 	"threatraptor/internal/extract"
+	"threatraptor/internal/graphdb"
+	"threatraptor/internal/qir"
+	"threatraptor/internal/relational"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
@@ -28,28 +30,85 @@ func caseAnalyzed(t *testing.T, c *cases.Case) *tbql.Analyzed {
 	return a
 }
 
-// legacyPatternRows executes one pattern through the legacy text path: the
-// EXPLAIN-only SQL/Cypher generators render the query with the extras
-// spliced as text, and the backend's parser-fed entry point runs it.
-func legacyPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, idx int, sp PatternQuery) [][5]int64 {
-	t.Helper()
-	var extra []string
+// literalSQL prints a pattern's lowered statement with one data query's
+// parameters written as literal conjuncts: the binding sets as
+// "s.id IN (…)" / "o.id IN (…)" and the delta floor as "e.id >= N";
+// unbound optional parameters drop out, as they prune at execution.
+func literalSQL(stmt *relational.SelectStmt, sp PatternQuery) string {
+	var conds []relational.Expr
+	for _, c := range flattenAnd(stmt.Where) {
+		switch v := c.(type) {
+		case relational.ParamIDs:
+			ids := sp.Subj
+			if v.Slot == qir.SlotObjIDs {
+				ids = sp.Obj
+			}
+			if len(ids) > 0 {
+				conds = append(conds, idList(v.E, ids))
+			}
+			continue
+		case relational.BinOp:
+			if _, ok := v.R.(relational.Param); ok {
+				if sp.Delta > 0 {
+					conds = append(conds, binOp(v.Op, v.L, intLit(sp.Delta)))
+				}
+				continue
+			}
+		}
+		conds = append(conds, c)
+	}
+	lit := *stmt
+	lit.Where = andChain(conds)
+	return lit.String()
+}
+
+// literalCypher prints a path pattern's traversal with the same literal
+// conjuncts appended to its WHERE.
+func literalCypher(gq *graphdb.Query, sp PatternQuery) string {
+	conds := flattenAnd(gq.Where)
 	if len(sp.Subj) > 0 {
-		extra = append(extra, inList("s", sp.Subj))
+		conds = append(conds, idList(colRef("s", "id"), sp.Subj))
 	}
 	if len(sp.Obj) > 0 {
-		extra = append(extra, inList("o", sp.Obj))
+		conds = append(conds, idList(colRef("o", "id"), sp.Obj))
 	}
 	if sp.Delta > 0 {
-		extra = append(extra, fmt.Sprintf("e.id >= %d", sp.Delta))
+		conds = append(conds, binOp(">=", colRef("e", "id"), intLit(sp.Delta)))
 	}
-	p := a.Query.Patterns[idx]
+	lit := *gq
+	lit.Where = andChain(conds)
+	return lit.String()
+}
+
+func flattenAnd(e relational.Expr) []relational.Expr {
+	if e == nil {
+		return nil
+	}
+	if bin, ok := e.(relational.BinOp); ok && bin.Op == "and" {
+		return append(flattenAnd(bin.L), flattenAnd(bin.R)...)
+	}
+	return []relational.Expr{e}
+}
+
+func idList(e relational.Expr, ids []int64) relational.Expr {
+	vals := make([]relational.Expr, len(ids))
+	for i, id := range ids {
+		vals[i] = intLit(id)
+	}
+	return relational.InList{E: e, Vals: vals}
+}
+
+// literalPatternRows runs the printed literal reference of one data query
+// through the backends' parser-fed entry points.
+func literalPatternRows(t *testing.T, store *Store, plan *queryPlan, sp PatternQuery) [][5]int64 {
+	t.Helper()
+	pp := &plan.pats[sp.Idx]
 	var rows [][5]int64
-	if p.Path != nil {
-		cy := CompilePatternCypher(store, a, idx, extra)
+	if pp.meta.UsesGraph {
+		cy := literalCypher(pp.gq, sp)
 		rs, err := store.Graph.Query(cy)
 		if err != nil {
-			t.Fatalf("legacy Cypher: %v\n%s", err, cy)
+			t.Fatalf("literal Cypher: %v\n%s", err, cy)
 		}
 		hasEvent := len(rs.Columns) == 5
 		for _, row := range rs.Rows {
@@ -65,10 +124,10 @@ func legacyPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, idx int, sp
 		}
 		return rows
 	}
-	sql := CompilePatternSQL(store, a, idx, extra)
+	sql := literalSQL(lowerEventStmt(plan.bounds, pp.ir.Event), sp)
 	rs, err := store.Rel.Query(sql)
 	if err != nil {
-		t.Fatalf("legacy SQL: %v\n%s", err, sql)
+		t.Fatalf("literal SQL: %v\n%s", err, sql)
 	}
 	for _, row := range rs.Rows {
 		rows = append(rows, [5]int64{row[0].I, row[1].I, row[2].I, row[3].I, row[4].I})
@@ -107,13 +166,14 @@ func bindingSample(rows [][5]int64, col, max int) []int64 {
 	return ids
 }
 
-// TestIRGoldenEquivalence is the golden suite of the IR refactor: for the
-// synthesized query of EVERY benchmark case — including all cases from the
-// four DARPA TC case files (ClearScope, FiveDirections, THEIA, TRACE) —
-// every pattern's IR-path data query must return exactly the legacy text
-// path's rows, across every extras shape the scheduler can produce
-// (binding sets on either or both sides, and the standing-query delta
-// floor).
+// TestIRGoldenEquivalence is the golden suite of the runtime-pruned
+// parameters: for the synthesized query of EVERY benchmark case —
+// including all cases from the four DARPA TC case files (ClearScope,
+// FiveDirections, THEIA, TRACE) — every pattern's compiled data query must
+// return exactly the rows of its printed statement with the parameters
+// written as literal constraints and run through the parsers, across every
+// extras shape the scheduler can produce (binding sets on either or both
+// sides, and the standing-query delta floor).
 func TestIRGoldenEquivalence(t *testing.T) {
 	for _, c := range cases.All() {
 		c := c
@@ -128,7 +188,7 @@ func TestIRGoldenEquivalence(t *testing.T) {
 			}
 			a := caseAnalyzed(t, c)
 			en := &Engine{Store: store}
-			plan := en.planFor(a, nil, false)
+			plan := en.planFor(a, store.Snapshot(), false)
 
 			for idx, p := range a.Query.Patterns {
 				// Unconstrained rows drive the binding-set samples.
@@ -157,14 +217,14 @@ func TestIRGoldenEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pattern %s spec %d: %v", p.ID, si, err)
 					}
-					want := legacyPatternRows(t, store, a, idx, sp)
+					want := literalPatternRows(t, store, plan, sp)
 					g, w := sortedRows(got.Rows), sortedRows(want)
 					if len(g) != len(w) {
-						t.Fatalf("pattern %s spec %d: IR %d rows, legacy %d rows", p.ID, si, len(g), len(w))
+						t.Fatalf("pattern %s spec %d: compiled %d rows, literal %d rows", p.ID, si, len(g), len(w))
 					}
 					for i := range g {
 						if g[i] != w[i] {
-							t.Fatalf("pattern %s spec %d row %d: IR %v, legacy %v", p.ID, si, i, g[i], w[i])
+							t.Fatalf("pattern %s spec %d row %d: compiled %v, literal %v", p.ID, si, i, g[i], w[i])
 						}
 					}
 				}

@@ -6,7 +6,8 @@ package engine
 // and graph query ASTs (consumed by the traversal matcher). No SQL or
 // Cypher text is rendered and no parser runs anywhere in here — the
 // scheduler's binding sets and the standing-query delta floor become
-// parameter slots bound at execution.
+// parameter slots bound at execution. Text exists only where a caller
+// prints these ASTs (EXPLAIN, the RQ4 monolithic baselines' Table X).
 
 import (
 	"fmt"
@@ -19,6 +20,14 @@ import (
 
 func colRef(alias, column string) relational.ColRef {
 	return relational.ColRef{Qualifier: alias, Column: column}
+}
+
+// sqlColumn maps a TBQL attribute name to the relational column name.
+func sqlColumn(attr string) string {
+	if attr == "group" {
+		return "grp"
+	}
+	return attr
 }
 
 func strLit(s string) relational.Lit { return relational.Lit{V: relational.Str(s)} }
@@ -250,8 +259,12 @@ func lowerPathQuery(b timeBounds, pm *qir.PathMatch) *graphdb.Query {
 // lowerMonolithicStmt lowers the whole query into one statement AST — the
 // naive plan the paper compares against (query type (b) in RQ4): every
 // pattern's joins and every filter woven into a single FROM/WHERE, entity
-// tables first, the textbook declarative translation.
-func lowerMonolithicStmt(s *Store, a *tbql.Analyzed) (*relational.SelectStmt, error) {
+// tables first, the textbook declarative translation. Joins, filters, ops
+// and temporal relations come straight from the analyzed query, so the
+// baseline stays independent of the IR the scheduled plan runs; only
+// windows resolve through the pattern's IR (irs, from tbql.Lower) against
+// the fixed bounds b.
+func lowerMonolithicStmt(b timeBounds, a *tbql.Analyzed, irs []*qir.DataQuery) (*relational.SelectStmt, error) {
 	q := a.Query
 	var from []relational.TableRef
 	var conds []relational.Expr
@@ -273,8 +286,8 @@ func lowerMonolithicStmt(s *Store, a *tbql.Analyzed) (*relational.SelectStmt, er
 		ev := fmt.Sprintf("e%d", i+1)
 		from = append(from, relational.TableRef{Table: "events", Alias: ev})
 		conds = append(conds,
-			binOp("=", colRef(ev, "subject_id"), relational.ColRef{Qualifier: p.Subject.ID, Column: "id"}),
-			binOp("=", colRef(ev, "object_id"), relational.ColRef{Qualifier: p.Object.ID, Column: "id"}),
+			binOp("=", colRef(ev, "subject_id"), colRef(p.Subject.ID, "id")),
+			binOp("=", colRef(ev, "object_id"), colRef(p.Object.ID, "id")),
 		)
 		if c := opsCond(ev, tbql.LoweredOps(p.Op)); c != nil {
 			conds = append(conds, c)
@@ -282,8 +295,8 @@ func lowerMonolithicStmt(s *Store, a *tbql.Analyzed) (*relational.SelectStmt, er
 		if p.IDFilter != nil {
 			conds = append(conds, qualify(p.IDFilter, ev, nil))
 		}
-		if w := windowOf(q, p); w != nil {
-			lo, hi := s.timeWindow(w)
+		if w := irs[i].Window(); w != nil {
+			lo, hi := w.Bounds(b.min, b.max)
 			conds = append(conds,
 				binOp(">=", colRef(ev, "start_time"), intLit(lo)),
 				binOp("<=", colRef(ev, "start_time"), intLit(hi)))
@@ -291,7 +304,7 @@ func lowerMonolithicStmt(s *Store, a *tbql.Analyzed) (*relational.SelectStmt, er
 	}
 	for _, id := range a.EntityOrder {
 		decl := a.Entities[id]
-		conds = append(conds, binOp("=", colRef(decl.ID, "kind"), strLit(kindLiteral(decl.Type))))
+		conds = append(conds, binOp("=", colRef(decl.ID, "kind"), strLit(string(decl.Type))))
 		if decl.Filter != nil {
 			conds = append(conds, qualify(decl.Filter, decl.ID, sqlColumn))
 		}
@@ -376,10 +389,11 @@ func temporalExpr(a *tbql.Analyzed, rel tbql.Relation) (relational.Expr, error) 
 
 // lowerMonolithicCypher lowers the whole query into one multi-MATCH graph
 // query AST (query type (d) in RQ4), the way a Neo4j user writes it: one
-// pattern per event pattern with its filters adjacent, labels repeated on
-// every occurrence, and the temporal constraints conjoined at the end.
-// The caller selects clause-at-a-time execution.
-func lowerMonolithicCypher(s *Store, a *tbql.Analyzed) (*graphdb.Query, error) {
+// pattern per event pattern, labels repeated on every occurrence, each
+// entity filter once, and the temporal constraints conjoined at the end.
+// Like lowerMonolithicStmt it reads the analyzed query and resolves only
+// windows through irs. The caller selects clause-at-a-time execution.
+func lowerMonolithicCypher(b timeBounds, a *tbql.Analyzed, irs []*qir.DataQuery) (*graphdb.Query, error) {
 	q := a.Query
 	filtered := make(map[string]bool) // entity filters emitted once
 	node := func(id string) graphdb.NodePat {
@@ -411,8 +425,8 @@ func lowerMonolithicCypher(s *Store, a *tbql.Analyzed) (*graphdb.Query, error) {
 			if p.IDFilter != nil {
 				conds = append(conds, qualify(p.IDFilter, ev, nil))
 			}
-			if w := windowOf(q, p); w != nil {
-				lo, hi := s.timeWindow(w)
+			if w := irs[i].Window(); w != nil {
+				lo, hi := w.Bounds(b.min, b.max)
 				conds = append(conds,
 					binOp(">=", colRef(ev, "start_time"), intLit(lo)),
 					binOp("<=", colRef(ev, "start_time"), intLit(hi)))

@@ -11,8 +11,8 @@ import (
 // TestExecutePathsInvokeNoParser pins the logical-plan IR refactor's core
 // invariant: no relational or graph query parser runs on any Execute*
 // path. Every pattern lowers to a backend plan AST; binding sets and delta
-// floors bind as parameters. The text generators exist only behind
-// EXPLAIN.
+// floors bind as parameters. Text exists only where EXPLAIN prints the
+// plan ASTs.
 func TestExecutePathsInvokeNoParser(t *testing.T) {
 	store, _ := dataLeakStore(t, 200)
 	a := analyzed(t, dataLeakTBQL)
@@ -46,12 +46,19 @@ func TestExecutePathsInvokeNoParser(t *testing.T) {
 		t.Errorf("execution invoked the Cypher parser %d times", got-gr0)
 	}
 
-	// The EXPLAIN path is the one place text still renders; it must not
-	// have been exercised by the executions above, and exercising it now
-	// must not require the executor (text renders parse nothing either —
-	// parsing only happens if a caller feeds the text back to a backend).
-	if _, err := en.Explain(a); err != nil {
+	// EXPLAIN prints the plan ASTs; printing parses nothing either
+	// (parsing only happens if a caller feeds the text back to a backend).
+	if _, err := en.Explain(dataLeakTBQL); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := en.Explain(`proc p["%/bin/tar%"] ~>(1~3) file f["%upload%"] return distinct p, f`); err != nil {
+		t.Fatal(err)
+	}
+	if got := relational.ParseCalls(); got != rel0 {
+		t.Errorf("EXPLAIN invoked the SQL parser %d times", got-rel0)
+	}
+	if got := graphdb.ParseCalls(); got != gr0 {
+		t.Errorf("EXPLAIN invoked the Cypher parser %d times", got-gr0)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"threatraptor/internal/cases"
 	"threatraptor/internal/engine"
 	"threatraptor/internal/extract"
+	"threatraptor/internal/segment"
 	"threatraptor/internal/shard"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
@@ -61,8 +62,9 @@ func eventSet(sets ...map[int64]bool) map[int64]bool {
 // TestScheduledLoopEquivalence is the one equivalence table of the
 // scheduled-plan loop: for the query synthesized from every benchmark
 // case's report, every way of feeding the loop its pattern rows — the
-// engine's own data queries, its materialized views, and scatter-gather
-// over 2 and 4 partitions — must return the rows and matched events of the
+// engine's own data queries, its materialized views, a store recovered
+// from its encoded segment image, and scatter-gather over 2 and 4
+// partitions — must return the rows and matched events of the
 // unscheduled oracle (declaration order, no binding feed). Each leg builds
 // its store from the first half of the log, hunts it, appends the second
 // half, and is then held to the oracle twice: by a full execution, and by
@@ -80,6 +82,18 @@ func TestScheduledLoopEquivalence(t *testing.T) {
 		{"scheduled+delta-recompute", func(log *audit.Log) (hunter, error) {
 			st, err := engine.NewStore(log)
 			return single{&engine.Engine{Store: st, ViewHighWater: -1}}, err
+		}},
+		{"recovered", func(log *audit.Log) (hunter, error) {
+			st, err := engine.NewStore(log)
+			if err != nil {
+				return nil, err
+			}
+			img, err := segment.DecodeSegment(segment.Encode(engine.DumpImage(st, true)))
+			if err != nil {
+				return nil, err
+			}
+			st, err = engine.OpenStore(img, img.EntityCols, img.Entities, audit.RestoreTable(img.Entities))
+			return single{&engine.Engine{Store: st}}, err
 		}},
 		{"shards2", func(log *audit.Log) (hunter, error) { return shard.New(log, 2, shard.ByHash()) }},
 		{"shards4", func(log *audit.Log) (hunter, error) { return shard.New(log, 4, shard.ByTime(2_000_000)) }},

@@ -186,13 +186,11 @@ func (en *Engine) Compile(src string) (*tbql.Analyzed, error) {
 // cached plan whose lowered window conditions depend on the store's time
 // bounds is re-lowered (from the cached IR, never from source) when a live
 // append has moved the bounds; plans without such windows survive appends
-// untouched. snap, when non-nil, is the execution's pinned snapshot: the
-// plan's epoch and window bounds come from it, so a hunt racing an append
-// gets a plan consistent with the store generation it reads (and never
-// loads the writer-mutated live bounds). A nil snap (writer-synchronized
-// paths: the monolithic RQ4 comparisons) uses the live bounds. pin marks
-// the plan as a standing query's: it (and the views it comes to hold)
-// stays cached until DropViews.
+// untouched. snap is the caller's pinned snapshot: the plan's epoch and
+// window bounds come from it, so a hunt racing an append gets a plan
+// consistent with the store generation it reads (and never loads the
+// writer-mutated live bounds). pin marks the plan as a standing query's:
+// it (and the views it comes to hold) stays cached until DropViews.
 func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan {
 	en.planMu.Lock()
 	defer en.planMu.Unlock()
@@ -200,13 +198,7 @@ func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan
 }
 
 func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan {
-	var epoch uint64
-	var b timeBounds
-	if snap != nil {
-		epoch, b = snap.Epoch, snap.bounds()
-	} else {
-		epoch, b = en.Store.BoundsEpoch(), en.Store.bounds()
-	}
+	epoch, b := snap.Epoch, snap.bounds()
 	prev := en.plans[a]
 	if prev != nil && (!prev.windowSensitive || prev.boundsEpoch == epoch) {
 		prev.pinned = prev.pinned || pin
@@ -305,14 +297,14 @@ func (en *Engine) DropViews(a *tbql.Analyzed) {
 }
 
 // monolithicSQL returns the plan's compiled monolithic statement, lowering
-// it on first use.
+// it on first use against the plan's bounds.
 func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepared, error) {
 	p.monoMu.Lock()
 	defer p.monoMu.Unlock()
 	if p.monoSQL != nil || p.monoSQLErr != nil {
 		return p.monoSQL, p.monoSQLErr
 	}
-	stmt, err := lowerMonolithicStmt(s, a)
+	stmt, err := lowerMonolithicStmt(p.bounds, a, p.irs)
 	if err == nil {
 		p.monoSQL, err = s.Rel.Prepare(stmt)
 	}
@@ -322,13 +314,13 @@ func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepa
 
 // monolithicCypher returns the plan's lowered monolithic graph query (the
 // clause-at-a-time flag is set here, as the RQ4 comparison requires).
-func (p *queryPlan) monolithicCypher(s *Store, a *tbql.Analyzed) (*graphdb.Query, error) {
+func (p *queryPlan) monolithicCypher(a *tbql.Analyzed) (*graphdb.Query, error) {
 	p.monoMu.Lock()
 	defer p.monoMu.Unlock()
 	if p.monoCy != nil || p.monoCyErr != nil {
 		return p.monoCy, p.monoCyErr
 	}
-	q, err := lowerMonolithicCypher(s, a)
+	q, err := lowerMonolithicCypher(p.bounds, a, p.irs)
 	if err == nil {
 		q.ClauseAtATime = true
 	}
@@ -384,4 +376,13 @@ func (en *Engine) pruningScore(a *tbql.Analyzed, p *tbql.Pattern) int {
 		}
 	}
 	return score
+}
+
+// windowOf returns the window that applies to p: its own, else the
+// query's global one.
+func windowOf(q *tbql.Query, p *tbql.Pattern) *tbql.Window {
+	if p.Window != nil {
+		return p.Window
+	}
+	return q.GlobalWindow
 }

@@ -388,7 +388,7 @@ func (p *cypherParser) parseRelPat() (RelPat, bool, error) {
 			if err != nil {
 				return r, false, err
 			}
-			r.Types = append(r.Types, strings.ToLower(typ))
+			r.Types = append(r.Types, asciiLower(typ))
 			// Neo4j alternation: :a|b
 			if !p.sym("|") {
 				break
@@ -438,6 +438,20 @@ func (p *cypherParser) parseRelPat() (RelPat, bool, error) {
 		return r, false, fmt.Errorf("cypher: invalid length bounds *%d..%d", r.Min, r.Max)
 	}
 	return r, true, nil
+}
+
+// asciiLower lowercases ASCII letters only. The lexer reads identifiers
+// byte by byte, and a Unicode case mapping can turn their bytes into ones
+// it rejects (an invalid UTF-8 byte becomes U+FFFD), so a printed type
+// would no longer re-parse.
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 func (p *cypherParser) parseLiteral() (Value, error) {

@@ -5,7 +5,8 @@
 // that IR directly: the relational engine lowers it to its physical
 // nested-loop/vectorized plan, the graph engine to its traversal plan.
 // Nothing on the execution path renders SQL or Cypher text or invokes a
-// query parser; the text generators survive only behind EXPLAIN.
+// query parser; EXPLAIN prints the lowered backend plans through their
+// own printers (relational.SelectStmt.String, graphdb.Query.String).
 //
 // Execution-time values that vary between runs of one compiled plan — the
 // scheduler's entity binding sets and the standing-query delta floor — are
@@ -205,41 +206,5 @@ func predSuffix(e relational.Expr) string {
 	if e == nil {
 		return ""
 	}
-	return " ∧ " + ExprString(e)
-}
-
-// ExprString renders a predicate tree in a neutral infix syntax for
-// EXPLAIN output.
-func ExprString(e relational.Expr) string {
-	switch v := e.(type) {
-	case relational.ColRef:
-		if v.Qualifier != "" {
-			return v.Qualifier + "." + v.Column
-		}
-		return v.Column
-	case relational.Lit:
-		if v.V.K == relational.KindString {
-			return "'" + v.V.S + "'"
-		}
-		return v.V.String()
-	case relational.Param:
-		return fmt.Sprintf("?%d", v.Slot)
-	case relational.ParamIDs:
-		return fmt.Sprintf("%s in ?list%d", ExprString(v.E), v.Slot)
-	case relational.UnOp:
-		return "not (" + ExprString(v.E) + ")"
-	case relational.InList:
-		vals := make([]string, len(v.Vals))
-		for i, x := range v.Vals {
-			vals[i] = ExprString(x)
-		}
-		neg := ""
-		if v.Negate {
-			neg = "not "
-		}
-		return ExprString(v.E) + " " + neg + "in (" + strings.Join(vals, ", ") + ")"
-	case relational.BinOp:
-		return "(" + ExprString(v.L) + " " + v.Op + " " + ExprString(v.R) + ")"
-	}
-	return fmt.Sprintf("%v", e)
+	return " ∧ " + relational.ExprString(e)
 }

@@ -3,30 +3,16 @@ package relational
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
-// maxCachedPlans bounds the prepared-plan cache; when exceeded the cache
-// is flushed wholesale (the workload's working set of distinct data-query
-// texts is tiny, so a flush is a non-event).
-const maxCachedPlans = 4096
-
-// DB is a named collection of tables plus a prepared-plan cache: the TBQL
-// engine issues the same small data-query texts over and over, so parsing
-// and planning are done once per distinct SQL string.
+// DB is a named collection of tables.
 type DB struct {
 	tables map[string]*Table
-
-	mu    sync.RWMutex
-	plans map[string]*plan
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{
-		tables: make(map[string]*Table),
-		plans:  make(map[string]*plan),
-	}
+	return &DB{tables: make(map[string]*Table)}
 }
 
 // CreateTable registers a new empty table.
@@ -36,9 +22,7 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		return nil, fmt.Errorf("relational: table %s already exists", name)
 	}
 	t := NewTable(name, schema)
-	t.db = db
 	db.tables[key] = t
-	db.invalidatePlans()
 	return t, nil
 }
 
@@ -47,34 +31,3 @@ func (db *DB) Table(name string) *Table { return db.tables[strings.ToLower(name)
 
 // Tables returns the number of tables.
 func (db *DB) Tables() int { return len(db.tables) }
-
-func (db *DB) invalidatePlans() {
-	db.mu.Lock()
-	db.plans = make(map[string]*plan)
-	db.mu.Unlock()
-}
-
-// prepare returns the cached plan for sql, parsing and planning on a miss.
-func (db *DB) prepare(sql string) (*plan, error) {
-	db.mu.RLock()
-	p := db.plans[sql]
-	db.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	stmt, err := ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	p, err = db.plan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	if len(db.plans) >= maxCachedPlans {
-		db.plans = make(map[string]*plan)
-	}
-	db.plans[sql] = p
-	db.mu.Unlock()
-	return p, nil
-}

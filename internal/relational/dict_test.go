@@ -84,9 +84,10 @@ func TestDictEncodedColumnMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestDictEncodedAppendGrowsDictionary: values first seen after plans are
-// cached must still match — the kernels resolve codes and code tables at
-// filter time, not plan time.
+// TestDictEncodedAppendGrowsDictionary: values first seen after a plan is
+// compiled must still match — the kernels resolve codes and code tables at
+// filter time, not plan time. The plan is a Prepared one, the form the
+// TBQL engine caches and re-runs across appends.
 func TestDictEncodedAppendGrowsDictionary(t *testing.T) {
 	db := NewDB()
 	tbl, err := db.CreateTable("events", Schema{
@@ -102,8 +103,15 @@ func TestDictEncodedAppendGrowsDictionary(t *testing.T) {
 	if err := tbl.Insert([]Value{Int(1), Str("read")}); err != nil {
 		t.Fatal(err)
 	}
-	const q = "SELECT id FROM events WHERE op = 'rename'"
-	rs, err := db.Query(q) // caches the plan with 'rename' unseen
+	stmt, err := ParseSelect("SELECT id FROM events WHERE op = 'rename'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := db.Prepare(stmt) // compiled with 'rename' unseen
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _, err := pr.Query(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +121,7 @@ func TestDictEncodedAppendGrowsDictionary(t *testing.T) {
 	if err := tbl.Insert([]Value{Int(2), Str("rename")}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = db.Query(q)
+	rs, _, err = pr.Query(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,14 @@ func (db *DB) Query(sql string) (*ResultSet, error) {
 	return rs, err
 }
 
-// QueryStats is Query plus execution statistics. Plans are cached per
-// distinct SQL text, so repeated data queries skip parsing and planning.
+// QueryStats is Query plus execution statistics. Every call parses and
+// plans afresh; repeated queries compile once through Prepare instead.
 func (db *DB) QueryStats(sql string) (*ResultSet, ExecStats, error) {
-	p, err := db.prepare(sql)
+	stmt, err := ParseSelect(sql)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	return p.run(nil, nil)
+	return db.Exec(stmt)
 }
 
 // Exec runs a parsed SELECT statement (planned fresh, uncached).

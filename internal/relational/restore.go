@@ -87,9 +87,6 @@ func (t *Table) RestoreColumns(rows int, cols []RestoredColumn) error {
 		}
 	}
 	t.rows = rows
-	if t.db != nil {
-		t.db.invalidatePlans()
-	}
 	return nil
 }
 
@@ -114,9 +111,6 @@ func (t *Table) RestoreIndexInt(column string, maxKey int64) error {
 		if v < 1 || v > maxKey {
 			return t.CreateIndex(column)
 		}
-	}
-	if t.db != nil {
-		t.db.invalidatePlans()
 	}
 	counts := make([]int32, maxKey+1)
 	for _, v := range c.ints {
@@ -160,9 +154,6 @@ func (t *Table) RestoreIndexDict(column string) error {
 	c := &t.cols[colIdx]
 	if c.dict == nil || len(c.null) > 0 {
 		return t.CreateIndex(column)
-	}
-	if t.db != nil {
-		t.db.invalidatePlans()
 	}
 	nCodes := len(c.dict.vals)
 	counts := make([]int32, nCodes)

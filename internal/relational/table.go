@@ -142,10 +142,6 @@ type Table struct {
 	// post-restore append, off the recovery critical path. Until then
 	// queries plan (and run) scans over the restored rows.
 	lazy []lazyIndex
-	// db points back to the owning database (nil for standalone tables)
-	// so index creation can invalidate cached plans that were compiled
-	// without the index.
-	db *DB
 	// snapshot marks a captured copy (see snapInto): its column headers
 	// are frozen, and index probes route through the shared indexes'
 	// RWMutex with results trimmed to the captured row count.
@@ -305,9 +301,6 @@ func (t *Table) DictEncode(column string) error {
 		return nil
 	}
 	c.dict = newDictionary()
-	if t.db != nil {
-		t.db.invalidatePlans()
-	}
 	return nil
 }
 
@@ -492,10 +485,6 @@ func (t *Table) CreateIndex(column string) error {
 	col := t.Schema.IndexOf(column)
 	if col < 0 {
 		return fmt.Errorf("relational: table %s has no column %s", t.Name, column)
-	}
-	if t.db != nil {
-		// Plans compiled before the index exists would scan forever.
-		t.db.invalidatePlans()
 	}
 	ix := &hashIndex{col: col, kind: t.Schema[col].Kind}
 	c := &t.cols[col]

@@ -52,8 +52,10 @@ func (s *Store) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID i
 }
 
 // DropViews implements the stream backend surface. Partitions never
-// materialize views (see SetViewHighWater); what a removed standing query
-// still holds is its pinned plan in the global engine's cache.
+// materialize views: sharded standing-query rounds run the scattered
+// recompute plan (a partition-local view would miss cross-shard bindings).
+// What a removed standing query still holds is its pinned plan in the
+// global engine's cache.
 func (s *Store) DropViews(a *tbql.Analyzed) { s.globalEngine.DropViews(a) }
 
 // target is one store a pattern's data query scatters to.

@@ -251,11 +251,6 @@ func (s *Store) TacticalSource() tactical.Source {
 	return tactical.SnapSource{Snap: s.global.Snapshot()}
 }
 
-// SetViewHighWater is a no-op: sharded standing-query rounds run the
-// scattered recompute plan, never per-partition materialized views (a
-// partition-local view would miss cross-shard bindings).
-func (s *Store) SetViewHighWater(int) {}
-
 // ShardMetrics is one partition's operational summary.
 type ShardMetrics struct {
 	Shard       int           `json:"shard"`

@@ -45,8 +45,6 @@ type Backend interface {
 	// TacticalSource returns the tactical layer's view of current state;
 	// called after each successful append, under the write lock.
 	TacticalSource() tactical.Source
-	// SetViewHighWater applies Config.ViewHighWater (no-op backends ok).
-	SetViewHighWater(n int)
 }
 
 // engineBackend adapts the classic single store + engine pair.
@@ -89,4 +87,3 @@ func (b engineBackend) DropViews(a *tbql.Analyzed) { b.en.DropViews(a) }
 func (b engineBackend) TacticalSource() tactical.Source {
 	return tactical.SnapSource{Snap: b.store.Snapshot()}
 }
-func (b engineBackend) SetViewHighWater(n int) { b.en.ViewHighWater = n }

@@ -93,15 +93,6 @@ type Config struct {
 	// Default 3; negative disables quarantine (errors latch but the
 	// subscription stays registered).
 	QuarantineAfter int
-	// ViewHighWater bounds the engine-side materialized pattern views that
-	// make standing-query rounds O(delta): the total cached match rows
-	// across all watched queries. 0 keeps the engine default
-	// (engine.DefaultViewHighWater); a negative value disables the views,
-	// forcing every delta round through the recompute path (the
-	// correctness oracle the equivalence tests compare against). A query
-	// whose views would cross the cap falls back to recompute on its own;
-	// Unwatch releases a query's views immediately.
-	ViewHighWater int
 	// Tactical configures the detection layer: when Tactical.Rules is
 	// non-nil, every sealed batch runs one tactical round against the
 	// published snapshot (tagging, incident attribution, kill-chain
@@ -224,9 +215,6 @@ func New(store *engine.Store, en *engine.Engine, cfg Config) *Session {
 // wraps). The session appends to the backend in place.
 func NewWithBackend(b Backend, cfg Config) *Session {
 	cfg = cfg.withDefaults()
-	if cfg.ViewHighWater != 0 {
-		b.SetViewHighWater(cfg.ViewHighWater)
-	}
 	parserLog := &audit.Log{Entities: b.EntityTable()}
 	s := &Session{
 		cfg:          cfg,

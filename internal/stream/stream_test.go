@@ -225,24 +225,20 @@ return distinct p1, f1, f2`
 // TestMaterializedViewFiringEquivalence is the randomized append-schedule
 // property behind the incremental-view layer: under identical random
 // ingest schedules, a session evaluating standing queries through
-// materialized views (the default), a session with views disabled
-// (ViewHighWater < 0 — the recompute oracle), and a session whose tiny
-// view cap forces the mid-flight fallback must deliver byte-identical
-// firing sets for relational, graph single-hop, variable-length,
-// mixed-backend, and window-epoch-invalidated queries.
+// materialized views (the default), a session whose engine has views
+// disabled (Engine.ViewHighWater < 0 — the recompute oracle), and a
+// session whose tiny view cap forces the mid-flight fallback must deliver
+// byte-identical firing sets for relational, graph single-hop,
+// variable-length, mixed-backend, and window-epoch-invalidated queries.
 func TestMaterializedViewFiringEquivalence(t *testing.T) {
 	recs := dataLeakRecords(t, 0.2)
 	queries := []string{dataLeakTBQL, graphTBQL, varlenTBQL, mixedTBQL, windowTBQL}
 
 	type lane struct {
-		name string
-		cfg  Config
+		name          string
+		viewHighWater int // engine.Engine.ViewHighWater
 	}
-	lanes := []lane{
-		{"views", Config{MatchBuffer: 4096}},
-		{"recompute", Config{MatchBuffer: 4096, ViewHighWater: -1}},
-		{"capped", Config{MatchBuffer: 4096, ViewHighWater: 3}},
-	}
+	lanes := []lane{{"views", 0}, {"recompute", -1}, {"capped", 3}}
 
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -261,7 +257,12 @@ func TestMaterializedViewFiringEquivalence(t *testing.T) {
 
 			fired := make(map[string][][]string) // lane -> per-query sorted firings
 			for _, ln := range lanes {
-				sess, en := emptySession(t, ln.cfg)
+				store, err := engine.NewStore(audit.NewLog())
+				if err != nil {
+					t.Fatal(err)
+				}
+				en := &engine.Engine{Store: store, ViewHighWater: ln.viewHighWater}
+				sess := New(store, en, Config{MatchBuffer: 4096})
 				subs := make([]*Subscription, len(queries))
 				for i, q := range queries {
 					sub, err := sess.Watch(q)

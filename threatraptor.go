@@ -416,22 +416,18 @@ func (s *System) Hunt(ctx context.Context, tbqlSrc string) (*engine.Result, engi
 	return s.engine.Hunt(ctx, tbqlSrc)
 }
 
-// Explain compiles a TBQL query without executing it and renders the
-// compilation report: per-pattern logical-plan IR, chosen physical plans,
-// and the equivalent SQL/Cypher texts (the EXPLAIN/debug path).
+// Explain compiles a TBQL query without executing it and prints the plan
+// a hunt of the same text runs: per-pattern logical-plan IR, each
+// pattern's compiled SQL statement or Cypher traversal, the scheduled
+// order, and the monolithic SQL/Cypher baselines. The query compiles
+// through the engine's compiled-query cache, so repeated explains reuse
+// one cache entry (on an unsharded store, the hunt's) instead of filling
+// the cache.
 func (s *System) Explain(tbqlSrc string) (string, error) {
 	if s.engine == nil {
 		return "", fmt.Errorf("threatraptor: no audit log loaded")
 	}
-	q, err := tbql.Parse(tbqlSrc)
-	if err != nil {
-		return "", err
-	}
-	a, err := tbql.Analyze(q)
-	if err != nil {
-		return "", err
-	}
-	return s.engine.Explain(a)
+	return s.engine.Explain(tbqlSrc)
 }
 
 // HuntOSCTI runs the whole pipeline end to end: extract the threat

@@ -172,3 +172,26 @@ func TestLiveIngestAndWatch(t *testing.T) {
 		t.Fatal("LoadAuditLog must fail while a live session is active")
 	}
 }
+
+// TestExplainKeepsHuntPlanCached: Explain compiles through the engine's
+// compiled-query cache, so explaining a hunted text reuses the hunt's entry
+// — however many times it is explained, the hunt's cached plan survives.
+func TestExplainKeepsHuntPlanCached(t *testing.T) {
+	sys, _ := loadCase(t, "data_leak")
+	const q = `proc p["%/bin/tar%"] read file f["%/etc/passwd%"] return distinct p, f`
+	if _, _, err := sys.Hunt(nil, q); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.engine.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := sys.Explain(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := sys.engine.Compile(q); err != nil || got != want {
+		t.Fatalf("explaining evicted the hunt's cached plan (err %v)", err)
+	}
+}
