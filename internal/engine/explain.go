@@ -51,6 +51,13 @@ func (en *Engine) Explain(src string) (string, error) {
 		sb.WriteString(pp.ir.String() + "\n")
 		if pp.meta.UsesGraph {
 			sb.WriteString("physical: graph traversal plan\n  " + pp.gq.String() + "\n")
+			if pp.ir.Path.SubjPred != nil {
+				pr, err := pp.anchorFilter(en.Store)
+				if err != nil {
+					return "", err
+				}
+				sb.WriteString("  anchors of an unbound s: " + pr.String() + "\n")
+			}
 			continue
 		}
 		pr, err := pp.prepared(en.Store, plan.bounds)

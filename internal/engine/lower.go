@@ -12,6 +12,7 @@ package engine
 import (
 	"fmt"
 
+	"threatraptor/internal/audit"
 	"threatraptor/internal/graphdb"
 	"threatraptor/internal/qir"
 	"threatraptor/internal/relational"
@@ -253,6 +254,24 @@ func lowerPathQuery(b timeBounds, pm *qir.PathMatch) *graphdb.Query {
 		Where:    andChain(conds),
 		Return:   ret,
 		Limit:    -1,
+	}
+}
+
+// lowerEntityFilter lowers a graph pattern anchor's entity predicate to a
+// scan of the entities table returning the IDs of kind's entities that
+// satisfy it: the graph anchor access path. Both backends evaluate
+// predicates with the same comparison, LIKE and NULL semantics over the
+// same attribute values, and the graph still applies its full WHERE, so
+// the IDs need only be a superset of the nodes the traversal accepts.
+func lowerEntityFilter(kind audit.EntityKind, pred relational.Expr) *relational.SelectStmt {
+	return &relational.SelectStmt{
+		Select: []relational.SelectItem{{Expr: colRef("n", "id")}},
+		From:   []relational.TableRef{{Table: "entities", Alias: "n"}},
+		Where: andChain([]relational.Expr{
+			binOp("=", colRef("n", "kind"), strLit(kind.String())),
+			qualify(pred, "n", sqlColumn),
+		}),
+		Limit: -1,
 	}
 }
 

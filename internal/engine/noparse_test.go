@@ -10,13 +10,17 @@ import (
 
 // TestExecutePathsInvokeNoParser pins the logical-plan IR refactor's core
 // invariant: no relational or graph query parser runs on any Execute*
-// path. Every pattern lowers to a backend plan AST; binding sets and delta
-// floors bind as parameters. Text exists only where EXPLAIN prints the
-// plan ASTs.
+// path. Every pattern lowers to a backend plan AST (a length-1-path hunt's
+// graph anchor prefilter included); binding sets and delta floors bind as
+// parameters. Text exists only where EXPLAIN prints the plan ASTs.
 func TestExecutePathsInvokeNoParser(t *testing.T) {
 	store, _ := dataLeakStore(t, 200)
 	a := analyzed(t, dataLeakTBQL)
 	aPath := analyzed(t, `proc p["%/bin/tar%"] ~>(1~3) file f["%upload%"] return distinct p, f`)
+	aHop := analyzed(t, `proc p1["%/bin/tar%"] ->[read] file f1["%/etc/passwd%"] as evt1
+proc p1 ->[write] file f2["%/tmp/upload.tar%"] as evt2
+with evt1 before evt2
+return distinct p1, f1, f2`)
 
 	en := &Engine{Store: store}
 	enUnsched := &Engine{Store: store, DisableScheduling: true}
@@ -31,6 +35,9 @@ func TestExecutePathsInvokeNoParser(t *testing.T) {
 		func() error { _, _, err := en.ExecuteMonolithicCypher(nil, a); return err },
 		func() error { _, _, err := en.Execute(nil, aPath); return err },
 		func() error { _, _, err := en.ExecuteDelta(nil, aPath, 1); return err },
+		func() error { _, _, err := en.Execute(nil, aHop); return err },
+		func() error { _, _, err := enUnsched.Execute(nil, aHop); return err },
+		func() error { _, _, err := en.ExecuteDelta(nil, aHop, 1); return err },
 		func() error { _, err := en.MatchEventsPerPattern(nil, a); return err },
 		func() error { _, _, err := en.Hunt(nil, dataLeakTBQL); return err },
 	} {

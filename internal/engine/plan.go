@@ -32,6 +32,9 @@ type patternPlan struct {
 	mu       sync.Mutex
 	rel      *relational.Prepared // entity-anchored, runtime-pruned params
 	relDelta *relational.Prepared // events-anchored, for delta floors
+	// anchor is a graph pattern's subject prefilter over the entities
+	// table, compiled on first use.
+	anchor *relational.Prepared
 
 	// view is the pattern's materialized match cache (standing queries;
 	// nil until ExecuteDelta first materializes it). Guarded by the owning
@@ -97,6 +100,21 @@ func (pp *patternPlan) preparedDelta(s *Store, b timeBounds) (*relational.Prepar
 	return pp.relDelta, nil
 }
 
+// anchorFilter returns the compiled entity prefilter of a graph pattern's
+// subject, lowering and compiling it on first use.
+func (pp *patternPlan) anchorFilter(s *Store) (*relational.Prepared, error) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	if pp.anchor == nil {
+		pr, err := s.Rel.Prepare(lowerEntityFilter(audit.EntityProcess, pp.ir.Path.SubjPred))
+		if err != nil {
+			return nil, err
+		}
+		pp.anchor = pr
+	}
+	return pp.anchor, nil
+}
+
 // queryPlan is one entry of the engine's compiled-query cache: everything
 // about an analyzed TBQL query that does not change between executions —
 // the pruning-score order, the per-pattern IR and routing metadata, and
@@ -137,6 +155,11 @@ type queryPlan struct {
 	// pressure with no releases, no retry — no per-round O(store) waste.
 	viewsDisabled bool
 	disabledGen   int64
+
+	// joinOnce builds join, the query's compiled join program, on the
+	// first execution (cold compiles that never execute skip it).
+	joinOnce sync.Once
+	join     *joinProgram
 
 	// Monolithic plans (the paper's RQ4 naive comparison), lowered lazily.
 	monoMu     sync.Mutex
@@ -294,6 +317,12 @@ func (en *Engine) DropViews(a *tbql.Analyzed) {
 		p.pinned = false
 		en.releasePlanViews(p)
 	}
+}
+
+// joinProgram returns the plan's join program, compiling it on first use.
+func (p *queryPlan) joinProgram(a *tbql.Analyzed) *joinProgram {
+	p.joinOnce.Do(func() { p.join = newJoinProgram(a) })
+	return p.join
 }
 
 // monolithicSQL returns the plan's compiled monolithic statement, lowering

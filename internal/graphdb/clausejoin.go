@@ -141,12 +141,12 @@ type binding map[string]int64
 func (g *Graph) materializeClause(pat Pattern, conjuncts []relational.Expr) ([]binding, ExecStats, error) {
 	sub := &Query{Patterns: []Pattern{pat}, Limit: -1}
 	m := &matcher{
-		g:         g,
-		q:         sub,
-		nodes:     make(map[string]int64),
-		edges:     make(map[string]int64),
-		conjuncts: conjuncts,
+		g:     g,
+		q:     sub,
+		nodes: make(map[string]int64),
+		edges: make(map[string]int64),
 	}
+	m.setConjuncts(conjuncts)
 	m.bindStore()
 	var rows []binding
 	m.capture = func() error {

@@ -92,8 +92,11 @@ type matcher struct {
 	proj   []ReturnItem
 	// conjuncts are the AND-split WHERE terms, evaluated eagerly as
 	// bindings accumulate (predicate pushdown, as production graph
-	// databases do).
+	// databases do). conjVars[i] names the variables conjunct i reads, so
+	// pruneOK skips a conjunct with an unbound variable without evaluating
+	// it (see setConjuncts).
 	conjuncts []relational.Expr
+	conjVars  [][]string
 	// windows are per-edge-variable [lo, hi] start_time bounds extracted
 	// from the conjuncts; hops with a window binary-search the
 	// time-sorted adjacency lists instead of scanning them.
@@ -182,15 +185,45 @@ func flattenConjuncts(e relational.Expr, acc []relational.Expr) []relational.Exp
 	return append(acc, e)
 }
 
+// setConjuncts installs the AND-split WHERE terms and records, once per
+// execution, the variables each one reads.
+func (m *matcher) setConjuncts(cs []relational.Expr) {
+	m.conjuncts = cs
+	m.conjVars = make([][]string, len(cs))
+	for i, c := range cs {
+		vars, _ := exprVars(c) // an unsupported shape lists none; EvalExpr rejects it
+		for name := range vars {
+			m.conjVars[i] = append(m.conjVars[i], name)
+		}
+	}
+}
+
+// bound reports whether every named variable has a node or edge binding.
+func (m *matcher) bound(vars []string) bool {
+	for _, name := range vars {
+		if _, ok := m.nodes[name]; ok {
+			continue
+		}
+		if _, ok := m.edges[name]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // pruneOK evaluates every WHERE conjunct that is already evaluable under
 // the current partial bindings; a definite false prunes the branch.
-// Conjuncts referencing unbound variables are skipped (they are re-checked
-// at emit time).
+// Conjuncts reading an unbound variable are skipped unevaluated (they are
+// re-checked at emit time), so a partial binding costs no failed
+// resolution.
 func (m *matcher) pruneOK() bool {
-	for _, c := range m.conjuncts {
+	for i, c := range m.conjuncts {
+		if !m.bound(m.conjVars[i]) {
+			continue
+		}
 		v, err := relational.EvalExpr(c, m.resolve)
 		if err != nil {
-			continue // not yet evaluable
+			continue // not evaluable (e.g. a comparison across kinds)
 		}
 		if !v.Truthy() {
 			return false
@@ -247,7 +280,7 @@ func (g *Graph) ExecWithCtx(ctx context.Context, q *Query, params *ExecParams) (
 		m.done = ctx.Done()
 	}
 	if q.Where != nil {
-		m.conjuncts = flattenConjuncts(q.Where, nil)
+		m.setConjuncts(flattenConjuncts(q.Where, nil))
 		m.windows = timeWindows(m.conjuncts)
 	}
 	cols := make([]string, len(q.Return))

@@ -1,0 +1,61 @@
+package graphdb
+
+import (
+	"fmt"
+	"testing"
+
+	"threatraptor/internal/relational"
+)
+
+// TestPruneSkipsUnboundConjunctsWithoutAllocating pins pruneOK's bound
+// check: a conjunct over a variable not bound yet is skipped unevaluated,
+// so enumerating more anchors of a two-variable query — unfloored, and
+// floored on its edge variable — costs no more allocations (previously
+// every anchor built a "cypher: unknown variable" error).
+func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
+	build := func(anchors int) *Graph {
+		g := NewGraph()
+		for i := 0; i < anchors; i++ {
+			g.AddNode("Process", Props{"exename": relational.Str(fmt.Sprintf("/bin/p%d", i))})
+		}
+		f := g.AddNode("File", Props{"name": relational.Str("/tmp/f1")})
+		for i := 0; i < 4; i++ {
+			if _, err := g.AddEventEdge(1, f, "read", int64(i+1), int64(1000*(i+1)), int64(1000*(i+1)+1), 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	q := &Query{
+		Patterns: []Pattern{{
+			Nodes: []NodePat{{Var: "s", Label: "Process"}, {Var: "o", Label: "File"}},
+			Rels:  []RelPat{{Var: "e", Types: []string{"read"}, Dir: DirOut, Min: 1, Max: 1}},
+		}},
+		Where: relational.BinOp{Op: "and",
+			L: relational.BinOp{Op: "like", L: relational.ColRef{Qualifier: "s", Column: "exename"}, R: relational.Lit{V: relational.Str("%/bin/p%")}},
+			R: relational.BinOp{Op: "=", L: relational.ColRef{Qualifier: "o", Column: "name"}, R: relational.Lit{V: relational.Str("/tmp/f1")}}},
+		Return: []ReturnItem{{Var: "s", Prop: "id"}, {Var: "o", Prop: "id"}},
+		Limit:  -1,
+	}
+	for _, floored := range []bool{false, true} {
+		var allocs [2]float64
+		for i, n := range []int{100, 2000} {
+			g := build(n)
+			var params *ExecParams
+			if floored {
+				params = &ExecParams{MinEdgeID: 3, EdgeVar: "e"}
+			}
+			if rs, _, err := g.ExecWith(q, params); err != nil || len(rs.Rows) == 0 {
+				t.Fatalf("rows %v, err %v", rs, err)
+			}
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				if _, _, err := g.ExecWith(q, params); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[1] > allocs[0]+2 {
+			t.Errorf("floored=%v: %.0f allocs at 100 anchors, %.0f at 2000", floored, allocs[0], allocs[1])
+		}
+	}
+}
