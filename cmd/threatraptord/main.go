@@ -590,9 +590,26 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
+	s.watchFrames(r.Context(), live, sub, send)
+}
+
+// watchFrames streams sub's deliveries as frames through send until the
+// client goes away (ctx), a send fails, or the subscription ends. A
+// quarantined subscription ends with a terminal frame carrying its error
+// and counts one quarantine, even when the session could not buffer the
+// terminal match and only closed the channel.
+func (s *server) watchFrames(ctx context.Context, live *stream.Session, sub *stream.Subscription, send func(watchEvent) bool) {
+	terminal := func(batch int64) {
+		s.quarantines.Inc()
+		ev := watchEvent{Batch: batch, Terminal: true}
+		if err := sub.Err(); err != nil {
+			ev.Error = err.Error()
+		}
+		send(ev)
+	}
 	for {
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			// Client gone: deregister so the session stops evaluating the
 			// query and its views are released.
 			live.Unwatch(sub)
@@ -603,21 +620,18 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		case m, chanOpen := <-sub.C:
 			if !chanOpen {
-				// Quarantined (terminal already delivered) or session
-				// closed: end the stream.
-				return
-			}
-			ev := watchEvent{Batch: m.Batch, Terminal: m.Terminal}
-			if m.Terminal {
-				s.quarantines.Inc()
-				if err := sub.Err(); err != nil {
-					ev.Error = err.Error()
+				// Session closed, or quarantined with the terminal match
+				// dropped on a full buffer (its batch is then unknown: 0).
+				if sub.Quarantined() {
+					terminal(0)
 				}
-				send(ev)
 				return
 			}
-			ev.Columns = m.Columns
-			ev.Row = make([]string, len(m.Row))
+			if m.Terminal {
+				terminal(m.Batch)
+				return
+			}
+			ev := watchEvent{Batch: m.Batch, Columns: m.Columns, Row: make([]string, len(m.Row))}
 			for i := range m.Row {
 				ev.Row[i] = m.Row[i].String()
 			}

@@ -15,6 +15,7 @@ import (
 	"threatraptor"
 	"threatraptor/internal/audit"
 	"threatraptor/internal/engine"
+	"threatraptor/internal/faultinject"
 	"threatraptor/internal/rules"
 	"threatraptor/internal/stream"
 	"threatraptor/internal/tactical"
@@ -236,6 +237,54 @@ func TestWatchStreamsNDJSON(t *testing.T) {
 	}
 	if len(ev.Row) != 2 || ev.Row[0] != "/bin/cat" {
 		t.Fatalf("firing row = %v", ev.Row)
+	}
+}
+
+// TestWatchQuarantineEndsWithTerminalFrame pins the end of a quarantined
+// watch whose terminal match found the buffer full: the session only
+// closes the channel, and the frame loop must still send the terminal
+// frame with the cause and count the quarantine.
+func TestWatchQuarantineEndsWithTerminalFrame(t *testing.T) {
+	store, err := engine.NewStore(audit.NewLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := stream.New(store, &engine.Engine{Store: store}, stream.Config{MatchBuffer: 1, QuarantineAfter: 1})
+	sub, err := live.Watch(`proc p read file f return p, f`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(line string) {
+		t.Helper()
+		if _, err := live.Ingest(strings.NewReader(line)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := live.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(readLine(1_000_000, 100, "/bin/cat", "/etc/a")) // one match fills the buffer
+	faultinject.Arm(faultinject.Plan{stream.FaultDeliver: {Hits: []int{1}, Mode: faultinject.ModeError}})
+	t.Cleanup(faultinject.Disarm)
+	ingest(readLine(2_000_000, 100, "/bin/cat", "/etc/b"))
+	if !sub.Quarantined() {
+		t.Fatal("subscription not quarantined")
+	}
+
+	srv := newServer(threatraptor.New(threatraptor.DefaultOptions()), 0)
+	var frames []watchEvent
+	srv.watchFrames(context.Background(), live, sub, func(ev watchEvent) bool {
+		frames = append(frames, ev)
+		return true
+	})
+	if len(frames) != 2 || frames[0].Terminal {
+		t.Fatalf("frames = %+v, want the buffered match then a terminal frame", frames)
+	}
+	if last := frames[1]; !last.Terminal || !strings.Contains(last.Error, "injected fault") {
+		t.Fatalf("last frame = %+v, want a terminal frame with the injected cause", last)
+	}
+	if n := srv.quarantines.Value(); n != 1 {
+		t.Fatalf("quarantines = %d, want 1", n)
 	}
 }
 

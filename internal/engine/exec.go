@@ -58,9 +58,9 @@ type Engine struct {
 	// ViewHighWater caps the total rows the engine may hold in
 	// materialized pattern views (the standing-query match caches): 0
 	// selects DefaultViewHighWater, a negative value disables views
-	// entirely. A query whose views would cross the cap evaluates through
-	// the recompute path instead — delta rounds stay correct, just not
-	// O(delta).
+	// entirely. A query whose views would cross the cap runs its patterns'
+	// data queries under the same delta rule instead — delta rounds stay
+	// correct, just not O(delta).
 	ViewHighWater int
 
 	// planMu guards the compiled-query cache (see plan.go): plans by
@@ -143,14 +143,15 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 		var st Stats
 		pr.HasEvent = pp.ir.Path.HasEdgeVar
 		subj := q.Subj
-		if subj == nil && q.Delta == 0 && pp.ir.Path.SubjPred != nil {
+		if subj == nil && pp.ir.Path.SubjPred != nil && (q.Delta == 0 || pp.meta.VarLen) {
 			// Graph anchor access path: a predicated subject with no binding
 			// set takes its candidates from the entity columns, so the
 			// traversal anchors on those IDs instead of testing the
 			// predicate on every node of the label. (Objects are reached
 			// only through the anchors' edges, so their predicate is tested
 			// on few nodes; prefiltering them costs an entities scan that
-			// the hunt pool measured as a net loss.)
+			// the hunt pool measured as a net loss. A floored single hop
+			// is driven from the new edges instead of from anchors.)
 			var err error
 			if subj, err = en.anchorIDs(ctx, pp, snap, &st); err != nil {
 				return pr, st, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
@@ -174,13 +175,13 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 				n++
 			}
 			gp.Nodes = nb[:n]
-			if q.Delta > 0 && pp.ir.Path.HasEdgeVar {
+			if q.Delta > 0 {
+				// The floor keeps the matches whose trail uses a new edge.
 				// The graph executor's floor is a dense edge-arena offset,
 				// which equals the event ID only when the store holds the
 				// full 1..n ID space. A shard's sub-log has gaps, so the
 				// global event-ID floor translates through the snapshot's
 				// ID-ordered event slice (identity for dense stores).
-				gp.EdgeVar = "e"
 				gp.MinEdgeID = snapEdgeFloor(snap, q.Delta)
 			}
 			if snap != nil {
@@ -329,7 +330,11 @@ func (en *Engine) ExecuteSource(ctx context.Context, a *tbql.Analyzed, snap *Sna
 	}
 	sc := en.acquireScratch(len(plan.pats))
 	defer en.releaseScratch(sc)
-	return en.runFull(ctx, a, plan, snap, src, sc)
+	res, stats, err = en.run(ctx, a, plan, snap, src, sc, -1, 0)
+	if res == nil && err == nil {
+		res = emptyResult(plan.cols)
+	}
+	return res, stats, err
 }
 
 // localSource is the engine's own row source: each data query runs on the
@@ -347,13 +352,16 @@ func (en *Engine) localSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot)
 // before it, a pattern with no rows — or whose rows empty an entity's
 // binding set — empties the conjunction (nil result), and the surviving
 // rows join into complete bindings. deltaIdx >= 0 makes it one turn of the
-// delta-join rule: that pattern matches only events with ID >= floor and
-// is hoisted to the front — a floor over a small append usually matches
-// nothing (ending the turn after one data query) or a handful of rows
-// whose bindings prune every later pattern.
+// delta-join rule: that pattern matches only rows that use an event with
+// ID >= floor. An event or single-hop pattern is hoisted to the front — a
+// floor over a small append usually matches nothing (ending the turn
+// after one data query) or a handful of rows whose bindings prune every
+// later pattern. A variable-length path keeps its scheduled position: its
+// floored traversal is the unfloored one filtered at emit, so it gains
+// nothing from going first and everything from the binding sets before it.
 func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, src RowSource, sc *loopScratch, deltaIdx int, floor int64) (*Result, Stats, error) {
 	order := plan.order
-	if deltaIdx >= 0 {
+	if deltaIdx >= 0 && !plan.pats[deltaIdx].meta.VarLen {
 		sc.order = append(sc.order[:0], deltaIdx)
 		for _, idx := range plan.order {
 			if idx != deltaIdx {
@@ -400,31 +408,19 @@ func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, sn
 	return res, stats, err
 }
 
-// runFull is one complete execution of the scheduled plan: run without a
-// delta pattern, an emptied conjunction returned as the empty result.
-func (en *Engine) runFull(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, src RowSource, sc *loopScratch) (*Result, Stats, error) {
-	res, stats, err := en.run(ctx, a, plan, snap, src, sc, -1, 0)
-	if res == nil && err == nil {
-		res = emptyResult(plan.cols)
-	}
-	return res, stats, err
-}
-
 // ExecuteDelta evaluates a query incrementally after an append: it returns
-// the complete bindings that use at least one event with ID >= minEventID,
-// joining each pattern's new rows against the full indexed history. On the
-// materialized-view path (the default), each pattern's cached match set is
-// brought up to the store frontier with one floored catch-up query —
-// O(new events) — and a delta pattern's fresh rows join against the other
-// patterns' cached sets, so a round costs O(delta), not O(store). When the
-// ViewHighWater cap disables a view (or ViewHighWater < 0 disables views),
-// the same delta rule runs over the engine's data queries instead: one
-// constrained execution per pattern. Both produce the same binding set; a
-// binding with several new events appears once per delta pattern, so
-// callers deduplicate firings. Queries containing a variable-length path
-// pattern fall back to one full execution: even a typed path binds the
-// event variable only on its final hop, so an ID floor would miss paths
-// completed by a newly appended intermediate edge.
+// the complete bindings that use at least one event with ID >= minEventID
+// — for a variable-length path, a trail through at least one such event.
+// One delta rule does it for every query: each pattern takes a turn as the
+// delta pattern, its rows floored at minEventID, and joins against the
+// other patterns' full history. The rows come from the pattern's
+// materialized view when it holds one — brought up to the store frontier
+// with one floored catch-up query, O(new events) — so a round of event
+// and single-hop patterns costs O(delta), not O(store). Variable-length
+// paths hold no view, nor does any pattern of a query whose views would
+// cross the ViewHighWater cap (or when ViewHighWater < 0): those run their
+// data query, floored on their turn. A binding with several new events
+// appears once per delta pattern, so callers deduplicate firings.
 //
 // The query's compiled plan (and the views it holds) stays in the engine's
 // cache until DropViews(a), however many other queries pass through.
@@ -436,27 +432,24 @@ func (en *Engine) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID
 
 // ExecuteDeltaSource is ExecuteDelta against an explicit pinned snapshot,
 // with the data queries answered by src (see ExecuteSource). A nil src
-// selects the engine's own backends and materialized views; an external
-// source always evaluates the delta rule through its data queries.
+// selects the engine's own source: materialized views where the plan
+// holds them, the backends elsewhere.
 func (en *Engine) ExecuteDeltaSource(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, minEventID int64, src RowSource) (res *Result, stats Stats, err error) {
 	defer guard(a, &err)
 	plan := en.planFor(a, snap, true)
 	sc := en.acquireScratch(len(plan.pats))
 	defer en.releaseScratch(sc)
-	views := false
 	if src == nil {
-		src, views = en.localSource(a, plan, snap), en.viewCap() > 0
-	}
-	if HasVarLenPath(a) {
-		return en.runFull(ctx, a, plan, snap, src, sc)
-	}
-	if views {
-		res, stats, ok, err := en.deltaViews(ctx, a, plan, snap, sc, minEventID)
-		if err != nil || ok {
-			return res, stats, err
+		plan.viewMu.Lock()
+		defer plan.viewMu.Unlock()
+		if err := en.ensureViews(ctx, a, snap, plan, &stats); err != nil {
+			return nil, stats, err
 		}
+		src = en.viewSource(a, plan, snap, sc)
 	}
-	return en.deltaRule(ctx, a, plan, snap, src, sc, minEventID)
+	res, st, err := en.deltaRule(ctx, a, plan, snap, src, sc, minEventID)
+	stats.Add(st)
+	return res, stats, err
 }
 
 // deltaRule is the standard delta join: every pattern takes a turn as the
@@ -538,19 +531,6 @@ func (sc *loopScratch) resetSets(n int) {
 	for i := range sc.sets {
 		sc.sets[i] = sc.sets[i][:0]
 	}
-}
-
-// HasVarLenPath reports whether any pattern is a variable-length path —
-// the ExecuteDelta full-evaluation fallback criterion, shared with the
-// standing-query layer (which seeds its dedup set for exactly these
-// queries).
-func HasVarLenPath(a *tbql.Analyzed) bool {
-	for _, p := range a.Query.Patterns {
-		if p.Path != nil && (p.Path.MinLen != 1 || p.Path.MaxLen != 1) {
-			return true
-		}
-	}
-	return false
 }
 
 func countConjuncts(e relational.Expr) int {

@@ -61,42 +61,24 @@ func eventSet(sets ...map[int64]bool) map[int64]bool {
 
 // TestScheduledLoopEquivalence is the one equivalence table of the
 // scheduled-plan loop: for the query synthesized from every benchmark
-// case's report, every way of feeding the loop its pattern rows — the
-// engine's own data queries, its materialized views, a store recovered
-// from its encoded segment image, and scatter-gather over 2 and 4
-// partitions — must return the rows and matched events of the
-// unscheduled oracle (declaration order, no binding feed). Each leg builds
-// its store from the first half of the log, hunts it, appends the second
-// half, and is then held to the oracle twice: by a full execution, and by
-// the delta identity (bindings over the old events) ∪ (delta round from
-// the append's floor) = all bindings.
+// case's report — with event patterns, and again with bounded
+// variable-length paths, whose delta turns floor the traversal rather than
+// an event — every way of feeding the loop its pattern rows (the engine's
+// own data queries, its materialized views, a store recovered from its
+// encoded segment image, and scatter-gather over 2 and 4 partitions) must
+// return the rows and matched events of the unscheduled oracle
+// (declaration order, no binding feed). Each leg builds its store from the
+// first half of the log, hunts it, appends the second half, and is then
+// held to the oracle twice: by a full execution, and by the delta identity
+// (bindings over the old events) ∪ (delta round from the append's floor) =
+// all bindings.
 func TestScheduledLoopEquivalence(t *testing.T) {
-	legs := []struct {
+	modes := []struct {
 		name string
-		open func(log *audit.Log) (hunter, error)
+		opts synth.Options
 	}{
-		{"scheduled+delta-views", func(log *audit.Log) (hunter, error) {
-			st, err := engine.NewStore(log)
-			return single{&engine.Engine{Store: st}}, err
-		}},
-		{"scheduled+delta-recompute", func(log *audit.Log) (hunter, error) {
-			st, err := engine.NewStore(log)
-			return single{&engine.Engine{Store: st, ViewHighWater: -1}}, err
-		}},
-		{"recovered", func(log *audit.Log) (hunter, error) {
-			st, err := engine.NewStore(log)
-			if err != nil {
-				return nil, err
-			}
-			img, err := segment.DecodeSegment(segment.Encode(engine.DumpImage(st, true)))
-			if err != nil {
-				return nil, err
-			}
-			st, err = engine.OpenStore(img, img.EntityCols, img.Entities, audit.RestoreTable(img.Entities))
-			return single{&engine.Engine{Store: st}}, err
-		}},
-		{"shards2", func(log *audit.Log) (hunter, error) { return shard.New(log, 2, shard.ByHash()) }},
-		{"shards4", func(log *audit.Log) (hunter, error) { return shard.New(log, 4, shard.ByTime(2_000_000)) }},
+		{"event", synth.Options{}},
+		{"varlen", synth.Options{Mode: synth.ModeVarLenPaths, MaxPathLen: 3}},
 	}
 	for _, c := range cases.All() {
 		c := c
@@ -106,64 +88,105 @@ func TestScheduledLoopEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, _, err := synth.Synthesize(extract.New(extract.DefaultOptions()).Extract(c.Report).Graph, synth.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := tbql.Analyze(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			full, err := engine.NewStore(gen.Log)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, _, err := (&engine.Engine{Store: full, DisableScheduling: true}).Execute(nil, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRows, wantEvents := rowSet(oracle.Set.Strings()), eventSet(oracle.MatchedEvents)
-
-			events := gen.Log.Events
-			half := len(events) / 2
-			floor := events[half].ID
-			for _, leg := range legs {
-				h, err := leg.open(&audit.Log{
-					Entities: gen.Log.Entities,
-					Events:   append([]audit.Event(nil), events[:half]...),
+			graph := extract.New(extract.DefaultOptions()).Extract(c.Report).Graph
+			for _, m := range modes {
+				t.Run(m.name, func(t *testing.T) {
+					q, _, err := synth.Synthesize(graph, m.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a, err := tbql.Analyze(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkLoopEquivalence(t, gen.Log, full, a)
 				})
-				if err != nil {
-					t.Fatalf("%s: %v", leg.name, err)
-				}
-				pre, _, err := h.Execute(nil, a)
-				if err != nil {
-					t.Fatalf("%s pre-append: %v", leg.name, err)
-				}
-				if err := h.AppendBatch(nil, append([]audit.Event(nil), events[half:]...)); err != nil {
-					t.Fatalf("%s append: %v", leg.name, err)
-				}
-				res, _, err := h.Execute(nil, a)
-				if err != nil {
-					t.Fatalf("%s: %v", leg.name, err)
-				}
-				if got := rowSet(res.Set.Strings()); !reflect.DeepEqual(got, wantRows) {
-					t.Errorf("%s rows differ from the oracle:\ngot  %q\nwant %q", leg.name, got, wantRows)
-				}
-				if !reflect.DeepEqual(eventSet(res.MatchedEvents), wantEvents) {
-					t.Errorf("%s matched %d events, oracle %d", leg.name, len(res.MatchedEvents), len(wantEvents))
-				}
-				delta, _, err := h.ExecuteDelta(nil, a, floor)
-				if err != nil {
-					t.Fatalf("%s delta: %v", leg.name, err)
-				}
-				if got := rowSet(pre.Set.Strings(), delta.Set.Strings()); !reflect.DeepEqual(got, wantRows) {
-					t.Errorf("%s pre ∪ delta rows differ from the oracle:\ngot  %q\nwant %q", leg.name, got, wantRows)
-				}
-				if got := eventSet(pre.MatchedEvents, delta.MatchedEvents); !reflect.DeepEqual(got, wantEvents) {
-					t.Errorf("%s pre ∪ delta matched %d events, oracle %d", leg.name, len(got), len(wantEvents))
-				}
 			}
 		})
+	}
+}
+
+// loopLegs are the ways of running the scheduled plan that
+// TestScheduledLoopEquivalence holds to the oracle.
+var loopLegs = []struct {
+	name string
+	open func(log *audit.Log) (hunter, error)
+}{
+	{"scheduled+delta-views", func(log *audit.Log) (hunter, error) {
+		st, err := engine.NewStore(log)
+		return single{&engine.Engine{Store: st}}, err
+	}},
+	{"scheduled+delta-recompute", func(log *audit.Log) (hunter, error) {
+		st, err := engine.NewStore(log)
+		return single{&engine.Engine{Store: st, ViewHighWater: -1}}, err
+	}},
+	{"recovered", func(log *audit.Log) (hunter, error) {
+		st, err := engine.NewStore(log)
+		if err != nil {
+			return nil, err
+		}
+		img, err := segment.DecodeSegment(segment.Encode(engine.DumpImage(st, true)))
+		if err != nil {
+			return nil, err
+		}
+		st, err = engine.OpenStore(img, img.EntityCols, img.Entities, audit.RestoreTable(img.Entities))
+		return single{&engine.Engine{Store: st}}, err
+	}},
+	{"shards2", func(log *audit.Log) (hunter, error) { return shard.New(log, 2, shard.ByHash()) }},
+	{"shards4", func(log *audit.Log) (hunter, error) { return shard.New(log, 4, shard.ByTime(2_000_000)) }},
+}
+
+// checkLoopEquivalence holds every leg, built over log's halves, to the
+// unscheduled oracle on full (the store of the whole log).
+func checkLoopEquivalence(t *testing.T, log *audit.Log, full *engine.Store, a *tbql.Analyzed) {
+	t.Helper()
+	oracle, _, err := (&engine.Engine{Store: full, DisableScheduling: true}).Execute(nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, wantEvents := rowSet(oracle.Set.Strings()), eventSet(oracle.MatchedEvents)
+
+	events := log.Events
+	half := len(events) / 2
+	floor := events[half].ID
+	for _, leg := range loopLegs {
+		h, err := leg.open(&audit.Log{
+			Entities: log.Entities,
+			Events:   append([]audit.Event(nil), events[:half]...),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		pre, _, err := h.Execute(nil, a)
+		if err != nil {
+			t.Fatalf("%s pre-append: %v", leg.name, err)
+		}
+		if err := h.AppendBatch(nil, append([]audit.Event(nil), events[half:]...)); err != nil {
+			t.Fatalf("%s append: %v", leg.name, err)
+		}
+		res, _, err := h.Execute(nil, a)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if got := rowSet(res.Set.Strings()); !reflect.DeepEqual(got, wantRows) {
+			t.Errorf("%s rows differ from the oracle:\ngot  %q\nwant %q", leg.name, got, wantRows)
+		}
+		if !reflect.DeepEqual(eventSet(res.MatchedEvents), wantEvents) {
+			t.Errorf("%s matched %d events, oracle %d", leg.name, len(res.MatchedEvents), len(wantEvents))
+		}
+		delta, _, err := h.ExecuteDelta(nil, a, floor)
+		if err != nil {
+			t.Fatalf("%s delta: %v", leg.name, err)
+		}
+		if got := rowSet(pre.Set.Strings(), delta.Set.Strings()); !reflect.DeepEqual(got, wantRows) {
+			t.Errorf("%s pre ∪ delta rows differ from the oracle:\ngot  %q\nwant %q", leg.name, got, wantRows)
+		}
+		if got := eventSet(pre.MatchedEvents, delta.MatchedEvents); !reflect.DeepEqual(got, wantEvents) {
+			t.Errorf("%s pre ∪ delta matched %d events, oracle %d", leg.name, len(got), len(wantEvents))
+		}
 	}
 }

@@ -145,10 +145,9 @@ type queryPlan struct {
 	// viewMu guards every pattern's materialized view (pats[i].view) —
 	// ExecuteDelta holds it across catch-up and the view-backed join.
 	viewMu sync.Mutex
-	// viewsDisabled records that a view of this plan hit the row cap (or
-	// proved unmaintainable): the whole query evaluates through the
-	// recompute path and no view of the plan is maintained or charged
-	// against the cap. The latch is not permanent: disabledGen remembers
+	// viewsDisabled records that a view of this plan hit the row cap: every
+	// pattern runs its data query and no view of the plan is maintained or
+	// charged against the cap. The latch is not permanent: disabledGen remembers
 	// the engine's view-release generation at fallback time, and the next
 	// delta round retries materialization once other views have released
 	// rows since (DropViews also re-arms directly). Under sustained cap

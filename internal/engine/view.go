@@ -18,7 +18,8 @@ package engine
 // rows minus those below the new lower bound (see migrateSensitiveView) —
 // while BEFORE/AFTER windows rematerialize from scratch. Total
 // materialized rows are capped by Engine.ViewHighWater: a query that would
-// exceed the cap falls back to the recompute path.
+// exceed the cap drops its views, and its patterns run their data queries
+// under the same delta rule. Variable-length paths never hold a view.
 
 import (
 	"context"
@@ -40,8 +41,8 @@ type ViewStats struct {
 	Materializations int64
 	// DeltaMerges counts incremental catch-up merges into existing views.
 	DeltaMerges int64
-	// Fallbacks counts ExecuteDelta rounds that used the recompute path
-	// because a view was disabled by the ViewHighWater cap.
+	// Fallbacks counts ExecuteDelta rounds whose patterns ran their data
+	// queries because the query's views crossed the ViewHighWater cap.
 	Fallbacks int64
 	// CachedRows is the current total of materialized rows.
 	CachedRows int64
@@ -224,9 +225,8 @@ func sortRowsByEvent(rows [][5]int64) {
 }
 
 // disablePlanViewsLocked drops every view of the plan and marks the
-// whole query fallen back: once one pattern cannot hold a view, the
-// view-backed join can never run, so maintaining (and charging) the
-// others would be pure waste. DropViews re-arms the plan. Callers hold
+// whole query fallen back, so a query over the cap holds no rows at all
+// rather than some of them. DropViews re-arms the plan. Callers hold
 // plan.viewMu.
 func (en *Engine) disablePlanViewsLocked(plan *queryPlan) {
 	for i := range plan.pats {
@@ -239,20 +239,37 @@ func (en *Engine) disablePlanViewsLocked(plan *queryPlan) {
 	plan.disabledGen = en.viewReleaseGen.Load()
 }
 
-// ensureViews brings every pattern's view up to the pinned snapshot's
+// ensureViews brings every view of the plan up to the pinned snapshot's
 // event frontier, materializing on first use and catch-up-merging
 // afterwards. The frontier is the snapshot's NextEventID — NOT the live
 // store's: reading the live frontier while an append is publishing would
 // let a view claim coverage of events its bounded catch-up query (which
 // scans only the snapshot) never saw, silently losing those rows from
-// every later round. It returns false when the row cap is crossed — the
-// plan's views are then dropped wholesale and the caller evaluates through
-// the recompute path. Stats from the catch-up data queries accumulate into
-// st. Callers hold plan.viewMu.
-func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan, st *Stats) (bool, error) {
+// every later round. Variable-length paths get no view: a new
+// intermediate edge completes trails whose final-hop event is old, so
+// their rows have no event-ID frontier. When the row cap is crossed the
+// plan's views are dropped wholesale, and every pattern runs its data
+// query (see viewSource). Stats from the catch-up data queries accumulate
+// into st. Callers hold plan.viewMu.
+func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan, st *Stats) error {
+	if en.viewCap() <= 0 {
+		return nil
+	}
+	if plan.viewsDisabled {
+		if en.viewReleaseGen.Load() == plan.disabledGen {
+			en.viewFallbacks.Add(1)
+			return nil
+		}
+		// Rows were released since the fallback (another query dropped
+		// its views): re-arm and retry materialization.
+		plan.viewsDisabled = false
+	}
 	next := snap.NextEventID
 	for idx := range plan.pats {
 		pp := &plan.pats[idx]
+		if pp.meta.VarLen {
+			continue
+		}
 		v := pp.view
 		if v == nil {
 			v = &matView{}
@@ -276,16 +293,13 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 		}
 		pr, qst, err := en.runPattern(ctx, a, plan, snap, q)
 		if err != nil {
-			return false, err
+			return err
 		}
 		st.Add(qst)
-		if !pr.HasEvent || !en.reserveViewRows(len(pr.Rows)) {
-			// !HasEvent is defensive: a view without event IDs cannot
-			// maintain its frontier (ExecuteDelta's var-len fallback
-			// should make it unreachable). Either way the query falls
-			// back to recompute as a whole.
+		if !en.reserveViewRows(len(pr.Rows)) {
 			en.disablePlanViewsLocked(plan)
-			return false, nil
+			en.viewFallbacks.Add(1)
+			return nil
 		}
 		sortRowsByEvent(pr.Rows)
 		if v.upTo == 0 {
@@ -300,39 +314,21 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 		}
 		v.upTo = next
 	}
-	return true, nil
+	return nil
 }
 
-// deltaViews is the materialized-view delta round: the views catch up to
-// the snapshot frontier, then the delta rule runs over a row source that
-// reads them instead of issuing data queries — the delta pattern's fresh
-// rows are its view's suffix from the floor (it is hoisted first, so no
-// binding set constrains it), and every other pattern's cached set is read
-// through the binding feed. Returns ok=false when a view is capped and the
-// rule must run over the engine's data queries instead.
-func (en *Engine) deltaViews(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, sc *loopScratch, minEventID int64) (*Result, Stats, bool, error) {
-	var stats Stats
-	plan.viewMu.Lock()
-	defer plan.viewMu.Unlock()
-	if plan.viewsDisabled {
-		if en.viewReleaseGen.Load() == plan.disabledGen {
-			en.viewFallbacks.Add(1)
-			return nil, stats, false, nil
-		}
-		// Rows were released since the fallback (another query dropped
-		// its views): re-arm and retry materialization.
-		plan.viewsDisabled = false
-	}
-	viewsOK, err := en.ensureViews(ctx, a, snap, plan, &stats)
-	if err != nil {
-		return nil, stats, false, err
-	}
-	if !viewsOK {
-		en.viewFallbacks.Add(1)
-		return nil, stats, false, nil
-	}
-	res, st, err := en.deltaRule(ctx, a, plan, snap, func(_ context.Context, q PatternQuery) (PatternRows, Stats, error) {
+// viewSource is the engine's own row source for a delta round (after
+// ensureViews): a pattern that holds a view reads it instead of issuing a
+// data query — as the delta pattern its suffix from the floor (it is
+// hoisted first, so no binding set constrains it), otherwise its cached
+// set through the binding feed — and a pattern without one runs its data
+// query. Callers hold plan.viewMu.
+func (en *Engine) viewSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, sc *loopScratch) RowSource {
+	return func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error) {
 		v := plan.pats[q.Idx].view
+		if v == nil {
+			return en.runPattern(ctx, a, plan, snap, q)
+		}
 		rows := v.rows
 		switch {
 		case q.Delta > 0:
@@ -342,7 +338,5 @@ func (en *Engine) deltaViews(ctx context.Context, a *tbql.Analyzed, plan *queryP
 			sc.bufs[q.Idx] = rows[:0:cap(rows)] // retain the grown buffer
 		}
 		return PatternRows{Idx: q.Idx, Rows: rows, HasEvent: true}, Stats{PatternRows: len(rows)}, nil
-	}, sc, minEventID)
-	stats.Add(st)
-	return res, stats, err == nil, err
+	}
 }

@@ -51,10 +51,10 @@ type ExecParams struct {
 	// may only match the listed node IDs. Anchor enumeration uses the
 	// list directly when the variable anchors a pattern.
 	Nodes []NodeBinding
-	// MinEdgeID floors the edge IDs the named single-hop relationship
-	// variable EdgeVar may bind (0 = unconstrained).
+	// MinEdgeID keeps only matches that traverse at least one edge with ID
+	// >= MinEdgeID, for every pattern shape (0 = unconstrained): a standing
+	// query's delta floor.
 	MinEdgeID int64
-	EdgeVar   string
 	// View, when non-nil, pins the execution to a published snapshot of
 	// the graph (see View): the matcher reads only the captured arenas and
 	// adjacency, so the execution may run concurrently with the writer.
@@ -101,6 +101,14 @@ type matcher struct {
 	// from the conjuncts; hops with a window binary-search the
 	// time-sorted adjacency lists instead of scanning them.
 	windows map[string][2]int64
+	// floor is ExecParams.MinEdgeID; floored counts the edges with ID >=
+	// floor on the current trail (var-length DFS pushes and single-hop
+	// binds), and a floored run emits only when it is positive. oneHop
+	// marks a query whose only relationship is a single hop: its floored
+	// runs skip older edges outright (see edgeDrivenOK).
+	floor   int64
+	floored int
+	oneHop  bool
 	// visitedPool holds reusable edge-visited bitsets for var-length DFS:
 	// one bitset per concurrently active traversal (nested var-length hops
 	// stack), sized to the edge arena and handed back clean — the DFS
@@ -275,6 +283,10 @@ func (g *Graph) ExecWithCtx(ctx context.Context, q *Query, params *ExecParams) (
 		edges:  make(map[string]int64),
 	}
 	m.bindStore()
+	if params != nil {
+		m.floor = params.MinEdgeID
+	}
+	m.oneHop = len(q.Patterns) == 1 && len(q.Patterns[0].Rels) == 1 && !q.Patterns[0].Rels[0].IsVarLen()
 	if ctx != nil {
 		m.ctx = ctx
 		m.done = ctx.Done()
@@ -321,25 +333,14 @@ func (g *Graph) ExecWithCtx(ctx context.Context, q *Query, params *ExecParams) (
 }
 
 // edgeDrivenOK reports whether the execution can be driven off the edge
-// arena suffix instead of anchor enumeration: a single-pattern, single-hop
-// outbound query whose floored edge variable (ExecParams.MinEdgeID) names
-// the pattern's one relationship. Edge IDs are dense arena offsets, so
-// "edges with ID >= floor" is a direct suffix slice — a standing-query
-// delta round visits O(new edges), not O(anchor nodes), no matter how
-// large the store has grown.
+// arena suffix instead of anchor enumeration: a floored query whose only
+// relationship is one outbound hop. The floor then applies to that hop
+// alone, and edge IDs are dense arena offsets, so "edges with ID >=
+// floor" is a direct suffix slice — a standing-query delta round visits
+// O(new edges), not O(anchor nodes), no matter how large the store has
+// grown.
 func (m *matcher) edgeDrivenOK() bool {
-	if m.params == nil || m.params.MinEdgeID <= 0 || m.params.EdgeVar == "" {
-		return false
-	}
-	if len(m.q.Patterns) != 1 {
-		return false
-	}
-	pat := &m.q.Patterns[0]
-	if len(pat.Nodes) != 2 || len(pat.Rels) != 1 {
-		return false
-	}
-	rel := &pat.Rels[0]
-	return !rel.IsVarLen() && rel.Dir == DirOut && rel.Var == m.params.EdgeVar
+	return m.floor > 0 && m.oneHop && m.q.Patterns[0].Rels[0].Dir == DirOut
 }
 
 // matchEdgeDriven enumerates edges from the floor upward and binds each
@@ -350,7 +351,8 @@ func (m *matcher) matchEdgeDriven() error {
 	pat := &m.q.Patterns[0]
 	rel := &pat.Rels[0]
 	srcPat, dstPat := pat.Nodes[0], pat.Nodes[1]
-	for ei := m.params.MinEdgeID - 1; ei < int64(len(m.vedges)); ei++ {
+	m.floored = 1 // every edge of the suffix is at or above the floor
+	for ei := m.floor - 1; ei < int64(len(m.vedges)); ei++ {
 		if err := m.checkCancel(); err != nil {
 			return err
 		}
@@ -368,7 +370,9 @@ func (m *matcher) matchEdgeDriven() error {
 		}
 		okD, boundD, err := m.bindNode(dstPat, e.To)
 		if err == nil && okD {
-			m.edges[rel.Var] = ei + 1
+			if rel.Var != "" {
+				m.edges[rel.Var] = ei + 1
+			}
 			if m.pruneOK() {
 				err = m.emit()
 			}
@@ -497,13 +501,11 @@ func (m *matcher) matchHop(pi, ni int) error {
 		// with the element ID. Callers flooring by an external ID space
 		// (the TBQL engine's audit event IDs) rely on their own
 		// element-ID == external-ID invariant; the engine pins its dense
-		// event-ID mapping with TestGraphEdgeIDsMatchEventIDs.
-		var edgeFloor int64
-		if m.params != nil && rel.Var != "" && rel.Var == m.params.EdgeVar {
-			edgeFloor = m.params.MinEdgeID
-		}
+		// event-ID mapping with TestGraphEdgeIDsMatchEventIDs. A query
+		// whose only relationship is this hop skips older edges outright.
 		for _, ei := range adj {
-			if int64(ei)+1 < edgeFloor {
+			id := int64(ei) + 1
+			if m.oneHop && id < m.floor {
 				continue
 			}
 			e := &m.vedges[ei]
@@ -517,7 +519,10 @@ func (m *matcher) matchHop(pi, ni int) error {
 			} else if rel.Dir == DirIn {
 				dst = e.From
 			}
-			if err := tryDst(int64(ei)+1, dst); err != nil {
+			fresh := m.countFloored(id)
+			err := tryDst(id, dst)
+			m.floored -= fresh
+			if err != nil {
 				return err
 			}
 		}
@@ -567,7 +572,9 @@ func (m *matcher) matchHop(pi, ni int) error {
 				next = e.From
 			}
 			used[ei>>6] |= 1 << (uint(ei) & 63)
+			fresh := m.countFloored(int64(ei) + 1)
 			err := dfs(next, depth+1)
+			m.floored -= fresh
 			used[ei>>6] &^= 1 << (uint(ei) & 63)
 			if err != nil {
 				return err
@@ -578,6 +585,16 @@ func (m *matcher) matchHop(pi, ni int) error {
 	err := dfs(src, 0)
 	m.releaseVisited(used)
 	return err
+}
+
+// countFloored pushes edge id onto the trail's floored count when it is at
+// or above the floor, and returns what the caller pops after recursing.
+func (m *matcher) countFloored(id int64) int {
+	if m.floor > 0 && id >= m.floor {
+		m.floored++
+		return 1
+	}
+	return 0
 }
 
 // acquireVisited pops a clean edge bitset from the pool, or allocates one
@@ -826,7 +843,11 @@ func (m *matcher) idConstraint(varName string) ([]int64, bool) {
 }
 
 // emit evaluates WHERE against the complete bindings and projects a row.
+// Under a floor, a match whose trail holds no floored edge is dropped.
 func (m *matcher) emit() error {
+	if m.floor > 0 && m.floored == 0 {
+		return nil
+	}
 	if m.capture != nil {
 		return m.capture()
 	}

@@ -2,6 +2,7 @@ package graphdb
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -98,16 +99,13 @@ func TestEdgeDrivenFloorMatchesAnchorDriven(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	// The anchor-driven oracle: same floor, but EdgeVar routed through the
-	// per-edge skip (edgeDrivenOK requires the floor, so disable it by
-	// asking through a two-pattern query shape — instead, compare against
-	// the unfloored run filtered by edge ID).
+	// The oracle is the unfloored run filtered by edge ID.
 	all, _, err := g.ExecWith(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, floor := range []int64{1, 2, 57, 150, 200, 201} {
-		got := rows(&ExecParams{EdgeVar: "e", MinEdgeID: floor})
+		got := rows(&ExecParams{MinEdgeID: floor})
 		var want []string
 		for _, r := range all.Rows {
 			if r[0].I >= floor {
@@ -126,7 +124,7 @@ func TestEdgeDrivenFloorMatchesAnchorDriven(t *testing.T) {
 
 	// With node binding sets on top of the floor (the scheduler's shape).
 	subj := []int64{2, 3, 9}
-	got := rows(&ExecParams{EdgeVar: "e", MinEdgeID: 50, Nodes: []NodeBinding{{Var: "s", IDs: subj}}})
+	got := rows(&ExecParams{MinEdgeID: 50, Nodes: []NodeBinding{{Var: "s", IDs: subj}}})
 	var want []string
 	for _, r := range all.Rows {
 		if r[0].I >= 50 && containsID(subj, r[1].I) {
@@ -140,6 +138,118 @@ func TestEdgeDrivenFloorMatchesAnchorDriven(t *testing.T) {
 	sort.Strings(want)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("floor+binding: edge-driven %v, want %v", got, want)
+	}
+}
+
+// mixedFloorGraph builds a graph of processes and files whose first
+// nEdges random typed edges (dense IDs 1..n) run between any two nodes, so
+// trails of every length and direction exist. Equal seeds give equal
+// prefixes: the graph of the first k edges is the graph as it stood
+// before edge k+1 was appended.
+func mixedFloorGraph(t *testing.T, nEdges int, seed int64) *Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := NewGraph()
+	const nProcs, nFiles = 6, 6
+	for i := 0; i < nProcs; i++ {
+		g.AddNode("Process", Props{"exename": relational.Str(fmt.Sprintf("/bin/p%d", i))})
+	}
+	for i := 0; i < nFiles; i++ {
+		g.AddNode("File", Props{"name": relational.Str(fmt.Sprintf("/tmp/f%d", i))})
+	}
+	types := []string{"read", "write", "start"}
+	for i := 0; i < nEdges; i++ {
+		from := int64(1 + rng.Intn(nProcs+nFiles))
+		to := int64(1 + rng.Intn(nProcs+nFiles))
+		if _, err := g.AddEventEdge(from, to, types[rng.Intn(len(types))], int64(i+1), int64(1000*(i+1)), int64(1000*(i+1)+1), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestMinEdgeIDFloorsEveryPatternShape pins the floor's one rule: a
+// floored execution returns exactly the matches that traverse at least one
+// edge with ID >= MinEdgeID. Matches are trails, and the trails that use
+// only older edges are exactly the matches of the graph as it stood before
+// the floor, so the floored rows must be the full rows minus that graph's
+// rows, as multisets. The shapes cover the edge-driven single hop, an
+// untyped two-hop path, and a typed var-length path whose floored edge may
+// be intermediate.
+func TestMinEdgeIDFloorsEveryPatternShape(t *testing.T) {
+	const nEdges, seed = 60, 5
+	queries := []string{
+		`MATCH (s:Process)-[e:write]->(o:File) RETURN e.id, s.id, o.id`,
+		`MATCH (s:Process)-[*2..2]-(o:File) RETURN s.id, o.id`,
+		`MATCH (s:Process)-[*1..2]-(m)-[e:write]->(o:File) RETURN e.id, s.id, o.id`,
+	}
+	full := mixedFloorGraph(t, nEdges, seed)
+	rows := func(g *Graph, q *Query, params *ExecParams) map[string]int {
+		rs, _, err := g.ExecWith(q, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int{}
+		for _, r := range rs.Strings() {
+			out[fmt.Sprint(r)]++
+		}
+		return out
+	}
+	for _, src := range queries {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := rows(full, q, nil)
+		fired := 0
+		for _, floor := range []int64{1, 2, 20, 41, 60, 61} {
+			want := maps.Clone(all)
+			for r, n := range rows(mixedFloorGraph(t, int(floor-1), seed), q, nil) {
+				if want[r] -= n; want[r] == 0 {
+					delete(want, r)
+				}
+			}
+			got := rows(full, q, &ExecParams{MinEdgeID: floor})
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s floor %d:\n got  %v\n want %v", src, floor, got, want)
+			}
+			if floor > 1 && len(got) > 0 {
+				fired++
+			}
+		}
+		if fired == 0 {
+			t.Fatalf("%s: no floor above 1 matched anything; the check is vacuous", src)
+		}
+	}
+}
+
+// TestMinEdgeIDIntermediateEdge pins the case the floor exists for: a
+// typed var-length path whose final hop is old and whose only new edge is
+// intermediate is a new match, and it stops being one once the floor
+// passes that edge.
+func TestMinEdgeIDIntermediateEdge(t *testing.T) {
+	g := NewGraph()
+	tar := g.AddNode("Process", Props{"exename": relational.Str("/bin/tar")})
+	curl := g.AddNode("Process", Props{"exename": relational.Str("/usr/bin/curl")})
+	ip := g.AddNode("NetConn", Props{"dstip": relational.Str("10.1.1.1")})
+	if _, err := g.AddEventEdge(curl, ip, "connect", 1, 1000, 1001, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.AddEventEdge(tar, curl, "start", 2, 2000, 2001, 10); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseQuery(`MATCH (s:Process)-[*1..1]-(m)-[e:connect]->(o:NetConn) RETURN e.id, s.id, o.id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for floor, want := range map[int64]string{1: "[[1 1 3]]", 2: "[[1 1 3]]", 3: "[]"} {
+		rs, _, err := g.ExecWith(q, &ExecParams{MinEdgeID: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rs.Strings()); got != want {
+			t.Fatalf("floor %d: rows %s, want %s", floor, got, want)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestPruneSkipsUnboundConjunctsWithoutAllocating pins pruneOK's bound
 // check: a conjunct over a variable not bound yet is skipped unevaluated,
 // so enumerating more anchors of a two-variable query — unfloored, and
-// floored on its edge variable — costs no more allocations (previously
+// floored — costs no more allocations (previously
 // every anchor built a "cypher: unknown variable" error).
 func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
 	build := func(anchors int) *Graph {
@@ -43,7 +43,7 @@ func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
 			g := build(n)
 			var params *ExecParams
 			if floored {
-				params = &ExecParams{MinEdgeID: 3, EdgeVar: "e"}
+				params = &ExecParams{MinEdgeID: 3}
 			}
 			if rs, _, err := g.ExecWith(q, params); err != nil || len(rs.Rows) == 0 {
 				t.Fatalf("rows %v, err %v", rs, err)

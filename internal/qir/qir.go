@@ -167,12 +167,12 @@ func (q *DataQuery) String() string {
 	if p.MaxLen >= 0 {
 		hi = fmt.Sprintf("%d", p.MaxLen)
 	}
-	fmt.Fprintf(&sb, "  traverse proc -> %s, hops %d..%s, final op in %s, edge var: %v\n",
+	fmt.Fprintf(&sb, "  traverse proc -> %s, hops %d..%s, final op in %s, edge var: %v [param some edge id >= ?delta]\n",
 		p.ObjKind, p.MinLen, hi, opsString(p.Ops), p.HasEdgeVar)
 	fmt.Fprintf(&sb, "  s: kind = proc%s [param s.id in ?subj]\n", predSuffix(p.SubjPred))
 	fmt.Fprintf(&sb, "  o: kind = %s%s [param o.id in ?obj]\n", p.ObjKind, predSuffix(p.ObjPred))
 	if p.HasEdgeVar {
-		fmt.Fprintf(&sb, "  e:%s [param e.id >= ?delta]\n", predSuffix(p.EdgePred))
+		fmt.Fprintf(&sb, "  e:%s\n", predSuffix(p.EdgePred))
 	}
 	if p.Window != nil {
 		fmt.Fprintf(&sb, "  window: %s\n", p.Window)

@@ -44,8 +44,9 @@ func (s *Store) Execute(ctx context.Context, a *tbql.Analyzed) (*engine.Result, 
 // delta rule over scattered data queries. The delta pattern's scatter is
 // pruned to partitions whose event-ID frontier passed the floor, so a
 // small batch routed to one partition costs one shard-local probe plus
-// whatever its bindings no longer prune away. Variable-length-path queries
-// fall back to one full execution, exactly like the unsharded engine.
+// whatever its bindings no longer prune away. A variable-length path routes
+// to the global store, whose traversal takes the floor on the path's turn
+// (a trail through a new edge), exactly like the unsharded engine.
 func (s *Store) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*engine.Result, engine.Stats, error) {
 	v := s.View()
 	return s.globalEngine.ExecuteDeltaSource(ctx, a, v.Global, minEventID, s.scatter(a, v))

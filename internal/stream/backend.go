@@ -36,9 +36,10 @@ type Backend interface {
 	AppendBatch(entities []*audit.Entity, events []audit.Event) error
 	// Hunt parses, analyzes, and executes TBQL source.
 	Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error)
-	// Execute runs an analyzed query (Watch's history seeding).
-	Execute(ctx context.Context, a *tbql.Analyzed) (*engine.Result, engine.Stats, error)
-	// ExecuteDelta evaluates a standing query against an appended delta.
+	// ExecuteDelta evaluates a standing query against an appended delta:
+	// the complete bindings that use at least one event with ID >=
+	// minEventID (see engine.Engine.ExecuteDelta). It is a standing
+	// query's only evaluation — Watch runs nothing over history.
 	ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*engine.Result, engine.Stats, error)
 	// DropViews releases any per-query match caches (no-op backends ok).
 	DropViews(a *tbql.Analyzed)
@@ -76,9 +77,6 @@ func (b engineBackend) AppendBatch(entities []*audit.Entity, events []audit.Even
 }
 func (b engineBackend) Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error) {
 	return b.en.Hunt(ctx, src)
-}
-func (b engineBackend) Execute(ctx context.Context, a *tbql.Analyzed) (*engine.Result, engine.Stats, error) {
-	return b.en.Execute(ctx, a)
 }
 func (b engineBackend) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*engine.Result, engine.Stats, error) {
 	return b.en.ExecuteDelta(ctx, a, minEventID)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/audit"
@@ -229,38 +230,10 @@ func BenchmarkSegmentFlush(b *testing.B) {
 // the per-round cost of scatter coordination is visible next to the
 // single-store number.
 func BenchmarkStandingQueryScale(b *testing.B) {
-	run := func(b *testing.B, mult int, sess *Session) {
-		recs := dataLeakRecords(b, 0.25)
-		span := recs[len(recs)-1].Time - recs[0].Time + 10_000_000
-		buf := make([]audit.Record, 0, len(recs))
-		for i := 0; i < mult; i++ {
-			if _, err := sess.IngestRecords(shiftRecords(recs, buf, int64(i)*span)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := sess.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Watch(dataLeakTBQL); err != nil {
-			b.Fatal(err)
-		}
-		template := recs[:64]
-		chunkSpan := template[len(template)-1].Time - template[0].Time + 10_000_000
-		base := sess.Store().MaxTime + 10_000_000 - template[0].Time
-		cbuf := make([]audit.Record, 0, len(template))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			chunk := shiftRecords(template, cbuf, base+int64(i)*chunkSpan)
-			if _, err := sess.IngestRecords(chunk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 	for _, mult := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
 			sess, _ := emptySession(b, Config{MatchBuffer: 16})
-			run(b, mult, sess)
+			standingRounds(b, mult, sess, dataLeakTBQL)
 		})
 	}
 	for _, n := range []int{2, 4} {
@@ -269,7 +242,61 @@ func BenchmarkStandingQueryScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run(b, 8, NewWithBackend(sh, Config{MatchBuffer: 16}))
+			standingRounds(b, 8, NewWithBackend(sh, Config{MatchBuffer: 16}), dataLeakTBQL)
 		})
+	}
+}
+
+// BenchmarkStandingQueryVarLen is the same sweep for a variable-length
+// watch (tar's information flow to the exfiltration address, up to 3
+// hops): each round runs the path's traversal floored at the batch, a
+// trail through a new edge, under the one delta rule every standing query
+// takes.
+func BenchmarkStandingQueryVarLen(b *testing.B) {
+	q := strings.Replace(varlenTBQL, "(1~8)", "(1~3)", 1)
+	for _, mult := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
+			sess, _ := emptySession(b, Config{MatchBuffer: 16})
+			standingRounds(b, mult, sess, q)
+		})
+	}
+}
+
+// standingRounds preloads sess with mult time-shifted copies of the
+// data_leak history, watches query, and times one 64-record sealed round
+// per iteration. One untimed round runs first: it compiles the query's
+// plan and materializes its views, so the timed rounds are steady state.
+func standingRounds(b *testing.B, mult int, sess *Session, query string) {
+	recs := dataLeakRecords(b, 0.25)
+	span := recs[len(recs)-1].Time - recs[0].Time + 10_000_000
+	buf := make([]audit.Record, 0, len(recs))
+	for i := 0; i < mult; i++ {
+		if _, err := sess.IngestRecords(shiftRecords(recs, buf, int64(i)*span)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := sess.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Watch(query); err != nil {
+		b.Fatal(err)
+	}
+	template := recs[:64]
+	chunkSpan := template[len(template)-1].Time - template[0].Time + 10_000_000
+	base := sess.Store().MaxTime + 10_000_000 - template[0].Time
+	cbuf := make([]audit.Record, 0, len(template))
+	round := func(i int) {
+		if _, err := sess.IngestRecords(shiftRecords(template, cbuf, base+int64(i)*chunkSpan)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round(0)
+	if _, err := sess.Flush(); err != nil { // seal it: the query runs
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		round(i)
 	}
 }

@@ -79,11 +79,9 @@ type Config struct {
 	// cache uses) and Subscription.DedupResets increments; after a flush
 	// a binding first delivered before it may be delivered again if a
 	// later batch re-derives it — delivery is exactly-once below the cap
-	// and at-least-once beyond it, never lossy. Variable-length-path
-	// subscriptions are exempt: their dedup set is seeded with pre-Watch
-	// history (full re-evaluation needs it), so flushing it would
-	// re-deliver that history as fresh alerts. Default 65536 distinct
-	// firings; negative disables the cap.
+	// and at-least-once beyond it, never lossy. The set holds only answers
+	// fired since Watch, whatever the query's shape. Default 65536
+	// distinct firings; negative disables the cap.
 	DedupHighWater int
 	// QuarantineAfter is how many consecutive failed evaluations a
 	// standing query survives before it is quarantined: its views are

@@ -33,10 +33,16 @@ with evt1 before evt2
 return distinct p1, f1, f2`
 
 // varlenTBQL contains a variable-length path (information flow from tar
-// to the exfiltration address), exercising the graph DFS and the standing
-// query full-evaluation fallback.
+// to the exfiltration address), exercising the graph DFS and its delta
+// floor: a trail through at least one new edge.
 const varlenTBQL = `proc p1["%/bin/tar%"] ~>(1~8)[connect] ip i1["192.168.29.128"]
 return distinct p1, i1`
+
+// varlenMixedTBQL joins an event pattern, which keeps its materialized
+// view, with a variable-length path, which runs its traversal.
+const varlenMixedTBQL = `proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as evt1
+proc p1 ~>(1~3)[connect] ip i1["192.168.29.128"]
+return distinct p1, f1, i1`
 
 // dataLeakRecords regenerates the data_leak case's raw record stream (the
 // same simulator run cases.GenerateRaw performs), scaled down.
@@ -229,10 +235,11 @@ return distinct p1, f1, f2`
 // disabled (Engine.ViewHighWater < 0 — the recompute oracle), and a
 // session whose tiny view cap forces the mid-flight fallback must deliver
 // byte-identical firing sets for relational, graph single-hop,
-// variable-length, mixed-backend, and window-epoch-invalidated queries.
+// variable-length, mixed-backend, event + variable-length, and
+// window-epoch-invalidated queries.
 func TestMaterializedViewFiringEquivalence(t *testing.T) {
 	recs := dataLeakRecords(t, 0.2)
-	queries := []string{dataLeakTBQL, graphTBQL, varlenTBQL, mixedTBQL, windowTBQL}
+	queries := []string{dataLeakTBQL, graphTBQL, varlenTBQL, mixedTBQL, windowTBQL, varlenMixedTBQL}
 
 	type lane struct {
 		name          string
@@ -299,6 +306,16 @@ func TestMaterializedViewFiringEquivalence(t *testing.T) {
 				case "views":
 					if vs := en.Views(); vs.Materializations == 0 {
 						t.Fatalf("views lane never materialized: %+v", vs)
+					}
+					// The event pattern of the event + variable-length
+					// query keeps its view beside the traversal.
+					for i, sub := range subs {
+						if queries[i] != varlenMixedTBQL {
+							sess.Unwatch(sub)
+						}
+					}
+					if vs := en.Views(); vs.CachedRows == 0 {
+						t.Fatalf("event + variable-length query holds no view rows: %+v", vs)
 					}
 				case "recompute":
 					if vs := en.Views(); vs.CachedRows != 0 {
@@ -531,12 +548,11 @@ func TestConcurrentHuntsDuringIngest(t *testing.T) {
 	}
 }
 
-// TestVarLenStandingQueryFiresOnIntermediateEdge pins the ExecuteDelta
-// fallback criterion: a typed variable-length path binds the event
-// variable only on its final hop, so when a newly appended intermediate
-// edge completes a path whose final hop is historical, only the
-// full-evaluation fallback can fire it. The dedup seed taken at Watch
-// time keeps pre-Watch paths from firing.
+// TestVarLenStandingQueryFiresOnIntermediateEdge pins the variable-length
+// delta floor: a typed variable-length path binds the event variable only
+// on its final hop, so when a newly appended intermediate edge completes a
+// path whose final hop is historical, the floor must count the trail's
+// intermediate edges, not the bound event.
 func TestVarLenStandingQueryFiresOnIntermediateEdge(t *testing.T) {
 	sess, _ := emptySession(t, DefaultConfig())
 	mk := func(r audit.Record) string { return r.Format() + "\n" }
@@ -570,6 +586,56 @@ return distinct p1, i1`
 	got := drainMatches(sub)
 	if len(got) != 1 || got[0] != "/bin/tar|10.1.1.1" {
 		t.Fatalf("matches = %v, want the completed 2-hop path", got)
+	}
+}
+
+// TestVarLenWatchFiresNewWitness pins the standing-query contract for
+// variable-length paths, the same as for fixed-length ones: Watch replays
+// no history, and an answer a pre-Watch trail derived fires once a trail
+// through a newly sealed edge derives it again.
+func TestVarLenWatchFiresNewWitness(t *testing.T) {
+	sess, en := emptySession(t, DefaultConfig())
+	mk := func(r audit.Record) string { return r.Format() + "\n" }
+	connect := func(ts int64) string {
+		return mk(audit.Record{Time: ts, Call: audit.SysConnect, PID: 50, Exe: "/usr/bin/curl",
+			User: "mallory", FD: audit.FDIPv4, SrcIP: "10.0.0.2", SrcPort: 40000, DstIP: "10.1.1.1", DstPort: 443, Proto: "tcp"})
+	}
+	clock := func(ts int64) string {
+		return mk(audit.Record{Time: ts, Call: audit.SysRead, PID: 9, Exe: "/usr/bin/vim",
+			User: "alice", FD: audit.FDFile, Path: "/home/a", Bytes: 1})
+	}
+
+	// History: tar starts curl, curl connects to the exfil address.
+	history := mk(audit.Record{Time: 1_000_000, Call: audit.SysExecve, PID: 40, Exe: "/bin/tar",
+		User: "mallory", FD: audit.FDProc, ChildPID: 50, ChildExe: "/usr/bin/curl"}) +
+		connect(2_000_000) + clock(10_000_000)
+	if _, err := sess.Ingest(bytes.NewBufferString(history)); err != nil {
+		t.Fatal(err)
+	}
+	const q = `proc p1["%/bin/tar%"] ~>(1~3)[connect] ip i1["10.1.1.1"]
+return distinct p1, i1`
+	if got := huntStrings(t, en, q); fmt.Sprint(got) != "[/bin/tar|10.1.1.1]" {
+		t.Fatalf("history hunt = %v, want the pre-Watch trail", got)
+	}
+	sub, err := sess.Watch(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Unrelated traffic seals: the pre-Watch answer does not replay.
+	if _, err := sess.Ingest(bytes.NewBufferString(clock(20_000_000))); err != nil {
+		t.Fatal(err)
+	}
+	if got := drainMatches(sub); len(got) != 0 {
+		t.Fatalf("pre-Watch answer replayed: %v", got)
+	}
+
+	// curl connects again: a new trail derives the same answer.
+	if _, err := sess.Ingest(bytes.NewBufferString(connect(30_000_000) + clock(40_000_000))); err != nil {
+		t.Fatal(err)
+	}
+	if got := drainMatches(sub); len(got) != 1 || got[0] != "/bin/tar|10.1.1.1" {
+		t.Fatalf("matches = %v, want the answer of the new trail", got)
 	}
 }
 

@@ -3,15 +3,15 @@ package stream
 import (
 	"sync"
 
-	"threatraptor/internal/engine"
 	"threatraptor/internal/faultinject"
 	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
 
-// Match is one standing-query firing: a complete binding's projected
-// return row, delivered once (deduplicated against every prior firing of
-// the same subscription).
+// Match is one standing-query firing: the projected return row of a
+// complete binding that uses at least one newly sealed event, delivered
+// once per subscription (deduplicated against every prior firing of the
+// same subscription, see Config.DedupHighWater).
 type Match struct {
 	// Batch is the sealed-batch sequence number whose append produced
 	// the firing.
@@ -42,12 +42,6 @@ type Subscription struct {
 	c        chan Match
 	analyzed *tbql.Analyzed
 	seen     *relational.RowSet
-	// seeded marks variable-length-path subscriptions, whose seen set was
-	// pre-filled with the store's history at Watch time (their delta
-	// evaluation is a full re-execution). Flushing a seeded set would
-	// re-deliver all of pre-Watch history as fresh alerts, so the
-	// DedupHighWater cap does not apply to them.
-	seeded bool
 
 	mu      sync.Mutex
 	dropped int64
@@ -96,12 +90,14 @@ func (sub *Subscription) Quarantined() bool {
 	return sub.quarantined
 }
 
-// Watch compiles a TBQL query and subscribes it to the stream: each
-// sealed batch is evaluated incrementally (only new rows join against the
-// indexed history) and previously unseen complete bindings are delivered
-// on the returned subscription's channel. Matches fire only for bindings
-// that use at least one event sealed after Watch — query history with
-// Session.Hunt instead.
+// Watch compiles a TBQL query and subscribes it to the stream; it runs
+// nothing. Each sealed batch is evaluated incrementally by the engine's
+// delta rule (only new rows join against the indexed history), and the
+// projected rows of the bindings that use at least one event sealed after
+// Watch — for a variable-length path, a trail through at least one such
+// event — are delivered on the returned subscription's channel, each the
+// first time a binding derives it, even when a pre-Watch binding derived
+// the same row. Query history with Session.Hunt instead.
 func (s *Session) Watch(src string) (*Subscription, error) {
 	q, err := tbql.Parse(src)
 	if err != nil {
@@ -125,20 +121,6 @@ func (s *Session) Watch(src string) (*Subscription, error) {
 		c:        c,
 		analyzed: a,
 		seen:     relational.NewRowSet(),
-	}
-	// Queries with a variable-length path pattern evaluate by full
-	// re-execution (ExecuteDelta's fallback), so seed the dedup set with
-	// the current history — otherwise the first sealed batch would
-	// deliver every pre-Watch binding as a fresh match.
-	if engine.HasVarLenPath(a) {
-		sub.seeded = true
-		res, _, err := s.backend.Execute(nil, a)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range res.Set.Rows {
-			sub.seen.Add(row)
-		}
 	}
 	s.subs[sub.ID] = sub
 	return sub, nil
@@ -174,10 +156,8 @@ func (s *Session) fireLocked(deltaFloor int64) int {
 	for _, sub := range s.subs {
 		// Bound the dedup set before evaluating so one batch's matches
 		// dedup against a consistent set (see Config.DedupHighWater for
-		// the at-least-once semantics past a flush). History-seeded sets
-		// (variable-length-path queries) are exempt: flushing one would
-		// re-deliver all pre-Watch matches as fresh alerts.
-		if !sub.seeded && s.cfg.DedupHighWater > 0 && sub.seen.Len() >= s.cfg.DedupHighWater {
+		// the at-least-once semantics past a flush).
+		if s.cfg.DedupHighWater > 0 && sub.seen.Len() >= s.cfg.DedupHighWater {
 			sub.seen = relational.NewRowSet()
 			sub.mu.Lock()
 			sub.resets++
