@@ -64,7 +64,7 @@ func main() {
 	pattern := flag.String("bench", "BenchmarkExecuteScheduled|BenchmarkExecuteUnscheduled|BenchmarkStoreLoadEngine|BenchmarkStoreOpenSegment|BenchmarkStreamIngest|BenchmarkStandingQuery|BenchmarkStandingQueryScale|BenchmarkStandingQueryVarLen|BenchmarkConcurrentHunts|BenchmarkTacticalRound|BenchmarkCompile|BenchmarkShardedHunt|BenchmarkSegmentFlush|BenchmarkJoinFanout|BenchmarkPathAnchor", "benchmark regexp")
 	gate := flag.Bool("gate", false, "compare against the committed baseline instead of rewriting it; exit 1 on regression")
 	gateThreshold := flag.Float64("gate-threshold", 0.25, "fractional regression tolerated by -gate (0.25 = 25%)")
-	gateBench := flag.String("gate-bench", "BenchmarkExecuteScheduled,BenchmarkStreamIngest,BenchmarkStandingQuery,BenchmarkStandingQueryScale/8x,BenchmarkStandingQueryScale/8x-shards2,BenchmarkStandingQueryScale/8x-shards4,BenchmarkStandingQueryVarLen/8x,BenchmarkConcurrentHunts,BenchmarkTacticalRound,BenchmarkCompile/cold,BenchmarkCompile/hit,BenchmarkShardedHunt/shards4,BenchmarkStoreOpenSegment,BenchmarkSegmentFlush/1x,BenchmarkSegmentFlush/8x,BenchmarkJoinFanout,BenchmarkPathAnchor", "comma-separated benchmarks checked by -gate")
+	gateBench := flag.String("gate-bench", "BenchmarkExecuteScheduled,BenchmarkStreamIngest,BenchmarkStandingQuery,BenchmarkStandingQueryScale/8x,BenchmarkStandingQueryScale/8x-shards2,BenchmarkStandingQueryScale/8x-shards4,BenchmarkStandingQueryVarLen/8x,BenchmarkConcurrentHunts,BenchmarkTacticalRound,BenchmarkCompile/cold,BenchmarkCompile/hit,BenchmarkShardedHunt/shards4,BenchmarkStoreLoadEngine,BenchmarkStoreOpenSegment,BenchmarkSegmentFlush/1x,BenchmarkSegmentFlush/8x,BenchmarkJoinFanout,BenchmarkPathAnchor", "comma-separated benchmarks checked by -gate")
 	flag.Parse()
 
 	if *gate {

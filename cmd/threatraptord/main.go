@@ -536,14 +536,63 @@ type watchEvent struct {
 	Error    string   `json:"error,omitempty"`
 }
 
+// frameWriter writes one streamed response as SSE (the request accepts
+// text/event-stream) or NDJSON (anything else), flushing every frame.
+type frameWriter struct {
+	w   http.ResponseWriter
+	f   http.Flusher
+	sse bool
+}
+
+// newFrameWriter negotiates the stream encoding from the request's Accept
+// header. It answers 500 and returns false when w cannot stream.
+func newFrameWriter(w http.ResponseWriter, r *http.Request) (*frameWriter, bool) {
+	f, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return nil, false
+	}
+	return &frameWriter{w: w, f: f, sse: strings.Contains(r.Header.Get("Accept"), "text/event-stream")}, true
+}
+
+// start writes the 200 status and the encoding's headers.
+func (fw *frameWriter) start() {
+	if fw.sse {
+		fw.w.Header().Set("Content-Type", "text/event-stream")
+		fw.w.Header().Set("Cache-Control", "no-cache")
+	} else {
+		fw.w.Header().Set("Content-Type", "application/x-ndjson")
+	}
+	fw.w.WriteHeader(http.StatusOK)
+	fw.f.Flush()
+}
+
+// send writes v as one JSON frame — an SSE event of the given name, or
+// one NDJSON line — and reports whether the client took it.
+func (fw *frameWriter) send(event string, v any) bool {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	if fw.sse {
+		_, err = fmt.Fprintf(fw.w, "event: %s\ndata: %s\n\n", event, data)
+	} else {
+		_, err = fmt.Fprintf(fw.w, "%s\n", data)
+	}
+	if err != nil {
+		return false
+	}
+	fw.f.Flush()
+	return true
+}
+
 func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	q, ok := readQuery(w, r)
 	if !ok {
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	fw, ok := newFrameWriter(w, r)
+	if !ok {
 		return
 	}
 	live, err := s.sys.Live()
@@ -563,34 +612,8 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.watchesActive.Inc()
 	defer s.watchesActive.Dec()
 
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	send := func(ev watchEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if sse {
-			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", eventName(ev), data)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", data)
-		}
-		if err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-
-	s.watchFrames(r.Context(), live, sub, send)
+	fw.start()
+	s.watchFrames(r.Context(), live, sub, func(ev watchEvent) bool { return fw.send(eventName(ev), ev) })
 }
 
 // watchFrames streams sub's deliveries as frames through send until the
@@ -777,9 +800,8 @@ func (s *server) handleIncidentsWatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET to stream incident updates", http.StatusMethodNotAllowed)
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	fw, ok := newFrameWriter(w, r)
+	if !ok {
 		return
 	}
 	live, err := s.sys.Live()
@@ -802,33 +824,7 @@ func (s *server) handleIncidentsWatch(w http.ResponseWriter, r *http.Request) {
 	s.watchesActive.Inc()
 	defer s.watchesActive.Dec()
 
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	send := func(u stream.IncidentUpdate) bool {
-		data, err := json.Marshal(u)
-		if err != nil {
-			return false
-		}
-		if sse {
-			_, err = fmt.Fprintf(w, "event: incidents\ndata: %s\n\n", data)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", data)
-		}
-		if err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-
+	fw.start()
 	for {
 		select {
 		case <-r.Context().Done():
@@ -841,7 +837,7 @@ func (s *server) handleIncidentsWatch(w http.ResponseWriter, r *http.Request) {
 				// Session closed: end the stream.
 				return
 			}
-			if !send(u) {
+			if !fw.send("incidents", u) {
 				live.UnwatchIncidents(sub)
 				for range sub.C {
 				}

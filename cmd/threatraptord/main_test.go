@@ -499,6 +499,42 @@ func TestIncidentsWatchStreamsSSE(t *testing.T) {
 	}
 }
 
+// TestIncidentsWatchStreamsNDJSON covers the non-SSE content type of the
+// incident stream: without the event-stream Accept header each update
+// arrives as one JSON line.
+func TestIncidentsWatchStreamsNDJSON(t *testing.T) {
+	ts, _ := tacticalServer(t)
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/incidents/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("incidents watch = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("incidents watch Content-Type = %q", ct)
+	}
+
+	post(t, ts.URL+"/v1/ingest", readLine(1_000_000, 100, "/bin/cat", "/etc/secret"))
+	post(t, ts.URL+"/v1/flush", "")
+
+	var upd struct {
+		Alerts    int                 `json:"alerts"`
+		Incidents []tactical.Incident `json:"incidents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&upd); err != nil {
+		t.Fatal(err)
+	}
+	if upd.Alerts != 1 || len(upd.Incidents) != 1 {
+		t.Fatalf("update = %+v, want 1 alert, 1 incident", upd)
+	}
+	if upd.Incidents[0].Alerts[0].Object != "/etc/secret" {
+		t.Fatalf("incident alert = %+v, want object /etc/secret", upd.Incidents[0].Alerts[0])
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -90,18 +90,23 @@ func (s *Store) AppendBatch(entities []*audit.Entity, events []audit.Event) (err
 		return fmt.Errorf("engine: store tables missing")
 	}
 
-	// Validate the whole batch before touching either backend.
-	batchNew := make(map[int64]bool, len(entities))
+	// Validate the whole batch before touching either backend. Entity IDs
+	// are dense, so the batch's entities must continue the stored ones in
+	// ID order, and an event may reference any ID up to the last of them.
+	next := int64(s.Graph.NumNodes()) + 1
 	for _, e := range entities {
-		if s.Graph.Node(e.ID) != nil {
-			return fmt.Errorf("engine: append: entity %d already stored", e.ID)
+		if e.ID != next {
+			if e.ID < next {
+				return fmt.Errorf("engine: append: entity %d already stored", e.ID)
+			}
+			return fmt.Errorf("engine: append: entity %d is not the next entity ID %d", e.ID, next)
 		}
-		batchNew[e.ID] = true
+		next++
 	}
 	for i := range events {
 		ev := &events[i]
 		for _, id := range [2]int64{ev.SubjectID, ev.ObjectID} {
-			if !batchNew[id] && s.Graph.Node(id) == nil {
+			if id < 1 || id >= next {
 				return fmt.Errorf("engine: append: event references unknown entity %d", id)
 			}
 		}
@@ -151,7 +156,9 @@ func (s *Store) AppendBatch(entities []*audit.Entity, events []audit.Event) (err
 		}
 		s.Graph.ReserveNodes(len(entities))
 		for _, e := range entities {
-			s.Graph.AddNodeWithID(e.ID, labelOf(e.Kind), entityProps(e))
+			if err := s.Graph.AddNodeWithID(e.ID, labelOf(e.Kind), (*entityNode)(e)); err != nil {
+				return err
+			}
 		}
 	}
 

@@ -6,10 +6,10 @@ package engine
 // rebuilds a store from a decoded (or folded) full image by adopting the
 // columns directly: the relational tables take the decoded vectors
 // without replaying appendRow, indexes rebuild with counting sort, and
-// the graph installs its node/edge arenas and CSR adjacency verbatim.
-// Node properties are not materialized at all — they resolve lazily
-// through the restored entity slab — which is what makes opening a
-// segment several times cheaper than reloading the log.
+// the graph installs its node/edge arenas and CSR adjacency verbatim,
+// which is what makes opening a segment several times cheaper than
+// reloading the log. Graph nodes point at the restored entities, as every
+// engine node does.
 
 import (
 	"fmt"
@@ -287,20 +287,14 @@ func restoreEventTable(t *relational.Table, ev *segment.EventCols) error {
 	return t.RestoreIndexLazy("op", 0)
 }
 
-// restoreGraph installs the graph arenas: bag-less nodes whose
-// properties resolve through the entity slab, the typed event-edge
-// arena, and the dumped CSR adjacency. The three property indexes
-// NewStore builds (Process/exename, File/name, NetConn/dstip) are
-// declared lazily — the first probing hunt materializes them.
+// restoreGraph installs the graph arenas: nodes pointing at the entity
+// slab, the typed event-edge arena, and the dumped CSR adjacency.
 func restoreGraph(g *graphdb.Graph, img *segment.Image, cols *segment.EntityCols, dense []*audit.Entity) error {
 	labels := make([]string, len(cols.Kind))
 	for i, k := range cols.Kind {
 		labels[i] = labelOf(audit.EntityKind(k))
 	}
-	propFn := func(id int64, key string) (graphdb.Value, bool) {
-		return entityPropValue(dense[id-1], key)
-	}
-	if err := g.RestoreNodes(labels, propFn); err != nil {
+	if err := g.RestoreNodes(labels, func(i int) graphdb.Attrs { return (*entityNode)(dense[i]) }); err != nil {
 		return err
 	}
 	ev := &img.Events
@@ -312,61 +306,5 @@ func restoreGraph(g *graphdb.Graph, img *segment.Image, cols *segment.EntityCols
 		return err
 	}
 	a := &img.Adj
-	if err := g.RestoreAdjacency(a.OutNodes, a.OutCounts, a.Out, a.InNodes, a.InCounts, a.In); err != nil {
-		return err
-	}
-	g.RestorePropIndexLazy(LabelProcess, "exename")
-	g.RestorePropIndexLazy(LabelFile, "name")
-	g.RestorePropIndexLazy(LabelNetConn, "dstip")
-	return nil
-}
-
-// entityPropValue resolves a graph node property from the backing
-// entity, mirroring the key set entityProps materializes per kind: a
-// key entityProps would not have set returns ok == false.
-func entityPropValue(e *audit.Entity, key string) (relational.Value, bool) {
-	switch e.Kind {
-	case audit.EntityFile:
-		switch key {
-		case "name":
-			return relational.Str(e.File.Name), true
-		case "path":
-			return relational.Str(e.File.Path), true
-		case "user":
-			return relational.Str(e.File.User), true
-		case "group":
-			return relational.Str(e.File.Group), true
-		case "host":
-			return relational.Str(e.File.Host), true
-		}
-	case audit.EntityProcess:
-		switch key {
-		case "pid":
-			return relational.Int(int64(e.Proc.PID)), true
-		case "exename":
-			return relational.Str(e.Proc.ExeName), true
-		case "user":
-			return relational.Str(e.Proc.User), true
-		case "group":
-			return relational.Str(e.Proc.Group), true
-		case "cmd":
-			return relational.Str(e.Proc.CMD), true
-		case "host":
-			return relational.Str(e.Proc.Host), true
-		}
-	case audit.EntityNetConn:
-		switch key {
-		case "srcip":
-			return relational.Str(e.Net.SrcIP), true
-		case "srcport":
-			return relational.Int(int64(e.Net.SrcPort)), true
-		case "dstip":
-			return relational.Str(e.Net.DstIP), true
-		case "dstport":
-			return relational.Int(int64(e.Net.DstPort)), true
-		case "protocol":
-			return relational.Str(e.Net.Protocol), true
-		}
-	}
-	return relational.Value{}, false
+	return g.RestoreAdjacency(a.OutNodes, a.OutCounts, a.Out, a.InNodes, a.InCounts, a.In)
 }

@@ -125,8 +125,9 @@ func newStoreTables(db *relational.DB) (entities, events *relational.Table, err 
 }
 
 // NewStore loads a parsed audit log into fresh relational and graph
-// backends, creating indexes on the key attributes (file name, process
-// executable name, destination IP) in both.
+// backends, creating relational indexes on the key attributes (file name,
+// process executable name, destination IP). Graph nodes read their
+// attributes from the log's entities (see entityNode).
 func NewStore(log *audit.Log) (*Store, error) {
 	s := &Store{Rel: relational.NewDB(), Graph: graphdb.NewGraph(), Log: log}
 
@@ -208,7 +209,9 @@ func NewStore(log *audit.Log) (*Store, error) {
 		s.Graph.ReserveNodes(len(all))
 		s.Graph.ReserveEdges(len(log.Events))
 		for _, e := range all {
-			s.Graph.AddNodeWithID(e.ID, labelOf(e.Kind), entityProps(e))
+			if errGraph = s.Graph.AddNodeWithID(e.ID, labelOf(e.Kind), (*entityNode)(e)); errGraph != nil {
+				return
+			}
 		}
 		for i := range log.Events {
 			ev := &log.Events[i]
@@ -218,9 +221,6 @@ func NewStore(log *audit.Log) (*Store, error) {
 				return
 			}
 		}
-		s.Graph.CreateIndex(LabelProcess, "exename")
-		s.Graph.CreateIndex(LabelFile, "name")
-		s.Graph.CreateIndex(LabelNetConn, "dstip")
 	}()
 
 	wg.Wait()
@@ -276,32 +276,6 @@ func entityRow(e *audit.Entity, row []relational.Value) []relational.Value {
 	return row
 }
 
-func entityProps(e *audit.Entity) graphdb.Props {
-	p := graphdb.Props{}
-	switch e.Kind {
-	case audit.EntityFile:
-		p["name"] = relational.Str(e.File.Name)
-		p["path"] = relational.Str(e.File.Path)
-		p["user"] = relational.Str(e.File.User)
-		p["group"] = relational.Str(e.File.Group)
-		p["host"] = relational.Str(e.File.Host)
-	case audit.EntityProcess:
-		p["pid"] = relational.Int(int64(e.Proc.PID))
-		p["exename"] = relational.Str(e.Proc.ExeName)
-		p["user"] = relational.Str(e.Proc.User)
-		p["group"] = relational.Str(e.Proc.Group)
-		p["cmd"] = relational.Str(e.Proc.CMD)
-		p["host"] = relational.Str(e.Proc.Host)
-	case audit.EntityNetConn:
-		p["srcip"] = relational.Str(e.Net.SrcIP)
-		p["srcport"] = relational.Int(int64(e.Net.SrcPort))
-		p["dstip"] = relational.Str(e.Net.DstIP)
-		p["dstport"] = relational.Int(int64(e.Net.DstPort))
-		p["protocol"] = relational.Str(e.Net.Protocol)
-	}
-	return p
-}
-
 // EntityAttr returns the attribute value of a stored entity as a typed
 // value (used for return projection and attribute relations). It reads the
 // live intern maps, so it is writer-synchronized only; concurrent readers
@@ -314,21 +288,41 @@ func (s *Store) EntityAttr(id int64, attr string) relational.Value {
 	return entityAttrValue(e, attr)
 }
 
-// entityAttrValue types an entity attribute: the numeric attributes stay
-// ints, everything else is the string form, unknown attributes are NULL.
+// entityAttrValue types an entity attribute for return projection and
+// attribute relations: entityPropValue with unknown attributes as NULL.
 func entityAttrValue(e *audit.Entity, attr string) relational.Value {
-	if attr == "pid" && e.Kind == audit.EntityProcess {
-		return relational.Int(int64(e.Proc.PID))
+	if v, ok := entityPropValue(e, attr); ok {
+		return v
 	}
-	if (attr == "srcport" || attr == "dstport") && e.Kind == audit.EntityNetConn {
-		if attr == "srcport" {
-			return relational.Int(int64(e.Net.SrcPort))
-		}
-		return relational.Int(int64(e.Net.DstPort))
+	return relational.Null()
+}
+
+// entityNode is an entity as a graph node's attribute source: every
+// engine graph node, built, appended or restored, points at its immutable
+// entity instead of holding a copy of its attributes.
+type entityNode audit.Entity
+
+// Prop implements graphdb.Attrs.
+func (n *entityNode) Prop(key string) (graphdb.Value, bool) {
+	return entityPropValue((*audit.Entity)(n), key)
+}
+
+// entityPropValue types one attribute of an entity over the key set
+// audit.Entity.Attr answers for the entity's kind: the numeric attributes
+// (pid, srcport, dstport) stay ints, the rest are strings, and any other
+// key returns ok == false.
+func entityPropValue(e *audit.Entity, key string) (relational.Value, bool) {
+	switch {
+	case key == "pid" && e.Kind == audit.EntityProcess:
+		return relational.Int(int64(e.Proc.PID)), true
+	case key == "srcport" && e.Kind == audit.EntityNetConn:
+		return relational.Int(int64(e.Net.SrcPort)), true
+	case key == "dstport" && e.Kind == audit.EntityNetConn:
+		return relational.Int(int64(e.Net.DstPort)), true
 	}
-	v, ok := e.Attr(attr)
+	v, ok := e.Attr(key)
 	if !ok {
-		return relational.Null()
+		return relational.Value{}, false
 	}
-	return relational.Str(v)
+	return relational.Str(v), true
 }

@@ -10,7 +10,7 @@ import (
 
 // execClauseAtATime implements the Neo4j-style plan for multi-pattern
 // queries: each pattern is materialized on its own (anchored by a label
-// scan or property index, filtered only by the WHERE conjuncts whose
+// scan or an ID constraint, filtered only by the WHERE conjuncts whose
 // variables it binds), and clause results are then joined in declaration
 // order on shared variables. Residual conjuncts (those spanning clauses,
 // e.g. temporal constraints between event variables) run after the join.
@@ -236,7 +236,7 @@ func (g *Graph) bindingResolver(b binding) func(relational.ColRef) (Value, error
 			if c.Qualifier == "" {
 				return relational.Int(id), nil
 			}
-			if v, has := g.nodeProp(n, c.Column); has {
+			if v, has := n.Prop(c.Column); has {
 				return v, nil
 			}
 			return relational.Null(), nil

@@ -714,7 +714,7 @@ func (m *matcher) bindNode(np NodePat, id int64) (ok, bound bool, err error) {
 		return false, false, nil
 	}
 	for k, want := range np.Props {
-		got, has := m.g.nodeProp(n, k)
+		got, has := n.Prop(k)
 		if !has || !got.Equal(want) {
 			return false, false, nil
 		}
@@ -738,9 +738,9 @@ func containsID(ids []int64, id int64) bool {
 }
 
 // candidates enumerates anchor candidates for a node pattern, preferring
-// an explicit ID constraint in WHERE ("s.id IN (...)", fed forward by the
-// TBQL scheduler), then a property index, then the label scan, then all
-// nodes.
+// a bound ID list (fed forward by the TBQL scheduler), then an explicit ID
+// constraint in WHERE ("s.id IN (...)"), then the label scan, then all
+// nodes. Inline properties ({k: v}) filter candidates in bindNode.
 func (m *matcher) candidates(np NodePat) ([]int64, error) {
 	if np.Var != "" {
 		if id, bound := m.nodes[np.Var]; bound {
@@ -767,12 +767,6 @@ func (m *matcher) candidates(np NodePat) ([]int64, error) {
 		}
 	}
 	if np.Label != "" {
-		for prop, v := range np.Props {
-			if ids, ok := m.lookupIndexed(np.Label, prop, v); ok {
-				m.stats.IndexLookups++
-				return ids, nil
-			}
-		}
 		return m.labelIDs(np.Label), nil
 	}
 	if m.view != nil {
@@ -781,21 +775,14 @@ func (m *matcher) candidates(np NodePat) ([]int64, error) {
 	return m.g.AllNodeIDs(), nil
 }
 
-// sortedLabelIDs, lookupIndexed, and labelIDs dispatch the anchor index
-// probes on the matcher's mode (view probes lock and trim; live probes
-// are the writer-goroutine fast path).
+// sortedLabelIDs and labelIDs dispatch the anchor label probes on the
+// matcher's mode (view probes lock and trim; live probes are the
+// writer-goroutine fast path).
 func (m *matcher) sortedLabelIDs(label string) ([]int64, bool) {
 	if m.view != nil {
 		return m.view.sortedLabelIDs(label)
 	}
 	return m.g.sortedLabelIDs(label)
-}
-
-func (m *matcher) lookupIndexed(label, prop string, v Value) ([]int64, bool) {
-	if m.view != nil {
-		return m.view.lookupIndexed(label, prop, v)
-	}
-	return m.g.lookupIndexed(label, prop, v)
 }
 
 func (m *matcher) labelIDs(label string) []int64 {
@@ -895,7 +882,7 @@ func (m *matcher) resolve(c relational.ColRef) (Value, error) {
 		case "label":
 			return relational.Str(n.Label), nil
 		}
-		if v, has := m.g.nodeProp(n, c.Column); has {
+		if v, has := n.Prop(c.Column); has {
 			return v, nil
 		}
 		return relational.Null(), nil

@@ -254,8 +254,7 @@ func TestMinEdgeIDIntermediateEdge(t *testing.T) {
 }
 
 // TestSortedLabelIntersectionAnchors pins that anchor enumeration through
-// the label-list intersection returns the same matches as plain binding
-// enumeration, and that an out-of-order node insert falls back cleanly.
+// the label-list intersection trims a binding list to the label's nodes.
 func TestSortedLabelIntersectionAnchors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := floorGraph(t, 8, 8, 60, rng)
@@ -280,19 +279,20 @@ func TestSortedLabelIntersectionAnchors(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	sorted := withBinding()
+	got := withBinding()
 
-	if _, ok := g.sortedLabelIDs("Process"); !ok {
-		t.Fatal("Process label list should be sorted")
+	// Reference: the same bindings as literal WHERE ID lists, which anchor
+	// through idConstraint and check labels per candidate in bindNode.
+	rs, err := g.Query(`MATCH (s:Process)-[e:read]->(o:File) WHERE s.id IN (1, 4, 9, 12, 16) AND o.id IN (9, 10, 11, 12, 13, 14, 15, 16, 999, 1000) RETURN s.id, o.id`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Force the unsorted fallback with an out-of-order ID and re-check.
-	g.AddNodeWithID(1000, "File", Props{"name": relational.Str("/tmp/late")})
-	g.AddNodeWithID(999, "File", Props{"name": relational.Str("/tmp/later")})
-	if _, ok := g.sortedLabelIDs("File"); ok {
-		t.Fatal("File label list must be marked unsorted after out-of-order insert")
+	var want []string
+	for _, r := range rs.Strings() {
+		want = append(want, fmt.Sprint(r))
 	}
-	unsortedPath := withBinding()
-	if fmt.Sprint(sorted) != fmt.Sprint(unsortedPath) {
-		t.Fatalf("sorted-intersection %v != fallback %v", sorted, unsortedPath)
+	sort.Strings(want)
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sorted-intersection %v != literal-ID reference %v", got, want)
 	}
 }

@@ -25,14 +25,37 @@ import (
 // Value is the property value type (shared with the relational engine).
 type Value = relational.Value
 
-// Props is a node or edge property bag.
+// Props is a node or edge property bag. As a node's Attrs it answers
+// from the map, so graphs built from literals need no adapter.
 type Props map[string]Value
 
-// Node is a labeled property node.
+// Prop implements Attrs.
+func (p Props) Prop(key string) (Value, bool) {
+	v, ok := p[key]
+	return v, ok
+}
+
+// Attrs is a node's attribute source. Implementations must be immutable
+// once the node is inserted: live queries and published views read them
+// lock-free from any goroutine.
+type Attrs interface {
+	Prop(key string) (Value, bool)
+}
+
+// Node is a labeled node. Node IDs are dense: the node at arena offset i
+// has ID i+1, so a node carries no ID of its own.
 type Node struct {
-	ID    int64
 	Label string
-	Props Props
+	Attrs Attrs
+}
+
+// Prop reads one node attribute; a node without an attribute source has
+// none.
+func (n *Node) Prop(key string) (Value, bool) {
+	if n.Attrs == nil {
+		return Value{}, false
+	}
+	return n.Attrs.Prop(key)
 }
 
 // Edge is a typed, directed property edge. Event edges (the dominant
@@ -90,22 +113,11 @@ const noStartTime = math.MinInt64
 // by the edges' start_time so windowed traversals binary-search to the
 // first in-window edge instead of scanning the whole neighborhood.
 type Graph struct {
-	nodes   []Node
-	nodeIdx map[int64]int32 // node ID -> arena offset
-	edges   []Edge          // edge ID i lives at arena offset i-1
-	out     [][]int32       // node arena offset -> outgoing edge offsets
-	in      [][]int32       // node arena offset -> incoming edge offsets
+	nodes   []Node    // node ID i lives at arena offset i-1
+	edges   []Edge    // edge ID i lives at arena offset i-1
+	out     [][]int32 // node arena offset -> outgoing edge offsets
+	in      [][]int32 // node arena offset -> incoming edge offsets
 	byLabel map[string][]int64
-	// propIndex[label][prop][value] -> node IDs. Values are used as map
-	// keys directly (the Value struct is comparable), so inserts and
-	// probes allocate no key representation.
-	propIndex map[string]map[string]map[Value][]int64
-	// lazyProp registers (label, prop) pairs whose property index is
-	// declared but not yet built: a segment restore defers the map
-	// construction to the first probe (see ensurePropIndex), keeping
-	// recovery O(arenas). Guarded by mu like propIndex.
-	lazyProp map[string]map[string]bool
-	nextNode int64
 	// adjArena is the spare backing store new adjacency lists are carved
 	// from (see appendAdj); it keeps per-edge ingest allocation-free for
 	// the dominant low-degree nodes.
@@ -132,45 +144,19 @@ type Graph struct {
 	// pubIn chunk ci must be re-cloned. Writer-only, like the arenas.
 	dirtyPubOut, dirtyPubIn []uint64
 
-	// labelUnsorted marks labels whose byLabel list received an
-	// out-of-order node ID. Until then the list is ascending-sorted
-	// (AddNode assigns increasing IDs; stores mirror ascending entity IDs)
-	// and anchor enumeration can merge-intersect it against the sorted
-	// binding ID lists the TBQL scheduler feeds forward, instead of
-	// checking each candidate's label one node lookup at a time.
-	labelUnsorted map[string]bool
-
-	// mu synchronizes the map structures (nodeIdx, byLabel, propIndex,
-	// labelUnsorted) between the single writer and snapshot-view readers:
-	// node inserts, rollbacks, and index builds take the write lock; view
-	// probes take the read lock (see view.go). Live queries run on the
-	// writer's own goroutine and need no locking; edge appends mutate no
-	// map a view reads and stay lock-free.
+	// mu synchronizes byLabel between the single writer and snapshot-view
+	// readers: node inserts and rollbacks take the write lock, view label
+	// probes the read lock (see view.go). Live queries run on the writer's
+	// own goroutine and need no locking; edge appends mutate no map a view
+	// reads and stay lock-free. Because IDs are dense and ascending, every
+	// label list is sorted, so anchor enumeration can merge-intersect it
+	// against the sorted binding ID lists the TBQL scheduler feeds forward.
 	mu sync.RWMutex
-
-	// idsDense records that every node's ID equals its arena offset + 1
-	// (the engine mirrors dense ascending entity IDs). Views exploit it to
-	// resolve nodes without the locked nodeIdx probe.
-	idsDense bool
-
-	// idxBase counts the restored dense node prefix that nodeIdx does NOT
-	// cover: a segment restore installs nodes 1..idxBase without map
-	// entries, and offsetOf computes their offsets. Zero for graphs built
-	// by inserts.
-	idxBase int
-	// propFn resolves properties of restored bag-less nodes (see
-	// PropResolver). Set once at restore, immutable, read lock-free.
-	propFn PropResolver
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		nodeIdx:   make(map[int64]int32),
-		byLabel:   make(map[string][]int64),
-		propIndex: make(map[string]map[string]map[Value][]int64),
-		idsDense:  true,
-	}
+	return &Graph{byLabel: make(map[string][]int64)}
 }
 
 // ReserveNodes preallocates arena capacity for n additional nodes. Growth
@@ -205,53 +191,30 @@ func (g *Graph) ReserveEdges(n int) {
 	}
 }
 
-func (g *Graph) addNode(id int64, label string, props Props) {
+// AddNode inserts a node and returns its ID, the next dense ID.
+func (g *Graph) AddNode(label string, attrs Attrs) int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if id != int64(len(g.nodes))+1 {
-		g.idsDense = false
-	}
 	ni := int32(len(g.nodes))
-	g.nodeIdx[id] = ni
-	g.nodes = append(g.nodes, Node{ID: id, Label: label, Props: props})
+	id := int64(ni) + 1
+	g.nodes = append(g.nodes, Node{Label: label, Attrs: attrs})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	markAdjChunkDirty(&g.dirtyPubOut, ni)
 	markAdjChunkDirty(&g.dirtyPubIn, ni)
-	if l := g.byLabel[label]; len(l) > 0 && l[len(l)-1] > id && !g.labelUnsorted[label] {
-		if g.labelUnsorted == nil {
-			g.labelUnsorted = make(map[string]bool)
-		}
-		g.labelUnsorted[label] = true
-	}
 	g.byLabel[label] = append(g.byLabel[label], id)
-	if byProp, ok := g.propIndex[label]; ok {
-		for prop, vals := range byProp {
-			if v, has := props[prop]; has {
-				vals[v] = append(vals[v], id)
-			}
-		}
-	}
-}
-
-// AddNode inserts a node and returns its ID.
-func (g *Graph) AddNode(label string, props Props) int64 {
-	g.nextNode++
-	id := g.nextNode
-	g.addNode(id, label, props)
 	return id
 }
 
-// AddNodeWithID inserts a node with a caller-chosen ID (used when mirroring
-// entity IDs from the relational store). It panics on duplicate IDs.
-func (g *Graph) AddNodeWithID(id int64, label string, props Props) {
-	if _, dup := g.offsetOf(id); dup {
-		panic(fmt.Sprintf("graphdb: duplicate node id %d", id))
+// AddNodeWithID inserts a node under a caller-chosen ID (used when
+// mirroring entity IDs from the relational store). The ID must be the
+// next dense one.
+func (g *Graph) AddNodeWithID(id int64, label string, attrs Attrs) error {
+	if next := int64(len(g.nodes)) + 1; id != next {
+		return fmt.Errorf("graphdb: node id %d is not the next id %d", id, next)
 	}
-	if id > g.nextNode {
-		g.nextNode = id
-	}
-	g.addNode(id, label, props)
+	g.AddNode(label, attrs)
+	return nil
 }
 
 // AddEdge inserts a directed edge and returns its ID. Both endpoints must
@@ -453,10 +416,8 @@ func (g *Graph) ensureAdjSorted() {
 // Mark captures the graph's append high-water marks so a failed batch
 // append can be rolled back with Rollback.
 type Mark struct {
-	nodes    int
-	edges    int
-	nextNode int64
-	idsDense bool
+	nodes int
+	edges int
 }
 
 // Mark returns the current append high-water marks. Take it immediately
@@ -465,15 +426,15 @@ type Mark struct {
 // before the mark may be read throughout — they never cover the elements
 // a rollback removes.
 func (g *Graph) Mark() Mark {
-	return Mark{nodes: len(g.nodes), edges: len(g.edges), nextNode: g.nextNode, idsDense: g.idsDense}
+	return Mark{nodes: len(g.nodes), edges: len(g.edges)}
 }
 
 // Rollback removes every node and edge appended since the mark, restoring
-// the arenas, adjacency lists, label lists, property indexes, and ID
-// high-water mark. It relies on append-only tails: adjacency, label, and
-// property-index lists only ever append between Mark and Rollback (lazy
-// adjacency re-sorts happen on query entry, and queries are excluded), so
-// the appended suffix of each list is exactly what must be popped.
+// the arenas, adjacency lists and label lists. It relies on append-only
+// tails: adjacency and label lists only ever append between Mark and
+// Rollback (lazy adjacency re-sorts happen on query entry, and queries are
+// excluded), so the appended suffix of each list is exactly what must be
+// popped.
 func (g *Graph) Rollback(m Mark) {
 	// Pop edges newest-first so each one sits at the tail of its
 	// endpoints' adjacency lists when removed.
@@ -493,35 +454,19 @@ func (g *Graph) Rollback(m Mark) {
 	}
 	g.edges = g.edges[:m.edges]
 
-	// Pop nodes newest-first: label and property-index lists appended the
-	// IDs in insertion order, so each removed ID is a list tail. The map
-	// mutations take the write lock so concurrent view probes never see a
-	// half-popped index (the popped entries are all post-capture IDs, so
-	// views lose nothing they covered).
+	// Pop nodes newest-first: label lists appended the IDs in insertion
+	// order, so each removed ID is a list tail. The map mutations take the
+	// write lock so concurrent view probes never see a half-popped list
+	// (the popped entries are all post-capture IDs, so views lose nothing
+	// they covered).
 	g.mu.Lock()
 	for ni := len(g.nodes) - 1; ni >= m.nodes; ni-- {
 		n := &g.nodes[ni]
-		delete(g.nodeIdx, n.ID)
-		if l := g.byLabel[n.Label]; len(l) > 0 && l[len(l)-1] == n.ID {
+		if l := g.byLabel[n.Label]; len(l) > 0 && l[len(l)-1] == int64(ni)+1 {
 			if len(l) == 1 {
 				delete(g.byLabel, n.Label)
 			} else {
 				g.byLabel[n.Label] = l[:len(l)-1]
-			}
-		}
-		if byProp, ok := g.propIndex[n.Label]; ok {
-			for prop, vals := range byProp {
-				v, has := g.nodeProp(n, prop)
-				if !has {
-					continue
-				}
-				if l := vals[v]; len(l) > 0 && l[len(l)-1] == n.ID {
-					if len(l) == 1 {
-						delete(vals, v)
-					} else {
-						vals[v] = l[:len(l)-1]
-					}
-				}
 			}
 		}
 		*n = Node{}
@@ -529,8 +474,6 @@ func (g *Graph) Rollback(m Mark) {
 	g.nodes = g.nodes[:m.nodes]
 	g.out = g.out[:m.nodes]
 	g.in = g.in[:m.nodes]
-	g.nextNode = m.nextNode
-	g.idsDense = m.idsDense
 	g.mu.Unlock()
 
 	// Dirty-list entries for removed nodes would make the next lazy
@@ -550,31 +493,13 @@ func (g *Graph) Rollback(m Mark) {
 	g.sortMu.Unlock()
 }
 
-// CreateIndex builds a property index on (label, prop) over existing and
-// future nodes. It may be called from a reader goroutine (lazy builds
-// triggered by a probe); the write lock excludes the writer's map and
-// arena mutations for the duration.
-func (g *Graph) CreateIndex(label, prop string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if m := g.lazyProp[label]; m != nil {
-		delete(m, prop)
+// offsetOf resolves a node ID to its arena offset: IDs are dense, so it
+// is a bounds check.
+func (g *Graph) offsetOf(id int64) (int32, bool) {
+	if id < 1 || id > int64(len(g.nodes)) {
+		return 0, false
 	}
-	byProp, ok := g.propIndex[label]
-	if !ok {
-		byProp = make(map[string]map[Value][]int64)
-		g.propIndex[label] = byProp
-	}
-	if _, exists := byProp[prop]; exists {
-		return
-	}
-	vals := make(map[Value][]int64)
-	for _, id := range g.byLabel[label] {
-		if v, has := g.nodeProp(g.node(id), prop); has {
-			vals[v] = append(vals[v], id)
-		}
-	}
-	byProp[prop] = vals
+	return int32(id - 1), true
 }
 
 // node returns a pointer into the node arena, or nil. The pointer is
@@ -611,16 +536,14 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // NodesByLabel returns the IDs of all nodes with the label.
 func (g *Graph) NodesByLabel(label string) []int64 { return g.byLabel[label] }
 
-// sortedLabelIDs returns the node IDs of the label when they are usable
-// for sorted intersection: the label must resolve to exactly one stored
-// label under the case-insensitive match bindNode applies (EqualFold),
-// and that list must still be ascending-sorted (no out-of-order insert).
-// Any ambiguity or mismatch returns ok=false and the caller falls back
-// to per-candidate bindNode checks — never a semantic change, only a
-// lost shortcut.
+// sortedLabelIDs returns the ascending node IDs of the label for sorted
+// intersection: the label must resolve to exactly one stored label under
+// the case-insensitive match bindNode applies (EqualFold). Ambiguity
+// returns ok=false and the caller falls back to per-candidate bindNode
+// checks — never a semantic change, only a lost shortcut.
 func (g *Graph) sortedLabelIDs(label string) ([]int64, bool) {
 	found, ok := g.resolveLabelLocked(label)
-	if !ok || g.labelUnsorted[found] {
+	if !ok {
 		return nil, false
 	}
 	return g.byLabel[found], true
@@ -679,11 +602,14 @@ func intersectSortedIDs(a, b, dst []int64) []int64 {
 	return dst
 }
 
-// AllNodeIDs returns every node ID in insertion order.
-func (g *Graph) AllNodeIDs() []int64 {
-	out := make([]int64, len(g.nodes))
-	for i := range g.nodes {
-		out[i] = g.nodes[i].ID
+// AllNodeIDs returns every node ID in ascending order.
+func (g *Graph) AllNodeIDs() []int64 { return denseIDs(len(g.nodes)) }
+
+// denseIDs returns the node IDs 1..n.
+func denseIDs(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i) + 1
 	}
 	return out
 }
@@ -737,34 +663,4 @@ func windowSliceIn(edges []Edge, adj []int32, lo, hi int64) []int32 {
 		return nil
 	}
 	return adj[start:end]
-}
-
-// lookupIndexed returns node IDs where label.prop == v, and whether an
-// index served the lookup. The probe takes the read lock: a lazily
-// declared index may be materialized by any goroutine's first probe, so
-// propIndex reads are no longer writer-exclusive.
-func (g *Graph) lookupIndexed(label, prop string, v Value) ([]int64, bool) {
-	g.ensurePropIndex(label, prop)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	byProp, ok := g.propIndex[label]
-	if !ok {
-		return nil, false
-	}
-	vals, ok := byProp[prop]
-	if !ok {
-		return nil, false
-	}
-	return vals[v], true
-}
-
-// ensurePropIndex materializes a lazily declared property index the
-// first time it is probed.
-func (g *Graph) ensurePropIndex(label, prop string) {
-	g.mu.RLock()
-	pending := g.lazyProp[label][prop]
-	g.mu.RUnlock()
-	if pending {
-		g.CreateIndex(label, prop)
-	}
 }

@@ -227,44 +227,34 @@ func TestDistinctAndLimit(t *testing.T) {
 	}
 }
 
-func TestPropertyIndexUsed(t *testing.T) {
-	g, _ := newAttackGraph(t)
-	g.CreateIndex("Process", "exename")
-	_, stats, err := g.QueryStats(`MATCH (p:Process {exename: '/bin/tar'})-[e]->(o) RETURN o.name`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.IndexLookups == 0 {
-		t.Fatalf("anchor should use property index: %+v", stats)
-	}
-}
-
-func TestIndexMaintainedOnInsert(t *testing.T) {
-	g := NewGraph()
-	g.CreateIndex("F", "name")
-	g.AddNode("F", Props{"name": str("x")})
-	ids, ok := g.lookupIndexed("F", "name", str("x"))
-	if !ok || len(ids) != 1 {
-		t.Fatalf("index not maintained: %v %v", ids, ok)
-	}
-}
-
 func TestAddNodeWithID(t *testing.T) {
 	g := NewGraph()
-	g.AddNodeWithID(42, "F", Props{"name": str("x")})
-	if g.Node(42) == nil {
-		t.Fatal("node 42 missing")
+	if err := g.AddNodeWithID(1, "F", Props{"name": str("x")}); err != nil {
+		t.Fatal(err)
 	}
-	id := g.AddNode("F", Props{})
-	if id <= 42 {
-		t.Fatalf("auto IDs must not collide with explicit IDs: %d", id)
+	if n := g.Node(1); n == nil || n.Label != "F" {
+		t.Fatalf("node 1 = %+v", n)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate explicit ID must panic")
+	if id := g.AddNode("F", nil); id != 2 {
+		t.Fatalf("AddNode must take the next dense ID, got %d", id)
+	}
+	for _, id := range []int64{0, 1, 2, 4, 42} {
+		if err := g.AddNodeWithID(id, "F", nil); err == nil {
+			t.Fatalf("ID %d is not the next ID (3): want an error", id)
 		}
-	}()
-	g.AddNodeWithID(42, "F", Props{})
+	}
+	if g.NumNodes() != 2 || g.Node(3) != nil {
+		t.Fatalf("a refused insert must leave the graph unchanged: %d nodes", g.NumNodes())
+	}
+	if err := g.AddNodeWithID(3, "G", nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := g.Node(1).Prop("name"); !ok || v.S != "x" {
+		t.Fatalf("node 1 name = %v %v", v, ok)
+	}
+	if _, ok := g.Node(3).Prop("name"); ok {
+		t.Fatal("a node without attributes has none")
+	}
 }
 
 func TestQueryErrors(t *testing.T) {

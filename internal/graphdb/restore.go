@@ -1,58 +1,19 @@
 package graphdb
 
 // Segment restore: a graph is rebuilt from a durable columnar image by
-// adopting arenas directly — node structs without property bags
-// (properties resolve through a read-only callback into the restored
-// entity slab), the edge arena from event columns, and adjacency as
-// subslices of the dumped CSR arrays. Nothing here replays per-element
-// inserts, which is what makes opening a segment-backed store cheap.
+// adopting arenas directly — the node arena from labels and attribute
+// sources (the same shape inserted nodes have: the engine points every
+// node at its immutable entity, however the store was built), the edge
+// arena from event columns, and adjacency as subslices of the dumped CSR
+// arrays. Nothing here replays per-element inserts, which is what makes
+// opening a segment-backed store cheap.
 
 import "fmt"
 
-// PropResolver resolves a property of a restored node by node ID. It
-// must be pure and safe for concurrent use (it is called lock-free from
-// live queries and published views alike); the graph installs it once
-// at restore and never changes it.
-type PropResolver func(id int64, key string) (Value, bool)
-
-// nodeProp reads a node property: materialized bags win, and bag-less
-// restored nodes (ID within the restored prefix) resolve through the
-// installed resolver.
-func (g *Graph) nodeProp(n *Node, key string) (Value, bool) {
-	if n.Props != nil {
-		v, ok := n.Props[key]
-		return v, ok
-	}
-	if g.propFn != nil && n.ID >= 1 && n.ID <= int64(g.idxBase) {
-		return g.propFn(n.ID, key)
-	}
-	return Value{}, false
-}
-
-// offsetOf resolves a node ID to its arena offset. Dense graphs (the
-// engine's, restored or not) compute it; sparse graphs probe the index
-// map, falling back to the restored dense prefix, which is never in the
-// map.
-func (g *Graph) offsetOf(id int64) (int32, bool) {
-	if g.idsDense {
-		if id < 1 || id > int64(len(g.nodes)) {
-			return 0, false
-		}
-		return int32(id - 1), true
-	}
-	if i, ok := g.nodeIdx[id]; ok {
-		return i, true
-	}
-	if id >= 1 && id <= int64(g.idxBase) {
-		return int32(id - 1), true
-	}
-	return 0, false
-}
-
 // RestoreNodes installs the node arena for a restored graph: node i
-// (ID i+1) gets labels[i] and a nil property bag resolved through
-// propFn. The graph must be freshly created and empty.
-func (g *Graph) RestoreNodes(labels []string, propFn PropResolver) error {
+// (ID i+1) gets labels[i] and attrs(i). The graph must be freshly created
+// and empty.
+func (g *Graph) RestoreNodes(labels []string, attrs func(i int) Attrs) error {
 	if len(g.nodes) != 0 {
 		return fmt.Errorf("graphdb: restore into non-empty graph")
 	}
@@ -94,7 +55,7 @@ count:
 	}
 	for i, l := range labels {
 		id := int64(i) + 1
-		g.nodes[i] = Node{ID: id, Label: l}
+		g.nodes[i] = Node{Label: l, Attrs: attrs(i)}
 		if perLabel[last].l != l {
 			for j := range perLabel {
 				if perLabel[j].l == l {
@@ -110,9 +71,6 @@ count:
 	}
 	g.out = make([][]int32, n)
 	g.in = make([][]int32, n)
-	g.nextNode = int64(n)
-	g.idxBase = n
-	g.propFn = propFn
 	return nil
 }
 
@@ -180,23 +138,4 @@ func (g *Graph) RestoreAdjacency(outNodes, outCounts, out, inNodes, inCounts, in
 		return err
 	}
 	return fill(g.in, inNodes, inCounts, in)
-}
-
-// RestorePropIndexLazy declares a property index on (label, prop)
-// without building it: the first probe materializes it via CreateIndex.
-// Restores use this because building the value maps is the single most
-// expensive part of reopening a store, while most recoveries serve
-// their first hunt well after startup.
-func (g *Graph) RestorePropIndexLazy(label, prop string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.lazyProp == nil {
-		g.lazyProp = make(map[string]map[string]bool)
-	}
-	m := g.lazyProp[label]
-	if m == nil {
-		m = make(map[string]bool)
-		g.lazyProp[label] = m
-	}
-	m[prop] = true
 }

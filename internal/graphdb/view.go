@@ -18,13 +18,11 @@ package graphdb
 // beyond the captured lengths or relocate the backing arrays (prefix
 // preserved), so view reads touch no memory the writer mutates.
 //
-// The shared map structures (nodeIdx, byLabel, propIndex, labelUnsorted)
-// are probed under the graph's RWMutex, which the writer takes for map
-// mutations; list results are trimmed (sorted lists) or filtered (copies)
-// to the view's node-ID high-water mark. Concurrent views assume node IDs
-// are inserted in increasing order — the engine mirrors dense ascending
-// entity IDs, so views over engine stores additionally resolve nodes with
-// a direct offset computation instead of a map probe.
+// Node IDs are dense (arena offset + 1), so a view resolves a node with a
+// bounds check against its captured arena. The one shared map, byLabel,
+// is probed under the graph's RWMutex, which the writer takes for map
+// mutations; its ascending label lists are trimmed to the captured node
+// count.
 type View struct {
 	g     *Graph
 	nodes []Node
@@ -34,12 +32,6 @@ type View struct {
 	// ni&(adjChunkSize-1). Clean chunks are shared across captures.
 	out [][][]int32
 	in  [][][]int32
-	// maxNodeID is the node-ID high-water mark at capture: IDs above it
-	// were assigned after the view and are filtered out of index probes.
-	maxNodeID int64
-	// dense records that node IDs were arena offset + 1 at capture, making
-	// node resolution a bounds check instead of a locked map probe.
-	dense bool
 }
 
 // Capture fills v with an immutable view of g taken at the current arena
@@ -52,8 +44,6 @@ func (v *View) Capture(g *Graph) {
 	v.nodes = g.nodes
 	v.edges = g.edges
 	v.out, v.in = g.publishAdj()
-	v.maxNodeID = g.nextNode
-	v.dense = g.idsDense
 }
 
 // NumNodes and NumEdges report the captured arena sizes.
@@ -72,23 +62,10 @@ func (v *View) node(id int64) *Node {
 
 // nodeOffset resolves a node ID to its arena offset inside the view.
 func (v *View) nodeOffset(id int64) (int32, bool) {
-	if v.dense {
-		if id < 1 || id > int64(len(v.nodes)) {
-			return 0, false
-		}
-		return int32(id - 1), true
-	}
-	v.g.mu.RLock()
-	off, ok := v.g.nodeIdx[id]
-	v.g.mu.RUnlock()
-	if !ok && id >= 1 && id <= int64(v.g.idxBase) {
-		// Restored dense prefix: never in nodeIdx, offset computed.
-		off, ok = int32(id-1), true
-	}
-	if !ok || int(off) >= len(v.nodes) {
+	if id < 1 || id > int64(len(v.nodes)) {
 		return 0, false
 	}
-	return off, true
+	return int32(id - 1), true
 }
 
 // outOffsets and inOffsets return the captured adjacency of a node.
@@ -108,74 +85,32 @@ func (v *View) inOffsets(id int64) []int32 {
 	return v.in[off>>adjChunkShift][off&(adjChunkSize-1)]
 }
 
-// labelIDs returns the view's node IDs for a label. Sorted label lists
-// trim to the captured prefix in place (the returned header is immutable
-// after unlock); unsorted lists filter into a fresh slice under the lock.
+// labelIDs returns the view's node IDs for a label: the ascending list
+// trimmed to the captured prefix (the returned header is immutable after
+// unlock).
 func (v *View) labelIDs(label string) []int64 {
 	g := v.g
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	l := g.byLabel[label]
-	if g.labelUnsorted[label] {
-		out := make([]int64, 0, len(l))
-		for _, id := range l {
-			if id <= v.maxNodeID {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	return trimSortedIDs(l, v.maxNodeID)
+	return trimSortedIDs(g.byLabel[label], int64(len(v.nodes)))
 }
 
 // sortedLabelIDs is the view-mode counterpart of Graph.sortedLabelIDs:
 // the label's ascending ID list trimmed to the capture, or ok=false when
-// the label is ambiguous under case folding or its list lost sortedness.
+// the label is ambiguous under case folding.
 func (v *View) sortedLabelIDs(label string) ([]int64, bool) {
 	g := v.g
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	found, ok := g.resolveLabelLocked(label)
-	if !ok || g.labelUnsorted[found] {
-		return nil, false
-	}
-	return trimSortedIDs(g.byLabel[found], v.maxNodeID), true
-}
-
-// lookupIndexed probes a property index inside the view. The matching IDs
-// are filtered into a fresh slice under the lock: property-index lists
-// carry no sortedness flag, so the trim cannot assume order.
-func (v *View) lookupIndexed(label, prop string, val Value) ([]int64, bool) {
-	g := v.g
-	g.ensurePropIndex(label, prop)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	byProp, ok := g.propIndex[label]
 	if !ok {
 		return nil, false
 	}
-	vals, ok := byProp[prop]
-	if !ok {
-		return nil, false
-	}
-	l := vals[val]
-	out := make([]int64, 0, len(l))
-	for _, id := range l {
-		if id <= v.maxNodeID {
-			out = append(out, id)
-		}
-	}
-	return out, true
+	return trimSortedIDs(g.byLabel[found], int64(len(v.nodes))), true
 }
 
-// allNodeIDs returns every captured node ID in insertion order.
-func (v *View) allNodeIDs() []int64 {
-	out := make([]int64, len(v.nodes))
-	for i := range v.nodes {
-		out[i] = v.nodes[i].ID
-	}
-	return out
-}
+// allNodeIDs returns every captured node ID in ascending order.
+func (v *View) allNodeIDs() []int64 { return denseIDs(len(v.nodes)) }
 
 // trimSortedIDs returns the prefix of an ascending ID list whose entries
 // are <= maxID.

@@ -233,7 +233,7 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 			if err := sh.AppendBatch(nil, append([]audit.Event(nil), events[split:]...)); err != nil {
 				t.Fatalf("%s append: %v", cfg.name, err)
 			}
-			if got, wantN := sh.NextEventID(), full.NextEventID(); got != wantN {
+			if got, wantN := sh.Global().NextEventID(), full.NextEventID(); got != wantN {
 				t.Fatalf("%s frontier %d, want %d", cfg.name, got, wantN)
 			}
 			sres, _, err := sh.ExecuteDelta(nil, a, floor)
@@ -292,7 +292,7 @@ func TestShardedAppendFaultRollback(t *testing.T) {
 	}
 	// The unwind must leave no published trace: frontier back at the
 	// start, zero events globally and in every partition.
-	if got := sh.NextEventID(); got != 1 {
+	if got := sh.Global().NextEventID(); got != 1 {
 		t.Fatalf("frontier after rollback = %d, want 1", got)
 	}
 	v := sh.View()
@@ -319,7 +319,7 @@ func TestShardedAppendFaultRollback(t *testing.T) {
 	if err := twin.AppendBatch(nil, batch(mid, len(gen.Log.Events))); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := sh.NextEventID(), twin.NextEventID(); a != b {
+	if a, b := sh.Global().NextEventID(), twin.Global().NextEventID(); a != b {
 		t.Fatalf("frontier diverged: %d vs twin %d", a, b)
 	}
 	if !reflect.DeepEqual(sh.Global().Log.Events, twin.Global().Log.Events) {

@@ -69,7 +69,7 @@ func OpenImages(imgs []segment.RoleImage, shards int, part Partitioner) (*Store,
 	s := &Store{
 		part:         part,
 		global:       global,
-		globalEngine: &engine.Engine{Store: global, ViewHighWater: -1},
+		globalEngine: &engine.Engine{Store: global},
 		shards:       make([]*partition, shards),
 	}
 	for i := 0; i < shards; i++ {
@@ -82,10 +82,8 @@ func OpenImages(imgs []segment.RoleImage, shards int, part Partitioner) (*Store,
 			return nil, fmt.Errorf("shard: partition %d: %w", i, err)
 		}
 		s.shards[i] = &partition{
-			store: st,
-			// Same engine policy New uses: partition engines never
-			// materialize standing-query views.
-			engine: &engine.Engine{Store: st, ViewHighWater: -1},
+			store:  st,
+			engine: &engine.Engine{Store: st},
 			opMask: maskOf(st.Log.Events),
 		}
 	}

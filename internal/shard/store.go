@@ -7,7 +7,6 @@ import (
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/engine"
-	"threatraptor/internal/tactical"
 )
 
 // Store is the sharded store coordinator: the authoritative global store
@@ -91,7 +90,7 @@ func New(log *audit.Log, n int, part Partitioner) (*Store, error) {
 	s := &Store{
 		part:         part,
 		global:       global,
-		globalEngine: &engine.Engine{Store: global, ViewHighWater: -1},
+		globalEngine: &engine.Engine{Store: global},
 		shards:       make([]*partition, n),
 		fanout:       make([]atomic.Int64, n+1),
 	}
@@ -102,13 +101,12 @@ func New(log *audit.Log, n int, part Partitioner) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Partition engines only answer scattered data queries (see
+		// scatter), so they never hold standing-query views: a
+		// per-partition view would miss cross-shard bindings.
 		s.shards[i] = &partition{
-			store: st,
-			// Partition engines never materialize standing-query views:
-			// a per-partition view would join delta rows only against
-			// local history and miss cross-shard bindings. The
-			// coordinator's delta rounds scatter recompute queries.
-			engine: &engine.Engine{Store: st, ViewHighWater: -1},
+			store:  st,
+			engine: &engine.Engine{Store: st},
 			opMask: maskOf(buckets[i]),
 		}
 	}
@@ -231,25 +229,11 @@ func (s *Store) Global() *engine.Store { return s.global }
 // authoritative store for snapshot readers).
 func (s *Store) GlobalStore() *engine.Store { return s.global }
 
-// EntityTable returns the shared entity intern table (global IDs).
-func (s *Store) EntityTable() *audit.EntityTable { return s.global.Log.Entities }
-
-// NextEventID returns the global event-ID frontier. Writer-side (callers
-// serialize against AppendBatch, as the stream session does).
-func (s *Store) NextEventID() int64 { return s.global.NextEventID() }
-
 // Shards returns the partition count.
 func (s *Store) Shards() int { return len(s.shards) }
 
 // PartitionerName names the routing function ("hash", "host", ...).
 func (s *Store) PartitionerName() string { return s.part.Name() }
-
-// TacticalSource returns the tactical layer's event source: the global
-// snapshot, whose event order, adjacency, and op index are exactly the
-// unsharded store's.
-func (s *Store) TacticalSource() tactical.Source {
-	return tactical.SnapSource{Snap: s.global.Snapshot()}
-}
 
 // ShardMetrics is one partition's operational summary.
 type ShardMetrics struct {

@@ -17,20 +17,16 @@ import (
 // standing-query dedup/quarantine, tactical rounds — is identical over
 // both; only where appends land and how queries execute differs.
 //
-// Writer methods (NextEventID, AppendBatch) are called under the
-// session's write lock and need no internal synchronization against each
-// other; the query methods must be safe to call concurrently with an
-// append, which both implementations get by pinning published snapshots.
+// AppendBatch is called under the session's write lock; the query methods
+// must be safe to call concurrently with an append, which both
+// implementations get by pinning published snapshots. The entity table,
+// event-ID frontier and tactical source are the global store's; the
+// session derives them from GlobalStore.
 type Backend interface {
 	// GlobalStore returns the authoritative store: the store itself for
 	// the engine backend, the global (unsharded-equivalent) store for a
 	// sharded one. Snapshot readers (provenance, fuzzy, debug) use it.
 	GlobalStore() *engine.Store
-	// EntityTable is the shared entity intern table the session's parser
-	// writes into; entity IDs are global.
-	EntityTable() *audit.EntityTable
-	// NextEventID is the event-ID frontier (the next delta floor).
-	NextEventID() int64
 	// AppendBatch appends one sealed batch atomically (all stores move,
 	// or none).
 	AppendBatch(entities []*audit.Entity, events []audit.Event) error
@@ -43,9 +39,13 @@ type Backend interface {
 	ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*engine.Result, engine.Stats, error)
 	// DropViews releases any per-query match caches (no-op backends ok).
 	DropViews(a *tbql.Analyzed)
-	// TacticalSource returns the tactical layer's view of current state;
-	// called after each successful append, under the write lock.
-	TacticalSource() tactical.Source
+}
+
+// tacticalSource is the tactical layer's view of a backend's current
+// state: the global store's published snapshot, whose event order,
+// adjacency and op index are exactly the unsharded store's.
+func tacticalSource(b Backend) tactical.Source {
+	return tactical.SnapSource{Snap: b.GlobalStore().Snapshot()}
 }
 
 // engineBackend adapts the classic single store + engine pair.
@@ -69,9 +69,7 @@ func (b engineBackend) DumpRange(_ int, from segment.Base) *segment.Image {
 // Topology reports the unsharded layout.
 func (b engineBackend) Topology() segment.Topology { return segment.Topology{} }
 
-func (b engineBackend) GlobalStore() *engine.Store      { return b.store }
-func (b engineBackend) EntityTable() *audit.EntityTable { return b.store.Log.Entities }
-func (b engineBackend) NextEventID() int64              { return b.store.NextEventID() }
+func (b engineBackend) GlobalStore() *engine.Store { return b.store }
 func (b engineBackend) AppendBatch(entities []*audit.Entity, events []audit.Event) error {
 	return b.store.AppendBatch(entities, events)
 }
@@ -82,6 +80,3 @@ func (b engineBackend) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEv
 	return b.en.ExecuteDelta(ctx, a, minEventID)
 }
 func (b engineBackend) DropViews(a *tbql.Analyzed) { b.en.DropViews(a) }
-func (b engineBackend) TacticalSource() tactical.Source {
-	return tactical.SnapSource{Snap: b.store.Snapshot()}
-}

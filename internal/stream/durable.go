@@ -407,7 +407,7 @@ func OpenDurable(
 		rs.DroppedFrames = res.Dropped
 		for _, rec := range res.Records {
 			for _, e := range rec.Entities {
-				if err := backend.EntityTable().AdoptNew(e); err != nil {
+				if err := backend.GlobalStore().Log.Entities.AdoptNew(e); err != nil {
 					return nil, rs, fmt.Errorf("stream: wal replay seq %d: %w", rec.Seq, err)
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,6 +245,61 @@ func TestSlowConsumerNeverStallsIngestion(t *testing.T) {
 	}
 	if delivered+dropped != n {
 		t.Fatalf("delivered %d + dropped %d != %d firings", delivered, dropped, n)
+	}
+}
+
+// TestIncidentSubDroppedDuringDelivery (run under -race in CI): Dropped
+// is read from another goroutine while a lagging incident subscriber
+// drops updates during ingestion, and every alert round is either
+// delivered or counted.
+func TestIncidentSubDroppedDuringDelivery(t *testing.T) {
+	var alertRounds atomic.Int64
+	cfg := DefaultConfig()
+	cfg.Tactical = tactical.Config{Rules: chaosRules(t)}
+	cfg.OnTacticalRound = func(_ time.Duration, rs tactical.RoundStats) {
+		if rs.Alerts > 0 {
+			alertRounds.Add(1)
+		}
+	}
+	sess, _ := emptySession(t, cfg)
+	sub, err := sess.WatchIncidents(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var polled sync.WaitGroup
+	polled.Add(1)
+	go func() {
+		defer polled.Done()
+		for {
+			_ = sub.Dropped()
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	const n = 30
+	for i := 0; i < n; i++ {
+		// Every record reads a credential file: each sealed batch tags.
+		line := readLine(int64(i+1)*2_000_000, 300+i, fmt.Sprintf("/bin/tool%d", i), fmt.Sprintf("/etc/secret%d", i))
+		if _, err := sess.Ingest(bytes.NewBufferString(line)); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	if _, err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	polled.Wait()
+	delivered := len(sub.C)
+	dropped := sub.Dropped()
+	if dropped == 0 {
+		t.Fatalf("expected drops with a 1-slot buffer and %d alert rounds", alertRounds.Load())
+	}
+	if int64(delivered+dropped) != alertRounds.Load() {
+		t.Fatalf("delivered %d + dropped %d != %d alert rounds", delivered, dropped, alertRounds.Load())
 	}
 }
 

@@ -213,14 +213,15 @@ func New(store *engine.Store, en *engine.Engine, cfg Config) *Session {
 // wraps). The session appends to the backend in place.
 func NewWithBackend(b Backend, cfg Config) *Session {
 	cfg = cfg.withDefaults()
-	parserLog := &audit.Log{Entities: b.EntityTable()}
+	entities := b.GlobalStore().Log.Entities
+	parserLog := &audit.Log{Entities: entities}
 	s := &Session{
 		cfg:          cfg,
 		backend:      b,
 		parser:       audit.NewParserWith(parserLog),
 		parserLog:    parserLog,
 		reducer:      reduction.NewStreamer(reduction.Config{ThresholdUS: cfg.ReductionThresholdUS}, cfg.LatenessUS),
-		lastEntityID: b.EntityTable().MaxID(),
+		lastEntityID: entities.MaxID(),
 		subs:         make(map[int64]*Subscription),
 		incSubs:      make(map[int64]*IncidentSub),
 		readBuf:      make([]byte, 64*1024),
@@ -231,7 +232,7 @@ func NewWithBackend(b Backend, cfg Config) *Session {
 		// log, -demo) holds events no round has seen. One catch-up round
 		// over the published state tags them, so Incidents reflects the
 		// whole store rather than only live-ingested batches.
-		if src := b.TacticalSource(); src.Frontier() > 1 {
+		if src := tacticalSource(b); src.Frontier() > 1 {
 			t0 := time.Now()
 			rs := s.tact.RoundOn(src, 1)
 			if cfg.OnTacticalRound != nil {
@@ -412,11 +413,11 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 		sealed = append(s.replay, sealed...)
 		s.replay = nil
 	}
-	newEntities := s.backend.EntityTable().Since(s.lastEntityID)
+	newEntities := s.Store().Log.Entities.Since(s.lastEntityID)
 	st.EntitiesAdded = len(newEntities)
 
 	if len(sealed) > 0 || len(newEntities) > 0 {
-		deltaFloor := s.backend.NextEventID()
+		deltaFloor := s.Store().NextEventID()
 		if s.dur != nil {
 			// Write-ahead: the batch must be durable (per the fsync policy)
 			// before the in-memory apply. A WAL failure is handled exactly
@@ -440,7 +441,7 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 			// session's durable frontier.
 			s.dur.seq++
 		}
-		s.lastEntityID = s.backend.EntityTable().MaxID()
+		s.lastEntityID = s.Store().Log.Entities.MaxID()
 		if len(sealed) > 0 {
 			s.batch++
 			st.Firings = s.fireLocked(deltaFloor)
@@ -451,7 +452,7 @@ func (s *Session) advanceLocked(flush bool) (IngestStats, error) {
 				// (a failed append returns above and replays later, so
 				// the retried events are tagged exactly once).
 				t0 := time.Now()
-				rs := s.tact.RoundOn(s.backend.TacticalSource(), deltaFloor)
+				rs := s.tact.RoundOn(tacticalSource(s.backend), deltaFloor)
 				st.AlertsTagged = rs.Alerts
 				st.IncidentsOpen = rs.Incidents
 				if rs.Alerts > 0 {

@@ -6,7 +6,11 @@ package stream
 // the session's lifecycle (rounds run in advanceLocked, subscriptions
 // close with the session).
 
-import "threatraptor/internal/tactical"
+import (
+	"sync/atomic"
+
+	"threatraptor/internal/tactical"
+)
 
 // IncidentUpdate is one tactical round's outcome, delivered to incident
 // subscriptions after a sealed batch tagged at least one alert.
@@ -31,13 +35,12 @@ type IncidentSub struct {
 
 	id      int64
 	c       chan IncidentUpdate
-	dropped int
+	dropped atomic.Int64
 }
 
-// Dropped reports updates discarded because the consumer lagged. Reads
-// require no synchronization stronger than the delivery order guarantees:
-// the counter only moves under the session write lock.
-func (s *IncidentSub) Dropped() int { return s.dropped }
+// Dropped reports updates discarded because the consumer lagged. Safe
+// from any goroutine, concurrently with delivery.
+func (s *IncidentSub) Dropped() int { return int(s.dropped.Load()) }
 
 // TacticalEnabled reports whether the session runs tactical rounds (a
 // rule set was configured).
@@ -111,7 +114,7 @@ func (s *Session) notifyIncidentSubsLocked(rs tactical.RoundStats) {
 		select {
 		case sub.c <- upd:
 		default:
-			sub.dropped++
+			sub.dropped.Add(1)
 		}
 	}
 }

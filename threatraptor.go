@@ -343,10 +343,11 @@ func (s *System) Ingest(r io.Reader) (stream.IngestStats, error) {
 	return live.Ingest(r)
 }
 
-// Watch registers a standing TBQL query against the live stream: every
-// sealed batch is evaluated incrementally and previously unseen complete
-// bindings are delivered on the returned subscription's channel. Watch
-// covers the future; use Hunt for history.
+// Watch registers a standing TBQL query against the live stream and runs
+// nothing over history: every sealed batch is evaluated incrementally, and
+// each projected row is delivered on the returned subscription's channel
+// the first time a binding that uses an event sealed after Watch derives
+// it. Use Hunt for history.
 func (s *System) Watch(tbqlSrc string) (*stream.Subscription, error) {
 	live, err := s.Live()
 	if err != nil {
