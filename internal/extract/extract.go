@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -45,15 +46,18 @@ type annTree struct {
 	corefAt map[int]bool    // IOC introduced by coreference (not a mention)
 	verbAt  map[int]string  // token index -> relation verb lemma
 	instrAt map[int]string  // token index -> instrumental verb lemma
-	block   int             // block index, for cross-block ordering
 	skip    bool            // Step 6: no candidate verbs => skip
 }
 
-// globalOffset orders token positions across blocks. Block texts are
-// shorter than 1<<20 bytes in practice; the composite key preserves the
-// (block, offset) lexicographic order.
-func (a *annTree) globalOffset(tokenStart int) int {
-	return a.block<<20 | tokenStart
+// iocOrder returns the token indexes of the tree's IOCs in token order, so
+// every walk over them is independent of map iteration order.
+func (a *annTree) iocOrder() []int {
+	idxs := make([]int, 0, len(a.iocAt))
+	for i := range a.iocAt {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	return idxs
 }
 
 // block is one OSCTI text block with its byte offset in the document.
@@ -98,8 +102,8 @@ func (e *Extractor) Extract(doc string) *Result {
 	start := time.Now()
 	blocks := segmentBlocks(doc)
 	var trees []*annTree
-	for bi, blk := range blocks {
-		trees = append(trees, e.processBlock(bi, blk)...)
+	for _, blk := range blocks {
+		trees = append(trees, e.processBlock(blk)...)
 	}
 
 	// Step 7: coreference resolution. A pronominal subject refers to the
@@ -111,10 +115,11 @@ func (e *Extractor) Extract(doc string) *Result {
 	merged := newMergeTable(e.pipe, e.opts.MergeThreshold)
 	var mentions []ioc.IOC
 	for _, at := range trees {
-		for idx, ic := range at.iocAt {
+		for _, idx := range at.iocOrder() {
 			if at.corefAt[idx] {
 				continue
 			}
+			ic := at.iocAt[idx]
 			merged.add(ic)
 			mentions = append(mentions, ic)
 		}
@@ -126,8 +131,8 @@ func (e *Extractor) Extract(doc string) *Result {
 		if at.skip {
 			continue
 		}
-		for _, ic := range at.iocAt { // coref mentions join merge table too
-			merged.add(ic)
+		for _, idx := range at.iocOrder() { // coref mentions join merge table too
+			merged.add(at.iocAt[idx])
 		}
 		triplets = append(triplets, extractRelations(at)...)
 	}
@@ -145,19 +150,21 @@ func (e *Extractor) Extract(doc string) *Result {
 	}
 }
 
-// processBlock applies Steps 2–6 to one block.
-func (e *Extractor) processBlock(blockIdx int, blk textBlock) []*annTree {
+// processBlock applies Steps 2–6 to one block. Token offsets in the
+// returned trees are byte offsets in the document.
+func (e *Extractor) processBlock(blk textBlock) []*annTree {
 	var deps []*nlp.DepTree
-	iocBySpan := make(map[int]ioc.IOC) // token start offset -> IOC
+	iocBySpan := make(map[int]ioc.IOC) // document offset -> IOC
 
 	if e.opts.IOCProtection {
 		prot, recs := ioc.Protect(blk.text)
 		deps = e.pipe.ProcessTokens(nlp.Tokenize(prot))
+		toDocOffsets(deps, blk.offset, recs)
 		for _, rec := range recs {
 			ic := rec.IOC
 			ic.Start += blk.offset
 			ic.End += blk.offset
-			iocBySpan[rec.Offset] = ic
+			iocBySpan[ic.Start] = ic
 		}
 		// Restore the protected indicators inside the trees (Step 4 tail).
 		for _, d := range deps {
@@ -177,11 +184,11 @@ func (e *Extractor) processBlock(blockIdx int, blk textBlock) []*annTree {
 		// Ablation: general tokenization; only indicators that happen to
 		// align with a single token survive.
 		deps = e.pipe.ProcessTokens(nlp.TokenizeGeneral(blk.text))
+		toDocOffsets(deps, blk.offset, nil)
 		for _, ic := range ioc.Extract(blk.text) {
-			g := ic
-			g.Start += blk.offset
-			g.End += blk.offset
-			iocBySpan[ic.Start] = g
+			ic.Start += blk.offset
+			ic.End += blk.offset
+			iocBySpan[ic.Start] = ic
 		}
 	}
 
@@ -193,7 +200,6 @@ func (e *Extractor) processBlock(blockIdx int, blk textBlock) []*annTree {
 			corefAt: make(map[int]bool),
 			verbAt:  make(map[int]string),
 			instrAt: make(map[int]string),
-			block:   blockIdx,
 		}
 		for i := range d.Tokens {
 			tok := &d.Tokens[i]
@@ -223,6 +229,28 @@ func (e *Extractor) processBlock(blockIdx int, blk textBlock) []*annTree {
 		out = append(out, at)
 	}
 	return out
+}
+
+// toDocOffsets rewrites the token offsets of a block's trees, which index
+// the block's (protected) text, into byte offsets in the document. Each
+// placeholder before an offset shifts it by the length difference between
+// DummyWord and the indicator it replaced; a restored indicator's token
+// lands on the indicator's own span.
+func toDocOffsets(deps []*nlp.DepTree, blockOffset int, recs []ioc.Replacement) {
+	shift := make([]int, len(recs)+1) // shift[k]: growth of the first k placeholders
+	for k, r := range recs {
+		shift[k+1] = shift[k] + len(ioc.DummyWord) - (r.IOC.End - r.IOC.Start)
+	}
+	doc := func(p int) int {
+		k := sort.Search(len(recs), func(k int) bool { return recs[k].Offset >= p })
+		return blockOffset + p - shift[k]
+	}
+	for _, d := range deps {
+		for i := range d.Tokens {
+			tok := &d.Tokens[i]
+			tok.Start, tok.End = doc(tok.Start), doc(tok.End)
+		}
+	}
 }
 
 // resolveCoref links pronominal subjects to the most recent acting IOC

@@ -1,9 +1,14 @@
 package extract
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"threatraptor/internal/cases"
+	"threatraptor/internal/ioc"
 )
 
 // dataLeakReport is the OSCTI text of the paper's Figure 2 (case ra_2).
@@ -244,3 +249,90 @@ func TestExtractDeterministic(t *testing.T) {
 		t.Fatalf("extraction must be deterministic:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// caseReports returns every benchmark and extra case.
+func caseReports() []*cases.Case {
+	return append(cases.All(), cases.Extras()...)
+}
+
+// TestExtractDeterministicOnCaseReports extracts every case report
+// repeatedly: the IOC mentions, their order and the graph's JSON must not
+// change from run to run.
+func TestExtractDeterministicOnCaseReports(t *testing.T) {
+	for _, c := range caseReports() {
+		var firstIOCs []ioc.IOC
+		var firstGraph []byte
+		for run := 0; run < 20; run++ {
+			res := New(DefaultOptions()).Extract(c.Report)
+			graph, err := json.Marshal(res.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				firstIOCs, firstGraph = res.IOCs, graph
+				continue
+			}
+			if !reflect.DeepEqual(res.IOCs, firstIOCs) {
+				t.Fatalf("%s run %d: IOCs\n%v\nvs\n%v", c.ID, run, res.IOCs, firstIOCs)
+			}
+			if string(graph) != string(firstGraph) {
+				t.Fatalf("%s run %d: graph\n%s\nvs\n%s", c.ID, run, graph, firstGraph)
+			}
+		}
+	}
+}
+
+// TestTokenOffsetsAreDocumentOffsets checks that every token of every
+// block, in both tokenization modes, spans its own text in the document.
+// The appended block starts past the report, so block offsets are tested
+// as well as the placeholder shifts inside a block.
+func TestTokenOffsetsAreDocumentOffsets(t *testing.T) {
+	for _, opts := range []Options{DefaultOptions(), {IOCProtection: false}} {
+		ex := New(opts)
+		for _, c := range caseReports() {
+			doc := c.Report + "\n\nThe attacker then used /bin/sh to read /etc/hosts."
+			for _, blk := range segmentBlocks(doc) {
+				for _, at := range ex.processBlock(blk) {
+					for _, tok := range at.tree.Tokens {
+						if got := doc[tok.Start:tok.End]; got != tok.Text {
+							t.Fatalf("%s: token %q at [%d,%d) spans %q", c.ID, tok.Text, tok.Start, tok.End, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEdgeOrderAcrossLongBlock puts a relation 1.5 MiB into the first
+// block: its edge must still precede the second block's.
+func TestEdgeOrderAcrossLongBlock(t *testing.T) {
+	doc := strings.Repeat(" ", 3<<19) + "The attacker used /bin/tar to read /etc/passwd.\n\n" +
+		"Then /bin/bzip2 wrote /tmp/upload.tar.bz2."
+	res := New(DefaultOptions()).Extract(doc)
+	got := edgeSet(res.Graph)
+	first, second := got["/bin/tar read /etc/passwd"], got["/bin/bzip2 write /tmp/upload.tar.bz2"]
+	if len(got) != 2 || first != 1 || second != 2 {
+		t.Fatalf("edges %v, want the first block's edge at seq 1 and the second's at 2\n%s", got, res.Graph)
+	}
+	for _, tr := range res.Triplets { // "read" at "read", "write" at "wrote"
+		if !strings.HasPrefix(doc[tr.VerbOffset:], tr.Verb[:2]) {
+			t.Errorf("verb %q: offset %d points at %.10q", tr.Verb, tr.VerbOffset, doc[tr.VerbOffset:])
+		}
+	}
+}
+
+// BenchmarkExtract runs the whole pipeline over every case report per op.
+func BenchmarkExtract(b *testing.B) {
+	reps := caseReports()
+	ex := New(DefaultOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range reps {
+			benchSink = ex.Extract(c.Report)
+		}
+	}
+}
+
+var benchSink *Result

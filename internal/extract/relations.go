@@ -1,10 +1,6 @@
 package extract
 
-import (
-	"sort"
-
-	"threatraptor/internal/nlp"
-)
+import "threatraptor/internal/nlp"
 
 // extractRelations implements Step 9 of Algorithm 1: for every pair of IOC
 // nodes in a dependency tree, check whether their dependency paths satisfy
@@ -12,11 +8,7 @@ import (
 // then pick the annotated candidate verb closest to the object node as the
 // relation verb.
 func extractRelations(at *annTree) []Triplet {
-	idxs := make([]int, 0, len(at.iocAt))
-	for i := range at.iocAt {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
+	idxs := at.iocOrder()
 
 	var out []Triplet
 	for i := 0; i < len(idxs); i++ {
@@ -278,6 +270,6 @@ func buildTriplet(at *annTree, subj, obj, lca int, objChain []int) (Triplet, boo
 		Subj:       subjIOC,
 		Verb:       at.verbAt[verbIdx],
 		Obj:        objIOC,
-		VerbOffset: at.globalOffset(d.Tokens[verbIdx].Start),
+		VerbOffset: d.Tokens[verbIdx].Start,
 	}, true
 }

@@ -6,6 +6,19 @@
 //
 // The rule set extends the open-source ioc-parser the paper builds on,
 // e.g. distinguishing Linux and Windows file paths.
+//
+// Each rule's regex is the single specification of its indicator: Extract
+// returns exactly what running every regex over the whole text would. It
+// gets there in one scan. The scan splits the text into tokens, maximal
+// runs of bytes other than space, '\n' and '\r', and counts each token's
+// length, ASCII letters, digits and the bytes . / \ : @. A rule declares
+// the counts a token must reach to hold a match (an IPv4 needs three dots
+// and four digits, a URL a colon and two slashes, a hash 32 bytes), and its
+// regex runs only on the tokens that reach them. That trigger must be a
+// necessary condition of the regex, or matches are lost; the differential
+// fuzzer in the tests holds the two paths equal. Registry is the one
+// rule that runs over the whole text, because its keys may contain a
+// space; it runs only when the text contains "HK".
 package ioc
 
 import (
@@ -44,33 +57,63 @@ type IOC struct {
 	End   int
 }
 
-// rule couples a compiled regex with its type and precedence (higher wins
-// on overlaps).
+// rule couples a compiled regex with its type, its precedence (higher
+// wins on overlaps) and the trigger counts every token its regex can match
+// in must reach. need must be a necessary condition of re: a token below
+// it cannot hold a match, so skipping the token changes nothing.
 type rule struct {
 	re   *regexp.Regexp
 	typ  Type
 	prec int
+	need triggers
+	// whole, when set, marks a rule whose match may contain a separator:
+	// its regex runs once over the whole text, and only when the text
+	// contains this literal.
+	whole string
 }
 
 var rules = []rule{
-	{regexp.MustCompile(`\bCVE-\d{4}-\d{4,7}\b`), TypeCVE, 100},
-	{regexp.MustCompile(`\bhttps?://[^\s"'<>\)]+`), TypeURL, 90},
-	{regexp.MustCompile(`\b[A-Fa-f0-9]{64}\b`), TypeSHA256, 85},
-	{regexp.MustCompile(`\b[A-Fa-f0-9]{40}\b`), TypeSHA1, 84},
-	{regexp.MustCompile(`\b[A-Fa-f0-9]{32}\b`), TypeMD5, 83},
-	{regexp.MustCompile(`\b(?:HKEY_[A-Z_]+|HKLM|HKCU|HKCR|HKU)\\[\w\\ .-]+`), TypeRegistry, 80},
-	{regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b`), TypeCIDR, 75},
-	{regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}\b`), TypeIPv4, 70},
-	{regexp.MustCompile(`[\w.+-]+@[\w-]+(?:\.[\w-]+)+`), TypeEmail, 65},
-	{regexp.MustCompile(`\b[A-Za-z]:\\(?:[^\\/:*?"<>|\r\n ]+\\)*[^\\/:*?"<>|\r\n ]+`), TypeFilepathWin, 60},
+	{re: regexp.MustCompile(`\bCVE-\d{4}-\d{4,7}\b`), typ: TypeCVE, prec: 100, need: triggers{n: 13, letters: 3, digits: 8}},
+	{re: regexp.MustCompile(`\bhttps?://[^\s"'<>\)]+`), typ: TypeURL, prec: 90, need: triggers{n: 8, colons: 1, slashes: 2}},
+	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{64}\b`), typ: TypeSHA256, prec: 85, need: triggers{n: 64}},
+	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{40}\b`), typ: TypeSHA1, prec: 84, need: triggers{n: 40}},
+	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{32}\b`), typ: TypeMD5, prec: 83, need: triggers{n: 32}},
+	{re: regexp.MustCompile(`\b(?:HKEY_[A-Z_]+|HKLM|HKCU|HKCR|HKU)\\[\w\\ .-]+`), typ: TypeRegistry, prec: 80, whole: "HK"},
+	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b`), typ: TypeCIDR, prec: 75, need: triggers{n: 9, digits: 5, dots: 3, slashes: 1}},
+	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}\b`), typ: TypeIPv4, prec: 70, need: triggers{n: 7, digits: 4, dots: 3}},
+	{re: regexp.MustCompile(`[\w.+-]+@[\w-]+(?:\.[\w-]+)+`), typ: TypeEmail, prec: 65, need: triggers{n: 5, dots: 1, ats: 1}},
+	{re: regexp.MustCompile(`\b[A-Za-z]:\\(?:[^\\/:*?"<>|\r\n ]+\\)*[^\\/:*?"<>|\r\n ]+`), typ: TypeFilepathWin, prec: 60, need: triggers{n: 4, colons: 1, backslashes: 1}},
 	// Linux path: at least one slash-separated component; excludes bare
-	// "/" and trailing sentence periods (trimmed in post).
-	{regexp.MustCompile(`(?:^|[\s"'(])((?:/[\w.+~-]+){1,})`), TypeFilepathLinux, 55},
+	// "/" and trailing sentence periods (trimmed in post). Inside a token
+	// the leading separator a whole-text match would consume is the
+	// token's start, which ^ matches; the IOC is the capture group.
+	{re: regexp.MustCompile(`(?:^|[\s"'(])((?:/[\w.+~-]+){1,})`), typ: TypeFilepathLinux, prec: 55, need: triggers{n: 2, slashes: 1}},
 	// Android/Java package names and APKs: com.example.app, MsgApp.apk.
-	{regexp.MustCompile(`\b(?:[a-z][a-z0-9_]*\.){2,}[A-Za-z][A-Za-z0-9_]*\b`), TypePackage, 52},
-	{regexp.MustCompile(`\b[\w-]+(?:\.[\w-]+)*\.(?:exe|dll|sh|py|tar|gz|bz2|zip|rar|7z|doc|docx|xls|xlsx|ppt|pdf|apk|jar|bat|ps1|vbs|so|bin|img|elf|iso|deb|rpm|msi|scr|tmp|dat|cfg|conf|log)\b`), TypeFilename, 50},
-	{regexp.MustCompile(`\b(?:[a-z0-9][a-z0-9-]*\.)+(?:com|net|org|io|ru|cn|info|biz|xyz|onion|gov|edu|co|me|cc|top)\b`), TypeDomain, 45},
+	{re: regexp.MustCompile(`\b(?:[a-z][a-z0-9_]*\.){2,}[A-Za-z][A-Za-z0-9_]*\b`), typ: TypePackage, prec: 52, need: triggers{n: 5, letters: 3, dots: 2}},
+	{re: regexp.MustCompile(`\b[\w-]+(?:\.[\w-]+)*\.(?:exe|dll|sh|py|tar|gz|bz2|zip|rar|7z|doc|docx|xls|xlsx|ppt|pdf|apk|jar|bat|ps1|vbs|so|bin|img|elf|iso|deb|rpm|msi|scr|tmp|dat|cfg|conf|log)\b`), typ: TypeFilename, prec: 50, need: triggers{n: 4, letters: 1, dots: 1}},
+	{re: regexp.MustCompile(`\b(?:[a-z0-9][a-z0-9-]*\.)+(?:com|net|org|io|ru|cn|info|biz|xyz|onion|gov|edu|co|me|cc|top)\b`), typ: TypeDomain, prec: 45, need: triggers{n: 4, letters: 2, dots: 1}},
 }
+
+// triggers counts a token's length and the bytes rules key on: ASCII
+// letters, digits and five punctuation bytes. A dot that ends the token
+// is not counted, since every dot a rule's regex needs is followed by a
+// byte of the match.
+type triggers struct {
+	n, letters, digits, dots, slashes, backslashes, colons, ats int
+}
+
+// covers reports whether t reaches every count of need.
+func (t *triggers) covers(need *triggers) bool {
+	return t.n >= need.n && t.letters >= need.letters && t.digits >= need.digits && t.dots >= need.dots &&
+		t.slashes >= need.slashes && t.backslashes >= need.backslashes &&
+		t.colons >= need.colons && t.ats >= need.ats
+}
+
+// isSeparator reports whether c ends a token. No token rule's regex can
+// match one of these bytes (the Linux path rule may consume one as its
+// leading context, which ^ stands in for inside the token), and each is a
+// non-word byte, so \b at a token's edge reads the same as in the text.
+func isSeparator(c byte) bool { return c == ' ' || c == '\n' || c == '\r' }
 
 // candidate is one regex match before overlap resolution.
 type candidate struct {
@@ -80,55 +123,110 @@ type candidate struct {
 
 // Extract scans text for IOCs, resolving overlaps by precedence then by
 // length (longest match wins), and returns them in source order.
+//
+// One pass splits text into tokens (maximal runs of non-separator bytes)
+// and counts each token's trigger bytes; a rule's regex runs only on the
+// tokens that cover its need, with match offsets rebased onto text. The
+// result equals running every regex over the whole text.
 func Extract(text string) []IOC {
 	var cands []candidate
-	for _, r := range rules {
-		locs := r.re.FindAllStringSubmatchIndex(text, -1)
-		for _, loc := range locs {
-			start, end := loc[0], loc[1]
-			// Rules with a capture group indicate the IOC is the group.
-			if len(loc) >= 4 && loc[2] >= 0 {
-				start, end = loc[2], loc[3]
+	for i := range rules {
+		if r := &rules[i]; r.whole != "" && strings.Contains(text, r.whole) {
+			cands = match(cands, r, text, 0)
+		}
+	}
+	var t triggers
+	start := 0
+	for i := 0; i <= len(text); i++ {
+		if i < len(text) && !isSeparator(text[i]) {
+			switch c := text[i]; {
+			case c >= '0' && c <= '9':
+				t.digits++
+			case c == '.':
+				t.dots++
+			case c == '/':
+				t.slashes++
+			case c == '\\':
+				t.backslashes++
+			case c == ':':
+				t.colons++
+			case c == '@':
+				t.ats++
+			case c|0x20 >= 'a' && c|0x20 <= 'z':
+				t.letters++
 			}
-			raw := trimIOC(text[start:end])
-			if raw == "" {
-				continue
+			continue
+		}
+		if t.n = i - start; t.n > 0 {
+			if text[i-1] == '.' {
+				t.dots-- // every dot a rule needs has a byte after it
 			}
-			// Re-anchor after trimming.
-			off := strings.Index(text[start:end], raw)
-			s := start + off
-			cand := IOC{Text: raw, Type: r.typ, Start: s, End: s + len(raw)}
-			if cand.Type == TypeIPv4 || cand.Type == TypeCIDR {
-				if !validIP(raw) {
-					continue
+			for r := range rules {
+				if rules[r].whole == "" && t.covers(&rules[r].need) {
+					cands = match(cands, &rules[r], text[start:i], start)
 				}
 			}
-			cands = append(cands, candidate{cand, r.prec})
 		}
+		t, start = triggers{}, i+1
 	}
 	return resolveOverlaps(cands)
 }
 
+// match appends r's matches in s, which starts at byte base of the text.
+func match(cands []candidate, r *rule, s string, base int) []candidate {
+	for _, loc := range r.re.FindAllStringSubmatchIndex(s, -1) {
+		start, end := loc[0], loc[1]
+		// Rules with a capture group indicate the IOC is the group.
+		if len(loc) >= 4 && loc[2] >= 0 {
+			start, end = loc[2], loc[3]
+		}
+		raw := trimIOC(s[start:end])
+		if raw == "" {
+			continue
+		}
+		if (r.typ == TypeIPv4 || r.typ == TypeCIDR) && !validIP(raw) {
+			continue
+		}
+		at := base + start
+		cands = append(cands, candidate{IOC{Text: raw, Type: r.typ, Start: at, End: at + len(raw)}, r.prec})
+	}
+	return cands
+}
+
+// resolveOverlaps keeps, in precedence then length order (ties in input
+// order), every candidate that overlaps no candidate kept before it, and
+// returns the kept ones in source order. Candidate spans are non-empty.
+// The kept spans are pairwise disjoint, so a bitmap of the bytes they
+// cover answers each overlap test in time linear in the candidate's
+// length.
 func resolveOverlaps(cands []candidate) []IOC {
+	if len(cands) == 0 {
+		return nil
+	}
 	sort.SliceStable(cands, func(a, b int) bool {
 		if cands[a].prec != cands[b].prec {
 			return cands[a].prec > cands[b].prec
 		}
 		return cands[a].End-cands[a].Start > cands[b].End-cands[b].Start
 	})
-	var chosen []IOC
-	overlaps := func(a, b IOC) bool { return a.Start < b.End && b.Start < a.End }
+	end := 0
 	for _, c := range cands {
-		ok := true
-		for _, g := range chosen {
-			if overlaps(c.IOC, g) {
-				ok = false
-				break
-			}
+		end = max(end, c.End)
+	}
+	taken := make([]uint64, (end+63)/64)
+	chosen := make([]IOC, 0, len(cands))
+	for _, c := range cands {
+		free := true
+		for i := c.Start; i < c.End && free; i++ {
+			free = taken[i/64]&(1<<(i%64)) == 0
 		}
-		if ok {
-			chosen = append(chosen, c.IOC)
+		if !free {
+			continue
 		}
+		for i := c.Start; i < c.End; i++ {
+			taken[i/64] |= 1 << (i % 64)
+		}
+		chosen = append(chosen, c.IOC)
 	}
 	sort.Slice(chosen, func(a, b int) bool { return chosen[a].Start < chosen[b].Start })
 	return chosen

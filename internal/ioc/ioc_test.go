@@ -1,10 +1,15 @@
 package ioc
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"threatraptor/internal/cases"
 )
 
 func typesAndTexts(iocs []IOC) [][2]string {
@@ -212,3 +217,231 @@ func TestExtractDataLeakReport(t *testing.T) {
 		t.Fatalf("got %v\nwant %v", got, want)
 	}
 }
+
+// extractReference is the recognizer's specification: every rule's regex
+// over the whole text, overlaps resolved by testing each candidate against
+// every kept IOC. Extract must return exactly what it returns.
+func extractReference(text string) []IOC {
+	var cands []candidate
+	for _, r := range rules {
+		for _, loc := range r.re.FindAllStringSubmatchIndex(text, -1) {
+			start, end := loc[0], loc[1]
+			if len(loc) >= 4 && loc[2] >= 0 {
+				start, end = loc[2], loc[3]
+			}
+			raw := trimIOC(text[start:end])
+			if raw == "" {
+				continue
+			}
+			off := strings.Index(text[start:end], raw)
+			s := start + off
+			cand := IOC{Text: raw, Type: r.typ, Start: s, End: s + len(raw)}
+			if (cand.Type == TypeIPv4 || cand.Type == TypeCIDR) && !validIP(raw) {
+				continue
+			}
+			cands = append(cands, candidate{cand, r.prec})
+		}
+	}
+	return resolveOverlapsReference(cands)
+}
+
+// resolveOverlapsReference is the quadratic overlap resolution that
+// resolveOverlaps must agree with.
+func resolveOverlapsReference(cands []candidate) []IOC {
+	sort.SliceStable(cands, func(a, b int) bool {
+		if cands[a].prec != cands[b].prec {
+			return cands[a].prec > cands[b].prec
+		}
+		return cands[a].End-cands[a].Start > cands[b].End-cands[b].Start
+	})
+	var chosen []IOC
+	overlaps := func(a, b IOC) bool { return a.Start < b.End && b.Start < a.End }
+	for _, c := range cands {
+		ok := true
+		for _, g := range chosen {
+			if overlaps(c.IOC, g) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			chosen = append(chosen, c.IOC)
+		}
+	}
+	sort.Slice(chosen, func(a, b int) bool { return chosen[a].Start < chosen[b].Start })
+	return chosen
+}
+
+// caseReports returns the OSCTI reports of every benchmark and extra case.
+func caseReports() []string {
+	var out []string
+	for _, c := range append(cases.All(), cases.Extras()...) {
+		out = append(out, c.Report)
+	}
+	return out
+}
+
+// perturbed returns text with each recognized indicator replaced by a
+// sibling of the same shape: an IPv4 keeps its network, anything else
+// gets a tag spliced in before its first dot.
+func perturbed(text string, tag int) string {
+	iocs := Extract(text)
+	var b strings.Builder
+	prev := 0
+	for _, ic := range iocs {
+		b.WriteString(text[prev:ic.Start])
+		repl := ic.Text
+		if ic.Type == TypeIPv4 {
+			parts := strings.Split(ic.Text, ".")
+			repl = fmt.Sprintf("%s.%s.%d.%d", parts[0], parts[1], 1+tag%250, 1+(tag/250)%250)
+		} else if dot := strings.IndexByte(ic.Text, '.'); dot > 0 {
+			repl = fmt.Sprintf("%s-%06x%s", ic.Text[:dot], tag, ic.Text[dot:])
+		} else {
+			repl = fmt.Sprintf("%s%06x", ic.Text, tag)
+		}
+		b.WriteString(repl)
+		prev = ic.End
+	}
+	b.WriteString(text[prev:])
+	return b.String()
+}
+
+// boundarySeeds hold every separator and class-boundary byte next to
+// indicator fragments.
+var boundarySeeds = []string{
+	"a\t/bin/tar\v1.2.3.4\fC:\\x\\y.exe\r\nHKLM\\Soft ware\\x",
+	"'/etc/passwd' \"10.0.0.0/8\" (/tmp/a.tar) é/usr/bin/éx évil.com",
+	"HKLM\\ HKCU\\a\tb HKEY_USERS\\x\\y\nz C:\\ C:\\a\\ c:\\b\\c.dll:",
+	"mail\ta.b@c.d.com\vhttp://x.io/a?b=(1)' https://[::1]/ CVE-2014-6271.",
+	"com.android.app.Main\nx.y.z 1.2.3.4/32/5 255.255.255.255. 01.2.3.4",
+	strings.Repeat("ab", 32) + " " + strings.Repeat("0f", 20) + "\t" + strings.Repeat("9", 32),
+	"/a /b\n/c\r/d\t/e\f/f\v/g\"/h'/i(/j)/k",
+}
+
+func TestExtractMatchesReferenceOnReports(t *testing.T) {
+	for ri, r := range caseReports() {
+		for tag := 0; tag < 3; tag++ {
+			text := r
+			if tag > 0 {
+				text = perturbed(r, 0xabcdef*tag)
+			}
+			if got, want := Extract(text), extractReference(text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("report %d tag %d:\n got %v\nwant %v", ri, tag, got, want)
+			}
+		}
+	}
+	for _, s := range boundarySeeds {
+		if got, want := Extract(s), extractReference(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n got %v\nwant %v", s, got, want)
+		}
+	}
+}
+
+// TestExtractMatchesReferenceRandom compares Extract with the reference on
+// random strings over separators, class-boundary bytes and IOC fragments.
+func TestExtractMatchesReferenceRandom(t *testing.T) {
+	alphabet := []string{
+		" ", "\n", "\r", "\t", "\v", "\f", "'", "\"", "(", ")", "<", ">", "é", "\xff",
+		".", "/", "\\", ":", "@", "-", "_", "+", "~", ",", ";", "?", "!", "|", "*",
+		"0", "1", "9", "25", "255", "192.168.", "10.0.0.", "/8", "/32",
+		"a", "f", "Z", "com", "ru", "exe", ".tar", ".bz2", "/tmp/", "/bin/tar",
+		"http", "https://", "C:\\", "c:", "HK", "HKLM\\", "HKEY_LOCAL_MACHINE\\",
+		"CVE-", "2014-", "6271", "admin", "deadbeef", "ab12cd34ef56",
+	}
+	rng := rand.New(rand.NewSource(1))
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	for i := 0; i < n; i++ {
+		var b strings.Builder
+		for k := rng.Intn(24); k >= 0; k-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		s := b.String()
+		if got, want := Extract(s), extractReference(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n got %v\nwant %v", s, got, want)
+		}
+	}
+}
+
+func FuzzExtractMatchesReference(f *testing.F) {
+	for _, r := range caseReports() {
+		f.Add(r)
+		f.Add(perturbed(r, 0x123456))
+	}
+	for _, s := range boundarySeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Extract(s), extractReference(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n got %v\nwant %v", s, got, want)
+		}
+	})
+}
+
+// TestResolveOverlapsMatchesReference checks the bitmap resolution against
+// the quadratic one on random candidate sets with equal, nested and
+// partly overlapping spans, tied precedences and tied lengths. Spans are
+// non-empty, as Extract never emits an empty candidate.
+func TestResolveOverlapsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 5000; iter++ {
+		var cands []candidate
+		for k := rng.Intn(30); k > 0; k-- {
+			var c candidate
+			switch {
+			case len(cands) > 0 && rng.Intn(4) == 0: // equal span
+				c = cands[rng.Intn(len(cands))]
+			case len(cands) > 0 && rng.Intn(3) == 0: // nested span
+				o := cands[rng.Intn(len(cands))]
+				c.Start = o.Start + rng.Intn(o.End-o.Start)
+				c.End = c.Start + 1 + rng.Intn(o.End-c.Start)
+			default:
+				c.Start = rng.Intn(200)
+				c.End = c.Start + 1 + rng.Intn(20)
+			}
+			c.prec = rng.Intn(4)
+			c.Text = fmt.Sprint(len(cands))
+			cands = append(cands, c)
+		}
+		want := resolveOverlapsReference(append([]candidate(nil), cands...))
+		if got := resolveOverlaps(cands); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d:\n got %v\nwant %v", iter, got, want)
+		}
+	}
+}
+
+// TestExtractDenseReport recognizes every indicator of a report of 20 000
+// IPv4s, where overlap resolution meets 20 000 kept spans.
+func TestExtractDenseReport(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&b, "10.%d.%d.%d ", i%7, (i/7)%250, 1+i%250)
+	}
+	text := b.String()
+	iocs := Extract(text)
+	if len(iocs) != 20000 {
+		t.Fatalf("got %d IOCs, want 20000", len(iocs))
+	}
+	for _, ic := range iocs {
+		if ic.Type != TypeIPv4 || text[ic.Start:ic.End] != ic.Text {
+			t.Fatalf("bad IOC %v", ic)
+		}
+	}
+}
+
+// BenchmarkIOCExtract recognizes the indicators of every case report per
+// op.
+func BenchmarkIOCExtract(b *testing.B) {
+	reports := caseReports()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range reports {
+			benchSink = Extract(r)
+		}
+	}
+}
+
+var benchSink []IOC
