@@ -201,3 +201,28 @@ func BenchmarkJoinFanout(b *testing.B) {
 func BenchmarkPathAnchor(b *testing.B) {
 	benchHunt(b, instancesStore(b, "data_leak", 8, 1.0), caseHunt(b, "data_leak", synth.ModeLength1Paths))
 }
+
+// BenchmarkAttrExprHunt measures hunts whose attribute expressions use
+// TBQL's !, || and && (the paper's ⟨attr_exp⟩): each compiles to the
+// batch kernels' NOT/OR/AND combinators, whose scratch selections come
+// from the pooled execution state, so allocs/op must not grow with the
+// operators.
+func BenchmarkAttrExprHunt(b *testing.B) {
+	store := benchStore(b, 4.0)
+	for _, leg := range []struct{ name, src string }{
+		{"not", `proc p[!"%chrome%"] read file f["%passwd%"] return distinct p, f`},
+		{"or-and", `proc p["%tar%" || "%bzip%"] read || write file f[!"%tmp%" && "%a%"] return distinct p, f`},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			q, err := tbql.Parse(leg.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := tbql.Analyze(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchHunt(b, store, a)
+		})
+	}
+}

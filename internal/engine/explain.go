@@ -8,6 +8,7 @@ package engine
 import (
 	"strings"
 
+	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
 
@@ -57,6 +58,7 @@ func (en *Engine) Explain(src string) (string, error) {
 					return "", err
 				}
 				sb.WriteString("  anchors of an unbound s: " + pr.String() + "\n")
+				writeDescribe(&sb, pr)
 			}
 			continue
 		}
@@ -65,7 +67,7 @@ func (en *Engine) Explain(src string) (string, error) {
 			return "", err
 		}
 		sb.WriteString("physical: relational plan (runtime-pruned parameters)\n  " + pr.String() + "\n")
-		sb.WriteString("  " + strings.ReplaceAll(strings.TrimSuffix(pr.Describe(), "\n"), "\n", "\n  ") + "\n")
+		writeDescribe(&sb, pr)
 	}
 	sb.WriteString("--- scheduled order ---\n")
 	for _, idx := range plan.order {
@@ -79,4 +81,10 @@ func (en *Engine) Explain(src string) (string, error) {
 		sb.WriteString("--- monolithic Cypher (RQ4 comparison) ---\n" + q.String() + "\n")
 	}
 	return sb.String(), nil
+}
+
+// writeDescribe prints a relational plan's per-level Describe lines,
+// indented under the statement.
+func writeDescribe(sb *strings.Builder, pr *relational.Prepared) {
+	sb.WriteString("  " + strings.ReplaceAll(strings.TrimSuffix(pr.Describe(), "\n"), "\n", "\n  ") + "\n")
 }

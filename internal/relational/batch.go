@@ -2,12 +2,17 @@ package relational
 
 import "sync/atomic"
 
-// This file is the vectorized half of the executor: predicates whose shape
-// allows it are compiled to batch kernels that evaluate a whole selection
-// vector per call with tight typed loops over the column vectors, instead
-// of one closure call per row. Shapes the kernels do not cover stay on the
-// row-at-a-time closures from plan.go, applied to the surviving selection
-// in the same conjunct order.
+// This file is the executor's batch kernels: a WHERE conjunct whose shape
+// is typed compiles to a kernel that filters a whole selection vector per
+// call with tight typed loops over the column vectors. The leaf kernels
+// cover a column against a same-kind literal, parameter or outer-level
+// column (=, <>, <, <=, >, >=), LIKE with a literal pattern, and literal
+// IN lists; AND, OR and NOT over kernels compose as selection-vector
+// combinators. Every other shape (arithmetic, mixed kinds, same-level
+// column pairs, a dict column against an outer column) evaluates through
+// EvalExpr instead (plan.go), applied to the surviving selection in the
+// same conjunct order. Each kernel selects exactly the rows for which
+// EvalExpr is truthy, so the two paths never differ on a row.
 
 // BatchSize is the number of rows a full-table scan feeds through the
 // vectorized filters per batch. It is a variable (not a constant) so tests
@@ -25,11 +30,54 @@ var ShardMinRows = 8192
 // rows of sel that satisfy it, filterRange does the same for the dense row
 // range [lo, hi). dst may share backing storage with sel (the write index
 // never passes the read index), which is how the executor filters a
-// selection in place.
+// selection in place. The rows appended are always a subsequence of the
+// input, in input order; the AND/OR/NOT combinators rely on it.
 type vecPred struct {
 	filterSel   func(st *execState, sel, dst []int32) []int32
 	filterRange func(st *execState, lo, hi int32, dst []int32) []int32
 }
+
+// colAccess is a column resolved at plan time for the kernels.
+type colAccess struct {
+	tbl  *Table
+	lvl  int
+	col  int
+	kind Kind
+}
+
+func (b *binding) colAccess(c ColRef) (colAccess, bool) {
+	lvl, col, err := b.resolve(c)
+	if err != nil {
+		return colAccess{}, false
+	}
+	return colAccess{tbl: b.tables[lvl], lvl: lvl, col: col, kind: b.tables[lvl].Schema[col].Kind}, true
+}
+
+// intAt and strAt read the column's cell at its level's current row (an
+// outer level's, for vecCmpOuter); null reports a NULL cell.
+func (a colAccess) intAt(st *execState) (v int64, null bool) {
+	row := int(st.rows[a.lvl])
+	c := &st.tabs[a.lvl].cols[a.col]
+	if len(c.null) > row>>6 && c.null.get(row) {
+		return 0, true
+	}
+	return c.ints[row], false
+}
+
+func (a colAccess) strAt(st *execState) (s string, null bool) {
+	row := int(st.rows[a.lvl])
+	c := &st.tabs[a.lvl].cols[a.col]
+	if len(c.null) > row>>6 && c.null.get(row) {
+		return "", true
+	}
+	if c.dict != nil {
+		return c.decode(c.codes[row]), false
+	}
+	return c.strs[row], false
+}
+
+// dictOf returns the column's dictionary, or nil for plain columns.
+func (a colAccess) dictOf() *dictionary { return a.tbl.cols[a.col].dict }
 
 // nullAt reports whether bit r is set in a bitmap known to cover row r
 // (appendRow keeps non-empty bitmaps grown to the full row count). The
@@ -333,8 +381,8 @@ func vecCmpLit(a colAccess, op string, k Value) *vecPred {
 // vecCmpOuter builds the kernels for "col OP outer-column" where the other
 // column belongs to an earlier nested-loop level: its value is fixed while
 // this level scans, so each batch reads it once and reuses the literal
-// kernels. A NULL outer value falls into the rare nullCmp cases, handled
-// by the null-combination filters below.
+// kernels. A NULL outer value is handled by the null-combination filters
+// below.
 func vecCmpOuter(a colAccess, op string, outer colAccess) *vecPred {
 	if a.kind == KindInt {
 		return &vecPred{
@@ -376,10 +424,10 @@ func vecCmpOuter(a colAccess, op string, outer colAccess) *vecPred {
 	}
 }
 
-// filterVsNull applies "col OP NULL" row filtering with the engine's
-// nullCmp ordering: = and <> never match, < matches nothing (NULL is not
-// before NULL), <= keeps exactly the NULL rows, > keeps the non-NULL rows,
-// >= keeps everything.
+// filterVsNull applies "col OP NULL" row filtering with Value.Compare's
+// NULL ordering (NULL sorts first and compares equal to NULL): = and <>
+// never match, < matches nothing, <= keeps exactly the NULL rows, > keeps
+// the non-NULL rows, >= keeps everything.
 func filterVsNull(nb bitmap, op string, sel, dst []int32) []int32 {
 	switch op {
 	case ">=":
@@ -555,16 +603,126 @@ func vecInStr(a colAccess, set map[string]struct{}, negate bool) *vecPred {
 	}
 }
 
+// vecAnd filters with l, then filters l's hits with r in place.
+func vecAnd(l, r *vecPred) *vecPred {
+	return &vecPred{
+		filterSel: func(st *execState, sel, dst []int32) []int32 {
+			n := len(dst)
+			out := l.filterSel(st, sel, dst)
+			return r.filterSel(st, out[n:], out[:n])
+		},
+		filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
+			n := len(dst)
+			out := l.filterRange(st, lo, hi, dst)
+			return r.filterSel(st, out[n:], out[:n])
+		},
+	}
+}
+
+// vecNot keeps the input rows its child rejects: the child's hits go to
+// the kernel's scratch selection, and a merge-subtract removes them from
+// the input (the hits are a subsequence of it).
+func vecNot(in *vecPred, slot int) *vecPred {
+	return selKernel(func(st *execState, sel, dst []int32) []int32 {
+		return subtractSel(sel, in.filterSel(st, sel, st.scratch(slot, len(sel))), dst)
+	})
+}
+
+// vecOr keeps the input rows either child accepts. The right child runs
+// only on the rows the left one rejected (EvalExpr's short circuit), and
+// the two hit lists merge back in input order. Both intermediate
+// selections live in the kernel's two scratch slots. When the left child
+// accepts all or none of the input (always, on a probe's single row),
+// there is nothing to merge.
+func vecOr(l, r *vecPred, hitSlot, missSlot int) *vecPred {
+	return selKernel(func(st *execState, sel, dst []int32) []int32 {
+		hits := l.filterSel(st, sel, st.scratch(hitSlot, len(sel)))
+		switch len(hits) {
+		case len(sel):
+			return append(dst, hits...)
+		case 0:
+			return r.filterSel(st, sel, dst)
+		}
+		miss := subtractSel(sel, hits, st.scratch(missSlot, len(sel)))
+		miss = r.filterSel(st, miss, miss[:0])
+		i, j := 0, 0
+		for _, row := range sel {
+			if i < len(hits) && hits[i] == row {
+				dst = append(dst, row)
+				i++
+			} else if j < len(miss) && miss[j] == row {
+				dst = append(dst, row)
+				j++
+			}
+		}
+		return dst
+	})
+}
+
+// selKernel completes a selection filter into a kernel whose dense-range
+// form materializes the range into dst and filters it in place.
+func selKernel(filterSel func(st *execState, sel, dst []int32) []int32) *vecPred {
+	return &vecPred{
+		filterSel: filterSel,
+		filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
+			n := len(dst)
+			for row := lo; row < hi; row++ {
+				dst = append(dst, row)
+			}
+			return filterSel(st, dst[n:], dst[:n])
+		},
+	}
+}
+
+// subtractSel appends to dst the rows of sel not in hits, a subsequence of
+// sel. dst may alias sel, as in vecPred.
+func subtractSel(sel, hits, dst []int32) []int32 {
+	i := 0
+	for _, row := range sel {
+		if i < len(hits) && hits[i] == row {
+			i++
+			continue
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}
+
+// newScratch reserves one scratch selection slot for a combinator.
+func (b *binding) newScratch() int {
+	b.scratch++
+	return b.scratch - 1
+}
+
 // compileVecPred compiles conjunct e into a batch kernel when its shape is
-// vectorizable at level lvl: a comparison or LIKE between a level-lvl
-// column and a same-kind literal or earlier-level column, or a literal IN
-// list over a level-lvl column. Returns nil for every other shape; those
-// stay on the row-at-a-time closures.
+// typed at level lvl: a comparison or LIKE between a level-lvl column and
+// a same-kind literal, integer parameter or earlier-level column, a
+// literal or parameter IN list over a level-lvl column, or AND/OR/NOT
+// over such shapes. Returns nil for every other shape; EvalExpr
+// evaluates those.
 func (b *binding) compileVecPred(lvl int, e Expr) *vecPred {
 	switch v := e.(type) {
+	case UnOp:
+		if in := b.compileVecPred(lvl, v.E); in != nil {
+			return vecNot(in, b.newScratch())
+		}
+		return nil
 	case BinOp:
 		op := v.Op
 		switch op {
+		case "and", "or":
+			l := b.compileVecPred(lvl, v.L)
+			if l == nil {
+				return nil
+			}
+			r := b.compileVecPred(lvl, v.R)
+			if r == nil {
+				return nil
+			}
+			if op == "and" {
+				return vecAnd(l, r)
+			}
+			return vecOr(l, r, b.newScratch(), b.newScratch())
 		case "=", "<>", "<", "<=", ">", ">=", "like":
 		default:
 			return nil
@@ -633,7 +791,7 @@ func (b *binding) compileVecPred(lvl int, e Expr) *vecPred {
 			}
 			if la.dictOf() != nil {
 				// Dict codes cannot compare against a varying outer
-				// value; the row-at-a-time closure decodes instead.
+				// value; EvalExpr decodes instead.
 				return nil
 			}
 			return vecCmpOuter(la, op, ra)

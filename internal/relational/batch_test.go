@@ -39,12 +39,11 @@ func batchTestTable(t *testing.T, n int) *DB {
 
 // oracleSelectIDs evaluates "SELECT id FROM t WHERE <pred>" by brute
 // force: EvalExpr over every materialized row, independent of the
-// planner, kernels, batching, and sharding.
-func oracleSelectIDs(t *testing.T, db *DB, sql string) []string {
-	t.Helper()
+// planner, kernels, batching, and sharding. It errors when EvalExpr does.
+func oracleSelectIDs(db *DB, sql string) ([]string, error) {
 	stmt, err := ParseSelect(sql)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	tbl := db.Table("t")
 	var out []string
@@ -60,7 +59,7 @@ func oracleSelectIDs(t *testing.T, db *DB, sql string) []string {
 		if stmt.Where != nil {
 			v, err := EvalExpr(stmt.Where, resolve)
 			if err != nil {
-				t.Fatalf("oracle: %v\n%s", err, sql)
+				return nil, err
 			}
 			if !v.Truthy() {
 				continue
@@ -68,14 +67,15 @@ func oracleSelectIDs(t *testing.T, db *DB, sql string) []string {
 		}
 		out = append(out, row[0].String())
 	}
-	return out
+	return out, nil
 }
 
 // TestBatchBoundaryRowCounts runs the vectorized executor on tables whose
 // row counts sit on every batch boundary — 0, 1, one batch, batch±1, and
 // many batches — and cross-checks each against the brute-force oracle.
-// The predicates cover the vectorized kernels (typed comparisons, LIKE,
-// IN, NULL ordering) and the row-at-a-time residual fallback (arithmetic).
+// The predicates cover the batch kernels (typed comparisons, LIKE, IN,
+// NULL ordering, the AND/OR/NOT combinators) and the EvalExpr fallback
+// (arithmetic).
 func TestBatchBoundaryRowCounts(t *testing.T) {
 	origBS, origShard := BatchSize, ShardMinRows
 	BatchSize = 64
@@ -94,9 +94,11 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 		"name NOT IN ('/bin/tar', '/tmp/x')",         // negated string IN kernel
 		"note = 'note1'",                             // eq over a nullable column
 		"note <= 'note3'",                            // NULL-keeping ordering kernel
-		"size + 1 < 20",                              // arithmetic: residual row predicate
-		"size < 30 OR name = '/etc/passwd'",          // OR: residual row predicate
-		"NOT name = '/bin/cp' AND size > 3",          // mixed residual and kernel
+		"size + 1 < 20",                              // arithmetic: EvalExpr predicate
+		"size < 30 OR name = '/etc/passwd'",          // OR combinator
+		"NOT name = '/bin/cp' AND size > 3",          // NOT combinator and a kernel
+		"NOT (note <= 'note3' OR size < 10)",         // NOT over OR over a nullable column
+		"size + 1 < 20 OR name LIKE '%tar%'",         // OR with an EvalExpr child: EvalExpr
 		"name LIKE '%tar%' AND size < 50 AND id > 2", // kernel chain
 	}
 	for _, n := range []int{0, 1, 63, 64, 65, 3*64 + 17} {
@@ -107,7 +109,10 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d: %v\n%s", n, err, sql)
 			}
-			want := oracleSelectIDs(t, db, sql)
+			want, err := oracleSelectIDs(db, sql)
+			if err != nil {
+				t.Fatalf("n=%d oracle: %v\n%s", n, err, sql)
+			}
 			got := rs.Strings()
 			if len(got) != len(want) {
 				t.Fatalf("n=%d: %d rows, oracle %d\n%s", n, len(got), len(want), sql)

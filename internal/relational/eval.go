@@ -5,27 +5,47 @@ import "fmt"
 // EvalExpr evaluates a SQL/Cypher expression tree against an arbitrary
 // column resolver. Both the relational executor and the graph engine use
 // this single evaluator so that comparison, LIKE, and boolean semantics are
-// identical across backends.
+// identical across backends: the executor's batch kernels cover the typed
+// shapes with exactly these semantics, and every other shape runs here.
 func EvalExpr(e Expr, resolve func(ColRef) (Value, error)) (Value, error) {
+	return evalExpr(e, resolve, nil)
+}
+
+// evalExpr is EvalExpr with the parameter leaves of a prepared statement:
+// Param reads params.Ints, ParamIDs tests membership in params.Lists. With
+// nil params (EvalExpr) both are unevaluable.
+func evalExpr(e Expr, resolve func(ColRef) (Value, error), params *Params) (Value, error) {
 	switch v := e.(type) {
 	case Lit:
 		return v.V, nil
 	case ColRef:
 		return resolve(v)
+	case Param:
+		if params != nil {
+			return Int(params.Ints[v.Slot]), nil
+		}
+	case ParamIDs:
+		if params != nil {
+			x, err := evalExpr(v.E, resolve, params)
+			if err != nil {
+				return Null(), err
+			}
+			return Bool(x.K == KindInt && params.contains(v.Slot, x.I)), nil
+		}
 	case UnOp:
-		x, err := EvalExpr(v.E, resolve)
+		x, err := evalExpr(v.E, resolve, params)
 		if err != nil {
 			return Null(), err
 		}
 		return Bool(!x.Truthy()), nil
 	case InList:
-		x, err := EvalExpr(v.E, resolve)
+		x, err := evalExpr(v.E, resolve, params)
 		if err != nil {
 			return Null(), err
 		}
 		match := false
 		for _, ve := range v.Vals {
-			y, err := EvalExpr(ve, resolve)
+			y, err := evalExpr(ve, resolve, params)
 			if err != nil {
 				return Null(), err
 			}
@@ -38,37 +58,37 @@ func EvalExpr(e Expr, resolve func(ColRef) (Value, error)) (Value, error) {
 	case BinOp:
 		switch v.Op {
 		case "and":
-			l, err := EvalExpr(v.L, resolve)
+			l, err := evalExpr(v.L, resolve, params)
 			if err != nil {
 				return Null(), err
 			}
 			if !l.Truthy() {
 				return Bool(false), nil
 			}
-			r, err := EvalExpr(v.R, resolve)
+			r, err := evalExpr(v.R, resolve, params)
 			if err != nil {
 				return Null(), err
 			}
 			return Bool(r.Truthy()), nil
 		case "or":
-			l, err := EvalExpr(v.L, resolve)
+			l, err := evalExpr(v.L, resolve, params)
 			if err != nil {
 				return Null(), err
 			}
 			if l.Truthy() {
 				return Bool(true), nil
 			}
-			r, err := EvalExpr(v.R, resolve)
+			r, err := evalExpr(v.R, resolve, params)
 			if err != nil {
 				return Null(), err
 			}
 			return Bool(r.Truthy()), nil
 		}
-		l, err := EvalExpr(v.L, resolve)
+		l, err := evalExpr(v.L, resolve, params)
 		if err != nil {
 			return Null(), err
 		}
-		r, err := EvalExpr(v.R, resolve)
+		r, err := evalExpr(v.R, resolve, params)
 		if err != nil {
 			return Null(), err
 		}
@@ -98,18 +118,24 @@ func EvalExpr(e Expr, resolve func(ColRef) (Value, error)) (Value, error) {
 			if err != nil {
 				return Null(), err
 			}
-			switch v.Op {
-			case "<":
-				return Bool(cmp < 0), nil
-			case "<=":
-				return Bool(cmp <= 0), nil
-			case ">":
-				return Bool(cmp > 0), nil
-			default:
-				return Bool(cmp >= 0), nil
-			}
+			return Bool(cmpHolds(v.Op, cmp)), nil
 		}
 		return Null(), fmt.Errorf("relational: unknown operator %q", v.Op)
 	}
 	return Null(), fmt.Errorf("relational: cannot evaluate %T", e)
+}
+
+// cmpHolds reports whether an ordering comparison op holds for a
+// Compare result.
+func cmpHolds(op string, cmp int) bool {
+	switch op {
+	case "<":
+		return cmp < 0
+	case "<=":
+		return cmp <= 0
+	case ">":
+		return cmp > 0
+	default:
+		return cmp >= 0
+	}
 }

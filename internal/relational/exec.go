@@ -112,12 +112,12 @@ func (s *rowSink) emit(p *plan, st *execState) error {
 
 // run executes a compiled plan batch-at-a-time: each nested-loop level
 // turns its candidate rows (a dense scan range or an index probe's
-// positions) into a selection vector, the level's vectorized predicates
-// filter the whole selection per call, row-only predicates filter the
-// survivors in the same conjunct order, and each surviving row recurses
-// into the next level. Full scans feed the filters BatchSize rows at a
-// time; level-0 scans over at least ShardMinRows rows are sharded across
-// workers on contiguous row ranges (concatenation preserves scan order).
+// positions) into a selection vector, the level's predicates filter it in
+// conjunct order (a kernel per call, an EvalExpr predicate row by row),
+// and each surviving row recurses into the next level. Full scans feed
+// the filters BatchSize rows at a time; level-0 scans over at least
+// ShardMinRows rows are sharded across workers on contiguous row ranges
+// (concatenation preserves scan order).
 // The plan is read-only; all mutable state is per-execution, so one plan
 // may run on many goroutines concurrently.
 func (p *plan) run(ctx context.Context, params *Params) (*ResultSet, ExecStats, error) {
@@ -380,7 +380,7 @@ func (p *plan) feedPositions(st *execState, sink *rowSink, lvl int, pos []int32)
 
 // scanRange feeds the dense row range [lo, hi) through the level's
 // filters. With no predicates the rows descend directly; otherwise the
-// first predicate materializes the surviving selection (a vectorized first
+// first predicate materializes the surviving selection (a kernel first
 // predicate never materializes the identity selection at all).
 func (p *plan) scanRange(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 	st.stats.RowsScanned += int(hi - lo)
@@ -397,25 +397,15 @@ func (p *plan) scanRange(st *execState, sink *rowSink, lvl int, lo, hi int32) er
 		}
 		return nil
 	}
-	buf := st.selbuf(lvl, int(hi-lo))
-	var sel []int32
+	sel := st.selbuf(lvl, int(hi-lo))
 	if first := preds[0]; first.vec != nil {
-		sel = first.vec.filterRange(st, lo, hi, buf)
+		sel, preds = first.vec.filterRange(st, lo, hi, sel), preds[1:]
 	} else {
-		out := buf
 		for r := lo; r < hi; r++ {
-			st.rows[lvl] = r
-			ok, err := first.row(st)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, r)
-			}
+			sel = append(sel, r)
 		}
-		sel = out
 	}
-	sel = p.filterRest(st, lvl, preds[1:], sel)
+	sel = p.filterRest(st, lvl, preds, sel)
 	return p.descend(st, sink, lvl, sel)
 }
 
@@ -435,20 +425,21 @@ func (p *plan) filterRest(st *execState, lvl int, preds []levelPred, sel []int32
 }
 
 // applyPred filters src into dst (which may alias src's prefix) with one
-// predicate. Row-predicate errors are deferred onto the state and
-// re-raised by descend, keeping the kernels' append-only signatures.
+// predicate: its kernel, or its EvalExpr closure row by row. EvalExpr
+// errors are deferred onto the state and re-raised by descend, keeping
+// the kernels' append-only signatures.
 func (p *plan) applyPred(st *execState, lvl int, pr levelPred, src, dst []int32) []int32 {
 	if pr.vec != nil {
 		return pr.vec.filterSel(st, src, dst)
 	}
 	for _, r := range src {
 		st.rows[lvl] = r
-		ok, err := pr.row(st)
+		v, err := pr.row(st)
 		if err != nil {
 			st.pendErr = err
 			return dst
 		}
-		if ok {
+		if v.Truthy() {
 			dst = append(dst, r)
 		}
 	}

@@ -3,93 +3,207 @@ package relational
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestExecutorAgainstOracle cross-checks the planner/executor (with its
-// predicate pushdown and index probes) against a brute-force evaluator on
-// randomly generated single-table predicates: both must select exactly the
-// same rows regardless of index availability.
+// oracleNames are the string values of the oracle table's name, note and
+// op columns (note and op also hold NULLs).
+var oracleNames = []string{"/bin/tar", "/bin/cp", "/usr/bin/vim", "/tmp/x", "/tmp/y", "/etc/passwd", "42", "read", "write"}
+
+// oracleTable builds table t for the differential checks: id (= row
+// number), name, a nullable int size, a nullable string note, and a
+// nullable dict-encoded op. indexed adds hash indexes on id, name and op,
+// so the checks cover index probes as well as scans.
+func oracleTable(tb testing.TB, indexed bool) *DB {
+	tb.Helper()
+	db := NewDB()
+	tbl, err := db.CreateTable("t", Schema{
+		{Name: "id", Kind: KindInt},
+		{Name: "name", Kind: KindString},
+		{Name: "size", Kind: KindInt},
+		{Name: "note", Kind: KindString},
+		{Name: "op", Kind: KindString},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := tbl.DictEncode("op"); err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	pick := func(nullEvery int) Value {
+		if r.Intn(nullEvery) == 0 {
+			return Null()
+		}
+		return Str(oracleNames[r.Intn(len(oracleNames))])
+	}
+	for i := 0; i < 1000; i++ {
+		size := Int(int64(r.Intn(100)))
+		if r.Intn(9) == 0 {
+			size = Null()
+		}
+		if err := tbl.Insert([]Value{Int(int64(i)), pick(1 << 30), size, pick(4), pick(7)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if indexed {
+		for _, col := range []string{"id", "name", "op"} {
+			if err := tbl.CreateIndex(col); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// genWhere generates a random WHERE predicate over oracleTable's columns,
+// drawing every choice from intn (a seeded rand in the tests, the fuzz
+// input in FuzzWhereMatchesEvalExpr). The leaves cover every kernel shape
+// — typed comparisons with the literal on either side, LIKE, IN and NOT
+// IN, over plain, nullable and dict-encoded columns — and the shapes only
+// EvalExpr evaluates: same-level column pairs, cross-kind literals (equal
+// with numeric-string leniency, ordered with an error) and arithmetic.
+// Inner nodes nest AND, OR and NOT.
+func genWhere(intn func(int) int, depth int) string {
+	name := func() string { return oracleNames[intn(len(oracleNames))] }
+	strCol := func() string { return []string{"name", "note", "op"}[intn(3)] }
+	intCol := func() string { return []string{"id", "size"}[intn(2)] }
+	cmp := func() string { return []string{"=", "<>", "<", "<=", ">", ">="}[intn(6)] }
+	if depth == 0 || intn(3) == 0 {
+		switch intn(14) {
+		case 0:
+			return fmt.Sprintf("%s %s %d", intCol(), cmp(), intn(110))
+		case 1:
+			return fmt.Sprintf("%d %s %s", intn(110), cmp(), intCol())
+		case 2:
+			return fmt.Sprintf("%s %s '%s'", strCol(), cmp(), name())
+		case 3:
+			return fmt.Sprintf("%s LIKE '%s'", strCol(), []string{"%bin%", "/tmp%", "%tar", "%e%", "re_d", "%"}[intn(6)])
+		case 4:
+			return fmt.Sprintf("%s NOT LIKE '%%%s%%'", strCol(), []string{"bin", "tmp", "r", "x"}[intn(4)])
+		case 5:
+			return fmt.Sprintf("%s IN (%d, %d, %d)", intCol(), intn(110), intn(110), intn(110))
+		case 6:
+			return fmt.Sprintf("%s NOT IN ('%s', '%s')", strCol(), name(), name())
+		case 7:
+			return fmt.Sprintf("%s IN ('%s', '%s')", strCol(), name(), name())
+		case 8: // same-level column pairs
+			if intn(2) == 0 {
+				return fmt.Sprintf("size %s id", cmp())
+			}
+			return fmt.Sprintf("%s %s %s", strCol(), cmp(), strCol())
+		case 9: // cross-kind equality: numeric-string leniency
+			return fmt.Sprintf("%s %s %d", strCol(), []string{"=", "<>"}[intn(2)], 40+intn(4))
+		case 10: // cross-kind membership
+			return fmt.Sprintf("%s IN (42, '%s')", []string{"name", "size"}[intn(2)], name())
+		case 11: // arithmetic
+			return fmt.Sprintf("%s %s %d %s %d", intCol(), []string{"+", "-"}[intn(2)], intn(20), cmp(), intn(120))
+		case 12: // ordered cross-kind comparison: an error on any non-NULL row it reaches
+			if intn(4) == 0 {
+				return fmt.Sprintf("note %s %d", []string{"<", ">="}[intn(2)], intn(50))
+			}
+			return fmt.Sprintf("size IN (%d, '%d')", intn(100), intn(100))
+		default:
+			return fmt.Sprintf("NOT %s = '%s'", strCol(), name())
+		}
+	}
+	switch intn(4) {
+	case 0:
+		return "NOT (" + genWhere(intn, depth-1) + ")"
+	case 1:
+		return fmt.Sprintf("(%s OR %s)", genWhere(intn, depth-1), genWhere(intn, depth-1))
+	default:
+		return fmt.Sprintf("(%s AND %s)", genWhere(intn, depth-1), genWhere(intn, depth-1))
+	}
+}
+
+// checkWhereAgainstOracle runs "SELECT id FROM t WHERE pred" on the plain
+// and the indexed oracle table and demands EvalExpr's brute-force rows.
+// The plain table scans every row in conjunct order, as the brute force
+// does, so it must error exactly when the brute force errors. An index
+// probe visits only the rows its key selects, so the indexed table may
+// still answer a predicate that errors on a row the probe skips (as in
+// SQL engines generally); it must never error when the brute force does
+// not.
+func checkWhereAgainstOracle(t *testing.T, indexed, plain *DB, pred string) {
+	t.Helper()
+	sql := "SELECT id FROM t WHERE " + pred + " ORDER BY id"
+	want, werr := oracleSelectIDs(plain, sql)
+	for _, db := range []*DB{plain, indexed} {
+		rs, err := db.Query(sql)
+		switch {
+		case err != nil && werr == nil:
+			t.Fatalf("executor error %v, brute force none\n%s", err, sql)
+		case err == nil && werr != nil && db == plain:
+			t.Fatalf("scan answered, brute force error %v\n%s", werr, sql)
+		case err != nil || werr != nil:
+			continue
+		}
+		got := rs.Strings()
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, brute force %d\n%s", len(got), len(want), sql)
+		}
+		for i := range got {
+			if got[i][0] != want[i] {
+				t.Fatalf("row %d: %s vs brute force %s\n%s", i, got[i][0], want[i], sql)
+			}
+		}
+	}
+}
+
+// withSmallBatches runs fn with BatchSize 64, once with the sharded
+// level-0 scan off and once forced on (GOMAXPROCS raised to 2 when
+// needed, so the sharded leg is not vacuous on one CPU).
+func withSmallBatches(t *testing.T, fn func(t *testing.T)) {
+	origBS, origShard := BatchSize, ShardMinRows
+	defer func() { BatchSize = origBS; ShardMinRows = origShard }()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	BatchSize = 64
+	for _, shardMin := range []int{1 << 30, 256} {
+		ShardMinRows = shardMin
+		t.Run(fmt.Sprintf("shardmin=%d", shardMin), fn)
+	}
+}
+
+// TestExecutorAgainstOracle cross-checks the planner/executor — predicate
+// pushdown, index probes, batch kernels and their AND/OR/NOT combinators,
+// the EvalExpr fallback, batching and sharding — against EvalExpr's
+// brute force on randomly generated single-table predicates, with and
+// without indexes.
 func TestExecutorAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	names := []string{"/bin/tar", "/bin/cp", "/usr/bin/vim", "/tmp/x", "/tmp/y", "/etc/passwd"}
+	indexed, plain := oracleTable(t, true), oracleTable(t, false)
+	withSmallBatches(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for i := 0; i < 400; i++ {
+			checkWhereAgainstOracle(t, indexed, plain, genWhere(rng.Intn, 3))
+		}
+	})
+}
 
-	build := func(indexed bool) *DB {
-		db := NewDB()
-		tbl, err := db.CreateTable("rows", Schema{
-			{Name: "id", Kind: KindInt},
-			{Name: "name", Kind: KindString},
-			{Name: "size", Kind: KindInt},
+// FuzzWhereMatchesEvalExpr is TestExecutorAgainstOracle with the
+// generator's choices drawn from the fuzz input.
+func FuzzWhereMatchesEvalExpr(f *testing.F) {
+	for _, seed := range []string{"", "\x00", "\x01\x02\x03\x04\x05", "\x03\x01\x00\x07\x02\x05\x01\x0c\x03", "\xff\x10\x20\x30\x40\x50\x60"} {
+		f.Add([]byte(seed))
+	}
+	indexed, plain := oracleTable(f, true), oracleTable(f, false)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		intn := func(n int) int {
+			if len(in) == 0 {
+				return 0
+			}
+			c := int(in[0])
+			in = in[1:]
+			return c % n
+		}
+		pred := genWhere(intn, 4)
+		withSmallBatches(t, func(t *testing.T) {
+			checkWhereAgainstOracle(t, indexed, plain, pred)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rand.New(rand.NewSource(5))
-		for i := 0; i < 300; i++ {
-			if err := tbl.Insert([]Value{
-				Int(int64(i)),
-				Str(names[r.Intn(len(names))]),
-				Int(int64(r.Intn(100))),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if indexed {
-			for _, col := range []string{"id", "name"} {
-				if err := tbl.CreateIndex(col); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return db
-	}
-	indexed := build(true)
-	plain := build(false)
-
-	// Random predicate generator over (id, name, size).
-	var genPred func(depth int) string
-	genPred = func(depth int) string {
-		if depth == 0 || rng.Intn(3) == 0 {
-			switch rng.Intn(6) {
-			case 0:
-				return fmt.Sprintf("id = %d", rng.Intn(320))
-			case 1:
-				return fmt.Sprintf("size %s %d", []string{"<", "<=", ">", ">="}[rng.Intn(4)], rng.Intn(100))
-			case 2:
-				return fmt.Sprintf("name = '%s'", names[rng.Intn(len(names))])
-			case 3:
-				return fmt.Sprintf("name LIKE '%%%s%%'", []string{"bin", "tmp", "tar", "x"}[rng.Intn(4)])
-			case 4:
-				return fmt.Sprintf("id IN (%d, %d, %d)", rng.Intn(300), rng.Intn(300), rng.Intn(300))
-			default:
-				return fmt.Sprintf("NOT name = '%s'", names[rng.Intn(len(names))])
-			}
-		}
-		op := []string{"AND", "OR"}[rng.Intn(2)]
-		return fmt.Sprintf("(%s %s %s)", genPred(depth-1), op, genPred(depth-1))
-	}
-
-	for i := 0; i < 250; i++ {
-		pred := genPred(2)
-		sql := "SELECT id FROM rows WHERE " + pred + " ORDER BY id"
-		a, err := indexed.Query(sql)
-		if err != nil {
-			t.Fatalf("indexed: %v\n%s", err, sql)
-		}
-		b, err := plain.Query(sql)
-		if err != nil {
-			t.Fatalf("plain: %v\n%s", err, sql)
-		}
-		as, bs := a.Strings(), b.Strings()
-		if len(as) != len(bs) {
-			t.Fatalf("index/scan disagree (%d vs %d rows) for:\n%s", len(as), len(bs), sql)
-		}
-		for j := range as {
-			if as[j][0] != bs[j][0] {
-				t.Fatalf("row %d differs (%s vs %s) for:\n%s", j, as[j][0], bs[j][0], sql)
-			}
-		}
-	}
+	})
 }
 
 // TestJoinAgainstOracle cross-checks a two-table join against nested-loop

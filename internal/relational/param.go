@@ -107,63 +107,6 @@ func (p *Params) contains(slot int, k int64) bool {
 	return ContainsSortedInt64(p.Lists[slot], k)
 }
 
-// specializeParamIDs compiles "intcol IN <param list>" into a typed
-// binary-search membership test, or nil when the expression is not a
-// plain integer column.
-func (b *binding) specializeParamIDs(v ParamIDs) predFn {
-	c, ok := v.E.(ColRef)
-	if !ok {
-		return nil
-	}
-	a, ok := b.colAccess(c)
-	if !ok || a.kind != KindInt {
-		return nil
-	}
-	slot, err := checkSlot(v.Slot)
-	if err != nil {
-		return nil
-	}
-	return func(st *execState) (bool, error) {
-		x, null := a.intAt(st)
-		return !null && st.params.contains(slot, x), nil
-	}
-}
-
-// specializeCmpParam compiles "intcol OP <param int>" into a typed
-// comparison reading the bound value per row (the vectorized form reads it
-// once per batch; see vecCmpParam).
-func (b *binding) specializeCmpParam(op string, l Expr, r Param) predFn {
-	lc, ok := l.(ColRef)
-	if !ok {
-		return nil
-	}
-	la, ok := b.colAccess(lc)
-	if !ok || la.kind != KindInt {
-		return nil
-	}
-	slot, err := checkSlot(r.Slot)
-	if err != nil {
-		return nil
-	}
-	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-	default:
-		return nil
-	}
-	return func(st *execState) (bool, error) {
-		k := st.params.Ints[slot]
-		x, null := la.intAt(st)
-		if null {
-			switch op {
-			case "<", "<=":
-				return true, nil // NULL sorts first
-			}
-			return false, nil
-		}
-		return cmpHolds(op, cmpInt(x, k)), nil
-	}
-}
-
 // vecCmpParam is the batch kernel for "intcol OP <param int>": the bound
 // value is read once per batch, then the literal comparison kernels run.
 func vecCmpParam(a colAccess, op string, slot int) *vecPred {

@@ -3,16 +3,20 @@ package relational
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // This file is the query planner: a parsed SELECT is compiled once into a
-// plan of closures that read the columnar storage directly — column
-// references resolve to (level, column-position) at plan time, predicates
-// specialize on the column kinds they touch (typed comparisons, prepared
-// LIKE matchers, IN-list hash sets), and projection is a straight column
-// gather. Execution then runs the closures with zero per-row name
+// plan of closures that read the columnar storage directly. Column
+// references resolve to (level, column-position) at plan time, and each
+// WHERE conjunct takes one of two paths: a batch kernel (batch.go) when
+// its shape is typed — a column against a same-kind literal, parameter or
+// outer column, LIKE, IN, and AND/OR/NOT over such shapes — or, for every
+// other shape, EvalExpr over the resolved columns, one row at a time.
+// Projection gathers columns (a composite item evaluates through
+// EvalExpr too). Execution runs the closures with zero per-row name
 // resolution and zero per-row allocation outside result rows.
 
 // plan is a fully compiled SELECT, safe for concurrent reuse: all mutable
@@ -32,16 +36,19 @@ type plan struct {
 	hashJoins []*hashJoin
 	cols      []string
 	project   projFn
+	// scratch is the number of scratch selections the plan's AND/OR/NOT
+	// kernels use (see execState.scratch).
+	scratch int
 
 	statePool sync.Pool
 }
 
 // levelPred is one compiled WHERE conjunct attached to a nested-loop
-// level: either a vectorized batch kernel (vec) or a row-at-a-time closure
-// (row). Exactly one is set.
+// level: either a batch kernel (vec) or, for shapes no kernel covers, an
+// EvalExpr closure applied row at a time (row). Exactly one is set.
 type levelPred struct {
 	vec *vecPred
-	row predFn
+	row evalFn
 	// active, when non-nil, gates the predicate per execution: an inactive
 	// predicate is skipped entirely, as if the statement had been compiled
 	// without the conjunct (Optional ParamIDs with no bound list, Prune
@@ -109,12 +116,13 @@ type scanFloor struct {
 }
 
 // execState is the per-execution mutable state: the current row index of
-// every nested-loop level, the per-level selection-vector buffers, and the
-// work counters. States are pooled per plan so steady-state executions
-// reuse the selection buffers.
+// every nested-loop level, the per-level selection-vector buffers, the
+// AND/OR/NOT kernels' scratch selections, and the work counters. States
+// are pooled per plan so steady-state executions reuse the buffers.
 type execState struct {
 	rows  []int32
 	sels  [][]int32
+	scr   [][]int32
 	stats ExecStats
 	// tabs are the tables this execution reads, parallel to plan.tables:
 	// the captured snapshot copies when params.Snap is set, the live
@@ -125,8 +133,9 @@ type execState struct {
 	// statement uses none); copied in by run, cleared on release. Held by
 	// value so binding parameters never allocates.
 	params Params
-	// pendErr carries a row-predicate error out of the append-only filter
-	// kernels; descend re-raises it before visiting any row.
+	// pendErr carries an EvalExpr predicate's error out of the
+	// append-only filter path; descend re-raises it before visiting any
+	// row.
 	pendErr error
 	// visits counts entries into each hash-join-candidate level this
 	// execution; hjTabs holds the tables built once the thresholds trip.
@@ -179,6 +188,16 @@ func (st *execState) selbuf(lvl, n int) []int32 {
 	return st.sels[lvl][:0]
 }
 
+// scratch returns scratch selection slot, empty, with capacity for at
+// least n rows. Each AND/OR/NOT kernel owns its slots (reserved at plan
+// time by newScratch), so nested kernels never share one.
+func (st *execState) scratch(slot, n int) []int32 {
+	if cap(st.scr[slot]) < n {
+		st.scr[slot] = make([]int32, 0, n)
+	}
+	return st.scr[slot][:0]
+}
+
 func (p *plan) state() *execState {
 	if st, ok := p.statePool.Get().(*execState); ok {
 		st.stats = ExecStats{}
@@ -188,6 +207,7 @@ func (p *plan) state() *execState {
 	return &execState{
 		rows:   make([]int32, len(p.tables)),
 		sels:   make([][]int32, len(p.tables)),
+		scr:    make([][]int32, p.scratch),
 		tabs:   make([]*Table, len(p.tables)),
 		visits: make([]int32, len(p.tables)),
 		hjTabs: make([]*hashJoinTable, len(p.tables)),
@@ -229,7 +249,6 @@ func (p *plan) release(st *execState) {
 }
 
 type evalFn func(st *execState) (Value, error)
-type predFn func(st *execState) (bool, error)
 
 // projFn fills dst (of projection width) with the output row for the
 // current bindings. Callers hand out slab-backed slices so a batch of
@@ -265,6 +284,9 @@ type binding struct {
 	aliases []string
 	tables  []*Table
 	byAlias map[string]int
+	// scratch counts the scratch selections reserved so far by the
+	// compiled AND/OR/NOT kernels.
+	scratch int
 }
 
 func newBinding(db *DB, stmt *SelectStmt) (*binding, error) {
@@ -425,13 +447,14 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 				p.levelPreds[lvl] = append(p.levelPreds[lvl], levelPred{vec: vp, active: act})
 				continue
 			}
-			pf, err := b.compilePred(e)
+			ev, err := b.compileEval(e)
 			if err != nil {
 				return nil, err
 			}
-			p.levelPreds[lvl] = append(p.levelPreds[lvl], levelPred{row: pf, active: act})
+			p.levelPreds[lvl] = append(p.levelPreds[lvl], levelPred{row: ev, active: act})
 		}
 	}
+	p.scratch = b.scratch
 
 	p.cols, p.project, err = b.compileProjection(stmt)
 	if err != nil {
@@ -440,7 +463,10 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 	return p, nil
 }
 
-// planInListAccess turns "tbl.col IN (literals...)" into a multi-probe.
+// planInListAccess turns "tbl.col IN (literals...)" into a multi-probe,
+// one probe per distinct literal (a repeated one would emit its rows
+// twice). Every literal must have the column's kind: a probe matches
+// strictly, while IN's equality lets "42" match 42.
 func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 	c, ok := in.E.(ColRef)
 	if !ok {
@@ -456,10 +482,12 @@ func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 	vals := make([]Value, 0, len(in.Vals))
 	for _, ve := range in.Vals {
 		lit, ok := ve.(Lit)
-		if !ok {
+		if !ok || lit.V.K != b.tables[lvl].Schema[ccol].Kind {
 			return nil
 		}
-		vals = append(vals, lit.V)
+		if !slices.Contains(vals, lit.V) {
+			vals = append(vals, lit.V)
+		}
 	}
 	return &indexAccess{col: ccol, keyList: vals, listSlot: -1, litKey: true}
 }
@@ -637,8 +665,8 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 					return nil
 				}
 			}
-			if tbl.indexes[ccol].Load() == nil {
-				return nil
+			if tbl.indexes[ccol].Load() == nil || b.kindOf(keySide) != tbl.Schema[ccol].Kind {
+				return nil // a probe matches strictly; "=" lets "42" match 42
 			}
 			keyFn, err := b.compileEval(keySide)
 			if err != nil {
@@ -657,9 +685,28 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 	return opt, nil
 }
 
-// compileEval compiles an expression to a closure with the exact
-// semantics of EvalExpr (NULL rules, numeric-string equality leniency,
-// comparison errors on kind mismatch).
+// colPos is a column reference resolved at plan time.
+type colPos struct{ lvl, col int }
+
+// kindOf returns the kind of a literal or a column reference (KindNull
+// for anything else).
+func (b *binding) kindOf(e Expr) Kind {
+	switch v := e.(type) {
+	case Lit:
+		return v.V.K
+	case ColRef:
+		if lvl, col, err := b.resolve(v); err == nil {
+			return b.tables[lvl].Schema[col].Kind
+		}
+	}
+	return KindNull
+}
+
+// compileEval compiles an expression to a value closure. The leaves that
+// projection and index keys read (literals, parameters, columns) read
+// directly; every composite shape evaluates through EvalExpr's semantics
+// over column references resolved once here, so an unknown column or
+// parameter slot still fails at plan time.
 func (b *binding) compileEval(e Expr) (evalFn, error) {
 	switch v := e.(type) {
 	case Lit:
@@ -673,22 +720,6 @@ func (b *binding) compileEval(e Expr) (evalFn, error) {
 		return func(st *execState) (Value, error) {
 			return Int(st.params.Ints[slot]), nil
 		}, nil
-	case ParamIDs:
-		ef, err := b.compileEval(v.E)
-		if err != nil {
-			return nil, err
-		}
-		slot, err := checkSlot(v.Slot)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *execState) (Value, error) {
-			x, err := ef(st)
-			if err != nil {
-				return Null(), err
-			}
-			return Bool(x.K == KindInt && st.params.contains(slot, x.I)), nil
-		}, nil
 	case ColRef:
 		lvl, col, err := b.resolve(v)
 		if err != nil {
@@ -697,529 +728,64 @@ func (b *binding) compileEval(e Expr) (evalFn, error) {
 		return func(st *execState) (Value, error) {
 			return st.tabs[lvl].cell(int(st.rows[lvl]), col), nil
 		}, nil
-	case UnOp:
-		inner, err := b.compileEval(v.E)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *execState) (Value, error) {
-			x, err := inner(st)
-			if err != nil {
-				return Null(), err
-			}
-			return Bool(!x.Truthy()), nil
-		}, nil
-	case InList:
-		ef, err := b.compileEval(v.E)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]evalFn, len(v.Vals))
-		for i, ve := range v.Vals {
-			if vals[i], err = b.compileEval(ve); err != nil {
-				return nil, err
-			}
-		}
-		negate := v.Negate
-		return func(st *execState) (Value, error) {
-			x, err := ef(st)
-			if err != nil {
-				return Null(), err
-			}
-			match := false
-			for _, vf := range vals {
-				y, err := vf(st)
-				if err != nil {
-					return Null(), err
-				}
-				if x.Equal(y) {
-					match = true
-					break
-				}
-			}
-			return Bool(match != negate), nil
-		}, nil
-	case BinOp:
-		l, err := b.compileEval(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.compileEval(v.R)
-		if err != nil {
-			return nil, err
-		}
-		switch op := v.Op; op {
-		case "and":
-			return func(st *execState) (Value, error) {
-				lv, err := l(st)
-				if err != nil {
-					return Null(), err
-				}
-				if !lv.Truthy() {
-					return Bool(false), nil
-				}
-				rv, err := r(st)
-				if err != nil {
-					return Null(), err
-				}
-				return Bool(rv.Truthy()), nil
-			}, nil
-		case "or":
-			return func(st *execState) (Value, error) {
-				lv, err := l(st)
-				if err != nil {
-					return Null(), err
-				}
-				if lv.Truthy() {
-					return Bool(true), nil
-				}
-				rv, err := r(st)
-				if err != nil {
-					return Null(), err
-				}
-				return Bool(rv.Truthy()), nil
-			}, nil
-		case "=":
-			return func(st *execState) (Value, error) {
-				lv, rv, err := eval2(l, r, st)
-				if err != nil {
-					return Null(), err
-				}
-				return Bool(lv.Equal(rv)), nil
-			}, nil
-		case "<>":
-			return func(st *execState) (Value, error) {
-				lv, rv, err := eval2(l, r, st)
-				if err != nil {
-					return Null(), err
-				}
-				if lv.IsNull() || rv.IsNull() {
-					return Bool(false), nil
-				}
-				return Bool(!lv.Equal(rv)), nil
-			}, nil
-		case "like":
-			if lit, ok := v.R.(Lit); ok && lit.V.K == KindString {
-				match := compileLikePattern(lit.V.S)
-				return func(st *execState) (Value, error) {
-					lv, err := l(st)
-					if err != nil {
-						return Null(), err
-					}
-					return Bool(lv.K == KindString && match(lv.S)), nil
-				}, nil
-			}
-			return func(st *execState) (Value, error) {
-				lv, rv, err := eval2(l, r, st)
-				if err != nil {
-					return Null(), err
-				}
-				if lv.K != KindString || rv.K != KindString {
-					return Bool(false), nil
-				}
-				return Bool(Like(lv.S, rv.S)), nil
-			}, nil
-		case "+", "-":
-			plus := op == "+"
-			return func(st *execState) (Value, error) {
-				lv, rv, err := eval2(l, r, st)
-				if err != nil {
-					return Null(), err
-				}
-				if lv.K != KindInt || rv.K != KindInt {
-					return Null(), fmt.Errorf("relational: arithmetic requires integers")
-				}
-				if plus {
-					return Int(lv.I + rv.I), nil
-				}
-				return Int(lv.I - rv.I), nil
-			}, nil
-		case "<", "<=", ">", ">=":
-			op := op
-			return func(st *execState) (Value, error) {
-				lv, rv, err := eval2(l, r, st)
-				if err != nil {
-					return Null(), err
-				}
-				cmp, err := lv.Compare(rv)
-				if err != nil {
-					return Null(), err
-				}
-				return Bool(cmpHolds(op, cmp)), nil
-			}, nil
-		}
-		return nil, fmt.Errorf("relational: unknown operator %q", v.Op)
 	}
-	return nil, fmt.Errorf("relational: cannot evaluate %T", e)
-}
-
-func eval2(l, r evalFn, st *execState) (Value, Value, error) {
-	lv, err := l(st)
-	if err != nil {
-		return Value{}, Value{}, err
-	}
-	rv, err := r(st)
-	if err != nil {
-		return Value{}, Value{}, err
-	}
-	return lv, rv, nil
-}
-
-func cmpHolds(op string, cmp int) bool {
-	switch op {
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	default:
-		return cmp >= 0
-	}
-}
-
-// compilePred compiles a boolean conjunct, specializing the typed hot
-// shapes (column-vs-literal, column-vs-column, prepared LIKE, literal IN
-// lists) to direct columnar reads.
-func (b *binding) compilePred(e Expr) (predFn, error) {
-	switch v := e.(type) {
-	case BinOp:
-		switch v.Op {
-		case "and":
-			l, err := b.compilePred(v.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := b.compilePred(v.R)
-			if err != nil {
-				return nil, err
-			}
-			return func(st *execState) (bool, error) {
-				ok, err := l(st)
-				if err != nil || !ok {
-					return false, err
-				}
-				return r(st)
-			}, nil
-		case "or":
-			l, err := b.compilePred(v.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := b.compilePred(v.R)
-			if err != nil {
-				return nil, err
-			}
-			return func(st *execState) (bool, error) {
-				ok, err := l(st)
-				if err != nil || ok {
-					return ok, err
-				}
-				return r(st)
-			}, nil
-		case "=", "<>", "<", "<=", ">", ">=", "like":
-			if p, ok := v.R.(Param); ok {
-				if pf := b.specializeCmpParam(v.Op, v.L, p); pf != nil {
-					return pf, nil
-				}
-			}
-			if pf := b.specializeCmp(v); pf != nil {
-				return pf, nil
-			}
-		}
-	case UnOp:
-		inner, err := b.compilePred(v.E)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *execState) (bool, error) {
-			ok, err := inner(st)
-			return !ok, err
-		}, nil
-	case InList:
-		if pf := b.specializeInList(v); pf != nil {
-			return pf, nil
-		}
-	case ParamIDs:
-		if pf := b.specializeParamIDs(v); pf != nil {
-			return pf, nil
-		}
-	}
-	ef, err := b.compileEval(e)
-	if err != nil {
+	refs := make(map[ColRef]colPos)
+	if err := b.bindRefs(e, refs); err != nil {
 		return nil, err
 	}
-	return func(st *execState) (bool, error) {
-		val, err := ef(st)
-		if err != nil {
-			return false, err
-		}
-		return val.Truthy(), nil
+	return func(st *execState) (Value, error) {
+		return evalExpr(e, func(c ColRef) (Value, error) {
+			at := refs[c]
+			return st.tabs[at.lvl].cell(int(st.rows[at.lvl]), at.col), nil
+		}, &st.params)
 	}, nil
 }
 
-// colAccess is a resolved column read used by the specialized predicates.
-type colAccess struct {
-	tbl  *Table
-	lvl  int
-	col  int
-	kind Kind
-}
-
-func (b *binding) colAccess(c ColRef) (colAccess, bool) {
-	lvl, col, err := b.resolve(c)
-	if err != nil {
-		return colAccess{}, false
-	}
-	return colAccess{tbl: b.tables[lvl], lvl: lvl, col: col, kind: b.tables[lvl].Schema[col].Kind}, true
-}
-
-func (a colAccess) intAt(st *execState) (int64, bool) {
-	row := int(st.rows[a.lvl])
-	c := &st.tabs[a.lvl].cols[a.col]
-	if len(c.null) > row>>6 && c.null.get(row) {
-		return 0, true
-	}
-	return c.ints[row], false
-}
-
-func (a colAccess) strAt(st *execState) (string, bool) {
-	row := int(st.rows[a.lvl])
-	c := &st.tabs[a.lvl].cols[a.col]
-	if len(c.null) > row>>6 && c.null.get(row) {
-		return "", true
-	}
-	if c.dict != nil {
-		return c.decode(c.codes[row]), false
-	}
-	return c.strs[row], false
-}
-
-// dictOf returns the column's dictionary, or nil for plain columns.
-func (a colAccess) dictOf() *dictionary { return a.tbl.cols[a.col].dict }
-
-// specializeCmp returns a typed predicate for column-vs-literal and
-// column-vs-column comparisons where both sides share one kind, or nil
-// when the shape needs the generic evaluator (mixed kinds keep EvalExpr's
-// leniency and error semantics).
-func (b *binding) specializeCmp(v BinOp) predFn {
-	op := v.Op
-	// Normalize literal-on-the-left to column-vs-literal with flipped op.
-	l, r := v.L, v.R
-	if _, isLit := l.(Lit); isLit {
-		if _, isCol := r.(ColRef); isCol {
-			l, r = r, l
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			case "like":
-				return nil // pattern on the left is not a column match
-			}
-		}
-	}
-	lc, ok := l.(ColRef)
-	if !ok {
-		return nil
-	}
-	la, ok := b.colAccess(lc)
-	if !ok {
-		return nil
-	}
-	switch rv := r.(type) {
+// bindRefs resolves every column reference in e into refs and rejects,
+// at plan time, what evalExpr could only reject per row: out-of-range
+// parameter slots, unknown operators and unevaluable nodes.
+func (b *binding) bindRefs(e Expr, refs map[ColRef]colPos) error {
+	switch v := e.(type) {
 	case Lit:
-		if la.kind != rv.V.K {
-			return nil
-		}
-		if la.kind == KindInt {
-			k := rv.V.I
-			switch op {
-			case "=":
-				return func(st *execState) (bool, error) {
-					x, null := la.intAt(st)
-					return !null && x == k, nil
-				}
-			case "<>":
-				return func(st *execState) (bool, error) {
-					x, null := la.intAt(st)
-					return !null && x != k, nil
-				}
-			case "<", "<=", ">", ">=":
-				op := op
-				return func(st *execState) (bool, error) {
-					x, null := la.intAt(st)
-					if null {
-						return cmpHolds(op, -1), nil // NULL sorts first
-					}
-					return cmpHolds(op, cmpInt(x, k)), nil
-				}
-			}
-			return nil
-		}
-		k := rv.V.S
-		switch op {
-		case "=":
-			return func(st *execState) (bool, error) {
-				s, null := la.strAt(st)
-				return !null && s == k, nil
-			}
-		case "<>":
-			return func(st *execState) (bool, error) {
-				s, null := la.strAt(st)
-				return !null && s != k, nil
-			}
-		case "like":
-			match := compileLikePattern(k)
-			return func(st *execState) (bool, error) {
-				s, null := la.strAt(st)
-				return !null && match(s), nil
-			}
-		case "<", "<=", ">", ">=":
-			op := op
-			return func(st *execState) (bool, error) {
-				s, null := la.strAt(st)
-				if null {
-					return cmpHolds(op, -1), nil
-				}
-				return cmpHolds(op, strings.Compare(s, k)), nil
-			}
-		}
 		return nil
 	case ColRef:
-		ra, ok := b.colAccess(rv)
-		if !ok || la.kind != ra.kind {
-			return nil
+		lvl, col, err := b.resolve(v)
+		refs[v] = colPos{lvl, col}
+		return err
+	case Param:
+		_, err := checkSlot(v.Slot)
+		return err
+	case ParamIDs:
+		if _, err := checkSlot(v.Slot); err != nil {
+			return err
 		}
-		if la.kind == KindInt {
-			switch op {
-			case "=":
-				return func(st *execState) (bool, error) {
-					x, nx := la.intAt(st)
-					y, ny := ra.intAt(st)
-					return !nx && !ny && x == y, nil
-				}
-			case "<>":
-				return func(st *execState) (bool, error) {
-					x, nx := la.intAt(st)
-					y, ny := ra.intAt(st)
-					return !nx && !ny && x != y, nil
-				}
-			case "<", "<=", ">", ">=":
-				op := op
-				return func(st *execState) (bool, error) {
-					x, nx := la.intAt(st)
-					y, ny := ra.intAt(st)
-					return cmpHolds(op, nullCmp(nx, ny, func() int { return cmpInt(x, y) })), nil
-				}
-			}
-			return nil
-		}
-		switch op {
-		case "=":
-			return func(st *execState) (bool, error) {
-				x, nx := la.strAt(st)
-				y, ny := ra.strAt(st)
-				return !nx && !ny && x == y, nil
-			}
-		case "<>":
-			return func(st *execState) (bool, error) {
-				x, nx := la.strAt(st)
-				y, ny := ra.strAt(st)
-				return !nx && !ny && x != y, nil
-			}
-		case "like":
-			return func(st *execState) (bool, error) {
-				x, nx := la.strAt(st)
-				y, ny := ra.strAt(st)
-				return !nx && !ny && Like(x, y), nil
-			}
-		case "<", "<=", ">", ">=":
-			op := op
-			return func(st *execState) (bool, error) {
-				x, nx := la.strAt(st)
-				y, ny := ra.strAt(st)
-				return cmpHolds(op, nullCmp(nx, ny, func() int { return strings.Compare(x, y) })), nil
+		return b.bindRefs(v.E, refs)
+	case UnOp:
+		return b.bindRefs(v.E, refs)
+	case InList:
+		for _, x := range v.Vals {
+			if err := b.bindRefs(x, refs); err != nil {
+				return err
 			}
 		}
-	}
-	return nil
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// nullCmp mirrors Value.Compare's NULL ordering: NULL sorts before
-// everything and equals NULL.
-func nullCmp(nx, ny bool, cmp func() int) int {
-	switch {
-	case nx && ny:
-		return 0
-	case nx:
-		return -1
-	case ny:
-		return 1
-	default:
-		return cmp()
-	}
-}
-
-// specializeInList compiles "col [NOT] IN (literals...)" over a same-kind
-// literal list into a hash-set membership test, or nil for other shapes.
-func (b *binding) specializeInList(v InList) predFn {
-	c, ok := v.E.(ColRef)
-	if !ok {
-		return nil
-	}
-	a, ok := b.colAccess(c)
-	if !ok {
-		return nil
-	}
-	negate := v.Negate
-	if a.kind == KindInt {
-		set, ok := buildIntSet(v.Vals)
-		if !ok {
-			return nil
+		return b.bindRefs(v.E, refs)
+	case BinOp:
+		switch v.Op {
+		case "and", "or", "=", "<>", "like", "+", "-", "<", "<=", ">", ">=":
+		default:
+			return fmt.Errorf("relational: unknown operator %q", v.Op)
 		}
-		return func(st *execState) (bool, error) {
-			x, null := a.intAt(st)
-			if null {
-				return negate, nil
-			}
-			_, member := set[x]
-			return member != negate, nil
+		if err := b.bindRefs(v.L, refs); err != nil {
+			return err
 		}
+		return b.bindRefs(v.R, refs)
 	}
-	set, ok := buildStrSet(v.Vals)
-	if !ok {
-		return nil
-	}
-	return func(st *execState) (bool, error) {
-		s, null := a.strAt(st)
-		if null {
-			return negate, nil
-		}
-		_, member := set[s]
-		return member != negate, nil
-	}
+	return fmt.Errorf("relational: cannot evaluate %T", e)
 }
 
 // buildIntSet and buildStrSet turn an all-literal, single-kind IN list
-// into a membership set; ok is false for any other list shape. Both the
-// row-at-a-time and the vectorized IN paths build their sets here, so the
-// two can never diverge on which lists qualify.
+// into a membership set for the IN kernels; ok is false for any other
+// list shape, which EvalExpr then evaluates.
 func buildIntSet(vals []Expr) (map[int64]struct{}, bool) {
 	set := make(map[int64]struct{}, len(vals))
 	for _, ve := range vals {

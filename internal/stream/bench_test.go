@@ -232,17 +232,18 @@ func BenchmarkSegmentFlush(b *testing.B) {
 func BenchmarkStandingQueryScale(b *testing.B) {
 	for _, mult := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
-			sess, _ := emptySession(b, Config{MatchBuffer: 16})
-			standingRounds(b, mult, sess, dataLeakTBQL)
+			standingRounds(b, mult, singleSession(b), dataLeakTBQL)
 		})
 	}
 	for _, n := range []int{2, 4} {
 		b.Run(fmt.Sprintf("8x-shards%d", n), func(b *testing.B) {
-			sh, err := shard.New(audit.NewLog(), n, shard.ByHash())
-			if err != nil {
-				b.Fatal(err)
-			}
-			standingRounds(b, 8, NewWithBackend(sh, Config{MatchBuffer: 16}), dataLeakTBQL)
+			standingRounds(b, 8, func() *Session {
+				sh, err := shard.New(audit.NewLog(), n, shard.ByHash())
+				if err != nil {
+					b.Fatal(err)
+				}
+				return NewWithBackend(sh, Config{MatchBuffer: 16})
+			}, dataLeakTBQL)
 		})
 	}
 }
@@ -256,47 +257,90 @@ func BenchmarkStandingQueryVarLen(b *testing.B) {
 	q := strings.Replace(varlenTBQL, "(1~8)", "(1~3)", 1)
 	for _, mult := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
-			sess, _ := emptySession(b, Config{MatchBuffer: 16})
-			standingRounds(b, mult, sess, q)
+			standingRounds(b, mult, singleSession(b), q)
 		})
 	}
 }
 
-// standingRounds preloads sess with mult time-shifted copies of the
-// data_leak history, watches query, and times one 64-record sealed round
-// per iteration. One untimed round runs first: it compiles the query's
-// plan and materializes its views, so the timed rounds are steady state.
-func standingRounds(b *testing.B, mult int, sess *Session, query string) {
+// singleSession returns a factory of empty single-store sessions for
+// standingRounds.
+func singleSession(b *testing.B) func() *Session {
+	return func() *Session {
+		sess, _ := emptySession(b, Config{MatchBuffer: 16})
+		return sess
+	}
+}
+
+// roundsPerSession is how many timed rounds standingRounds runs on one
+// session before starting over on a fresh one. Each round appends 64
+// records (the 1x preload holds 976), so without the restart the store a
+// leg times would grow with b.N, and with it B/op.
+const roundsPerSession = 16
+
+// warmRounds is how many untimed rounds each session runs before its
+// timed ones: the flushed first round compiles the query's plan and
+// materializes its views, and the first watermark-sealed round (the
+// second after it) sizes the delta path's buffers, a one-time cost of
+// about 1 300 allocations that the timed rounds would otherwise share.
+const warmRounds = 3
+
+// standingRounds times one 64-record sealed round per iteration on a
+// session from newSess preloaded with mult time-shifted copies of the
+// data_leak history and watching query. Every roundsPerSession rounds it
+// closes the session and starts a fresh one with the timer stopped, so
+// a leg times its stated preload plus warmRounds to warmRounds +
+// roundsPerSession rounds at any -benchtime: store growth shows across
+// the 1x-8x legs, not across b.N.
+func standingRounds(b *testing.B, mult int, newSess func() *Session, query string) {
 	recs := dataLeakRecords(b, 0.25)
 	span := recs[len(recs)-1].Time - recs[0].Time + 10_000_000
 	buf := make([]audit.Record, 0, len(recs))
-	for i := 0; i < mult; i++ {
-		if _, err := sess.IngestRecords(shiftRecords(recs, buf, int64(i)*span)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := sess.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Watch(query); err != nil {
-		b.Fatal(err)
-	}
 	template := recs[:64]
 	chunkSpan := template[len(template)-1].Time - template[0].Time + 10_000_000
-	base := sess.Store().MaxTime + 10_000_000 - template[0].Time
 	cbuf := make([]audit.Record, 0, len(template))
+	var sess *Session
+	var base int64
 	round := func(i int) {
 		if _, err := sess.IngestRecords(shiftRecords(template, cbuf, base+int64(i)*chunkSpan)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	round(0)
-	if _, err := sess.Flush(); err != nil { // seal it: the query runs
-		b.Fatal(err)
+	start := func() {
+		if sess != nil {
+			if err := sess.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sess = newSess()
+		for i := 0; i < mult; i++ {
+			if _, err := sess.IngestRecords(shiftRecords(recs, buf, int64(i)*span)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := sess.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Watch(query); err != nil {
+			b.Fatal(err)
+		}
+		base = sess.Store().MaxTime + 10_000_000 - template[0].Time
+		round(0)
+		if _, err := sess.Flush(); err != nil { // seal it: the query runs
+			b.Fatal(err)
+		}
+		for i := 1; i < warmRounds; i++ {
+			round(i)
+		}
 	}
+	start()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		round(i)
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%roundsPerSession == 0 {
+			b.StopTimer()
+			start()
+			b.StartTimer()
+		}
+		round(warmRounds + i%roundsPerSession)
 	}
 }
