@@ -5,8 +5,8 @@ package engine
 // (internal/segment) — DumpImage is the full range — and OpenStore
 // rebuilds a store from a decoded (or folded) full image by adopting the
 // columns directly: the relational tables take the decoded vectors
-// without replaying appendRow, indexes rebuild with counting sort, and
-// the graph installs its node/edge arenas and CSR adjacency verbatim,
+// without replaying appendRow, the store's indexes are declared for a
+// deferred build by the same builder NewStore runs, and the graph installs its node/edge arenas and CSR adjacency verbatim,
 // which is what makes opening a segment several times cheaper than
 // reloading the log. Graph nodes point at the restored entities, as every
 // engine node does.
@@ -224,11 +224,8 @@ func restoreEntityTable(t *relational.Table, cols *segment.EntityCols, n int) er
 	// Declare the same indexes NewStore builds, deferred: the writer
 	// materializes them before its first post-restore append, keeping
 	// their construction off the recovery critical path.
-	if err := t.RestoreIndexLazy("id", int64(n)); err != nil {
-		return err
-	}
-	for _, col := range []string{"name", "exename", "dstip"} {
-		if err := t.RestoreIndexLazy(col, 0); err != nil {
+	for _, col := range entityIndexes {
+		if err := t.RestoreIndexLazy(col); err != nil {
 			return err
 		}
 	}
@@ -267,24 +264,12 @@ func restoreEventTable(t *relational.Table, ev *segment.EventCols) error {
 	if err != nil {
 		return err
 	}
-	maxEnt := int64(0)
-	for _, s := range ev.Subject {
-		if s > maxEnt {
-			maxEnt = s
+	for _, col := range eventIndexes {
+		if err := t.RestoreIndexLazy(col); err != nil {
+			return err
 		}
 	}
-	for _, o := range ev.Object {
-		if o > maxEnt {
-			maxEnt = o
-		}
-	}
-	if err := t.RestoreIndexLazy("subject_id", maxEnt); err != nil {
-		return err
-	}
-	if err := t.RestoreIndexLazy("object_id", maxEnt); err != nil {
-		return err
-	}
-	return t.RestoreIndexLazy("op", 0)
+	return nil
 }
 
 // restoreGraph installs the graph arenas: nodes pointing at the entity

@@ -107,28 +107,99 @@ func TestOpenStoreThenAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := roundTripStore(t, s1)
-
-	appendSame := func(s *Store) {
-		t.Helper()
-		tbl := s.Log.Entities
-		p := tbl.InternProcessOn("hostZ", 9999, "/bin/tar", "mallory", "users", "tar cf /tmp/x /etc/passwd")
-		f := tbl.InternFileOn("hostZ", "/etc/passwd", "root", "root")
-		base := s.MaxTime + 1000
-		evs := []audit.Event{
-			{SubjectID: p.ID, ObjectID: f.ID, Op: audit.OpRead, StartTime: base, EndTime: base + 5, DataAmount: 123},
-			{SubjectID: p.ID, ObjectID: f.ID, Op: audit.OpWrite, StartTime: base + 10, EndTime: base + 11},
-		}
-		if err := s.AppendBatch([]*audit.Entity{p, f}, evs); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	appendSame(s1)
-	appendSame(s2)
+	appendTarBatch(t, s1, 9999, "/etc/passwd")
+	appendTarBatch(t, s2, 9999, "/etc/passwd")
 	assertStoresEquivalent(t, s1, s2)
 
 	// And a second round trip after the append captures the appended state.
 	s3 := roundTripStore(t, s2)
 	assertStoresEquivalent(t, s1, s3)
+}
+
+// appendTarBatch appends a tar process (pid) reading and writing path on
+// a new host: two events over two entities new to s.
+func appendTarBatch(t *testing.T, s *Store, pid int, path string) {
+	t.Helper()
+	tbl := s.Log.Entities
+	p := tbl.InternProcessOn("hostZ", pid, "/bin/tar", "mallory", "users", "tar cf /tmp/x /etc/passwd")
+	f := tbl.InternFileOn("hostZ", path, "root", "root")
+	base := s.MaxTime + 1000
+	evs := []audit.Event{
+		{SubjectID: p.ID, ObjectID: f.ID, Op: audit.OpRead, StartTime: base, EndTime: base + 5, DataAmount: 123},
+		{SubjectID: p.ID, ObjectID: f.ID, Op: audit.OpWrite, StartTime: base + 10, EndTime: base + 11},
+	}
+	if err := s.AppendBatch([]*audit.Entity{p, f}, evs); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+}
+
+// TestBuiltAndRecoveredIndexesAgree pins that a store loaded from a log
+// and a store recovered from its segment image hold the same indexes:
+// for every indexed column the same addressing (dense or hashed) and the
+// same position list for every key. It checks after the build and the
+// restore, after an append whose entity IDs lie past the dense range, and
+// after a rolled-back append; events.op has no index on either store.
+func TestBuiltAndRecoveredIndexesAgree(t *testing.T) {
+	gen, err := cases.ByID("data_leak").Generate(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := NewStore(gen.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := roundTripStore(t, built)
+	entities := int64(built.Log.Entities.Len())
+
+	check := func(stage string) {
+		t.Helper()
+		for table, cols := range map[string][]string{"entities": entityIndexes, "events": eventIndexes} {
+			for _, col := range cols {
+				want, wantDense, ok := built.Rel.Table(table).IndexLists(col)
+				if !ok {
+					t.Fatalf("%s: built store has no %s.%s index", stage, table, col)
+				}
+				got, gotDense, ok := recovered.Rel.Table(table).IndexLists(col)
+				if !ok {
+					t.Fatalf("%s: recovered store has no %s.%s index", stage, table, col)
+				}
+				if wantDense != gotDense {
+					t.Fatalf("%s: %s.%s addresses %d dense slots built, %d recovered", stage, table, col, wantDense, gotDense)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: %s.%s position lists differ (%d keys built, %d recovered)", stage, table, col, len(want), len(got))
+				}
+			}
+		}
+		// The entity IDs 1..n are the dense case; appended IDs overflow.
+		ids, dense, _ := built.Rel.Table("entities").IndexLists("id")
+		if dense != int(entities)+1 {
+			t.Fatalf("%s: entities.id addresses %d dense slots, want %d", stage, dense, entities+1)
+		}
+		if n := int64(len(ids)); n != int64(built.Rel.Table("entities").Len()) {
+			t.Fatalf("%s: entities.id holds %d keys for %d rows", stage, n, built.Rel.Table("entities").Len())
+		}
+		for _, s := range []*Store{built, recovered} {
+			if _, _, ok := s.Rel.Table("events").IndexLists("op"); ok {
+				t.Fatalf("%s: events.op is indexed", stage)
+			}
+		}
+	}
+	check("load")
+
+	appendTarBatch(t, built, 9999, "/etc/passwd")
+	appendTarBatch(t, recovered, 9999, "/etc/passwd")
+	if got := int64(built.Rel.Table("entities").Len()); got <= entities {
+		t.Fatalf("append added no entities (%d rows)", got)
+	}
+	check("append")
+
+	for _, s := range []*Store{built, recovered} {
+		m := s.Mark()
+		appendTarBatch(t, s, 9998, "/etc/shadow")
+		s.Rollback(m)
+	}
+	check("rollback")
 }
 
 // TestDumpRangeFoldsToDumpImage dumps a growing store as range segments —
@@ -229,6 +300,51 @@ func BenchmarkStoreOpenSegment(b *testing.B) {
 		}
 		table := audit.RestoreTable(img.Entities)
 		if _, err := OpenStore(img, img.EntityCols, img.Entities, table); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreOpenFirstAppend times what BenchmarkStoreOpenSegment
+// leaves out: the restore defers every index build to the first append,
+// so this opens the same data_leak ×1 image and appends one 512-event
+// batch (the log's first 512 events, moved past its end) whose first
+// event's subject is a new process, so both tables build their indexes:
+// the open plus the deferred index builds plus the append.
+func BenchmarkStoreOpenFirstAppend(b *testing.B) {
+	gen, err := cases.ByID("data_leak").Generate(1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewStore(gen.Log)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := segment.Encode(DumpImage(s, true))
+	shift := s.MaxTime - s.MinTime + 1
+	template := append([]audit.Event(nil), gen.Log.Events[:512]...)
+	for i := range template {
+		template[i].ID = 0
+		template[i].StartTime += shift
+		template[i].EndTime += shift
+	}
+	batch := make([]audit.Event, len(template))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, err := segment.DecodeSegment(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		table := audit.RestoreTable(img.Entities)
+		s2, err := OpenStore(img, img.EntityCols, img.Entities, table)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := table.InternProcessOn("hostZ", 9999, "/bin/tar", "root", "root", "tar cf /tmp/x /etc")
+		copy(batch, template)
+		batch[0].SubjectID = p.ID
+		if err := s2.AppendBatch([]*audit.Entity{p}, batch); err != nil {
 			b.Fatal(err)
 		}
 	}

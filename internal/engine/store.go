@@ -74,6 +74,18 @@ func labelOf(k audit.EntityKind) string {
 	return "Unknown"
 }
 
+// entityIndexes and eventIndexes are the columns every store indexes,
+// built by NewStore and declared by the segment restore alike: the key
+// attributes the paper indexes, and the ID columns the event-entity join
+// probes. events.op is not indexed: with at most nine verbs each list is
+// a large share of the table, and no plan probes it (the join conjuncts
+// on subject_id/object_id come first, and a delta plan's events level
+// scans from its floor).
+var (
+	entityIndexes = []string{"id", "name", "exename", "dstip"}
+	eventIndexes  = []string{"subject_id", "object_id"}
+)
+
 // newStoreTables creates the two relational tables every store carries,
 // with their dictionary-encoded discriminator columns. Shared by the
 // batch-load path (NewStore) and the segment-restore path (OpenStore) so
@@ -125,9 +137,11 @@ func newStoreTables(db *relational.DB) (entities, events *relational.Table, err 
 }
 
 // NewStore loads a parsed audit log into fresh relational and graph
-// backends, creating relational indexes on the key attributes (file name,
-// process executable name, destination IP). Graph nodes read their
-// attributes from the log's entities (see entityNode).
+// backends, then indexes entityIndexes and eventIndexes with
+// Table.CreateIndex, the one index builder (dense ID keys are addressed
+// directly, other keys hash). A store recovered from a segment image holds
+// the same indexes, built by the same code from the same columns. Graph
+// nodes read their attributes from the log's entities (see entityNode).
 func NewStore(log *audit.Log) (*Store, error) {
 	s := &Store{Rel: relational.NewDB(), Graph: graphdb.NewGraph(), Log: log}
 
@@ -163,7 +177,7 @@ func NewStore(log *audit.Log) (*Store, error) {
 		if errEntities = entities.InsertBatch(entityRows); errEntities != nil {
 			return
 		}
-		for _, col := range []string{"id", "name", "exename", "dstip"} {
+		for _, col := range entityIndexes {
 			if errEntities = entities.CreateIndex(col); errEntities != nil {
 				return
 			}
@@ -197,7 +211,7 @@ func NewStore(log *audit.Log) (*Store, error) {
 		if errEvents = events.InsertBatch(eventRows); errEvents != nil {
 			return
 		}
-		for _, col := range []string{"subject_id", "object_id", "op"} {
+		for _, col := range eventIndexes {
 			if errEvents = events.CreateIndex(col); errEvents != nil {
 				return
 			}

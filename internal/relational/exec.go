@@ -263,17 +263,12 @@ func (p *plan) runSharded(ctx context.Context, rs *ResultSet, stats *ExecStats, 
 
 // effAccess resolves the level's access path for this execution: an
 // optional parameter-list probe with no bound list falls back to the
-// access the level would otherwise use (possibly none — a full scan), and
-// a literal-keyed probe yields to an active parameter scan floor (the
-// suffix holds exactly the new rows; the probe would trawl all history).
+// access the level would otherwise use (possibly none — a full scan).
 func (p *plan) effAccess(params *Params, lvl int) *indexAccess {
 	ia := p.access[lvl]
 	if ia != nil && ia.optional && ia.listSlot >= 0 &&
 		(params == nil || len(params.Lists[ia.listSlot]) == 0) {
 		ia = ia.fallback
-	}
-	if ia != nil && ia.litKey && p.paramFloorActive(params, lvl) {
-		return nil
 	}
 	return ia
 }

@@ -11,11 +11,22 @@ import (
 // op columns (note and op also hold NULLs).
 var oracleNames = []string{"/bin/tar", "/bin/cp", "/usr/bin/vim", "/tmp/x", "/tmp/y", "/etc/passwd", "42", "read", "write"}
 
-// oracleTable builds table t for the differential checks: id (= row
-// number), name, a nullable int size, a nullable string note, and a
-// nullable dict-encoded op. indexed adds hash indexes on id, name and op,
-// so the checks cover index probes as well as scans.
-func oracleTable(tb testing.TB, indexed bool) *DB {
+// oracleRows is the oracle table's row count, and oracleBulkRows how many
+// of them a bulk-indexed table holds when its indexes are built.
+const oracleRows, oracleBulkRows = 1000, 100
+
+// oracleTable builds table t for the differential checks: id (1..n, one
+// per row), name, a nullable int size (0..99), a nullable string note,
+// and a nullable dict-encoded op. index picks how the hash indexes on id,
+// size, name and op are built, so the checks cover every builder shape as
+// well as scans:
+//   - "": no indexes;
+//   - "bulk": built over the first oracleBulkRows rows — id is addressed
+//     densely, size (which holds 0) and the string columns hash — then
+//     the remaining rows are appended, their ids past the dense range
+//     (genWhere's int literals probe both sides of it);
+//   - "add": built on the empty table, so hashIndex.add indexes every row.
+func oracleTable(tb testing.TB, index string) *DB {
 	tb.Helper()
 	db := NewDB()
 	tbl, err := db.CreateTable("t", Schema{
@@ -31,6 +42,16 @@ func oracleTable(tb testing.TB, indexed bool) *DB {
 	if err := tbl.DictEncode("op"); err != nil {
 		tb.Fatal(err)
 	}
+	indexAll := func() {
+		for _, col := range []string{"id", "size", "name", "op"} {
+			if err := tbl.CreateIndex(col); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if index == "add" {
+		indexAll()
+	}
 	r := rand.New(rand.NewSource(5))
 	pick := func(nullEvery int) Value {
 		if r.Intn(nullEvery) == 0 {
@@ -38,19 +59,26 @@ func oracleTable(tb testing.TB, indexed bool) *DB {
 		}
 		return Str(oracleNames[r.Intn(len(oracleNames))])
 	}
-	for i := 0; i < 1000; i++ {
+	for i := 1; i <= oracleRows; i++ {
 		size := Int(int64(r.Intn(100)))
-		if r.Intn(9) == 0 {
+		switch {
+		case i == 1:
+			size = Int(0) // a key outside [1, K]: the bulk size index hashes
+		case r.Intn(9) == 0:
 			size = Null()
 		}
 		if err := tbl.Insert([]Value{Int(int64(i)), pick(1 << 30), size, pick(4), pick(7)}); err != nil {
 			tb.Fatal(err)
 		}
+		if index == "bulk" && i == oracleBulkRows {
+			indexAll()
+		}
 	}
-	if indexed {
-		for _, col := range []string{"id", "name", "op"} {
-			if err := tbl.CreateIndex(col); err != nil {
-				tb.Fatal(err)
+	wantDense := map[string]int{"bulk": oracleBulkRows + 1, "add": 0}
+	if want, ok := wantDense[index]; ok {
+		for col, dense := range map[string]int{"id": want, "size": 0, "name": 0, "op": 0} {
+			if _, got, _ := tbl.IndexLists(col); got != dense {
+				tb.Fatalf("%s index on %s addresses %d dense slots, want %d", index, col, got, dense)
 			}
 		}
 	}
@@ -119,18 +147,18 @@ func genWhere(intn func(int) int, depth int) string {
 }
 
 // checkWhereAgainstOracle runs "SELECT id FROM t WHERE pred" on the plain
-// and the indexed oracle table and demands EvalExpr's brute-force rows.
+// and the indexed oracle tables and demands EvalExpr's brute-force rows.
 // The plain table scans every row in conjunct order, as the brute force
 // does, so it must error exactly when the brute force errors. An index
-// probe visits only the rows its key selects, so the indexed table may
+// probe visits only the rows its key selects, so an indexed table may
 // still answer a predicate that errors on a row the probe skips (as in
 // SQL engines generally); it must never error when the brute force does
 // not.
-func checkWhereAgainstOracle(t *testing.T, indexed, plain *DB, pred string) {
+func checkWhereAgainstOracle(t *testing.T, plain *DB, pred string, indexed ...*DB) {
 	t.Helper()
 	sql := "SELECT id FROM t WHERE " + pred + " ORDER BY id"
 	want, werr := oracleSelectIDs(plain, sql)
-	for _, db := range []*DB{plain, indexed} {
+	for _, db := range append([]*DB{plain}, indexed...) {
 		rs, err := db.Query(sql)
 		switch {
 		case err != nil && werr == nil:
@@ -171,14 +199,14 @@ func withSmallBatches(t *testing.T, fn func(t *testing.T)) {
 // TestExecutorAgainstOracle cross-checks the planner/executor — predicate
 // pushdown, index probes, batch kernels and their AND/OR/NOT combinators,
 // the EvalExpr fallback, batching and sharding — against EvalExpr's
-// brute force on randomly generated single-table predicates, with and
-// without indexes.
+// brute force on randomly generated single-table predicates, without
+// indexes and with bulk-built and incrementally built ones.
 func TestExecutorAgainstOracle(t *testing.T) {
-	indexed, plain := oracleTable(t, true), oracleTable(t, false)
+	plain, bulk, added := oracleTable(t, ""), oracleTable(t, "bulk"), oracleTable(t, "add")
 	withSmallBatches(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < 400; i++ {
-			checkWhereAgainstOracle(t, indexed, plain, genWhere(rng.Intn, 3))
+			checkWhereAgainstOracle(t, plain, genWhere(rng.Intn, 3), bulk, added)
 		}
 	})
 }
@@ -189,7 +217,7 @@ func FuzzWhereMatchesEvalExpr(f *testing.F) {
 	for _, seed := range []string{"", "\x00", "\x01\x02\x03\x04\x05", "\x03\x01\x00\x07\x02\x05\x01\x0c\x03", "\xff\x10\x20\x30\x40\x50\x60"} {
 		f.Add([]byte(seed))
 	}
-	indexed, plain := oracleTable(f, true), oracleTable(f, false)
+	plain, bulk, added := oracleTable(f, ""), oracleTable(f, "bulk"), oracleTable(f, "add")
 	f.Fuzz(func(t *testing.T, in []byte) {
 		intn := func(n int) int {
 			if len(in) == 0 {
@@ -201,7 +229,7 @@ func FuzzWhereMatchesEvalExpr(f *testing.F) {
 		}
 		pred := genWhere(intn, 4)
 		withSmallBatches(t, func(t *testing.T) {
-			checkWhereAgainstOracle(t, indexed, plain, pred)
+			checkWhereAgainstOracle(t, plain, pred, bulk, added)
 		})
 	})
 }

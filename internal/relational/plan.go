@@ -270,13 +270,6 @@ type indexAccess struct {
 	// instead of probing an empty key set.
 	optional bool
 	fallback *indexAccess
-	// litKey marks accesses keyed purely by literals (keyList, or keyFn
-	// compiled from a literal). When the level also carries an active
-	// parameter scan floor, the floor's suffix scan wins at execution: a
-	// literal probe would visit matching rows from the whole history only
-	// to discard everything below the floor, while the suffix holds
-	// exactly the new rows.
-	litKey bool
 }
 
 // binding resolves aliases and columns for one statement.
@@ -489,7 +482,7 @@ func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 			vals = append(vals, lit.V)
 		}
 	}
-	return &indexAccess{col: ccol, keyList: vals, listSlot: -1, litKey: true}
+	return &indexAccess{col: ccol, keyList: vals, listSlot: -1}
 }
 
 // planParamIDsAccess turns "tbl.col IN <param list>" into a multi-probe
@@ -577,23 +570,6 @@ func (p *plan) scanStart(params *Params, lvl int) int32 {
 	return lo
 }
 
-// paramFloorActive reports whether the level has a parameter-bound scan
-// floor that is both bound and usable (ascending column) this execution —
-// the signal that a suffix scan beats a literal-keyed index probe.
-func (p *plan) paramFloorActive(params *Params, lvl int) bool {
-	if params == nil {
-		return false
-	}
-	for _, f := range p.floors[lvl] {
-		if f.slot >= 0 && params.Ints[f.slot] > 0 {
-			if _, ok := p.tableAt(params, lvl).ascLowerBound(f.col, 0); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // planIndexAccess finds an equality conjunct "tbl.col = key" (or an
 // all-literal "tbl.col IN (...)", or a runtime parameter list) usable as
 // an index probe at the given level. An Optional parameter-list access is
@@ -672,8 +648,7 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 			if err != nil {
 				return nil
 			}
-			_, isLit := keySide.(Lit)
-			return &indexAccess{col: ccol, keyFn: keyFn, listSlot: -1, litKey: isLit}
+			return &indexAccess{col: ccol, keyFn: keyFn, listSlot: -1}
 		}
 		if ia := try(bin.L, bin.R); ia != nil {
 			return pick(ia), nil // try() accesses are never optional

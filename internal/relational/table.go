@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -141,7 +142,7 @@ type Table struct {
 	// writer materializes all of them immediately before its first
 	// post-restore append, off the recovery critical path. Until then
 	// queries plan (and run) scans over the restored rows.
-	lazy []lazyIndex
+	lazy []string
 	// snapshot marks a captured copy (see snapInto): its column headers
 	// are frozen, and index probes route through the shared indexes'
 	// RWMutex with results trimmed to the captured row count.
@@ -159,10 +160,10 @@ type hashIndex struct {
 	strs map[string][]int32
 	// dense, when non-nil, direct-addresses the position lists for int
 	// keys in [1, len(dense)-1] — slot k holds key k's list, and a key in
-	// that range is never stored in ints. RestoreIndexInt builds it for
-	// dense-ID columns (entity/event IDs), where it replaces len(column)
-	// map insertions with two array passes; keys appended later that fall
-	// outside the range use the map as overflow.
+	// that range is never stored in ints. CreateIndex builds it when the
+	// column's keys at build time are dense IDs (entity IDs, and the event
+	// columns that reference them); ints is then the overflow for keys
+	// appended later outside the range.
 	dense [][]int32
 	// arena is the spare backing store new position lists are carved from
 	// (see appendPos); most keys index a handful of rows, so the carved
@@ -269,15 +270,6 @@ func NewTable(name string, schema Schema) *Table {
 	}
 	t.indexes = make([]atomic.Pointer[hashIndex], len(schema))
 	return t
-}
-
-// lazyIndex records an index declared by a restore for deferred
-// construction. A positive denseMax is the RestoreIndexInt key bound
-// valid for the restored rows (still valid at build time: the build
-// runs before the first post-restore append lands).
-type lazyIndex struct {
-	column   string
-	denseMax int64
 }
 
 // DictEncode switches the named string column to dictionary encoding.
@@ -481,44 +473,123 @@ func (t *Table) Row(i int) []Value {
 // CreateIndex builds (or rebuilds) a hash index on the named column. The
 // paper creates indexes on key attributes (file name, process executable
 // name, source/destination IP) to speed up the search.
+//
+// It is the one index builder: bulk loads, recovery's deferred builds and
+// an index declared on an empty table all come here. It counting-sorts
+// the column's non-NULL row positions into one arena (see carve), and
+// the column's own data picks the addressing. An int column whose keys
+// all lie in [1, K], with K at most 2·rows+1 (dense IDs), direct-addresses
+// key k at dense slot k; any other int column, and a plain string column,
+// keys a map sized by its distinct-key count; a dictionary-encoded column
+// counts per code and keys a map sized by its dictionary.
 func (t *Table) CreateIndex(column string) error {
 	col := t.Schema.IndexOf(column)
 	if col < 0 {
 		return fmt.Errorf("relational: table %s has no column %s", t.Name, column)
 	}
-	ix := &hashIndex{col: col, kind: t.Schema[col].Kind}
 	c := &t.cols[col]
-	switch ix.kind {
-	case KindInt:
-		ix.ints = make(map[int64][]int32, t.rows)
+	null := func(pos int) bool { return len(c.null) > pos>>6 && c.null.get(pos) }
+	ix := &hashIndex{col: col, kind: c.kind}
+	slots := make([]int32, t.rows)
+	switch {
+	case c.kind == KindInt:
+		hi, dense := int64(0), true
 		for pos, v := range c.ints {
-			if len(c.null) > pos>>6 && c.null.get(pos) {
-				continue
+			if !null(pos) {
+				hi = max(hi, v)
+				dense = dense && v >= 1 && v <= 2*int64(t.rows)+1
 			}
-			ix.ints[v] = append(ix.ints[v], int32(pos))
 		}
-	default:
-		ix.strs = make(map[string][]int32, t.rows)
-		if c.dict != nil {
-			for pos, code := range c.codes {
-				if len(c.null) > pos>>6 && c.null.get(pos) {
-					continue
-				}
-				v := c.dict.vals[code]
-				ix.strs[v] = append(ix.strs[v], int32(pos))
-			}
+		if !dense || hi == 0 { // hi == 0: no key to address
+			ix.ints = keyedLists(slots, func(pos int) (int64, bool) { return c.ints[pos], !null(pos) })
 			break
 		}
-		for pos, v := range c.strs {
-			if len(c.null) > pos>>6 && c.null.get(pos) {
-				continue
+		for pos, v := range c.ints {
+			slots[pos] = int32(v)
+			if null(pos) {
+				slots[pos] = -1
 			}
-			ix.strs[v] = append(ix.strs[v], int32(pos))
 		}
+		ix.dense = carve(slots, int(hi)+1)
+		ix.ints = make(map[int64][]int32) // overflow: keys appended past hi
+	case c.dict != nil:
+		for pos, code := range c.codes {
+			slots[pos] = code
+			if null(pos) {
+				slots[pos] = -1
+			}
+		}
+		ix.strs = make(map[string][]int32, len(c.dict.vals))
+		for code, l := range carve(slots, len(c.dict.vals)) {
+			if l != nil {
+				ix.strs[c.dict.vals[code]] = l
+			}
+		}
+	default:
+		ix.strs = keyedLists(slots, func(pos int) (string, bool) { return c.strs[pos], !null(pos) })
 	}
 	t.indexes[col].Store(ix)
 	t.dropLazy(column)
 	return nil
+}
+
+// keyedLists counting-sorts row positions by key for a hashed index.
+// key(pos) returns row pos's key, ok false for a NULL (not indexed);
+// slots is scratch of one entry per row. Keys take slots in first-seen
+// order, so the returned map is sized by the distinct-key count.
+func keyedLists[K comparable](slots []int32, key func(pos int) (K, bool)) map[K][]int32 {
+	slotOf := make(map[K]int32)
+	var keys []K
+	for pos := range slots {
+		k, ok := key(pos)
+		if !ok {
+			slots[pos] = -1
+			continue
+		}
+		s, seen := slotOf[k]
+		if !seen {
+			s = int32(len(keys))
+			slotOf[k] = s
+			keys = append(keys, k)
+		}
+		slots[pos] = s
+	}
+	m := make(map[K][]int32, len(keys))
+	for s, l := range carve(slots, len(keys)) {
+		m[keys[s]] = l
+	}
+	return m
+}
+
+// carve is the counting sort behind every index build: slots[pos] is row
+// pos's key slot in [0, n), or -1 for a row the index skips. It returns
+// each slot's positions in ascending row order (nil for an empty slot),
+// every list carved from one arena with cap == len, so a later append to
+// a list reallocates privately instead of running into its neighbor.
+func carve(slots []int32, n int) [][]int32 {
+	counts := make([]int32, n)
+	total := 0
+	for _, s := range slots {
+		if s >= 0 {
+			counts[s]++
+			total++
+		}
+	}
+	arena := make([]int32, total)
+	lists := make([][]int32, n)
+	var off int32
+	for s, k := range counts {
+		if k > 0 {
+			lists[s] = arena[off : off : off+k]
+			off += k
+		}
+	}
+	for pos, s := range slots {
+		if s >= 0 {
+			lists[s] = append(lists[s], int32(pos))
+		}
+	}
+	return lists
 }
 
 // RestoreIndexLazy declares an index on the named column without
@@ -526,17 +597,11 @@ func (t *Table) CreateIndex(column string) error {
 // append (or an explicit CreateIndex), keeping index construction — the
 // most expensive part of reopening a segment-backed store — off the
 // recovery critical path; until then queries scan the restored rows.
-// denseMax, when positive, promises the column's values all lie in
-// [1, denseMax] so the deferred build can use RestoreIndexInt.
-func (t *Table) RestoreIndexLazy(column string, denseMax int64) error {
-	col := t.Schema.IndexOf(column)
-	if col < 0 {
+func (t *Table) RestoreIndexLazy(column string) error {
+	if t.Schema.IndexOf(column) < 0 {
 		return fmt.Errorf("relational: table %s has no column %s", t.Name, column)
 	}
-	if denseMax > 0 && t.Schema[col].Kind != KindInt {
-		return fmt.Errorf("relational: column %s.%s is not an int column", t.Name, column)
-	}
-	t.lazy = append(t.lazy, lazyIndex{column: column, denseMax: denseMax})
+	t.lazy = append(t.lazy, column)
 	return nil
 }
 
@@ -544,30 +609,17 @@ func (t *Table) RestoreIndexLazy(column string, denseMax int64) error {
 func (t *Table) materializeLazy() {
 	pending := t.lazy
 	t.lazy = nil
-	for _, li := range pending {
-		// Column names were validated at declaration, so the builds cannot
-		// fail; each builder invalidates cached scan plans itself.
-		switch {
-		case li.denseMax > 0:
-			t.RestoreIndexInt(li.column, li.denseMax)
-		case t.DictEncoded(li.column):
-			t.RestoreIndexDict(li.column)
-		default:
-			t.CreateIndex(li.column)
-		}
+	for _, column := range pending {
+		// Column names were validated at declaration, so the build cannot
+		// fail.
+		t.CreateIndex(column)
 	}
 }
 
 // dropLazy removes any pending lazy declaration for column (it has just
 // been built eagerly).
 func (t *Table) dropLazy(column string) {
-	for i := 0; i < len(t.lazy); {
-		if t.lazy[i].column == column {
-			t.lazy = append(t.lazy[:i], t.lazy[i+1:]...)
-			continue
-		}
-		i++
-	}
+	t.lazy = slices.DeleteFunc(t.lazy, func(c string) bool { return c == column })
 }
 
 // ascLowerBound returns the first row position whose value in the int
@@ -607,10 +659,33 @@ func ContainsSortedInt64(a []int64, k int64) bool {
 	return i < len(a) && a[i] == k
 }
 
-// HasIndex reports whether column has a hash index built.
-func (t *Table) HasIndex(column string) bool {
+// IndexLists returns the hash index on column as every non-empty key's
+// position list, and how many key slots it direct-addresses (0 when every
+// key hashes); ok is false when the column has no index. Pending lazy
+// indexes are built first, so it is writer-side only. It lets tests
+// compare the indexes of tables built different ways.
+func (t *Table) IndexLists(column string) (lists map[Value][]int32, dense int, ok bool) {
+	if t.lazy != nil {
+		t.materializeLazy()
+	}
 	col := t.Schema.IndexOf(column)
-	return col >= 0 && t.indexes[col].Load() != nil
+	if col < 0 || t.indexes[col].Load() == nil {
+		return nil, 0, false
+	}
+	ix := t.indexes[col].Load()
+	lists = make(map[Value][]int32)
+	for k, l := range ix.dense {
+		if len(l) > 0 {
+			lists[Int(int64(k))] = l
+		}
+	}
+	for k, l := range ix.ints {
+		lists[Int(k)] = l
+	}
+	for k, l := range ix.strs {
+		lists[Str(k)] = l
+	}
+	return lists, len(ix.dense), true
 }
 
 // lookup returns the positions of rows whose column equals v, probing the

@@ -62,24 +62,10 @@ func BenchmarkStreamIngest(b *testing.B) {
 // incrementally against each sealed 64-record batch. Each pattern's
 // materialized match view catches up with one floor-anchored data query
 // over the new events, so a batch without matching behavior costs
-// O(batch) regardless of how much history the store holds.
+// O(batch) regardless of how much history the store holds. It is the
+// 1x leg of BenchmarkStandingQueryScale under the gate's name.
 func BenchmarkStandingQuery(b *testing.B) {
-	sess, recs := benchSession(b, Config{MatchBuffer: 16})
-	if _, err := sess.Watch(dataLeakTBQL); err != nil {
-		b.Fatal(err)
-	}
-	template := recs[:64]
-	span := template[len(template)-1].Time - template[0].Time + 10_000_000
-	base := sess.Store().MaxTime + 10_000_000 - template[0].Time
-	buf := make([]audit.Record, 0, len(template))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunk := shiftRecords(template, buf, base+int64(i)*span)
-		if _, err := sess.IngestRecords(chunk); err != nil {
-			b.Fatal(err)
-		}
-	}
+	standingRounds(b, 1, singleSession(b), dataLeakTBQL)
 }
 
 // BenchmarkConcurrentHunts measures snapshot-pinned hunt throughput:
@@ -111,11 +97,11 @@ func BenchmarkConcurrentHunts(b *testing.B) {
 // each sealed batch, attributing alerts through backward reachability,
 // and rescoring the touched incidents. The delta vs BenchmarkStreamIngest
 // is the per-batch cost of detection; alerts/op reports how much tagging
-// work each round actually did.
+// work each round, timed or warm-up, actually did.
 func BenchmarkTacticalRound(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Tactical = tactical.Config{Rules: chaosRules(b)}
-	sess, _ := benchSession(b, cfg)
+	recs := dataLeakRecords(b, 0.25)
 	// A chunk where every fourth record matches a rule (a credential read
 	// or a staging write among untagged reads), spread over a few
 	// processes so attribution does real reachability work.
@@ -133,25 +119,25 @@ func BenchmarkTacticalRound(b *testing.B) {
 		}
 		template[i] = r
 	}
-	span := template[len(template)-1].Time - template[0].Time + 10_000_000
-	base := sess.Store().MaxTime + 10_000_000 - template[0].Time
-	buf := make([]audit.Record, 0, len(template))
-	startAlerts := sess.TacticalStats().AlertsTagged
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunk := shiftRecords(template, buf, base+int64(i)*span)
-		if _, err := sess.IngestRecords(chunk); err != nil {
+	var alerts, start int64
+	sessions := sessionRounds(b, template, func() *Session {
+		sess, _ := emptySession(b, cfg)
+		if _, err := sess.IngestRecords(recs); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if _, err := sess.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	st := sess.TacticalStats()
-	b.ReportMetric(float64(st.AlertsTagged-startAlerts)/float64(b.N), "alerts/op")
-	if st.AlertsTagged == startAlerts {
+		if _, err := sess.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		start = sess.TacticalStats().AlertsTagged
+		return sess
+	}, func(sess *Session) {
+		if _, err := sess.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		alerts += sess.TacticalStats().AlertsTagged - start
+	})
+	b.ReportMetric(float64(alerts)/float64(b.N+sessions*warmRounds), "alerts/op")
+	if alerts == 0 {
 		b.Fatal("no alerts tagged; the tactical path was not exercised")
 	}
 }
@@ -271,47 +257,29 @@ func singleSession(b *testing.B) func() *Session {
 	}
 }
 
-// roundsPerSession is how many timed rounds standingRounds runs on one
+// roundsPerSession is how many timed rounds sessionRounds runs on one
 // session before starting over on a fresh one. Each round appends 64
 // records (the 1x preload holds 976), so without the restart the store a
-// leg times would grow with b.N, and with it B/op.
+// benchmark times would grow with b.N, and with it B/op.
 const roundsPerSession = 16
 
 // warmRounds is how many untimed rounds each session runs before its
-// timed ones: the flushed first round compiles the query's plan and
+// timed ones: the flushed first round compiles a watched query's plan and
 // materializes its views, and the first watermark-sealed round (the
 // second after it) sizes the delta path's buffers, a one-time cost of
 // about 1 300 allocations that the timed rounds would otherwise share.
 const warmRounds = 3
 
-// standingRounds times one 64-record sealed round per iteration on a
-// session from newSess preloaded with mult time-shifted copies of the
-// data_leak history and watching query. Every roundsPerSession rounds it
-// closes the session and starts a fresh one with the timer stopped, so
-// a leg times its stated preload plus warmRounds to warmRounds +
-// roundsPerSession rounds at any -benchtime: store growth shows across
-// the 1x-8x legs, not across b.N.
+// standingRounds times one 64-record sealed round per iteration on
+// sessions from newSess preloaded with mult time-shifted copies of the
+// data_leak history and watching query (see sessionRounds): store growth
+// shows across the 1x-8x legs, not across b.N.
 func standingRounds(b *testing.B, mult int, newSess func() *Session, query string) {
 	recs := dataLeakRecords(b, 0.25)
 	span := recs[len(recs)-1].Time - recs[0].Time + 10_000_000
 	buf := make([]audit.Record, 0, len(recs))
-	template := recs[:64]
-	chunkSpan := template[len(template)-1].Time - template[0].Time + 10_000_000
-	cbuf := make([]audit.Record, 0, len(template))
-	var sess *Session
-	var base int64
-	round := func(i int) {
-		if _, err := sess.IngestRecords(shiftRecords(template, cbuf, base+int64(i)*chunkSpan)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	start := func() {
-		if sess != nil {
-			if err := sess.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sess = newSess()
+	sessionRounds(b, recs[:64], func() *Session {
+		sess := newSess()
 		for i := 0; i < mult; i++ {
 			if _, err := sess.IngestRecords(shiftRecords(recs, buf, int64(i)*span)); err != nil {
 				b.Fatal(err)
@@ -323,9 +291,46 @@ func standingRounds(b *testing.B, mult int, newSess func() *Session, query strin
 		if _, err := sess.Watch(query); err != nil {
 			b.Fatal(err)
 		}
+		return sess
+	}, nil)
+}
+
+// sessionRounds times one round per iteration: the session ingests
+// template, time-shifted past everything it holds. open returns a
+// preloaded session; each runs warmRounds untimed rounds (the first one
+// flushed, so it seals) and then roundsPerSession timed ones, after which
+// done (when non-nil) sees it, it is closed, and a fresh one opens, all
+// with the timer stopped. So a round runs against the stated preload plus
+// warmRounds to warmRounds + roundsPerSession rounds at any -benchtime.
+// It returns how many sessions it opened.
+func sessionRounds(b *testing.B, template []audit.Record, open func() *Session, done func(*Session)) int {
+	chunkSpan := template[len(template)-1].Time - template[0].Time + 10_000_000
+	cbuf := make([]audit.Record, 0, len(template))
+	var sess *Session
+	var base int64
+	sessions := 0
+	round := func(i int) {
+		if _, err := sess.IngestRecords(shiftRecords(template, cbuf, base+int64(i)*chunkSpan)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	finish := func() {
+		if done != nil {
+			done(sess)
+		}
+		if err := sess.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	start := func() {
+		if sess != nil {
+			finish()
+		}
+		sess = open()
+		sessions++
 		base = sess.Store().MaxTime + 10_000_000 - template[0].Time
 		round(0)
-		if _, err := sess.Flush(); err != nil { // seal it: the query runs
+		if _, err := sess.Flush(); err != nil { // seal it: a watched query runs
 			b.Fatal(err)
 		}
 		for i := 1; i < warmRounds; i++ {
@@ -343,4 +348,7 @@ func standingRounds(b *testing.B, mult int, newSess func() *Session, query strin
 		}
 		round(warmRounds + i%roundsPerSession)
 	}
+	b.StopTimer()
+	finish()
+	return sessions
 }
