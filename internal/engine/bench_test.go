@@ -127,12 +127,22 @@ func BenchmarkCompile(b *testing.B) {
 // instancesStore loads n time-shifted instances of a case, each replayed
 // with its own seed on its own host (the hunt benchmark's store shape):
 // the instances' entities are distinct, so a pattern matches n times.
-func instancesStore(b *testing.B, caseID string, n int, scale float64) *Store {
-	b.Helper()
+func instancesStore(tb testing.TB, caseID string, n int, scale float64) *Store {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = caseID
+	}
+	return replayStore(tb, scale, ids...)
+}
+
+// replayStore loads one time-shifted instance per listed case, the i-th
+// replayed with its case's seed + i on host "h<i>".
+func replayStore(tb testing.TB, scale float64, caseIDs ...string) *Store {
+	tb.Helper()
 	parser := audit.NewParser()
 	cursor := int64(1_700_000_000_000_000)
-	for i := 0; i < n; i++ {
-		c := *cases.ByID(caseID)
+	for i, id := range caseIDs {
+		c := *cases.ByID(id)
 		c.Seed += int64(i)
 		recs, _, _ := c.Simulate(scale)
 		shift := cursor - recs[0].Time
@@ -140,7 +150,7 @@ func instancesStore(b *testing.B, caseID string, n int, scale float64) *Store {
 			recs[j].Time += shift
 			recs[j].Host = fmt.Sprintf("h%d", i)
 			if err := parser.Feed(&recs[j]); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		cursor = recs[len(recs)-1].Time + 2_000_000
@@ -149,7 +159,7 @@ func instancesStore(b *testing.B, caseID string, n int, scale float64) *Store {
 	reduction.Reduce(log, reduction.DefaultConfig())
 	store, err := NewStore(log)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return store
 }
@@ -169,8 +179,9 @@ func caseHunt(b *testing.B, caseID string, mode synth.Mode) *tbql.Analyzed {
 	return a
 }
 
-// benchHunt runs a hunt b.N times, reporting its join bindings per op.
-func benchHunt(b *testing.B, store *Store, a *tbql.Analyzed) {
+// benchHunt runs a hunt b.N times, reporting its join bindings per op,
+// and returns one execution's Stats.
+func benchHunt(b *testing.B, store *Store, a *tbql.Analyzed) Stats {
 	en := &Engine{Store: store}
 	res, st, err := en.Execute(nil, a)
 	if err != nil || res.Set.Len() == 0 {
@@ -184,6 +195,19 @@ func benchHunt(b *testing.B, store *Store, a *tbql.Analyzed) {
 		}
 	}
 	b.ReportMetric(float64(st.JoinBindings), "bindings/op")
+	return st
+}
+
+// BenchmarkVarLenHunt measures a var-length hunt (the hunt pool's
+// busybox-to-C2 flow, up to six hops) over eight vpnfilter instances. Its
+// return is distinct, so the graph expands the hop by bounded BFS, one
+// offer per reachable node; rows/op (pattern rows) and edges/op (graph
+// edges traversed) show the work the trail DFS would multiply.
+func BenchmarkVarLenHunt(b *testing.B) {
+	store := instancesStore(b, "vpnfilter", 8, 1.0)
+	st := benchHunt(b, store, analyzed(b, varLenPool[2]))
+	b.ReportMetric(float64(st.PatternRows), "rows/op")
+	b.ReportMetric(float64(st.Graph.EdgesTraversed), "edges/op")
 }
 
 // BenchmarkJoinFanout measures the join on the tc_theia_4 hunt over eight

@@ -164,7 +164,7 @@ func TestCompilePatternCypherVarLenForms(t *testing.T) {
 	}
 	for _, c := range cases {
 		ir := tbql.Lower(parse(t, c.src))[0]
-		cy := lowerPathQuery(store.Snapshot().bounds(), ir.Path).String()
+		cy := lowerPathQuery(store.Snapshot().bounds(), ir.Path, true).String()
 		if !strings.Contains(cy, c.want) {
 			t.Errorf("%s\nprinted %q, want fragment %q", c.src, cy, c.want)
 		}

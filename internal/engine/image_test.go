@@ -202,6 +202,50 @@ func TestBuiltAndRecoveredIndexesAgree(t *testing.T) {
 	check("rollback")
 }
 
+// TestRecoveredStoreReplansAfterIndexBuild pins that a plan compiled on a
+// recovered store before its deferred index builds does not keep its
+// index-less access paths: after the first append builds the indexes, a
+// hunt on the same Engine probes them exactly as a fresh Engine's does,
+// for the scheduled hunt and the monolithic SQL baseline alike.
+func TestRecoveredStoreReplansAfterIndexBuild(t *testing.T) {
+	gen, err := cases.ByID("data_leak").Generate(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := NewStore(gen.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := roundTripStore(t, built)
+	a := analyzed(t, dataLeakTBQL)
+	probes := func(en *Engine) (hunt, mono int) {
+		t.Helper()
+		_, st, err := en.Execute(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ms, err := en.ExecuteMonolithicSQL(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Rel.IndexLookups, ms.Rel.IndexLookups
+	}
+	en := &Engine{Store: recovered}
+	if hunt, mono := probes(en); hunt != 0 || mono != 0 {
+		t.Fatalf("before the first append: %d hunt and %d monolithic index probes, want scans", hunt, mono)
+	}
+	appendTarBatch(t, recovered, 9999, "/etc/passwd")
+	hunt, mono := probes(en)
+	wantHunt, wantMono := probes(&Engine{Store: recovered})
+	if wantHunt == 0 || wantMono == 0 {
+		t.Fatalf("a fresh engine probed no index (%d hunt, %d monolithic)", wantHunt, wantMono)
+	}
+	if hunt != wantHunt || mono != wantMono {
+		t.Fatalf("after the index build: %d hunt and %d monolithic index probes on the same engine, %d and %d on a fresh one",
+			hunt, mono, wantHunt, wantMono)
+	}
+}
+
 // TestDumpRangeFoldsToDumpImage dumps a growing store as range segments —
 // one per append round, each round interning new entities and carrying an
 // event that starts before events already stored on its process, so

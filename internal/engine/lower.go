@@ -189,7 +189,12 @@ func eventConds(b timeBounds, ej *qir.EventJoin) []relational.Expr {
 // lowerPathQuery lowers one path pattern's IR to a graph traversal plan.
 // Binding sets and the delta floor stay out of the plan; they bind per
 // execution through graphdb.ExecParams (variables "s", "o", "e").
-func lowerPathQuery(b timeBounds, pm *qir.PathMatch) *graphdb.Query {
+// distinct is the TBQL return's: the join collapses identical pattern rows
+// of a distinct query (joinLevel.setRows), so a var-length plan asks the
+// graph for a row set, which lets an unfloored hop expand by bounded BFS
+// instead of once per trail. A single hop's rows are unique already (one
+// per edge), so its plan skips the graph's deduplication.
+func lowerPathQuery(b timeBounds, pm *qir.PathMatch, distinct bool) *graphdb.Query {
 	subjLabel := LabelProcess
 	objLabel := labelOf(pm.ObjKind)
 
@@ -252,6 +257,7 @@ func lowerPathQuery(b timeBounds, pm *qir.PathMatch) *graphdb.Query {
 	return &graphdb.Query{
 		Patterns: []graphdb.Pattern{pat},
 		Where:    andChain(conds),
+		Distinct: distinct && (pm.MinLen != 1 || pm.MaxLen != 1),
 		Return:   ret,
 		Limit:    -1,
 	}

@@ -30,11 +30,11 @@ type patternPlan struct {
 	meta PatternMeta
 
 	mu       sync.Mutex
-	rel      *relational.Prepared // entity-anchored, runtime-pruned params
-	relDelta *relational.Prepared // events-anchored, for delta floors
+	rel      stmtCache // entity-anchored, runtime-pruned params
+	relDelta stmtCache // events-anchored, for delta floors
 	// anchor is a graph pattern's subject prefilter over the entities
 	// table, compiled on first use.
-	anchor *relational.Prepared
+	anchor stmtCache
 
 	// view is the pattern's materialized match cache (standing queries;
 	// nil until ExecuteDelta first materializes it). Guarded by the owning
@@ -68,6 +68,36 @@ func patternOpMask(ir *qir.DataQuery) uint32 {
 	return mask
 }
 
+// stmtCache is one lazily compiled relational statement and the index
+// generation (relational.DB.IndexGen) it was planned at. A recovered store
+// builds its declared indexes at its first append, after plans compiled on
+// the bare restore chose scans; a statement from an older generation is
+// therefore lowered and planned again, so a cached plan never keeps a
+// store's index-less access paths.
+type stmtCache struct {
+	pr  *relational.Prepared
+	gen uint64
+}
+
+// get returns the cached statement, or lowers and prepares it when absent
+// or planned at an older index generation. The caller serializes calls.
+func (c *stmtCache) get(db *relational.DB, lower func() (*relational.SelectStmt, error)) (*relational.Prepared, error) {
+	gen := db.IndexGen() // read first: a build racing the prepare re-plans next call
+	if c.pr != nil && c.gen == gen {
+		return c.pr, nil
+	}
+	stmt, err := lower()
+	if err != nil {
+		return nil, err
+	}
+	pr, err := db.Prepare(stmt)
+	if err != nil {
+		return nil, err
+	}
+	c.pr, c.gen = pr, gen
+	return pr, nil
+}
+
 // prepared returns the pattern's compiled relational plan, lowering and
 // compiling it on first use against the owning queryPlan's fixed bounds
 // (so lazy compilation on a reader goroutine never touches the writer's
@@ -75,14 +105,9 @@ func patternOpMask(ir *qir.DataQuery) uint32 {
 func (pp *patternPlan) prepared(s *Store, b timeBounds) (*relational.Prepared, error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if pp.rel == nil {
-		pr, err := s.Rel.Prepare(lowerEventStmt(b, pp.ir.Event))
-		if err != nil {
-			return nil, err
-		}
-		pp.rel = pr
-	}
-	return pp.rel, nil
+	return pp.rel.get(s.Rel, func() (*relational.SelectStmt, error) {
+		return lowerEventStmt(b, pp.ir.Event), nil
+	})
 }
 
 // preparedDelta returns the pattern's events-anchored catch-up plan,
@@ -90,14 +115,9 @@ func (pp *patternPlan) prepared(s *Store, b timeBounds) (*relational.Prepared, e
 func (pp *patternPlan) preparedDelta(s *Store, b timeBounds) (*relational.Prepared, error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if pp.relDelta == nil {
-		pr, err := s.Rel.Prepare(lowerEventStmtDeltaAnchored(b, pp.ir.Event))
-		if err != nil {
-			return nil, err
-		}
-		pp.relDelta = pr
-	}
-	return pp.relDelta, nil
+	return pp.relDelta.get(s.Rel, func() (*relational.SelectStmt, error) {
+		return lowerEventStmtDeltaAnchored(b, pp.ir.Event), nil
+	})
 }
 
 // anchorFilter returns the compiled entity prefilter of a graph pattern's
@@ -105,14 +125,9 @@ func (pp *patternPlan) preparedDelta(s *Store, b timeBounds) (*relational.Prepar
 func (pp *patternPlan) anchorFilter(s *Store) (*relational.Prepared, error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if pp.anchor == nil {
-		pr, err := s.Rel.Prepare(lowerEntityFilter(audit.EntityProcess, pp.ir.Path.SubjPred))
-		if err != nil {
-			return nil, err
-		}
-		pp.anchor = pr
-	}
-	return pp.anchor, nil
+	return pp.anchor.get(s.Rel, func() (*relational.SelectStmt, error) {
+		return lowerEntityFilter(audit.EntityProcess, pp.ir.Path.SubjPred), nil
+	})
 }
 
 // queryPlan is one entry of the engine's compiled-query cache: everything
@@ -161,11 +176,10 @@ type queryPlan struct {
 	join     *joinProgram
 
 	// Monolithic plans (the paper's RQ4 naive comparison), lowered lazily.
-	monoMu     sync.Mutex
-	monoSQL    *relational.Prepared
-	monoSQLErr error
-	monoCy     *graphdb.Query
-	monoCyErr  error
+	monoMu    sync.Mutex
+	monoSQL   stmtCache
+	monoCy    *graphdb.Query
+	monoCyErr error
 }
 
 // maxCachedQueryPlans bounds the compiled-query cache. Ad-hoc hunts with
@@ -248,7 +262,7 @@ func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryP
 		pp.ir = ir
 		pp.meta = patternMeta(ir)
 		if pp.meta.UsesGraph {
-			pp.gq = lowerPathQuery(b, ir.Path)
+			pp.gq = lowerPathQuery(b, ir.Path, a.Query.Return.Distinct)
 		}
 		if ir.Window().Sensitive() {
 			p.windowSensitive = true
@@ -329,15 +343,9 @@ func (p *queryPlan) joinProgram(a *tbql.Analyzed) *joinProgram {
 func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepared, error) {
 	p.monoMu.Lock()
 	defer p.monoMu.Unlock()
-	if p.monoSQL != nil || p.monoSQLErr != nil {
-		return p.monoSQL, p.monoSQLErr
-	}
-	stmt, err := lowerMonolithicStmt(p.bounds, a, p.irs)
-	if err == nil {
-		p.monoSQL, err = s.Rel.Prepare(stmt)
-	}
-	p.monoSQLErr = err
-	return p.monoSQL, err
+	return p.monoSQL.get(s.Rel, func() (*relational.SelectStmt, error) {
+		return lowerMonolithicStmt(p.bounds, a, p.irs)
+	})
 }
 
 // monolithicCypher returns the plan's lowered monolithic graph query (the

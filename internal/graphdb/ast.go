@@ -8,6 +8,12 @@ import "threatraptor/internal/relational"
 type Query struct {
 	Patterns []Pattern // comma-separated path patterns of all MATCH clauses
 	Where    relational.Expr
+	// Distinct deduplicates the returned rows. It also lets an unfloored
+	// variable-length hop with Min ≤ 1 expand by bounded BFS, one offer
+	// per reachable node, instead of enumerating every edge-unique trail:
+	// the row set is the same, only the pre-dedup multiplicity and the
+	// row order (first discovery) differ. Without it each trail yields
+	// its own row.
 	Distinct bool
 	Return   []ReturnItem
 	OrderBy  []OrderItem

@@ -21,9 +21,11 @@ func chainGraph(n int) *Graph {
 	return g
 }
 
-func exactDepthQuery(t testing.TB, depth int) *Query {
+// exactDepthQuery matches the nodes exactly depth hops from n0; arrow is
+// the hop's tail, "->" (outgoing) or "-" (either direction).
+func exactDepthQuery(t testing.TB, depth int, arrow string) *Query {
 	q, err := ParseQuery(fmt.Sprintf(
-		`MATCH (a:N {name: 'n0'})-[*%d..%d]->(x:N) RETURN x.name`, depth, depth))
+		`MATCH (a:N {name: 'n0'})-[*%d..%d]%s(x:N) RETURN x.name`, depth, depth, arrow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,25 +36,29 @@ func exactDepthQuery(t testing.TB, depth int) *Query {
 // per-hop cost of a variable-length DFS must not allocate, so executions
 // at depth 8 and depth 64 differ by at most the bitset sizing — with the
 // old map-per-hop tracking, the deeper walk paid growing map allocations.
+// The direction-agnostic leg walks each node's outgoing and incoming lists
+// in turn; a concatenated copy per step would grow with depth.
 func TestVarLenDFSConstantAllocs(t *testing.T) {
 	g := chainGraph(80)
 	g.ensureAdjSorted()
-	measure := func(depth int) float64 {
-		q := exactDepthQuery(t, depth)
-		// Warm once so lazy structures exist before measuring.
-		if _, _, err := g.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(50, func() {
+	for _, arrow := range []string{"->", "-"} {
+		measure := func(depth int) float64 {
+			q := exactDepthQuery(t, depth, arrow)
+			// Warm once so lazy structures exist before measuring.
 			if _, _, err := g.Exec(q); err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
-	shallow := measure(8)
-	deep := measure(64)
-	if deep-shallow > 4 {
-		t.Fatalf("var-length DFS allocs grow with depth: %v at depth 8 vs %v at depth 64", shallow, deep)
+			return testing.AllocsPerRun(50, func() {
+				if _, _, err := g.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		shallow := measure(8)
+		deep := measure(64)
+		if deep-shallow > 4 {
+			t.Fatalf("-[*]%s: var-length DFS allocs grow with depth: %v at depth 8 vs %v at depth 64", arrow, shallow, deep)
+		}
 	}
 }
 
@@ -61,7 +67,7 @@ func TestVarLenDFSConstantAllocs(t *testing.T) {
 func BenchmarkVarLenDFS(b *testing.B) {
 	g := chainGraph(256)
 	g.ensureAdjSorted()
-	q := exactDepthQuery(b, 255)
+	q := exactDepthQuery(b, 255, "->")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -114,6 +114,10 @@ type matcher struct {
 	// stack), sized to the edge arena and handed back clean — the DFS
 	// clears each bit on backtrack, so no reset pass is needed.
 	visitedPool [][]uint64
+	// reachPool is the same for the var-length BFS (see reachOK): a node
+	// bitset and the BFS queue, which doubles as the touched list the
+	// bitset is cleared through before it goes back.
+	reachPool []*reachScratch
 	// capture, when set, replaces row emission: the clause-at-a-time
 	// executor uses it to collect raw variable bindings.
 	capture func() error
@@ -434,7 +438,12 @@ func (m *matcher) matchPattern(pi, ni int) error {
 }
 
 // matchHop matches hop ni (connecting node ni to node ni+1) of pattern pi,
-// then recurses.
+// then recurses. A single hop binds each adjacent edge in turn. A
+// variable-length hop has two expansions: bounded BFS (reach), which
+// offers each node within [Min, Max] hops once, when the run cannot expose
+// its trails — a DISTINCT query, no MinEdgeID floor, Min ≤ 1 (see
+// reachOK); otherwise the edge-unique trail DFS, which offers a node once
+// per trail reaching it. Both yield the same DISTINCT row set.
 func (m *matcher) matchHop(pi, ni int) error {
 	pat := &m.q.Patterns[pi]
 	if ni == len(pat.Rels) {
@@ -493,7 +502,7 @@ func (m *matcher) matchHop(pi, ni int) error {
 			// A declared time window narrows the sorted adjacency list to
 			// the in-window span by binary search.
 			if w, ok := m.windows[rel.Var]; ok {
-				adj = windowSliceIn(m.vedges, adj, w[0], w[1])
+				adj[0] = windowSliceIn(m.vedges, adj[0], w[0], w[1])
 			}
 		}
 		// The floor compares edge element IDs (ei+1) — exactly what a
@@ -503,42 +512,42 @@ func (m *matcher) matchHop(pi, ni int) error {
 		// element-ID == external-ID invariant; the engine pins its dense
 		// event-ID mapping with TestGraphEdgeIDsMatchEventIDs. A query
 		// whose only relationship is this hop skips older edges outright.
-		for _, ei := range adj {
-			id := int64(ei) + 1
-			if m.oneHop && id < m.floor {
-				continue
-			}
-			e := &m.vedges[ei]
-			m.stats.EdgesTraversed++
-			if !typeMatches(rel.Types, e.Type) {
-				continue
-			}
-			dst := e.To
-			if e.To == src && rel.Dir != DirOut {
-				dst = e.From
-			} else if rel.Dir == DirIn {
-				dst = e.From
-			}
-			fresh := m.countFloored(id)
-			err := tryDst(id, dst)
-			m.floored -= fresh
-			if err != nil {
-				return err
+		for _, list := range adj {
+			for _, ei := range list {
+				id := int64(ei) + 1
+				if m.oneHop && id < m.floor {
+					continue
+				}
+				e := &m.vedges[ei]
+				m.stats.EdgesTraversed++
+				if !typeMatches(rel.Types, e.Type) {
+					continue
+				}
+				fresh := m.countFloored(id)
+				err := tryDst(id, e.next(src, rel.Dir))
+				m.floored -= fresh
+				if err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 
-	// Variable-length hop: edge-unique DFS from src, trying every node
-	// reached within [Min, Max] hops as the destination. Edge uniqueness
-	// is tracked in a pooled bitset over the edge arena instead of a
-	// per-hop map: the DFS clears each bit when it backtracks, so the
-	// bitset returns to the pool clean and one allocation serves every
-	// traversal of the query.
 	maxDepth := rel.Max
 	if maxDepth < 0 {
 		maxDepth = len(m.vedges) // bounded by edge-uniqueness anyway
 	}
+	if m.reachOK(&rel, dstPat, src) {
+		return m.reach(src, &rel, maxDepth, tryDst)
+	}
+
+	// Variable-length hop by trail enumeration: edge-unique DFS from src,
+	// trying every node reached within [Min, Max] hops as the destination,
+	// once per trail. Edge uniqueness is tracked in a pooled bitset over
+	// the edge arena instead of a per-hop map: the DFS clears each bit
+	// when it backtracks, so the bitset returns to the pool clean and one
+	// allocation serves every traversal of the query.
 	used := m.acquireVisited()
 	var dfs func(cur int64, depth int) error
 	dfs = func(cur int64, depth int) error {
@@ -556,28 +565,24 @@ func (m *matcher) matchHop(pi, ni int) error {
 		if depth == maxDepth {
 			return nil
 		}
-		for _, ei := range m.adjacent(cur, rel.Dir) {
-			if used[ei>>6]&(1<<(uint(ei)&63)) != 0 {
-				continue
-			}
-			e := &m.vedges[ei]
-			m.stats.EdgesTraversed++
-			if !typeMatches(rel.Types, e.Type) {
-				continue
-			}
-			next := e.To
-			if rel.Dir == DirIn {
-				next = e.From
-			} else if rel.Dir == DirBoth && e.To == cur {
-				next = e.From
-			}
-			used[ei>>6] |= 1 << (uint(ei) & 63)
-			fresh := m.countFloored(int64(ei) + 1)
-			err := dfs(next, depth+1)
-			m.floored -= fresh
-			used[ei>>6] &^= 1 << (uint(ei) & 63)
-			if err != nil {
-				return err
+		for _, list := range m.adjacent(cur, rel.Dir) {
+			for _, ei := range list {
+				if used[ei>>6]&(1<<(uint(ei)&63)) != 0 {
+					continue
+				}
+				e := &m.vedges[ei]
+				m.stats.EdgesTraversed++
+				if !typeMatches(rel.Types, e.Type) {
+					continue
+				}
+				used[ei>>6] |= 1 << (uint(ei) & 63)
+				fresh := m.countFloored(int64(ei) + 1)
+				err := dfs(e.next(cur, rel.Dir), depth+1)
+				m.floored -= fresh
+				used[ei>>6] &^= 1 << (uint(ei) & 63)
+				if err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -585,6 +590,100 @@ func (m *matcher) matchHop(pi, ni int) error {
 	err := dfs(src, 0)
 	m.releaseVisited(used)
 	return err
+}
+
+// reachOK reports whether a variable-length hop from src may expand by
+// bounded BFS (reach) instead of trail enumeration. The rest of the match
+// reads only the destination's binding — a var-length hop binds no edge
+// variable — so under DISTINCT the rows a destination produces are the
+// same whichever trail reached it, and one offer per destination yields
+// the trail DFS's row set. A node lies on a trail of length in [Min, Max]
+// exactly when its BFS distance lies in that range (a shortest path never
+// repeats an edge), except that at Min = 1 the source itself is reached
+// only through a closed trail; a hop whose destination pattern admits the
+// source keeps the DFS. A floored run keeps it too: the floor is a
+// property of the trail, not of the destination.
+func (m *matcher) reachOK(rel *RelPat, dstPat NodePat, src int64) bool {
+	if !m.q.Distinct || m.floor > 0 || rel.Min > 1 {
+		return false
+	}
+	if rel.Min == 0 {
+		return true
+	}
+	ok, _ := m.admits(dstPat, m.node(src), src)
+	return !ok
+}
+
+// reachScratch is one BFS's pooled state: seen is a bitset over node IDs,
+// and queue holds the reached nodes in BFS order — every node whose seen
+// bit is set, so clearing the queue's bits returns the bitset clean.
+type reachScratch struct {
+	seen  []uint64
+	queue []int64
+}
+
+// reach is the var-length hop's bounded BFS (see reachOK): it collects the
+// nodes within maxDepth hops of src along the hop's direction and types,
+// then offers each once — src first when Min is 0, since queue[0] is the
+// only node at depth 0 — to tryDst.
+func (m *matcher) reach(src int64, rel *RelPat, maxDepth int, tryDst func(edgeID, dst int64) error) error {
+	sc := m.acquireReach()
+	defer m.releaseReach(sc)
+	mark := func(id int64) {
+		if sc.seen[id>>6]&(1<<(uint(id)&63)) == 0 {
+			sc.seen[id>>6] |= 1 << (uint(id) & 63)
+			sc.queue = append(sc.queue, id)
+		}
+	}
+	mark(src)
+	for depth, level := 0, 0; depth < maxDepth && level < len(sc.queue); depth++ {
+		end := len(sc.queue)
+		for _, cur := range sc.queue[level:end] {
+			if err := m.checkCancel(); err != nil {
+				return err
+			}
+			for _, list := range m.adjacent(cur, rel.Dir) {
+				for _, ei := range list {
+					e := &m.vedges[ei]
+					m.stats.EdgesTraversed++
+					if typeMatches(rel.Types, e.Type) {
+						mark(e.next(cur, rel.Dir))
+					}
+				}
+			}
+		}
+		level = end
+	}
+	for _, id := range sc.queue[rel.Min:] {
+		if err := tryDst(0, id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// acquireReach pops a clean BFS scratch from the pool, or allocates one
+// whose bitset covers every node ID of the bound store.
+func (m *matcher) acquireReach() *reachScratch {
+	if n := len(m.reachPool); n > 0 {
+		sc := m.reachPool[n-1]
+		m.reachPool = m.reachPool[:n-1]
+		return sc
+	}
+	nodes := len(m.g.nodes)
+	if m.view != nil {
+		nodes = m.view.NumNodes()
+	}
+	return &reachScratch{seen: make([]uint64, nodes/64+1)}
+}
+
+// releaseReach clears the scratch's bitset through its queue and pools it.
+func (m *matcher) releaseReach(sc *reachScratch) {
+	for _, id := range sc.queue {
+		sc.seen[id>>6] &^= 1 << (uint(id) & 63)
+	}
+	sc.queue = sc.queue[:0]
+	m.reachPool = append(m.reachPool, sc)
 }
 
 // countFloored pushes edge id onto the trail's floored count when it is at
@@ -615,20 +714,17 @@ func (m *matcher) releaseVisited(bs []uint64) {
 }
 
 // adjacent returns the candidate edge arena offsets from node id in the
-// direction.
-func (m *matcher) adjacent(id int64, dir Direction) []int32 {
+// direction, as lists the caller walks in turn: the outgoing or incoming
+// list alone, or for DirBoth the outgoing list then the incoming one (a
+// self-loop appears in both), with no concatenated copy.
+func (m *matcher) adjacent(id int64, dir Direction) [2][]int32 {
 	switch dir {
 	case DirOut:
-		return m.outOffsets(id)
+		return [2][]int32{m.outOffsets(id)}
 	case DirIn:
-		return m.inOffsets(id)
+		return [2][]int32{m.inOffsets(id)}
 	default:
-		out := m.outOffsets(id)
-		in := m.inOffsets(id)
-		both := make([]int32, 0, len(out)+len(in))
-		both = append(both, out...)
-		both = append(both, in...)
-		return both
+		return [2][]int32{m.outOffsets(id), m.inOffsets(id)}
 	}
 }
 
@@ -710,26 +806,37 @@ func (m *matcher) bindNode(np NodePat, id int64) (ok, bound bool, err error) {
 		return false, false, nil
 	}
 	m.stats.NodesVisited++
-	if np.Label != "" && !strings.EqualFold(np.Label, n.Label) {
-		return false, false, nil
+	if ok, fresh := m.admits(np, n, id); !ok || !fresh {
+		return ok, false, nil
+	}
+	m.nodes[np.Var] = id
+	return true, true, nil
+}
+
+// admits reports whether node n (ID id; nil for no such node) satisfies
+// the node pattern under the current bindings: label, inline properties,
+// the variable's bound ID list, and any earlier binding of the variable.
+// fresh reports that the pattern names a variable not yet bound.
+func (m *matcher) admits(np NodePat, n *Node, id int64) (ok, fresh bool) {
+	if n == nil || np.Label != "" && !strings.EqualFold(np.Label, n.Label) {
+		return false, false
 	}
 	for k, want := range np.Props {
 		got, has := n.Prop(k)
 		if !has || !got.Equal(want) {
-			return false, false, nil
+			return false, false
 		}
 	}
 	if np.Var == "" {
-		return true, false, nil
+		return true, false
 	}
 	if ids := m.params.nodeBinding(np.Var); ids != nil && !containsID(ids, id) {
-		return false, false, nil
+		return false, false
 	}
 	if prev, exists := m.nodes[np.Var]; exists {
-		return prev == id, false, nil
+		return prev == id, false
 	}
-	m.nodes[np.Var] = id
-	return true, true, nil
+	return true, true
 }
 
 // containsID binary-searches a sorted unique ID list.

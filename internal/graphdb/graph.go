@@ -103,6 +103,16 @@ func (e *Edge) Prop(name string) (Value, bool) {
 	return Value{}, false
 }
 
+// next returns the node edge e leads to from cur when walked in the
+// direction: its head going out, its tail coming in, and for DirBoth the
+// endpoint other than cur (cur itself for a self-loop).
+func (e *Edge) next(cur int64, dir Direction) int64 {
+	if dir == DirIn || dir == DirBoth && e.To == cur {
+		return e.From
+	}
+	return e.To
+}
+
 // noStartTime marks edges without a start_time property; they sort before
 // every timestamped edge, matching NULL-sorts-first comparison semantics.
 const noStartTime = math.MinInt64

@@ -138,6 +138,9 @@ type Table struct {
 	// visible to earlier snapshots, whose probes trim positions to their
 	// captured row count.
 	indexes []atomic.Pointer[hashIndex]
+	// indexGen is the owning DB's index generation (see DB.IndexGen),
+	// which every index build advances; nil for a table outside a DB.
+	indexGen *atomic.Uint64
 	// lazy holds indexes declared by a restore but not yet built; the
 	// writer materializes all of them immediately before its first
 	// post-restore append, off the recovery critical path. Until then
@@ -529,6 +532,9 @@ func (t *Table) CreateIndex(column string) error {
 		ix.strs = keyedLists(slots, func(pos int) (string, bool) { return c.strs[pos], !null(pos) })
 	}
 	t.indexes[col].Store(ix)
+	if t.indexGen != nil {
+		t.indexGen.Add(1)
+	}
 	t.dropLazy(column)
 	return nil
 }
