@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/audit"
@@ -114,16 +115,23 @@ func TestAnchorPrefilterIsSuperset(t *testing.T) {
 
 // TestPathAnchorNoMatchSkipsGraph pins the prefilter's short circuit: a
 // path pattern whose subject filter matches no entity returns empty
-// without the graph visiting a node.
+// without the graph visiting a node. The entities index answers the
+// prefilter: its LIKE matches no exename key, so no row is read.
 func TestPathAnchorNoMatchSkipsGraph(t *testing.T) {
 	store, _ := dataLeakStore(t, 200)
 	en := &Engine{Store: store}
-	res, st, err := en.Hunt(nil, `proc p["%/no/such/exe%"] ->[read] file f return p, f`)
+	src := `proc p["%/no/such/exe%"] ->[read] file f return p, f`
+	res, st, err := en.Hunt(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Set.Len() != 0 || st.Graph.NodesVisited != 0 || st.DataQueries != 1 || st.Rel.RowsScanned == 0 {
-		t.Fatalf("rows %d, stats %+v: want no rows, no node visited, one data query answered by an entities scan", res.Set.Len(), st)
+	out, err := en.Explain(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := strings.Contains(out, "L0 entities n: index LIKE on exename")
+	if res.Set.Len() != 0 || st.Graph.NodesVisited != 0 || st.DataQueries != 1 || !indexed || st.Rel.RowsScanned != 0 {
+		t.Fatalf("rows %d, stats %+v: want no rows, no node visited, one data query answered by the entities index\n%s", res.Set.Len(), st, out)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"threatraptor/internal/cases"
 	"threatraptor/internal/extract"
 	"threatraptor/internal/reduction"
+	"threatraptor/internal/relational"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
@@ -208,6 +209,46 @@ func BenchmarkVarLenHunt(b *testing.B) {
 	st := benchHunt(b, store, analyzed(b, varLenPool[2]))
 	b.ReportMetric(float64(st.PatternRows), "rows/op")
 	b.ReportMetric(float64(st.Graph.EdgesTraversed), "edges/op")
+}
+
+// BenchmarkEntityLike measures an entity LIKE filter — TBQL's default
+// string filter, the shape of every unbound pattern's entities level and
+// graph anchor prefilter — on a pinned snapshot of 32 data_leak
+// instances. selective matches a handful of rows, which the exename
+// index's matching keys feed; unselective keeps most process rows, so the
+// level runs its sharded scan instead. rows/op and scanned/op are the
+// statement's result rows and relational rows scanned.
+func BenchmarkEntityLike(b *testing.B) {
+	store := instancesStore(b, "data_leak", 32, 4.0)
+	for _, leg := range []struct{ name, where string }{
+		{"selective", "exename LIKE '%/bin/tar%'"},
+		{"unselective", "kind = 'proc' AND exename LIKE '%/%'"},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			stmt, err := relational.ParseSelect("SELECT id FROM entities WHERE " + leg.where)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pr, err := store.Rel.Prepare(stmt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			params := relational.Params{Snap: &store.Snapshot().Rel}
+			rs, st, err := pr.Query(&params)
+			if err != nil || rs.Len() == 0 {
+				b.Fatalf("rows %d, err %v", rs.Len(), err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pr.Query(&params); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rs.Len()), "rows/op")
+			b.ReportMetric(float64(st.RowsScanned), "scanned/op")
+		})
+	}
 }
 
 // BenchmarkJoinFanout measures the join on the tc_theia_4 hunt over eight

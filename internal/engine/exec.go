@@ -149,9 +149,10 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 			// traversal anchors on those IDs instead of testing the
 			// predicate on every node of the label. (Objects are reached
 			// only through the anchors' edges, so their predicate is tested
-			// on few nodes; prefiltering them costs an entities scan that
-			// the hunt pool measured as a net loss. A floored single hop
-			// is driven from the new edges instead of from anchors.)
+			// on few nodes; prefiltering them costs an entities index
+			// probe. When that cost was an entities scan, the hunt pool
+			// measured it as a net loss. A floored single hop is driven
+			// from the new edges instead of from anchors.)
 			var err error
 			if subj, err = en.anchorIDs(ctx, pp, snap, &st); err != nil {
 				return pr, st, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
@@ -240,7 +241,7 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 
 // anchorIDs runs a graph pattern's subject prefilter (see
 // lowerEntityFilter) on the pinned snapshot and returns the sorted unique
-// IDs it accepts; its scan is counted in st.Rel.
+// IDs it accepts; its index probe or scan is counted in st.Rel.
 func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot, st *Stats) ([]int64, error) {
 	prep, err := pp.anchorFilter(en.Store)
 	if err != nil {
@@ -259,7 +260,7 @@ func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot
 	for i, row := range rs.Rows {
 		ids[i] = row[0].I
 	}
-	slices.Sort(ids) // a scan yields ID order; an index probe need not
+	slices.Sort(ids) // rows come in table order, whatever order the IDs were inserted in
 	return slices.Compact(ids), nil
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"regexp"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/cases"
@@ -68,6 +69,29 @@ func TestAttrExprsVectorize(t *testing.T) {
 				t.Fatalf("%s: %v", c.ID, err)
 			}
 			checkNoRowFilters(t, en, tbql.Format(q))
+		}
+	}
+}
+
+// TestExplainNamesLikeAccess pins how EXPLAIN prints the index LIKE
+// access: as the runtime fallback of an event pattern's optional
+// subject-ID probe, and alone on a path pattern's anchor prefilter, for
+// the first two steps of the data_leak case query.
+func TestExplainNamesLikeAccess(t *testing.T) {
+	en := &Engine{Store: tinyStore(t)}
+	out, err := en.Explain(`proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as evt1
+proc p1 ->[write] file f2["%/tmp/upload.tar%"] as evt2
+with evt1 before evt2
+return distinct p1, f1, f2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"  L0 entities s: index multi-probe on id from param list 0 (optional; unbound -> index LIKE on exename (per distinct key)); 3 vectorized + 0 row filters\n",
+		"  L0 entities n: index LIKE on exename (per distinct key); 2 vectorized + 0 row filters\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("missing %q in\n%s", line, out)
 		}
 	}
 }

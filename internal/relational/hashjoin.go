@@ -130,7 +130,7 @@ func (p *plan) hashJoinLevel(st *execState, sink *rowSink, lvl int, hj *hashJoin
 		if tbl.Len() < HashJoinMinRows {
 			return false, nil
 		}
-		if len(p.floors[lvl]) > 0 && p.scanStart(&st.params, lvl) > 0 {
+		if len(p.floors[lvl]) > 0 && p.scanStart(st, lvl) > 0 {
 			// An active scan floor already narrows the level to a suffix
 			// (delta evaluation); hashing the whole history would cost more
 			// than every remaining suffix scan combined.

@@ -107,7 +107,10 @@ func genWhere(intn func(int) int, depth int) string {
 		case 2:
 			return fmt.Sprintf("%s %s '%s'", strCol(), cmp(), name())
 		case 3:
-			return fmt.Sprintf("%s LIKE '%s'", strCol(), []string{"%bin%", "/tmp%", "%tar", "%e%", "re_d", "%"}[intn(6)])
+			// Every pattern shape an index LIKE probe resolves: contains,
+			// prefix, suffix, '_', '%' alone, exact (no wildcard), and
+			// keys no row holds.
+			return fmt.Sprintf("%s LIKE '%s'", strCol(), []string{"%bin%", "/tmp%", "%tar", "%e%", "re_d", "%", "/etc/passwd", "/no/such", "%zzz%"}[intn(9)])
 		case 4:
 			return fmt.Sprintf("%s NOT LIKE '%%%s%%'", strCol(), []string{"bin", "tmp", "r", "x"}[intn(4)])
 		case 5:
@@ -153,10 +156,19 @@ func genWhere(intn func(int) int, depth int) string {
 // probe visits only the rows its key selects, so an indexed table may
 // still answer a predicate that errors on a row the probe skips (as in
 // SQL engines generally); it must never error when the brute force does
-// not.
+// not. The statement runs with "ORDER BY id" and without: unordered, every
+// table must return the plain table's scan order, which is row order (the
+// brute force's, and id order here), because every index probe feeds its
+// level in ascending row order.
 func checkWhereAgainstOracle(t *testing.T, plain *DB, pred string, indexed ...*DB) {
 	t.Helper()
-	sql := "SELECT id FROM t WHERE " + pred + " ORDER BY id"
+	for _, order := range []string{" ORDER BY id", ""} {
+		checkSQLAgainstOracle(t, "SELECT id FROM t WHERE "+pred+order, plain, indexed...)
+	}
+}
+
+func checkSQLAgainstOracle(t *testing.T, sql string, plain *DB, indexed ...*DB) {
+	t.Helper()
 	want, werr := oracleSelectIDs(plain, sql)
 	for _, db := range append([]*DB{plain}, indexed...) {
 		rs, err := db.Query(sql)

@@ -58,24 +58,9 @@ func (pr *Prepared) Describe() string {
 		if lvl < len(refs) && refs[lvl].Alias != "" {
 			alias = refs[lvl].Alias
 		}
-		access := "full scan"
-		if ia := p.access[lvl]; ia != nil {
-			col := tbl.Schema[ia.col].Name
-			switch {
-			case ia.listSlot >= 0:
-				access = fmt.Sprintf("index multi-probe on %s from param list %d", col, ia.listSlot)
-				if ia.optional {
-					fb := "full scan"
-					if ia.fallback != nil {
-						fb = "index probe on " + tbl.Schema[ia.fallback.col].Name
-					}
-					access += " (optional; unbound -> " + fb + ")"
-				}
-			case ia.keyList != nil:
-				access = fmt.Sprintf("index multi-probe on %s (%d keys)", col, len(ia.keyList))
-			default:
-				access = "index probe on " + col
-			}
+		access := describeAccess(tbl, p.access[lvl])
+		if ia := p.access[lvl]; ia != nil && ia.optional {
+			access += " (optional; unbound -> " + describeAccess(tbl, ia.fallback) + ")"
 		}
 		if n := len(p.floors[lvl]); n > 0 {
 			access += fmt.Sprintf("; %d scan floor(s)", n)
@@ -92,6 +77,26 @@ func (pr *Prepared) Describe() string {
 			lvl, tbl.Name, alias, access, vec, row)
 	}
 	return sb.String()
+}
+
+// describeAccess names one level access path for Describe (nil is the
+// full scan).
+func describeAccess(tbl *Table, ia *indexAccess) string {
+	if ia == nil {
+		return "full scan"
+	}
+	col := tbl.Schema[ia.col].Name
+	switch {
+	case ia.listSlot >= 0:
+		return fmt.Sprintf("index multi-probe on %s from param list %d", col, ia.listSlot)
+	case ia.like != nil && ia.keyList != nil:
+		return fmt.Sprintf("index LIKE on %s (exact key)", col)
+	case ia.like != nil:
+		return fmt.Sprintf("index LIKE on %s (per distinct key)", col)
+	case ia.keyList != nil:
+		return fmt.Sprintf("index multi-probe on %s (%d keys)", col, len(ia.keyList))
+	}
+	return "index probe on " + col
 }
 
 func checkSlot(slot int) (int, error) {

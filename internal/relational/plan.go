@@ -143,6 +143,13 @@ type execState struct {
 	// pooled state must never carry one into the next execution.
 	visits []int32
 	hjTabs []*hashJoinTable
+	// keyed[lvl] is level lvl's key-set access resolved for this
+	// execution (see plan.keyedProbe); lists and bits are its scratch:
+	// the selected keys' position lists and the merge bitmap (all zero
+	// between merges).
+	keyed []keyedLevel
+	lists [][]int32
+	bits  []uint64
 	// ctx/done drive cooperative cancellation: done caches ctx.Done() so
 	// the checkpoint fast path is a nil compare when no context (or a
 	// never-cancelled one) is bound. tick amortizes the poll on the probe
@@ -211,6 +218,7 @@ func (p *plan) state() *execState {
 		tabs:   make([]*Table, len(p.tables)),
 		visits: make([]int32, len(p.tables)),
 		hjTabs: make([]*hashJoinTable, len(p.tables)),
+		keyed:  make([]keyedLevel, len(p.tables)),
 	}
 }
 
@@ -226,21 +234,14 @@ func (p *plan) bindTabs(st *execState) {
 	copy(st.tabs, p.tables)
 }
 
-// tableAt resolves one level's table for an execution that has no bound
-// state yet (run's pre-walk sizing and the floor checks).
-func (p *plan) tableAt(params *Params, lvl int) *Table {
-	if params != nil && params.Snap != nil {
-		return params.Snap.Table(p.tables[lvl])
-	}
-	return p.tables[lvl]
-}
-
 func (p *plan) release(st *execState) {
 	st.params = Params{}
 	for i := range st.tabs {
 		st.tabs[i] = nil // do not pin a snapshot past the execution
 		st.visits[i] = 0
 		st.hjTabs[i] = nil // built over this execution's bound tables
+		st.keyed[i].mode = keyedUnresolved
+		st.keyed[i].pos = nil // may be an index list of the bound tables
 	}
 	st.ctx = nil
 	st.done = nil
@@ -257,12 +258,15 @@ type projFn func(st *execState, dst []Value) error
 
 // indexAccess describes a hash-index probe for one nested-loop level.
 // Exactly one of keyFn (single probe, evaluated against earlier levels),
-// keyList (multi-probe from a literal IN list), or listSlot >= 0
-// (multi-probe from the parameter list bound at execution) is set.
+// a key set (keyList from a literal IN list, or like: the index keys a
+// LIKE pattern matches), or listSlot >= 0 (multi-probe from the parameter
+// list bound at execution) is set; a LIKE pattern with no wildcard sets
+// both like and its one key in keyList.
 type indexAccess struct {
 	col      int
 	keyFn    evalFn
 	keyList  []Value
+	like     func(string) bool
 	listSlot int // -1 when not a parameter-list probe
 	// optional marks a parameter-list probe planned from an Optional
 	// ParamIDs conjunct: an execution with no bound list uses fallback
@@ -271,6 +275,12 @@ type indexAccess struct {
 	optional bool
 	fallback *indexAccess
 }
+
+// keyed reports whether the access probes a key set fixed for the whole
+// execution (a literal IN list or a LIKE pattern): the executor resolves
+// it once per execution and level, in ascending row order (see
+// plan.keyedProbe).
+func (ia *indexAccess) keyed() bool { return ia.keyList != nil || ia.like != nil }
 
 // binding resolves aliases and columns for one statement.
 type binding struct {
@@ -426,9 +436,10 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 			return nil, err
 		}
 		p.access[lvl] = ia
-		if ia == nil {
-			// No index serves this level: a join equality can still escape
-			// the per-binding full scan through the adaptive hash join.
+		if ia == nil || ia.keyed() {
+			// No index serves this level, or a key set too large to probe
+			// leaves it on its scan: a join equality can still escape the
+			// per-binding full scan through the adaptive hash join.
 			p.hashJoins[lvl] = b.planHashJoin(lvl, levelExprs[lvl])
 		}
 		for _, e := range levelExprs[lvl] {
@@ -456,10 +467,10 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 	return p, nil
 }
 
-// planInListAccess turns "tbl.col IN (literals...)" into a multi-probe,
-// one probe per distinct literal (a repeated one would emit its rows
-// twice). Every literal must have the column's kind: a probe matches
-// strictly, while IN's equality lets "42" match 42.
+// planInListAccess turns "tbl.col IN (literals...)" into a key-set probe
+// over the distinct literals (a repeated one would feed its rows twice).
+// Every literal must have the column's kind: a probe matches strictly,
+// while IN's equality lets "42" match 42.
 func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 	c, ok := in.E.(ColRef)
 	if !ok {
@@ -483,6 +494,33 @@ func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 		}
 	}
 	return &indexAccess{col: ccol, keyList: vals, listSlot: -1}
+}
+
+// planLikeAccess turns "tbl.col LIKE 'pattern'" over an indexed string
+// column into a key-set probe: each execution tests the pattern once per
+// distinct index key and probes the keys it matches. A pattern with no
+// wildcard matches only itself, so it probes that one key.
+func (b *binding) planLikeAccess(lvl int, bin BinOp) *indexAccess {
+	c, ok := bin.L.(ColRef)
+	if !ok {
+		return nil
+	}
+	lit, ok := bin.R.(Lit)
+	if !ok || lit.V.K != KindString {
+		return nil
+	}
+	clvl, ccol, err := b.resolve(c)
+	if err != nil || clvl != lvl || b.tables[lvl].Schema[ccol].Kind != KindString {
+		return nil
+	}
+	if b.tables[lvl].indexes[ccol].Load() == nil {
+		return nil
+	}
+	ia := &indexAccess{col: ccol, like: compileLikePattern(lit.V.S), listSlot: -1}
+	if !strings.ContainsAny(lit.V.S, "%_") {
+		ia.keyList = []Value{lit.V}
+	}
+	return ia
 }
 
 // planParamIDsAccess turns "tbl.col IN <param list>" into a multi-probe
@@ -544,18 +582,14 @@ func (b *binding) planScanFloor(lvl int, e Expr) (scanFloor, bool) {
 
 // scanStart resolves the scan start of a full-scanned level for this
 // execution: the largest lower bound across the level's active floors, or
-// 0 when the column order does not admit the shortcut. params may be nil
-// (every slot reads as zero).
-func (p *plan) scanStart(params *Params, lvl int) int32 {
+// 0 when the column order does not admit the shortcut.
+func (p *plan) scanStart(st *execState, lvl int) int32 {
 	var lo int32
-	tbl := p.tableAt(params, lvl)
+	tbl := st.tabs[lvl]
 	for _, f := range p.floors[lvl] {
 		k := f.lit
 		if f.slot >= 0 {
-			if params == nil {
-				continue
-			}
-			k = params.Ints[f.slot]
+			k = st.params.Ints[f.slot]
 		}
 		if f.excl {
 			if k == int64(^uint64(0)>>1) { // MaxInt64: "> max" admits nothing
@@ -572,11 +606,13 @@ func (p *plan) scanStart(params *Params, lvl int) int32 {
 
 // planIndexAccess finds an equality conjunct "tbl.col = key" (or an
 // all-literal "tbl.col IN (...)", or a runtime parameter list) usable as
-// an index probe at the given level. An Optional parameter-list access is
-// returned with the level's next-best access attached as its runtime
-// fallback, so one compiled plan serves bound and unbound executions.
+// an index probe at the given level; failing those, the first
+// "tbl.col LIKE 'pattern'" over an indexed column (planLikeAccess). An
+// Optional parameter-list access is returned with the level's next-best
+// access attached as its runtime fallback, so one compiled plan serves
+// bound and unbound executions.
 func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
-	var opt *indexAccess
+	var opt, like *indexAccess
 	// pick resolves a usable access against the pending optional one:
 	// optional parameter-list accesses are held back (returning nil)
 	// while the scan continues for a guaranteed access to use as their
@@ -615,6 +651,9 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 			continue
 		}
 		bin, ok := p.(BinOp)
+		if ok && bin.Op == "like" && like == nil {
+			like = b.planLikeAccess(lvl, bin)
+		}
 		if !ok || bin.Op != "=" {
 			continue
 		}
@@ -656,6 +695,9 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 		if ia := try(bin.R, bin.L); ia != nil {
 			return pick(ia), nil
 		}
+	}
+	if like != nil {
+		return pick(like), nil
 	}
 	return opt, nil
 }

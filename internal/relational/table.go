@@ -173,7 +173,7 @@ type hashIndex struct {
 	// capacity-4 lists make steady-state index maintenance allocation-free.
 	arena []int32
 	// mu orders the single writer's map mutations (add/remove) against
-	// snapshot readers' probes (lookupBounded). The writer's own probes on
+	// snapshot readers' probes (lookup, keyLists). The writer's own probes on
 	// live tables stay lock-free: they run on the writer goroutine, which
 	// cannot race its own mutations. Bulk loads never touch mu at all —
 	// NewStore creates the indexes after the batch insert, so appendRow
@@ -698,43 +698,41 @@ func (t *Table) IndexLists(column string) (lists map[Value][]int32, dense int, o
 // kind-specialized index without allocating. ok is false when the column
 // is not indexed. Probes whose value kind cannot equal the column kind
 // return no rows (matching strict index-probe semantics). On a snapshot
-// copy the probe is synchronized with the writer and trimmed to the
+// copy the probe runs under the index's read lock and is trimmed to the
 // snapshot's row count.
 func (t *Table) lookup(col int, v Value) (positions []int32, ok bool) {
 	ix := t.indexes[col].Load()
 	if ix == nil {
 		return nil, false
 	}
-	if t.snapshot {
-		return ix.lookupBounded(v, int32(t.rows)), true
-	}
-	if v.K != ix.kind {
-		return nil, true
-	}
-	if ix.kind == KindInt {
-		return ix.intPositions(v.I), true
-	}
-	return ix.strs[v.S], true
-}
-
-// lookupBounded probes the index under its read lock and trims the result
-// to positions < rows. The position lists are append-only in row order
-// (rollback pops only positions at or above its mark, which is never below
-// a published snapshot's row count), so the returned prefix is immutable
-// and safe to use after the lock is released.
-func (ix *hashIndex) lookupBounded(v Value, rows int32) []int32 {
-	if v.K != ix.kind {
-		return nil
+	if !t.snapshot {
+		return ix.positions(v), true
 	}
 	ix.mu.RLock()
-	var pos []int32
-	if ix.kind == KindInt {
-		pos = ix.intPositions(v.I)
-	} else {
-		pos = ix.strs[v.S]
+	positions = below(ix.positions(v), int32(t.rows))
+	ix.mu.RUnlock()
+	return positions, true
+}
+
+// positions returns key v's position list (nil when no row holds it, or v
+// has another kind than the index).
+func (ix *hashIndex) positions(v Value) []int32 {
+	switch {
+	case v.K != ix.kind:
+		return nil
+	case ix.kind == KindInt:
+		return ix.intPositions(v.I)
 	}
-	// Binary-search the first position >= rows; everything before it was
-	// present at capture time.
+	return ix.strs[v.S]
+}
+
+// below trims an ascending position list to its positions < rows: a
+// snapshot's view of a list read under the index's read lock. The lists
+// are append-only in row order (rollback pops only positions at or above
+// its mark, which is never below a published snapshot's row count), so
+// the returned prefix is immutable and safe to use after the lock is
+// released.
+func below(pos []int32, rows int32) []int32 {
 	lo, hi := 0, len(pos)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -744,9 +742,44 @@ func (ix *hashIndex) lookupBounded(v Value, rows int32) []int32 {
 			hi = mid
 		}
 	}
-	pos = pos[:lo]
-	ix.mu.RUnlock()
-	return pos
+	return pos[:lo]
+}
+
+// keyLists appends to dst the non-empty position list of every key a
+// key-set access selects: its literal keys, or each distinct index key
+// its LIKE pattern matches. It returns dst and the lists' total length.
+// The access was planned on a built index, and an index is never
+// dropped. A snapshot copy reads the index under its read lock and trims
+// each list as lookup does. NULLs are not indexed, and neither IN nor
+// LIKE matches NULL, so the lists hold every row the access can select.
+func (t *Table) keyLists(ia *indexAccess, dst [][]int32) ([][]int32, int) {
+	ix := t.indexes[ia.col].Load()
+	if t.snapshot {
+		ix.mu.RLock()
+		defer ix.mu.RUnlock()
+	}
+	total := 0
+	keep := func(l []int32) {
+		if t.snapshot {
+			l = below(l, int32(t.rows)) // a key added after the capture trims to nothing
+		}
+		if len(l) > 0 {
+			dst = append(dst, l)
+			total += len(l)
+		}
+	}
+	if ia.keyList != nil {
+		for _, k := range ia.keyList {
+			keep(ix.positions(k))
+		}
+	} else {
+		for k, l := range ix.strs {
+			if ia.like(k) {
+				keep(l)
+			}
+		}
+	}
+	return dst, total
 }
 
 // Len returns the row count.
