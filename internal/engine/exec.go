@@ -16,9 +16,13 @@ import (
 
 // Stats summarizes one TBQL execution.
 type Stats struct {
-	DataQueries  int // small SQL/Cypher queries issued
-	PatternRows  int // total rows returned by data queries
-	JoinBindings int // complete bindings found by the cross-pattern join
+	DataQueries int // small SQL/Cypher queries issued
+	PatternRows int // total rows returned by data queries
+	// JoinBindings counts the complete bindings the cross-pattern join
+	// reached: every binding of a plain return; under a distinct return
+	// only the completions its walk reached after the sub-walk memo skipped
+	// the prefixes whose outcome it already knew (see join.go).
+	JoinBindings int
 	// EmptyPatternID names the pattern whose data query matched nothing
 	// and short-circuited the conjunction ("" when all patterns matched).
 	// Surfacing it supports the paper's human-in-the-loop query revision:

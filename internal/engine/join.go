@@ -6,7 +6,9 @@ package engine
 // level probes its pattern's rows through a sorted-run index on the slots
 // bound above it; every relation is checked at the first level where its
 // operands are bound; and a level that binds nothing leaves nothing to
-// undo — the next row overwrites the slots it set.
+// undo — the next row overwrites the slots it set. Under a distinct return
+// each non-final level memoizes the walk below it on what that walk can
+// observe, so an equal prefix is walked once, not once per binding.
 
 import (
 	"cmp"
@@ -49,6 +51,19 @@ func (tr *temporalRel) holds(startA, startB int64) bool {
 		return max(d, -d) <= tr.hi
 	}
 	return d > 0 && (!tr.hasDur || (d >= tr.lo && d <= tr.hi))
+}
+
+// ownDir returns +1 when the relation holds for a superset of the other
+// pattern's starts as pattern a's start (isA) or b's falls, -1 when as it
+// rises, and 0 when neither (within, or a duration).
+func (tr *temporalRel) ownDir(isA bool) int8 {
+	if tr.kind == tbql.RelWithin || tr.hasDur {
+		return 0
+	}
+	if (tr.kind == tbql.RelBefore) == isA {
+		return 1
+	}
+	return -1
 }
 
 // attrRel is an attribute relation over the entities named in names
@@ -145,6 +160,26 @@ type joinLevel struct {
 	// cls[i*len(items)+x] (-1 until the row is first visited).
 	items []int
 	cls   []int32
+	// Under a distinct return a non-final level memoizes the walk below it
+	// (see descend) on its interface: the classes of the return items
+	// bound at or above it (ifItems), the entities of bound slots a deeper
+	// probe key or attribute relation reads (ifSlots), and the start times
+	// of bound patterns a deeper temporal relation reads (ifTimes, levels).
+	// dom is +1 (-1) when every deeper relation reading this level's own
+	// start is a before/after without duration that a lower (higher) start
+	// satisfies for more rows below; that start then stays out of the key.
+	memo                      bool
+	ifItems, ifSlots, ifTimes []int32
+	dom                       int8
+}
+
+// memoEntry is one memoized sub-walk of a level: the interface key at
+// memoKeys[off:], the best own start walked in full under dom (any start
+// otherwise), and whether that walk reached a complete binding.
+type memoEntry struct {
+	level, off, next int32
+	found            bool
+	start            int64
 }
 
 // joinWalk is the pooled state of one join execution (part of
@@ -178,6 +213,19 @@ type joinWalk struct {
 	tuples  []int32
 	seen    map[uint64]int32 // tuple hash -> newest tuple index + 1
 	next    []int32          // per tuple: older tuple with the same hash, or -1
+	// The sub-walk memo: entries' keys in a flat slab, found by hash with
+	// collision chains (memoSeen holds the newest entry + 1). ifBuf backs
+	// the levels' interface lists, keyBuf the key being looked up. exists
+	// marks an existence descent, which stops at its first completion.
+	memoKeys []int64
+	memoEnts []memoEntry
+	memoSeen map[uint64]int32
+	ifBuf    []int32
+	keyBuf   []int64
+	exists   bool
+	// hits and probes count memo hits and existence descents (the tests
+	// read them to show the memo is exercised).
+	hits, probes int
 
 	done <-chan struct{}
 	ctx  context.Context
@@ -188,9 +236,12 @@ type joinWalk struct {
 // pattern) into complete bindings, enforcing shared entity identity and
 // the temporal and attribute relations, then projects the return clause
 // (cols labels it). Entity attributes resolve through attrOf — the pinned
-// snapshot's resolver. It returns the number of complete bindings.
+// snapshot's resolver. It returns the number of complete bindings the walk
+// reached: every binding of a plain return; under a distinct return the
+// memo skips the bindings an equal interface already produced.
 func (w *joinWalk) join(ctx context.Context, jp *joinProgram, cols []string, attrOf func(int64, string) relational.Value, results []PatternRows) (*Result, int, error) {
 	w.prog, w.attrOf, w.joined, w.ctx, w.done = jp, attrOf, 0, ctx, nil
+	w.exists, w.hits, w.probes = false, 0, 0
 	if ctx != nil {
 		w.done = ctx.Done()
 	}
@@ -200,7 +251,7 @@ func (w *joinWalk) join(ctx context.Context, jp *joinProgram, cols []string, att
 	if err := w.plan(results); err != nil {
 		return nil, 0, err
 	}
-	if err := w.level(0); err != nil {
+	if _, err := w.level(0); err != nil {
 		return nil, w.joined, err
 	}
 	rs := &relational.ResultSet{Columns: cols}
@@ -251,7 +302,7 @@ func (w *joinWalk) plan(results []PatternRows) error {
 		w.levelOf[best] = k
 		lv := &w.levels[k]
 		lv.hasEvent, lv.nkey, lv.bindS, lv.bindO = results[best].HasEvent, 0, -1, -1
-		lv.items = lv.items[:0]
+		lv.items, lv.memo = lv.items[:0], false
 		s, o := jp.subj[best], jp.obj[best]
 		if w.slotLevel[s] >= 0 {
 			lv.keyCol[0], lv.keySlot[0], lv.nkey = 1, s, 1
@@ -333,6 +384,134 @@ func (w *joinWalk) planDistinct() {
 			lv.cls[i] = -1
 		}
 	}
+	w.planMemo()
+}
+
+// planMemo resets the memo and derives each non-final level's interface
+// and dominance direction (see joinLevel).
+func (w *joinWalk) planMemo() {
+	jp := w.prog
+	w.memoKeys, w.memoEnts, w.ifBuf = w.memoKeys[:0], w.memoEnts[:0], w.ifBuf[:0]
+	if w.memoSeen == nil {
+		w.memoSeen = make(map[uint64]int32)
+	}
+	clear(w.memoSeen)
+	n := len(w.levels)
+	for k := range w.levels {
+		lv := &w.levels[k]
+		lv.memo, lv.dom = k < n-1, 0
+		lv.ifItems, lv.ifSlots, lv.ifTimes = nil, nil, nil
+		if !lv.memo {
+			continue
+		}
+		start := len(w.ifBuf)
+		for j, it := range jp.ret {
+			if w.slotLevel[it.slot] <= k {
+				w.ifBuf = append(w.ifBuf, int32(j))
+			}
+		}
+		lv.ifItems = w.carveIf(start)
+
+		start = len(w.ifBuf)
+		for m := k + 1; m < n; m++ {
+			deep := &w.levels[m]
+			for _, s := range deep.keySlot[:deep.nkey] {
+				if w.slotLevel[s] <= k {
+					w.addIf(start, s)
+				}
+			}
+			for _, c := range deep.checks {
+				if int(c) < len(jp.temporal) {
+					continue
+				}
+				for _, s := range jp.attrs[int(c)-len(jp.temporal)].slots {
+					if w.slotLevel[s] <= k {
+						w.addIf(start, s)
+					}
+				}
+			}
+		}
+		lv.ifSlots = w.carveIf(start)
+
+		start = len(w.ifBuf)
+		mixed := false
+		for m := k + 1; m < n; m++ {
+			for _, c := range w.levels[m].checks {
+				if int(c) >= len(jp.temporal) {
+					continue
+				}
+				tr := &jp.temporal[c]
+				for _, p := range [2]int{tr.a, tr.b} {
+					switch j := w.levelOf[p]; {
+					case j < k:
+						w.addIf(start, j)
+					case j == k:
+						d := tr.ownDir(p == tr.a)
+						mixed = mixed || d == 0 || (lv.dom != 0 && d != lv.dom)
+						lv.dom = d
+					}
+				}
+			}
+		}
+		if mixed {
+			w.addIf(start, k)
+			lv.dom = 0
+		}
+		lv.ifTimes = w.carveIf(start)
+	}
+}
+
+// addIf appends v to the interface list begun at ifBuf[start] unless it
+// is already listed.
+func (w *joinWalk) addIf(start, v int) {
+	if !slices.Contains(w.ifBuf[start:], int32(v)) {
+		w.ifBuf = append(w.ifBuf, int32(v))
+	}
+}
+
+// carveIf returns the interface list begun at ifBuf[start], capped so a
+// later append reallocates instead of overwriting it.
+func (w *joinWalk) carveIf(start int) []int32 {
+	return w.ifBuf[start:len(w.ifBuf):len(w.ifBuf)]
+}
+
+// memoFind builds level k's interface key in keyBuf and returns its entry
+// (-1 when there is none) and the key's hash.
+func (w *joinWalk) memoFind(k int) (int32, uint64) {
+	lv := &w.levels[k]
+	key := w.keyBuf[:0]
+	for _, j := range lv.ifItems {
+		key = append(key, int64(w.itemCls[j]))
+	}
+	for _, s := range lv.ifSlots {
+		key = append(key, w.ent[s])
+	}
+	for _, j := range lv.ifTimes {
+		key = append(key, w.levels[j].rows[w.cur[j]][3])
+	}
+	w.keyBuf = key
+	h := uint64(fnvOffset) ^ uint64(k)
+	for _, v := range key {
+		h = (h ^ uint64(v)) * fnvPrime
+	}
+	for e := w.memoSeen[h] - 1; e >= 0; e = w.memoEnts[e].next {
+		m := &w.memoEnts[e]
+		if int(m.level) == k && slices.Equal(w.memoKeys[m.off:int(m.off)+len(key)], key) {
+			return e, h
+		}
+	}
+	return -1, h
+}
+
+// memoAdd records keyBuf as a new entry of level k with hash h.
+func (w *joinWalk) memoAdd(k int, h uint64, start int64) int32 {
+	e := int32(len(w.memoEnts))
+	w.memoEnts = append(w.memoEnts, memoEntry{
+		level: int32(k), off: int32(len(w.memoKeys)), next: w.memoSeen[h] - 1, start: start,
+	})
+	w.memoKeys = append(w.memoKeys, w.keyBuf...)
+	w.memoSeen[h] = e + 1
+	return e
 }
 
 // bindClasses records the value classes of the return items lv binds from
@@ -418,20 +597,23 @@ func (lv *joinLevel) probe(ent []int64) (lo, hi int) {
 }
 
 // level enumerates level k's rows consistent with the slots bound above,
-// recursing on each row that passes the level's checks.
-func (w *joinWalk) level(k int) error {
+// descending on each row that passes the level's checks, and reports
+// whether any complete binding was reached; a row that reaches one is
+// marked. An existence descent returns at its first completion.
+func (w *joinWalk) level(k int) (bool, error) {
 	if k == len(w.levels) {
 		w.emit()
-		return nil
+		return true, nil
 	}
 	lv := &w.levels[k]
 	lo, hi := 0, len(lv.rows)
 	if lv.nkey > 0 {
 		lo, hi = lv.probe(w.ent)
 	}
+	found := false
 	for i := lo; i < hi; i++ {
 		if err := w.checkCancel(); err != nil {
-			return err
+			return false, err
 		}
 		r := &lv.rows[i]
 		if lv.selfLoop && r[1] != r[2] {
@@ -449,16 +631,70 @@ func (w *joinWalk) level(k int) error {
 		}
 		ok, err := w.check(lv)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if !ok {
 			continue
 		}
-		if err := w.level(k + 1); err != nil {
-			return err
+		if ok, err = w.descend(k); err != nil {
+			return false, err
+		}
+		if ok {
+			lv.marks[i], found = true, true
+			if w.exists {
+				return true, nil
+			}
 		}
 	}
-	return nil
+	return found, nil
+}
+
+// descend walks the levels below k for the current prefix and reports
+// whether it reached a complete binding. A memoizing level first looks up
+// its interface key: equal keys mean the same deeper rows complete and the
+// same tuples come out, so a hit only reports the recorded outcome (the
+// caller marks the prefix). Under dom the key leaves out the level's own
+// start and the entry keeps the best start walked in full: a better start
+// walks again and replaces it; a worse one can add no tuples and no deeper
+// marks, so when the entry completed it runs an existence descent, only to
+// learn whether its prefix completes. An existence descent reads the memo
+// but never writes it: its walks are partial.
+func (w *joinWalk) descend(k int) (bool, error) {
+	lv := &w.levels[k]
+	if !lv.memo {
+		return w.level(k + 1)
+	}
+	start := lv.rows[w.cur[k]][3]
+	e, h := w.memoFind(k)
+	if e < 0 {
+		if w.exists {
+			return w.level(k + 1)
+		}
+		e = w.memoAdd(k, h, start)
+		found, err := w.level(k + 1)
+		w.memoEnts[e].found = found
+		return found, err
+	}
+	w.hits++
+	m := w.memoEnts[e]
+	better := (start < m.start) == (lv.dom > 0)
+	switch {
+	case lv.dom == 0 || start == m.start:
+		return m.found, nil
+	case better && !w.exists: // walk the better start in full
+		found, err := w.level(k + 1)
+		w.memoEnts[e].start, w.memoEnts[e].found = start, found
+		return found, err
+	case better == m.found: // a superset of a completion, or a subset of none
+		return m.found, nil
+	case w.exists:
+		return w.level(k + 1)
+	}
+	w.probes++
+	w.exists = true
+	found, err := w.level(k + 1)
+	w.exists = false
+	return found, err
 }
 
 // check evaluates the relations scheduled at lv.
@@ -501,16 +737,11 @@ func (w *joinWalk) resolveAttr(c relational.ColRef) (relational.Value, error) {
 	return relational.Null(), fmt.Errorf("engine: unbound entity %s", c.Qualifier)
 }
 
-// emit records one complete binding: its rows' marks, then either the
-// projected row or, under a distinct return, its tuple of value classes
-// unless an equal tuple was already seen.
+// emit records one complete binding: the projected row or, under a
+// distinct return, its tuple of value classes unless an equal tuple was
+// already seen. (The levels mark its rows as the walk unwinds.)
 func (w *joinWalk) emit() {
 	w.joined++
-	for k := range w.levels {
-		if lv := &w.levels[k]; lv.hasEvent {
-			lv.marks[w.cur[k]] = true
-		}
-	}
 	jp := w.prog
 	if !jp.distinct {
 		row := w.newRow(len(jp.ret))
@@ -600,6 +831,9 @@ func (w *joinWalk) reset() {
 	}
 	if cap(w.tuples) > maxPooledRows {
 		w.tuples, w.next, w.seen = nil, nil, nil
+	}
+	if cap(w.memoKeys) > maxPooledRows || cap(w.memoEnts) > maxPooledRows {
+		w.memoKeys, w.memoEnts, w.memoSeen = nil, nil, nil
 	}
 	for j := range w.vals {
 		clear(w.vals[j]) // drop the strings, keep the buffer

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"threatraptor/internal/relational"
+	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
 
@@ -430,51 +432,353 @@ func joinTestAttr(id int64, attr string) relational.Value {
 
 // TestJoinWalkMatchesReference holds the join walk to the previous join on
 // seeded random queries and rows: result rows as multisets, matched
-// events, and (for plain returns) the binding count.
+// events, and (for plain returns) the binding count. The chains leg draws
+// tc_theia_4-shaped joins — up to 40 rows per pattern, cross products and
+// shared variables under chains of before/after relations — so a distinct
+// walk hits its memo and runs start-dominance existence descents.
 func TestJoinWalkMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	var w joinWalk // reused across trials, as the pooled scratch is
-	checked, nonEmpty := 0, 0
-	for trial := 0; trial < 3000; trial++ {
-		src := randomJoinQuery(rng)
-		q, err := tbql.Parse(src)
-		if err != nil {
-			t.Fatalf("%v\n%s", err, src)
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(26))
+		var w joinWalk // reused across trials, as the pooled scratch is
+		checked, nonEmpty := 0, 0
+		for trial := 0; trial < 3000; trial++ {
+			src := randomJoinQuery(rng)
+			a := analyzeJoinQuery(t, src)
+			if a == nil {
+				continue // e.g. an attribute relation on an undeclared entity
+			}
+			checked++
+			if compareJoin(t, &w, src, a, randomPatternRows(rng, a)) {
+				nonEmpty++
+			}
 		}
-		a, err := tbql.Analyze(q)
-		if err != nil {
-			continue // e.g. an attribute relation on an undeclared entity
+		if checked < 1000 || nonEmpty < checked/4 {
+			t.Fatalf("vacuous: %d random queries analyzed, %d with rows", checked, nonEmpty)
 		}
-		results := randomPatternRows(rng, a)
-		cols := returnColumns(a)
-		want, wantJoined, err := referenceJoin(context.Background(), a, cols, joinTestAttr, results)
-		if err != nil {
-			t.Fatalf("reference: %v\n%s", err, src)
+		t.Logf("%d queries, %d with rows", checked, nonEmpty)
+	})
+	t.Run("chains", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(35))
+		var w joinWalk
+		nonEmpty, hits, probes, hitTrials, probeTrials := 0, 0, 0, 0, 0
+		for trial := 0; trial < 20000; trial++ {
+			src := randomChainQuery(rng)
+			a := analyzeJoinQuery(t, src)
+			if a == nil {
+				t.Fatalf("chain query does not analyze\n%s", src)
+			}
+			if compareJoin(t, &w, src, a, randomChainRows(rng, a)) {
+				nonEmpty++
+			}
+			hits, probes = hits+w.hits, probes+w.probes
+			if w.hits > 0 {
+				hitTrials++
+			}
+			if w.probes > 0 {
+				probeTrials++
+			}
 		}
-		got, joined, err := w.join(context.Background(), newJoinProgram(a), cols, joinTestAttr, results)
-		w.reset()
-		if err != nil {
-			t.Fatalf("walk: %v\n%s", err, src)
+		if nonEmpty < 5000 || hitTrials < 2000 || probeTrials < 1000 {
+			t.Fatalf("vacuous: %d trials with rows, %d with memo hits, %d with existence descents",
+				nonEmpty, hitTrials, probeTrials)
 		}
-		checked++
-		if want.Set.Len() > 0 {
-			nonEmpty++
+		t.Logf("%d trials with rows; %d memo hits in %d trials, %d existence descents in %d trials",
+			nonEmpty, hits, hitTrials, probes, probeTrials)
+	})
+}
+
+// FuzzJoinWalkMatchesReference is TestJoinWalkMatchesReference with the
+// query's shape and every pattern's rows decoded from the fuzz input.
+func FuzzJoinWalkMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 1, 3, 1, 4, 1, 2, 0, 1, 0, 7, 255, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
+	f.Add([]byte{2, 0, 1, 1, 0, 1, 5, 1, 1, 2, 1, 31, 3, 8, 0, 1, 2, 2, 2, 0, 0, 1, 1, 0, 5, 3, 9, 4, 4, 8, 2, 7, 6, 6, 1, 1, 9, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, rows := decodeJoinCase(data)
+		a := analyzeJoinQuery(t, src)
+		if a == nil {
+			t.Fatalf("decoded query does not analyze\n%s", src)
 		}
-		if g, x := rowMultiset(got.Set.Strings()), rowMultiset(want.Set.Strings()); g != x {
-			t.Fatalf("trial %d rows differ\n%s\ngot  %s\nwant %s", trial, src, g, x)
+		var w joinWalk
+		compareJoin(t, &w, src, a, rows(a))
+	})
+}
+
+// analyzeJoinQuery parses and analyzes src, returning nil when the
+// analyzer rejects it.
+func analyzeJoinQuery(t *testing.T, src string) *tbql.Analyzed {
+	t.Helper()
+	q, err := tbql.Parse(src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	a, err := tbql.Analyze(q)
+	if err != nil {
+		return nil
+	}
+	return a
+}
+
+// compareJoin runs the reference join and w on results and fails t unless
+// they agree: rows as multisets, matched events, and the binding count of
+// a plain return. It reports whether the result has rows.
+func compareJoin(t *testing.T, w *joinWalk, src string, a *tbql.Analyzed, results []PatternRows) bool {
+	t.Helper()
+	cols := returnColumns(a)
+	want, wantJoined, err := referenceJoin(context.Background(), a, cols, joinTestAttr, results)
+	if err != nil {
+		t.Fatalf("reference: %v\n%s", err, src)
+	}
+	got, joined, err := w.join(context.Background(), newJoinProgram(a), cols, joinTestAttr, results)
+	w.reset()
+	if err != nil {
+		t.Fatalf("walk: %v\n%s", err, src)
+	}
+	if g, x := rowMultiset(got.Set.Strings()), rowMultiset(want.Set.Strings()); g != x {
+		t.Fatalf("rows differ\n%s\n%s\ngot  %s\nwant %s", src, dumpRows(results), g, x)
+	}
+	if fmt.Sprint(sortedIDs(got.MatchedEvents)) != fmt.Sprint(sortedIDs(want.MatchedEvents)) {
+		t.Fatalf("matched events differ\n%s\n%s\ngot  %v\nwant %v", src, dumpRows(results),
+			sortedIDs(got.MatchedEvents), sortedIDs(want.MatchedEvents))
+	}
+	if !a.Query.Return.Distinct && joined != wantJoined {
+		t.Fatalf("bindings %d, want %d\n%s", joined, wantJoined, src)
+	}
+	if a.Query.Return.Distinct && joined > wantJoined {
+		t.Fatalf("distinct walk reached %d bindings, more than the reference's %d\n%s", joined, wantJoined, src)
+	}
+	return want.Set.Len() > 0
+}
+
+// dumpRows prints each pattern's rows (event, subject, object, start s).
+func dumpRows(results []PatternRows) string {
+	var sb strings.Builder
+	for i, pr := range results {
+		fmt.Fprintf(&sb, "pattern %d:", i)
+		for _, r := range pr.Rows {
+			fmt.Fprintf(&sb, " (%d %d %d %d)", r[0], r[1], r[2], r[3]/1_000_000)
 		}
-		if fmt.Sprint(sortedIDs(got.MatchedEvents)) != fmt.Sprint(sortedIDs(want.MatchedEvents)) {
-			t.Fatalf("trial %d matched events differ\n%s\ngot  %v\nwant %v", trial, src,
-				sortedIDs(got.MatchedEvents), sortedIDs(want.MatchedEvents))
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// randomChainQuery builds a seeded random conjunction of 2–4 event
+// patterns in the tc_theia_4 shape: subjects and objects drawn from small
+// pools, so some patterns share variables and others cross-product, linked
+// by a chain of relations between consecutive patterns — mostly
+// before/after without a duration (the start-dominance case), some within
+// or with a duration — and a mostly distinct return.
+func randomChainQuery(rng *rand.Rand) string {
+	var sb strings.Builder
+	var declared []string // entity IDs in first-use order
+	use := func(id string) string {
+		if !slices.Contains(declared, id) {
+			declared = append(declared, id)
 		}
-		if !q.Return.Distinct && joined != wantJoined {
-			t.Fatalf("trial %d bindings %d, want %d\n%s", trial, joined, wantJoined, src)
+		return id
+	}
+	n := 2 + rng.Intn(3)
+	for i := 0; i < n; i++ {
+		subj := use(fmt.Sprintf("p%d", rng.Intn(3)))
+		if rng.Intn(4) == 0 {
+			fmt.Fprintf(&sb, "proc %s start proc %s as e%d\n", subj, use(fmt.Sprintf("p%d", rng.Intn(3))), i)
+		} else {
+			fmt.Fprintf(&sb, "proc %s read file %s as e%d\n", subj, use(fmt.Sprintf("f%d", rng.Intn(3))), i)
 		}
 	}
-	if checked < 1000 || nonEmpty < checked/4 {
-		t.Fatalf("vacuous: %d random queries analyzed, %d with rows", checked, nonEmpty)
+	var rels []string
+	for i := 0; i+1 < n; i++ {
+		a, b := fmt.Sprintf("e%d", i), fmt.Sprintf("e%d", i+1)
+		if rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+		kind := []string{"before", "after"}[rng.Intn(2)]
+		switch r := rng.Intn(10); {
+		case r == 0:
+			continue
+		case r == 1:
+			kind = "within[0-3 sec]"
+		case r == 2:
+			kind += fmt.Sprintf("[1-%d sec]", 1+rng.Intn(8))
+		}
+		rels = append(rels, a+" "+kind+" "+b)
 	}
-	t.Logf("%d queries, %d with rows", checked, nonEmpty)
+	if rng.Intn(4) == 0 {
+		a, b := rng.Intn(n), rng.Intn(n)
+		rels = append(rels, fmt.Sprintf("e%d %s e%d", a, []string{"before", "after"}[rng.Intn(2)], b))
+	}
+	if len(rels) > 0 {
+		sb.WriteString("with " + strings.Join(rels, ", ") + "\n")
+	}
+	var ret []string
+	for _, id := range declared {
+		if rng.Intn(3) != 0 {
+			ret = append(ret, id)
+		}
+	}
+	if len(ret) == 0 {
+		ret = declared[:1]
+	}
+	if rng.Intn(5) == 0 {
+		return sb.String() + "return " + strings.Join(ret, ", ")
+	}
+	return sb.String() + "return distinct " + strings.Join(ret, ", ")
+}
+
+// randomChainRows draws up to 40 rows per pattern of a (most patterns far
+// fewer, so the reference's leaf-checked cross products stay cheap):
+// processes 1–4, files 11–13, start times 1–20 s.
+func randomChainRows(rng *rand.Rand, a *tbql.Analyzed) []PatternRows {
+	results := make([]PatternRows, len(a.Query.Patterns))
+	var evID int64
+	for i, p := range a.Query.Patterns {
+		pr := PatternRows{Idx: i, HasEvent: true}
+		for r := 1 + rng.Intn(1+rng.Intn(40)); r > 0; r-- {
+			evID++
+			row := [5]int64{evID, 1 + rng.Int63n(4), 11 + rng.Int63n(3), (1 + rng.Int63n(20)) * 1_000_000}
+			if p.Object.Type == tbql.EntProc {
+				row[2] = 1 + rng.Int63n(4)
+			}
+			row[4] = row[3] + 10
+			pr.Rows = append(pr.Rows, row)
+		}
+		results[i] = pr
+	}
+	return results
+}
+
+// decodeJoinCase decodes a chain-shaped join (see randomChainQuery) from
+// data, reading zeros once it runs out: the pattern count, each pattern's
+// variables, each link's relation, the return, then each pattern's rows.
+// It returns the query text and the rows for its analyzed form.
+func decodeJoinCase(data []byte) (string, func(*tbql.Analyzed) []PatternRows) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	var sb strings.Builder
+	var procs []int
+	n := 2 + next()%3
+	for i := 0; i < n; i++ {
+		subj, obj := next()%3, next()%6
+		procs = append(procs, subj)
+		if obj >= 3 {
+			fmt.Fprintf(&sb, "proc p%d start proc p%d as e%d\n", subj, obj-3, i)
+			procs = append(procs, obj-3)
+		} else {
+			fmt.Fprintf(&sb, "proc p%d read file f%d as e%d\n", subj, obj, i)
+		}
+	}
+	var rels []string
+	for i := 0; i+1 < n; i++ {
+		kind := []string{"", "before", "after", "within[0-3 sec]", "before[1-4 sec]", "after[0-2 sec]"}[next()%6]
+		if kind != "" {
+			rels = append(rels, fmt.Sprintf("e%d %s e%d", i, kind, i+1))
+		}
+	}
+	if len(rels) > 0 {
+		sb.WriteString("with " + strings.Join(rels, ", ") + "\n")
+	}
+	ret, mask := "return distinct ", next()
+	if mask&1 == 1 {
+		ret = "return "
+	}
+	var items []string
+	for i := 0; i < 3; i++ {
+		if mask&(2<<i) != 0 && slices.Contains(procs, i) {
+			items = append(items, fmt.Sprintf("p%d", i))
+		}
+	}
+	if len(items) == 0 {
+		items = []string{fmt.Sprintf("p%d", procs[0])}
+	}
+	src := sb.String() + ret + strings.Join(items, ", ")
+
+	return src, func(a *tbql.Analyzed) []PatternRows {
+		results := make([]PatternRows, len(a.Query.Patterns))
+		var evID int64
+		for i, p := range a.Query.Patterns {
+			pr := PatternRows{Idx: i, HasEvent: true}
+			for r := 1 + next()%16; r > 0; r-- {
+				evID++
+				row := [5]int64{evID, 1 + int64(next()%4), 11 + int64(next()%3), (1 + int64(next()%10)) * 1_000_000}
+				if p.Object.Type == tbql.EntProc {
+					row[2] -= 10
+				}
+				row[4] = row[3] + 10
+				pr.Rows = append(pr.Rows, row)
+			}
+			results[i] = pr
+		}
+		return results
+	}
+}
+
+// TestDistinctJoinMatchesPlainHunt runs the tc_theia_4 and vpnfilter case
+// hunts over eight instances each, with their return distinct and plain:
+// the distinct rows must be the plain rows deduplicated and the matched
+// events equal, and the distinct walk must reach under a tenth of the
+// plain walk's bindings — in a hunt, and in a delta round floored inside
+// the last instance. The vpnfilter hunt's bound is a quarter: its final
+// level holds 160 connect events per instance, each a matched event and so
+// a completion the distinct walk must reach once, while the plain walk
+// reaches each 4.5 times (once per earlier instance's first pattern).
+func TestDistinctJoinMatchesPlainHunt(t *testing.T) {
+	for _, tc := range []struct {
+		id         string
+		huntFactor int
+	}{{"tc_theia_4", 10}, {"vpnfilter", 4}} {
+		id := tc.id
+		t.Run(id, func(t *testing.T) {
+			store := instancesStore(t, id, 8, 1.0)
+			distinct := caseHunt(t, id, synth.ModeEventPatterns)
+			if !distinct.Query.Return.Distinct {
+				t.Fatal("case hunt's return is not distinct")
+			}
+			plain := analyzed(t, strings.Replace(tbql.Format(distinct.Query), "return distinct", "return", 1))
+			en := &Engine{Store: store}
+			compare := func(round string, factor int, d, p *Result, ds, ps Stats) {
+				t.Helper()
+				dedup := &relational.ResultSet{Columns: p.Set.Columns, Rows: relational.DedupRows(p.Set.Rows)}
+				if g, x := rowMultiset(d.Set.Strings()), rowMultiset(dedup.Strings()); g != x || d.Set.Len() == 0 {
+					t.Fatalf("%s: distinct rows %s, plain rows deduplicated %s", round, g, x)
+				}
+				if fmt.Sprint(sortedIDs(d.MatchedEvents)) != fmt.Sprint(sortedIDs(p.MatchedEvents)) {
+					t.Fatalf("%s: matched events differ: distinct %d, plain %d", round, len(d.MatchedEvents), len(p.MatchedEvents))
+				}
+				if ds.JoinBindings*factor >= ps.JoinBindings {
+					t.Fatalf("%s: distinct walk reached %d bindings, plain %d", round, ds.JoinBindings, ps.JoinBindings)
+				}
+				t.Logf("%s: %d rows, %d matched events, %d bindings (plain %d)",
+					round, d.Set.Len(), len(d.MatchedEvents), ds.JoinBindings, ps.JoinBindings)
+			}
+			d, ds, err := en.Execute(nil, distinct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ps, err := en.Execute(nil, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compare("hunt", tc.huntFactor, d, p, ds, ps)
+
+			floor := store.NextEventID() * 15 / 16
+			d, ds, err = en.ExecuteDelta(nil, distinct, floor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ps, err = en.ExecuteDelta(nil, plain, floor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compare("delta", 10, d, p, ds, ps)
+		})
+	}
 }
 
 func rowMultiset(rows [][]string) string {
