@@ -13,9 +13,7 @@ import (
 	"threatraptor/internal/cases"
 	"threatraptor/internal/engine"
 	"threatraptor/internal/extract"
-	"threatraptor/internal/fuzzy"
 	"threatraptor/internal/openie"
-	"threatraptor/internal/provenance"
 	"threatraptor/internal/reduction"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
@@ -176,34 +174,37 @@ func BenchmarkTable8SchedulerAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkTable9Fuzzy measures the fuzzy search mode and the Poirot
-// baseline on the data_leak provenance graph.
-func BenchmarkTable9Fuzzy(b *testing.B) {
-	c, gen := dataLeakCase(b, 1.0)
-	graph := extract.New(extract.DefaultOptions()).Extract(c.Report).Graph
-	q, _, err := synth.Synthesize(graph, synth.Options{})
+// BenchmarkFuzzyHunt measures Table IX's fuzzy search mode and the
+// Poirot baseline end to end through System.FuzzyHunt (parse, node-level
+// alignment, graph alignment over the store's pinned snapshot) on
+// data_leak ×32, ≥ 60 k events: large enough that per-call work over the
+// whole store, not the query, sets the cost.
+func BenchmarkFuzzyHunt(b *testing.B) {
+	c, gen := dataLeakCase(b, 32)
+	sys := New(DefaultOptions())
+	if err := sys.LoadLog(gen.Log); err != nil {
+		b.Fatal(err)
+	}
+	query, err := sys.SynthesizeQuery(sys.ExtractBehaviorGraph(c.Report).Graph)
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := tbql.Analyze(q)
-	if err != nil {
-		b.Fatal(err)
+	for _, leg := range []struct {
+		name       string
+		exhaustive bool
+	}{{"exhaustive", true}, {"poirot", false}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				als, err := sys.FuzzyHunt(nil, query, leg.exhaustive)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(als) == 0 {
+					b.Fatal("no alignment")
+				}
+			}
+		})
 	}
-	qg, err := fuzzy.FromTBQL(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prov := provenance.Build(gen.Log)
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fuzzy.NewSearcher(prov, qg, fuzzy.DefaultOptions(fuzzy.ModeExhaustive)).Search()
-		}
-	})
-	b.Run("poirot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fuzzy.NewSearcher(prov, qg, fuzzy.DefaultOptions(fuzzy.ModeFirstAcceptable)).Search()
-		}
-	})
 }
 
 // BenchmarkTable10Conciseness measures query compilation (the formatter

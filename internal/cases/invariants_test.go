@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"threatraptor/internal/audit"
-	"threatraptor/internal/provenance"
 )
 
 // TestAttackSubgraphsConnected verifies a structural property real audit
@@ -21,7 +20,6 @@ func TestAttackSubgraphsConnected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prov := provenance.Build(gen.Log)
 
 			// Collect the attack's entity IDs.
 			attack := map[int64]bool{}
@@ -38,7 +36,7 @@ func TestAttackSubgraphsConnected(t *testing.T) {
 				t.Fatal("no attack entities")
 			}
 
-			// BFS over attack-event edges only.
+			// Count components by BFS over attack-event edges only.
 			adj := map[int64][]int64{}
 			idSet := map[int64]bool{}
 			for _, id := range gen.AttackEventIDs {
@@ -52,38 +50,22 @@ func TestAttackSubgraphsConnected(t *testing.T) {
 				adj[ev.SubjectID] = append(adj[ev.SubjectID], ev.ObjectID)
 				adj[ev.ObjectID] = append(adj[ev.ObjectID], ev.SubjectID)
 			}
-			var start int64
+			components := 0
+			seen := map[int64]bool{}
 			for id := range attack {
-				start = id
-				break
-			}
-			seen := map[int64]bool{start: true}
-			queue := []int64{start}
-			for len(queue) > 0 {
-				u := queue[0]
-				queue = queue[1:]
-				for _, v := range adj[u] {
-					if !seen[v] {
-						seen[v] = true
-						queue = append(queue, v)
-					}
+				if seen[id] {
+					continue
 				}
-			}
-			components := 1
-			for id := range attack {
-				if !seen[id] {
-					components++
-					// Restart from the unseen node to count components.
-					seen[id] = true
-					q2 := []int64{id}
-					for len(q2) > 0 {
-						u := q2[0]
-						q2 = q2[1:]
-						for _, v := range adj[u] {
-							if !seen[v] {
-								seen[v] = true
-								q2 = append(q2, v)
-							}
+				components++
+				seen[id] = true
+				queue := []int64{id}
+				for len(queue) > 0 {
+					u := queue[0]
+					queue = queue[1:]
+					for _, v := range adj[u] {
+						if !seen[v] {
+							seen[v] = true
+							queue = append(queue, v)
 						}
 					}
 				}
@@ -100,7 +82,6 @@ func TestAttackSubgraphsConnected(t *testing.T) {
 			if components > maxComponents {
 				t.Errorf("attack subgraph has %d components (max %d)", components, maxComponents)
 			}
-			_ = prov
 		})
 	}
 }

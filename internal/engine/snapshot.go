@@ -46,7 +46,7 @@ type Snapshot struct {
 	// Events is the frozen event slice in ID order (event ID i at offset
 	// i-1). The log's event arena is append-only and rollback only
 	// truncates tail the snapshot never covered, so the captured header
-	// stays valid; readers (provenance builds, tactical rounds) index it
+	// stays valid; readers (tactical rounds, sharded hunts) index it
 	// directly instead of taking the session lock over the live Log.
 	Events []audit.Event
 	// PublishedAt timestamps the capture (drives the snapshot-age metric).

@@ -14,7 +14,6 @@ import (
 	"threatraptor/internal/extract"
 	"threatraptor/internal/fuzzy"
 	"threatraptor/internal/openie"
-	"threatraptor/internal/provenance"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
@@ -425,16 +424,16 @@ func Table9(scale float64) ([]Table9Row, error) {
 				return pt, 0, err
 			}
 			pt.Loading = time.Since(start).Seconds()
-			// Preprocessing: build the provenance graph.
+			// Preprocessing: pin the snapshot whose graph the search
+			// walks. The store built that graph once, at load.
 			start = time.Now()
-			prov := provenance.Build(store.Log)
+			snap := store.Snapshot()
 			pt.Preprocessing = time.Since(start).Seconds()
 			// Searching: alignment search.
 			start = time.Now()
-			searcher := fuzzy.NewSearcher(prov, qg, fuzzy.DefaultOptions(mode))
-			als := searcher.Search()
+			als, err := fuzzy.NewSearcher(snap, qg, mode).Search(nil)
 			pt.Searching = time.Since(start).Seconds()
-			return pt, len(als), nil
+			return pt, len(als), err
 		}
 		var n int
 		if row.Fuzzy, n, err = runMode(fuzzy.ModeExhaustive); err != nil {

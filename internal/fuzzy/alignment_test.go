@@ -1,10 +1,10 @@
 package fuzzy
 
 import (
+	"context"
 	"testing"
 
 	"threatraptor/internal/audit"
-	"threatraptor/internal/provenance"
 )
 
 // multiConnLog models the same C2 address reached over several distinct
@@ -31,13 +31,10 @@ func multiConnLog(t testing.TB) *audit.Log {
 // TestNetConnNotPinned: one query IP node must align to both 5-tuple
 // connection entities of the same destination address.
 func TestNetConnNotPinned(t *testing.T) {
-	log := multiConnLog(t)
-	prov := provenance.Build(log)
 	qg := queryGraph(t, `proc p1["%stage1%"] connect ip i1["6.6.6.6"] as e1
 proc p2["%stage2%"] connect ip i1 as e2
 return distinct p1, p2, i1`)
-	s := NewSearcher(prov, qg, DefaultOptions(ModeExhaustive))
-	als := s.Search()
+	als := search(t, NewSearcher(snapshotOf(t, multiConnLog(t)), qg, ModeExhaustive))
 	if len(als) == 0 {
 		t.Fatal("both connect edges reach the same address via different sockets; the IP node must not pin")
 	}
@@ -53,20 +50,48 @@ return distinct p1, p2, i1`)
 // TestForkArtifactDoesNotShadowChild: the fork event's object shares the
 // parent's image name; the exact-named execve child must win alignment.
 func TestForkArtifactDoesNotShadowChild(t *testing.T) {
-	log := multiConnLog(t)
-	prov := provenance.Build(log)
 	qg := queryGraph(t, `proc p1["%/tmp/stage1%"] start proc p2["%/tmp/stage2%"] as e1
 return distinct p1, p2`)
-	s := NewSearcher(prov, qg, DefaultOptions(ModeExhaustive))
-	als := s.Search()
+	s := NewSearcher(snapshotOf(t, multiConnLog(t)), qg, ModeExhaustive)
+	als := search(t, s)
 	if len(als) == 0 {
 		t.Fatal("no alignment")
 	}
 	for i, qn := range qg.Nodes {
 		if qn.ID == "p2" {
-			if got := prov.DefaultName(als[0].NodeMap[i]); got != "/tmp/stage2" {
+			if got := s.Name(als[0].NodeMap[i]); got != "/tmp/stage2" {
 				t.Fatalf("p2 aligned to %q, want the execve child", got)
 			}
+		}
+	}
+}
+
+// TestDirectHitFollowsEventDirection: a direct hit must run from the
+// query edge's subject to its object. omega starts alpha; a query edge
+// pointing the other way, seeded at either end, finds no direct event and
+// falls back to the one-process flow, which scores 1/2.
+func TestDirectHitFollowsEventDirection(t *testing.T) {
+	log := audit.NewLog()
+	alpha := log.Entities.Intern(audit.NewProcessEntity(1, "/bin/alpha", "", "", ""))
+	omega := log.Entities.Intern(audit.NewProcessEntity(2, "/usr/bin/omega", "", "", ""))
+	log.Append(audit.Event{SubjectID: omega.ID, ObjectID: alpha.ID, Op: audit.OpStart, StartTime: 1, EndTime: 2})
+	snap := snapshotOf(t, log)
+	for _, c := range []struct {
+		query string
+		want  float64
+	}{
+		{`proc p1["%omega%"] start proc p2["%alpha%"] as e1 return p1, p2`, 1},
+		// Seeded at p1 (alpha): a forward lookup over alpha's edges.
+		{`proc p1["%alpha%"] start proc p2["%omega%"] as e1 return p1, p2`, 0.5},
+		// Seeded at p2 (omega, one candidate against p1's two): a backward
+		// lookup over omega's edges.
+		{`proc p1 start proc p2["%omega%"] as e1 return p1, p2`, 0.5},
+	} {
+		qg := queryGraph(t, c.query)
+		s := NewSearcher(snap, qg, ModeExhaustive)
+		seed := s.componentSeed(make([]bool, len(qg.Nodes)))
+		if got := s.expand(context.Background(), seed, s.Candidates[seed][0]).Score; got != c.want {
+			t.Errorf("%s: score %v, want %v", c.query, got, c.want)
 		}
 	}
 }
@@ -81,12 +106,11 @@ func TestDisconnectedComponentsExpand(t *testing.T) {
 	fb := log.Entities.Intern(audit.NewFileEntity("/tmp/fb", "", ""))
 	log.Append(audit.Event{SubjectID: a.ID, ObjectID: fa.ID, Op: audit.OpRead, StartTime: 1, EndTime: 2})
 	log.Append(audit.Event{SubjectID: b.ID, ObjectID: fb.ID, Op: audit.OpWrite, StartTime: 3, EndTime: 4})
-	prov := provenance.Build(log)
 	qg := queryGraph(t, `proc p1["%/bin/a%"] read file f1["%/tmp/fa%"] as e1
 proc p2["%/bin/b%"] write file f2["%/tmp/fb%"] as e2
 return distinct p1, p2`)
-	s := NewSearcher(prov, qg, DefaultOptions(ModeExhaustive))
-	als := s.Search()
+	s := NewSearcher(snapshotOf(t, log), qg, ModeExhaustive)
+	als := search(t, s)
 	if len(als) == 0 {
 		t.Fatal("disconnected query components must both expand")
 	}
@@ -96,7 +120,7 @@ return distinct p1, p2`)
 	named := map[string]string{}
 	for i, qn := range qg.Nodes {
 		if als[0].NodeMap[i] != 0 {
-			named[qn.ID] = prov.DefaultName(als[0].NodeMap[i])
+			named[qn.ID] = s.Name(als[0].NodeMap[i])
 		}
 	}
 	if named["p1"] != "/bin/a" || named["p2"] != "/bin/b" {

@@ -5,7 +5,8 @@
 // attributes by Levenshtein similarity, and graph-level alignment matches
 // the query subgraph against the system provenance graph, scoring
 // candidate alignments by attacker influence (the number of compromised
-// ancestor processes along connecting flows).
+// ancestor processes along connecting flows). That graph is the store's
+// own: a pinned engine.Snapshot's entities and event edges.
 //
 // Two search modes are provided: ModeFirstAcceptable reproduces Poirot
 // (stop at the first alignment whose score passes the threshold), and
@@ -13,12 +14,15 @@
 package fuzzy
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
 	"threatraptor/internal/audit"
-	"threatraptor/internal/provenance"
+	"threatraptor/internal/engine"
+	"threatraptor/internal/graphdb"
 	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
@@ -32,24 +36,17 @@ const (
 	ModeFirstAcceptable             // Poirot
 )
 
-// Options tunes the alignment search.
-type Options struct {
-	Mode Mode
+// The evaluation configuration of the alignment search.
+const (
 	// NodeSimilarity is the minimum Levenshtein similarity for node-level
-	// alignment (default 0.6). Exact containment always matches.
-	NodeSimilarity float64
-	// MaxPathLen bounds flow paths that substitute for a single query
-	// edge (default 4 hops).
-	MaxPathLen int
-	// ScoreThreshold is the minimum graph alignment score Γ to accept
-	// (default 0.7).
-	ScoreThreshold float64
-}
-
-// DefaultOptions returns the evaluation configuration.
-func DefaultOptions(mode Mode) Options {
-	return Options{Mode: mode, NodeSimilarity: 0.6, MaxPathLen: 4, ScoreThreshold: 0.7}
-}
+	// alignment. Exact containment always matches.
+	NodeSimilarity = 0.6
+	// MaxPathLen bounds flow paths (in events) that substitute for a
+	// single query edge.
+	MaxPathLen = 4
+	// ScoreThreshold is the minimum graph alignment score Γ to accept.
+	ScoreThreshold = 0.7
+)
 
 // QueryNode is one entity of the query graph with its string constraint.
 type QueryNode struct {
@@ -145,11 +142,11 @@ type Alignment struct {
 	Events []int64
 }
 
-// Searcher runs alignment search over one provenance graph.
+// Searcher runs alignment search over one pinned store snapshot.
 type Searcher struct {
-	Prov *provenance.Graph
+	Snap *engine.Snapshot
 	QG   *QueryGraph
-	Opts Options
+	Mode Mode
 	// Candidates[i] lists entity IDs aligned to query node i.
 	Candidates [][]int64
 	// Iterations counts seed alignments explored (profiling, Table IX
@@ -158,17 +155,8 @@ type Searcher struct {
 }
 
 // NewSearcher computes node-level alignment (candidate sets) eagerly.
-func NewSearcher(prov *provenance.Graph, qg *QueryGraph, opts Options) *Searcher {
-	if opts.NodeSimilarity == 0 {
-		opts.NodeSimilarity = 0.6
-	}
-	if opts.MaxPathLen == 0 {
-		opts.MaxPathLen = 4
-	}
-	if opts.ScoreThreshold == 0 {
-		opts.ScoreThreshold = 0.7
-	}
-	s := &Searcher{Prov: prov, QG: qg, Opts: opts}
+func NewSearcher(snap *engine.Snapshot, qg *QueryGraph, mode Mode) *Searcher {
+	s := &Searcher{Snap: snap, QG: qg, Mode: mode}
 	s.Candidates = make([][]int64, len(qg.Nodes))
 	for i, qn := range qg.Nodes {
 		s.Candidates[i] = s.nodeCandidates(qn)
@@ -179,7 +167,7 @@ func NewSearcher(prov *provenance.Graph, qg *QueryGraph, opts Options) *Searcher
 // nodeCandidates performs node-level alignment for one query node.
 func (s *Searcher) nodeCandidates(qn QueryNode) []int64 {
 	var out []int64
-	for _, e := range s.Prov.Entities() {
+	for _, e := range s.Snap.Entities {
 		if qn.Kind != audit.EntityInvalid && e.Kind != qn.Kind {
 			continue
 		}
@@ -188,46 +176,54 @@ func (s *Searcher) nodeCandidates(qn QueryNode) []int64 {
 			continue
 		}
 		attr, _ := e.Attr(audit.DefaultAttr(e.Kind))
-		if Similarity(attr, qn.Pattern) >= s.Opts.NodeSimilarity {
+		if Similarity(attr, qn.Pattern) >= NodeSimilarity {
 			out = append(out, e.ID)
 		}
 	}
 	return out
 }
 
+// Name returns an entity's default security-analysis attribute (file
+// name, process exename, destination IP), or "" for an ID the snapshot
+// does not hold.
+func (s *Searcher) Name(id int64) string {
+	if id < 1 || id > int64(len(s.Snap.Entities)) {
+		return ""
+	}
+	e := s.Snap.Entities[id-1]
+	v, _ := e.Attr(audit.DefaultAttr(e.Kind))
+	return v
+}
+
 // Search runs the graph alignment. In exhaustive mode it returns every
-// accepted alignment; in first-acceptable mode at most one.
-func (s *Searcher) Search() []Alignment {
-	seed := s.seedNode()
+// accepted alignment; in first-acceptable mode at most one. The search
+// checks ctx once per seed candidate and once per flow-BFS level, and
+// returns ctx.Err() with no alignments once it is cancelled; a nil ctx is
+// never cancelled.
+func (s *Searcher) Search(ctx context.Context) ([]Alignment, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	seed := s.componentSeed(make([]bool, len(s.QG.Nodes)))
 	if seed < 0 {
-		return nil
+		return nil, nil
 	}
 	var out []Alignment
 	for _, cand := range s.Candidates[seed] {
 		s.Iterations++
-		al := s.expand(seed, cand)
-		if al.Score >= s.Opts.ScoreThreshold {
+		al := s.expand(ctx, seed, cand)
+		// A flow BFS cut short by cancellation leaves al partial.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if al.Score >= ScoreThreshold {
 			out = append(out, al)
-			if s.Opts.Mode == ModeFirstAcceptable {
-				return out
+			if s.Mode == ModeFirstAcceptable {
+				return out, nil
 			}
 		}
 	}
-	return out
-}
-
-// seedNode picks the query node with the fewest (but nonzero) candidates.
-func (s *Searcher) seedNode() int {
-	best, bestN := -1, 0
-	for i, c := range s.Candidates {
-		if len(c) == 0 {
-			continue
-		}
-		if best < 0 || len(c) < bestN {
-			best, bestN = i, len(c)
-		}
-	}
-	return best
+	return out, nil
 }
 
 // expand grows an alignment from a seed assignment by BFS over the query
@@ -235,7 +231,7 @@ func (s *Searcher) seedNode() int {
 // the highest influence score. Query graphs can be disconnected (distinct
 // attack stages whose IOCs never co-occur in a sentence); each remaining
 // component is expanded from its own local seed.
-func (s *Searcher) expand(seed int, seedEntity int64) Alignment {
+func (s *Searcher) expand(ctx context.Context, seed int, seedEntity int64) Alignment {
 	n := len(s.QG.Nodes)
 	al := Alignment{NodeMap: make([]int64, n)}
 	al.NodeMap[seed] = seedEntity
@@ -244,7 +240,7 @@ func (s *Searcher) expand(seed int, seedEntity int64) Alignment {
 	var total float64
 	eventSet := make(map[int64]bool)
 
-	total += s.expandComponent(seed, &al, visited, eventSet)
+	total += s.expandComponent(ctx, seed, &al, visited, eventSet)
 	for {
 		next := s.componentSeed(visited)
 		if next < 0 {
@@ -261,7 +257,7 @@ func (s *Searcher) expand(seed int, seedEntity int64) Alignment {
 			trial.NodeMap[next] = cand
 			tv := append([]bool(nil), visited...)
 			te := map[int64]bool{}
-			sc := s.expandComponent(next, &trial, tv, te)
+			sc := s.expandComponent(ctx, next, &trial, tv, te)
 			if sc > bestScore {
 				bestScore, bestAl, bestVisited, bestEvents = sc, trial, tv, te
 			}
@@ -293,7 +289,7 @@ func (s *Searcher) expand(seed int, seedEntity int64) Alignment {
 
 // expandComponent walks the query-graph component containing start (whose
 // node must already be aligned in al) and returns the sum of edge scores.
-func (s *Searcher) expandComponent(start int, al *Alignment, visited []bool, eventSet map[int64]bool) float64 {
+func (s *Searcher) expandComponent(ctx context.Context, start int, al *Alignment, visited []bool, eventSet map[int64]bool) float64 {
 	type qedge struct {
 		idx     int
 		fromIdx int
@@ -351,7 +347,7 @@ func (s *Searcher) expandComponent(start int, al *Alignment, visited []bool, eve
 			if fromEnt == 0 {
 				continue // upstream alignment failed
 			}
-			score, ent, evs, sim := s.bestFlow(fromEnt, qe.toIdx, edge, qe.forward, fixed)
+			score, ent, evs, sim := s.bestFlow(ctx, fromEnt, qe.toIdx, edge, qe.forward, fixed)
 			if score > bestScore || (score == bestScore && sim > bestSim) {
 				bestScore, bestSim, bestEnt, bestEvs = score, sim, ent, evs
 			}
@@ -368,7 +364,8 @@ func (s *Searcher) expandComponent(start int, al *Alignment, visited []bool, eve
 }
 
 // componentSeed returns an unvisited query node with the fewest nonzero
-// candidates, or -1 when every node is visited.
+// candidates (any unvisited node when none has candidates), or -1 when
+// every node is visited. With nothing visited it picks the search's seed.
 func (s *Searcher) componentSeed(visited []bool) int {
 	best, bestN := -1, 0
 	for i, c := range s.Candidates {
@@ -415,8 +412,9 @@ func (s *Searcher) markComponent(start int, visited []bool) {
 // MaxPathLen events scores 1/(distinct processes on the path). fixed pins
 // the target entity when it is already aligned. The returned sim is the
 // matched target's name similarity (2 for an exact match), used by the
-// caller to choose among alternative source entities.
-func (s *Searcher) bestFlow(from int64, toIdx int, edge QueryEdge, forward bool, fixed int64) (float64, int64, []int64, float64) {
+// caller to choose among alternative source entities. A cancelled ctx
+// stops the flow BFS at its next level with no flow found.
+func (s *Searcher) bestFlow(ctx context.Context, from int64, toIdx int, edge QueryEdge, forward bool, fixed int64) (float64, int64, []int64, float64) {
 	targets := make(map[int64]bool)
 	if fixed != 0 {
 		targets[fixed] = true
@@ -433,33 +431,23 @@ func (s *Searcher) bestFlow(from int64, toIdx int, edge QueryEdge, forward bool,
 	// prefer the target whose name best matches the query node's pattern
 	// (an exact name match beats containment, so a fork artifact sharing
 	// the parent's image does not shadow the real child process).
-	var direct []provenance.EdgeRef
-	if forward {
-		direct = s.Prov.Fwd[from]
-	} else {
-		direct = s.Prov.Bwd[from]
-	}
 	pattern := s.QG.Nodes[toIdx].Pattern
 	var directEnt, directEv int64
 	directSim := -1.0
-	for _, ref := range direct {
-		ev := s.Prov.Event(ref.Event)
-		if !targets[ref.Other] || (edge.Ops != nil && !edge.Ops[ev.Op.String()]) {
-			continue
+	s.Snap.Graph.VisitEventEdges(from, math.MaxInt64, func(ref graphdb.EventEdgeRef) bool {
+		if ref.Out != forward {
+			// Outgoing edges come first, so a forward lookup is done at
+			// the first incoming edge; a backward one skips the outgoing.
+			return !forward
 		}
-		sim := 1.0
-		if pattern != "" {
-			name := s.Prov.DefaultName(ref.Other)
-			if strings.EqualFold(name, pattern) {
-				sim = 2
-			} else {
-				sim = Similarity(name, pattern)
-			}
+		if !targets[ref.Other] || (edge.Ops != nil && !edge.Ops[ref.Op]) {
+			return true
 		}
-		if sim > directSim {
-			directSim, directEnt, directEv = sim, ref.Other, ev.ID
+		if sim := s.nameSim(ref.Other, pattern); sim > directSim {
+			directSim, directEnt, directEv = sim, ref.Other, ref.EventID
 		}
-	}
+		return true
+	})
 	if directEnt != 0 {
 		return 1, directEnt, []int64{directEv}, directSim
 	}
@@ -472,58 +460,64 @@ func (s *Searcher) bestFlow(from int64, toIdx int, edge QueryEdge, forward bool,
 	// down the flow.
 	type state struct {
 		ent    int64
-		depth  int
 		events []int64
 		procs  int
 	}
 	bestScore, bestSim, bestEnt := 0.0, -1.0, int64(0)
 	var bestEvents []int64
 	seen := map[int64]bool{from: true}
-	queue := []state{{ent: from}}
-	for len(queue) > 0 {
-		st := queue[0]
-		queue = queue[1:]
-		if st.depth >= s.Opts.MaxPathLen {
-			continue
+	level := []state{{ent: from}}
+	for depth := 0; depth < MaxPathLen && len(level) > 0; depth++ {
+		if ctx.Err() != nil {
+			return 0, 0, nil, 0
 		}
-		for _, ref := range s.Prov.Neighbors(st.ent) {
-			if seen[ref.Other] {
-				continue
-			}
-			seen[ref.Other] = true
-			ev := s.Prov.Event(ref.Event)
-			next := state{
-				ent:    ref.Other,
-				depth:  st.depth + 1,
-				events: append(append([]int64(nil), st.events...), ev.ID),
-				procs:  st.procs,
-			}
-			if e := s.Prov.Entity(ref.Other); e != nil && e.Kind == audit.EntityProcess {
-				next.procs++
-			}
-			if targets[ref.Other] {
-				denom := next.procs
-				if denom < 1 {
-					denom = 1
+		var next []state
+		for _, st := range level {
+			s.Snap.Graph.VisitEventEdges(st.ent, math.MaxInt64, func(ref graphdb.EventEdgeRef) bool {
+				if seen[ref.Other] {
+					return true
 				}
-				score := 1 / float64(denom+1)
-				sim := 1.0
-				if pattern != "" {
-					name := s.Prov.DefaultName(ref.Other)
-					if strings.EqualFold(name, pattern) {
-						sim = 2
-					} else {
-						sim = Similarity(name, pattern)
+				seen[ref.Other] = true
+				n := state{
+					ent:    ref.Other,
+					events: append(append([]int64(nil), st.events...), ref.EventID),
+					procs:  st.procs,
+				}
+				if s.Snap.Entities[ref.Other-1].Kind == audit.EntityProcess {
+					n.procs++
+				}
+				if targets[ref.Other] {
+					denom := n.procs
+					if denom < 1 {
+						denom = 1
+					}
+					score := 1 / float64(denom+1)
+					sim := s.nameSim(ref.Other, pattern)
+					if sim > bestSim || (sim == bestSim && score > bestScore) {
+						bestSim, bestScore, bestEnt, bestEvents = sim, score, ref.Other, n.events
 					}
 				}
-				if sim > bestSim || (sim == bestSim && score > bestScore) {
-					bestSim, bestScore, bestEnt, bestEvents = sim, score, ref.Other, next.events
-				}
-			}
-			queue = append(queue, next)
+				next = append(next, n)
+				return true
+			})
 		}
+		level = next
 	}
 	return bestScore, bestEnt, bestEvents, bestSim
+}
+
+// nameSim ranks a target entity by how well its name matches the query
+// node's pattern: 2 for an exact match, Similarity otherwise, and 1 when
+// the node has no pattern.
+func (s *Searcher) nameSim(id int64, pattern string) float64 {
+	if pattern == "" {
+		return 1
+	}
+	name := s.Name(id)
+	if strings.EqualFold(name, pattern) {
+		return 2
+	}
+	return Similarity(name, pattern)
 }
 
 // Similarity is the node-level alignment metric: 1 for containment

@@ -3,9 +3,9 @@ package graphdb
 import "sort"
 
 // EventEdgeRef surfaces one event edge incident to a node, for causality
-// traversals (provenance back-tracking, tactical IIP extraction) that
-// want the graph's time-sorted binary-searchable adjacency without going
-// through the Cypher execution machinery.
+// traversals (fuzzy search's flow alignment, tactical IIP extraction)
+// that want the graph's time-sorted binary-searchable adjacency without
+// going through the Cypher execution machinery.
 type EventEdgeRef struct {
 	// EventID is the audit event the edge mirrors.
 	EventID int64

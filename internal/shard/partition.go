@@ -1,7 +1,7 @@
 // Package shard partitions the live store by host, time, or hash and
 // executes hunts scatter-gather: one authoritative global store (the
 // correctness anchor — it serves variable-length path traversals, the
-// tactical layer, and provenance/fuzzy reads, and its snapshot defines
+// tactical layer, and fuzzy search, and its snapshot defines
 // the system's published state) plus N partition stores that each hold a
 // routed subset of the events over the shared entity table.
 //

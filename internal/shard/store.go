@@ -43,8 +43,8 @@ type partition struct {
 }
 
 // View is one published, immutable generation of the whole sharded store:
-// the global snapshot (authoritative state — tactical, provenance, and
-// fuzzy reads use it directly) plus one pinned snapshot and routing stat
+// the global snapshot (authoritative state — tactical and fuzzy reads
+// use it directly) plus one pinned snapshot and routing stat
 // per partition. Per-partition snapshots are "globalized": their time
 // bounds and bounds epoch are overridden with the global values so window
 // lowering inside each shard's engine resolves against the global time
@@ -222,7 +222,7 @@ func (s *Store) View() *View { return s.view.Load() }
 
 // Global returns the authoritative global store. Its published snapshot
 // equals what an unsharded store over the same input would publish;
-// explain, provenance, fuzzy search, and the tactical layer read it.
+// explain, fuzzy search, and the tactical layer read it.
 func (s *Store) Global() *engine.Store { return s.global }
 
 // GlobalStore implements the stream backend surface (the session's

@@ -25,7 +25,7 @@ import (
 type Backend interface {
 	// GlobalStore returns the authoritative store: the store itself for
 	// the engine backend, the global (unsharded-equivalent) store for a
-	// sharded one. Snapshot readers (provenance, fuzzy, debug) use it.
+	// sharded one. Snapshot readers (fuzzy search, debug) use it.
 	GlobalStore() *engine.Store
 	// AppendBatch appends one sealed batch atomically (all stores move,
 	// or none).

@@ -16,8 +16,8 @@
 // audit (system auditing), reduction (data reduction), nlp (the NLP
 // substrate), ioc (IOC recognition and protection), extract (threat
 // behavior extraction), tbql (the query language), synth (query
-// synthesis), engine (storage and scheduled execution), provenance and
-// fuzzy (the Poirot-style fuzzy search mode).
+// synthesis), engine (storage and scheduled execution), and fuzzy (the
+// Poirot-style fuzzy search mode over the store's provenance graph).
 package threatraptor
 
 import (
@@ -30,7 +30,6 @@ import (
 	"threatraptor/internal/engine"
 	"threatraptor/internal/extract"
 	"threatraptor/internal/fuzzy"
-	"threatraptor/internal/provenance"
 	"threatraptor/internal/reduction"
 	"threatraptor/internal/rules"
 	"threatraptor/internal/segment"
@@ -455,20 +454,21 @@ type FuzzyAlignment struct {
 // FuzzyHunt executes a TBQL query in the fuzzy search mode (inexact graph
 // pattern matching, extending Poirot): node-level alignment tolerates IOC
 // typos and changes, and flow paths substitute for missing direct events.
-// The search builds its provenance graph from the store's latest published
-// snapshot, so it takes no lock and runs concurrently with live ingestion.
-// The hunt counts against Options.MaxConcurrentHunts; the context bounds
-// the admission wait.
+// The search walks the graph of the store's latest published snapshot, so
+// it takes no lock and runs concurrently with live ingestion. The hunt
+// counts against Options.MaxConcurrentHunts; the context bounds the
+// admission wait and cancels the search cooperatively, returning
+// ctx.Err() and no alignments.
 func (s *System) FuzzyHunt(ctx context.Context, tbqlSrc string, exhaustive bool) ([]FuzzyAlignment, error) {
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return s.fuzzyHunt(tbqlSrc, exhaustive)
+	return s.fuzzyHunt(ctx, tbqlSrc, exhaustive)
 }
 
-func (s *System) fuzzyHunt(tbqlSrc string, exhaustive bool) ([]FuzzyAlignment, error) {
+func (s *System) fuzzyHunt(ctx context.Context, tbqlSrc string, exhaustive bool) ([]FuzzyAlignment, error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("threatraptor: no audit log loaded")
 	}
@@ -488,11 +488,13 @@ func (s *System) fuzzyHunt(tbqlSrc string, exhaustive bool) ([]FuzzyAlignment, e
 	if exhaustive {
 		mode = fuzzy.ModeExhaustive
 	}
-	snap := s.store.Snapshot()
-	prov := provenance.BuildFrom(snap.Entities, snap.Events)
-	searcher := fuzzy.NewSearcher(prov, qg, fuzzy.DefaultOptions(mode))
+	searcher := fuzzy.NewSearcher(s.store.Snapshot(), qg, mode)
+	als, err := searcher.Search(ctx)
+	if err != nil {
+		return nil, err
+	}
 	var out []FuzzyAlignment
-	for _, al := range searcher.Search() {
+	for _, al := range als {
 		fa := FuzzyAlignment{
 			Score:    al.Score,
 			Entities: make(map[string]string, len(qg.Nodes)),
@@ -500,7 +502,7 @@ func (s *System) fuzzyHunt(tbqlSrc string, exhaustive bool) ([]FuzzyAlignment, e
 		}
 		for i, qn := range qg.Nodes {
 			if al.NodeMap[i] != 0 {
-				fa.Entities[qn.ID] = prov.DefaultName(al.NodeMap[i])
+				fa.Entities[qn.ID] = searcher.Name(al.NodeMap[i])
 			}
 		}
 		out = append(out, fa)

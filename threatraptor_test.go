@@ -1,6 +1,8 @@
 package threatraptor
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -108,6 +110,23 @@ return distinct p1, f1`
 	}
 	if !found {
 		t.Errorf("expected /etc/passwd alignment: %+v", als)
+	}
+}
+
+// TestFuzzyHuntHonorsCancellation: a context cancelled before the search
+// stops it once admitted, as Hunt does, with no alignments.
+func TestFuzzyHuntHonorsCancellation(t *testing.T) {
+	sys, _ := loadCase(t, "data_leak")
+	query := `proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as e1
+return distinct p1, f1`
+	if als, err := sys.FuzzyHunt(nil, query, true); err != nil || len(als) == 0 {
+		t.Fatalf("uncancelled search: %d alignments, err %v", len(als), err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	als, err := sys.FuzzyHunt(ctx, query, true)
+	if !errors.Is(err, context.Canceled) || als != nil {
+		t.Fatalf("cancelled search: %d alignments, err %v; want none and context.Canceled", len(als), err)
 	}
 }
 
