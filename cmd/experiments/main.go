@@ -160,6 +160,7 @@ func table8(scale float64, rounds int) {
 
 func table9(scale float64) {
 	fmt.Println("== Table IX: fuzzy search mode vs Poirot (seconds) ==")
+	fmt.Println("load: build the store (columns and graph) from the log; prep: pin its snapshot; search: alignment search")
 	rows, err := experiments.Table9(scale)
 	if err != nil {
 		log.Fatal(err)

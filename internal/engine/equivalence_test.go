@@ -151,7 +151,7 @@ func unfilteredReference(t *testing.T, store *Store, a *tbql.Analyzed) *Result {
 	src := func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error) {
 		pp := &plan.pats[q.Idx]
 		if !pp.meta.UsesGraph {
-			return en.runPattern(ctx, a, plan, snap, q)
+			return en.runPattern(ctx, a, plan, snap, q, nil)
 		}
 		params := &graphdb.ExecParams{View: &snap.Graph}
 		if q.Subj != nil {

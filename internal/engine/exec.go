@@ -17,7 +17,10 @@ import (
 // Stats summarizes one TBQL execution.
 type Stats struct {
 	DataQueries int // small SQL/Cypher queries issued
-	PatternRows int // total rows returned by data queries
+	// PatternRows counts the pattern rows the row source handed the loop:
+	// the [5]int64 tuples the data queries' sinks collected, or the view
+	// rows read in their place. No pattern row is ever a []Value.
+	PatternRows int
 	// JoinBindings counts the complete bindings the cross-pattern join
 	// reached: every binding of a plain return; under a distinct return
 	// only the completions its walk reached after the sub-walk memo skipped
@@ -133,7 +136,10 @@ type RowSource func(ctx context.Context, q PatternQuery) (PatternRows, Stats, er
 // writer-synchronized paths only). Both backends consume the pattern's
 // compiled plan directly; binding sets and the delta floor bind as
 // parameter values, so no query text is assembled and no parser runs.
-func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, q PatternQuery) (PatternRows, Stats, error) {
+// The backends hand their rows to a rowSink as int tuples, which appends
+// them to the pattern's pooled buffer buf — or, with buf nil, to a slice
+// of the caller's own (a view or a scatter merge keeps the rows).
+func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, q PatternQuery, buf *patternBuf) (PatternRows, Stats, error) {
 	p := a.Query.Patterns[q.Idx]
 	pr := PatternRows{Idx: q.Idx, HasEvent: true}
 	if err := ctxErr(ctx); err != nil {
@@ -143,76 +149,95 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 	}
 	pp := &plan.pats[q.Idx]
+	if buf == nil {
+		buf = &patternBuf{}
+	}
+	sink := &buf.sink
+	sink.rows, sink.at = sink.rows[:0], 0
 	if pp.meta.UsesGraph {
 		var st Stats
 		pr.HasEvent = pp.ir.Path.HasEdgeVar
-		subj := q.Subj
-		if subj == nil && pp.ir.Path.SubjPred != nil && (q.Delta == 0 || pp.meta.VarLen) {
-			// Graph anchor access path: a predicated subject with no binding
-			// set takes its candidates from the entity columns, so the
-			// traversal anchors on those IDs instead of testing the
-			// predicate on every node of the label. (Objects are reached
-			// only through the anchors' edges, so their predicate is tested
-			// on few nodes; prefiltering them costs an entities index
-			// probe. When that cost was an entities scan, the hunt pool
-			// measured it as a net loss. A floored single hop is driven
-			// from the new edges instead of from anchors.)
-			var err error
-			if subj, err = en.anchorIDs(ctx, pp, snap, &st); err != nil {
-				return pr, st, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
-			}
-			if len(subj) == 0 {
-				st.DataQueries = 1
-				return pr, st, nil
-			}
+		if !pr.HasEvent {
+			sink.at = 1 // a variable-length path returns (subject, object)
 		}
-		var params *graphdb.ExecParams
-		if len(subj) > 0 || len(q.Obj) > 0 || q.Delta > 0 || snap != nil {
-			var gp graphdb.ExecParams
-			var nb [2]graphdb.NodeBinding
-			n := 0
-			if len(subj) > 0 {
-				nb[n] = graphdb.NodeBinding{Var: "s", IDs: subj}
-				n++
-			}
-			if len(q.Obj) > 0 {
-				nb[n] = graphdb.NodeBinding{Var: "o", IDs: q.Obj}
-				n++
-			}
-			gp.Nodes = nb[:n]
-			if q.Delta > 0 {
-				// The floor keeps the matches whose trail uses a new edge.
-				// The graph executor's floor is a dense edge-arena offset,
-				// which equals the event ID only when the store holds the
-				// full 1..n ID space. A shard's sub-log has gaps, so the
-				// global event-ID floor translates through the snapshot's
-				// ID-ordered event slice (identity for dense stores).
-				gp.MinEdgeID = snapEdgeFloor(snap, q.Delta)
-			}
-			if snap != nil {
-				gp.View = &snap.Graph
-			}
-			params = &gp
+		params, none, err := en.graphParams(ctx, pp, snap, q, &buf.ids, &st)
+		if err == nil && !none {
+			st.Graph, err = en.Store.Graph.QueryInts(ctx, pp.gp, params, sink)
 		}
-		rs, gs, err := en.Store.Graph.ExecWithCtx(ctx, pp.gq, params)
+		pr.Rows = sink.rows
 		if err != nil {
 			return pr, st, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 		}
-		pr.Rows = make([][5]int64, 0, len(rs.Rows))
-		for _, row := range rs.Rows {
-			var r [5]int64
-			if pr.HasEvent {
-				for i := 0; i < 5; i++ {
-					r[i] = row[i].I
-				}
-			} else {
-				r[1], r[2] = row[0].I, row[1].I
-			}
-			pr.Rows = append(pr.Rows, r)
-		}
-		st.Add(Stats{DataQueries: 1, PatternRows: len(pr.Rows), Graph: gs})
+		st.DataQueries, st.PatternRows = 1, len(pr.Rows)
 		return pr, st, nil
 	}
+	prep, params, err := en.relQuery(pp, plan, snap, q)
+	if err != nil {
+		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+	}
+	qs, err := prep.QueryInts(ctx, &params, sink)
+	pr.Rows = sink.rows
+	if err != nil {
+		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
+	}
+	return pr, Stats{DataQueries: 1, PatternRows: len(pr.Rows), Rel: qs}, nil
+}
+
+// graphParams binds a graph pattern's data query q as execution
+// parameters: the binding sets, the delta floor and the snapshot. none
+// reports that the anchor prefilter (run here into ids, its cost counted
+// in st) accepted no subject, so the pattern matches nothing.
+func (en *Engine) graphParams(ctx context.Context, pp *patternPlan, snap *Snapshot, q PatternQuery, ids *idSink, st *Stats) (params *graphdb.ExecParams, none bool, err error) {
+	subj := q.Subj
+	if subj == nil && pp.ir.Path.SubjPred != nil && (q.Delta == 0 || pp.meta.VarLen) {
+		// Graph anchor access path: a predicated subject with no binding
+		// set takes its candidates from the entity columns, so the
+		// traversal anchors on those IDs instead of testing the predicate
+		// on every node of the label. (Objects are reached only through
+		// the anchors' edges, so their predicate is tested on few nodes;
+		// prefiltering them costs an entities index probe. When that cost
+		// was an entities scan, the hunt pool measured it as a net loss. A
+		// floored single hop is driven from the new edges instead of from
+		// anchors.)
+		if subj, err = en.anchorIDs(ctx, pp, snap, st, ids); err != nil || len(subj) == 0 {
+			return nil, err == nil, err
+		}
+	}
+	if len(subj) == 0 && len(q.Obj) == 0 && q.Delta == 0 && snap == nil {
+		return nil, false, nil
+	}
+	var gp graphdb.ExecParams
+	var nb [2]graphdb.NodeBinding
+	n := 0
+	if len(subj) > 0 {
+		nb[n] = graphdb.NodeBinding{Var: "s", IDs: subj}
+		n++
+	}
+	if len(q.Obj) > 0 {
+		nb[n] = graphdb.NodeBinding{Var: "o", IDs: q.Obj}
+		n++
+	}
+	gp.Nodes = nb[:n]
+	if q.Delta > 0 {
+		// The floor keeps the matches whose trail uses a new edge. The
+		// graph executor's floor is a dense edge-arena offset, which
+		// equals the event ID only when the store holds the full 1..n ID
+		// space. A shard's sub-log has gaps, so the global event-ID floor
+		// translates through the snapshot's ID-ordered event slice
+		// (identity for dense stores).
+		gp.MinEdgeID = snapEdgeFloor(snap, q.Delta)
+	}
+	if snap != nil {
+		gp.View = &snap.Graph
+	}
+	return &gp, false, nil
+}
+
+// relQuery returns an event pattern's compiled statement for data query
+// q and q's parameter values: the binding sets, the delta floor and the
+// snapshot.
+func (en *Engine) relQuery(pp *patternPlan, plan *queryPlan, snap *Snapshot, q PatternQuery) (*relational.Prepared, relational.Params, error) {
+	var params relational.Params
 	var prep *relational.Prepared
 	var err error
 	if q.Delta > 0 {
@@ -222,31 +247,48 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 	} else {
 		prep, err = pp.prepared(en.Store, plan.bounds)
 	}
-	if err != nil {
-		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
-	}
-	var params relational.Params
 	params.Lists[qir.SlotSubjIDs] = q.Subj
 	params.Lists[qir.SlotObjIDs] = q.Obj
 	params.Ints[qir.SlotDelta] = q.Delta
 	if snap != nil {
 		params.Snap = &snap.Rel
 	}
-	rs, qs, err := prep.QueryCtx(ctx, &params)
-	if err != nil {
-		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
-	}
-	pr.Rows = make([][5]int64, 0, len(rs.Rows))
-	for _, row := range rs.Rows {
-		pr.Rows = append(pr.Rows, [5]int64{row[0].I, row[1].I, row[2].I, row[3].I, row[4].I})
-	}
-	return pr, Stats{DataQueries: 1, PatternRows: len(pr.Rows), Rel: qs}, nil
+	return prep, params, err
 }
+
+// patternBuf is one pattern's row buffers, pooled in the loop scratch:
+// the sink its data query's rows land in, and the IDs its anchor
+// prefilter accepts. They keep the capacity their rows grew them to.
+type patternBuf struct {
+	sink rowSink
+	ids  idSink
+}
+
+// rowSink receives a data query's rows (see runPattern): each int tuple
+// lands in rows as [event, subject, object, start, end], its first
+// column at position at (1 for a variable-length path's subject, object
+// pair; 0 otherwise).
+type rowSink struct {
+	rows [][5]int64
+	at   int
+}
+
+func (s *rowSink) Row(row []int64) {
+	var r [5]int64
+	copy(r[s.at:], row)
+	s.rows = append(s.rows, r)
+}
+
+// idSink collects an anchor prefilter's single ID column.
+type idSink []int64
+
+func (s *idSink) Row(row []int64) { *s = append(*s, row[0]) }
 
 // anchorIDs runs a graph pattern's subject prefilter (see
 // lowerEntityFilter) on the pinned snapshot and returns the sorted unique
-// IDs it accepts; its index probe or scan is counted in st.Rel.
-func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot, st *Stats) ([]int64, error) {
+// IDs it accepts, collected in ids; its index probe or scan is counted in
+// st.Rel.
+func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot, st *Stats, ids *idSink) ([]int64, error) {
 	prep, err := pp.anchorFilter(en.Store)
 	if err != nil {
 		return nil, err
@@ -255,17 +297,14 @@ func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot
 	if snap != nil {
 		params.Snap = &snap.Rel
 	}
-	rs, qs, err := prep.QueryCtx(ctx, &params)
+	*ids = (*ids)[:0]
+	qs, err := prep.QueryInts(ctx, &params, ids)
 	st.Add(Stats{Rel: qs})
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, len(rs.Rows))
-	for i, row := range rs.Rows {
-		ids[i] = row[0].I
-	}
-	slices.Sort(ids) // rows come in table order, whatever order the IDs were inserted in
-	return slices.Compact(ids), nil
+	slices.Sort(*ids) // rows come in table order, whatever order the IDs were inserted in
+	return slices.Compact(*ids), nil
 }
 
 // bindingSpec selects the scheduler's binding-set constraints for a
@@ -330,11 +369,11 @@ func (en *Engine) Execute(ctx context.Context, a *tbql.Analyzed) (*Result, Stats
 func (en *Engine) ExecuteSource(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, src RowSource) (res *Result, stats Stats, err error) {
 	defer guard(a, &err)
 	plan := en.planFor(a, snap, false)
-	if src == nil {
-		src = en.localSource(a, plan, snap)
-	}
 	sc := en.acquireScratch(len(plan.pats))
 	defer en.releaseScratch(sc)
+	if src == nil {
+		src = en.localSource(a, plan, snap, sc)
+	}
 	res, stats, err = en.run(ctx, a, plan, snap, src, sc, -1, 0)
 	if res == nil && err == nil {
 		res = emptyResult(plan.cols)
@@ -343,10 +382,10 @@ func (en *Engine) ExecuteSource(ctx context.Context, a *tbql.Analyzed, snap *Sna
 }
 
 // localSource is the engine's own row source: each data query runs on the
-// backends against the pinned snapshot.
-func (en *Engine) localSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot) RowSource {
+// backends against the pinned snapshot, into the pattern's pooled buffer.
+func (en *Engine) localSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, sc *loopScratch) RowSource {
 	return func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error) {
-		return en.runPattern(ctx, a, plan, snap, q)
+		return en.runPattern(ctx, a, plan, snap, q, &sc.bufs[q.Idx])
 	}
 }
 
@@ -484,16 +523,16 @@ func (en *Engine) deltaRule(ctx context.Context, a *tbql.Analyzed, plan *queryPl
 
 // loopScratch is the reusable per-execution state of the scheduled loop:
 // the per-pattern result slots, the slot-indexed binding sets and the
-// narrow scratch, the hoisted order, the view source's per-pattern filter
-// output buffers, and the join walk. Pooled on the engine so steady-state
-// hunts and standing-query rounds allocate almost nothing outside their
-// data queries.
+// narrow scratch, the hoisted order, the per-pattern row buffers (data
+// query rows, or a view source's filter output), and the join walk.
+// Pooled on the engine so steady-state hunts and standing-query rounds
+// allocate almost nothing.
 type loopScratch struct {
 	results []PatternRows
 	sets    [][]int64 // per entity slot: sorted unique allowed IDs (empty = unbound)
 	ids     []int64
 	order   []int
-	bufs    [][][5]int64
+	bufs    []patternBuf
 	join    joinWalk
 }
 
@@ -504,7 +543,7 @@ func (en *Engine) acquireScratch(n int) *loopScratch {
 	}
 	if cap(sc.results) < n {
 		sc.results = make([]PatternRows, n)
-		sc.bufs = make([][][5]int64, n)
+		sc.bufs = make([]patternBuf, n)
 	}
 	sc.results = sc.results[:n]
 	sc.bufs = sc.bufs[:n]
@@ -514,6 +553,9 @@ func (en *Engine) acquireScratch(n int) *loopScratch {
 func (en *Engine) releaseScratch(sc *loopScratch) {
 	for i := range sc.results {
 		sc.results[i] = PatternRows{}
+		if b := &sc.bufs[i]; cap(b.sink.rows) > maxPooledRows || cap(b.ids) > maxPooledRows {
+			*b = patternBuf{}
+		}
 	}
 	for i, set := range sc.sets {
 		if cap(set) > maxPooledRows {
@@ -637,8 +679,9 @@ func (en *Engine) MatchEventsPerPattern(ctx context.Context, a *tbql.Analyzed) (
 	matched = make(map[int64]bool)
 	snap := en.Store.Snapshot()
 	plan := en.planFor(a, snap, false)
+	var buf patternBuf
 	for idx := range a.Query.Patterns {
-		pr, _, err := en.runPattern(ctx, a, plan, snap, PatternQuery{Idx: idx})
+		pr, _, err := en.runPattern(ctx, a, plan, snap, PatternQuery{Idx: idx}, &buf)
 		if err != nil {
 			return nil, err
 		}

@@ -192,7 +192,7 @@ func TestIRGoldenEquivalence(t *testing.T) {
 
 			for idx, p := range a.Query.Patterns {
 				// Unconstrained rows drive the binding-set samples.
-				base, _, err := en.runPattern(nil, a, plan, nil, PatternQuery{Idx: idx})
+				base, _, err := en.runPattern(nil, a, plan, nil, PatternQuery{Idx: idx}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +213,7 @@ func TestIRGoldenEquivalence(t *testing.T) {
 					specs = append(specs, PatternQuery{Idx: idx, Delta: delta}, PatternQuery{Idx: idx, Subj: subj, Delta: delta})
 				}
 				for si, sp := range specs {
-					got, _, err := en.runPattern(nil, a, plan, nil, sp)
+					got, _, err := en.runPattern(nil, a, plan, nil, sp, nil)
 					if err != nil {
 						t.Fatalf("pattern %s spec %d: %v", p.ID, si, err)
 					}

@@ -23,6 +23,7 @@ import (
 type patternPlan struct {
 	ir *qir.DataQuery
 	gq *graphdb.Query
+	gp *graphdb.Prepared // gq compiled to binding slots
 	// meta is the pattern's routing shape: which backend it lowers to, and
 	// what a scatter coordinator prunes shards with. View catch-up skips
 	// its data query entirely when a delta's batch op bitmap doesn't
@@ -263,6 +264,7 @@ func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryP
 		pp.meta = patternMeta(ir)
 		if pp.meta.UsesGraph {
 			pp.gq = lowerPathQuery(b, ir.Path, a.Query.Return.Distinct)
+			pp.gp = graphdb.Prepare(pp.gq)
 		}
 		if ir.Window().Sensitive() {
 			p.windowSensitive = true

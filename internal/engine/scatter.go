@@ -38,7 +38,7 @@ func snapEdgeFloor(snap *Snapshot, delta int64) int64 {
 // anywhere).
 func (en *Engine) ScatterPattern(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, q PatternQuery) (res PatternRows, stats Stats, err error) {
 	defer guard(a, &err)
-	return en.runPattern(ctx, a, en.planFor(a, snap, false), snap, q)
+	return en.runPattern(ctx, a, en.planFor(a, snap, false), snap, q, nil) // the merge keeps the rows
 }
 
 // PatternMeta is the routing-relevant shape of one pattern: everything a

@@ -291,7 +291,7 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 			}
 			q.Delta = v.upTo
 		}
-		pr, qst, err := en.runPattern(ctx, a, plan, snap, q)
+		pr, qst, err := en.runPattern(ctx, a, plan, snap, q, nil) // the view keeps the rows
 		if err != nil {
 			return err
 		}
@@ -327,15 +327,16 @@ func (en *Engine) viewSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, 
 	return func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error) {
 		v := plan.pats[q.Idx].view
 		if v == nil {
-			return en.runPattern(ctx, a, plan, snap, q)
+			return en.runPattern(ctx, a, plan, snap, q, &sc.bufs[q.Idx])
 		}
 		rows := v.rows
 		switch {
 		case q.Delta > 0:
 			rows = v.since(q.Delta)
 		case q.Subj != nil || q.Obj != nil:
-			rows = v.filter(q.Subj, q.Obj, sc.bufs[q.Idx][:0])
-			sc.bufs[q.Idx] = rows[:0:cap(rows)] // retain the grown buffer
+			b := &sc.bufs[q.Idx].sink
+			rows = v.filter(q.Subj, q.Obj, b.rows[:0])
+			b.rows = rows[:0:cap(rows)] // retain the grown buffer
 		}
 		return PatternRows{Idx: q.Idx, Rows: rows, HasEvent: true}, Stats{PatternRows: len(rows)}, nil
 	}

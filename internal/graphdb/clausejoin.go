@@ -137,45 +137,34 @@ func (g *Graph) execClauseAtATime(q *Query) (*ResultSet, ExecStats, error) {
 type binding map[string]int64
 
 // materializeClause runs one pattern standalone and captures every
-// complete variable binding.
+// complete variable binding that satisfies the clause's conjuncts.
 func (g *Graph) materializeClause(pat Pattern, conjuncts []relational.Expr) ([]binding, ExecStats, error) {
-	sub := &Query{Patterns: []Pattern{pat}, Limit: -1}
-	m := &matcher{
-		g:     g,
-		q:     sub,
-		nodes: make(map[string]int64),
-		edges: make(map[string]int64),
+	var where relational.Expr
+	for _, c := range conjuncts {
+		if where == nil {
+			where = c
+		} else {
+			where = relational.BinOp{Op: "and", L: where, R: c}
+		}
 	}
-	m.setConjuncts(conjuncts)
-	m.bindStore()
+	p := Prepare(&Query{Patterns: []Pattern{pat}, Where: where, Limit: -1})
+	m := p.acquire(g, nil, nil)
 	var rows []binding
 	m.capture = func() error {
-		// Re-check local conjuncts at completion (pruneOK skips any that
-		// were not yet evaluable mid-match).
-		resolve := m.resolve
-		for _, c := range conjuncts {
-			v, err := relational.EvalExpr(c, resolve)
-			if err != nil {
-				return err
-			}
-			if !v.Truthy() {
-				return nil
-			}
+		b := make(binding, len(p.nodeVars)+len(p.edgeVars))
+		for s, name := range p.nodeVars {
+			b["n:"+name] = m.nodeVals[s]
 		}
-		b := make(binding, len(m.nodes)+len(m.edges))
-		for k, v := range m.nodes {
-			b["n:"+k] = v
-		}
-		for k, v := range m.edges {
-			b["e:"+k] = v
+		for s, name := range p.edgeVars {
+			b["e:"+name] = m.edgeVals[s]
 		}
 		rows = append(rows, b)
 		return nil
 	}
-	if err := m.matchPattern(0, 0); err != nil {
-		return nil, m.stats, err
-	}
-	return rows, m.stats, nil
+	err := m.run()
+	stats := m.stats
+	p.release(m)
+	return rows, stats, err
 }
 
 // hashJoin joins two binding sets on their shared variables.

@@ -2,10 +2,13 @@ package graphdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"threatraptor/internal/relational"
 )
@@ -62,64 +65,277 @@ type ExecParams struct {
 	View *View
 }
 
-// nodeBinding returns the ID list bound to a variable, or nil.
-func (p *ExecParams) nodeBinding(varName string) []int64 {
-	if p == nil {
-		return nil
-	}
-	for i := range p.Nodes {
-		if p.Nodes[i].Var == varName {
-			return p.Nodes[i].IDs
+// Prepared is a Query compiled for repeated execution. Every named node
+// and edge variable resolves to a binding slot, so the matcher binds and
+// reads variables by position, never by name. Every WHERE conjunct is
+// attached to the slot whose binding completes it — the variable it reads
+// that the walk binds last — and is checked once, right after that
+// binding; the return items compile to slot reads. A Prepared is
+// immutable and safe for concurrent executions; the matchers it runs are
+// pooled on it.
+type Prepared struct {
+	q    *Query
+	cols []string
+	// nodeVars and edgeVars name the query's node variables and its
+	// single-hop edge variables by slot (a variable-length relationship
+	// binds no edge and gets no slot). Queries bind a handful of
+	// variables, so a linear search finds a name's slot.
+	nodeVars []string
+	edgeVars []string
+	// slots[pi] holds pattern pi's node and relationship positions'
+	// slots (-1: the position binds no variable).
+	slots []patSlots
+	// conjs are the AND-split WHERE terms in conjunct order. onNode[s]
+	// and onEdge[s] list the conjuncts checked when node or edge slot s
+	// binds. A conjunct in neither reads a variable no step binds, or the
+	// query binds no variable at all; emit checks it, and atEmit reports
+	// that one exists.
+	conjs  []conj
+	onNode [][]int32
+	onEdge [][]int32
+	atEmit bool
+	// windows[s] is edge slot s's [lo, hi] start_time bound from literal
+	// conjuncts; hops binding a windowed edge binary-search the
+	// time-sorted adjacency lists instead of scanning them.
+	windows []edgeWindow
+	proj    []ref
+	oneHop  bool
+	pool    sync.Pool // *matcher
+}
+
+type patSlots struct {
+	nodes []int
+	rels  []int
+}
+
+type edgeWindow struct {
+	lo, hi int64
+	ok     bool
+}
+
+// conj is one compiled WHERE conjunct: the expression and the distinct
+// variable references it reads, resolved to slots. step reports that a
+// binding step checks it (onNode/onEdge); otherwise emit does.
+type conj struct {
+	e    relational.Expr
+	refs []ref
+	step bool
+}
+
+// ref is a "var.prop" reference resolved to a slot: prop "" and "id" read
+// the element ID, "label" (nodes) and "type" (edges) the element's own
+// field, anything else its attribute (NULL when absent). slot < 0 names a
+// variable the walk never binds; reading it fails like an unknown name.
+type ref struct {
+	c    relational.ColRef
+	name string
+	prop string
+	edge bool
+	slot int
+}
+
+// Prepare compiles q, which must not be modified afterwards. Nothing in q
+// is rejected here: a reference to a variable the walk never binds, or an
+// expression the evaluator cannot run, fails the execution that reaches
+// it, exactly as when the whole WHERE is evaluated at emit.
+func Prepare(q *Query) *Prepared {
+	p := &Prepared{q: q}
+	p.cols = make([]string, len(q.Return))
+	for i, item := range q.Return {
+		switch {
+		case item.As != "":
+			p.cols[i] = item.As
+		case item.Prop != "":
+			p.cols[i] = item.Var + "." + item.Prop
+		default:
+			p.cols[i] = item.Var
 		}
 	}
-	return nil
+	p.oneHop = len(q.Patterns) == 1 && len(q.Patterns[0].Rels) == 1 && !q.Patterns[0].Rels[0].IsVarLen()
+
+	// Slots are numbered in walk order — each pattern's anchor, then per
+	// hop its edge and its destination — so a variable's rank (the order
+	// in which the walk first binds it) is its position in rank.
+	var rank []ref // slot identities in binding order
+	slotOf := func(names *[]string, name string, edge bool) int {
+		if s := slices.Index(*names, name); s >= 0 {
+			return s
+		}
+		s := len(*names)
+		*names = append(*names, name)
+		rank = append(rank, ref{name: name, edge: edge, slot: s})
+		return s
+	}
+	p.slots = make([]patSlots, len(q.Patterns))
+	for pi := range q.Patterns {
+		pat := &q.Patterns[pi]
+		ps := &p.slots[pi]
+		ps.nodes = make([]int, len(pat.Nodes))
+		ps.rels = make([]int, len(pat.Rels))
+		for ni, np := range pat.Nodes {
+			if ni > 0 {
+				rel := &pat.Rels[ni-1]
+				ps.rels[ni-1] = -1
+				if rel.Var != "" && !rel.IsVarLen() {
+					ps.rels[ni-1] = slotOf(&p.edgeVars, rel.Var, true)
+				}
+			}
+			ps.nodes[ni] = -1
+			if np.Var != "" {
+				ps.nodes[ni] = slotOf(&p.nodeVars, np.Var, false)
+			}
+		}
+	}
+	p.onNode = make([][]int32, len(p.nodeVars))
+	p.onEdge = make([][]int32, len(p.edgeVars))
+	nodeRank, edgeRank := make([]int, len(p.nodeVars)), make([]int, len(p.edgeVars))
+	for i, r := range rank {
+		if r.edge {
+			edgeRank[r.slot] = i
+		} else {
+			nodeRank[r.slot] = i
+		}
+	}
+
+	var conjuncts []relational.Expr
+	if q.Where != nil {
+		conjuncts = flattenConjuncts(q.Where, nil)
+	}
+	p.conjs = make([]conj, len(conjuncts))
+	for i, e := range conjuncts {
+		c := &p.conjs[i]
+		c.e = e
+		c.refs = p.collectRefs(e, nil)
+		// The conjunct's trigger is the variable it reads that the walk
+		// binds last. One that reads none is checked at the walk's first
+		// binding, where it prunes (or passes) every branch at once.
+		last, known := 0, len(rank) > 0
+		for _, r := range c.refs {
+			if r.slot < 0 {
+				known = false
+				break
+			}
+			if r.edge {
+				last = max(last, edgeRank[r.slot])
+			} else {
+				last = max(last, nodeRank[r.slot])
+			}
+		}
+		if !known {
+			p.atEmit = true
+			continue
+		}
+		c.step = true
+		if t := rank[last]; t.edge {
+			p.onEdge[t.slot] = append(p.onEdge[t.slot], int32(i))
+		} else {
+			p.onNode[t.slot] = append(p.onNode[t.slot], int32(i))
+		}
+	}
+	p.windows = make([]edgeWindow, len(p.edgeVars))
+	for name, w := range timeWindows(conjuncts) {
+		if s := slices.Index(p.edgeVars, name); s >= 0 {
+			p.windows[s] = edgeWindow{lo: w[0], hi: w[1], ok: true}
+		}
+	}
+	p.proj = make([]ref, len(q.Return))
+	for i, item := range q.Return {
+		p.proj[i] = p.resolveRef(relational.ColRef{Qualifier: item.Var, Column: item.Prop})
+	}
+	return p
+}
+
+// resolveRef resolves one column reference against the variable slots. A
+// bare name ("x") reads the element ID, like "x.id".
+func (p *Prepared) resolveRef(c relational.ColRef) ref {
+	r := ref{c: c, name: c.Qualifier, prop: c.Column, slot: -1}
+	if r.name == "" {
+		r.name, r.prop = c.Column, ""
+	}
+	if s := slices.Index(p.nodeVars, r.name); s >= 0 {
+		r.slot = s
+	} else if s := slices.Index(p.edgeVars, r.name); s >= 0 {
+		r.edge, r.slot = true, s
+	}
+	return r
+}
+
+// collectRefs appends e's distinct column references, resolved, to refs.
+func (p *Prepared) collectRefs(e relational.Expr, refs []ref) []ref {
+	switch v := e.(type) {
+	case relational.ColRef:
+		for _, r := range refs {
+			if r.c == v {
+				return refs
+			}
+		}
+		return append(refs, p.resolveRef(v))
+	case relational.BinOp:
+		return p.collectRefs(v.R, p.collectRefs(v.L, refs))
+	case relational.UnOp:
+		return p.collectRefs(v.E, refs)
+	case relational.InList:
+		refs = p.collectRefs(v.E, refs)
+		for _, x := range v.Vals {
+			refs = p.collectRefs(x, refs)
+		}
+	case relational.ParamIDs:
+		return p.collectRefs(v.E, refs)
+	}
+	return refs
 }
 
 // matcher holds the state of one pattern-matching run.
 type matcher struct {
-	g      *Graph
-	q      *Query
-	params *ExecParams
-	stats  ExecStats
+	g     *Graph
+	p     *Prepared
+	q     *Query
+	stats ExecStats
 	// view is non-nil for snapshot-pinned executions; vedges is the edge
 	// arena the run reads (the view's captured header, or the live one),
 	// bound once by bindStore so hot loops skip the mode branch.
 	view   *View
 	vedges []Edge
-	nodes  map[string]int64 // node variable bindings
-	edges  map[string]int64 // single-hop edge variable bindings
-	rs     *ResultSet
-	proj   []ReturnItem
-	// conjuncts are the AND-split WHERE terms, evaluated eagerly as
-	// bindings accumulate (predicate pushdown, as production graph
-	// databases do). conjVars[i] names the variables conjunct i reads, so
-	// pruneOK skips a conjunct with an unbound variable without evaluating
-	// it (see setConjuncts).
-	conjuncts []relational.Expr
-	conjVars  [][]string
-	// windows are per-edge-variable [lo, hi] start_time bounds extracted
-	// from the conjuncts; hops with a window binary-search the
-	// time-sorted adjacency lists instead of scanning them.
-	windows map[string][2]int64
+	// nodeVals and edgeVals are the variable bindings by slot (0 =
+	// unbound: element IDs start at 1); nodeIDs[s] is the ID list
+	// ExecParams binds to node slot s (nil = unconstrained).
+	nodeVals []int64
+	edgeVals []int64
+	nodeIDs  [][]int64
+	// errs[i] holds conjunct i's evaluation error on the current branch
+	// (nerr counts them). A failing conjunct does not prune: the branch
+	// fails the query only if it reaches emit with every other conjunct
+	// true, exactly as evaluating the whole WHERE there would. An unbind
+	// clears the errors of the conjuncts its slot triggered.
+	errs []error
+	nerr int
+	// cur is the conjunct under evaluation; resolveFn (its resolver, a
+	// method value bound once) reads cur's references.
+	cur       *conj
+	resolveFn func(relational.ColRef) (Value, error)
 	// floor is ExecParams.MinEdgeID; floored counts the edges with ID >=
 	// floor on the current trail (var-length DFS pushes and single-hop
-	// binds), and a floored run emits only when it is positive. oneHop
-	// marks a query whose only relationship is a single hop: its floored
-	// runs skip older edges outright (see edgeDrivenOK).
+	// binds), and a floored run emits only when it is positive.
 	floor   int64
 	floored int
-	oneHop  bool
 	// visitedPool holds reusable edge-visited bitsets for var-length DFS:
 	// one bitset per concurrently active traversal (nested var-length hops
-	// stack), sized to the edge arena and handed back clean — the DFS
-	// clears each bit on backtrack, so no reset pass is needed.
+	// stack), handed back clean — the DFS clears each bit on backtrack, so
+	// no reset pass is needed.
 	visitedPool [][]uint64
 	// reachPool is the same for the var-length BFS (see reachOK): a node
 	// bitset and the BFS queue, which doubles as the touched list the
 	// bitset is cleared through before it goes back.
 	reachPool []*reachScratch
-	// capture, when set, replaces row emission: the clause-at-a-time
-	// executor uses it to collect raw variable bindings.
+	// Exactly one output is set: rs collects Value rows (ExecPrepared),
+	// sink receives int tuples (QueryInts; row is its buffer, seen the
+	// distinct tuples so far, emitted the rows handed over), and capture
+	// collects raw bindings for the clause-at-a-time executor.
+	rs      *ResultSet
+	sink    relational.IntSink
+	row     [5]int64
+	seen    map[[5]int64]struct{}
+	emitted int
 	capture func() error
 	// ctx/done drive cooperative cancellation: done caches ctx.Done() so
 	// the checkpoints cost a nil compare when no cancellable context is
@@ -127,6 +343,64 @@ type matcher struct {
 	ctx  context.Context
 	done <-chan struct{}
 	tick uint32
+}
+
+// maxPooledSeen caps the distinct-tuple set a pooled matcher keeps.
+const maxPooledSeen = 1 << 16
+
+// errStopMatch ends a walk whose LIMIT is reached; it never escapes.
+var errStopMatch = errors.New("graphdb: limit reached")
+
+// acquire takes a pooled matcher for one execution of p on g and binds
+// the execution's parameters, snapshot and context.
+func (p *Prepared) acquire(g *Graph, ctx context.Context, params *ExecParams) *matcher {
+	m, _ := p.pool.Get().(*matcher)
+	if m == nil {
+		m = &matcher{
+			p:        p,
+			q:        p.q,
+			nodeVals: make([]int64, len(p.nodeVars)),
+			edgeVals: make([]int64, len(p.edgeVars)),
+			nodeIDs:  make([][]int64, len(p.nodeVars)),
+			errs:     make([]error, len(p.conjs)),
+		}
+		m.resolveFn = m.resolveCur
+	}
+	m.g = g
+	if params != nil {
+		m.view, m.floor = params.View, params.MinEdgeID
+		for _, nb := range params.Nodes {
+			if s := slices.Index(p.nodeVars, nb.Var); s >= 0 {
+				m.nodeIDs[s] = nb.IDs
+			}
+		}
+	}
+	if ctx != nil {
+		m.ctx, m.done = ctx, ctx.Done()
+	}
+	m.bindStore()
+	return m
+}
+
+// release returns m to p's pool with nothing of the execution pinned. A
+// walk that returned an error part way may leave bindings and errors set;
+// they are cleared here. A walk that panicked is not released: its
+// var-length bitsets may still hold marks.
+func (p *Prepared) release(m *matcher) {
+	clear(m.nodeVals)
+	clear(m.edgeVals)
+	clear(m.nodeIDs)
+	clear(m.errs)
+	m.nerr, m.floored, m.emitted, m.tick = 0, 0, 0, 0
+	m.g, m.view, m.vedges, m.floor = nil, nil, nil, 0
+	m.rs, m.sink, m.capture, m.cur = nil, nil, nil, nil
+	m.ctx, m.done = nil, nil
+	m.stats = ExecStats{}
+	if len(m.seen) > maxPooledSeen {
+		m.seen = nil
+	}
+	clear(m.seen)
+	p.pool.Put(m)
 }
 
 // bindStore points the matcher at the arenas it will read: the view's
@@ -197,51 +471,110 @@ func flattenConjuncts(e relational.Expr, acc []relational.Expr) []relational.Exp
 	return append(acc, e)
 }
 
-// setConjuncts installs the AND-split WHERE terms and records, once per
-// execution, the variables each one reads.
-func (m *matcher) setConjuncts(cs []relational.Expr) {
-	m.conjuncts = cs
-	m.conjVars = make([][]string, len(cs))
-	for i, c := range cs {
-		vars, _ := exprVars(c) // an unsupported shape lists none; EvalExpr rejects it
-		for name := range vars {
-			m.conjVars[i] = append(m.conjVars[i], name)
-		}
-	}
-}
-
-// bound reports whether every named variable has a node or edge binding.
-func (m *matcher) bound(vars []string) bool {
-	for _, name := range vars {
-		if _, ok := m.nodes[name]; ok {
-			continue
-		}
-		if _, ok := m.edges[name]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// pruneOK evaluates every WHERE conjunct that is already evaluable under
-// the current partial bindings; a definite false prunes the branch.
-// Conjuncts reading an unbound variable are skipped unevaluated (they are
-// re-checked at emit time), so a partial binding costs no failed
-// resolution.
-func (m *matcher) pruneOK() bool {
-	for i, c := range m.conjuncts {
-		if !m.bound(m.conjVars[i]) {
-			continue
-		}
-		v, err := relational.EvalExpr(c, m.resolve)
+// check evaluates the conjuncts a binding completed (see Prepared): a
+// definite false prunes the branch, and an evaluation error is recorded
+// on the branch instead (see matcher.errs).
+func (m *matcher) check(list []int32) bool {
+	for _, ci := range list {
+		v, err := m.eval(ci)
 		if err != nil {
-			continue // not evaluable (e.g. a comparison across kinds)
+			m.errs[ci] = err
+			m.nerr++
+			continue
 		}
 		if !v.Truthy() {
 			return false
 		}
 	}
 	return true
+}
+
+// eval evaluates conjunct ci under the current bindings.
+func (m *matcher) eval(ci int32) (Value, error) {
+	m.cur = &m.p.conjs[ci]
+	return relational.EvalExpr(m.cur.e, m.resolveFn)
+}
+
+// resolveCur resolves a column reference of the conjunct under evaluation.
+func (m *matcher) resolveCur(c relational.ColRef) (Value, error) {
+	for i := range m.cur.refs {
+		if m.cur.refs[i].c == c {
+			return m.refValue(&m.cur.refs[i])
+		}
+	}
+	return relational.Null(), fmt.Errorf("cypher: unknown variable %q", c.Qualifier)
+}
+
+// refValue reads one resolved reference under the current bindings.
+func (m *matcher) refValue(r *ref) (Value, error) {
+	if r.slot >= 0 && !r.edge {
+		if id := m.nodeVals[r.slot]; id != 0 {
+			switch r.prop {
+			case "", "id":
+				return relational.Int(id), nil
+			case "label":
+				return relational.Str(m.node(id).Label), nil
+			}
+			if v, has := m.node(id).Prop(r.prop); has {
+				return v, nil
+			}
+			return relational.Null(), nil
+		}
+	} else if r.slot >= 0 {
+		if id := m.edgeVals[r.slot]; id != 0 {
+			switch r.prop {
+			case "", "id":
+				return relational.Int(id), nil
+			case "type":
+				return relational.Str(m.edgeAtID(id).Type), nil
+			}
+			if v, has := m.edgeAtID(id).Prop(r.prop); has {
+				return v, nil
+			}
+			return relational.Null(), nil
+		}
+	}
+	return relational.Null(), fmt.Errorf("cypher: unknown variable %q", r.name)
+}
+
+// bindEdge binds edge slot s to edge id unless it is bound already (or
+// s < 0: the hop binds no variable). ok false means the slot is bound to
+// another edge; fresh reports a new binding the caller undoes with
+// unbindEdge.
+func (m *matcher) bindEdge(s int, id int64) (ok, fresh bool) {
+	if s < 0 {
+		return true, false
+	}
+	if prev := m.edgeVals[s]; prev != 0 {
+		return prev == id, false
+	}
+	m.edgeVals[s] = id
+	return true, true
+}
+
+// unbindNode and unbindEdge undo a fresh binding, with the errors its
+// conjuncts recorded.
+func (m *matcher) unbindNode(s int) {
+	m.nodeVals[s] = 0
+	if m.nerr > 0 {
+		m.clearErrs(m.p.onNode[s])
+	}
+}
+
+func (m *matcher) unbindEdge(s int) {
+	m.edgeVals[s] = 0
+	if m.nerr > 0 {
+		m.clearErrs(m.p.onEdge[s])
+	}
+}
+
+func (m *matcher) clearErrs(list []int32) {
+	for _, ci := range list {
+		if m.errs[ci] != nil {
+			m.errs[ci] = nil
+			m.nerr--
+		}
+	}
 }
 
 // Exec runs a parsed query.
@@ -262,78 +595,95 @@ func (g *Graph) ExecWith(q *Query, params *ExecParams) (*ResultSet, ExecStats, e
 // ctx.Done() at anchor candidates, variable-length DFS depth steps, and
 // edge-driven scan iterations, returning ctx.Err() promptly once the
 // context is cancelled. A nil or never-cancelled context adds no work.
+// The query is compiled (see Prepare) unless it is the one the graph's
+// previous ExecWithCtx compiled.
 func (g *Graph) ExecWithCtx(ctx context.Context, q *Query, params *ExecParams) (*ResultSet, ExecStats, error) {
-	var view *View
-	if params != nil {
-		view = params.View
+	p := g.lastExec.Load()
+	if p == nil || p.q != q {
+		p = Prepare(q)
+		g.lastExec.Store(p)
 	}
-	if view == nil {
-		// Snapshot runs skip the lazy re-sort: their capture already
-		// sorted, and sorting here would race with the concurrent writer.
-		g.ensureAdjSorted()
-	}
+	return g.ExecPrepared(ctx, p, params)
+}
+
+// ExecPrepared runs a prepared query (see ExecWithCtx) and returns its
+// rows as a ResultSet.
+func (g *Graph) ExecPrepared(ctx context.Context, p *Prepared, params *ExecParams) (*ResultSet, ExecStats, error) {
+	q := p.q
 	if q.ClauseAtATime && len(q.Patterns) > 1 {
 		if params != nil {
 			return nil, ExecStats{}, fmt.Errorf("graphdb: parameters are not supported with clause-at-a-time execution")
 		}
+		g.ensureAdjSorted()
 		return g.execClauseAtATime(q)
 	}
-	m := &matcher{
-		g:      g,
-		q:      q,
-		params: params,
-		view:   view,
-		nodes:  make(map[string]int64),
-		edges:  make(map[string]int64),
+	m := p.acquire(g, ctx, params)
+	m.rs = &ResultSet{Columns: p.cols}
+	err := m.run()
+	rs, stats := m.rs, m.stats
+	p.release(m)
+	if err != nil {
+		return nil, stats, err
 	}
-	m.bindStore()
-	if params != nil {
-		m.floor = params.MinEdgeID
-	}
-	m.oneHop = len(q.Patterns) == 1 && len(q.Patterns[0].Rels) == 1 && !q.Patterns[0].Rels[0].IsVarLen()
-	if ctx != nil {
-		m.ctx = ctx
-		m.done = ctx.Done()
-	}
-	if q.Where != nil {
-		m.setConjuncts(flattenConjuncts(q.Where, nil))
-		m.windows = timeWindows(m.conjuncts)
-	}
-	cols := make([]string, len(q.Return))
-	for i, item := range q.Return {
-		switch {
-		case item.As != "":
-			cols[i] = item.As
-		case item.Prop != "":
-			cols[i] = item.Var + "." + item.Prop
-		default:
-			cols[i] = item.Var
-		}
-	}
-	m.rs = &ResultSet{Columns: cols}
-	m.proj = q.Return
-
-	if m.edgeDrivenOK() {
-		if err := m.matchEdgeDriven(); err != nil {
-			return nil, m.stats, err
-		}
-	} else if err := m.matchPattern(0, 0); err != nil {
-		return nil, m.stats, err
-	}
-
-	rs := m.rs
 	if q.Distinct {
 		rs.Rows = dedupRows(rs.Rows)
 	}
 	if len(q.OrderBy) > 0 {
 		if err := orderRows(rs, q); err != nil {
-			return nil, m.stats, err
+			return nil, stats, err
 		}
 	}
 	if q.Limit >= 0 && len(rs.Rows) > q.Limit {
 		rs.Rows = rs.Rows[:q.Limit]
 	}
-	return rs, m.stats, nil
+	return rs, stats, nil
+}
+
+// QueryInts runs a prepared query whose return items read integers (IDs
+// and integer attributes, at most five) and hands each row to sink as an
+// int tuple, in the order ExecPrepared returns them: no Value row is
+// built. A NULL item reads as 0; any other non-integer item fails the
+// query, so distinct strings never collapse into one tuple. DISTINCT drops repeated
+// tuples as they are found (first one wins, as in ExecPrepared) and
+// LIMIT stops the walk; ORDER BY and clause-at-a-time execution need
+// ExecPrepared.
+func (g *Graph) QueryInts(ctx context.Context, p *Prepared, params *ExecParams, sink relational.IntSink) (ExecStats, error) {
+	q := p.q
+	switch {
+	case len(q.Return) > len([5]int64{}):
+		return ExecStats{}, fmt.Errorf("graphdb: QueryInts returns at most 5 items, query has %d", len(q.Return))
+	case len(q.OrderBy) > 0 || q.ClauseAtATime && len(q.Patterns) > 1:
+		return ExecStats{}, fmt.Errorf("graphdb: QueryInts runs neither ORDER BY nor clause-at-a-time queries")
+	}
+	m := p.acquire(g, ctx, params)
+	m.sink = sink
+	if q.Distinct && m.seen == nil {
+		m.seen = make(map[[5]int64]struct{})
+	}
+	err := m.run()
+	stats := m.stats
+	p.release(m)
+	return stats, err
+}
+
+// run walks the query from its anchors (or, for a floored single hop,
+// from the edge suffix) and emits every match.
+func (m *matcher) run() error {
+	if m.view == nil {
+		// Snapshot runs skip the lazy re-sort: their capture already
+		// sorted, and sorting here would race with the concurrent writer.
+		m.g.ensureAdjSorted()
+	}
+	var err error
+	if m.edgeDrivenOK() {
+		err = m.matchEdgeDriven()
+	} else {
+		err = m.matchPattern(0, 0)
+	}
+	if err == errStopMatch {
+		err = nil
+	}
+	return err
 }
 
 // edgeDrivenOK reports whether the execution can be driven off the edge
@@ -344,17 +694,18 @@ func (g *Graph) ExecWithCtx(ctx context.Context, q *Query, params *ExecParams) (
 // O(new edges), not O(anchor nodes), no matter how large the store has
 // grown.
 func (m *matcher) edgeDrivenOK() bool {
-	return m.floor > 0 && m.oneHop && m.q.Patterns[0].Rels[0].Dir == DirOut
+	return m.floor > 0 && m.p.oneHop && m.q.Patterns[0].Rels[0].Dir == DirOut
 }
 
 // matchEdgeDriven enumerates edges from the floor upward and binds each
 // edge's endpoints against the pattern — semantically identical to the
-// anchor-driven walk restricted to edges with ID >= MinEdgeID (WHERE is
-// re-checked in full at emit), but linear in the number of new edges.
+// anchor-driven walk restricted to edges with ID >= MinEdgeID, but linear
+// in the number of new edges.
 func (m *matcher) matchEdgeDriven() error {
 	pat := &m.q.Patterns[0]
 	rel := &pat.Rels[0]
 	srcPat, dstPat := pat.Nodes[0], pat.Nodes[1]
+	ss, ds, es := m.p.slots[0].nodes[0], m.p.slots[0].nodes[1], m.p.slots[0].rels[0]
 	m.floored = 1 // every edge of the suffix is at or above the floor
 	for ei := m.floor - 1; ei < int64(len(m.vedges)); ei++ {
 		if err := m.checkCancel(); err != nil {
@@ -365,34 +716,38 @@ func (m *matcher) matchEdgeDriven() error {
 		if !typeMatches(rel.Types, e.Type) {
 			continue
 		}
-		okS, boundS, err := m.bindNode(srcPat, e.From)
-		if err != nil {
-			return err
-		}
+		okS, boundS := m.bindNode(srcPat, ss, e.From)
 		if !okS {
 			continue
 		}
-		okD, boundD, err := m.bindNode(dstPat, e.To)
-		if err == nil && okD {
-			if rel.Var != "" {
-				m.edges[rel.Var] = ei + 1
-			}
-			if m.pruneOK() {
+		var err error
+		okD, boundD := m.bindNode(dstPat, ds, e.To)
+		if okD {
+			_, boundE := m.bindEdge(es, ei+1)
+			if m.checkFresh(ss, boundS) && m.checkFresh(ds, boundD) && (!boundE || m.check(m.p.onEdge[es])) {
 				err = m.emit()
 			}
-			delete(m.edges, rel.Var)
+			if boundE {
+				m.unbindEdge(es)
+			}
 		}
 		if boundD {
-			delete(m.nodes, dstPat.Var)
+			m.unbindNode(ds)
 		}
 		if boundS {
-			delete(m.nodes, srcPat.Var)
+			m.unbindNode(ss)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkFresh checks the conjuncts node slot s completes when this step
+// bound it fresh.
+func (m *matcher) checkFresh(s int, fresh bool) bool {
+	return !fresh || m.check(m.p.onNode[s])
 }
 
 // matchPattern advances through pattern pi starting at node position ni.
@@ -406,9 +761,10 @@ func (m *matcher) matchPattern(pi, ni int) error {
 		return m.matchPattern(pi+1, 0)
 	}
 	np := pat.Nodes[ni]
+	s := m.p.slots[pi].nodes[ni]
 	if ni == 0 {
 		// Anchor: enumerate candidates for the first node of the pattern.
-		cands, err := m.candidates(np)
+		cands, err := m.candidates(np, s)
 		if err != nil {
 			return err
 		}
@@ -416,20 +772,18 @@ func (m *matcher) matchPattern(pi, ni int) error {
 			if err := m.checkCancel(); err != nil {
 				return err
 			}
-			ok, bound, err := m.bindNode(np, id)
-			if err != nil {
-				return err
-			}
+			ok, bound := m.bindNode(np, s, id)
 			if !ok {
 				continue
 			}
-			if !bound || m.pruneOK() {
-				if err := m.matchHop(pi, ni); err != nil {
-					return err
-				}
+			if m.checkFresh(s, bound) {
+				err = m.matchHop(pi, ni)
 			}
 			if bound {
-				delete(m.nodes, np.Var)
+				m.unbindNode(s)
+			}
+			if err != nil {
+				return err
 			}
 		}
 		return nil
@@ -452,62 +806,44 @@ func (m *matcher) matchHop(pi, ni int) error {
 	rel := pat.Rels[ni]
 	srcPat := pat.Nodes[ni]
 	dstPat := pat.Nodes[ni+1]
-	src := m.nodes[srcPat.Var] // anchors and prior hops guarantee binding
+	ps := &m.p.slots[pi]
 	if srcPat.Var == "" {
 		return fmt.Errorf("cypher: internal: anonymous source nodes in mid-pattern are unsupported")
 	}
+	src := m.nodeVals[ps.nodes[ni]] // anchors and prior hops guarantee binding
+	ds, es := ps.nodes[ni+1], ps.rels[ni]
 
 	tryDst := func(edgeID int64, dst int64) error {
-		ok, bound, err := m.bindNode(dstPat, dst)
-		if err != nil {
-			return err
-		}
+		ok, bound := m.bindNode(dstPat, ds, dst)
 		if !ok {
 			return nil
 		}
-		var edgeBound bool
-		if rel.Var != "" && !rel.IsVarLen() {
-			if _, exists := m.edges[rel.Var]; !exists {
-				m.edges[rel.Var] = edgeID
-				edgeBound = true
-			} else if m.edges[rel.Var] != edgeID {
-				if bound {
-					delete(m.nodes, dstPat.Var)
-				}
-				return nil
-			}
+		okE, edgeBound := m.bindEdge(es, edgeID)
+		var err error
+		if okE && m.checkFresh(ds, bound) && (!edgeBound || m.check(m.p.onEdge[es])) {
+			err = m.matchHop(pi, ni+1)
 		}
-		if (bound || edgeBound) && !m.pruneOK() {
-			if edgeBound {
-				delete(m.edges, rel.Var)
-			}
-			if bound {
-				delete(m.nodes, dstPat.Var)
-			}
-			return nil
-		}
-		err = m.matchHop(pi, ni+1)
 		if edgeBound {
-			delete(m.edges, rel.Var)
+			m.unbindEdge(es)
 		}
 		if bound {
-			delete(m.nodes, dstPat.Var)
+			m.unbindNode(ds)
 		}
 		return err
 	}
 
 	if !rel.IsVarLen() {
 		adj := m.adjacent(src, rel.Dir)
-		if rel.Var != "" && rel.Dir != DirBoth {
+		if es >= 0 && rel.Dir != DirBoth {
 			// A declared time window narrows the sorted adjacency list to
 			// the in-window span by binary search.
-			if w, ok := m.windows[rel.Var]; ok {
-				adj[0] = windowSliceIn(m.vedges, adj[0], w[0], w[1])
+			if w := m.p.windows[es]; w.ok {
+				adj[0] = windowSliceIn(m.vedges, adj[0], w.lo, w.hi)
 			}
 		}
 		// The floor compares edge element IDs (ei+1) — exactly what a
-		// "e.id >= N" WHERE conjunct compares, since resolve answers "id"
-		// with the element ID. Callers flooring by an external ID space
+		// "e.id >= N" WHERE conjunct compares, since an edge's "id" reads
+		// its element ID. Callers flooring by an external ID space
 		// (the TBQL engine's audit event IDs) rely on their own
 		// element-ID == external-ID invariant; the engine pins its dense
 		// event-ID mapping with TestGraphEdgeIDsMatchEventIDs. A query
@@ -515,7 +851,7 @@ func (m *matcher) matchHop(pi, ni int) error {
 		for _, list := range adj {
 			for _, ei := range list {
 				id := int64(ei) + 1
-				if m.oneHop && id < m.floor {
+				if m.p.oneHop && id < m.floor {
 					continue
 				}
 				e := &m.vedges[ei]
@@ -538,7 +874,7 @@ func (m *matcher) matchHop(pi, ni int) error {
 	if maxDepth < 0 {
 		maxDepth = len(m.vedges) // bounded by edge-uniqueness anyway
 	}
-	if m.reachOK(&rel, dstPat, src) {
+	if m.reachOK(&rel, dstPat, ds, src) {
 		return m.reach(src, &rel, maxDepth, tryDst)
 	}
 
@@ -603,14 +939,14 @@ func (m *matcher) matchHop(pi, ni int) error {
 // only through a closed trail; a hop whose destination pattern admits the
 // source keeps the DFS. A floored run keeps it too: the floor is a
 // property of the trail, not of the destination.
-func (m *matcher) reachOK(rel *RelPat, dstPat NodePat, src int64) bool {
+func (m *matcher) reachOK(rel *RelPat, dstPat NodePat, ds int, src int64) bool {
 	if !m.q.Distinct || m.floor > 0 || rel.Min > 1 {
 		return false
 	}
 	if rel.Min == 0 {
 		return true
 	}
-	ok, _ := m.admits(dstPat, m.node(src), src)
+	ok, _ := m.admits(dstPat, ds, m.node(src), src)
 	return !ok
 }
 
@@ -662,19 +998,23 @@ func (m *matcher) reach(src int64, rel *RelPat, maxDepth int, tryDst func(edgeID
 	return nil
 }
 
-// acquireReach pops a clean BFS scratch from the pool, or allocates one
-// whose bitset covers every node ID of the bound store.
+// acquireReach pops a clean BFS scratch from the pool, or allocates one,
+// with a bitset that covers every node ID of the bound store (a pooled
+// matcher's earlier execution may have read a smaller one).
 func (m *matcher) acquireReach() *reachScratch {
+	words := len(m.g.nodes)/64 + 1
+	if m.view != nil {
+		words = m.view.NumNodes()/64 + 1
+	}
 	if n := len(m.reachPool); n > 0 {
 		sc := m.reachPool[n-1]
 		m.reachPool = m.reachPool[:n-1]
+		if len(sc.seen) < words {
+			sc.seen = make([]uint64, words)
+		}
 		return sc
 	}
-	nodes := len(m.g.nodes)
-	if m.view != nil {
-		nodes = m.view.NumNodes()
-	}
-	return &reachScratch{seen: make([]uint64, nodes/64+1)}
+	return &reachScratch{seen: make([]uint64, words)}
 }
 
 // releaseReach clears the scratch's bitset through its queue and pools it.
@@ -696,17 +1036,21 @@ func (m *matcher) countFloored(id int64) int {
 	return 0
 }
 
-// acquireVisited pops a clean edge bitset from the pool, or allocates one
-// sized to the edge arena. Nested variable-length hops (one var-length
-// relationship reached while another's DFS is on the stack) each take
-// their own bitset, preserving per-hop edge-uniqueness semantics.
+// acquireVisited pops a clean edge bitset from the pool, or allocates one,
+// sized to the bound edge arena. Nested variable-length hops (one
+// var-length relationship reached while another's DFS is on the stack)
+// each take their own bitset, preserving per-hop edge-uniqueness
+// semantics.
 func (m *matcher) acquireVisited() []uint64 {
+	words := (len(m.vedges) + 63) / 64
 	if n := len(m.visitedPool); n > 0 {
 		bs := m.visitedPool[n-1]
 		m.visitedPool = m.visitedPool[:n-1]
-		return bs
+		if len(bs) >= words {
+			return bs
+		}
 	}
-	return make([]uint64, (len(m.vedges)+63)/64)
+	return make([]uint64, words)
 }
 
 func (m *matcher) releaseVisited(bs []uint64) {
@@ -796,28 +1140,28 @@ func typeMatches(types []string, t string) bool {
 	return false
 }
 
-// bindNode checks node constraints and binds the variable if new.
-// ok reports whether the node satisfies the pattern; bound reports whether
-// this call created the binding (the caller must remove it when
-// backtracking).
-func (m *matcher) bindNode(np NodePat, id int64) (ok, bound bool, err error) {
+// bindNode checks node constraints and binds slot s (the pattern's
+// variable; -1 for none) if it is unbound. ok reports whether the node
+// satisfies the pattern; bound reports whether this call created the
+// binding (the caller undoes it with unbindNode when backtracking).
+func (m *matcher) bindNode(np NodePat, s int, id int64) (ok, bound bool) {
 	n := m.node(id)
 	if n == nil {
-		return false, false, nil
+		return false, false
 	}
 	m.stats.NodesVisited++
-	if ok, fresh := m.admits(np, n, id); !ok || !fresh {
-		return ok, false, nil
+	if ok, fresh := m.admits(np, s, n, id); !ok || !fresh {
+		return ok, false
 	}
-	m.nodes[np.Var] = id
-	return true, true, nil
+	m.nodeVals[s] = id
+	return true, true
 }
 
 // admits reports whether node n (ID id; nil for no such node) satisfies
 // the node pattern under the current bindings: label, inline properties,
-// the variable's bound ID list, and any earlier binding of the variable.
-// fresh reports that the pattern names a variable not yet bound.
-func (m *matcher) admits(np NodePat, n *Node, id int64) (ok, fresh bool) {
+// the variable's bound ID list, and any earlier binding of the variable
+// (slot s). fresh reports that the pattern names a variable not yet bound.
+func (m *matcher) admits(np NodePat, s int, n *Node, id int64) (ok, fresh bool) {
 	if n == nil || np.Label != "" && !strings.EqualFold(np.Label, n.Label) {
 		return false, false
 	}
@@ -827,13 +1171,13 @@ func (m *matcher) admits(np NodePat, n *Node, id int64) (ok, fresh bool) {
 			return false, false
 		}
 	}
-	if np.Var == "" {
+	if s < 0 {
 		return true, false
 	}
-	if ids := m.params.nodeBinding(np.Var); ids != nil && !containsID(ids, id) {
+	if ids := m.nodeIDs[s]; ids != nil && !containsID(ids, id) {
 		return false, false
 	}
-	if prev, exists := m.nodes[np.Var]; exists {
+	if prev := m.nodeVals[s]; prev != 0 {
 		return prev == id, false
 	}
 	return true, true
@@ -844,16 +1188,17 @@ func containsID(ids []int64, id int64) bool {
 	return relational.ContainsSortedInt64(ids, id)
 }
 
-// candidates enumerates anchor candidates for a node pattern, preferring
-// a bound ID list (fed forward by the TBQL scheduler), then an explicit ID
-// constraint in WHERE ("s.id IN (...)"), then the label scan, then all
-// nodes. Inline properties ({k: v}) filter candidates in bindNode.
-func (m *matcher) candidates(np NodePat) ([]int64, error) {
-	if np.Var != "" {
-		if id, bound := m.nodes[np.Var]; bound {
+// candidates enumerates anchor candidates for a node pattern (slot s),
+// preferring a bound ID list (fed forward by the TBQL scheduler), then an
+// explicit ID constraint in WHERE ("s.id IN (...)"), then the label scan,
+// then all nodes. Inline properties ({k: v}) filter candidates in
+// bindNode.
+func (m *matcher) candidates(np NodePat, s int) ([]int64, error) {
+	if s >= 0 {
+		if id := m.nodeVals[s]; id != 0 {
 			return []int64{id}, nil
 		}
-		if ids := m.params.nodeBinding(np.Var); ids != nil {
+		if ids := m.nodeIDs[s]; ids != nil {
 			m.stats.IndexLookups++
 			// The binding set and the label's ID list are both sorted:
 			// galloping intersection drops wrong-label candidates here,
@@ -906,8 +1251,8 @@ func (m *matcher) idConstraint(varName string) ([]int64, bool) {
 		c, ok := e.(relational.ColRef)
 		return ok && c.Qualifier == varName && (c.Column == "id" || c.Column == "")
 	}
-	for _, conj := range m.conjuncts {
-		switch v := conj.(type) {
+	for i := range m.p.conjs {
+		switch v := m.p.conjs[i].e.(type) {
 		case relational.BinOp:
 			if v.Op == "=" && colMatches(v.L) {
 				if lit, ok := v.R.(relational.Lit); ok && lit.V.K == relational.KindInt {
@@ -936,27 +1281,65 @@ func (m *matcher) idConstraint(varName string) ([]int64, bool) {
 	return nil, false
 }
 
-// emit evaluates WHERE against the complete bindings and projects a row.
-// Under a floor, a match whose trail holds no floored edge is dropped.
+// emit finishes a complete binding: under a floor a match whose trail
+// holds no floored edge is dropped; then WHERE settles as its whole
+// evaluation would, conjunct by conjunct in order — a conjunct a step
+// checked is true or recorded an error, one checked here may also be
+// false (the row is dropped) — and the row is projected into the run's
+// output.
 func (m *matcher) emit() error {
 	if m.floor > 0 && m.floored == 0 {
 		return nil
 	}
-	if m.capture != nil {
+	if m.nerr > 0 || m.p.atEmit {
+		for i := range m.p.conjs {
+			if m.p.conjs[i].step {
+				if err := m.errs[i]; err != nil {
+					return err
+				}
+				continue
+			}
+			v, err := m.eval(int32(i))
+			if err != nil {
+				return err
+			}
+			if !v.Truthy() {
+				return nil
+			}
+		}
+	}
+	switch {
+	case m.capture != nil:
 		return m.capture()
-	}
-	if m.q.Where != nil {
-		v, err := relational.EvalExpr(m.q.Where, m.resolve)
-		if err != nil {
-			return err
+	case m.sink != nil:
+		if m.q.Limit >= 0 && m.emitted >= m.q.Limit {
+			return errStopMatch
 		}
-		if !v.Truthy() {
-			return nil
+		var r [5]int64
+		for i := range m.p.proj {
+			v, err := m.refValue(&m.p.proj[i])
+			if err != nil {
+				return err
+			}
+			if v.K != relational.KindInt && v.K != relational.KindNull {
+				return fmt.Errorf("graphdb: QueryInts reads integers, return item %s is %v", m.p.cols[i], v)
+			}
+			r[i] = v.I
 		}
+		if m.seen != nil {
+			if _, dup := m.seen[r]; dup {
+				return nil
+			}
+			m.seen[r] = struct{}{}
+		}
+		m.row = r
+		m.sink.Row(m.row[:len(m.p.proj)])
+		m.emitted++
+		return nil
 	}
-	row := make([]Value, len(m.proj))
-	for i, item := range m.proj {
-		v, err := m.resolve(relational.ColRef{Qualifier: item.Var, Column: item.Prop})
+	row := make([]Value, len(m.p.proj))
+	for i := range m.p.proj {
+		v, err := m.refValue(&m.p.proj[i])
 		if err != nil {
 			return err
 		}
@@ -964,50 +1347,6 @@ func (m *matcher) emit() error {
 	}
 	m.rs.Rows = append(m.rs.Rows, row)
 	return nil
-}
-
-// resolve looks up var.prop against node and edge bindings. A reference
-// with an empty prop yields the element ID. Nodes expose the pseudo-props
-// "id" and "label"; edges expose "id" and "type".
-func (m *matcher) resolve(c relational.ColRef) (Value, error) {
-	name := c.Qualifier
-	if name == "" {
-		name = c.Column // bare variable in RETURN: id projection
-		if id, ok := m.nodes[name]; ok {
-			return relational.Int(id), nil
-		}
-		if id, ok := m.edges[name]; ok {
-			return relational.Int(id), nil
-		}
-		return relational.Null(), fmt.Errorf("cypher: unknown variable %q", c.Column)
-	}
-	if id, ok := m.nodes[name]; ok {
-		n := m.node(id)
-		switch c.Column {
-		case "", "id":
-			return relational.Int(id), nil
-		case "label":
-			return relational.Str(n.Label), nil
-		}
-		if v, has := n.Prop(c.Column); has {
-			return v, nil
-		}
-		return relational.Null(), nil
-	}
-	if id, ok := m.edges[name]; ok {
-		e := m.edgeAtID(id)
-		switch c.Column {
-		case "", "id":
-			return relational.Int(id), nil
-		case "type":
-			return relational.Str(e.Type), nil
-		}
-		if v, has := e.Prop(c.Column); has {
-			return v, nil
-		}
-		return relational.Null(), nil
-	}
-	return relational.Null(), fmt.Errorf("cypher: unknown variable %q", name)
 }
 
 func dedupRows(rows [][]Value) [][]Value {

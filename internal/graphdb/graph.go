@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"threatraptor/internal/relational"
 )
@@ -162,6 +163,10 @@ type Graph struct {
 	// label list is sorted, so anchor enumeration can merge-intersect it
 	// against the sorted binding ID lists the TBQL scheduler feeds forward.
 	mu sync.RWMutex
+
+	// lastExec is the query ExecWithCtx compiled last: a caller that runs
+	// one parsed query again and again compiles it once.
+	lastExec atomic.Pointer[Prepared]
 }
 
 // NewGraph returns an empty graph.

@@ -7,8 +7,9 @@ import (
 	"threatraptor/internal/relational"
 )
 
-// TestPruneSkipsUnboundConjunctsWithoutAllocating pins pruneOK's bound
-// check: a conjunct over a variable not bound yet is skipped unevaluated,
+// TestPruneSkipsUnboundConjunctsWithoutAllocating pins the matcher's
+// conjunct scheduling: a conjunct over a variable not bound yet is not
+// evaluated (it is checked once its last variable binds),
 // so enumerating more anchors of a two-variable query — unfloored, and
 // floored — costs no more allocations (previously
 // every anchor built a "cypher: unknown variable" error).

@@ -68,7 +68,7 @@ func (db *DB) Exec(stmt *SelectStmt) (*ResultSet, ExecStats, error) {
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	return p.run(nil, nil)
+	return p.run(nil, nil, nil)
 }
 
 // errStopScan aborts the nested-loop walk once a LIMIT (with no ORDER BY)
@@ -82,20 +82,54 @@ var errStopScan = errors.New("relational: scan limit reached")
 // geometrically toward the cap.
 const maxSlabRows = 256
 
-// rowSink collects projected result rows: slab-backed batch allocation,
-// optional streaming DISTINCT (duplicates are dropped as they are emitted,
-// with DedupRows' exact hash/equality semantics), and optional early exit
-// when LIMIT is reached.
+// IntSink receives a data query's rows as integer tuples instead of a
+// ResultSet (see Prepared.QueryInts): Row is called once per result row,
+// in result order, with the row's projected columns. row is only valid
+// for the duration of the call.
+type IntSink interface {
+	Row(row []int64)
+}
+
+// rowSink collects projected result rows, either as Value rows into rs
+// (slab-backed batch allocation; streaming DISTINCT drops duplicates as
+// they are emitted, with DedupRows' exact hash/equality semantics) or as
+// int tuples handed to ints (read straight from the int columns, DISTINCT
+// on the tuple), with optional early exit when LIMIT is reached.
 type rowSink struct {
 	rs       *ResultSet
 	width    int
 	slab     []Value
 	slabRows int
 	dedup    *dedupSet
-	limit    int // -1: no early exit
+	ints     IntSink
+	row      [5]int64
+	seen     map[[5]int64]struct{} // int mode's DISTINCT; nil without one
+	n        int                   // rows emitted
+	limit    int                   // -1: no early exit
 }
 
 func (s *rowSink) emit(p *plan, st *execState) error {
+	if s.ints != nil {
+		if s.limit >= 0 && s.n >= s.limit {
+			return errStopScan
+		}
+		var r [5]int64
+		for i, c := range p.intProj {
+			r[i] = st.tabs[c.lvl].cols[c.col].ints[st.rows[c.lvl]]
+		}
+		if s.seen != nil {
+			if _, dup := s.seen[r]; dup {
+				return nil
+			}
+			s.seen[r] = struct{}{}
+		}
+		s.row = r
+		s.ints.Row(s.row[:len(p.intProj)])
+		if s.n++; s.limit >= 0 && s.n >= s.limit {
+			return errStopScan
+		}
+		return nil
+	}
 	if len(s.slab) < s.width {
 		if s.slabRows < maxSlabRows {
 			s.slabRows = s.slabRows*8 + 4
@@ -130,8 +164,14 @@ func (s *rowSink) emit(p *plan, st *execState) error {
 // (concatenation preserves scan order).
 // The plan is read-only; all mutable state is per-execution, so one plan
 // may run on many goroutines concurrently.
-func (p *plan) run(ctx context.Context, params *Params) (*ResultSet, ExecStats, error) {
-	rs := &ResultSet{Columns: p.cols}
+//
+// With ints set the rows go to ints as int tuples (see Prepared.QueryInts)
+// and run returns no ResultSet.
+func (p *plan) run(ctx context.Context, params *Params, ints IntSink) (*ResultSet, ExecStats, error) {
+	var rs *ResultSet
+	if ints == nil {
+		rs = &ResultSet{Columns: p.cols}
+	}
 	st := p.state()
 	st.bindCtx(ctx)
 	if params != nil {
@@ -158,22 +198,25 @@ func (p *plan) run(ctx context.Context, params *Params) (*ResultSet, ExecStats, 
 		if params != nil {
 			pv = *params
 		}
-		if err := p.runSharded(ctx, rs, &stats, lo0, n0, pv); err != nil {
+		if err := p.runSharded(ctx, rs, ints, &stats, lo0, n0, pv); err != nil {
 			return nil, stats, err
 		}
-		if p.stmt.Distinct {
+		if p.stmt.Distinct && rs != nil {
 			// Per-shard streaming dedup leaves only cross-shard
 			// duplicates; one global pass removes those.
 			rs.Rows = DedupRows(rs.Rows)
 		}
 	} else {
-		sink := p.newSink(rs)
+		sink := p.newSink(st, rs, ints)
 		err := p.walk(st, sink, 0, 0, n0)
 		stats = st.stats
 		p.release(st)
 		if err != nil && err != errStopScan {
 			return nil, stats, err
 		}
+	}
+	if rs == nil {
+		return nil, stats, nil
 	}
 	if len(p.stmt.OrderBy) > 0 {
 		if err := orderResultRows(rs, p.stmt); err != nil {
@@ -186,13 +229,19 @@ func (p *plan) run(ctx context.Context, params *Params) (*ResultSet, ExecStats, 
 	return rs, stats, nil
 }
 
-// newSink builds a collector for one walk: streaming DISTINCT when the
-// statement asks for it, and early LIMIT exit when no ORDER BY needs the
-// full row set first.
-func (p *plan) newSink(rs *ResultSet) *rowSink {
-	sink := &rowSink{rs: rs, width: len(p.cols), limit: -1}
+// newSink sets up st's collector for one walk into rs or ints: streaming
+// DISTINCT when the statement asks for it, and early LIMIT exit when no
+// ORDER BY needs the full row set first.
+func (p *plan) newSink(st *execState, rs *ResultSet, ints IntSink) *rowSink {
+	sink := &st.sink
+	seen := sink.seen // an int DISTINCT set kept by the pooled state
+	*sink = rowSink{rs: rs, ints: ints, width: len(p.cols), limit: -1}
 	if p.stmt.Distinct {
-		sink.dedup = newDedupSet(rs)
+		if ints == nil {
+			sink.dedup = newDedupSet(rs)
+		} else if sink.seen = seen; seen == nil {
+			sink.seen = make(map[[5]int64]struct{})
+		}
 	}
 	if p.stmt.Limit >= 0 && len(p.stmt.OrderBy) == 0 {
 		sink.limit = p.stmt.Limit
@@ -203,8 +252,9 @@ func (p *plan) newSink(rs *ResultSet) *rowSink {
 // runSharded splits the level-0 scan range [lo0, n0) — already narrowed
 // by any active scan floor — into contiguous chunks, walks each on its
 // own worker with private state and sink, and concatenates the per-shard
-// rows in shard order (identical row order to the serial scan).
-func (p *plan) runSharded(ctx context.Context, rs *ResultSet, stats *ExecStats, lo0, n0 int32, params Params) error {
+// rows in shard order (identical row order to the serial scan) into rs,
+// or hands them to ints.
+func (p *plan) runSharded(ctx context.Context, rs *ResultSet, ints IntSink, stats *ExecStats, lo0, n0 int32, params Params) error {
 	span := n0 - lo0
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
@@ -221,6 +271,7 @@ func (p *plan) runSharded(ctx context.Context, rs *ResultSet, stats *ExecStats, 
 
 	type shard struct {
 		rs    ResultSet
+		ints  intRows
 		stats ExecStats
 		err   error
 	}
@@ -248,7 +299,12 @@ func (p *plan) runSharded(ctx context.Context, rs *ResultSet, stats *ExecStats, 
 			st.params = params
 			p.bindTabs(st)
 			st.keyed[0].mode = keyedScan // run resolved level 0 to its scan
-			sink := p.newSink(&sh.rs)
+			var sink *rowSink
+			if ints != nil {
+				sink = p.newSink(st, nil, &sh.ints)
+			} else {
+				sink = p.newSink(st, &sh.rs, nil)
+			}
 			err := p.walk(st, sink, 0, lo, hi)
 			sh.stats = st.stats
 			p.release(st)
@@ -266,14 +322,53 @@ func (p *plan) runSharded(ctx context.Context, rs *ResultSet, stats *ExecStats, 
 		}
 		total += len(shards[i].rs.Rows)
 	}
-	rs.Rows = make([][]Value, 0, total)
 	for i := range shards {
-		rs.Rows = append(rs.Rows, shards[i].rs.Rows...)
 		stats.RowsScanned += shards[i].stats.RowsScanned
 		stats.IndexLookups += shards[i].stats.IndexLookups
 		stats.HashJoinBuilds += shards[i].stats.HashJoinBuilds
 	}
+	if ints != nil {
+		// Per-shard streaming dedup leaves only cross-shard duplicates,
+		// and each shard stopped at LIMIT on its own; the merge settles
+		// both.
+		var seen map[[5]int64]struct{}
+		if p.stmt.Distinct {
+			seen = make(map[[5]int64]struct{})
+		}
+		n, w := 0, len(p.intProj)
+		for i := range shards {
+			for j := range shards[i].ints {
+				r := &shards[i].ints[j]
+				if seen != nil {
+					if _, dup := seen[*r]; dup {
+						continue
+					}
+					seen[*r] = struct{}{}
+				}
+				if p.stmt.Limit >= 0 && n >= p.stmt.Limit {
+					return nil
+				}
+				ints.Row(r[:w])
+				n++
+			}
+		}
+		return nil
+	}
+	rs.Rows = make([][]Value, 0, total)
+	for i := range shards {
+		rs.Rows = append(rs.Rows, shards[i].rs.Rows...)
+	}
 	return nil
+}
+
+// intRows is a sharded worker's int sink: it keeps its shard's tuples
+// until the merge hands them on in shard order.
+type intRows [][5]int64
+
+func (r *intRows) Row(row []int64) {
+	var t [5]int64
+	copy(t[:], row)
+	*r = append(*r, t)
 }
 
 // effAccess resolves the level's access path for this execution: an

@@ -33,7 +33,7 @@ func (db *DB) Prepare(stmt *SelectStmt) (*Prepared, error) {
 // Query executes the prepared plan with the given parameter bindings
 // (nil binds every slot to its zero value).
 func (pr *Prepared) Query(params *Params) (*ResultSet, ExecStats, error) {
-	return pr.p.run(nil, params)
+	return pr.p.run(nil, params, nil)
 }
 
 // QueryCtx is Query with cooperative cancellation: the executor polls
@@ -41,7 +41,20 @@ func (pr *Prepared) Query(params *Params) (*ResultSet, ExecStats, error) {
 // returns ctx.Err() promptly once the context is cancelled. A nil or
 // never-cancelled context adds no per-row work.
 func (pr *Prepared) QueryCtx(ctx context.Context, params *Params) (*ResultSet, ExecStats, error) {
-	return pr.p.run(ctx, params)
+	return pr.p.run(ctx, params, nil)
+}
+
+// QueryInts is QueryCtx for a statement whose projection is at most five
+// integer columns and which has no ORDER BY: instead of building a
+// ResultSet it hands each result row to sink as an int tuple read
+// straight from the int column storage, in QueryCtx's row order. A NULL
+// cell reads as 0, and DISTINCT compares the tuples.
+func (pr *Prepared) QueryInts(ctx context.Context, params *Params, sink IntSink) (ExecStats, error) {
+	if pr.p.intProj == nil || len(pr.p.stmt.OrderBy) > 0 {
+		return ExecStats{}, fmt.Errorf("relational: QueryInts needs a projection of at most five integer columns and no ORDER BY")
+	}
+	_, stats, err := pr.p.run(ctx, params, sink)
+	return stats, err
 }
 
 // Describe renders the physical plan for EXPLAIN output: one line per

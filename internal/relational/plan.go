@@ -36,6 +36,10 @@ type plan struct {
 	hashJoins []*hashJoin
 	cols      []string
 	project   projFn
+	// intProj locates a projection of at most five integer columns (nil
+	// for any other projection): QueryInts reads them straight from the
+	// int storage.
+	intProj []colPos
 	// scratch is the number of scratch selections the plan's AND/OR/NOT
 	// kernels use (see execState.scratch).
 	scratch int
@@ -150,6 +154,9 @@ type execState struct {
 	keyed []keyedLevel
 	lists [][]int32
 	bits  []uint64
+	// sink is the execution's row collector (see plan.newSink); its int
+	// DISTINCT set is kept across pooled executions.
+	sink rowSink
 	// ctx/done drive cooperative cancellation: done caches ctx.Done() so
 	// the checkpoint fast path is a nil compare when no context (or a
 	// never-cancelled one) is bound. tick amortizes the poll on the probe
@@ -246,8 +253,17 @@ func (p *plan) release(st *execState) {
 	st.ctx = nil
 	st.done = nil
 	st.tick = 0
+	seen := st.sink.seen
+	if len(seen) > maxPooledSeen {
+		seen = nil
+	}
+	clear(seen)
+	st.sink = rowSink{seen: seen} // do not pin the rows or the caller's sink
 	p.statePool.Put(st)
 }
+
+// maxPooledSeen caps the int DISTINCT set a pooled state keeps.
+const maxPooledSeen = 1 << 16
 
 type evalFn func(st *execState) (Value, error)
 
@@ -464,7 +480,29 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.intProj = b.intProjection(stmt)
 	return p, nil
+}
+
+// intProjection resolves a projection of at most five integer columns to
+// their positions; nil for any other projection.
+func (b *binding) intProjection(stmt *SelectStmt) []colPos {
+	if len(stmt.Select) == 0 || len(stmt.Select) > len([5]int64{}) {
+		return nil
+	}
+	out := make([]colPos, len(stmt.Select))
+	for i, item := range stmt.Select {
+		c, ok := item.Expr.(ColRef)
+		if !ok {
+			return nil
+		}
+		lvl, col, err := b.resolve(c)
+		if err != nil || b.tables[lvl].Schema[col].Kind != KindInt {
+			return nil
+		}
+		out[i] = colPos{lvl, col}
+	}
+	return out
 }
 
 // planInListAccess turns "tbl.col IN (literals...)" into a key-set probe
