@@ -89,7 +89,6 @@ func TestAnchorPrefilterIsSuperset(t *testing.T) {
 				Patterns: []graphdb.Pattern{{Nodes: []graphdb.NodePat{{Var: "n", Label: labelOf(kind)}}}},
 				Where:    qualify(pred, "n", nil),
 				Return:   []graphdb.ReturnItem{{Var: "n", Prop: "id"}},
-				Limit:    -1,
 			})
 			if err != nil {
 				continue // the graph rejects this shape (e.g. ordering across kinds)
@@ -137,7 +136,7 @@ func TestPathAnchorNoMatchSkipsGraph(t *testing.T) {
 
 // TestEmptiedBindingSetEndsConjunction is the regression test for reading
 // an emptied binding set as "unconstrained": e1 and e2 both match, but on
-// disjoint files (MaxInList 1 keeps e1's two files from constraining e2),
+// disjoint files (e1's maxInList+1 files are too many to constrain e2),
 // so the conjunction is empty after two data queries and e3, whose only
 // constraint would be f's binding set, never runs.
 func TestEmptiedBindingSetEndsConjunction(t *testing.T) {
@@ -145,8 +144,9 @@ func TestEmptiedBindingSetEndsConjunction(t *testing.T) {
 	a := audit.Proc{PID: 10, Exe: "/bin/a", User: "u", Group: "g"}
 	b := audit.Proc{PID: 11, Exe: "/bin/b", User: "u", Group: "g"}
 	c := audit.Proc{PID: 12, Exe: "/bin/c", User: "u", Group: "g"}
-	sim.ReadFile(a, "/x/a1", 10)
-	sim.ReadFile(a, "/x/a2", 10)
+	for i := 1; i <= maxInList+1; i++ {
+		sim.ReadFile(a, fmt.Sprintf("/x/a%d", i), 10)
+	}
 	sim.ReadFile(b, "/x/b1", 10)
 	for _, f := range []string{"/x/a1", "/x/b1", "/x/c1"} {
 		sim.WriteFile(c, f, 10)
@@ -165,7 +165,7 @@ func TestEmptiedBindingSetEndsConjunction(t *testing.T) {
 proc p2["%/bin/b%"] read file f as e2
 proc p3 write file f as e3
 return distinct p1, p2, p3, f`)
-	res, st, err := (&Engine{Store: store, MaxInList: 1}).Execute(nil, q)
+	res, st, err := (&Engine{Store: store}).Execute(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}

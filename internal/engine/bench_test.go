@@ -216,8 +216,8 @@ func BenchmarkVarLenHunt(b *testing.B) {
 // graph anchor prefilter — on a pinned snapshot of 32 data_leak
 // instances. selective matches a handful of rows, which the exename
 // index's matching keys feed; unselective keeps most process rows, so the
-// level runs its sharded scan instead. rows/op and scanned/op are the
-// statement's result rows and relational rows scanned.
+// level runs its scan instead, on the caller's goroutine. rows/op and
+// scanned/op are the statement's result rows and relational rows scanned.
 func BenchmarkEntityLike(b *testing.B) {
 	store := instancesStore(b, "data_leak", 32, 4.0)
 	for _, leg := range []struct{ name, where string }{

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"threatraptor/internal/audit"
@@ -184,20 +183,10 @@ func unfilteredReference(t *testing.T, store *Store, a *tbql.Analyzed) *Result {
 // TestBatchSizeEquivalence sweeps the vectorized executor's batch size
 // across degenerate (1), tiny, and whole-table settings — so the case
 // tables land on 0, 1, exactly-one-batch, batch±1, and many-batch
-// boundaries — and forces the sharded scan path, asserting every
-// configuration returns exactly the default configuration's results on
-// the scheduled and monolithic SQL plans.
+// boundaries — asserting every configuration returns exactly the default
+// configuration's results on the scheduled and monolithic SQL plans.
 func TestBatchSizeEquivalence(t *testing.T) {
-	origBS, origShard := relational.BatchSize, relational.ShardMinRows
-	defer func() {
-		relational.BatchSize = origBS
-		relational.ShardMinRows = origShard
-	}()
-	// The forced-sharding configuration needs GOMAXPROCS > 1 to actually
-	// take the sharded path; make that true on single-CPU machines too.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
+	defer func(bs int) { relational.BatchSize = bs }(relational.BatchSize)
 
 	store, _ := dataLeakStore(t, 400)
 	a := analyzed(t, dataLeakTBQL)
@@ -220,20 +209,17 @@ func TestBatchSizeEquivalence(t *testing.T) {
 		t.Fatal("default execution returned no rows; boundary sweep would be vacuous")
 	}
 	configs := []struct {
-		name     string
-		batch    int
-		shardMin int
+		name  string
+		batch int
 	}{
-		{"batch1", 1, 1 << 30},
-		{"batch2", 2, 1 << 30},
-		{"batch7", 7, 1 << 30},
-		{"batch64", 64, 1 << 30},
-		{"wholeTable", 1 << 20, 1 << 30},
-		{"sharded", 64, 64},
+		{"batch1", 1},
+		{"batch2", 2},
+		{"batch7", 7},
+		{"batch64", 64},
+		{"wholeTable", 1 << 20},
 	}
 	for _, cfg := range configs {
 		relational.BatchSize = cfg.batch
-		relational.ShardMinRows = cfg.shardMin
 		// Fresh engine: plans cache fine (batch size is read per
 		// execution), but a fresh one also exercises re-planning.
 		got := execAll(&Engine{Store: store})

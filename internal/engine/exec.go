@@ -52,10 +52,6 @@ func (st *Stats) Add(o Stats) {
 // Engine executes TBQL queries against a store.
 type Engine struct {
 	Store *Store
-	// MaxInList bounds how many entity IDs the scheduler pushes into a
-	// dependent data query as an IN constraint; larger binding sets are
-	// left to the join phase. Zero selects the default of 2000.
-	MaxInList int
 	// DisableScheduling turns off pruning-score ordering and constraint
 	// feeding (the ablation of the paper's core RQ4 optimization): data
 	// queries run in declaration order without added constraints. Set it
@@ -311,23 +307,21 @@ func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot
 // pattern from the slot-indexed sets (empty = unbound). Binding sets are
 // kept as sorted unique ID slices — the representation both backends'
 // membership checks and index probes consume directly as bound
-// parameters.
-func bindingSpec(jp *joinProgram, idx int, sets [][]int64, maxIn int) (subj, obj []int64) {
-	if set := sets[jp.subj[idx]]; len(set) > 0 && len(set) <= maxIn {
+// parameters. A set larger than maxInList is left to the join.
+func bindingSpec(jp *joinProgram, idx int, sets [][]int64) (subj, obj []int64) {
+	if set := sets[jp.subj[idx]]; len(set) > 0 && len(set) <= maxInList {
 		subj = set
 	}
-	if set := sets[jp.obj[idx]]; len(set) > 0 && len(set) <= maxIn {
+	if set := sets[jp.obj[idx]]; len(set) > 0 && len(set) <= maxInList {
 		obj = set
 	}
 	return subj, obj
 }
 
-func (en *Engine) maxIn() int {
-	if en.MaxInList > 0 {
-		return en.MaxInList
-	}
-	return 2000
-}
+// maxInList bounds how many entity IDs the scheduler pushes into a
+// dependent data query as an IN constraint; larger binding sets are left
+// to the join phase.
+const maxInList = 2000
 
 // emptyResult is the outcome of a conjunction short-circuited by a pattern
 // that matched nothing.
@@ -418,12 +412,11 @@ func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, sn
 	var stats Stats
 	jp := plan.joinProgram(a)
 	sc.resetSets(jp.nslots)
-	maxIn := en.maxIn()
 	for i, idx := range order {
 		p := a.Query.Patterns[idx]
 		q := PatternQuery{Idx: idx, Meta: &plan.pats[idx].meta}
 		if !en.DisableScheduling {
-			q.Subj, q.Obj = bindingSpec(jp, idx, sc.sets, maxIn)
+			q.Subj, q.Obj = bindingSpec(jp, idx, sc.sets)
 		}
 		if idx == deltaIdx {
 			q.Delta = floor

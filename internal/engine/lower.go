@@ -127,7 +127,6 @@ func lowerEventStmt(b timeBounds, ej *qir.EventJoin) *relational.SelectStmt {
 		Select: eventSelect(),
 		From:   from,
 		Where:  andChain(eventConds(b, ej)),
-		Limit:  -1,
 	}
 }
 
@@ -146,7 +145,6 @@ func lowerEventStmtDeltaAnchored(b timeBounds, ej *qir.EventJoin) *relational.Se
 			{Table: "entities", Alias: "o"},
 		},
 		Where: andChain(eventConds(b, ej)),
-		Limit: -1,
 	}
 }
 
@@ -259,7 +257,6 @@ func lowerPathQuery(b timeBounds, pm *qir.PathMatch, distinct bool) *graphdb.Que
 		Where:    andChain(conds),
 		Distinct: distinct && (pm.MinLen != 1 || pm.MaxLen != 1),
 		Return:   ret,
-		Limit:    -1,
 	}
 }
 
@@ -277,7 +274,6 @@ func lowerEntityFilter(kind audit.EntityKind, pred relational.Expr) *relational.
 			binOp("=", colRef("n", "kind"), strLit(kind.String())),
 			qualify(pred, "n", sqlColumn),
 		}),
-		Limit: -1,
 	}
 }
 
@@ -350,7 +346,6 @@ func lowerMonolithicStmt(b timeBounds, a *tbql.Analyzed, irs []*qir.DataQuery) (
 		Select:   proj,
 		From:     from,
 		Where:    andChain(conds),
-		Limit:    -1,
 	}, nil
 }
 
@@ -425,7 +420,7 @@ func lowerMonolithicCypher(b timeBounds, a *tbql.Analyzed, irs []*qir.DataQuery)
 		decl := a.Entities[id]
 		return graphdb.NodePat{Var: id, Label: labelOf(decl.Type.Kind())}
 	}
-	gq := &graphdb.Query{Limit: -1, Distinct: q.Return.Distinct}
+	gq := &graphdb.Query{Distinct: q.Return.Distinct}
 	var conds []relational.Expr
 	for i, p := range q.Patterns {
 		ev := fmt.Sprintf("e%d", i+1)

@@ -12,7 +12,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
 
@@ -43,7 +42,7 @@ const (
 // InternalError is a panic during query execution, caught at the engine's
 // per-query recover boundary and converted into an error so one poisoned
 // query cannot take down the session (or the process, when the panic
-// happened on an executor worker goroutine).
+// happened on a sharded coordinator's scatter goroutine).
 type InternalError struct {
 	// Query is the TBQL text (or pattern identifier) being executed.
 	Query string
@@ -59,10 +58,9 @@ func (e *InternalError) Error() string {
 
 // guard is the per-query panic boundary: deferred at every public
 // execution entry point, it converts a panic into an *InternalError
-// carrying the query text and stack, and re-types a relational shard
-// worker's captured panic (which arrives as an ordinary error — goroutine
-// panics cannot cross recover boundaries) the same way. The query text is
-// only formatted on the failure path.
+// carrying the query text and stack. The relational and graph executors
+// run each data query on the calling goroutine, so their panics unwind to
+// this boundary too. The query text is only formatted on the failure path.
 func guard(a *tbql.Analyzed, errp *error) {
 	if r := recover(); r != nil {
 		if ie, ok := r.(*InternalError); ok {
@@ -70,11 +68,6 @@ func guard(a *tbql.Analyzed, errp *error) {
 			return
 		}
 		*errp = &InternalError{Query: tbql.Format(a.Query), Panic: r, Stack: debug.Stack()}
-		return
-	}
-	var pe *relational.PanicError
-	if errors.As(*errp, &pe) {
-		*errp = &InternalError{Query: tbql.Format(a.Query), Panic: pe.Value, Stack: pe.Stack}
 	}
 }
 

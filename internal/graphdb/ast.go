@@ -16,8 +16,6 @@ type Query struct {
 	// its own row.
 	Distinct bool
 	Return   []ReturnItem
-	OrderBy  []OrderItem
-	Limit    int // -1 when absent
 	// ClauseAtATime selects the Neo4j-style execution model for
 	// multi-pattern queries: every pattern clause is materialized
 	// independently (label scan plus expansion, with only its own WHERE
@@ -35,13 +33,6 @@ type ReturnItem struct {
 	Var  string
 	Prop string
 	As   string
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Var  string
-	Prop string
-	Desc bool
 }
 
 // Pattern is a linear path: node, (rel, node)*.

@@ -79,7 +79,7 @@ func (g *Graph) execClauseAtATime(q *Query) (*ResultSet, ExecStats, error) {
 		}
 	}
 
-	// Residual filter, projection, distinct, order, limit.
+	// Residual filter, projection, distinct.
 	cols := make([]string, len(q.Return))
 	for j, item := range q.Return {
 		switch {
@@ -121,14 +121,6 @@ func (g *Graph) execClauseAtATime(q *Query) (*ResultSet, ExecStats, error) {
 	if q.Distinct {
 		rs.Rows = dedupRows(rs.Rows)
 	}
-	if len(q.OrderBy) > 0 {
-		if err := orderRows(rs, q); err != nil {
-			return nil, stats, err
-		}
-	}
-	if q.Limit >= 0 && len(rs.Rows) > q.Limit {
-		rs.Rows = rs.Rows[:q.Limit]
-	}
 	return rs, stats, nil
 }
 
@@ -147,7 +139,7 @@ func (g *Graph) materializeClause(pat Pattern, conjuncts []relational.Expr) ([]b
 			where = relational.BinOp{Op: "and", L: where, R: c}
 		}
 	}
-	p := Prepare(&Query{Patterns: []Pattern{pat}, Where: where, Limit: -1})
+	p := Prepare(&Query{Patterns: []Pattern{pat}, Where: where})
 	m := p.acquire(g, nil, nil)
 	var rows []binding
 	m.capture = func() error {

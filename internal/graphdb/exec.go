@@ -2,11 +2,9 @@ package graphdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -329,13 +327,12 @@ type matcher struct {
 	reachPool []*reachScratch
 	// Exactly one output is set: rs collects Value rows (ExecPrepared),
 	// sink receives int tuples (QueryInts; row is its buffer, seen the
-	// distinct tuples so far, emitted the rows handed over), and capture
-	// collects raw bindings for the clause-at-a-time executor.
+	// distinct tuples so far), and capture collects raw bindings for the
+	// clause-at-a-time executor.
 	rs      *ResultSet
 	sink    relational.IntSink
 	row     [5]int64
 	seen    map[[5]int64]struct{}
-	emitted int
 	capture func() error
 	// ctx/done drive cooperative cancellation: done caches ctx.Done() so
 	// the checkpoints cost a nil compare when no cancellable context is
@@ -347,9 +344,6 @@ type matcher struct {
 
 // maxPooledSeen caps the distinct-tuple set a pooled matcher keeps.
 const maxPooledSeen = 1 << 16
-
-// errStopMatch ends a walk whose LIMIT is reached; it never escapes.
-var errStopMatch = errors.New("graphdb: limit reached")
 
 // acquire takes a pooled matcher for one execution of p on g and binds
 // the execution's parameters, snapshot and context.
@@ -391,7 +385,7 @@ func (p *Prepared) release(m *matcher) {
 	clear(m.edgeVals)
 	clear(m.nodeIDs)
 	clear(m.errs)
-	m.nerr, m.floored, m.emitted, m.tick = 0, 0, 0, 0
+	m.nerr, m.floored, m.tick = 0, 0, 0
 	m.g, m.view, m.vedges, m.floor = nil, nil, nil, 0
 	m.rs, m.sink, m.capture, m.cur = nil, nil, nil, nil
 	m.ctx, m.done = nil, nil
@@ -628,14 +622,6 @@ func (g *Graph) ExecPrepared(ctx context.Context, p *Prepared, params *ExecParam
 	if q.Distinct {
 		rs.Rows = dedupRows(rs.Rows)
 	}
-	if len(q.OrderBy) > 0 {
-		if err := orderRows(rs, q); err != nil {
-			return nil, stats, err
-		}
-	}
-	if q.Limit >= 0 && len(rs.Rows) > q.Limit {
-		rs.Rows = rs.Rows[:q.Limit]
-	}
 	return rs, stats, nil
 }
 
@@ -643,17 +629,16 @@ func (g *Graph) ExecPrepared(ctx context.Context, p *Prepared, params *ExecParam
 // and integer attributes, at most five) and hands each row to sink as an
 // int tuple, in the order ExecPrepared returns them: no Value row is
 // built. A NULL item reads as 0; any other non-integer item fails the
-// query, so distinct strings never collapse into one tuple. DISTINCT drops repeated
-// tuples as they are found (first one wins, as in ExecPrepared) and
-// LIMIT stops the walk; ORDER BY and clause-at-a-time execution need
-// ExecPrepared.
+// query, so distinct strings never collapse into one tuple. DISTINCT
+// drops repeated tuples as they are found (first one wins, as in
+// ExecPrepared); clause-at-a-time execution needs ExecPrepared.
 func (g *Graph) QueryInts(ctx context.Context, p *Prepared, params *ExecParams, sink relational.IntSink) (ExecStats, error) {
 	q := p.q
 	switch {
 	case len(q.Return) > len([5]int64{}):
 		return ExecStats{}, fmt.Errorf("graphdb: QueryInts returns at most 5 items, query has %d", len(q.Return))
-	case len(q.OrderBy) > 0 || q.ClauseAtATime && len(q.Patterns) > 1:
-		return ExecStats{}, fmt.Errorf("graphdb: QueryInts runs neither ORDER BY nor clause-at-a-time queries")
+	case q.ClauseAtATime && len(q.Patterns) > 1:
+		return ExecStats{}, fmt.Errorf("graphdb: QueryInts does not run clause-at-a-time queries")
 	}
 	m := p.acquire(g, ctx, params)
 	m.sink = sink
@@ -674,16 +659,10 @@ func (m *matcher) run() error {
 		// sorted, and sorting here would race with the concurrent writer.
 		m.g.ensureAdjSorted()
 	}
-	var err error
 	if m.edgeDrivenOK() {
-		err = m.matchEdgeDriven()
-	} else {
-		err = m.matchPattern(0, 0)
+		return m.matchEdgeDriven()
 	}
-	if err == errStopMatch {
-		err = nil
-	}
-	return err
+	return m.matchPattern(0, 0)
 }
 
 // edgeDrivenOK reports whether the execution can be driven off the edge
@@ -1312,9 +1291,6 @@ func (m *matcher) emit() error {
 	case m.capture != nil:
 		return m.capture()
 	case m.sink != nil:
-		if m.q.Limit >= 0 && m.emitted >= m.q.Limit {
-			return errStopMatch
-		}
 		var r [5]int64
 		for i := range m.p.proj {
 			v, err := m.refValue(&m.p.proj[i])
@@ -1334,7 +1310,6 @@ func (m *matcher) emit() error {
 		}
 		m.row = r
 		m.sink.Row(m.row[:len(m.p.proj)])
-		m.emitted++
 		return nil
 	}
 	row := make([]Value, len(m.p.proj))
@@ -1351,43 +1326,4 @@ func (m *matcher) emit() error {
 
 func dedupRows(rows [][]Value) [][]Value {
 	return relational.DedupRows(rows)
-}
-
-func orderRows(rs *ResultSet, q *Query) error {
-	keyIdx := make([]int, len(q.OrderBy))
-	for i, item := range q.OrderBy {
-		name := item.Var
-		if item.Prop != "" {
-			name = item.Var + "." + item.Prop
-		}
-		found := -1
-		for j, label := range rs.Columns {
-			if strings.EqualFold(label, name) {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("cypher: ORDER BY %q not in RETURN", name)
-		}
-		keyIdx[i] = found
-	}
-	var sortErr error
-	sort.SliceStable(rs.Rows, func(a, b int) bool {
-		for k, pos := range keyIdx {
-			cmp, err := rs.Rows[a][pos].Compare(rs.Rows[b][pos])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if cmp != 0 {
-				if q.OrderBy[k].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return sortErr
 }

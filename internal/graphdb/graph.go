@@ -1,6 +1,6 @@
 // Package graphdb is an in-process property graph database with a
 // Cypher-subset query processor (MATCH with variable-length relationships,
-// WHERE, RETURN DISTINCT, ORDER BY, LIMIT).
+// WHERE, RETURN DISTINCT).
 //
 // It is the Neo4j stand-in for ThreatRaptor's graph storage backend
 // (Section III-B): system entities are stored as nodes and system events as

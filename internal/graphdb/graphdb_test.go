@@ -2,6 +2,7 @@ package graphdb
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/relational"
@@ -59,14 +60,14 @@ func mustQuery(t *testing.T, g *Graph, src string) *ResultSet {
 
 func TestSingleHopMatch(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	rs := mustQuery(t, g, `MATCH (p:Process)-[e:read]->(f:File) RETURN p.exename, f.path ORDER BY p.exename`)
+	rs := mustQuery(t, g, `MATCH (p:Process)-[e:read]->(f:File) RETURN p.exename, f.path`)
 	want := [][]string{
 		{"/bin/bzip2", "/tmp/upload.tar"},
 		{"/bin/tar", "/etc/passwd"},
 		{"/usr/bin/curl", "/tmp/upload"},
 		{"/usr/bin/gpg", "/tmp/upload.tar.bz2"},
 	}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
@@ -81,18 +82,18 @@ func TestInlinePropsAnchor(t *testing.T) {
 
 func TestWhereLike(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	rs := mustQuery(t, g, `MATCH (p:Process)-[e]->(o) WHERE p.exename LIKE '%curl%' RETURN o.name ORDER BY o.name`)
+	rs := mustQuery(t, g, `MATCH (p:Process)-[e]->(o) WHERE p.exename LIKE '%curl%' RETURN o.name`)
 	want := [][]string{{"c2"}, {"upload"}}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
 
 func TestEdgePropsInWhere(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	rs := mustQuery(t, g, `MATCH (p)-[e:read]->(f) WHERE e.start_time > 40 RETURN p.exename ORDER BY p.exename`)
+	rs := mustQuery(t, g, `MATCH (p)-[e:read]->(f) WHERE e.start_time > 40 RETURN p.exename`)
 	want := [][]string{{"/usr/bin/curl"}, {"/usr/bin/gpg"}}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
@@ -102,13 +103,13 @@ func TestChainedPattern(t *testing.T) {
 	// tar writes a file that bzip2 reads.
 	rs := mustQuery(t, g, `
 	  MATCH (p1:Process)-[:write]->(f:File)<-[:read]-(p2:Process)
-	  RETURN p1.exename, f.path, p2.exename ORDER BY f.path`)
+	  RETURN p1.exename, f.path, p2.exename`)
 	want := [][]string{
-		{"/usr/bin/gpg", "/tmp/upload", "/usr/bin/curl"},
-		{"/bin/tar", "/tmp/upload.tar", "/bin/bzip2"},
 		{"/bin/bzip2", "/tmp/upload.tar.bz2", "/usr/bin/gpg"},
+		{"/bin/tar", "/tmp/upload.tar", "/bin/bzip2"},
+		{"/usr/bin/gpg", "/tmp/upload", "/usr/bin/curl"},
 	}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
@@ -164,16 +165,16 @@ func TestVariableLengthBounds(t *testing.T) {
 		q    string
 		want []string
 	}{
-		{`MATCH (s:N {name: 'a'})-[*]->(x) RETURN x.name ORDER BY x.name`, []string{"b", "c", "d"}},
-		{`MATCH (s:N {name: 'a'})-[*2..3]->(x) RETURN x.name ORDER BY x.name`, []string{"c", "d"}},
+		{`MATCH (s:N {name: 'a'})-[*]->(x) RETURN x.name`, []string{"b", "c", "d"}},
+		{`MATCH (s:N {name: 'a'})-[*2..3]->(x) RETURN x.name`, []string{"c", "d"}},
 		{`MATCH (s:N {name: 'a'})-[*2]->(x) RETURN x.name`, []string{"c"}},
-		{`MATCH (s:N {name: 'a'})-[*..2]->(x) RETURN x.name ORDER BY x.name`, []string{"b", "c"}},
+		{`MATCH (s:N {name: 'a'})-[*..2]->(x) RETURN x.name`, []string{"b", "c"}},
 		{`MATCH (s:N {name: 'a'})-[*3..]->(x) RETURN x.name`, []string{"d"}},
 	}
 	for _, c := range cases {
 		rs := mustQuery(t, g, c.q)
 		var got []string
-		for _, r := range rs.Strings() {
+		for _, r := range sortedRows(rs) {
 			got = append(got, r[0])
 		}
 		if !reflect.DeepEqual(got, c.want) {
@@ -201,28 +202,28 @@ func TestVariableLengthCycleTermination(t *testing.T) {
 	b := g.AddNode("N", Props{"name": str("b")})
 	g.AddEdge(a, b, "x", nil)
 	g.AddEdge(b, a, "x", nil) // cycle
-	rs := mustQuery(t, g, `MATCH (s:N {name: 'a'})-[*]->(x) RETURN x.name ORDER BY x.name`)
+	rs := mustQuery(t, g, `MATCH (s:N {name: 'a'})-[*]->(x) RETURN x.name`)
 	// Edge-unique traversal: a->b, a->b->a. Both reachable, then stop.
 	want := [][]string{{"a"}, {"b"}}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
 
 func TestTypeAlternation(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	rs := mustQuery(t, g, `MATCH (p:Process {exename: '/usr/bin/curl'})-[e:read|connect]->(o) RETURN o.name ORDER BY o.name`)
+	rs := mustQuery(t, g, `MATCH (p:Process {exename: '/usr/bin/curl'})-[e:read|connect]->(o) RETURN o.name`)
 	want := [][]string{{"c2"}, {"upload"}}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
 
-func TestDistinctAndLimit(t *testing.T) {
+func TestDistinctReturn(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	rs := mustQuery(t, g, `MATCH (p:Process)-[e]->(o) RETURN DISTINCT p.exename ORDER BY p.exename LIMIT 2`)
-	want := [][]string{{"/bin/bzip2"}, {"/bin/tar"}}
-	if !reflect.DeepEqual(rs.Strings(), want) {
+	rs := mustQuery(t, g, `MATCH (p:Process)-[e]->(o) RETURN DISTINCT p.exename`)
+	want := [][]string{{"/bin/bzip2"}, {"/bin/tar"}, {"/usr/bin/curl"}, {"/usr/bin/gpg"}}
+	if !reflect.DeepEqual(sortedRows(rs), want) {
 		t.Fatalf("got %v", rs.Strings())
 	}
 }
@@ -259,18 +260,29 @@ func TestAddNodeWithID(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	for _, q := range []string{
-		`RETURN x`,         // no MATCH
-		`MATCH (p) RETURN`, // empty return
-		`MATCH (p)-[e]->(o) WHERE q.x = 1 RETURN p.name`,  // unknown var
-		`MATCH (p)-[e]->(o) RETURN z.name`,                // unknown return var
-		`MATCH (p)-[*2..1]->(o) RETURN p.name`,            // invalid bounds
-		`MATCH (p RETURN p.name`,                          // malformed
-		`MATCH (p)-[e]->(o) RETURN p.name ORDER BY o.bad`, // order key not projected
-		`MATCH (p)-[e]->(o) RETURN p.name extra`,          // trailing garbage
+	for _, c := range []struct {
+		q   string
+		tok string // non-empty: the query fails to parse, naming this token
+	}{
+		{`RETURN x`, ""},         // no MATCH
+		{`MATCH (p) RETURN`, ""}, // empty return
+		{`MATCH (p)-[e]->(o) WHERE q.x = 1 RETURN p.name`, ""},         // unknown var
+		{`MATCH (p)-[e]->(o) RETURN z.name`, ""},                       // unknown return var
+		{`MATCH (p)-[*2..1]->(o) RETURN p.name`, ""},                   // invalid bounds
+		{`MATCH (p RETURN p.name`, ""},                                 // malformed
+		{`MATCH (p)-[e]->(o) RETURN p.name ORDER BY o.bad`, "ORDER"},   // no ORDER BY
+		{`MATCH (p)-[e]->(o) RETURN p.name ORDER BY p.name`, "ORDER"},  // no ORDER BY
+		{`MATCH (p)-[e]->(o) RETURN DISTINCT p.name LIMIT 1`, "LIMIT"}, // no LIMIT
+		{`MATCH (p)-[e]->(o) RETURN p.name extra`, "extra"},            // trailing garbage
 	} {
-		if _, err := g.Query(q); err == nil {
-			t.Errorf("Query(%q) should fail", q)
+		if _, err := g.Query(c.q); err == nil {
+			t.Errorf("Query(%q) should fail", c.q)
+		}
+		if c.tok == "" {
+			continue
+		}
+		if _, err := ParseQuery(c.q); err == nil || !strings.Contains(err.Error(), `"`+c.tok+`"`) {
+			t.Errorf("ParseQuery(%q): err %v, want a parse error naming %q", c.q, err, c.tok)
 		}
 	}
 }

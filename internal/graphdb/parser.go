@@ -24,8 +24,6 @@ func ParseCalls() uint64 { return parseCalls.Load() }
 //	MATCH (b)-[*1..4]->(c:NetConn)
 //	WHERE a.exename LIKE '%tar%' AND e.start_time < 100
 //	RETURN DISTINCT a.exename, c.dstip
-//	ORDER BY a.exename DESC
-//	LIMIT 10
 //
 // Relationship patterns support single hops "-[v:type]->", reversed hops
 // "<-[v:type]-", undirected hops "-[v:type]-", and variable-length spans
@@ -186,15 +184,17 @@ func (p *cypherParser) ident() (string, error) {
 	return t.text, nil
 }
 
+// cypherReserved are the words no variable may be: the subset's keywords,
+// and ORDER and LIMIT, which it does not read, so that a query using them
+// fails naming the clause.
 var cypherReserved = map[string]bool{
 	"match": true, "where": true, "return": true, "distinct": true,
-	"order": true, "by": true, "limit": true, "and": true, "or": true,
-	"not": true, "like": true, "in": true, "as": true, "asc": true,
-	"desc": true,
+	"and": true, "or": true, "not": true, "like": true, "in": true,
+	"as": true, "order": true, "limit": true,
 }
 
 func (p *cypherParser) parseQuery() (*Query, error) {
-	q := &Query{Limit: -1}
+	q := &Query{}
 	if !p.peekKw("match") {
 		return nil, fmt.Errorf("cypher: query must start with MATCH")
 	}
@@ -251,44 +251,6 @@ func (p *cypherParser) parseQuery() (*Query, error) {
 		if !p.sym(",") {
 			break
 		}
-	}
-	if p.peekKw("order") {
-		p.advance()
-		if !p.kw("by") {
-			return nil, fmt.Errorf("cypher: expected BY after ORDER")
-		}
-		for {
-			v, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Var: v}
-			if p.sym(".") {
-				prop, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				item.Prop = prop
-			}
-			if p.kw("desc") {
-				item.Desc = true
-			} else {
-				p.kw("asc")
-			}
-			q.OrderBy = append(q.OrderBy, item)
-			if !p.sym(",") {
-				break
-			}
-		}
-	}
-	if p.kw("limit") {
-		t := p.cur()
-		if t.kind != tokNumber {
-			return nil, fmt.Errorf("cypher: LIMIT expects a number")
-		}
-		n, _ := strconv.Atoi(t.text)
-		p.advance()
-		q.Limit = n
 	}
 	return q, nil
 }

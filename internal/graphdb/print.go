@@ -43,20 +43,6 @@ func (q *Query) String() string {
 			sb.WriteString(" AS " + item.As)
 		}
 	}
-	for i, o := range q.OrderBy {
-		if i == 0 {
-			sb.WriteString(" ORDER BY ")
-		} else {
-			sb.WriteString(", ")
-		}
-		writeProp(&sb, o.Var, o.Prop)
-		if o.Desc {
-			sb.WriteString(" DESC")
-		}
-	}
-	if q.Limit >= 0 {
-		sb.WriteString(" LIMIT " + strconv.Itoa(q.Limit))
-	}
 	return sb.String()
 }
 

@@ -94,7 +94,7 @@ func (c varLenCase) query() *Query {
 		return items
 	}
 	src := NodePat{Var: "s", Label: "P"}
-	q := &Query{Distinct: true, Limit: -1}
+	q := &Query{Distinct: true}
 	switch c.shape {
 	case 0:
 		q.Patterns = []Pattern{{

@@ -36,7 +36,6 @@ func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
 			L: relational.BinOp{Op: "like", L: relational.ColRef{Qualifier: "s", Column: "exename"}, R: relational.Lit{V: relational.Str("%/bin/p%")}},
 			R: relational.BinOp{Op: "=", L: relational.ColRef{Qualifier: "o", Column: "name"}, R: relational.Lit{V: relational.Str("/tmp/f1")}}},
 		Return: []ReturnItem{{Var: "s", Prop: "id"}, {Var: "o", Prop: "id"}},
-		Limit:  -1,
 	}
 	for _, floored := range []bool{false, true} {
 		var allocs [2]float64

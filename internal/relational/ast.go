@@ -7,10 +7,7 @@ type SelectStmt struct {
 	Distinct bool
 	Select   []SelectItem // empty means '*'
 	From     []TableRef
-	Joins    []Join // explicit JOIN ... ON clauses, applied after From
-	Where    Expr   // nil when absent
-	OrderBy  []OrderItem
-	Limit    int // -1 when absent
+	Where    Expr // nil when absent
 }
 
 // SelectItem is one projected expression with an optional alias.
@@ -23,18 +20,6 @@ type SelectItem struct {
 type TableRef struct {
 	Table string
 	Alias string // defaults to Table
-}
-
-// Join is an explicit inner join.
-type Join struct {
-	Ref TableRef
-	On  Expr
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
 }
 
 // Expr is a SQL expression node.

@@ -20,12 +20,6 @@ import "sync/atomic"
 // code must treat it as read-only.
 var BatchSize = 1024
 
-// ShardMinRows is the minimum level-0 table size for the sharded scan
-// path: full scans over at least this many rows are split into contiguous
-// row ranges executed by concurrent workers. A variable for the same
-// test-only reason as BatchSize.
-var ShardMinRows = 8192
-
 // vecPred is one batch-compilable predicate: filterSel appends to dst the
 // rows of sel that satisfy it, filterRange does the same for the dense row
 // range [lo, hi). dst may share backing storage with sel (the write index

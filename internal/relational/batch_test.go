@@ -2,7 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -39,7 +38,7 @@ func batchTestTable(t *testing.T, n int) *DB {
 
 // oracleSelectIDs evaluates "SELECT id FROM t WHERE <pred>" by brute
 // force: EvalExpr over every materialized row, independent of the
-// planner, kernels, batching, and sharding. It errors when EvalExpr does.
+// planner, kernels and batching. It errors when EvalExpr does.
 func oracleSelectIDs(db *DB, sql string) ([]string, error) {
 	stmt, err := ParseSelect(sql)
 	if err != nil {
@@ -77,10 +76,9 @@ func oracleSelectIDs(db *DB, sql string) ([]string, error) {
 // NULL ordering, the AND/OR/NOT combinators) and the EvalExpr fallback
 // (arithmetic).
 func TestBatchBoundaryRowCounts(t *testing.T) {
-	origBS, origShard := BatchSize, ShardMinRows
+	origBS := BatchSize
 	BatchSize = 64
-	ShardMinRows = 1 << 30 // isolate batching from sharding
-	defer func() { BatchSize = origBS; ShardMinRows = origShard }()
+	defer func() { BatchSize = origBS }()
 
 	preds := []string{
 		"id >= 0",                                    // keep everything
@@ -104,7 +102,7 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 3*64 + 17} {
 		db := batchTestTable(t, n)
 		for _, pred := range preds {
-			sql := "SELECT id FROM t WHERE " + pred + " ORDER BY id"
+			sql := "SELECT id FROM t WHERE " + pred
 			rs, err := db.Query(sql)
 			if err != nil {
 				t.Fatalf("n=%d: %v\n%s", n, err, sql)
@@ -126,10 +124,11 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 	}
 }
 
-// TestBatchDistinctAndLimit checks the streaming DISTINCT sink and the
-// LIMIT early-exit across batch boundaries: first-seen order must match
-// the materialize-then-dedup seed semantics.
-func TestBatchDistinctAndLimit(t *testing.T) {
+// TestBatchDistinctAndScanOrder checks the streaming DISTINCT sink and
+// the scan's row order across batch boundaries: first-seen order must
+// match the materialize-then-dedup seed semantics, and rows come in table
+// order.
+func TestBatchDistinctAndScanOrder(t *testing.T) {
 	origBS := BatchSize
 	BatchSize = 64
 	defer func() { BatchSize = origBS }()
@@ -150,16 +149,16 @@ func TestBatchDistinctAndLimit(t *testing.T) {
 		}
 	}
 
-	rs, err = db.Query("SELECT id FROM t WHERE size >= 0 LIMIT 70")
+	rs, err = db.Query("SELECT id FROM t WHERE size >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Len() != 70 {
-		t.Fatalf("limit rows = %d", rs.Len())
+	if rs.Len() != 3*64+17 {
+		t.Fatalf("scan rows = %d", rs.Len())
 	}
-	for i := 0; i < 70; i++ {
+	for i := range rs.Rows {
 		if rs.Rows[i][0].I != int64(i) {
-			t.Fatalf("limit row %d = %d (scan order broken)", i, rs.Rows[i][0].I)
+			t.Fatalf("scan row %d = %d (scan order broken)", i, rs.Rows[i][0].I)
 		}
 	}
 }
@@ -193,7 +192,7 @@ func TestCrossLevelVecJoin(t *testing.T) {
 		}
 		return db
 	}
-	sql := "SELECT l.id, r.v FROM l, r WHERE r.k = l.k ORDER BY l.id, r.v"
+	sql := "SELECT l.id, r.v FROM l, r WHERE r.k = l.k"
 	a, err := build(false).Query(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -202,56 +201,13 @@ func TestCrossLevelVecJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, bs := a.Strings(), b.Strings()
+	as, bs := sortedRows(a), sortedRows(b)
 	if len(as) != len(bs) || len(as) == 0 {
 		t.Fatalf("scan join %d rows, index join %d rows", len(as), len(bs))
 	}
 	for i := range as {
 		if as[i][0] != bs[i][0] || as[i][1] != bs[i][1] {
 			t.Fatalf("row %d differs: %v vs %v", i, as[i], bs[i])
-		}
-	}
-}
-
-// TestShardedScanEquivalence forces the sharded level-0 scan and checks it
-// returns exactly the serial plan's rows in the same order, with and
-// without DISTINCT.
-func TestShardedScanEquivalence(t *testing.T) {
-	origBS, origShard := BatchSize, ShardMinRows
-	defer func() { BatchSize = origBS; ShardMinRows = origShard }()
-	BatchSize = 64
-	// The sharded path requires GOMAXPROCS > 1; force it so the test is
-	// not vacuous on single-CPU machines.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-
-	db := batchTestTable(t, 5000)
-	for _, sql := range []string{
-		"SELECT id, name FROM t WHERE name LIKE '%tar%' AND size < 60",
-		"SELECT DISTINCT name FROM t WHERE size < 90",
-		"SELECT id FROM t WHERE size + 1 < 20", // residual predicate under sharding
-	} {
-		ShardMinRows = 1 << 30
-		serial, err := db.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ShardMinRows = 256
-		sharded, err := db.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, ps := serial.Strings(), sharded.Strings()
-		if len(ss) != len(ps) || len(ss) == 0 {
-			t.Fatalf("serial %d rows, sharded %d rows\n%s", len(ss), len(ps), sql)
-		}
-		for i := range ss {
-			for j := range ss[i] {
-				if ss[i][j] != ps[i][j] {
-					t.Fatalf("row %d col %d: %s vs %s\n%s", i, j, ss[i][j], ps[i][j], sql)
-				}
-			}
 		}
 	}
 }

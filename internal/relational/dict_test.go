@@ -65,7 +65,7 @@ func TestDictEncodedColumnMatchesPlain(t *testing.T) {
 		"SELECT id, op FROM events WHERE op > 'read'",
 		"SELECT id, op FROM events WHERE op >= 'read'",
 		"SELECT id, op FROM events WHERE op = 'read' AND amount > 500",
-		"SELECT DISTINCT op FROM events WHERE op LIKE '%e%' ORDER BY op",
+		"SELECT DISTINCT op FROM events WHERE op LIKE '%e%'",
 		"SELECT op, amount FROM events WHERE amount < 10",
 	}
 	for _, q := range queries {

@@ -2,31 +2,9 @@ package relational
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/bits"
-	"runtime"
-	"runtime/debug"
 	"slices"
-	"sort"
-	"strings"
-	"sync"
 )
-
-// PanicError captures a panic raised inside a shard worker goroutine. A
-// panic in a goroutine cannot be recovered by the caller, so the worker
-// converts it into this error and the caller re-surfaces it; the engine's
-// query boundary wraps it into an *engine.InternalError.
-type PanicError struct {
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the worker's stack at the point of the panic.
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("relational: executor panic: %v", e.Value)
-}
 
 // ExecStats counts the work done by a query execution, for benchmarking
 // and for comparing naive monolithic plans against scheduled plans.
@@ -71,10 +49,6 @@ func (db *DB) Exec(stmt *SelectStmt) (*ResultSet, ExecStats, error) {
 	return p.run(nil, nil, nil)
 }
 
-// errStopScan aborts the nested-loop walk once a LIMIT (with no ORDER BY)
-// is satisfied; it never escapes run.
-var errStopScan = errors.New("relational: scan limit reached")
-
 // maxSlabRows caps how many result rows one projection slab holds:
 // emitted rows are sub-slices of a shared backing array, so result
 // materialization costs one allocation per slab instead of one per row.
@@ -94,7 +68,7 @@ type IntSink interface {
 // (slab-backed batch allocation; streaming DISTINCT drops duplicates as
 // they are emitted, with DedupRows' exact hash/equality semantics) or as
 // int tuples handed to ints (read straight from the int columns, DISTINCT
-// on the tuple), with optional early exit when LIMIT is reached.
+// on the tuple).
 type rowSink struct {
 	rs       *ResultSet
 	width    int
@@ -104,15 +78,10 @@ type rowSink struct {
 	ints     IntSink
 	row      [5]int64
 	seen     map[[5]int64]struct{} // int mode's DISTINCT; nil without one
-	n        int                   // rows emitted
-	limit    int                   // -1: no early exit
 }
 
 func (s *rowSink) emit(p *plan, st *execState) error {
 	if s.ints != nil {
-		if s.limit >= 0 && s.n >= s.limit {
-			return errStopScan
-		}
 		var r [5]int64
 		for i, c := range p.intProj {
 			r[i] = st.tabs[c.lvl].cols[c.col].ints[st.rows[c.lvl]]
@@ -125,9 +94,6 @@ func (s *rowSink) emit(p *plan, st *execState) error {
 		}
 		s.row = r
 		s.ints.Row(s.row[:len(p.intProj)])
-		if s.n++; s.limit >= 0 && s.n >= s.limit {
-			return errStopScan
-		}
 		return nil
 	}
 	if len(s.slab) < s.width {
@@ -148,20 +114,15 @@ func (s *rowSink) emit(p *plan, st *execState) error {
 	}
 	s.slab = s.slab[s.width:]
 	s.rs.Rows = append(s.rs.Rows, dst)
-	if s.limit >= 0 && len(s.rs.Rows) >= s.limit {
-		return errStopScan
-	}
 	return nil
 }
 
-// run executes a compiled plan batch-at-a-time: each nested-loop level
-// turns its candidate rows (a dense scan range or an index probe's
-// positions) into a selection vector, the level's predicates filter it in
-// conjunct order (a kernel per call, an EvalExpr predicate row by row),
-// and each surviving row recurses into the next level. Full scans feed
-// the filters BatchSize rows at a time; level-0 scans over at least
-// ShardMinRows rows are sharded across workers on contiguous row ranges
-// (concatenation preserves scan order).
+// run executes a compiled plan batch-at-a-time on the caller's
+// goroutine: each nested-loop level turns its candidate rows (a dense
+// scan range or an index probe's positions) into a selection vector, the
+// level's predicates filter it in conjunct order (a kernel per call, an
+// EvalExpr predicate row by row), and each surviving row recurses into
+// the next level. Full scans feed the filters BatchSize rows at a time.
 // The plan is read-only; all mutable state is per-execution, so one plan
 // may run on many goroutines concurrently.
 //
@@ -178,64 +139,21 @@ func (p *plan) run(ctx context.Context, params *Params, ints IntSink) (*ResultSe
 		st.params = *params
 	}
 	p.bindTabs(st)
-	n0 := int32(st.tabs[0].Len())
-	var stats ExecStats
-	ia0 := p.effAccess(&st.params, 0)
-	if ia0 != nil && ia0.keyed() && !p.keyedProbe(st, 0, ia0) {
-		ia0 = nil // a key set too large to probe: level 0 scans
-	}
-	var lo0 int32
-	if ia0 == nil && len(p.floors[0]) > 0 {
-		lo0 = p.scanStart(st, 0)
-	}
-	sharded := ia0 == nil && int(n0-lo0) >= ShardMinRows && runtime.GOMAXPROCS(0) > 1
-	if sharded {
-		p.release(st)
-		// The shard workers receive the parameters by value: capturing the
-		// pointer in the worker closures would force every caller's Params
-		// to escape to the heap, sharded or not.
-		var pv Params
-		if params != nil {
-			pv = *params
-		}
-		if err := p.runSharded(ctx, rs, ints, &stats, lo0, n0, pv); err != nil {
-			return nil, stats, err
-		}
-		if p.stmt.Distinct && rs != nil {
-			// Per-shard streaming dedup leaves only cross-shard
-			// duplicates; one global pass removes those.
-			rs.Rows = DedupRows(rs.Rows)
-		}
-	} else {
-		sink := p.newSink(st, rs, ints)
-		err := p.walk(st, sink, 0, 0, n0)
-		stats = st.stats
-		p.release(st)
-		if err != nil && err != errStopScan {
-			return nil, stats, err
-		}
-	}
-	if rs == nil {
-		return nil, stats, nil
-	}
-	if len(p.stmt.OrderBy) > 0 {
-		if err := orderResultRows(rs, p.stmt); err != nil {
-			return nil, stats, err
-		}
-	}
-	if p.stmt.Limit >= 0 && len(rs.Rows) > p.stmt.Limit {
-		rs.Rows = rs.Rows[:p.stmt.Limit]
+	err := p.walk(st, p.newSink(st, rs, ints), 0)
+	stats := st.stats
+	p.release(st)
+	if err != nil {
+		return nil, stats, err
 	}
 	return rs, stats, nil
 }
 
-// newSink sets up st's collector for one walk into rs or ints: streaming
-// DISTINCT when the statement asks for it, and early LIMIT exit when no
-// ORDER BY needs the full row set first.
+// newSink sets up st's collector for one walk into rs or ints, with
+// streaming DISTINCT when the statement asks for it.
 func (p *plan) newSink(st *execState, rs *ResultSet, ints IntSink) *rowSink {
 	sink := &st.sink
 	seen := sink.seen // an int DISTINCT set kept by the pooled state
-	*sink = rowSink{rs: rs, ints: ints, width: len(p.cols), limit: -1}
+	*sink = rowSink{rs: rs, ints: ints, width: len(p.cols)}
 	if p.stmt.Distinct {
 		if ints == nil {
 			sink.dedup = newDedupSet(rs)
@@ -243,132 +161,7 @@ func (p *plan) newSink(st *execState, rs *ResultSet, ints IntSink) *rowSink {
 			sink.seen = make(map[[5]int64]struct{})
 		}
 	}
-	if p.stmt.Limit >= 0 && len(p.stmt.OrderBy) == 0 {
-		sink.limit = p.stmt.Limit
-	}
 	return sink
-}
-
-// runSharded splits the level-0 scan range [lo0, n0) — already narrowed
-// by any active scan floor — into contiguous chunks, walks each on its
-// own worker with private state and sink, and concatenates the per-shard
-// rows in shard order (identical row order to the serial scan) into rs,
-// or hands them to ints.
-func (p *plan) runSharded(ctx context.Context, rs *ResultSet, ints IntSink, stats *ExecStats, lo0, n0 int32, params Params) error {
-	span := n0 - lo0
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	minChunk := ShardMinRows / 4
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	if max := int(span) / minChunk; workers > max {
-		workers = max
-	}
-	chunk := (span + int32(workers) - 1) / int32(workers)
-
-	type shard struct {
-		rs    ResultSet
-		ints  intRows
-		stats ExecStats
-		err   error
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := lo0 + int32(w)*chunk
-		hi := lo + chunk
-		if hi > n0 {
-			hi = n0
-		}
-		wg.Add(1)
-		go func(sh *shard, lo, hi int32) {
-			defer wg.Done()
-			// A panic here would kill the process (goroutine panics are
-			// unrecoverable by the caller), so convert it to an error the
-			// engine's query boundary can type.
-			defer func() {
-				if r := recover(); r != nil {
-					sh.err = &PanicError{Value: r, Stack: debug.Stack()}
-				}
-			}()
-			st := p.state()
-			st.bindCtx(ctx)
-			st.params = params
-			p.bindTabs(st)
-			st.keyed[0].mode = keyedScan // run resolved level 0 to its scan
-			var sink *rowSink
-			if ints != nil {
-				sink = p.newSink(st, nil, &sh.ints)
-			} else {
-				sink = p.newSink(st, &sh.rs, nil)
-			}
-			err := p.walk(st, sink, 0, lo, hi)
-			sh.stats = st.stats
-			p.release(st)
-			if err != nil && err != errStopScan {
-				sh.err = err
-			}
-		}(&shards[w], lo, hi)
-	}
-	wg.Wait()
-
-	total := 0
-	for i := range shards {
-		if err := shards[i].err; err != nil {
-			return err // lowest shard's error, for determinism
-		}
-		total += len(shards[i].rs.Rows)
-	}
-	for i := range shards {
-		stats.RowsScanned += shards[i].stats.RowsScanned
-		stats.IndexLookups += shards[i].stats.IndexLookups
-		stats.HashJoinBuilds += shards[i].stats.HashJoinBuilds
-	}
-	if ints != nil {
-		// Per-shard streaming dedup leaves only cross-shard duplicates,
-		// and each shard stopped at LIMIT on its own; the merge settles
-		// both.
-		var seen map[[5]int64]struct{}
-		if p.stmt.Distinct {
-			seen = make(map[[5]int64]struct{})
-		}
-		n, w := 0, len(p.intProj)
-		for i := range shards {
-			for j := range shards[i].ints {
-				r := &shards[i].ints[j]
-				if seen != nil {
-					if _, dup := seen[*r]; dup {
-						continue
-					}
-					seen[*r] = struct{}{}
-				}
-				if p.stmt.Limit >= 0 && n >= p.stmt.Limit {
-					return nil
-				}
-				ints.Row(r[:w])
-				n++
-			}
-		}
-		return nil
-	}
-	rs.Rows = make([][]Value, 0, total)
-	for i := range shards {
-		rs.Rows = append(rs.Rows, shards[i].rs.Rows...)
-	}
-	return nil
-}
-
-// intRows is a sharded worker's int sink: it keeps its shard's tuples
-// until the merge hands them on in shard order.
-type intRows [][5]int64
-
-func (r *intRows) Row(row []int64) {
-	var t [5]int64
-	copy(t[:], row)
-	*r = append(*r, t)
 }
 
 // effAccess resolves the level's access path for this execution: an
@@ -383,10 +176,9 @@ func (p *plan) effAccess(params *Params, lvl int) *indexAccess {
 	return ia
 }
 
-// walk processes nested-loop level lvl. lo and hi bound the scan range
-// (used by the shard workers at level 0; full range everywhere else); they
-// are ignored when the level probes an index.
-func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
+// walk processes nested-loop level lvl: an index probe's positions, or
+// its scan from the level's scan floor on.
+func (p *plan) walk(st *execState, sink *rowSink, lvl int) error {
 	if lvl == len(p.tables) {
 		return sink.emit(p, st)
 	}
@@ -425,11 +217,11 @@ func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 			return err
 		}
 	}
+	var lo int32
 	if len(p.floors[lvl]) > 0 {
-		if s := p.scanStart(st, lvl); s > lo {
-			lo = s
-		}
+		lo = p.scanStart(st, lvl)
 	}
+	hi := int32(tbl.Len())
 	bs := int32(BatchSize)
 	for b := lo; b < hi; b += bs {
 		// One cancellation poll per batch: off the per-row path, and the
@@ -454,11 +246,12 @@ func (p *plan) walk(st *execState, sink *rowSink, lvl int, lo, hi int32) error {
 
 // keyedScanShare bounds a key-set probe: when the selected keys hold
 // more than 1/keyedScanShare of the level's scan range (the rows from
-// its scan floor on), the level runs its scan instead, which at level 0
-// is sharded and reads its columns in order. On 32 data_leak instances
-// (204 k entities, 2 vCPUs), "pid < 0 AND exename LIKE p" broke even
-// with the sharded scan near half the table and took 0.4× the scan's
-// time at 18 %; a quarter keeps the probe well inside its winning range.
+// its scan floor on), the level runs its scan instead, which reads its
+// columns in order. On 32 data_leak instances (204 k entities, 2 vCPUs),
+// "pid < 0 AND exename LIKE p" broke even with a level-0 scan split
+// across both CPUs near half the table and took 0.4× that scan's time at
+// 18 %; against the serial scan the probe wins over a wider range still,
+// and a quarter keeps it well inside.
 const keyedScanShare = 4
 
 // Resolution states of a key-set access (keyedLevel.mode).
@@ -589,7 +382,7 @@ func (p *plan) scanRange(st *execState, sink *rowSink, lvl int, lo, hi int32) er
 	if len(preds) == 0 {
 		for r := lo; r < hi; r++ {
 			st.rows[lvl] = r
-			if err := p.walk(st, sink, lvl+1, 0, int32(p.nextLen(st, lvl))); err != nil {
+			if err := p.walk(st, sink, lvl+1); err != nil {
 				return err
 			}
 		}
@@ -651,75 +444,11 @@ func (p *plan) descend(st *execState, sink *rowSink, lvl int, sel []int32) error
 		st.pendErr = nil
 		return err
 	}
-	next := int32(p.nextLen(st, lvl))
 	for _, r := range sel {
 		st.rows[lvl] = r
-		if err := p.walk(st, sink, lvl+1, 0, next); err != nil {
+		if err := p.walk(st, sink, lvl+1); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// nextLen returns the scan length of level lvl+1 (0 past the last level),
-// read through the execution's bound tables so a snapshot-pinned run never
-// scans rows appended after its snapshot.
-func (p *plan) nextLen(st *execState, lvl int) int {
-	if lvl+1 >= len(p.tables) {
-		return 0
-	}
-	return st.tabs[lvl+1].Len()
-}
-
-func orderResultRows(rs *ResultSet, stmt *SelectStmt) error {
-	// ORDER BY keys must be projected columns (by name) or positions.
-	keyIdx := make([]int, len(stmt.OrderBy))
-	for i, item := range stmt.OrderBy {
-		c, ok := item.Expr.(ColRef)
-		if !ok {
-			if l, ok := item.Expr.(Lit); ok && l.V.K == KindInt {
-				pos := int(l.V.I) - 1
-				if pos < 0 || pos >= len(rs.Columns) {
-					return fmt.Errorf("sql: ORDER BY position %d out of range", l.V.I)
-				}
-				keyIdx[i] = pos
-				continue
-			}
-			return fmt.Errorf("sql: ORDER BY supports column names and positions")
-		}
-		name := c.Column
-		if c.Qualifier != "" {
-			name = c.Qualifier + "." + c.Column
-		}
-		found := -1
-		for j, label := range rs.Columns {
-			if strings.EqualFold(label, name) || strings.EqualFold(label, c.Column) ||
-				(c.Qualifier == "" && strings.HasSuffix(strings.ToLower(label), "."+strings.ToLower(c.Column))) {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("sql: ORDER BY column %q not in projection", name)
-		}
-		keyIdx[i] = found
-	}
-	var sortErr error
-	sort.SliceStable(rs.Rows, func(a, bIdx int) bool {
-		for k, pos := range keyIdx {
-			cmp, err := rs.Rows[a][pos].Compare(rs.Rows[bIdx][pos])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if cmp != 0 {
-				if stmt.OrderBy[k].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return sortErr
 }

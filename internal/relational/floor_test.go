@@ -12,7 +12,6 @@ func floorStmt() *SelectStmt {
 		Select: []SelectItem{{Expr: ColRef{Qualifier: "i", Column: "id"}}},
 		From:   []TableRef{{Table: "items", Alias: "i"}},
 		Where:  BinOp{Op: ">=", L: ColRef{Qualifier: "i", Column: "id"}, R: Param{Slot: 1, Prune: true}},
-		Limit:  -1,
 	}
 }
 
@@ -92,7 +91,6 @@ func TestOptionalParamIDs(t *testing.T) {
 		Select: []SelectItem{{Expr: ColRef{Qualifier: "i", Column: "id"}}},
 		From:   []TableRef{{Table: "items", Alias: "i"}},
 		Where:  ParamIDs{E: ColRef{Qualifier: "i", Column: "id"}, Slot: 0, Optional: true},
-		Limit:  -1,
 	}
 	pr, err := db.Prepare(stmt)
 	if err != nil {
@@ -130,7 +128,6 @@ func TestPrunedParamFloor(t *testing.T) {
 		Select: []SelectItem{{Expr: ColRef{Qualifier: "i", Column: "id"}}},
 		From:   []TableRef{{Table: "items", Alias: "i"}},
 		Where:  BinOp{Op: ">=", L: ColRef{Qualifier: "i", Column: "v"}, R: Param{Slot: 1, Prune: true}},
-		Limit:  -1,
 	}
 	pr, err := db.Prepare(stmt)
 	if err != nil {

@@ -156,7 +156,6 @@ func TestHashJoinDeltaFloorSuppression(t *testing.T) {
 			L: BinOp{Op: "=", L: ColRef{Qualifier: "r", Column: "key"}, R: ColRef{Qualifier: "d", Column: "key"}},
 			R: BinOp{Op: ">=", L: ColRef{Qualifier: "r", Column: "id"}, R: Param{Slot: 1}},
 		},
-		Limit: -1,
 	}
 	prep, err := db.Prepare(stmt)
 	if err != nil {

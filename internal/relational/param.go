@@ -45,13 +45,13 @@ func (pr *Prepared) QueryCtx(ctx context.Context, params *Params) (*ResultSet, E
 }
 
 // QueryInts is QueryCtx for a statement whose projection is at most five
-// integer columns and which has no ORDER BY: instead of building a
-// ResultSet it hands each result row to sink as an int tuple read
-// straight from the int column storage, in QueryCtx's row order. A NULL
-// cell reads as 0, and DISTINCT compares the tuples.
+// integer columns: instead of building a ResultSet it hands each result
+// row to sink as an int tuple read straight from the int column storage,
+// in QueryCtx's row order. A NULL cell reads as 0, and DISTINCT compares
+// the tuples.
 func (pr *Prepared) QueryInts(ctx context.Context, params *Params, sink IntSink) (ExecStats, error) {
-	if pr.p.intProj == nil || len(pr.p.stmt.OrderBy) > 0 {
-		return ExecStats{}, fmt.Errorf("relational: QueryInts needs a projection of at most five integer columns and no ORDER BY")
+	if pr.p.intProj == nil {
+		return ExecStats{}, fmt.Errorf("relational: QueryInts needs a projection of at most five integer columns")
 	}
 	_, stats, err := pr.p.run(ctx, params, sink)
 	return stats, err
@@ -61,15 +61,11 @@ func (pr *Prepared) QueryInts(ctx context.Context, params *Params, sink IntSink)
 // nested-loop level with its access path and filter counts.
 func (pr *Prepared) Describe() string {
 	p := pr.p
-	refs := append([]TableRef(nil), p.stmt.From...)
-	for _, j := range p.stmt.Joins {
-		refs = append(refs, j.Ref)
-	}
 	var sb strings.Builder
 	for lvl, tbl := range p.tables {
 		alias := tbl.Name
-		if lvl < len(refs) && refs[lvl].Alias != "" {
-			alias = refs[lvl].Alias
+		if a := p.stmt.From[lvl].Alias; a != "" {
+			alias = a
 		}
 		access := describeAccess(tbl, p.access[lvl])
 		if ia := p.access[lvl]; ia != nil && ia.optional {

@@ -42,7 +42,6 @@ func paramStmt() *SelectStmt {
 			L: ParamIDs{E: ColRef{Qualifier: "i", Column: "id"}, Slot: 0},
 			R: BinOp{Op: ">=", L: ColRef{Qualifier: "i", Column: "v"}, R: Param{Slot: 1}},
 		},
-		Limit: -1,
 	}
 }
 

@@ -19,10 +19,7 @@ func ParseCalls() uint64 { return parseCalls.Load() }
 //
 //	SELECT [DISTINCT] item, ... | *
 //	FROM table [alias] (, table [alias])*
-//	     (JOIN table [alias] ON expr)*
 //	[WHERE expr]
-//	[ORDER BY expr [ASC|DESC], ...]
-//	[LIMIT n]
 //
 // Expressions support =, <>, !=, <, <=, >, >=, LIKE, NOT LIKE, IN, NOT IN,
 // AND, OR, NOT, parentheses, integer and 'string' literals, and
@@ -64,11 +61,6 @@ func (p *sqlParser) kw(word string) bool {
 	return false
 }
 
-func (p *sqlParser) peekKw(word string) bool {
-	t := p.cur()
-	return t.kind == tokIdent && strings.EqualFold(t.text, word)
-}
-
 func (p *sqlParser) expectKw(word string) error {
 	if !p.kw(word) {
 		return fmt.Errorf("sql: expected %s, found %q at %d", strings.ToUpper(word), p.cur().text, p.cur().pos)
@@ -101,18 +93,21 @@ func (p *sqlParser) ident() (string, error) {
 	return t.text, nil
 }
 
+// sqlReserved are the words no alias or column may be: the subset's
+// keywords, and JOIN, ORDER and LIMIT, which it does not read, so that a
+// statement using them fails naming the clause instead of binding it as
+// an alias.
 var sqlReserved = map[string]bool{
-	"select": true, "from": true, "where": true, "join": true, "on": true,
-	"order": true, "by": true, "limit": true, "distinct": true, "and": true,
-	"or": true, "not": true, "like": true, "in": true, "as": true,
-	"asc": true, "desc": true,
+	"select": true, "from": true, "where": true, "distinct": true,
+	"and": true, "or": true, "not": true, "like": true, "in": true,
+	"as": true, "join": true, "order": true, "limit": true,
 }
 
 func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKw("select"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{Limit: -1}
+	stmt := &SelectStmt{}
 	stmt.Distinct = p.kw("distinct")
 
 	// Projection list.
@@ -152,61 +147,12 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 			break
 		}
 	}
-	for p.kw("join") {
-		ref, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("on"); err != nil {
-			return nil, err
-		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Joins = append(stmt.Joins, Join{Ref: ref, On: on})
-	}
-
 	if p.kw("where") {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		stmt.Where = e
-	}
-	if p.peekKw("order") {
-		p.advance()
-		if err := p.expectKw("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.kw("desc") {
-				item.Desc = true
-			} else {
-				p.kw("asc")
-			}
-			stmt.OrderBy = append(stmt.OrderBy, item)
-			if !p.sym(",") {
-				break
-			}
-		}
-	}
-	if p.kw("limit") {
-		t := p.cur()
-		if t.kind != tokNumber {
-			return nil, fmt.Errorf("sql: LIMIT expects a number, found %q", t.text)
-		}
-		n, err := strconv.Atoi(t.text)
-		if err != nil {
-			return nil, err
-		}
-		p.advance()
-		stmt.Limit = n
 	}
 	return stmt, nil
 }

@@ -329,11 +329,6 @@ func newBinding(db *DB, stmt *SelectStmt) (*binding, error) {
 			return nil, err
 		}
 	}
-	for _, j := range stmt.Joins {
-		if err := add(j.Ref); err != nil {
-			return nil, err
-		}
-	}
 	if len(b.tables) == 0 {
 		return nil, fmt.Errorf("sql: empty FROM clause")
 	}
@@ -418,13 +413,9 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 		return nil, err
 	}
 
-	// Gather all filter conjuncts: WHERE plus every JOIN ... ON.
 	var conjuncts []Expr
 	if stmt.Where != nil {
 		conjuncts = flattenAnd(stmt.Where, conjuncts)
-	}
-	for _, j := range stmt.Joins {
-		conjuncts = flattenAnd(j.On, conjuncts)
 	}
 
 	// Attach each conjunct to the deepest table it references so it is

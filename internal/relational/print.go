@@ -37,29 +37,9 @@ func (s *SelectStmt) String() string {
 		}
 		writeTableRef(&sb, ref)
 	}
-	for _, j := range s.Joins {
-		sb.WriteString(" JOIN ")
-		writeTableRef(&sb, j.Ref)
-		sb.WriteString(" ON ")
-		writeExpr(&sb, j.On, 0)
-	}
 	if s.Where != nil {
 		sb.WriteString(" WHERE ")
 		writeExpr(&sb, s.Where, 0)
-	}
-	for i, o := range s.OrderBy {
-		if i == 0 {
-			sb.WriteString(" ORDER BY ")
-		} else {
-			sb.WriteString(", ")
-		}
-		writeExpr(&sb, o.Expr, 0)
-		if o.Desc {
-			sb.WriteString(" DESC")
-		}
-	}
-	if s.Limit >= 0 {
-		sb.WriteString(" LIMIT " + strconv.Itoa(s.Limit))
 	}
 	return sb.String()
 }

@@ -1,6 +1,6 @@
 // Package relational is an in-process relational database engine: typed
 // tables, hash indexes, and a SQL-subset query processor (SELECT with
-// joins, WHERE filters including LIKE and IN, ORDER BY, LIMIT, DISTINCT).
+// comma-separated joins, WHERE filters including LIKE and IN, DISTINCT).
 //
 // It is the PostgreSQL stand-in for ThreatRaptor's relational storage
 // backend (Section III-B): system entities and system events are stored in
