@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/audit"
@@ -91,13 +92,17 @@ func BenchmarkStoreLoadEngine(b *testing.B) {
 // pattern's single runtime-pruned physical plan from a cold engine; "hit"
 // measures the steady-state cost of reaching the compiled plans through
 // the caches (what every execution pays before running a single data
-// query). One plan now serves every extras shape the scheduler produces,
-// so cold compile work no longer scales with the shapes a workload
-// touches (previously up to eight lazily-compiled variants per pattern).
+// query); "variant" reaches them for a query the cache has not seen
+// whose shape it has: each op plans a literal variant of the query (its
+// first pattern's file filter changed), cycling through twice as many
+// variants, analyzed before the timer, as the query cache holds, so
+// every op builds a query plan onto the cached shape plan. One plan now
+// serves every extras shape the scheduler produces and every literal
+// vector of a shape, so cold compile work scales with neither.
 func BenchmarkCompile(b *testing.B) {
 	store := benchStore(b, 1.0)
 	a := benchAnalyzed(b)
-	compileAll := func(en *Engine) {
+	compileAll := func(en *Engine, a *tbql.Analyzed) {
 		plan := en.planFor(a, en.Store.Snapshot(), false)
 		for i := range plan.pats {
 			if plan.pats[i].meta.UsesGraph {
@@ -111,16 +116,32 @@ func BenchmarkCompile(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			compileAll(&Engine{Store: store})
+			compileAll(&Engine{Store: store}, a)
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
 		en := &Engine{Store: store}
-		compileAll(en)
+		compileAll(en, a)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			compileAll(en)
+			compileAll(en, a)
+		}
+	})
+	b.Run("variant", func(b *testing.B) {
+		variants := make([]*tbql.Analyzed, 2*maxCachedQueryPlans)
+		for i := range variants {
+			variants[i] = parse(b, strings.Replace(dataLeakTBQL, "%/etc/passwd%", fmt.Sprintf("%%/etc/passwd%d%%", i), 1))
+			if variants[i].Shape != a.Shape {
+				b.Fatal("a literal variant changed the query's shape")
+			}
+		}
+		en := &Engine{Store: store}
+		compileAll(en, a)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			compileAll(en, variants[i%len(variants)])
 		}
 	})
 }

@@ -45,7 +45,7 @@ func parse(t testing.TB, src string) *tbql.Analyzed {
 func patternSQL(t *testing.T, store *Store, a *tbql.Analyzed) string {
 	t.Helper()
 	ir := tbql.Lower(a)[0]
-	return literalSQL(lowerEventStmt(store.Snapshot().bounds(), ir.Event), PatternQuery{})
+	return literalSQL(lowerEventStmt(store.Snapshot().bounds(), ir.Event), PatternQuery{}, a.Lits)
 }
 
 func TestCompilePatternSQLParsesAndRuns(t *testing.T) {

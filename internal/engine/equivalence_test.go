@@ -152,7 +152,7 @@ func unfilteredReference(t *testing.T, store *Store, a *tbql.Analyzed) *Result {
 		if !pp.meta.UsesGraph {
 			return en.runPattern(ctx, a, plan, snap, q, nil)
 		}
-		params := &graphdb.ExecParams{View: &snap.Graph}
+		params := &graphdb.ExecParams{View: &snap.Graph, Vals: a.Lits}
 		if q.Subj != nil {
 			params.Nodes = append(params.Nodes, graphdb.NodeBinding{Var: "s", IDs: q.Subj})
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unique"
 
 	"threatraptor/internal/faultinject"
 	"threatraptor/internal/graphdb"
@@ -66,11 +67,15 @@ type Engine struct {
 	// correct, just not O(delta).
 	ViewHighWater int
 
-	// planMu guards the compiled-query cache (see plan.go): plans by
-	// analyzed query, and Hunt's source-text index into them.
-	planMu sync.Mutex
-	plans  map[*tbql.Analyzed]*queryPlan
-	texts  map[string]*tbql.Analyzed
+	// planMu guards the compiled-query caches (see plan.go): plans by
+	// analyzed query with Hunt's source-text index into them, and the
+	// shape plans they share, each with its eviction clock.
+	planMu     sync.Mutex
+	plans      map[*tbql.Analyzed]*queryPlan
+	texts      map[string]*tbql.Analyzed
+	planClock  clock[*queryPlan]
+	shapes     map[unique.Handle[string]]*shapePlan
+	shapeClock clock[*shapePlan]
 
 	// Materialized-view accounting and counters (see view.go).
 	viewRows             atomic.Int64
@@ -132,7 +137,8 @@ type RowSource func(ctx context.Context, q PatternQuery) (PatternRows, Stats, er
 // writer-synchronized paths only). Both backends consume the pattern's
 // compiled plan directly; binding sets and the delta floor bind as
 // parameter values, so no query text is assembled and no parser runs.
-// The backends hand their rows to a rowSink as int tuples, which appends
+// The query's literal vector binds as the plan's value slots. The
+// backends hand their rows to a rowSink as int tuples, which appends
 // them to the pattern's pooled buffer buf — or, with buf nil, to a slice
 // of the caller's own (a view or a scatter merge keeps the rows).
 func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, q PatternQuery, buf *patternBuf) (PatternRows, Stats, error) {
@@ -156,7 +162,7 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 		if !pr.HasEvent {
 			sink.at = 1 // a variable-length path returns (subject, object)
 		}
-		params, none, err := en.graphParams(ctx, pp, snap, q, &buf.ids, &st)
+		params, none, err := en.graphParams(ctx, a, pp, snap, q, &buf.ids, &st)
 		if err == nil && !none {
 			st.Graph, err = en.Store.Graph.QueryInts(ctx, pp.gp, params, sink)
 		}
@@ -167,7 +173,7 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 		st.DataQueries, st.PatternRows = 1, len(pr.Rows)
 		return pr, st, nil
 	}
-	prep, params, err := en.relQuery(pp, plan, snap, q)
+	prep, params, err := en.relQuery(a, pp, plan, snap, q)
 	if err != nil {
 		return pr, Stats{}, fmt.Errorf("engine: pattern %s: %w", p.ID, err)
 	}
@@ -180,10 +186,11 @@ func (en *Engine) runPattern(ctx context.Context, a *tbql.Analyzed, plan *queryP
 }
 
 // graphParams binds a graph pattern's data query q as execution
-// parameters: the binding sets, the delta floor and the snapshot. none
-// reports that the anchor prefilter (run here into ids, its cost counted
-// in st) accepted no subject, so the pattern matches nothing.
-func (en *Engine) graphParams(ctx context.Context, pp *patternPlan, snap *Snapshot, q PatternQuery, ids *idSink, st *Stats) (params *graphdb.ExecParams, none bool, err error) {
+// parameters: the binding sets, the delta floor, a's literal vector and
+// the snapshot. none reports that the anchor prefilter (run here into
+// ids, its cost counted in st) accepted no subject, so the pattern
+// matches nothing.
+func (en *Engine) graphParams(ctx context.Context, a *tbql.Analyzed, pp *patternPlan, snap *Snapshot, q PatternQuery, ids *idSink, st *Stats) (params *graphdb.ExecParams, none bool, err error) {
 	subj := q.Subj
 	if subj == nil && pp.ir.Path.SubjPred != nil && (q.Delta == 0 || pp.meta.VarLen) {
 		// Graph anchor access path: a predicated subject with no binding
@@ -195,14 +202,14 @@ func (en *Engine) graphParams(ctx context.Context, pp *patternPlan, snap *Snapsh
 		// was an entities scan, the hunt pool measured it as a net loss. A
 		// floored single hop is driven from the new edges instead of from
 		// anchors.)
-		if subj, err = en.anchorIDs(ctx, pp, snap, st, ids); err != nil || len(subj) == 0 {
+		if subj, err = en.anchorIDs(ctx, a, pp, snap, st, ids); err != nil || len(subj) == 0 {
 			return nil, err == nil, err
 		}
 	}
-	if len(subj) == 0 && len(q.Obj) == 0 && q.Delta == 0 && snap == nil {
+	if len(subj) == 0 && len(q.Obj) == 0 && q.Delta == 0 && snap == nil && len(a.Lits) == 0 {
 		return nil, false, nil
 	}
-	var gp graphdb.ExecParams
+	gp := graphdb.ExecParams{Vals: a.Lits}
 	var nb [2]graphdb.NodeBinding
 	n := 0
 	if len(subj) > 0 {
@@ -230,10 +237,10 @@ func (en *Engine) graphParams(ctx context.Context, pp *patternPlan, snap *Snapsh
 }
 
 // relQuery returns an event pattern's compiled statement for data query
-// q and q's parameter values: the binding sets, the delta floor and the
-// snapshot.
-func (en *Engine) relQuery(pp *patternPlan, plan *queryPlan, snap *Snapshot, q PatternQuery) (*relational.Prepared, relational.Params, error) {
-	var params relational.Params
+// q and q's parameter values: the binding sets, the delta floor, a's
+// literal vector and the snapshot.
+func (en *Engine) relQuery(a *tbql.Analyzed, pp *patternPlan, plan *queryPlan, snap *Snapshot, q PatternQuery) (*relational.Prepared, relational.Params, error) {
+	params := relational.Params{Vals: a.Lits}
 	var prep *relational.Prepared
 	var err error
 	if q.Delta > 0 {
@@ -284,12 +291,12 @@ func (s *idSink) Row(row []int64) { *s = append(*s, row[0]) }
 // lowerEntityFilter) on the pinned snapshot and returns the sorted unique
 // IDs it accepts, collected in ids; its index probe or scan is counted in
 // st.Rel.
-func (en *Engine) anchorIDs(ctx context.Context, pp *patternPlan, snap *Snapshot, st *Stats, ids *idSink) ([]int64, error) {
+func (en *Engine) anchorIDs(ctx context.Context, a *tbql.Analyzed, pp *patternPlan, snap *Snapshot, st *Stats, ids *idSink) ([]int64, error) {
 	prep, err := pp.anchorFilter(en.Store)
 	if err != nil {
 		return nil, err
 	}
-	var params relational.Params
+	params := relational.Params{Vals: a.Lits}
 	if snap != nil {
 		params.Snap = &snap.Rel
 	}
@@ -414,7 +421,7 @@ func (en *Engine) run(ctx context.Context, a *tbql.Analyzed, plan *queryPlan, sn
 	sc.resetSets(jp.nslots)
 	for i, idx := range order {
 		p := a.Query.Patterns[idx]
-		q := PatternQuery{Idx: idx, Meta: &plan.pats[idx].meta}
+		q := PatternQuery{Idx: idx, Meta: plan.meta(idx)}
 		if !en.DisableScheduling {
 			q.Subj, q.Obj = bindingSpec(jp, idx, sc.sets)
 		}
@@ -477,12 +484,13 @@ func (en *Engine) ExecuteDeltaSource(ctx context.Context, a *tbql.Analyzed, snap
 	sc := en.acquireScratch(len(plan.pats))
 	defer en.releaseScratch(sc)
 	if src == nil {
-		plan.viewMu.Lock()
-		defer plan.viewMu.Unlock()
-		if err := en.ensureViews(ctx, a, snap, plan, &stats); err != nil {
+		qs := plan.state()
+		qs.viewMu.Lock()
+		defer qs.viewMu.Unlock()
+		if err := en.ensureViews(ctx, a, snap, plan, qs, &stats); err != nil {
 			return nil, stats, err
 		}
-		src = en.viewSource(a, plan, snap, sc)
+		src = en.viewSource(a, plan, qs, snap, sc)
 	}
 	res, st, err := en.deltaRule(ctx, a, plan, snap, src, sc, minEventID)
 	stats.Add(st)

@@ -37,7 +37,9 @@ func CompileMonolithicCypher(s *Store, a *tbql.Analyzed) (string, error) {
 // hunt of the same text shares the plan and Explain shows exactly what
 // that hunt runs — and prints it: each pattern's logical-plan IR and
 // compiled backend plan, the scheduled order, and the monolithic RQ4
-// baselines. It pins the latest published snapshot, so it is safe to call
+// baselines. The IR and the compiled plans are the shape's; each value
+// slot prints with the query's value bound to it ("?v0 ['%/tmp/x%']").
+// It pins the latest published snapshot, so it is safe to call
 // concurrently with live ingestion.
 func (en *Engine) Explain(src string) (string, error) {
 	a, err := en.Compile(src)
@@ -49,15 +51,15 @@ func (en *Engine) Explain(src string) (string, error) {
 	sb.WriteString("--- per-pattern logical plans (IR) and physical plans ---\n")
 	for i := range plan.pats {
 		pp := &plan.pats[i]
-		sb.WriteString(pp.ir.String() + "\n")
+		sb.WriteString(pp.ir.BoundString(a.Lits) + "\n")
 		if pp.meta.UsesGraph {
-			sb.WriteString("physical: graph traversal plan\n  " + pp.gq.String() + "\n")
+			sb.WriteString("physical: graph traversal plan\n  " + pp.gq.BoundString(a.Lits) + "\n")
 			if pp.ir.Path.SubjPred != nil {
 				pr, err := pp.anchorFilter(en.Store)
 				if err != nil {
 					return "", err
 				}
-				sb.WriteString("  anchors of an unbound s: " + pr.String() + "\n")
+				sb.WriteString("  anchors of an unbound s: " + pr.BoundString(a.Lits) + "\n")
 				writeDescribe(&sb, pr)
 			}
 			continue
@@ -66,7 +68,7 @@ func (en *Engine) Explain(src string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		sb.WriteString("physical: relational plan (runtime-pruned parameters)\n  " + pr.String() + "\n")
+		sb.WriteString("physical: relational plan (runtime-pruned parameters)\n  " + pr.BoundString(a.Lits) + "\n")
 		writeDescribe(&sb, pr)
 	}
 	sb.WriteString("--- scheduled order ---\n")

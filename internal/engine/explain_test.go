@@ -76,7 +76,9 @@ func TestAttrExprsVectorize(t *testing.T) {
 // TestExplainNamesLikeAccess pins how EXPLAIN prints the index LIKE
 // access: as the runtime fallback of an event pattern's optional
 // subject-ID probe, and alone on a path pattern's anchor prefilter, for
-// the first two steps of the data_leak case query.
+// the first two steps of the data_leak case query. The plans are the
+// shape's, so each value slot prints with the query's value bound to it,
+// while the monolithic baselines inline the literals.
 func TestExplainNamesLikeAccess(t *testing.T) {
 	en := &Engine{Store: tinyStore(t)}
 	out, err := en.Explain(`proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as evt1
@@ -89,6 +91,11 @@ return distinct p1, f1, f2`)
 	for _, line := range []string{
 		"  L0 entities s: index multi-probe on id from param list 0 (optional; unbound -> index LIKE on exename (per distinct key)); 3 vectorized + 0 row filters\n",
 		"  L0 entities n: index LIKE on exename (per distinct key); 2 vectorized + 0 row filters\n",
+		"  s: kind = proc ∧ exename LIKE ?v0 ['%/bin/tar%']\n",
+		" AND s.exename LIKE ?v0 ['%/bin/tar%'] AND o.name LIKE ?v1 ['%/etc/passwd%'] AND ",
+		"WHERE s.exename LIKE ?v0 ['%/bin/tar%'] AND o.name LIKE ?v2 ['%/tmp/upload.tar%'] RETURN",
+		"  anchors of an unbound s: SELECT n.id FROM entities n WHERE n.kind = 'proc' AND n.exename LIKE ?v0 ['%/bin/tar%']\n",
+		" AND p1.exename LIKE '%/bin/tar%' AND f1.kind = 'file' AND f1.name LIKE '%/etc/passwd%' AND ",
 	} {
 		if !strings.Contains(out, line) {
 			t.Fatalf("missing %q in\n%s", line, out)

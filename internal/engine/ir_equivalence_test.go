@@ -30,13 +30,34 @@ func caseAnalyzed(t *testing.T, c *cases.Case) *tbql.Analyzed {
 	return a
 }
 
+// inlineVals returns e with every value slot replaced by the literal
+// bound to it in vals.
+func inlineVals(e relational.Expr, vals []relational.Value) relational.Expr {
+	switch v := e.(type) {
+	case relational.ValParam:
+		return relational.Lit{V: vals[v.Slot]}
+	case relational.BinOp:
+		return relational.BinOp{Op: v.Op, L: inlineVals(v.L, vals), R: inlineVals(v.R, vals)}
+	case relational.UnOp:
+		return relational.UnOp{Op: v.Op, E: inlineVals(v.E, vals)}
+	case relational.InList:
+		out := make([]relational.Expr, len(v.Vals))
+		for i, x := range v.Vals {
+			out[i] = inlineVals(x, vals)
+		}
+		return relational.InList{E: v.E, Vals: out, Negate: v.Negate}
+	}
+	return e
+}
+
 // literalSQL prints a pattern's lowered statement with one data query's
 // parameters written as literal conjuncts: the binding sets as
-// "s.id IN (…)" / "o.id IN (…)" and the delta floor as "e.id >= N";
-// unbound optional parameters drop out, as they prune at execution.
-func literalSQL(stmt *relational.SelectStmt, sp PatternQuery) string {
+// "s.id IN (…)" / "o.id IN (…)", the delta floor as "e.id >= N" and
+// each value slot as its value in vals; unbound optional parameters drop
+// out, as they prune at execution.
+func literalSQL(stmt *relational.SelectStmt, sp PatternQuery, vals []relational.Value) string {
 	var conds []relational.Expr
-	for _, c := range flattenAnd(stmt.Where) {
+	for _, c := range flattenAnd(inlineVals(stmt.Where, vals)) {
 		switch v := c.(type) {
 		case relational.ParamIDs:
 			ids := sp.Subj
@@ -64,8 +85,8 @@ func literalSQL(stmt *relational.SelectStmt, sp PatternQuery) string {
 
 // literalCypher prints a path pattern's traversal with the same literal
 // conjuncts appended to its WHERE.
-func literalCypher(gq *graphdb.Query, sp PatternQuery) string {
-	conds := flattenAnd(gq.Where)
+func literalCypher(gq *graphdb.Query, sp PatternQuery, vals []relational.Value) string {
+	conds := flattenAnd(inlineVals(gq.Where, vals))
 	if len(sp.Subj) > 0 {
 		conds = append(conds, idList(colRef("s", "id"), sp.Subj))
 	}
@@ -100,12 +121,12 @@ func idList(e relational.Expr, ids []int64) relational.Expr {
 
 // literalPatternRows runs the printed literal reference of one data query
 // through the backends' parser-fed entry points.
-func literalPatternRows(t *testing.T, store *Store, plan *queryPlan, sp PatternQuery) [][5]int64 {
+func literalPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, plan *queryPlan, sp PatternQuery) [][5]int64 {
 	t.Helper()
 	pp := &plan.pats[sp.Idx]
 	var rows [][5]int64
 	if pp.meta.UsesGraph {
-		cy := literalCypher(pp.gq, sp)
+		cy := literalCypher(pp.gq, sp, a.Lits)
 		rs, err := store.Graph.Query(cy)
 		if err != nil {
 			t.Fatalf("literal Cypher: %v\n%s", err, cy)
@@ -124,7 +145,7 @@ func literalPatternRows(t *testing.T, store *Store, plan *queryPlan, sp PatternQ
 		}
 		return rows
 	}
-	sql := literalSQL(lowerEventStmt(plan.bounds, pp.ir.Event), sp)
+	sql := literalSQL(lowerEventStmt(plan.bounds, pp.ir.Event), sp, a.Lits)
 	rs, err := store.Rel.Query(sql)
 	if err != nil {
 		t.Fatalf("literal SQL: %v\n%s", err, sql)
@@ -217,7 +238,7 @@ func TestIRGoldenEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pattern %s spec %d: %v", p.ID, si, err)
 					}
-					want := literalPatternRows(t, store, plan, sp)
+					want := literalPatternRows(t, store, a, plan, sp)
 					g, w := sortedRows(got.Rows), sortedRows(want)
 					if len(g) != len(w) {
 						t.Fatalf("pattern %s spec %d: compiled %d rows, literal %d rows", p.ID, si, len(g), len(w))

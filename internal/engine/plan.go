@@ -3,6 +3,8 @@ package engine
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unique"
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/graphdb"
@@ -12,14 +14,16 @@ import (
 )
 
 // patternPlan is one pattern's compiled data query: its logical-plan IR
-// plus the lowered backend plans. Graph patterns lower eagerly to one
-// traversal plan (parameters bind per execution); event patterns lower
-// lazily to exactly two relational statements — the entity-anchored plan
-// whose optional parameter predicates (binding sets, delta floor) prune
-// themselves at execution, and the events-anchored catch-up plan delta
-// rounds use so the scan starts at the floor. Every execution reuses a
-// compiled physical plan and binds values — no text, no parsing, no
-// per-binding-set cache, no per-extras-shape variants.
+// plus the lowered backend plans, shared by every query of the shape it
+// was compiled for (value literals are slots the execution binds). Graph
+// patterns lower eagerly to one traversal plan (parameters bind per
+// execution); event patterns lower lazily to exactly two relational
+// statements — the entity-anchored plan whose optional parameter
+// predicates (binding sets, delta floor) prune themselves at execution,
+// and the events-anchored catch-up plan delta rounds use so the scan
+// starts at the floor. Every execution reuses a compiled physical plan
+// and binds values — no text, no parsing, no per-binding-set cache, no
+// per-extras-shape variants.
 type patternPlan struct {
 	ir *qir.DataQuery
 	gq *graphdb.Query
@@ -27,8 +31,11 @@ type patternPlan struct {
 	// meta is the pattern's routing shape: which backend it lowers to, and
 	// what a scatter coordinator prunes shards with. View catch-up skips
 	// its data query entirely when a delta's batch op bitmap doesn't
-	// intersect meta.OpMask.
-	meta PatternMeta
+	// intersect meta.OpMask. A host it pins through a value slot is the
+	// query's (see queryPlan.metas): subjHost and objHost are those slots
+	// (-1 for none).
+	meta              PatternMeta
+	subjHost, objHost int
 
 	mu       sync.Mutex
 	rel      stmtCache // entity-anchored, runtime-pruned params
@@ -36,11 +43,6 @@ type patternPlan struct {
 	// anchor is a graph pattern's subject prefilter over the entities
 	// table, compiled on first use.
 	anchor stmtCache
-
-	// view is the pattern's materialized match cache (standing queries;
-	// nil until ExecuteDelta first materializes it). Guarded by the owning
-	// queryPlan's viewMu.
-	view *matView
 }
 
 // patternOpMask folds a pattern's admissible operations into an op-code
@@ -131,16 +133,17 @@ func (pp *patternPlan) anchorFilter(s *Store) (*relational.Prepared, error) {
 	})
 }
 
-// queryPlan is one entry of the engine's compiled-query cache: everything
-// about an analyzed TBQL query that does not change between executions —
-// the pruning-score order, the per-pattern IR and routing metadata, and
-// the lowered backend plans.
-type queryPlan struct {
-	// src is the TBQL text Compile cached the query under ("" for a query
-	// the caller analyzed itself); pinned marks a standing query's plan,
-	// which overflow never evicts. Both are guarded by Engine.planMu.
-	src    string
-	pinned bool
+// shapePlan is one entry of the engine's shape cache: everything about
+// the analyzed queries of one shape (tbql.Analyzed.Shape, the query with
+// its value literals erased) that does not change between executions or
+// between their literal vectors — the pruning-score order, the
+// per-pattern IR and routing metadata, the lowered backend plans, the
+// join program and the projected columns.
+type shapePlan struct {
+	// key is the shape. The clock reference bit is set when a query finds
+	// the shape cached.
+	key unique.Handle[string]
+	clockRef
 
 	order []int
 	irs   []*qir.DataQuery
@@ -148,6 +151,8 @@ type queryPlan struct {
 	// cols caches the query's projected column labels (shared by every
 	// result set the query produces).
 	cols []string
+	// hostSlots marks a shape with a pattern whose host a value slot pins.
+	hostSlots bool
 	// windowSensitive marks plans whose lowered window conditions resolve
 	// against the store's time bounds (LAST/BEFORE/AFTER); they are
 	// re-lowered from the cached IR when a live append moves the bounds.
@@ -158,9 +163,51 @@ type queryPlan struct {
 	boundsEpoch     uint64
 	bounds          timeBounds
 
-	// viewMu guards every pattern's materialized view (pats[i].view) —
-	// ExecuteDelta holds it across catch-up and the view-backed join.
+	// joinOnce builds join, the query's compiled join program, on the
+	// first execution (cold compiles that never execute skip it).
+	joinOnce sync.Once
+	join     *joinProgram
+}
+
+// queryPlan is one entry of the engine's compiled-query cache: an
+// analyzed query's shape plan, plus what depends on its literal vector —
+// its routing metadata where a literal pins a host, and its queryState.
+type queryPlan struct {
+	*shapePlan
+	// a is the query and src the TBQL text Compile cached it under (""
+	// for a query the caller analyzed itself); pinned marks a standing
+	// query's plan, which overflow never evicts. The clock reference bit
+	// is set on each cache hit but the first (Hunt executing the plan its
+	// Compile just built is one use, so a text hunted once goes first),
+	// which hit records. All are guarded by Engine.planMu. (The embedded
+	// clockRef is the query's, not its shape's.)
+	a      *tbql.Analyzed
+	src    string
+	pinned bool
+	hit    bool
+	clockRef
+
+	// st is allocated by the first execution that needs it (see state).
+	st atomic.Pointer[queryState]
+}
+
+// queryState is what a query holds beyond its shape's plan, allocated on
+// first use because most queries are hunted, never watched or run
+// monolithic: its routing metadata where its literals pin a host, the
+// materialized views of a standing query, whose rows depend on the
+// query's literals, and the RQ4 monolithic plans, which inline them.
+type queryState struct {
+	// metas is the patterns' routing metadata with the query's literal
+	// hosts resolved, set when the plan is built for a shape whose
+	// hostSlots holds (otherwise the shape's metadata is the query's).
+	metas []PatternMeta
+
+	// viewMu guards the materialized views — views[i] is pattern i's
+	// (views is nil until ExecuteDelta first materializes one) — and the
+	// fallback state below. ExecuteDelta holds it across catch-up and the
+	// view-backed join.
 	viewMu sync.Mutex
+	views  []*matView
 	// viewsDisabled records that a view of this plan hit the row cap: every
 	// pattern runs its data query and no view of the plan is maintained or
 	// charged against the cap. The latch is not permanent: disabledGen remembers
@@ -171,11 +218,6 @@ type queryPlan struct {
 	viewsDisabled bool
 	disabledGen   int64
 
-	// joinOnce builds join, the query's compiled join program, on the
-	// first execution (cold compiles that never execute skip it).
-	joinOnce sync.Once
-	join     *joinProgram
-
 	// Monolithic plans (the paper's RQ4 naive comparison), lowered lazily.
 	monoMu    sync.Mutex
 	monoSQL   stmtCache
@@ -183,14 +225,81 @@ type queryPlan struct {
 	monoCyErr error
 }
 
-// maxCachedQueryPlans bounds the compiled-query cache. Ad-hoc hunts with
-// never-repeating texts would otherwise grow it without bound; on overflow
-// every plan no standing query pins is dropped wholesale.
+// state returns the query's state, allocating it on first use.
+func (p *queryPlan) state() *queryState {
+	if s := p.st.Load(); s != nil {
+		return s
+	}
+	p.st.CompareAndSwap(nil, &queryState{})
+	return p.st.Load()
+}
+
+// meta returns pattern idx's routing metadata for this query.
+func (p *queryPlan) meta(idx int) *PatternMeta {
+	if p.hostSlots {
+		return &p.st.Load().metas[idx]
+	}
+	return &p.pats[idx].meta
+}
+
+// maxCachedQueryPlans bounds the compiled-query cache and, separately,
+// the shape cache. Ad-hoc hunts with never-repeating texts would
+// otherwise grow them without bound; on overflow each evicts one entry
+// (see clock), never one a standing query pins.
 const maxCachedQueryPlans = 256
+
+// clockRef is a cache entry's place in its clock: the ring slot, and the
+// reference bit. Guarded by Engine.planMu.
+type clockRef struct {
+	slot int32
+	ref  bool
+}
+
+func (r *clockRef) entry() *clockRef { return r }
+
+// clock is a cache's second-chance eviction order: the cache's entries in
+// a ring, and a hand.
+type clock[E interface{ entry() *clockRef }] struct {
+	ring []E
+	hand int
+}
+
+// insert adds e to the ring. A ring holding max entries first evicts
+// one: the hand sweeps to the first entry that is neither referenced nor
+// pinned, clearing the reference bit of each entry it passes — so an
+// entry hit since the hand last passed it gets a second chance, while one
+// inserted and never hit goes first — evicts it and puts e in its slot.
+// When every entry is pinned, the ring grows instead.
+func (c *clock[E]) insert(e E, max int, pinned func(E) bool, evict func(E)) {
+	if len(c.ring) >= max {
+		for range 2 * len(c.ring) {
+			old := c.ring[c.hand]
+			r := old.entry()
+			if !r.ref && !pinned(old) {
+				evict(old)
+				e.entry().slot = int32(c.hand)
+				c.ring[c.hand] = e
+				c.hand = (c.hand + 1) % len(c.ring)
+				return
+			}
+			r.ref = false
+			c.hand = (c.hand + 1) % len(c.ring)
+		}
+	}
+	e.entry().slot = int32(len(c.ring))
+	c.ring = append(c.ring, e)
+}
+
+// replace puts e in old's ring slot, with old's reference bit.
+func (c *clock[E]) replace(old, e E) {
+	*e.entry() = *old.entry()
+	c.ring[old.entry().slot] = e
+}
 
 // Compile returns the analyzed form of TBQL source through the
 // compiled-query cache: a repeat text re-parses nothing and finds its
-// plan (IR, backend plans, routing metadata) already built.
+// plan (IR, backend plans, routing metadata) already built, and a new
+// text of a cached shape finds its shape's.
 func (en *Engine) Compile(src string) (*tbql.Analyzed, error) {
 	en.planMu.Lock()
 	a := en.texts[src]
@@ -219,10 +328,11 @@ func (en *Engine) Compile(src string) (*tbql.Analyzed, error) {
 	return a, nil
 }
 
-// planFor returns the cached plan for a, building it on first use. A
-// cached plan whose lowered window conditions depend on the store's time
-// bounds is re-lowered (from the cached IR, never from source) when a live
-// append has moved the bounds; plans without such windows survive appends
+// planFor returns the cached plan for a, building it on first use from
+// its shape's plan (built on the shape's first use). A cached plan whose
+// lowered window conditions depend on the store's time bounds is
+// re-lowered (from the cached IR, never from source) when a live append
+// has moved the bounds; plans without such windows survive appends
 // untouched. snap is the caller's pinned snapshot: the plan's epoch and
 // window bounds come from it, so a hunt racing an append gets a plan
 // consistent with the store generation it reads (and never loads the
@@ -235,40 +345,27 @@ func (en *Engine) planFor(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan
 }
 
 func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryPlan {
-	epoch, b := snap.Epoch, snap.bounds()
 	prev := en.plans[a]
-	if prev != nil && (!prev.windowSensitive || prev.boundsEpoch == epoch) {
+	if prev != nil && (!prev.windowSensitive || prev.boundsEpoch == snap.Epoch) {
 		prev.pinned = prev.pinned || pin
+		prev.ref = prev.ref || prev.hit
+		prev.hit = true
 		return prev
 	}
-	p := &queryPlan{pinned: pin, order: en.schedule(a), boundsEpoch: epoch, bounds: b, cols: returnColumns(a)}
-	if prev != nil {
-		p.irs = prev.irs // bounds moved: recompile from the cached IR
-		p.src, p.pinned = prev.src, prev.pinned || pin
-	} else {
-		p.irs = tbql.Lower(a)
-		if len(en.plans) >= maxCachedQueryPlans {
-			for old, op := range en.plans {
-				if !op.pinned {
-					en.releasePlanViews(op)
-					delete(en.plans, old)
-					delete(en.texts, op.src)
-				}
+	p := &queryPlan{shapePlan: en.shapeLocked(a, snap), a: a, pinned: pin}
+	if p.hostSlots {
+		metas := make([]PatternMeta, len(p.pats))
+		for i := range p.pats {
+			pp := &p.pats[i]
+			metas[i] = pp.meta
+			if pp.subjHost >= 0 {
+				metas[i].SubjHost = a.Lits[pp.subjHost].S
+			}
+			if pp.objHost >= 0 {
+				metas[i].ObjHost = a.Lits[pp.objHost].S
 			}
 		}
-	}
-	p.pats = make([]patternPlan, len(p.irs))
-	for i, ir := range p.irs {
-		pp := &p.pats[i]
-		pp.ir = ir
-		pp.meta = patternMeta(ir)
-		if pp.meta.UsesGraph {
-			pp.gq = lowerPathQuery(b, ir.Path, a.Query.Return.Distinct)
-			pp.gp = graphdb.Prepare(pp.gq)
-		}
-		if ir.Window().Sensitive() {
-			p.windowSensitive = true
-		}
+		p.st.Store(&queryState{metas: metas})
 	}
 	if prev != nil {
 		// Bounds-epoch recompile: materialized views of window-insensitive
@@ -278,25 +375,38 @@ func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryP
 		// evict below the new lower bound, keep the frontier — and the
 		// remaining sensitive kinds are released. A fallen-back plan stays
 		// fallen back until DropViews re-arms it.
-		prev.viewMu.Lock()
-		p.viewsDisabled = prev.viewsDisabled
-		for i := range prev.pats {
-			old := &prev.pats[i]
-			if old.view == nil {
-				continue
+		p.src, p.pinned, p.hit = prev.src, prev.pinned || pin, prev.hit
+		en.planClock.replace(prev, p)
+		if old := prev.st.Load(); old != nil {
+			old.viewMu.Lock()
+			qs := p.state()
+			qs.viewsDisabled = old.viewsDisabled
+			if old.views != nil {
+				qs.views = make([]*matView, len(old.views))
 			}
-			if old.ir.Window().Sensitive() {
-				if mv := en.migrateSensitiveView(old, b); mv != nil {
-					p.pats[i].view = mv // LAST window: slide, don't rebuild
-				} else {
-					en.releaseViewRows(old.view.retained())
+			for i, v := range old.views {
+				if v == nil {
+					continue
 				}
-			} else {
-				p.pats[i].view = old.view
+				if pp := &prev.pats[i]; pp.ir.Window().Sensitive() {
+					if en.migrateSensitiveView(pp, v, p.bounds) {
+						qs.views[i] = v // LAST window: slide, don't rebuild
+					} else {
+						en.releaseViewRows(v.retained())
+					}
+				} else {
+					qs.views[i] = v
+				}
+				old.views[i] = nil
 			}
-			old.view = nil
+			old.viewMu.Unlock()
 		}
-		prev.viewMu.Unlock()
+	} else {
+		en.planClock.insert(p, maxCachedQueryPlans, func(old *queryPlan) bool { return old.pinned }, func(old *queryPlan) {
+			en.releasePlanViews(old)
+			delete(en.plans, old.a)
+			delete(en.texts, old.src)
+		})
 	}
 	if en.plans == nil {
 		en.plans = make(map[*tbql.Analyzed]*queryPlan)
@@ -305,26 +415,72 @@ func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryP
 	return p
 }
 
+// shapeLocked returns the cached plan of a's shape at snap's bounds epoch,
+// building it from a on the shape's first use, or re-lowering its cached
+// IR when a window-sensitive shape's bounds moved. Callers hold planMu.
+func (en *Engine) shapeLocked(a *tbql.Analyzed, snap *Snapshot) *shapePlan {
+	epoch, b := snap.Epoch, snap.bounds()
+	prev := en.shapes[a.Shape]
+	if prev != nil && (!prev.windowSensitive || prev.boundsEpoch == epoch) {
+		prev.ref = true
+		return prev
+	}
+	sp := &shapePlan{key: a.Shape, order: en.schedule(a), boundsEpoch: epoch, bounds: b, cols: returnColumns(a)}
+	if prev != nil {
+		sp.irs = prev.irs // bounds moved: recompile from the cached IR
+		en.shapeClock.replace(prev, sp)
+	} else {
+		sp.irs = tbql.Lower(a)
+		en.shapeClock.insert(sp, maxCachedQueryPlans, func(*shapePlan) bool { return false },
+			func(old *shapePlan) { delete(en.shapes, old.key) })
+	}
+	sp.pats = make([]patternPlan, len(sp.irs))
+	for i, ir := range sp.irs {
+		pp := &sp.pats[i]
+		pp.ir = ir
+		pp.meta = patternMeta(ir)
+		pp.subjHost, pp.objHost = hostSlot(ir, true), hostSlot(ir, false)
+		sp.hostSlots = sp.hostSlots || pp.subjHost >= 0 || pp.objHost >= 0
+		if pp.meta.UsesGraph {
+			pp.gq = lowerPathQuery(b, ir.Path, a.Query.Return.Distinct)
+			pp.gp = graphdb.Prepare(pp.gq)
+		}
+		if ir.Window().Sensitive() {
+			sp.windowSensitive = true
+		}
+	}
+	if en.shapes == nil {
+		en.shapes = make(map[unique.Handle[string]]*shapePlan)
+	}
+	en.shapes[a.Shape] = sp
+	return sp
+}
+
 // releasePlanViews returns every materialized row of the plan's views to
 // the engine's accounting (called when a plan leaves the cache, and by
 // DropViews, which also re-arms a fallen-back plan for a fresh try).
 func (en *Engine) releasePlanViews(p *queryPlan) {
-	p.viewMu.Lock()
-	for i := range p.pats {
-		if v := p.pats[i].view; v != nil {
+	qs := p.st.Load()
+	if qs == nil {
+		return
+	}
+	qs.viewMu.Lock()
+	for i, v := range qs.views {
+		if v != nil {
 			en.releaseViewRows(v.retained())
-			p.pats[i].view = nil
+			qs.views[i] = nil
 		}
 	}
-	p.viewsDisabled = false
-	p.viewMu.Unlock()
+	qs.viewsDisabled = false
+	qs.viewMu.Unlock()
 }
 
 // DropViews releases the materialized pattern views cached for an
 // analyzed query and unpins its plan. The standing-query layer calls it
 // when a subscription is removed, so long-lived sessions do not keep match
 // caches for queries nobody watches; the plan itself stays cached until
-// overflow and the next ExecuteDelta rematerializes on demand.
+// overflow and the next ExecuteDelta rematerializes on demand. Views are
+// the query's own, so other queries of its shape keep theirs.
 func (en *Engine) DropViews(a *tbql.Analyzed) {
 	en.planMu.Lock()
 	defer en.planMu.Unlock()
@@ -334,8 +490,8 @@ func (en *Engine) DropViews(a *tbql.Analyzed) {
 	}
 }
 
-// joinProgram returns the plan's join program, compiling it on first use.
-func (p *queryPlan) joinProgram(a *tbql.Analyzed) *joinProgram {
+// joinProgram returns the shape's join program, compiling it on first use.
+func (p *shapePlan) joinProgram(a *tbql.Analyzed) *joinProgram {
 	p.joinOnce.Do(func() { p.join = newJoinProgram(a) })
 	return p.join
 }
@@ -343,9 +499,10 @@ func (p *queryPlan) joinProgram(a *tbql.Analyzed) *joinProgram {
 // monolithicSQL returns the plan's compiled monolithic statement, lowering
 // it on first use against the plan's bounds.
 func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepared, error) {
-	p.monoMu.Lock()
-	defer p.monoMu.Unlock()
-	return p.monoSQL.get(s.Rel, func() (*relational.SelectStmt, error) {
+	qs := p.state()
+	qs.monoMu.Lock()
+	defer qs.monoMu.Unlock()
+	return qs.monoSQL.get(s.Rel, func() (*relational.SelectStmt, error) {
 		return lowerMonolithicStmt(p.bounds, a, p.irs)
 	})
 }
@@ -353,16 +510,17 @@ func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepa
 // monolithicCypher returns the plan's lowered monolithic graph query (the
 // clause-at-a-time flag is set here, as the RQ4 comparison requires).
 func (p *queryPlan) monolithicCypher(a *tbql.Analyzed) (*graphdb.Query, error) {
-	p.monoMu.Lock()
-	defer p.monoMu.Unlock()
-	if p.monoCy != nil || p.monoCyErr != nil {
-		return p.monoCy, p.monoCyErr
+	qs := p.state()
+	qs.monoMu.Lock()
+	defer qs.monoMu.Unlock()
+	if qs.monoCy != nil || qs.monoCyErr != nil {
+		return qs.monoCy, qs.monoCyErr
 	}
 	q, err := lowerMonolithicCypher(p.bounds, a, p.irs)
 	if err == nil {
 		q.ClauseAtATime = true
 	}
-	p.monoCy, p.monoCyErr = q, err
+	qs.monoCy, qs.monoCyErr = q, err
 	return q, err
 }
 

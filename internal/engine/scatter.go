@@ -61,7 +61,9 @@ type PatternMeta struct {
 	VarLen bool
 	// SubjHost / ObjHost are non-empty when an equality literal pins the
 	// subject / object entity to one host — a host-keyed partitioner then
-	// routes the pattern to that host's shard alone.
+	// routes the pattern to that host's shard alone. (The IR holds the
+	// literal as a value slot; the query's plan resolves it, see
+	// queryPlan.metas.)
 	SubjHost string
 	ObjHost  string
 }
@@ -71,44 +73,73 @@ func patternMeta(ir *qir.DataQuery) PatternMeta {
 	m := PatternMeta{OpMask: patternOpMask(ir), Window: ir.Window(), UsesGraph: ir.UsesGraph()}
 	if ir.Path != nil {
 		m.VarLen = ir.Path.MinLen != 1 || ir.Path.MaxLen != 1
-		m.SubjHost = hostEquality(ir.Path.SubjPred)
-		m.ObjHost = hostEquality(ir.Path.ObjPred)
-	} else if ir.Event != nil {
-		m.SubjHost = hostEquality(ir.Event.SubjPred)
-		m.ObjHost = hostEquality(ir.Event.ObjPred)
+	}
+	subj, obj := entityPreds(ir)
+	if l, ok := hostEquality(subj).(relational.Lit); ok {
+		m.SubjHost = l.V.S
+	}
+	if l, ok := hostEquality(obj).(relational.Lit); ok {
+		m.ObjHost = l.V.S
 	}
 	return m
 }
 
-// hostEquality extracts the host a predicate pins its entity to with a
-// top-level `host = "literal"` conjunct ("" when it doesn't).
-func hostEquality(pred relational.Expr) string {
+// entityPreds returns the subject and object predicates of a data query.
+func entityPreds(ir *qir.DataQuery) (subj, obj relational.Expr) {
+	if ir.Path != nil {
+		return ir.Path.SubjPred, ir.Path.ObjPred
+	}
+	return ir.Event.SubjPred, ir.Event.ObjPred
+}
+
+// hostSlot returns the value slot a data query's subject (subj) or
+// object predicate pins its entity's host to, or -1.
+func hostSlot(ir *qir.DataQuery, subj bool) int {
+	s, o := entityPreds(ir)
+	if !subj {
+		s = o
+	}
+	if v, ok := hostEquality(s).(relational.ValParam); ok {
+		return v.Slot
+	}
+	return -1
+}
+
+// hostEquality returns the string constant (a literal or a value slot)
+// a predicate pins its entity's host to with a top-level `host = c`
+// conjunct, or nil when it doesn't.
+func hostEquality(pred relational.Expr) relational.Expr {
 	switch v := pred.(type) {
 	case relational.BinOp:
 		if v.Op == "and" {
-			if h := hostEquality(v.L); h != "" {
+			if h := hostEquality(v.L); h != nil {
 				return h
 			}
 			return hostEquality(v.R)
 		}
 		if v.Op == "=" {
-			if h := hostEqSide(v.L, v.R); h != "" {
+			if h := hostEqSide(v.L, v.R); h != nil {
 				return h
 			}
 			return hostEqSide(v.R, v.L)
 		}
 	}
-	return ""
+	return nil
 }
 
-func hostEqSide(col, lit relational.Expr) string {
-	c, ok := col.(relational.ColRef)
-	if !ok || c.Column != "host" {
-		return ""
+func hostEqSide(col, c relational.Expr) relational.Expr {
+	if ref, ok := col.(relational.ColRef); !ok || ref.Column != "host" {
+		return nil
 	}
-	l, ok := lit.(relational.Lit)
-	if !ok || l.V.K != relational.KindString {
-		return ""
+	switch v := c.(type) {
+	case relational.Lit:
+		if v.V.K == relational.KindString {
+			return v
+		}
+	case relational.ValParam:
+		if v.Kind == relational.KindString {
+			return v
+		}
 	}
-	return l.V.S
+	return nil
 }

@@ -72,7 +72,7 @@ func TestPatternRowsMatchResultSet(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								want := resultSetRows(t, en, plan, snap, sp)
+								want := resultSetRows(t, en, a, plan, snap, sp)
 								if len(got.Rows) != len(want) {
 									t.Fatalf("%s distinct=%v snap=%v pattern %d spec %d: sink %d rows, ResultSet %d",
 										m.name, distinct, snap != nil, idx, si, len(got.Rows), len(want))
@@ -96,7 +96,7 @@ func TestPatternRowsMatchResultSet(t *testing.T) {
 // backends' ResultSet path — same statement or traversal, same
 // parameters — and converts the rows as [event, subject, object, start,
 // end] (a variable-length path's (subject, object) pair at 1 and 2).
-func resultSetRows(t *testing.T, en *Engine, plan *queryPlan, snap *Snapshot, q PatternQuery) [][5]int64 {
+func resultSetRows(t *testing.T, en *Engine, a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, q PatternQuery) [][5]int64 {
 	t.Helper()
 	pp := &plan.pats[q.Idx]
 	var rs *relational.ResultSet
@@ -104,7 +104,7 @@ func resultSetRows(t *testing.T, en *Engine, plan *queryPlan, snap *Snapshot, q 
 	if pp.meta.UsesGraph {
 		var st Stats
 		var ids idSink
-		params, none, perr := en.graphParams(nil, pp, snap, q, &ids, &st)
+		params, none, perr := en.graphParams(nil, a, pp, snap, q, &ids, &st)
 		if perr != nil {
 			t.Fatal(perr)
 		}
@@ -113,7 +113,7 @@ func resultSetRows(t *testing.T, en *Engine, plan *queryPlan, snap *Snapshot, q 
 		}
 		rs, _, err = en.Store.Graph.ExecPrepared(nil, pp.gp, params)
 	} else {
-		prep, params, perr := en.relQuery(pp, plan, snap, q)
+		prep, params, perr := en.relQuery(a, pp, plan, snap, q)
 		if perr != nil {
 			t.Fatal(perr)
 		}

@@ -1,13 +1,14 @@
 package engine
 
 // This file is the incremental materialized-view layer behind standing
-// queries: every compiled pattern keeps a cached set of its match rows
-// inside the engine plan cache, maintained incrementally as the store
-// grows. Stores are append-only, so a view only ever receives insert
-// deltas: new rows are found by running the pattern's events-anchored
-// catch-up plan with an "e.id >= frontier" floor (O(new events) thanks to
-// the relational scan-floor and the graph edge-suffix fast path) and
-// merged into the cached set. ExecuteDelta then joins a delta pattern's
+// queries: every pattern of a standing query keeps a cached set of its
+// match rows in the query's entry of the engine plan cache (its own, not
+// its shape's: the rows depend on the query's literals), maintained
+// incrementally as the store grows. Stores are append-only, so a view
+// only ever receives insert deltas: new rows are found by running the
+// pattern's events-anchored catch-up plan with an "e.id >= frontier"
+// floor (O(new events) thanks to the relational scan-floor and the graph
+// edge-suffix fast path) and merged into the cached set. ExecuteDelta then joins a delta pattern's
 // fresh rows against the other patterns' materialized sets — read through
 // sorted-ID binding intersection — instead of re-running their data
 // queries, which makes a standing-query round O(delta) end to end.
@@ -170,17 +171,16 @@ func (v *matView) evictBelow(lo int64) int {
 // sensitive bound is the store min/max edge) keep the conservative
 // release-and-rematerialize path, as do graph patterns, whose window
 // constrains the path's final hop rather than the row's own event.
-// Returns nil when the view cannot migrate.
-func (en *Engine) migrateSensitiveView(old *patternPlan, b timeBounds) *matView {
-	v := old.view
+// Reports whether v, old's view, migrated.
+func (en *Engine) migrateSensitiveView(old *patternPlan, v *matView, b timeBounds) bool {
 	w := old.ir.Window()
-	if v == nil || v.upTo == 0 || w.Kind != qir.WindLast || old.meta.UsesGraph {
-		return nil
+	if v.upTo == 0 || w.Kind != qir.WindLast || old.meta.UsesGraph {
+		return false
 	}
 	lo, _ := w.Bounds(b.min, b.max)
 	en.releaseViewRows(v.evictBelow(lo))
 	en.viewWindowMigrations.Add(1)
-	return v
+	return true
 }
 
 // since returns the suffix of rows whose event ID is >= floor (no copy —
@@ -224,19 +224,18 @@ func sortRowsByEvent(rows [][5]int64) {
 	sort.Slice(rows, func(a, b int) bool { return rows[a][0] < rows[b][0] })
 }
 
-// disablePlanViewsLocked drops every view of the plan and marks the
-// whole query fallen back, so a query over the cap holds no rows at all
-// rather than some of them. DropViews re-arms the plan. Callers hold
-// plan.viewMu.
-func (en *Engine) disablePlanViewsLocked(plan *queryPlan) {
-	for i := range plan.pats {
-		if v := plan.pats[i].view; v != nil {
+// disablePlanViewsLocked drops every view of the query and marks it
+// fallen back, so a query over the cap holds no rows at all rather than
+// some of them. DropViews re-arms the plan. Callers hold qs.viewMu.
+func (en *Engine) disablePlanViewsLocked(qs *queryState) {
+	for i, v := range qs.views {
+		if v != nil {
 			en.releaseViewRows(v.retained())
-			plan.pats[i].view = nil
+			qs.views[i] = nil
 		}
 	}
-	plan.viewsDisabled = true
-	plan.disabledGen = en.viewReleaseGen.Load()
+	qs.viewsDisabled = true
+	qs.disabledGen = en.viewReleaseGen.Load()
 }
 
 // ensureViews brings every view of the plan up to the pinned snapshot's
@@ -250,30 +249,33 @@ func (en *Engine) disablePlanViewsLocked(plan *queryPlan) {
 // their rows have no event-ID frontier. When the row cap is crossed the
 // plan's views are dropped wholesale, and every pattern runs its data
 // query (see viewSource). Stats from the catch-up data queries accumulate
-// into st. Callers hold plan.viewMu.
-func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan, st *Stats) error {
+// into st. qs is the plan's state; callers hold qs.viewMu.
+func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snapshot, plan *queryPlan, qs *queryState, st *Stats) error {
 	if en.viewCap() <= 0 {
 		return nil
 	}
-	if plan.viewsDisabled {
-		if en.viewReleaseGen.Load() == plan.disabledGen {
+	if qs.viewsDisabled {
+		if en.viewReleaseGen.Load() == qs.disabledGen {
 			en.viewFallbacks.Add(1)
 			return nil
 		}
 		// Rows were released since the fallback (another query dropped
 		// its views): re-arm and retry materialization.
-		plan.viewsDisabled = false
+		qs.viewsDisabled = false
 	}
 	next := snap.NextEventID
+	if qs.views == nil {
+		qs.views = make([]*matView, len(plan.pats))
+	}
 	for idx := range plan.pats {
 		pp := &plan.pats[idx]
 		if pp.meta.VarLen {
 			continue
 		}
-		v := pp.view
+		v := qs.views[idx]
 		if v == nil {
 			v = &matView{}
-			pp.view = v
+			qs.views[idx] = v
 		}
 		if v.upTo >= next {
 			continue
@@ -297,7 +299,7 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 		}
 		st.Add(qst)
 		if !en.reserveViewRows(len(pr.Rows)) {
-			en.disablePlanViewsLocked(plan)
+			en.disablePlanViewsLocked(qs)
 			en.viewFallbacks.Add(1)
 			return nil
 		}
@@ -322,10 +324,13 @@ func (en *Engine) ensureViews(ctx context.Context, a *tbql.Analyzed, snap *Snaps
 // data query — as the delta pattern its suffix from the floor (it is
 // hoisted first, so no binding set constrains it), otherwise its cached
 // set through the binding feed — and a pattern without one runs its data
-// query. Callers hold plan.viewMu.
-func (en *Engine) viewSource(a *tbql.Analyzed, plan *queryPlan, snap *Snapshot, sc *loopScratch) RowSource {
+// query. qs is the plan's state; callers hold qs.viewMu.
+func (en *Engine) viewSource(a *tbql.Analyzed, plan *queryPlan, qs *queryState, snap *Snapshot, sc *loopScratch) RowSource {
 	return func(ctx context.Context, q PatternQuery) (PatternRows, Stats, error) {
-		v := plan.pats[q.Idx].view
+		var v *matView
+		if qs.views != nil {
+			v = qs.views[q.Idx]
+		}
 		if v == nil {
 			return en.runPattern(ctx, a, plan, snap, q, &sc.bufs[q.Idx])
 		}

@@ -257,11 +257,13 @@ func TestDropViewsReleasesRows(t *testing.T) {
 	}
 }
 
-// TestAdHocHuntsKeepStandingViews pins the compiled-query cache's overflow
-// rule: any number of distinct ad-hoc Hunt texts must not evict a standing
-// query's plan, or every watch would rematerialize its views — a
-// full-history data query per pattern — on the next round. The cache still
-// stays bounded, and DropViews hands the plan back to overflow.
+// TestAdHocHuntsKeepStandingViews pins the compiled-query caches'
+// overflow rule: any number of ad-hoc Hunt texts of distinct shapes must
+// not evict a standing query's plan, or every watch would rematerialize
+// its views — a full-history data query per pattern — on the next round.
+// The query, text and shape caches each stay within their own bound (the
+// query cache may hold the pinned plan beyond it), and DropViews hands
+// the plan back to overflow.
 func TestAdHocHuntsKeepStandingViews(t *testing.T) {
 	full, _ := dataLeakStore(t, 300)
 	a := analyzed(t, dataLeakTBQL)
@@ -276,14 +278,15 @@ func TestAdHocHuntsKeepStandingViews(t *testing.T) {
 	hunts := func() {
 		t.Helper()
 		for i := 0; i < maxCachedQueryPlans+50; i++ {
-			if _, _, err := en.Hunt(nil, fmt.Sprintf(`proc p["%%/no/such/exe%d%%"] read file f return p, f`, i)); err != nil {
+			// The pattern ID makes each text a shape of its own.
+			if _, _, err := en.Hunt(nil, fmt.Sprintf(`proc p["%%/no/such/exe%d%%"] read file f as evt%d return p, f`, i, i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	hunts()
-	if n := len(en.plans); n > maxCachedQueryPlans+1 || len(en.texts) > n {
-		t.Fatalf("cache grew past its bound: %d plans, %d texts", n, len(en.texts))
+	if len(en.plans) > maxCachedQueryPlans+1 || len(en.texts) > maxCachedQueryPlans || len(en.shapes) > maxCachedQueryPlans {
+		t.Fatalf("caches grew past their bounds: %d plans, %d texts, %d shapes", len(en.plans), len(en.texts), len(en.shapes))
 	}
 	if vs := en.Views(); vs.CachedRows != before.CachedRows {
 		t.Fatalf("ad-hoc hunts evicted standing views: cached rows %d -> %d", before.CachedRows, vs.CachedRows)

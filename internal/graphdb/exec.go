@@ -61,6 +61,10 @@ type ExecParams struct {
 	// adjacency, so the execution may run concurrently with the writer.
 	// The view must have been captured from the graph being queried.
 	View *View
+	// Vals binds the WHERE's value slots: relational.ValParam{Slot: i}
+	// reads Vals[i], so one Prepared serves every literal vector of a
+	// query shape.
+	Vals []relational.Value
 }
 
 // Prepared is a Query compiled for repeated execution. Every named node
@@ -69,8 +73,9 @@ type ExecParams struct {
 // attached to the slot whose binding completes it — the variable it reads
 // that the walk binds last — and is checked once, right after that
 // binding; the return items compile to slot reads. A Prepared is
-// immutable and safe for concurrent executions; the matchers it runs are
-// pooled on it.
+// immutable and safe for concurrent executions; the matchers that run it
+// come from one package-wide pool (see acquire), so a one-shot Prepared
+// (an ad-hoc text query) allocates no matcher of its own.
 type Prepared struct {
 	q    *Query
 	cols []string
@@ -98,7 +103,6 @@ type Prepared struct {
 	windows []edgeWindow
 	proj    []ref
 	oneHop  bool
-	pool    sync.Pool // *matcher
 }
 
 type patSlots struct {
@@ -308,9 +312,11 @@ type matcher struct {
 	errs []error
 	nerr int
 	// cur is the conjunct under evaluation; resolveFn (its resolver, a
-	// method value bound once) reads cur's references.
+	// method value bound once) reads cur's references. params carries the
+	// execution's value slots (ExecParams.Vals) to the evaluator.
 	cur       *conj
 	resolveFn func(relational.ColRef) (Value, error)
+	params    relational.Params
 	// floor is ExecParams.MinEdgeID; floored counts the edges with ID >=
 	// floor on the current trail (var-length DFS pushes and single-hop
 	// binds), and a floored run emits only when it is positive.
@@ -327,12 +333,14 @@ type matcher struct {
 	reachPool []*reachScratch
 	// Exactly one output is set: rs collects Value rows (ExecPrepared),
 	// sink receives int tuples (QueryInts; row is its buffer, seen the
-	// distinct tuples so far), and capture collects raw bindings for the
-	// clause-at-a-time executor.
+	// distinct tuples so far under DISTINCT, nil otherwise), and capture
+	// collects raw bindings for the clause-at-a-time executor. seenSet is
+	// the tuple set kept across pooled executions.
 	rs      *ResultSet
 	sink    relational.IntSink
 	row     [5]int64
 	seen    map[[5]int64]struct{}
+	seenSet map[[5]int64]struct{}
 	capture func() error
 	// ctx/done drive cooperative cancellation: done caches ctx.Done() so
 	// the checkpoints cost a nil compare when no cancellable context is
@@ -345,24 +353,35 @@ type matcher struct {
 // maxPooledSeen caps the distinct-tuple set a pooled matcher keeps.
 const maxPooledSeen = 1 << 16
 
+// matchers pools matchers across every Prepared: acquire sizes a
+// matcher's slot arrays to the Prepared it runs.
+var matchers sync.Pool
+
+// sized returns s with length n: s itself when its capacity allows
+// (release leaves every element zero), a new slice otherwise.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // acquire takes a pooled matcher for one execution of p on g and binds
 // the execution's parameters, snapshot and context.
 func (p *Prepared) acquire(g *Graph, ctx context.Context, params *ExecParams) *matcher {
-	m, _ := p.pool.Get().(*matcher)
+	m, _ := matchers.Get().(*matcher)
 	if m == nil {
-		m = &matcher{
-			p:        p,
-			q:        p.q,
-			nodeVals: make([]int64, len(p.nodeVars)),
-			edgeVals: make([]int64, len(p.edgeVars)),
-			nodeIDs:  make([][]int64, len(p.nodeVars)),
-			errs:     make([]error, len(p.conjs)),
-		}
+		m = &matcher{}
 		m.resolveFn = m.resolveCur
 	}
+	m.p, m.q = p, p.q
+	m.nodeVals = sized(m.nodeVals, len(p.nodeVars))
+	m.edgeVals = sized(m.edgeVals, len(p.edgeVars))
+	m.nodeIDs = sized(m.nodeIDs, len(p.nodeVars))
+	m.errs = sized(m.errs, len(p.conjs))
 	m.g = g
 	if params != nil {
-		m.view, m.floor = params.View, params.MinEdgeID
+		m.view, m.floor, m.params.Vals = params.View, params.MinEdgeID, params.Vals
 		for _, nb := range params.Nodes {
 			if s := slices.Index(p.nodeVars, nb.Var); s >= 0 {
 				m.nodeIDs[s] = nb.IDs
@@ -376,7 +395,7 @@ func (p *Prepared) acquire(g *Graph, ctx context.Context, params *ExecParams) *m
 	return m
 }
 
-// release returns m to p's pool with nothing of the execution pinned. A
+// release returns m to the pool with nothing of the execution pinned. A
 // walk that returned an error part way may leave bindings and errors set;
 // they are cleared here. A walk that panicked is not released: its
 // var-length bitsets may still hold marks.
@@ -386,15 +405,17 @@ func (p *Prepared) release(m *matcher) {
 	clear(m.nodeIDs)
 	clear(m.errs)
 	m.nerr, m.floored, m.tick = 0, 0, 0
-	m.g, m.view, m.vedges, m.floor = nil, nil, nil, 0
+	m.g, m.view, m.vedges, m.floor, m.params.Vals = nil, nil, nil, 0, nil
 	m.rs, m.sink, m.capture, m.cur = nil, nil, nil, nil
+	m.p, m.q = nil, nil
 	m.ctx, m.done = nil, nil
 	m.stats = ExecStats{}
-	if len(m.seen) > maxPooledSeen {
-		m.seen = nil
+	if len(m.seenSet) > maxPooledSeen {
+		m.seenSet = nil
 	}
-	clear(m.seen)
-	p.pool.Put(m)
+	clear(m.seenSet)
+	m.seen = nil
+	matchers.Put(m)
 }
 
 // bindStore points the matcher at the arenas it will read: the view's
@@ -486,7 +507,7 @@ func (m *matcher) check(list []int32) bool {
 // eval evaluates conjunct ci under the current bindings.
 func (m *matcher) eval(ci int32) (Value, error) {
 	m.cur = &m.p.conjs[ci]
-	return relational.EvalExpr(m.cur.e, m.resolveFn)
+	return relational.EvalExprWith(m.cur.e, m.resolveFn, &m.params)
 }
 
 // resolveCur resolves a column reference of the conjunct under evaluation.
@@ -642,8 +663,11 @@ func (g *Graph) QueryInts(ctx context.Context, p *Prepared, params *ExecParams, 
 	}
 	m := p.acquire(g, ctx, params)
 	m.sink = sink
-	if q.Distinct && m.seen == nil {
-		m.seen = make(map[[5]int64]struct{})
+	if q.Distinct {
+		if m.seenSet == nil {
+			m.seenSet = make(map[[5]int64]struct{})
+		}
+		m.seen = m.seenSet
 	}
 	err := m.run()
 	stats := m.stats
@@ -1223,8 +1247,23 @@ func (m *matcher) labelIDs(label string) []int64 {
 	return m.g.byLabel[label]
 }
 
+// intConst reads an integer literal or an integer bound to a value slot.
+func (m *matcher) intConst(e relational.Expr) (int64, bool) {
+	var v relational.Value
+	switch c := e.(type) {
+	case relational.Lit:
+		v = c.V
+	case relational.ValParam:
+		if c.Slot < 0 || c.Slot >= len(m.params.Vals) {
+			return 0, false
+		}
+		v = m.params.Vals[c.Slot]
+	}
+	return v.I, v.K == relational.KindInt
+}
+
 // idConstraint scans the WHERE conjuncts for "var.id = n" or
-// "var.id IN (n1, n2, ...)" with literal operands.
+// "var.id IN (n1, n2, ...)" with constant operands.
 func (m *matcher) idConstraint(varName string) ([]int64, bool) {
 	colMatches := func(e relational.Expr) bool {
 		c, ok := e.(relational.ColRef)
@@ -1234,8 +1273,8 @@ func (m *matcher) idConstraint(varName string) ([]int64, bool) {
 		switch v := m.p.conjs[i].e.(type) {
 		case relational.BinOp:
 			if v.Op == "=" && colMatches(v.L) {
-				if lit, ok := v.R.(relational.Lit); ok && lit.V.K == relational.KindInt {
-					return []int64{lit.V.I}, true
+				if id, ok := m.intConst(v.R); ok {
+					return []int64{id}, true
 				}
 			}
 		case relational.InList:
@@ -1245,12 +1284,12 @@ func (m *matcher) idConstraint(varName string) ([]int64, bool) {
 			ids := make([]int64, 0, len(v.Vals))
 			allLit := true
 			for _, ve := range v.Vals {
-				lit, ok := ve.(relational.Lit)
-				if !ok || lit.V.K != relational.KindInt {
+				id, ok := m.intConst(ve)
+				if !ok {
 					allLit = false
 					break
 				}
-				ids = append(ids, lit.V.I)
+				ids = append(ids, id)
 			}
 			if allLit {
 				return ids, true

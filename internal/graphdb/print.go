@@ -13,7 +13,11 @@ import (
 // output back to the same AST; ClauseAtATime is an execution choice with
 // no syntax, and WHERE prints through relational.ExprString (see its
 // exceptions).
-func (q *Query) String() string {
+func (q *Query) String() string { return q.BoundString(nil) }
+
+// BoundString prints the query with each value slot of its WHERE followed
+// by its value in vals (see relational.BoundExprString).
+func (q *Query) BoundString(vals []relational.Value) string {
 	var sb strings.Builder
 	for i, pat := range q.Patterns {
 		if i > 0 {
@@ -28,7 +32,7 @@ func (q *Query) String() string {
 		}
 	}
 	if q.Where != nil {
-		sb.WriteString(" WHERE " + relational.ExprString(q.Where))
+		sb.WriteString(" WHERE " + relational.BoundExprString(q.Where, vals))
 	}
 	sb.WriteString(" RETURN ")
 	if q.Distinct {

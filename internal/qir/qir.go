@@ -8,11 +8,19 @@
 // query parser; EXPLAIN prints the lowered backend plans through their
 // own printers (relational.SelectStmt.String, graphdb.Query.String).
 //
-// Execution-time values that vary between runs of one compiled plan — the
-// scheduler's entity binding sets and the standing-query delta floor — are
-// not part of the IR. They occupy the three well-known parameter slots
-// below and are bound per execution through relational.Params and
-// graphdb.ExecParams.
+// Execution-time values that vary between runs of one compiled plan are
+// not part of the IR; they are bound per execution through
+// relational.Params and graphdb.ExecParams:
+//
+//   - the scheduler's subject and object binding sets (ID lists) and the
+//     standing-query delta floor (an integer) occupy the three well-known
+//     parameter slots below;
+//   - every value literal of a predicate is a value slot,
+//     relational.ValParam{Slot: i}, bound to the i-th value of the
+//     analyzed query's literal vector (tbql.Analyzed.Lits). The IR of one
+//     query therefore serves every query of its shape, the query with its
+//     literals erased (tbql.Analyzed.Shape). Entity kinds, operations,
+//     path bounds and windows stay in the IR: they shape the plan.
 package qir
 
 import (
@@ -145,7 +153,17 @@ type PathMatch struct {
 }
 
 // String renders the IR for EXPLAIN output.
-func (q *DataQuery) String() string {
+func (q *DataQuery) String() string { return q.BoundString(nil) }
+
+// BoundString renders the IR with each value slot followed by its value
+// in vals.
+func (q *DataQuery) BoundString(vals []relational.Value) string {
+	predSuffix := func(e relational.Expr) string {
+		if e == nil {
+			return ""
+		}
+		return " ∧ " + relational.BoundExprString(e, vals)
+	}
 	var sb strings.Builder
 	if q.Event != nil {
 		e := q.Event
@@ -200,11 +218,4 @@ func opsString(ops []string) string {
 		return "(any)"
 	}
 	return "(" + strings.Join(ops, "|") + ")"
-}
-
-func predSuffix(e relational.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return " ∧ " + relational.ExprString(e)
 }

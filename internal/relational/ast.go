@@ -86,6 +86,17 @@ type ParamIDs struct {
 	Optional bool
 }
 
+// ValParam is a placeholder for a literal value bound at execution time
+// through Params.Vals[Slot]: one compiled plan serves every query that
+// differs from it only in the values its predicates compare against (the
+// TBQL engine binds a query's literal vector here). Kind is the kind
+// every bound value must have; the planner picks kernels and access paths
+// by it, and an execution binding a value of another kind fails.
+type ValParam struct {
+	Slot int
+	Kind Kind
+}
+
 func (ColRef) isExpr()   {}
 func (Lit) isExpr()      {}
 func (BinOp) isExpr()    {}
@@ -93,17 +104,22 @@ func (UnOp) isExpr()     {}
 func (InList) isExpr()   {}
 func (Param) isExpr()    {}
 func (ParamIDs) isExpr() {}
+func (ValParam) isExpr() {}
 
 // MaxParamSlots is the number of parameter slots a statement may use.
 const MaxParamSlots = 4
 
 // Params carries one execution's bound parameter values. Lists must be
 // sorted unique (the membership and index-probe paths rely on it). The
-// zero value binds every integer slot to 0 and every list slot to the
-// empty list.
+// zero value binds every integer slot to 0, every list slot to the empty
+// list, and no value slot.
 type Params struct {
 	Ints  [MaxParamSlots]int64
 	Lists [MaxParamSlots][]int64
+	// Vals binds the statement's value slots: ValParam{Slot: i} reads
+	// Vals[i]. Unlike the fixed integer and list slots there may be any
+	// number of them.
+	Vals []Value
 	// Snap, when non-nil, pins the execution to a published table
 	// snapshot: every table read resolves through Snap.Table, so the
 	// execution sees exactly the rows that existed when the snapshot was

@@ -5,10 +5,10 @@ import "sync/atomic"
 // This file is the executor's batch kernels: a WHERE conjunct whose shape
 // is typed compiles to a kernel that filters a whole selection vector per
 // call with tight typed loops over the column vectors. The leaf kernels
-// cover a column against a same-kind literal, parameter or outer-level
-// column (=, <>, <, <=, >, >=), LIKE with a literal pattern, and literal
-// IN lists; AND, OR and NOT over kernels compose as selection-vector
-// combinators. Every other shape (arithmetic, mixed kinds, same-level
+// cover a column against a same-kind constant (a literal or value slot),
+// integer parameter or outer-level column (=, <>, <, <=, >, >=), LIKE
+// with a constant pattern, and IN lists of constants; AND, OR and NOT
+// over kernels compose as selection-vector combinators. Every other shape (arithmetic, mixed kinds, same-level
 // column pairs, a dict column against an outer column) evaluates through
 // EvalExpr instead (plan.go), applied to the surviving selection in the
 // same conjunct order. Each kernel selects exactly the rows for which
@@ -343,31 +343,29 @@ func strVec(a colAccess, st *execState) ([]string, bitmap) {
 	return c.strs, c.null
 }
 
-// vecCmpLit builds the kernels for "col OP literal" where both sides share
-// one kind.
-func vecCmpLit(a colAccess, op string, k Value) *vecPred {
+// vecCmpConst builds the kernels for "col OP constant" where both sides
+// share one kind; the constant is read once per call.
+func vecCmpConst(a colAccess, op string, k operand) *vecPred {
 	if a.kind == KindInt {
-		kv := k.I
 		return &vecPred{
 			filterSel: func(st *execState, sel, dst []int32) []int32 {
 				col, nb := intVec(a, st)
-				return filterCmp(col, nb, op, kv, sel, dst)
+				return filterCmp(col, nb, op, k.get(st).I, sel, dst)
 			},
 			filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
 				col, nb := intVec(a, st)
-				return filterCmpRange(col, nb, op, kv, lo, hi, dst)
+				return filterCmpRange(col, nb, op, k.get(st).I, lo, hi, dst)
 			},
 		}
 	}
-	kv := k.S
 	return &vecPred{
 		filterSel: func(st *execState, sel, dst []int32) []int32 {
 			col, nb := strVec(a, st)
-			return filterCmp(col, nb, op, kv, sel, dst)
+			return filterCmp(col, nb, op, k.get(st).S, sel, dst)
 		},
 		filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
 			col, nb := strVec(a, st)
-			return filterCmpRange(col, nb, op, kv, lo, hi, dst)
+			return filterCmpRange(col, nb, op, k.get(st).S, lo, hi, dst)
 		},
 	}
 }
@@ -480,23 +478,24 @@ func filterVsNullRange(nb bitmap, op string, lo, hi int32, dst []int32) []int32 
 	}
 }
 
-// vecLike builds the kernels for "col LIKE 'pattern'" with the pattern
-// prepared once (compileLikePattern's Contains/HasPrefix/... lowering).
-func vecLike(a colAccess, pattern string) *vecPred {
-	match := compileLikePattern(pattern)
+// vecLike builds the kernels for "col LIKE pattern" with the pattern
+// compiled once per execution (compileLike's Contains/HasPrefix/...
+// lowering, in execState.likes).
+func vecLike(a colAccess, like *likeOp) *vecPred {
 	return &vecPred{
 		filterSel: func(st *execState, sel, dst []int32) []int32 {
 			col, nb := strVec(a, st)
+			m := &st.likes[like.idx]
 			if len(nb) == 0 {
 				for _, r := range sel {
-					if match(col[r]) {
+					if m.match(col[r]) {
 						dst = append(dst, r)
 					}
 				}
 				return dst
 			}
 			for _, r := range sel {
-				if !nullAt(nb, r) && match(col[r]) {
+				if !nullAt(nb, r) && m.match(col[r]) {
 					dst = append(dst, r)
 				}
 			}
@@ -504,16 +503,17 @@ func vecLike(a colAccess, pattern string) *vecPred {
 		},
 		filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
 			col, nb := strVec(a, st)
+			m := &st.likes[like.idx]
 			if len(nb) == 0 {
 				for r := lo; r < hi; r++ {
-					if match(col[r]) {
+					if m.match(col[r]) {
 						dst = append(dst, r)
 					}
 				}
 				return dst
 			}
 			for r := lo; r < hi; r++ {
-				if !nullAt(nb, r) && match(col[r]) {
+				if !nullAt(nb, r) && m.match(col[r]) {
 					dst = append(dst, r)
 				}
 			}
@@ -522,13 +522,14 @@ func vecLike(a colAccess, pattern string) *vecPred {
 	}
 }
 
-// vecInSet builds the kernels for "col [NOT] IN (literals...)" over a
-// same-kind literal set. A NULL cell is a member of nothing: it passes
-// exactly when the list is negated.
-func filterIn[T orderedCol](col []T, nb bitmap, set map[T]struct{}, negate bool, sel, dst []int32) []int32 {
+// filterIn and filterInRange are the kernels of "col [NOT] IN
+// (constants...)" over the execution's sorted same-kind keys. A NULL
+// cell is a member of nothing: it passes exactly when the list is
+// negated.
+func filterIn[T orderedCol](col []T, nb bitmap, keys []T, negate bool, sel, dst []int32) []int32 {
 	if len(nb) == 0 {
 		for _, r := range sel {
-			if _, member := set[col[r]]; member != negate {
+			if containsSorted(keys, col[r]) != negate {
 				dst = append(dst, r)
 			}
 		}
@@ -541,17 +542,17 @@ func filterIn[T orderedCol](col []T, nb bitmap, set map[T]struct{}, negate bool,
 			}
 			continue
 		}
-		if _, member := set[col[r]]; member != negate {
+		if containsSorted(keys, col[r]) != negate {
 			dst = append(dst, r)
 		}
 	}
 	return dst
 }
 
-func filterInRange[T orderedCol](col []T, nb bitmap, set map[T]struct{}, negate bool, lo, hi int32, dst []int32) []int32 {
+func filterInRange[T orderedCol](col []T, nb bitmap, keys []T, negate bool, lo, hi int32, dst []int32) []int32 {
 	if len(nb) == 0 {
 		for r := lo; r < hi; r++ {
-			if _, member := set[col[r]]; member != negate {
+			if containsSorted(keys, col[r]) != negate {
 				dst = append(dst, r)
 			}
 		}
@@ -564,35 +565,35 @@ func filterInRange[T orderedCol](col []T, nb bitmap, set map[T]struct{}, negate 
 			}
 			continue
 		}
-		if _, member := set[col[r]]; member != negate {
+		if containsSorted(keys, col[r]) != negate {
 			dst = append(dst, r)
 		}
 	}
 	return dst
 }
 
-func vecInInt(a colAccess, set map[int64]struct{}, negate bool) *vecPred {
+func vecInInt(a colAccess, in *inList, negate bool) *vecPred {
 	return &vecPred{
 		filterSel: func(st *execState, sel, dst []int32) []int32 {
 			col, nb := intVec(a, st)
-			return filterIn(col, nb, set, negate, sel, dst)
+			return filterIn(col, nb, st.ins[in.idx].ints, negate, sel, dst)
 		},
 		filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
 			col, nb := intVec(a, st)
-			return filterInRange(col, nb, set, negate, lo, hi, dst)
+			return filterInRange(col, nb, st.ins[in.idx].ints, negate, lo, hi, dst)
 		},
 	}
 }
 
-func vecInStr(a colAccess, set map[string]struct{}, negate bool) *vecPred {
+func vecInStr(a colAccess, in *inList, negate bool) *vecPred {
 	return &vecPred{
 		filterSel: func(st *execState, sel, dst []int32) []int32 {
 			col, nb := strVec(a, st)
-			return filterIn(col, nb, set, negate, sel, dst)
+			return filterIn(col, nb, st.ins[in.idx].strs, negate, sel, dst)
 		},
 		filterRange: func(st *execState, lo, hi int32, dst []int32) []int32 {
 			col, nb := strVec(a, st)
-			return filterInRange(col, nb, set, negate, lo, hi, dst)
+			return filterInRange(col, nb, st.ins[in.idx].strs, negate, lo, hi, dst)
 		},
 	}
 }
@@ -690,9 +691,9 @@ func (b *binding) newScratch() int {
 
 // compileVecPred compiles conjunct e into a batch kernel when its shape is
 // typed at level lvl: a comparison or LIKE between a level-lvl column and
-// a same-kind literal, integer parameter or earlier-level column, a
-// literal or parameter IN list over a level-lvl column, or AND/OR/NOT
-// over such shapes. Returns nil for every other shape; EvalExpr
+// a same-kind constant, integer parameter or earlier-level column, an IN
+// list of constants or a parameter list over a level-lvl column, or
+// AND/OR/NOT over such shapes. Returns nil for every other shape; EvalExpr
 // evaluates those.
 func (b *binding) compileVecPred(lvl int, e Expr) *vecPred {
 	switch v := e.(type) {
@@ -748,6 +749,24 @@ func (b *binding) compileVecPred(lvl int, e Expr) *vecPred {
 		if !ok || la.lvl != lvl {
 			return nil
 		}
+		if k, kind, ok := b.operand(r); ok {
+			if op == "like" {
+				if la.kind != KindString || kind != KindString {
+					return nil
+				}
+				if la.dictOf() != nil {
+					return vecDictLike(la, k, b.newLike(k))
+				}
+				return vecLike(la, b.newLike(k))
+			}
+			if la.kind != kind {
+				return nil
+			}
+			if la.dictOf() != nil {
+				return vecDictCmp(la, op, k)
+			}
+			return vecCmpConst(la, op, k)
+		}
 		switch rv := r.(type) {
 		case Param:
 			if op == "like" || la.kind != KindInt || la.dictOf() != nil {
@@ -758,23 +777,6 @@ func (b *binding) compileVecPred(lvl int, e Expr) *vecPred {
 				return nil
 			}
 			return vecCmpParam(la, op, slot)
-		case Lit:
-			if op == "like" {
-				if la.kind != KindString || rv.V.K != KindString {
-					return nil
-				}
-				if la.dictOf() != nil {
-					return vecDictLike(la, rv.V.S)
-				}
-				return vecLike(la, rv.V.S)
-			}
-			if la.kind != rv.V.K {
-				return nil
-			}
-			if la.dictOf() != nil {
-				return vecDictCmp(la, op, rv.V.S)
-			}
-			return vecCmpLit(la, op, rv.V)
 		case ColRef:
 			if op == "like" {
 				return nil
@@ -814,21 +816,16 @@ func (b *binding) compileVecPred(lvl int, e Expr) *vecPred {
 		if !ok || a.lvl != lvl {
 			return nil
 		}
-		if a.kind == KindInt {
-			set, ok := buildIntSet(v.Vals)
-			if !ok {
-				return nil
-			}
-			return vecInInt(a, set, v.Negate)
-		}
-		set, ok := buildStrSet(v.Vals)
-		if !ok {
+		in := b.newIn(v.Vals, a.kind)
+		switch {
+		case in == nil:
 			return nil
+		case a.kind == KindInt:
+			return vecInInt(a, in, v.Negate)
+		case a.dictOf() != nil:
+			return vecDictIn(a, in, v.Negate)
 		}
-		if a.dictOf() != nil {
-			return vecDictIn(a, set, v.Negate)
-		}
-		return vecInStr(a, set, v.Negate)
+		return vecInStr(a, in, v.Negate)
 	}
 	return nil
 }

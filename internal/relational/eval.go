@@ -11,15 +11,29 @@ func EvalExpr(e Expr, resolve func(ColRef) (Value, error)) (Value, error) {
 	return evalExpr(e, resolve, nil)
 }
 
+// EvalExprWith is EvalExpr with an execution's parameters bound:
+// ValParam{Slot: i} reads params.Vals[i] (the graph backend binds a
+// query's literal vector so), Param and ParamIDs read params.Ints and
+// params.Lists.
+func EvalExprWith(e Expr, resolve func(ColRef) (Value, error), params *Params) (Value, error) {
+	return evalExpr(e, resolve, params)
+}
+
 // evalExpr is EvalExpr with the parameter leaves of a prepared statement:
-// Param reads params.Ints, ParamIDs tests membership in params.Lists. With
-// nil params (EvalExpr) both are unevaluable.
+// Param reads params.Ints, ParamIDs tests membership in params.Lists,
+// ValParam reads params.Vals. With nil params (EvalExpr) all three are
+// unevaluable.
 func evalExpr(e Expr, resolve func(ColRef) (Value, error), params *Params) (Value, error) {
 	switch v := e.(type) {
 	case Lit:
 		return v.V, nil
 	case ColRef:
 		return resolve(v)
+	case ValParam:
+		if params != nil && v.Slot >= 0 && v.Slot < len(params.Vals) {
+			return params.Vals[v.Slot], nil
+		}
+		return Null(), fmt.Errorf("relational: value slot %d is not bound", v.Slot)
 	case Param:
 		if params != nil {
 			return Int(params.Ints[v.Slot]), nil

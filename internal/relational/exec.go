@@ -139,7 +139,10 @@ func (p *plan) run(ctx context.Context, params *Params, ints IntSink) (*ResultSe
 		st.params = *params
 	}
 	p.bindTabs(st)
-	err := p.walk(st, p.newSink(st, rs, ints), 0)
+	err := p.bindVals(st)
+	if err == nil {
+		err = p.walk(st, p.newSink(st, rs, ints), 0)
+	}
 	stats := st.stats
 	p.release(st)
 	if err != nil {
@@ -262,7 +265,7 @@ const (
 )
 
 // keyedLevel is one level's key-set access resolved for one execution.
-// The key set is fixed for the execution (literal keys, a literal LIKE
+// The key set is fixed for the execution (constant keys, a constant LIKE
 // pattern, tables bound to one snapshot), so the level matches and
 // merges it once, on its first entry, and every later entry feeds the
 // same positions.
@@ -288,7 +291,7 @@ func (p *plan) keyedProbe(st *execState, lvl int, ia *indexAccess) bool {
 		return k.mode == keyedProbes
 	}
 	tbl := st.tabs[lvl]
-	lists, total := tbl.keyLists(ia, st.lists[:0])
+	lists, total := tbl.keyLists(ia, st, st.lists[:0])
 	span := tbl.Len()
 	if len(p.floors[lvl]) > 0 {
 		span -= int(p.scanStart(st, lvl))

@@ -149,7 +149,9 @@ func genWhere(intn func(int) int, depth int) string {
 }
 
 // checkWhereAgainstOracle runs "SELECT id FROM t WHERE pred" on the plain
-// and the indexed oracle tables and demands EvalExpr's brute-force rows.
+// and the indexed oracle tables and demands EvalExpr's brute-force rows;
+// on every table the statement with its literals turned into value slots
+// (slotLits) must answer as the literal statement does.
 // The plain table scans every row in conjunct order, as the brute force
 // does, so it must error exactly when the brute force errors. An index
 // probe visits only the rows its key selects, so an indexed table may
@@ -168,6 +170,7 @@ func checkSQLAgainstOracle(t *testing.T, sql string, plain *DB, indexed ...*DB) 
 	want, werr := oracleSelectIDs(plain, sql)
 	for _, db := range append([]*DB{plain}, indexed...) {
 		rs, err := db.Query(sql)
+		checkSlottedMatches(t, db, sql, rs, err)
 		switch {
 		case err != nil && werr == nil:
 			t.Fatalf("executor error %v, brute force none\n%s", err, sql)

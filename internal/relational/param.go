@@ -98,12 +98,12 @@ func describeAccess(tbl *Table, ia *indexAccess) string {
 	switch {
 	case ia.listSlot >= 0:
 		return fmt.Sprintf("index multi-probe on %s from param list %d", col, ia.listSlot)
-	case ia.like != nil && ia.keyList != nil:
+	case ia.like != nil && ia.like.pat.slot < 0 && !strings.ContainsAny(ia.like.pat.lit.S, "%_"):
 		return fmt.Sprintf("index LIKE on %s (exact key)", col)
 	case ia.like != nil:
 		return fmt.Sprintf("index LIKE on %s (per distinct key)", col)
-	case ia.keyList != nil:
-		return fmt.Sprintf("index multi-probe on %s (%d keys)", col, len(ia.keyList))
+	case ia.in != nil:
+		return fmt.Sprintf("index multi-probe on %s (%d keys)", col, len(ia.in.ops))
 	}
 	return "index probe on " + col
 }

@@ -17,7 +17,12 @@ import (
 // other shape, EvalExpr over the resolved columns, one row at a time.
 // Projection gathers columns (a composite item evaluates through
 // EvalExpr too). Execution runs the closures with zero per-row name
-// resolution and zero per-row allocation outside result rows.
+// resolution and zero per-row allocation outside result rows. A
+// constant a predicate compares against is an operand: a literal, or a
+// value slot (ValParam) read from the execution's Params.Vals, so one
+// plan serves every literal vector of a statement; what a constant
+// derives (a compiled LIKE pattern, an IN list's sorted keys) is resolved
+// once per execution (plan.bindVals).
 
 // plan is a fully compiled SELECT, safe for concurrent reuse: all mutable
 // execution state lives in execState (pooled across executions).
@@ -43,8 +48,46 @@ type plan struct {
 	// scratch is the number of scratch selections the plan's AND/OR/NOT
 	// kernels use (see execState.scratch).
 	scratch int
+	// valKinds[i] is the kind value slot i must be bound to (KindNull:
+	// the statement does not read slot i). likes and ins are the LIKE
+	// patterns and IN lists the kernels and key-set accesses read, each
+	// resolved per execution into execState.likes / execState.ins.
+	valKinds []Kind
+	likes    []*likeOp
+	ins      []*inList
 
 	statePool sync.Pool
+}
+
+// operand is a constant a compiled predicate or access path reads at
+// execution: a literal fixed at plan time (slot < 0), or the value bound
+// to a ValParam's slot.
+type operand struct {
+	slot int
+	lit  Value
+}
+
+func (o operand) get(st *execState) Value {
+	if o.slot < 0 {
+		return o.lit
+	}
+	return st.params.Vals[o.slot]
+}
+
+// likeOp is a LIKE pattern operand; execState.likes[idx] holds it
+// compiled for the current execution.
+type likeOp struct {
+	idx int
+	pat operand
+}
+
+// inList is an IN list whose values are all operands of the tested
+// column's kind; execState.ins[idx] holds them sorted and de-duplicated
+// for the current execution.
+type inList struct {
+	idx  int
+	kind Kind
+	ops  []operand
 }
 
 // levelPred is one compiled WHERE conjunct attached to a nested-loop
@@ -114,9 +157,9 @@ func pruneGate(e Expr) func(st *execState) bool {
 // just loses the shortcut, never correctness.
 type scanFloor struct {
 	col  int
-	slot int   // parameter slot holding the bound, or -1 when lit is used
-	lit  int64 // literal bound when slot < 0
-	excl bool  // strict ">": the first in-range value is bound+1
+	slot int     // integer parameter slot holding the bound, or -1 when val is used
+	val  operand // the bound when slot < 0: a literal or a value slot
+	excl bool    // strict ">": the first in-range value is bound+1
 }
 
 // execState is the per-execution mutable state: the current row index of
@@ -154,6 +197,11 @@ type execState struct {
 	keyed []keyedLevel
 	lists [][]int32
 	bits  []uint64
+	// likes and ins are the plan's LIKE patterns and IN lists resolved
+	// for this execution (see plan.bindVals); their buffers are kept
+	// across pooled executions.
+	likes []likeMatcher
+	ins   []inSet
 	// sink is the execution's row collector (see plan.newSink); its int
 	// DISTINCT set is kept across pooled executions.
 	sink rowSink
@@ -226,7 +274,34 @@ func (p *plan) state() *execState {
 		visits: make([]int32, len(p.tables)),
 		hjTabs: make([]*hashJoinTable, len(p.tables)),
 		keyed:  make([]keyedLevel, len(p.tables)),
+		likes:  make([]likeMatcher, len(p.likes)),
+		ins:    make([]inSet, len(p.ins)),
 	}
+}
+
+// bindVals checks the execution's value slots against the kinds the plan
+// was compiled for and resolves the constants derived from them: each
+// LIKE pattern compiled, each IN list's keys sorted and de-duplicated.
+func (p *plan) bindVals(st *execState) error {
+	vals := st.params.Vals
+	for slot, k := range p.valKinds {
+		if k == KindNull {
+			continue
+		}
+		if slot >= len(vals) {
+			return fmt.Errorf("relational: value slot %d is not bound", slot)
+		}
+		if vals[slot].K != k {
+			return fmt.Errorf("relational: value slot %d is bound to %v, the plan reads %v", slot, vals[slot].K, k)
+		}
+	}
+	for i, l := range p.likes {
+		st.likes[i] = compileLike(l.pat.get(st).S)
+	}
+	for i, in := range p.ins {
+		st.ins[i].bind(st, in)
+	}
+	return nil
 }
 
 // bindTabs resolves the tables this execution reads: the snapshot copies
@@ -253,6 +328,10 @@ func (p *plan) release(st *execState) {
 	st.ctx = nil
 	st.done = nil
 	st.tick = 0
+	clear(st.likes) // do not pin the bound patterns
+	for i := range st.ins {
+		clear(st.ins[i].strs)
+	}
 	seen := st.sink.seen
 	if len(seen) > maxPooledSeen {
 		seen = nil
@@ -274,15 +353,15 @@ type projFn func(st *execState, dst []Value) error
 
 // indexAccess describes a hash-index probe for one nested-loop level.
 // Exactly one of keyFn (single probe, evaluated against earlier levels),
-// a key set (keyList from a literal IN list, or like: the index keys a
-// LIKE pattern matches), or listSlot >= 0 (multi-probe from the parameter
-// list bound at execution) is set; a LIKE pattern with no wildcard sets
-// both like and its one key in keyList.
+// a key set (in: the keys of an IN list of constants, or like: the index
+// keys a LIKE pattern matches — only the pattern itself when it has no
+// wildcard), or listSlot >= 0 (multi-probe from the parameter list bound
+// at execution) is set.
 type indexAccess struct {
 	col      int
 	keyFn    evalFn
-	keyList  []Value
-	like     func(string) bool
+	in       *inList
+	like     *likeOp
 	listSlot int // -1 when not a parameter-list probe
 	// optional marks a parameter-list probe planned from an Optional
 	// ParamIDs conjunct: an execution with no bound list uses fallback
@@ -293,10 +372,10 @@ type indexAccess struct {
 }
 
 // keyed reports whether the access probes a key set fixed for the whole
-// execution (a literal IN list or a LIKE pattern): the executor resolves
-// it once per execution and level, in ascending row order (see
+// execution (an IN list of constants or a LIKE pattern): the executor
+// resolves it once per execution and level, in ascending row order (see
 // plan.keyedProbe).
-func (ia *indexAccess) keyed() bool { return ia.keyList != nil || ia.like != nil }
+func (ia *indexAccess) keyed() bool { return ia.in != nil || ia.like != nil }
 
 // binding resolves aliases and columns for one statement.
 type binding struct {
@@ -306,6 +385,86 @@ type binding struct {
 	// scratch counts the scratch selections reserved so far by the
 	// compiled AND/OR/NOT kernels.
 	scratch int
+	// valKinds, likes and ins collect the plan's value slots, LIKE
+	// patterns and IN lists (see plan).
+	valKinds []Kind
+	likes    []*likeOp
+	ins      []*inList
+}
+
+// declareVals records the kind of every value slot e reads, rejecting a
+// negative slot, a slot without a kind, and one slot read as two kinds.
+func (b *binding) declareVals(e Expr) error {
+	switch v := e.(type) {
+	case ValParam:
+		if v.Slot < 0 || v.Kind == KindNull {
+			return fmt.Errorf("relational: bad value slot %d of kind %v", v.Slot, v.Kind)
+		}
+		for len(b.valKinds) <= v.Slot {
+			b.valKinds = append(b.valKinds, KindNull)
+		}
+		if k := b.valKinds[v.Slot]; k != KindNull && k != v.Kind {
+			return fmt.Errorf("relational: value slot %d read as %v and %v", v.Slot, k, v.Kind)
+		}
+		b.valKinds[v.Slot] = v.Kind
+	case BinOp:
+		if err := b.declareVals(v.L); err != nil {
+			return err
+		}
+		return b.declareVals(v.R)
+	case UnOp:
+		return b.declareVals(v.E)
+	case InList:
+		for _, x := range v.Vals {
+			if err := b.declareVals(x); err != nil {
+				return err
+			}
+		}
+		return b.declareVals(v.E)
+	case ParamIDs:
+		return b.declareVals(v.E)
+	}
+	return nil
+}
+
+// operand resolves a literal or a value slot to an operand and its kind
+// (a slot's declared one); ok is false for any other expression.
+func (b *binding) operand(e Expr) (o operand, kind Kind, ok bool) {
+	switch v := e.(type) {
+	case Lit:
+		return operand{slot: -1, lit: v.V}, v.V.K, true
+	case ValParam:
+		return operand{slot: v.Slot}, v.Kind, true
+	}
+	return operand{}, KindNull, false
+}
+
+// newLike registers a LIKE pattern operand for per-execution compiling.
+func (b *binding) newLike(pat operand) *likeOp {
+	l := &likeOp{idx: len(b.likes), pat: pat}
+	b.likes = append(b.likes, l)
+	return l
+}
+
+// newIn registers an IN list for per-execution resolution when every
+// value is an operand of kind, the tested column's (nil otherwise: a
+// kernel or probe matches strictly, while IN's equality lets "42" match
+// 42).
+func (b *binding) newIn(vals []Expr, kind Kind) *inList {
+	if kind != KindInt && kind != KindString {
+		return nil
+	}
+	ops := make([]operand, len(vals))
+	for i, ve := range vals {
+		o, k, ok := b.operand(ve)
+		if !ok || k != kind {
+			return nil
+		}
+		ops[i] = o
+	}
+	in := &inList{idx: len(b.ins), kind: kind, ops: ops}
+	b.ins = append(b.ins, in)
+	return in
 }
 
 func newBinding(db *DB, stmt *SelectStmt) (*binding, error) {
@@ -412,6 +571,16 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if stmt.Where != nil {
+		if err := b.declareVals(stmt.Where); err != nil {
+			return nil, err
+		}
+	}
+	for _, item := range stmt.Select {
+		if err := b.declareVals(item.Expr); err != nil {
+			return nil, err
+		}
+	}
 
 	var conjuncts []Expr
 	if stmt.Where != nil {
@@ -465,13 +634,12 @@ func (db *DB) plan(stmt *SelectStmt) (*plan, error) {
 			p.levelPreds[lvl] = append(p.levelPreds[lvl], levelPred{row: ev, active: act})
 		}
 	}
-	p.scratch = b.scratch
-
 	p.cols, p.project, err = b.compileProjection(stmt)
 	if err != nil {
 		return nil, err
 	}
 	p.intProj = b.intProjection(stmt)
+	p.scratch, p.valKinds, p.likes, p.ins = b.scratch, b.valKinds, b.likes, b.ins
 	return p, nil
 }
 
@@ -496,10 +664,10 @@ func (b *binding) intProjection(stmt *SelectStmt) []colPos {
 	return out
 }
 
-// planInListAccess turns "tbl.col IN (literals...)" into a key-set probe
-// over the distinct literals (a repeated one would feed its rows twice).
-// Every literal must have the column's kind: a probe matches strictly,
-// while IN's equality lets "42" match 42.
+// planInListAccess turns "tbl.col IN (constants...)" into a key-set
+// probe over the distinct values (a repeated one would feed its rows
+// twice; bindVals de-duplicates them per execution). Every value must
+// have the column's kind (see newIn).
 func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 	c, ok := in.E.(ColRef)
 	if !ok {
@@ -512,30 +680,25 @@ func (b *binding) planInListAccess(lvl int, in InList) *indexAccess {
 	if b.tables[lvl].indexes[ccol].Load() == nil {
 		return nil
 	}
-	vals := make([]Value, 0, len(in.Vals))
-	for _, ve := range in.Vals {
-		lit, ok := ve.(Lit)
-		if !ok || lit.V.K != b.tables[lvl].Schema[ccol].Kind {
-			return nil
-		}
-		if !slices.Contains(vals, lit.V) {
-			vals = append(vals, lit.V)
-		}
+	list := b.newIn(in.Vals, b.tables[lvl].Schema[ccol].Kind)
+	if list == nil {
+		return nil
 	}
-	return &indexAccess{col: ccol, keyList: vals, listSlot: -1}
+	return &indexAccess{col: ccol, in: list, listSlot: -1}
 }
 
-// planLikeAccess turns "tbl.col LIKE 'pattern'" over an indexed string
-// column into a key-set probe: each execution tests the pattern once per
-// distinct index key and probes the keys it matches. A pattern with no
-// wildcard matches only itself, so it probes that one key.
+// planLikeAccess turns "tbl.col LIKE pattern" over an indexed string
+// column, the pattern a string literal or value slot, into a key-set
+// probe: each execution tests the pattern once per distinct index key
+// and probes the keys it matches. A pattern with no wildcard matches
+// only itself, so it probes that one key.
 func (b *binding) planLikeAccess(lvl int, bin BinOp) *indexAccess {
 	c, ok := bin.L.(ColRef)
 	if !ok {
 		return nil
 	}
-	lit, ok := bin.R.(Lit)
-	if !ok || lit.V.K != KindString {
+	pat, kind, ok := b.operand(bin.R)
+	if !ok || kind != KindString {
 		return nil
 	}
 	clvl, ccol, err := b.resolve(c)
@@ -545,11 +708,7 @@ func (b *binding) planLikeAccess(lvl int, bin BinOp) *indexAccess {
 	if b.tables[lvl].indexes[ccol].Load() == nil {
 		return nil
 	}
-	ia := &indexAccess{col: ccol, like: compileLikePattern(lit.V.S), listSlot: -1}
-	if !strings.ContainsAny(lit.V.S, "%_") {
-		ia.keyList = []Value{lit.V}
-	}
-	return ia
+	return &indexAccess{col: ccol, like: b.newLike(pat), listSlot: -1}
 }
 
 // planParamIDsAccess turns "tbl.col IN <param list>" into a multi-probe
@@ -574,9 +733,10 @@ func (b *binding) planParamIDsAccess(lvl int, pi ParamIDs) *indexAccess {
 }
 
 // planScanFloor recognizes "col >= bound" / "col > bound" conjuncts over
-// an int column of this level whose bound is a literal or an integer
-// parameter — the shapes the full-scan path can turn into a binary-searched
-// scan start when the column is ascending-sorted (see scanFloor).
+// an int column of this level whose bound is an integer literal, value
+// slot or parameter — the shapes the full-scan path can turn into a
+// binary-searched scan start when the column is ascending-sorted (see
+// scanFloor).
 func (b *binding) planScanFloor(lvl int, e Expr) (scanFloor, bool) {
 	bin, ok := e.(BinOp)
 	if !ok || (bin.Op != ">=" && bin.Op != ">") {
@@ -591,21 +751,19 @@ func (b *binding) planScanFloor(lvl int, e Expr) (scanFloor, bool) {
 		return scanFloor{}, false
 	}
 	f := scanFloor{col: ccol, slot: -1, excl: bin.Op == ">"}
-	switch r := bin.R.(type) {
-	case Lit:
-		if r.V.K != KindInt {
-			return scanFloor{}, false
-		}
-		f.lit = r.V.I
-	case Param:
+	if r, ok := bin.R.(Param); ok {
 		slot, err := checkSlot(r.Slot)
 		if err != nil {
 			return scanFloor{}, false
 		}
-		f.slot = slot
-	default:
+		f.slot, f.val = slot, operand{slot: -1}
+		return f, true
+	}
+	val, kind, ok := b.operand(bin.R)
+	if !ok || kind != KindInt {
 		return scanFloor{}, false
 	}
+	f.val = val
 	return f, true
 }
 
@@ -616,9 +774,11 @@ func (p *plan) scanStart(st *execState, lvl int) int32 {
 	var lo int32
 	tbl := st.tabs[lvl]
 	for _, f := range p.floors[lvl] {
-		k := f.lit
+		var k int64
 		if f.slot >= 0 {
 			k = st.params.Ints[f.slot]
+		} else {
+			k = f.val.get(st).I
 		}
 		if f.excl {
 			if k == int64(^uint64(0)>>1) { // MaxInt64: "> max" admits nothing
@@ -634,9 +794,9 @@ func (p *plan) scanStart(st *execState, lvl int) int32 {
 }
 
 // planIndexAccess finds an equality conjunct "tbl.col = key" (or an
-// all-literal "tbl.col IN (...)", or a runtime parameter list) usable as
+// all-constant "tbl.col IN (...)", or a runtime parameter list) usable as
 // an index probe at the given level; failing those, the first
-// "tbl.col LIKE 'pattern'" over an indexed column (planLikeAccess). An
+// "tbl.col LIKE pattern" over an indexed column (planLikeAccess). An
 // Optional parameter-list access is returned with the level's next-best
 // access attached as its runtime fallback, so one compiled plan serves
 // bound and unbound executions.
@@ -699,15 +859,12 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 			if err != nil {
 				return nil
 			}
-			if _, isCol := keySide.(ColRef); !isCol {
-				if _, isLit := keySide.(Lit); !isLit {
-					return nil
-				}
+			_, _, isConst := b.operand(keySide)
+			if _, isCol := keySide.(ColRef); !isCol && !isConst {
+				return nil
 			}
-			if keyLvl >= lvl {
-				if _, isLit := keySide.(Lit); !isLit {
-					return nil
-				}
+			if keyLvl >= lvl && !isConst {
+				return nil
 			}
 			if tbl.indexes[ccol].Load() == nil || b.kindOf(keySide) != tbl.Schema[ccol].Kind {
 				return nil // a probe matches strictly; "=" lets "42" match 42
@@ -734,12 +891,14 @@ func (b *binding) planIndexAccess(lvl int, preds []Expr) (*indexAccess, error) {
 // colPos is a column reference resolved at plan time.
 type colPos struct{ lvl, col int }
 
-// kindOf returns the kind of a literal or a column reference (KindNull
-// for anything else).
+// kindOf returns the kind of a literal, a value slot or a column
+// reference (KindNull for anything else).
 func (b *binding) kindOf(e Expr) Kind {
 	switch v := e.(type) {
 	case Lit:
 		return v.V.K
+	case ValParam:
+		return v.Kind
 	case ColRef:
 		if lvl, col, err := b.resolve(v); err == nil {
 			return b.tables[lvl].Schema[col].Kind
@@ -749,8 +908,8 @@ func (b *binding) kindOf(e Expr) Kind {
 }
 
 // compileEval compiles an expression to a value closure. The leaves that
-// projection and index keys read (literals, parameters, columns) read
-// directly; every composite shape evaluates through EvalExpr's semantics
+// projection and index keys read (literals, parameters, value slots,
+// columns) read directly; every composite shape evaluates through EvalExpr's semantics
 // over column references resolved once here, so an unknown column or
 // parameter slot still fails at plan time.
 func (b *binding) compileEval(e Expr) (evalFn, error) {
@@ -765,6 +924,11 @@ func (b *binding) compileEval(e Expr) (evalFn, error) {
 		}
 		return func(st *execState) (Value, error) {
 			return Int(st.params.Ints[slot]), nil
+		}, nil
+	case ValParam:
+		slot := v.Slot // bound and kind-checked by bindVals
+		return func(st *execState) (Value, error) {
+			return st.params.Vals[slot], nil
 		}, nil
 	case ColRef:
 		lvl, col, err := b.resolve(v)
@@ -792,7 +956,7 @@ func (b *binding) compileEval(e Expr) (evalFn, error) {
 // parameter slots, unknown operators and unevaluable nodes.
 func (b *binding) bindRefs(e Expr, refs map[ColRef]colPos) error {
 	switch v := e.(type) {
-	case Lit:
+	case Lit, ValParam:
 		return nil
 	case ColRef:
 		lvl, col, err := b.resolve(v)
@@ -829,56 +993,97 @@ func (b *binding) bindRefs(e Expr, refs map[ColRef]colPos) error {
 	return fmt.Errorf("relational: cannot evaluate %T", e)
 }
 
-// buildIntSet and buildStrSet turn an all-literal, single-kind IN list
-// into a membership set for the IN kernels; ok is false for any other
-// list shape, which EvalExpr then evaluates.
-func buildIntSet(vals []Expr) (map[int64]struct{}, bool) {
-	set := make(map[int64]struct{}, len(vals))
-	for _, ve := range vals {
-		lit, ok := ve.(Lit)
-		if !ok || lit.V.K != KindInt {
-			return nil, false
-		}
-		set[lit.V.I] = struct{}{}
-	}
-	return set, true
+// inSet is an IN list's keys resolved for one execution: sorted and
+// de-duplicated, typed by the tested column.
+type inSet struct {
+	ints []int64
+	strs []string
 }
 
-func buildStrSet(vals []Expr) (map[string]struct{}, bool) {
-	set := make(map[string]struct{}, len(vals))
-	for _, ve := range vals {
-		lit, ok := ve.(Lit)
-		if !ok || lit.V.K != KindString {
-			return nil, false
+func (s *inSet) bind(st *execState, in *inList) {
+	s.ints, s.strs = s.ints[:0], s.strs[:0]
+	for _, o := range in.ops {
+		if v := o.get(st); in.kind == KindInt {
+			s.ints = append(s.ints, v.I)
+		} else {
+			s.strs = append(s.strs, v.S)
 		}
-		set[lit.V.S] = struct{}{}
 	}
-	return set, true
+	slices.Sort(s.ints)
+	s.ints = slices.Compact(s.ints)
+	slices.Sort(s.strs)
+	s.strs = slices.Compact(s.strs)
 }
 
-// compileLikePattern prepares a matcher for a constant LIKE pattern,
-// lowering the dominant shapes ('%sub%', 'pre%', '%suf', exact) to
-// stdlib string primitives and falling back to the generic matcher.
-func compileLikePattern(p string) func(string) bool {
+// containsSorted reports membership in sorted unique keys: a linear scan
+// over a short list, a binary search over a long one.
+func containsSorted[T orderedCol](keys []T, x T) bool {
+	if len(keys) <= 8 {
+		for _, k := range keys {
+			if k == x {
+				return true
+			}
+		}
+		return false
+	}
+	_, ok := slices.BinarySearch(keys, x)
+	return ok
+}
+
+// Shapes of a compiled LIKE pattern (likeMatcher.shape).
+const (
+	likeGeneric uint8 = iota
+	likeExact
+	likeContains
+	likePrefix
+	likeSuffix
+)
+
+// likeMatcher is a LIKE pattern prepared for matching: the dominant
+// shapes ('%sub%', 'pre%', '%suf', exact) lower to stdlib string
+// primitives on the pattern's fixed part, every other pattern runs the
+// generic matcher. A value, so compiling one per execution allocates
+// nothing.
+type likeMatcher struct {
+	shape uint8
+	part  string // the fixed part; the whole pattern for likeGeneric
+}
+
+// compileLike classifies a LIKE pattern.
+func compileLike(p string) likeMatcher {
 	if !strings.ContainsAny(p, "%_") {
-		return func(s string) bool { return s == p }
+		return likeMatcher{likeExact, p}
 	}
 	if len(p) >= 2 && p[0] == '%' && p[len(p)-1] == '%' {
 		if mid := p[1 : len(p)-1]; !strings.ContainsAny(mid, "%_") {
-			return func(s string) bool { return strings.Contains(s, mid) }
+			return likeMatcher{likeContains, mid}
 		}
 	}
 	if p[len(p)-1] == '%' {
 		if pre := p[:len(p)-1]; !strings.ContainsAny(pre, "%_") {
-			return func(s string) bool { return strings.HasPrefix(s, pre) }
+			return likeMatcher{likePrefix, pre}
 		}
 	}
 	if p[0] == '%' {
 		if suf := p[1:]; !strings.ContainsAny(suf, "%_") {
-			return func(s string) bool { return strings.HasSuffix(s, suf) }
+			return likeMatcher{likeSuffix, suf}
 		}
 	}
-	return func(s string) bool { return likeMatch(s, p) }
+	return likeMatcher{likeGeneric, p}
+}
+
+func (m *likeMatcher) match(s string) bool {
+	switch m.shape {
+	case likeExact:
+		return s == m.part
+	case likeContains:
+		return strings.Contains(s, m.part)
+	case likePrefix:
+		return strings.HasPrefix(s, m.part)
+	case likeSuffix:
+		return strings.HasSuffix(s, m.part)
+	}
+	return likeMatch(s, m.part)
 }
 
 // compileProjection builds the output column labels and a compiled row

@@ -7,12 +7,18 @@ import (
 
 // This file prints statement ASTs as SQL text — the only place SQL text is
 // produced. ParseSelect reads every printed statement back to the same
-// AST, with two exceptions no parser reads: Param / ParamIDs placeholders
-// print as "?N" / "x IN ?listN", and a negative integer literal prints as
+// AST, with two exceptions no parser reads: Param / ParamIDs / ValParam
+// placeholders print as "?N" / "x IN ?listN" / "?vN" (followed by the
+// bound value in brackets, "?vN ['x']", when the printer is given the
+// execution's values), and a negative integer literal prints as
 // "(0 - N)", the arithmetic the parser does read.
 
 // String prints the statement as SQL.
-func (s *SelectStmt) String() string {
+func (s *SelectStmt) String() string { return s.BoundString(nil) }
+
+// BoundString prints the statement as SQL with each value slot followed
+// by its value in vals.
+func (s *SelectStmt) BoundString(vals []Value) string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
 	if s.Distinct {
@@ -25,7 +31,7 @@ func (s *SelectStmt) String() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		writeExpr(&sb, item.Expr, 0)
+		writeExpr(&sb, item.Expr, 0, vals)
 		if item.As != "" {
 			sb.WriteString(" AS " + item.As)
 		}
@@ -39,7 +45,7 @@ func (s *SelectStmt) String() string {
 	}
 	if s.Where != nil {
 		sb.WriteString(" WHERE ")
-		writeExpr(&sb, s.Where, 0)
+		writeExpr(&sb, s.Where, 0, vals)
 	}
 	return sb.String()
 }
@@ -54,11 +60,18 @@ func writeTableRef(sb *strings.Builder, ref TableRef) {
 // String prints the statement the prepared plan was compiled from.
 func (pr *Prepared) String() string { return pr.p.stmt.String() }
 
+// BoundString prints the statement with its value slots' values in vals.
+func (pr *Prepared) BoundString(vals []Value) string { return pr.p.stmt.BoundString(vals) }
+
 // ExprString prints an expression in the syntax both the SQL and the
 // Cypher parser read (the graph backend's WHERE is the same Expr).
-func ExprString(e Expr) string {
+func ExprString(e Expr) string { return BoundExprString(e, nil) }
+
+// BoundExprString is ExprString with each value slot followed by its
+// value in vals.
+func BoundExprString(e Expr, vals []Value) string {
 	var sb strings.Builder
-	writeExpr(&sb, e, 0)
+	writeExpr(&sb, e, 0, vals)
 	return sb.String()
 }
 
@@ -96,10 +109,10 @@ func exprPrec(e Expr) int {
 
 // writeExpr prints e where the grammar admits only forms binding at least
 // as tightly as atLeast.
-func writeExpr(sb *strings.Builder, e Expr, atLeast int) {
+func writeExpr(sb *strings.Builder, e Expr, atLeast int, vals []Value) {
 	if exprPrec(e) < atLeast {
 		sb.WriteByte('(')
-		writeExpr(sb, e, 0)
+		writeExpr(sb, e, 0, vals)
 		sb.WriteByte(')')
 		return
 	}
@@ -113,14 +126,21 @@ func writeExpr(sb *strings.Builder, e Expr, atLeast int) {
 		writeValue(sb, v.V)
 	case Param:
 		sb.WriteString("?" + strconv.Itoa(v.Slot))
+	case ValParam:
+		sb.WriteString("?v" + strconv.Itoa(v.Slot))
+		if v.Slot >= 0 && v.Slot < len(vals) {
+			sb.WriteString(" [")
+			writeValue(sb, vals[v.Slot])
+			sb.WriteByte(']')
+		}
 	case ParamIDs:
-		writeExpr(sb, v.E, precAdd)
+		writeExpr(sb, v.E, precAdd, vals)
 		sb.WriteString(" IN ?list" + strconv.Itoa(v.Slot))
 	case UnOp:
 		sb.WriteString("NOT ")
-		writeExpr(sb, v.E, precNot)
+		writeExpr(sb, v.E, precNot, vals)
 	case InList:
-		writeExpr(sb, v.E, precAdd)
+		writeExpr(sb, v.E, precAdd, vals)
 		if v.Negate {
 			sb.WriteString(" NOT")
 		}
@@ -129,7 +149,7 @@ func writeExpr(sb *strings.Builder, e Expr, atLeast int) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			writeExpr(sb, x, 0)
+			writeExpr(sb, x, 0, vals)
 		}
 		sb.WriteByte(')')
 	case BinOp:
@@ -139,9 +159,9 @@ func writeExpr(sb *strings.Builder, e Expr, atLeast int) {
 		if p == precCmp {
 			left, right = precAdd, precAdd
 		}
-		writeExpr(sb, v.L, left)
+		writeExpr(sb, v.L, left, vals)
 		sb.WriteString(" " + strings.ToUpper(v.Op) + " ")
-		writeExpr(sb, v.R, right)
+		writeExpr(sb, v.R, right, vals)
 	}
 }
 

@@ -746,13 +746,15 @@ func below(pos []int32, rows int32) []int32 {
 }
 
 // keyLists appends to dst the non-empty position list of every key a
-// key-set access selects: its literal keys, or each distinct index key
-// its LIKE pattern matches. It returns dst and the lists' total length.
+// key-set access selects under execution st's bound constants: its IN
+// list's keys, or each distinct index key its LIKE pattern matches (only
+// the pattern itself when it has no wildcard). It returns dst and the
+// lists' total length.
 // The access was planned on a built index, and an index is never
 // dropped. A snapshot copy reads the index under its read lock and trims
 // each list as lookup does. NULLs are not indexed, and neither IN nor
 // LIKE matches NULL, so the lists hold every row the access can select.
-func (t *Table) keyLists(ia *indexAccess, dst [][]int32) ([][]int32, int) {
+func (t *Table) keyLists(ia *indexAccess, st *execState, dst [][]int32) ([][]int32, int) {
 	ix := t.indexes[ia.col].Load()
 	if t.snapshot {
 		ix.mu.RLock()
@@ -768,15 +770,24 @@ func (t *Table) keyLists(ia *indexAccess, dst [][]int32) ([][]int32, int) {
 			total += len(l)
 		}
 	}
-	if ia.keyList != nil {
-		for _, k := range ia.keyList {
-			keep(ix.positions(k))
+	if ia.in != nil {
+		set := &st.ins[ia.in.idx]
+		for _, k := range set.ints {
+			keep(ix.positions(Int(k)))
 		}
-	} else {
-		for k, l := range ix.strs {
-			if ia.like(k) {
-				keep(l)
-			}
+		for _, k := range set.strs {
+			keep(ix.positions(Str(k)))
+		}
+		return dst, total
+	}
+	m := &st.likes[ia.like.idx]
+	if m.shape == likeExact {
+		keep(ix.positions(Str(m.part)))
+		return dst, total
+	}
+	for k, l := range ix.strs {
+		if m.match(k) {
+			keep(l)
 		}
 	}
 	return dst, total

@@ -2,6 +2,9 @@ package tbql
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"unique"
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/relational"
@@ -24,6 +27,17 @@ type Analyzed struct {
 	PatternID   map[string]int // pattern ID -> index into Query.Patterns
 	// Return items with default attributes filled in.
 	ReturnItems []Attr
+	// Lits is the query's literal vector: every value literal of its
+	// entity filters (in EntityOrder) and then of its patterns' event
+	// filters (in pattern order), each filter's in its tree's pre-order.
+	// Lower compiles literal i as the value slot relational.ValParam{Slot:
+	// i}, so the one compiled plan of a Shape runs every query of that
+	// shape bound with the query's own Lits.
+	Lits []relational.Value
+	// Shape is the query with its value literals erased (see shapeKey),
+	// interned: two queries with equal Shapes differ only in Lits, and
+	// comparing or hashing a Shape costs a pointer's worth.
+	Shape unique.Handle[string]
 }
 
 // Kind converts a TBQL entity type to the audit entity kind.
@@ -184,7 +198,189 @@ func Analyze(q *Query) (*Analyzed, error) {
 	if len(a.ReturnItems) == 0 {
 		return nil, fmt.Errorf("tbql: empty return clause")
 	}
+	a.Shape = unique.Make(a.shapeKey())
 	return a, nil
+}
+
+// shapeKey collects a's literal vector into a.Lits and returns the key of
+// everything that shapes its compiled plan, literals written as their
+// slots: the return clause, the entities in first-use order with their
+// kinds and filters, per pattern its entities, ID, operation expression,
+// path bounds, resolved window and event filter, the relations (an
+// attribute relation with its literals, which the join evaluates), and
+// the kind of each literal. The filters print each IN list's length.
+func (a *Analyzed) shapeKey() string {
+	k := keyWriter{a: a}
+	k.Grow(1024)
+	q := a.Query
+	if q.Return.Distinct {
+		k.WriteString("distinct ")
+	}
+	for _, it := range a.ReturnItems {
+		k.strs(it.EntityID, ".", it.Attr, ",")
+	}
+	for _, id := range a.EntityOrder {
+		k.strs("\n", id, " ", string(a.Entities[id].Type), " ")
+		k.expr(a.Entities[id].Filter, true)
+	}
+	for _, p := range q.Patterns {
+		k.strs("\n", p.Subject.ID, " ", p.Object.ID, " ", p.ID, " ")
+		k.op(p.Op)
+		if p.Path != nil {
+			k.ints('p', int64(p.Path.MinLen), int64(p.Path.MaxLen))
+		}
+		if w := lowerWindow(patternWindow(q, p)); w != nil {
+			k.ints('w', int64(w.Kind), w.FromUS, w.ToUS, w.DurUS)
+		}
+		k.expr(p.IDFilter, true)
+	}
+	for _, rel := range q.Relations {
+		k.strs("\nwith ", rel.A, " ", rel.B)
+		hasDur := int64(0)
+		if rel.HasDur {
+			hasDur = 1
+		}
+		k.ints('r', int64(rel.Kind), hasDur, int64(rel.LoDur), int64(rel.HiDur))
+		k.expr(rel.Attr, false)
+	}
+	k.WriteString("\nkinds")
+	for _, v := range a.Lits {
+		k.ints(' ', int64(v.K))
+	}
+	return k.String()
+}
+
+// keyWriter writes a shape key.
+type keyWriter struct {
+	strings.Builder
+	a   *Analyzed
+	buf [20]byte
+}
+
+// strs writes each string.
+func (k *keyWriter) strs(ss ...string) {
+	for _, s := range ss {
+		k.WriteString(s)
+	}
+}
+
+// ints writes tag and each integer.
+func (k *keyWriter) ints(tag byte, vs ...int64) {
+	k.WriteByte(tag)
+	for _, v := range vs {
+		k.Write(strconv.AppendInt(k.buf[:0], v, 10))
+		k.WriteByte(',')
+	}
+}
+
+// expr writes e in prefix form. With slot set, each value literal is
+// appended to a.Lits and written as its slot (slotLits' numbering);
+// otherwise literals are written out.
+func (k *keyWriter) expr(e relational.Expr, slot bool) {
+	switch v := e.(type) {
+	case nil:
+	case relational.ColRef:
+		k.strs(v.Qualifier, ".", v.Column)
+	case relational.Lit:
+		if slot && v.V.K != relational.KindNull {
+			k.a.Lits = append(k.a.Lits, v.V)
+			k.ints('?', int64(len(k.a.Lits)-1))
+			return
+		}
+		k.WriteString(relational.ExprString(v))
+	case relational.BinOp:
+		k.strs("(", v.Op, " ")
+		k.expr(v.L, slot)
+		k.WriteByte(' ')
+		k.expr(v.R, slot)
+		k.WriteByte(')')
+	case relational.UnOp:
+		k.strs("(", v.Op, " ")
+		k.expr(v.E, slot)
+		k.WriteByte(')')
+	case relational.InList:
+		if v.Negate {
+			k.WriteString("(notin ")
+		} else {
+			k.WriteString("(in ")
+		}
+		k.expr(v.E, slot)
+		for _, x := range v.Vals {
+			k.WriteByte(' ')
+			k.expr(x, slot)
+		}
+		k.WriteByte(')')
+	default:
+		k.WriteString(relational.ExprString(e))
+	}
+}
+
+// op writes an operation expression's tree ("-" for none).
+func (k *keyWriter) op(o *OpExpr) {
+	switch {
+	case o == nil:
+		k.WriteByte('-')
+	case o.Op != "":
+		k.WriteString(o.Op)
+	case o.Not != nil:
+		k.WriteByte('!')
+		k.op(o.Not)
+	default:
+		pair, sep := o.And, byte('&')
+		if o.Or[0] != nil {
+			pair, sep = o.Or, '|'
+		}
+		k.WriteByte('(')
+		k.op(pair[0])
+		k.WriteByte(sep)
+		k.op(pair[1])
+		k.WriteByte(')')
+	}
+	k.WriteByte(' ')
+}
+
+// slotLits returns the filters of a with each value literal replaced by
+// its value slot, numbered as a.Lits is: the entity filters by entity ID,
+// and the event filters by pattern index.
+func slotLits(a *Analyzed) (entity map[string]relational.Expr, event []relational.Expr) {
+	next := 0
+	var slot func(e relational.Expr) relational.Expr
+	slot = func(e relational.Expr) relational.Expr {
+		switch v := e.(type) {
+		case relational.Lit:
+			if v.V.K == relational.KindNull {
+				return v
+			}
+			next++
+			return relational.ValParam{Slot: next - 1, Kind: v.V.K}
+		case relational.BinOp:
+			l := slot(v.L)
+			return relational.BinOp{Op: v.Op, L: l, R: slot(v.R)}
+		case relational.UnOp:
+			return relational.UnOp{Op: v.Op, E: slot(v.E)}
+		case relational.InList:
+			x := slot(v.E)
+			vals := make([]relational.Expr, len(v.Vals))
+			for i, ve := range v.Vals {
+				vals[i] = slot(ve)
+			}
+			return relational.InList{E: x, Vals: vals, Negate: v.Negate}
+		}
+		return e
+	}
+	entity = make(map[string]relational.Expr, len(a.EntityOrder))
+	for _, id := range a.EntityOrder {
+		if f := a.Entities[id].Filter; f != nil {
+			entity[id] = slot(f)
+		}
+	}
+	event = make([]relational.Expr, len(a.Query.Patterns))
+	for i, p := range a.Query.Patterns {
+		if p.IDFilter != nil {
+			event[i] = slot(p.IDFilter)
+		}
+	}
+	return entity, event
 }
 
 // resolveEntityFilter fills default attribute names into bare-value

@@ -9,17 +9,20 @@ import (
 
 // Lower compiles an analyzed query's patterns into the shared logical-plan
 // IR, one DataQuery per pattern. The IR is pure structure: predicate trees
-// reference logical attribute names, windows stay symbolic (the engine
-// resolves bounds-sensitive windows against the store when lowering to
-// physical plans), and the scheduler's per-execution extras are left to
-// the well-known parameter slots.
+// reference logical attribute names, every value literal is the value
+// slot of its position in a.Lits (so the IR of one query serves every
+// query of its Shape), windows stay symbolic (the engine resolves
+// bounds-sensitive windows against the store when lowering to physical
+// plans), and the scheduler's per-execution extras are left to the
+// well-known parameter slots.
 func Lower(a *Analyzed) []*qir.DataQuery {
+	entity, event := slotLits(a)
 	out := make([]*qir.DataQuery, len(a.Query.Patterns))
 	for i, p := range a.Query.Patterns {
 		dq := &qir.DataQuery{PatternID: p.ID}
 		w := lowerWindow(patternWindow(a.Query, p))
-		subj := a.Entities[p.Subject.ID].Filter
-		obj := a.Entities[p.Object.ID].Filter
+		subj := entity[p.Subject.ID]
+		obj := entity[p.Object.ID]
 		if p.Path != nil {
 			dq.Path = &qir.PathMatch{
 				MinLen:     p.Path.MinLen,
@@ -31,7 +34,7 @@ func Lower(a *Analyzed) []*qir.DataQuery {
 				HasEdgeVar: (p.Path.MinLen == 1 && p.Path.MaxLen == 1) || p.Op != nil,
 			}
 			if dq.Path.HasEdgeVar {
-				dq.Path.EdgePred = p.IDFilter
+				dq.Path.EdgePred = event[i]
 				dq.Path.Window = w
 			}
 		} else {
@@ -40,7 +43,7 @@ func Lower(a *Analyzed) []*qir.DataQuery {
 				ObjPred:       obj,
 				ObjKind:       string(p.Object.Type),
 				Ops:           LoweredOps(p.Op),
-				EventPred:     p.IDFilter,
+				EventPred:     event[i],
 				Window:        w,
 				SubjConjuncts: conjunctCount(subj),
 				ObjConjuncts:  conjunctCount(obj),
