@@ -141,7 +141,7 @@ func (pp *patternPlan) anchorFilter(s *Store) (*relational.Prepared, error) {
 // join program and the projected columns.
 type shapePlan struct {
 	// key is the shape. The clock reference bit is set when a query finds
-	// the shape cached.
+	// the shape cached, or a cached query plan built on it is hit.
 	key unique.Handle[string]
 	clockRef
 
@@ -348,7 +348,14 @@ func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryP
 	prev := en.plans[a]
 	if prev != nil && (!prev.windowSensitive || prev.boundsEpoch == snap.Epoch) {
 		prev.pinned = prev.pinned || pin
-		prev.ref = prev.ref || prev.hit
+		if prev.hit {
+			// A use of the query is one of its shape, too: a shape whose
+			// queries only ever hit stays as hot as they are. (Marking a
+			// shape the shape cache already evicted is harmless: nothing
+			// reads its bit again.)
+			prev.ref = true
+			prev.shapePlan.ref = true
+		}
 		prev.hit = true
 		return prev
 	}
@@ -439,7 +446,7 @@ func (en *Engine) shapeLocked(a *tbql.Analyzed, snap *Snapshot) *shapePlan {
 		pp := &sp.pats[i]
 		pp.ir = ir
 		pp.meta = patternMeta(ir)
-		pp.subjHost, pp.objHost = hostSlot(ir, true), hostSlot(ir, false)
+		pp.subjHost, pp.objHost = pinnedHosts(ir)
 		sp.hostSlots = sp.hostSlots || pp.subjHost >= 0 || pp.objHost >= 0
 		if pp.meta.UsesGraph {
 			pp.gq = lowerPathQuery(b, ir.Path, a.Query.Return.Distinct)

@@ -62,84 +62,57 @@ type PatternMeta struct {
 	// SubjHost / ObjHost are non-empty when an equality literal pins the
 	// subject / object entity to one host — a host-keyed partitioner then
 	// routes the pattern to that host's shard alone. (The IR holds the
-	// literal as a value slot; the query's plan resolves it, see
-	// queryPlan.metas.)
+	// literal as a value slot, so these are the query's, not its shape's:
+	// see queryPlan.meta.)
 	SubjHost string
 	ObjHost  string
 }
 
-// patternMeta derives a pattern's routing metadata from its lowered IR.
+// patternMeta derives a pattern's routing metadata from its lowered IR,
+// all but the host pins.
 func patternMeta(ir *qir.DataQuery) PatternMeta {
 	m := PatternMeta{OpMask: patternOpMask(ir), Window: ir.Window(), UsesGraph: ir.UsesGraph()}
 	if ir.Path != nil {
 		m.VarLen = ir.Path.MinLen != 1 || ir.Path.MaxLen != 1
 	}
-	subj, obj := entityPreds(ir)
-	if l, ok := hostEquality(subj).(relational.Lit); ok {
-		m.SubjHost = l.V.S
-	}
-	if l, ok := hostEquality(obj).(relational.Lit); ok {
-		m.ObjHost = l.V.S
-	}
 	return m
 }
 
-// entityPreds returns the subject and object predicates of a data query.
-func entityPreds(ir *qir.DataQuery) (subj, obj relational.Expr) {
+// pinnedHosts returns the value slots a data query's subject and object
+// predicates pin their entity's host to, each -1 when none does.
+func pinnedHosts(ir *qir.DataQuery) (subj, obj int) {
 	if ir.Path != nil {
-		return ir.Path.SubjPred, ir.Path.ObjPred
+		return hostEquality(ir.Path.SubjPred), hostEquality(ir.Path.ObjPred)
 	}
-	return ir.Event.SubjPred, ir.Event.ObjPred
+	return hostEquality(ir.Event.SubjPred), hostEquality(ir.Event.ObjPred)
 }
 
-// hostSlot returns the value slot a data query's subject (subj) or
-// object predicate pins its entity's host to, or -1.
-func hostSlot(ir *qir.DataQuery, subj bool) int {
-	s, o := entityPreds(ir)
-	if !subj {
-		s = o
-	}
-	if v, ok := hostEquality(s).(relational.ValParam); ok {
-		return v.Slot
+// hostEquality returns the string value slot a predicate pins its
+// entity's host to with a top-level `host = ?` conjunct, or -1 when it
+// doesn't.
+func hostEquality(pred relational.Expr) int {
+	v, ok := pred.(relational.BinOp)
+	switch {
+	case !ok:
+	case v.Op == "and":
+		if h := hostEquality(v.L); h >= 0 {
+			return h
+		}
+		return hostEquality(v.R)
+	case v.Op == "=":
+		if h := hostEqSide(v.L, v.R); h >= 0 {
+			return h
+		}
+		return hostEqSide(v.R, v.L)
 	}
 	return -1
 }
 
-// hostEquality returns the string constant (a literal or a value slot)
-// a predicate pins its entity's host to with a top-level `host = c`
-// conjunct, or nil when it doesn't.
-func hostEquality(pred relational.Expr) relational.Expr {
-	switch v := pred.(type) {
-	case relational.BinOp:
-		if v.Op == "and" {
-			if h := hostEquality(v.L); h != nil {
-				return h
-			}
-			return hostEquality(v.R)
-		}
-		if v.Op == "=" {
-			if h := hostEqSide(v.L, v.R); h != nil {
-				return h
-			}
-			return hostEqSide(v.R, v.L)
-		}
+func hostEqSide(col, c relational.Expr) int {
+	ref, ok := col.(relational.ColRef)
+	v, isSlot := c.(relational.ValParam)
+	if !ok || ref.Column != "host" || !isSlot || v.Kind != relational.KindString {
+		return -1
 	}
-	return nil
-}
-
-func hostEqSide(col, c relational.Expr) relational.Expr {
-	if ref, ok := col.(relational.ColRef); !ok || ref.Column != "host" {
-		return nil
-	}
-	switch v := c.(type) {
-	case relational.Lit:
-		if v.V.K == relational.KindString {
-			return v
-		}
-	case relational.ValParam:
-		if v.Kind == relational.KindString {
-			return v
-		}
-	}
-	return nil
+	return v.Slot
 }

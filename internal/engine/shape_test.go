@@ -232,7 +232,8 @@ func TestConcurrentLiteralVectorsOfOneShape(t *testing.T) {
 // TestCacheEvictsOneEntryAtATime pins the caches' overflow: a full query
 // cache and a full shape cache each make room for a new entry by
 // evicting one entry, never by wiping, and the clock spares an entry hit
-// at least once per revolution of its hand.
+// at least once per revolution of its hand — a shape included, when the
+// hits are its query plan's and every other shape is new.
 func TestCacheEvictsOneEntryAtATime(t *testing.T) {
 	en := &Engine{Store: tinyStore(t)}
 	hunt := func(i int) *queryPlan {
@@ -259,6 +260,9 @@ func TestCacheEvictsOneEntryAtATime(t *testing.T) {
 		}
 		if i%64 == 0 && hunt(1) != hot {
 			t.Fatalf("after %d hunts the clock evicted an entry hit within each revolution of its hand", i+1)
+		}
+		if en.shapes[hot.key] != hot.shapePlan {
+			t.Fatalf("after %d hunts the clock evicted the shape of a query plan hit within each revolution of its hand", i+1)
 		}
 	}
 }

@@ -262,8 +262,8 @@ func TestDropViewsReleasesRows(t *testing.T) {
 // not evict a standing query's plan, or every watch would rematerialize
 // its views — a full-history data query per pattern — on the next round.
 // The query, text and shape caches each stay within their own bound (the
-// query cache may hold the pinned plan beyond it), and DropViews hands
-// the plan back to overflow.
+// query cache may hold the pinned plan beyond it), a text never outlives
+// its plan, and DropViews hands the plan back to overflow.
 func TestAdHocHuntsKeepStandingViews(t *testing.T) {
 	full, _ := dataLeakStore(t, 300)
 	a := analyzed(t, dataLeakTBQL)
@@ -287,6 +287,9 @@ func TestAdHocHuntsKeepStandingViews(t *testing.T) {
 	hunts()
 	if len(en.plans) > maxCachedQueryPlans+1 || len(en.texts) > maxCachedQueryPlans || len(en.shapes) > maxCachedQueryPlans {
 		t.Fatalf("caches grew past their bounds: %d plans, %d texts, %d shapes", len(en.plans), len(en.texts), len(en.shapes))
+	}
+	if len(en.texts) > len(en.plans) {
+		t.Fatalf("text cache outgrew the plan cache: %d texts, %d plans", len(en.texts), len(en.plans))
 	}
 	if vs := en.Views(); vs.CachedRows != before.CachedRows {
 		t.Fatalf("ad-hoc hunts evicted standing views: cached rows %d -> %d", before.CachedRows, vs.CachedRows)

@@ -17,6 +17,9 @@ type EntityDecl struct {
 	ID     string
 	Type   EntityType
 	Filter relational.Expr // nil when unconstrained
+	// slotted is Filter with each value literal replaced by its value
+	// slot (see Analyzed.Lits).
+	slotted relational.Expr
 }
 
 // Analyzed is a validated query with all syntactic sugars resolved.
@@ -29,15 +32,18 @@ type Analyzed struct {
 	ReturnItems []Attr
 	// Lits is the query's literal vector: every value literal of its
 	// entity filters (in EntityOrder) and then of its patterns' event
-	// filters (in pattern order), each filter's in its tree's pre-order.
-	// Lower compiles literal i as the value slot relational.ValParam{Slot:
-	// i}, so the one compiled plan of a Shape runs every query of that
-	// shape bound with the query's own Lits.
+	// filters (in pattern order), each filter's in its tree's pre-order
+	// (see slotLits). Lower compiles literal i as the value slot
+	// relational.ValParam{Slot: i}, so the one compiled plan of a Shape
+	// runs every query of that shape bound with the query's own Lits.
 	Lits []relational.Value
 	// Shape is the query with its value literals erased (see shapeKey),
 	// interned: two queries with equal Shapes differ only in Lits, and
 	// comparing or hashing a Shape costs a pointer's worth.
 	Shape unique.Handle[string]
+	// eventSlotted holds each pattern's event filter with its value
+	// literals slotted, by pattern index.
+	eventSlotted []relational.Expr
 }
 
 // Kind converts a TBQL entity type to the audit entity kind.
@@ -198,19 +204,63 @@ func Analyze(q *Query) (*Analyzed, error) {
 	if len(a.ReturnItems) == 0 {
 		return nil, fmt.Errorf("tbql: empty return clause")
 	}
+	a.slotLits()
 	a.Shape = unique.Make(a.shapeKey())
 	return a, nil
 }
 
-// shapeKey collects a's literal vector into a.Lits and returns the key of
-// everything that shapes its compiled plan, literals written as their
-// slots: the return clause, the entities in first-use order with their
-// kinds and filters, per pattern its entities, ID, operation expression,
-// path bounds, resolved window and event filter, the relations (an
-// attribute relation with its literals, which the join evaluates), and
-// the kind of each literal. The filters print each IN list's length.
+// slotLits collects a's literal vector into a.Lits and slots its
+// filters: each entity's into its slotted, in EntityOrder, then each
+// pattern's event filter into a.eventSlotted, in pattern order. A value
+// literal is numbered in its tree's pre-order; this walk is the only
+// place that numbering is made, and Lower and shapeKey read its result.
+func (a *Analyzed) slotLits() {
+	var slot func(e relational.Expr) relational.Expr
+	slot = func(e relational.Expr) relational.Expr {
+		switch v := e.(type) {
+		case relational.Lit:
+			if v.V.K == relational.KindNull {
+				return v
+			}
+			a.Lits = append(a.Lits, v.V)
+			return relational.ValParam{Slot: len(a.Lits) - 1, Kind: v.V.K}
+		case relational.BinOp:
+			l := slot(v.L)
+			return relational.BinOp{Op: v.Op, L: l, R: slot(v.R)}
+		case relational.UnOp:
+			return relational.UnOp{Op: v.Op, E: slot(v.E)}
+		case relational.InList:
+			x := slot(v.E)
+			vals := make([]relational.Expr, len(v.Vals))
+			for i, ve := range v.Vals {
+				vals[i] = slot(ve)
+			}
+			return relational.InList{E: x, Vals: vals, Negate: v.Negate}
+		}
+		return e
+	}
+	for _, id := range a.EntityOrder {
+		if d := a.Entities[id]; d.Filter != nil {
+			d.slotted = slot(d.Filter)
+		}
+	}
+	a.eventSlotted = make([]relational.Expr, len(a.Query.Patterns))
+	for i, p := range a.Query.Patterns {
+		if p.IDFilter != nil {
+			a.eventSlotted[i] = slot(p.IDFilter)
+		}
+	}
+}
+
+// shapeKey returns the key of everything that shapes a's compiled plan,
+// read from its slotted filters: the return clause, the entities in
+// first-use order with their kinds and filters, per pattern its
+// entities, ID, operation expression, path bounds, resolved window and
+// event filter, and the relations (an attribute relation with its
+// literals, which the join evaluates). A value slot is written with its
+// literal's kind, and an IN list with its length.
 func (a *Analyzed) shapeKey() string {
-	k := keyWriter{a: a}
+	var k keyWriter
 	k.Grow(1024)
 	q := a.Query
 	if q.Return.Distinct {
@@ -221,9 +271,9 @@ func (a *Analyzed) shapeKey() string {
 	}
 	for _, id := range a.EntityOrder {
 		k.strs("\n", id, " ", string(a.Entities[id].Type), " ")
-		k.expr(a.Entities[id].Filter, true)
+		k.expr(a.Entities[id].slotted)
 	}
-	for _, p := range q.Patterns {
+	for i, p := range q.Patterns {
 		k.strs("\n", p.Subject.ID, " ", p.Object.ID, " ", p.ID, " ")
 		k.op(p.Op)
 		if p.Path != nil {
@@ -232,7 +282,7 @@ func (a *Analyzed) shapeKey() string {
 		if w := lowerWindow(patternWindow(q, p)); w != nil {
 			k.ints('w', int64(w.Kind), w.FromUS, w.ToUS, w.DurUS)
 		}
-		k.expr(p.IDFilter, true)
+		k.expr(a.eventSlotted[i])
 	}
 	for _, rel := range q.Relations {
 		k.strs("\nwith ", rel.A, " ", rel.B)
@@ -241,11 +291,7 @@ func (a *Analyzed) shapeKey() string {
 			hasDur = 1
 		}
 		k.ints('r', int64(rel.Kind), hasDur, int64(rel.LoDur), int64(rel.HiDur))
-		k.expr(rel.Attr, false)
-	}
-	k.WriteString("\nkinds")
-	for _, v := range a.Lits {
-		k.ints(' ', int64(v.K))
+		k.expr(rel.Attr)
 	}
 	return k.String()
 }
@@ -253,7 +299,6 @@ func (a *Analyzed) shapeKey() string {
 // keyWriter writes a shape key.
 type keyWriter struct {
 	strings.Builder
-	a   *Analyzed
 	buf [20]byte
 }
 
@@ -273,30 +318,23 @@ func (k *keyWriter) ints(tag byte, vs ...int64) {
 	}
 }
 
-// expr writes e in prefix form. With slot set, each value literal is
-// appended to a.Lits and written as its slot (slotLits' numbering);
-// otherwise literals are written out.
-func (k *keyWriter) expr(e relational.Expr, slot bool) {
+// expr writes e in prefix form, a value slot as its number and kind.
+func (k *keyWriter) expr(e relational.Expr) {
 	switch v := e.(type) {
 	case nil:
 	case relational.ColRef:
 		k.strs(v.Qualifier, ".", v.Column)
-	case relational.Lit:
-		if slot && v.V.K != relational.KindNull {
-			k.a.Lits = append(k.a.Lits, v.V)
-			k.ints('?', int64(len(k.a.Lits)-1))
-			return
-		}
-		k.WriteString(relational.ExprString(v))
+	case relational.ValParam:
+		k.ints('?', int64(v.Slot), int64(v.Kind))
 	case relational.BinOp:
 		k.strs("(", v.Op, " ")
-		k.expr(v.L, slot)
+		k.expr(v.L)
 		k.WriteByte(' ')
-		k.expr(v.R, slot)
+		k.expr(v.R)
 		k.WriteByte(')')
 	case relational.UnOp:
 		k.strs("(", v.Op, " ")
-		k.expr(v.E, slot)
+		k.expr(v.E)
 		k.WriteByte(')')
 	case relational.InList:
 		if v.Negate {
@@ -304,10 +342,10 @@ func (k *keyWriter) expr(e relational.Expr, slot bool) {
 		} else {
 			k.WriteString("(in ")
 		}
-		k.expr(v.E, slot)
+		k.expr(v.E)
 		for _, x := range v.Vals {
 			k.WriteByte(' ')
-			k.expr(x, slot)
+			k.expr(x)
 		}
 		k.WriteByte(')')
 	default:
@@ -337,50 +375,6 @@ func (k *keyWriter) op(o *OpExpr) {
 		k.WriteByte(')')
 	}
 	k.WriteByte(' ')
-}
-
-// slotLits returns the filters of a with each value literal replaced by
-// its value slot, numbered as a.Lits is: the entity filters by entity ID,
-// and the event filters by pattern index.
-func slotLits(a *Analyzed) (entity map[string]relational.Expr, event []relational.Expr) {
-	next := 0
-	var slot func(e relational.Expr) relational.Expr
-	slot = func(e relational.Expr) relational.Expr {
-		switch v := e.(type) {
-		case relational.Lit:
-			if v.V.K == relational.KindNull {
-				return v
-			}
-			next++
-			return relational.ValParam{Slot: next - 1, Kind: v.V.K}
-		case relational.BinOp:
-			l := slot(v.L)
-			return relational.BinOp{Op: v.Op, L: l, R: slot(v.R)}
-		case relational.UnOp:
-			return relational.UnOp{Op: v.Op, E: slot(v.E)}
-		case relational.InList:
-			x := slot(v.E)
-			vals := make([]relational.Expr, len(v.Vals))
-			for i, ve := range v.Vals {
-				vals[i] = slot(ve)
-			}
-			return relational.InList{E: x, Vals: vals, Negate: v.Negate}
-		}
-		return e
-	}
-	entity = make(map[string]relational.Expr, len(a.EntityOrder))
-	for _, id := range a.EntityOrder {
-		if f := a.Entities[id].Filter; f != nil {
-			entity[id] = slot(f)
-		}
-	}
-	event = make([]relational.Expr, len(a.Query.Patterns))
-	for i, p := range a.Query.Patterns {
-		if p.IDFilter != nil {
-			event[i] = slot(p.IDFilter)
-		}
-	}
-	return entity, event
 }
 
 // resolveEntityFilter fills default attribute names into bare-value

@@ -16,13 +16,12 @@ import (
 // plans), and the scheduler's per-execution extras are left to the
 // well-known parameter slots.
 func Lower(a *Analyzed) []*qir.DataQuery {
-	entity, event := slotLits(a)
 	out := make([]*qir.DataQuery, len(a.Query.Patterns))
 	for i, p := range a.Query.Patterns {
 		dq := &qir.DataQuery{PatternID: p.ID}
 		w := lowerWindow(patternWindow(a.Query, p))
-		subj := entity[p.Subject.ID]
-		obj := entity[p.Object.ID]
+		subj := a.Entities[p.Subject.ID].slotted
+		obj := a.Entities[p.Object.ID].slotted
 		if p.Path != nil {
 			dq.Path = &qir.PathMatch{
 				MinLen:     p.Path.MinLen,
@@ -34,7 +33,7 @@ func Lower(a *Analyzed) []*qir.DataQuery {
 				HasEdgeVar: (p.Path.MinLen == 1 && p.Path.MaxLen == 1) || p.Op != nil,
 			}
 			if dq.Path.HasEdgeVar {
-				dq.Path.EdgePred = event[i]
+				dq.Path.EdgePred = a.eventSlotted[i]
 				dq.Path.Window = w
 			}
 		} else {
@@ -43,7 +42,7 @@ func Lower(a *Analyzed) []*qir.DataQuery {
 				ObjPred:       obj,
 				ObjKind:       string(p.Object.Type),
 				Ops:           LoweredOps(p.Op),
-				EventPred:     event[i],
+				EventPred:     a.eventSlotted[i],
 				Window:        w,
 				SubjConjuncts: conjunctCount(subj),
 				ObjConjuncts:  conjunctCount(obj),
