@@ -59,7 +59,7 @@ func main() {
 	rulesPath := flag.String("rules", "", "detection rule file (JSON) enabling the tactical layer")
 	showIncidents := flag.Bool("incidents", false, "print ranked tactical incidents (requires -rules)")
 	shards := flag.Int("shards", 0, "partition the store into N shards with scatter-gather hunts (0/1 = single store)")
-	partitionBy := flag.String("partition-by", "host", "shard key: host, time, or hash (with -shards)")
+	partitionBy := flag.String("partition-by", "time", "start-time slice width events route by (with -shards): time (1h slices) or time:<duration>, e.g. time:5m")
 	dataDir := flag.String("data-dir", "", "durable data directory: recover persisted state on start (warm-start hunts need no -log) and persist live ingest")
 	flag.Parse()
 

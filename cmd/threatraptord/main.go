@@ -71,7 +71,7 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	rulesPath := flag.String("rules", "", "detection rule file (JSON) enabling the tactical layer and /v1/incidents")
 	shards := flag.Int("shards", 0, "partition the store into N shards with scatter-gather hunts (0/1 = single store)")
-	partitionBy := flag.String("partition-by", "host", "shard key: host, time, or hash (with -shards)")
+	partitionBy := flag.String("partition-by", "time", "start-time slice width events route by (with -shards): time (1h slices) or time:<duration>, e.g. time:5m")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + segments); recovered on startup, survives crashes")
 	fsync := flag.String("fsync", "always", "WAL fsync policy with -data-dir: always, batch, or off")
 	segmentEvery := flag.Int("segment-every", 64, "flush a segment generation every N sealed batches with -data-dir")

@@ -552,7 +552,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestShardedDaemonMetrics(t *testing.T) {
 	opts := threatraptor.DefaultOptions()
 	opts.Shards = 4
-	opts.PartitionBy = "hash"
+	opts.PartitionBy = "time:1s"
 	sys := threatraptor.New(opts)
 	if _, err := sys.Live(); err != nil {
 		t.Fatal(err)

@@ -136,8 +136,8 @@ var loopLegs = []struct {
 		st, err = engine.OpenStore(img, img.EntityCols, img.Entities, audit.RestoreTable(img.Entities))
 		return single{&engine.Engine{Store: st}}, err
 	}},
-	{"shards2", func(log *audit.Log) (hunter, error) { return shard.New(log, 2, shard.ByHash()) }},
-	{"shards4", func(log *audit.Log) (hunter, error) { return shard.New(log, 4, shard.ByTime(2_000_000)) }},
+	{"shards2", func(log *audit.Log) (hunter, error) { return shard.New(log, 2, 1_000_000) }},
+	{"shards4", func(log *audit.Log) (hunter, error) { return shard.New(log, 4, 2_000_000) }},
 }
 
 // checkLoopEquivalence holds every leg, built over log's halves, to the

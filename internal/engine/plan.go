@@ -31,11 +31,8 @@ type patternPlan struct {
 	// meta is the pattern's routing shape: which backend it lowers to, and
 	// what a scatter coordinator prunes shards with. View catch-up skips
 	// its data query entirely when a delta's batch op bitmap doesn't
-	// intersect meta.OpMask. A host it pins through a value slot is the
-	// query's (see queryPlan.metas): subjHost and objHost are those slots
-	// (-1 for none).
-	meta              PatternMeta
-	subjHost, objHost int
+	// intersect meta.OpMask.
+	meta PatternMeta
 
 	mu       sync.Mutex
 	rel      stmtCache // entity-anchored, runtime-pruned params
@@ -151,8 +148,6 @@ type shapePlan struct {
 	// cols caches the query's projected column labels (shared by every
 	// result set the query produces).
 	cols []string
-	// hostSlots marks a shape with a pattern whose host a value slot pins.
-	hostSlots bool
 	// windowSensitive marks plans whose lowered window conditions resolve
 	// against the store's time bounds (LAST/BEFORE/AFTER); they are
 	// re-lowered from the cached IR when a live append moves the bounds.
@@ -171,7 +166,7 @@ type shapePlan struct {
 
 // queryPlan is one entry of the engine's compiled-query cache: an
 // analyzed query's shape plan, plus what depends on its literal vector —
-// its routing metadata where a literal pins a host, and its queryState.
+// its queryState.
 type queryPlan struct {
 	*shapePlan
 	// a is the query and src the TBQL text Compile cached it under (""
@@ -193,15 +188,10 @@ type queryPlan struct {
 
 // queryState is what a query holds beyond its shape's plan, allocated on
 // first use because most queries are hunted, never watched or run
-// monolithic: its routing metadata where its literals pin a host, the
-// materialized views of a standing query, whose rows depend on the
-// query's literals, and the RQ4 monolithic plans, which inline them.
+// monolithic: the materialized views of a standing query, whose rows
+// depend on the query's literals, and the RQ4 monolithic plans, which
+// inline them.
 type queryState struct {
-	// metas is the patterns' routing metadata with the query's literal
-	// hosts resolved, set when the plan is built for a shape whose
-	// hostSlots holds (otherwise the shape's metadata is the query's).
-	metas []PatternMeta
-
 	// viewMu guards the materialized views — views[i] is pattern i's
 	// (views is nil until ExecuteDelta first materializes one) — and the
 	// fallback state below. ExecuteDelta holds it across catch-up and the
@@ -234,13 +224,8 @@ func (p *queryPlan) state() *queryState {
 	return p.st.Load()
 }
 
-// meta returns pattern idx's routing metadata for this query.
-func (p *queryPlan) meta(idx int) *PatternMeta {
-	if p.hostSlots {
-		return &p.st.Load().metas[idx]
-	}
-	return &p.pats[idx].meta
-}
+// meta returns pattern idx's routing metadata, its shape's.
+func (p *queryPlan) meta(idx int) *PatternMeta { return &p.pats[idx].meta }
 
 // maxCachedQueryPlans bounds the compiled-query cache and, separately,
 // the shape cache. Ad-hoc hunts with never-repeating texts would
@@ -360,20 +345,6 @@ func (en *Engine) planLocked(a *tbql.Analyzed, snap *Snapshot, pin bool) *queryP
 		return prev
 	}
 	p := &queryPlan{shapePlan: en.shapeLocked(a, snap), a: a, pinned: pin}
-	if p.hostSlots {
-		metas := make([]PatternMeta, len(p.pats))
-		for i := range p.pats {
-			pp := &p.pats[i]
-			metas[i] = pp.meta
-			if pp.subjHost >= 0 {
-				metas[i].SubjHost = a.Lits[pp.subjHost].S
-			}
-			if pp.objHost >= 0 {
-				metas[i].ObjHost = a.Lits[pp.objHost].S
-			}
-		}
-		p.st.Store(&queryState{metas: metas})
-	}
 	if prev != nil {
 		// Bounds-epoch recompile: materialized views of window-insensitive
 		// patterns describe the same match set under the new plan, so they
@@ -446,8 +417,6 @@ func (en *Engine) shapeLocked(a *tbql.Analyzed, snap *Snapshot) *shapePlan {
 		pp := &sp.pats[i]
 		pp.ir = ir
 		pp.meta = patternMeta(ir)
-		pp.subjHost, pp.objHost = pinnedHosts(ir)
-		sp.hostSlots = sp.hostSlots || pp.subjHost >= 0 || pp.objHost >= 0
 		if pp.meta.UsesGraph {
 			pp.gq = lowerPathQuery(b, ir.Path, a.Query.Return.Distinct)
 			pp.gp = graphdb.Prepare(pp.gq)

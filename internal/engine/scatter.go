@@ -7,7 +7,7 @@ package engine
 // snapshot) and scatters only the per-pattern data queries, so exactly
 // that seam is exported: the loop hands its RowSource a PatternQuery
 // carrying the pattern's PatternMeta — the routing-relevant shape (op
-// mask, window, host pins) the coordinator prunes shards with — and
+// mask, window) the coordinator prunes shards with — and
 // ScatterPattern runs the query against one shard's pinned snapshot.
 
 import (
@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"threatraptor/internal/qir"
-	"threatraptor/internal/relational"
 	"threatraptor/internal/tbql"
 )
 
@@ -59,60 +58,13 @@ type PatternMeta struct {
 	// flows can cross arbitrarily many events, but each flow stays within
 	// one store's adjacency.
 	VarLen bool
-	// SubjHost / ObjHost are non-empty when an equality literal pins the
-	// subject / object entity to one host — a host-keyed partitioner then
-	// routes the pattern to that host's shard alone. (The IR holds the
-	// literal as a value slot, so these are the query's, not its shape's:
-	// see queryPlan.meta.)
-	SubjHost string
-	ObjHost  string
 }
 
-// patternMeta derives a pattern's routing metadata from its lowered IR,
-// all but the host pins.
+// patternMeta derives a pattern's routing metadata from its lowered IR.
 func patternMeta(ir *qir.DataQuery) PatternMeta {
 	m := PatternMeta{OpMask: patternOpMask(ir), Window: ir.Window(), UsesGraph: ir.UsesGraph()}
 	if ir.Path != nil {
 		m.VarLen = ir.Path.MinLen != 1 || ir.Path.MaxLen != 1
 	}
 	return m
-}
-
-// pinnedHosts returns the value slots a data query's subject and object
-// predicates pin their entity's host to, each -1 when none does.
-func pinnedHosts(ir *qir.DataQuery) (subj, obj int) {
-	if ir.Path != nil {
-		return hostEquality(ir.Path.SubjPred), hostEquality(ir.Path.ObjPred)
-	}
-	return hostEquality(ir.Event.SubjPred), hostEquality(ir.Event.ObjPred)
-}
-
-// hostEquality returns the string value slot a predicate pins its
-// entity's host to with a top-level `host = ?` conjunct, or -1 when it
-// doesn't.
-func hostEquality(pred relational.Expr) int {
-	v, ok := pred.(relational.BinOp)
-	switch {
-	case !ok:
-	case v.Op == "and":
-		if h := hostEquality(v.L); h >= 0 {
-			return h
-		}
-		return hostEquality(v.R)
-	case v.Op == "=":
-		if h := hostEqSide(v.L, v.R); h >= 0 {
-			return h
-		}
-		return hostEqSide(v.R, v.L)
-	}
-	return -1
-}
-
-func hostEqSide(col, c relational.Expr) int {
-	ref, ok := col.(relational.ColRef)
-	v, isSlot := c.(relational.ValParam)
-	if !ok || ref.Column != "host" || !isSlot || v.Kind != relational.KindString {
-		return -1
-	}
-	return v.Slot
 }

@@ -266,30 +266,3 @@ func TestCacheEvictsOneEntryAtATime(t *testing.T) {
 		}
 	}
 }
-
-// TestHostRoutingFollowsLiterals pins that a host a literal pins a
-// pattern's entity to is the query's, not its shape's: two queries of
-// one shape route their patterns to their own hosts.
-func TestHostRoutingFollowsLiterals(t *testing.T) {
-	en := &Engine{Store: tinyStore(t)}
-	const tmpl = `proc p[host = %q] read file f[host = %q] as evt1 proc p ->[write] file g return p, f, g`
-	for _, hosts := range [][2]string{{"h1", "h2"}, {"h3", "h4"}, {"h1", "h2"}} {
-		a, err := en.Compile(fmt.Sprintf(tmpl, hosts[0], hosts[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := en.planFor(a, en.Store.Snapshot(), false)
-		for idx := range plan.pats {
-			m := plan.meta(idx)
-			if m.SubjHost != hosts[0] {
-				t.Fatalf("pattern %d routes its subject to %q, want %q", idx, m.SubjHost, hosts[0])
-			}
-			if want := map[int]string{0: hosts[1]}[idx]; m.ObjHost != want {
-				t.Fatalf("pattern %d routes its object to %q, want %q", idx, m.ObjHost, want)
-			}
-		}
-	}
-	if len(en.shapes) != 1 {
-		t.Fatalf("%d shape plans, want 1", len(en.shapes))
-	}
-}

@@ -190,7 +190,7 @@ type RoleImage struct {
 type Topology struct {
 	// Shards is the partition count (0 for an unsharded store).
 	Shards int
-	// PartitionBy is the partitioner name ("hash", "host", ...); empty
+	// PartitionBy names the partitioning rule ("time:1h0m0s"); empty
 	// for an unsharded store.
 	PartitionBy string
 }

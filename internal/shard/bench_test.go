@@ -62,7 +62,7 @@ with evt1 before evt2
 return distinct p, f1, f2`, winSec)
 }
 
-// fleetSlice picks the ByTime slice width: an eighth of the store's span,
+// fleetSlice picks the time-slice width: an eighth of the store's span,
 // nudged down until the trailing window sits inside the newest absolute
 // slice (slices cut at multiples of the width, so the newest boundary
 // must fall at least winUS before the store max).
@@ -76,7 +76,7 @@ func fleetSlice(ref *engine.Store, winUS int64) int64 {
 
 // BenchmarkShardedHunt measures the trailing-window fleet hunt on the 8×
 // preload store: the single-store path vs the scatter-gather path at
-// 1/2/4 ByTime shards. The window routes to the partition holding the
+// 1/2/4 time-slice shards. The window routes to the partition holding the
 // newest slice, which also holds only every n-th historical slice — so
 // the hunt's probe volume drops with shard count (the routing-prune
 // speedup; concurrent per-shard scans add on top when cores are spare).
@@ -117,7 +117,7 @@ func BenchmarkShardedHunt(b *testing.B) {
 	})
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards%d", n), func(b *testing.B) {
-			sh, err := New(log, n, ByTime(sliceUS))
+			sh, err := New(log, n, sliceUS)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,26 +17,23 @@ import (
 	"threatraptor/internal/tbql"
 )
 
-// eqConfigs is the acceptance matrix: every shard count crossed with
-// every partitioner family. The 2-second time slices make the generated
-// logs (which advance in multi-second phases) actually spread across
-// time partitions instead of degenerating into one.
-var eqConfigs = []struct {
-	name string
-	n    int
-	part Partitioner
-}{
-	{"1xhash", 1, ByHash()},
-	{"2xhash", 2, ByHash()},
-	{"4xhash", 4, ByHash()},
-	{"8xhash", 8, ByHash()},
-	{"2xhost", 2, ByHost()},
-	{"4xhost", 4, ByHost()},
-	{"8xhost", 8, ByHost()},
-	{"2xtime", 2, ByTime(2_000_000)},
-	{"4xtime", 4, ByTime(2_000_000)},
-	{"8xtime", 8, ByTime(2_000_000)},
+// eqConfigs is the acceptance matrix: every shard count from 1 to 8. The
+// 2-second time slices make the generated logs (which advance in
+// multi-second phases) actually spread across partitions instead of
+// degenerating into one.
+type eqConfig struct {
+	name    string
+	n       int
+	sliceUS int64
 }
+
+var eqConfigs = func() []eqConfig {
+	out := make([]eqConfig, 8)
+	for i := range out {
+		out[i] = eqConfig{fmt.Sprintf("%dxtime", i+1), i + 1, 2_000_000}
+	}
+	return out
+}()
 
 // sortedRows canonicalizes a result set for order-insensitive comparison
 // (the engine does not define a row order; the scatter path does).
@@ -79,13 +76,13 @@ func caseAnalyzed(t *testing.T, c *cases.Case) *tbql.Analyzed {
 
 // TestShardedHuntEquivalence is the tentpole acceptance property: for the
 // query synthesized from every generated case's report, the scatter-gather
-// result over every (shard count x partitioner) configuration must equal
-// the single-store engine's result — same rows (compared canonically
-// sorted; the engine defines no row order) and the same matched-event set.
+// result over every shard count must equal the single-store engine's
+// result — same rows (compared canonically sorted; the engine defines no
+// row order) and the same matched-event set.
 // Additionally, all sharded configurations must agree byte-for-byte in
 // raw row order: the gathered rows merge in global event-ID order, so the
-// output is a pure function of the data, independent of shard count,
-// partitioner, and scatter timing.
+// output is a pure function of the data, independent of shard count
+// and scatter timing.
 func TestShardedHuntEquivalence(t *testing.T) {
 	for _, c := range cases.All() {
 		c := c
@@ -109,7 +106,7 @@ func TestShardedHuntEquivalence(t *testing.T) {
 
 			var baseline string // raw (unsorted) rows of the first config
 			for _, cfg := range eqConfigs {
-				sh, err := New(gen.Log, cfg.n, cfg.part)
+				sh, err := New(gen.Log, cfg.n, cfg.sliceUS)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.name, err)
 				}
@@ -137,8 +134,7 @@ func TestShardedHuntEquivalence(t *testing.T) {
 }
 
 // TestShardedVarLenEquivalence covers the global-routing path: a
-// variable-length flow chains events across partitions under every
-// partitioner, so its pattern must route to the authoritative global
+// variable-length flow chains events across partitions, so its pattern must route to the authoritative global
 // store — and a mixed query must join those global flow rows with
 // scattered event-pattern rows through the shared entity table.
 func TestShardedVarLenEquivalence(t *testing.T) {
@@ -167,7 +163,7 @@ proc p1 ~>(1~8)[connect] ip i1["192.168.29.128"]
 return distinct p1, f1, i1`,
 	}
 	for _, cfg := range eqConfigs {
-		sh, err := New(gen.Log, cfg.n, cfg.part)
+		sh, err := New(gen.Log, cfg.n, cfg.sliceUS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +222,7 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 
 		for _, cfg := range eqConfigs {
 			prefix := &audit.Log{Entities: gen.Log.Entities, Events: events[:split]}
-			sh, err := New(prefix, cfg.n, cfg.part)
+			sh, err := New(prefix, cfg.n, cfg.sliceUS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,11 +260,11 @@ func TestShardedAppendFaultRollback(t *testing.T) {
 	emptyLog := func() *audit.Log {
 		return &audit.Log{Entities: gen.Log.Entities}
 	}
-	sh, err := New(emptyLog(), 2, ByHash())
+	sh, err := New(emptyLog(), 2, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(emptyLog(), 2, ByHash())
+	twin, err := New(emptyLog(), 2, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

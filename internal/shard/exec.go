@@ -6,10 +6,10 @@ package shard
 // delta rule are engine.ExecuteSource / ExecuteDeltaSource over the global
 // snapshot — and this package supplies only the row source: each pattern's
 // data query runs concurrently against the pinned snapshots of exactly the
-// partitions its window, op mask, and host pins can touch, and the
-// gathered rows merge in global event-ID order before feeding the next
-// pattern's bindings. The merged order is a pure function of the data, so
-// results are identical across shard counts and partitioners.
+// partitions its window and op mask can touch, and the gathered rows
+// merge in global event-ID order before feeding the next pattern's
+// bindings. The merged order is a pure function of the data, so results
+// are identical across shard counts and slice widths.
 
 import (
 	"context"
@@ -72,24 +72,14 @@ type target struct {
 // set. delta > 0 is the pattern's event-ID floor for this round.
 func (s *Store) route(v *View, m *engine.PatternMeta, delta int64) []target {
 	if m.VarLen {
-		// A variable-length flow chains events across partitions under
-		// every partitioner (consecutive hops land wherever their events
-		// were routed); only the global adjacency sees whole flows.
+		// A variable-length flow chains events across partitions
+		// (consecutive hops land in whichever slices their events start
+		// in); only the global adjacency sees whole flows.
 		return []target{{en: s.globalEngine, snap: v.Global, shard: -1}}
 	}
 	var lo, hi int64
 	if m.Window != nil {
 		lo, hi = m.Window.Bounds(v.Global.MinTime, v.Global.MaxTime)
-	}
-	hostShard := -1
-	if !m.UsesGraph && m.SubjHost != "" {
-		// Events route by their subject's host, so a subject pinned to one
-		// host by an equality literal confines the pattern to that host's
-		// partition. (Object pins don't route: an event lives in its
-		// subject's partition.)
-		if hr, ok := s.part.(HostRouter); ok {
-			hostShard = hr.HostShard(m.SubjHost, len(s.shards))
-		}
 	}
 	out := make([]target, 0, len(s.shards))
 	for i := range s.shards {
@@ -105,9 +95,6 @@ func (s *Store) route(v *View, m *engine.PatternMeta, delta int64) []target {
 		}
 		if m.Window != nil && (st.MaxTime < lo || st.MinTime > hi) {
 			continue // every event here lies wholly outside the window
-		}
-		if hostShard >= 0 && i != hostShard {
-			continue
 		}
 		out = append(out, target{en: s.shards[i].engine, snap: v.Shards[i], shard: i})
 	}
@@ -172,7 +159,7 @@ func scatterPattern(ctx context.Context, a *tbql.Analyzed, targets []target, q e
 	if merged.HasEvent {
 		// Event-bearing rows merge in global event-ID order (IDs are
 		// unique per row), making the gathered order — and everything the
-		// join derives from it — independent of shard count, partitioner,
+		// join derives from it — independent of shard count, slice width,
 		// and scatter timing. Variable-length-path rows (no event column)
 		// come from the single global target in its native order.
 		sort.Slice(merged.Rows, func(i, j int) bool {

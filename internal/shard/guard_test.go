@@ -9,27 +9,24 @@ import (
 	"threatraptor/internal/tbql"
 )
 
-// panicRouter is a hash partitioner whose host routing panics: a fault in
-// coordinator code, which runs on the hunting goroutine outside every
-// per-shard ScatterPattern boundary.
-type panicRouter struct{ hashPart }
-
-func (panicRouter) HostShard(string, int) int { panic("host routing fault") }
-
 // TestCoordinatorPanicIsolated pins that the scatter row source runs under
 // the engine's per-query panic boundary: a panic while routing a pattern
 // surfaces from Hunt, Execute, and ExecuteDelta as a typed
-// *engine.InternalError instead of unwinding into the caller.
+// *engine.InternalError instead of unwinding into the caller. The fault is
+// a published View with no per-partition stats, which route indexes on the
+// hunting goroutine, outside every per-shard ScatterPattern boundary.
 func TestCoordinatorPanicIsolated(t *testing.T) {
 	gen, err := cases.ByID("data_leak").Generate(0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := New(gen.Log, 2, panicRouter{})
+	sh, err := New(gen.Log, 2, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const src = `proc p[host = "host-a"] read file f return distinct p, f`
+	v := sh.View()
+	sh.view.Store(&View{Global: v.Global, Shards: v.Shards})
+	const src = `proc p read file f return distinct p, f`
 	q, err := tbql.Parse(src)
 	if err != nil {
 		t.Fatal(err)

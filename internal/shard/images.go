@@ -34,21 +34,21 @@ func (s *Store) DumpRange(role int, from segment.Base) *segment.Image {
 
 // Topology names the sharding layout for the manifest.
 func (s *Store) Topology() segment.Topology {
-	return segment.Topology{Shards: len(s.shards), PartitionBy: s.part.Name()}
+	return segment.Topology{Shards: len(s.shards), PartitionBy: SliceName(s.sliceUS)}
 }
 
 // OpenImages rebuilds a sharded store from one recovered image per role
 // (its live segments folded): the "global" image supplies the entity
 // slab and the authoritative store, and each "p<i>" image restores its
-// partition over the same shared entity table. part must match the
-// partitioner the store was dumped under (the manifest records its
-// name); shards is the expected partition count.
-func OpenImages(imgs []segment.RoleImage, shards int, part Partitioner) (*Store, error) {
+// partition over the same shared entity table. sliceUS must be the slice
+// width the store was dumped under (the manifest records its SliceName);
+// shards is the expected partition count.
+func OpenImages(imgs []segment.RoleImage, shards int, sliceUS int64) (*Store, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	if part == nil {
-		part = ByHash()
+	if sliceUS <= 0 {
+		sliceUS = defaultSliceUS
 	}
 	byRole := make(map[string]*segment.Image, len(imgs))
 	for _, ri := range imgs {
@@ -67,7 +67,7 @@ func OpenImages(imgs []segment.RoleImage, shards int, part Partitioner) (*Store,
 		return nil, err
 	}
 	s := &Store{
-		part:         part,
+		sliceUS:      sliceUS,
 		global:       global,
 		globalEngine: &engine.Engine{Store: global},
 		shards:       make([]*partition, shards),

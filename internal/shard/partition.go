@@ -1,4 +1,4 @@
-// Package shard partitions the live store by host, time, or hash and
+// Package shard partitions the live store by event start-time slices and
 // executes hunts scatter-gather: one authoritative global store (the
 // correctness anchor — it serves variable-length path traversals, the
 // tactical layer, and fuzzy search, and its snapshot defines
@@ -17,110 +17,48 @@
 // A hunt keeps the whole scheduled plan at the coordinator — the global
 // engine runs pruning-score order, binding-set feed, final join — and
 // scatters only the per-pattern data queries, routing each to the
-// partitions its window, op mask, and host pins can possibly touch
+// partitions its window and op mask can possibly touch
 // (engine.PatternMeta) and merging the gathered rows in global event-ID
-// order, so the result is deterministic across shard counts and
-// partitioners.
+// order, so the result is deterministic across shard counts and slice
+// widths.
 package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"time"
-
-	"threatraptor/internal/audit"
 )
 
-// Partitioner routes one event to a partition. Routing must be a pure
-// function of the event and its subject entity so a rebuilt store routes
-// identically.
-type Partitioner interface {
-	// Name identifies the partitioner ("hash", "host", "time:1h", ...).
-	Name() string
-	// Route returns the partition index in [0, n) for an event; subj is
-	// the event's subject entity (always a process).
-	Route(ev *audit.Event, subj *audit.Entity, n int) int
+// defaultSliceUS is the slice width (µs) of an empty or bare "time" spec.
+const defaultSliceUS = int64(time.Hour / time.Microsecond)
+
+// partitionOf is the one routing rule: the event starting at startUS
+// lies in time slice startUS / sliceUS, and slice k goes to partition
+// k mod n. Slices are cut at absolute multiples of the width, so a
+// rebuilt store routes identically and a time-windowed pattern touches
+// only the partitions its resolved window overlaps.
+func partitionOf(startUS, sliceUS int64, n int) int {
+	return int(uint64(startUS/sliceUS) % uint64(n))
 }
 
-// HostRouter is implemented by partitioners that place every event of one
-// host in one known partition; the scatter router uses it to send a
-// pattern pinned by a `host = "..."` equality to that partition alone.
-type HostRouter interface {
-	HostShard(host string, n int) int
+// SliceName is the spec that parses back to slice width sliceUS
+// ("time:1h0m0s"); a data dir's manifest records it.
+func SliceName(sliceUS int64) string {
+	return "time:" + time.Duration(sliceUS*int64(time.Microsecond)).String()
 }
 
-// ByHash spreads events uniformly by event ID — the load-balancing
-// default with no routing affinity.
-func ByHash() Partitioner { return hashPart{} }
-
-type hashPart struct{}
-
-func (hashPart) Name() string { return "hash" }
-func (hashPart) Route(ev *audit.Event, _ *audit.Entity, n int) int {
-	return int(uint64(ev.ID) % uint64(n))
-}
-
-// ByHost routes by the subject entity's host, so every event a host's
-// processes perform lands in that host's partition and host-pinned
-// patterns scatter to exactly one shard. Host-less subjects (single-host
-// logs) all route together.
-func ByHost() Partitioner { return hostPart{} }
-
-type hostPart struct{}
-
-func (hostPart) Name() string { return "host" }
-func (hostPart) Route(ev *audit.Event, subj *audit.Entity, n int) int {
-	host := ""
-	if subj != nil {
-		host = subj.Host()
-	}
-	return hostPart{}.HostShard(host, n)
-}
-
-// HostShard returns the partition a host's events route to.
-func (hostPart) HostShard(host string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(host))
-	return int(h.Sum32() % uint32(n))
-}
-
-// ByTime routes by event start-time slice: slice k (StartTime / sliceUS)
-// goes to partition k mod n, so a time-windowed pattern touches only the
-// partitions its resolved window overlaps.
-func ByTime(sliceUS int64) Partitioner {
-	if sliceUS <= 0 {
-		sliceUS = int64(time.Hour / time.Microsecond)
-	}
-	return timePart{sliceUS: sliceUS}
-}
-
-type timePart struct{ sliceUS int64 }
-
-func (p timePart) Name() string {
-	return "time:" + time.Duration(p.sliceUS*int64(time.Microsecond)).String()
-}
-func (p timePart) Route(ev *audit.Event, _ *audit.Entity, n int) int {
-	slice := ev.StartTime / p.sliceUS
-	return int(uint64(slice) % uint64(n))
-}
-
-// ParsePartitioner parses a CLI partitioner spec: "hash", "host", "time"
-// (1 h slices), or "time:<duration>" (e.g. "time:10m").
-func ParsePartitioner(spec string) (Partitioner, error) {
+// ParsePartitioner parses a CLI partitioning spec into its slice width
+// (µs): "" or "time" (1 h slices), or "time:<duration>" (e.g. "time:10m").
+func ParsePartitioner(spec string) (int64, error) {
 	switch {
-	case spec == "" || spec == "hash":
-		return ByHash(), nil
-	case spec == "host":
-		return ByHost(), nil
-	case spec == "time":
-		return ByTime(0), nil
+	case spec == "" || spec == "time":
+		return defaultSliceUS, nil
 	case strings.HasPrefix(spec, "time:"):
 		d, err := time.ParseDuration(spec[len("time:"):])
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("shard: bad time partitioner slice %q", spec)
+		if err != nil || d < time.Microsecond {
+			return 0, fmt.Errorf("shard: bad time partitioner slice %q", spec)
 		}
-		return ByTime(int64(d / time.Microsecond)), nil
+		return int64(d / time.Microsecond), nil
 	}
-	return nil, fmt.Errorf("shard: unknown partitioner %q (want hash, host, time, or time:<duration>)", spec)
+	return 0, fmt.Errorf("shard: unknown partitioner %q (want time or time:<duration>)", spec)
 }

@@ -15,7 +15,8 @@ import (
 // a consistent prefix (any partition failure unwinds the partitions that
 // already committed AND the global append). All reads pin a View.
 type Store struct {
-	part Partitioner
+	// sliceUS is the time-slice width events route by (see partitionOf).
+	sliceUS int64
 
 	// mu serializes writers (AppendBatch); readers never take it.
 	mu           sync.Mutex
@@ -74,27 +75,28 @@ type ShardStat struct {
 
 // New builds a sharded store over an already-parsed (and reduced) log:
 // the global store loads the whole log, and each of n partitions loads
-// the sub-log the partitioner routes to it. n must be >= 1; every
-// partition shares log's entity table.
-func New(log *audit.Log, n int, part Partitioner) (*Store, error) {
+// the events whose start-time slice of width sliceUS routes to it
+// (sliceUS <= 0: defaultSliceUS). n must be >= 1; every partition shares
+// log's entity table.
+func New(log *audit.Log, n int, sliceUS int64) (*Store, error) {
 	if n < 1 {
 		n = 1
 	}
-	if part == nil {
-		part = ByHash()
+	if sliceUS <= 0 {
+		sliceUS = defaultSliceUS
 	}
 	global, err := engine.NewStore(log)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
-		part:         part,
+		sliceUS:      sliceUS,
 		global:       global,
 		globalEngine: &engine.Engine{Store: global},
 		shards:       make([]*partition, n),
 		fanout:       make([]atomic.Int64, n+1),
 	}
-	buckets := s.routeEvents(log.Entities, log.Events)
+	buckets := s.routeEvents(log.Events)
 	for i := 0; i < n; i++ {
 		subLog := &audit.Log{Entities: log.Entities, Events: buckets[i]}
 		st, err := engine.NewStore(subLog)
@@ -116,16 +118,12 @@ func New(log *audit.Log, n int, part Partitioner) (*Store, error) {
 
 // routeEvents buckets events per partition. Copies event values, so the
 // buckets stay valid however the caller's slice moves.
-func (s *Store) routeEvents(tbl *audit.EntityTable, events []audit.Event) [][]audit.Event {
+func (s *Store) routeEvents(events []audit.Event) [][]audit.Event {
 	n := len(s.shards)
 	buckets := make([][]audit.Event, n)
 	for i := range events {
-		ev := &events[i]
-		idx := s.part.Route(ev, tbl.Lookup(ev.SubjectID), n)
-		if idx < 0 || idx >= n {
-			idx = 0
-		}
-		buckets[idx] = append(buckets[idx], *ev)
+		idx := partitionOf(events[i].StartTime, s.sliceUS, n)
+		buckets[idx] = append(buckets[idx], events[i])
 	}
 	return buckets
 }
@@ -156,7 +154,7 @@ func (s *Store) AppendBatch(entities []*audit.Entity, events []audit.Event) erro
 	}
 	// events now carry their final global IDs (AppendBatch assigns them
 	// in place); route on those.
-	buckets := s.routeEvents(s.global.Log.Entities, events)
+	buckets := s.routeEvents(events)
 
 	marks := make([]engine.StoreMark, len(s.shards))
 	for i, p := range s.shards {
@@ -232,9 +230,6 @@ func (s *Store) GlobalStore() *engine.Store { return s.global }
 // Shards returns the partition count.
 func (s *Store) Shards() int { return len(s.shards) }
 
-// PartitionerName names the routing function ("hash", "host", ...).
-func (s *Store) PartitionerName() string { return s.part.Name() }
-
 // ShardMetrics is one partition's operational summary.
 type ShardMetrics struct {
 	Shard       int           `json:"shard"`
@@ -275,7 +270,7 @@ func (s *Store) FanoutHistogram() []int64 {
 
 // GlobalRouted counts pattern queries routed to the global store instead
 // of the partitions (variable-length path patterns, whose flows cross
-// partition boundaries under every partitioner).
+// partition boundaries).
 func (s *Store) GlobalRouted() int64 { return s.globalRouted.Load() }
 
 // Rollbacks counts fleet-wide append unwinds (a partition append failed

@@ -118,16 +118,8 @@ func TestShardedStreamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	lanes := []*lane{build("classic", stream.New(store, &engine.Engine{Store: store}, newCfg()))}
-	for _, cfg := range []struct {
-		name string
-		n    int
-		part Partitioner
-	}{
-		{"4xhost", 4, ByHost()},
-		{"3xhash", 3, ByHash()},
-		{"2xtime", 2, ByTime(2_000_000)},
-	} {
-		sh, err := New(audit.NewLog(), cfg.n, cfg.part)
+	for _, cfg := range eqConfigs {
+		sh, err := New(audit.NewLog(), cfg.n, cfg.sliceUS)
 		if err != nil {
 			t.Fatal(err)
 		}

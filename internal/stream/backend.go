@@ -44,7 +44,7 @@ type Backend interface {
 // tacticalSource is the tactical layer's view of a backend's current
 // state: the global store's published snapshot, whose event order,
 // adjacency and op index are exactly the unsharded store's.
-func tacticalSource(b Backend) tactical.Source {
+func tacticalSource(b Backend) tactical.SnapSource {
 	return tactical.SnapSource{Snap: b.GlobalStore().Snapshot()}
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,23 +215,56 @@ func BenchmarkSegmentFlush(b *testing.B) {
 // data query per round, so its rounds grew linearly with history). The
 // 8x-shardsN legs run the identical rounds against a sharded backend so
 // the per-round cost of scatter coordination is visible next to the
-// single-store number.
+// single-store number; their slices are narrow enough that every round's
+// batch routes to all n partitions.
 func BenchmarkStandingQueryScale(b *testing.B) {
 	for _, mult := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
 			standingRounds(b, mult, singleSession(b), dataLeakTBQL)
 		})
 	}
+	const sliceUS = 10_000
 	for _, n := range []int{2, 4} {
 		b.Run(fmt.Sprintf("8x-shards%d", n), func(b *testing.B) {
+			requireFullScatter(b, n, sliceUS)
 			standingRounds(b, 8, func() *Session {
-				sh, err := shard.New(audit.NewLog(), n, shard.ByHash())
+				sh, err := shard.New(audit.NewLog(), n, sliceUS)
 				if err != nil {
 					b.Fatal(err)
 				}
 				return NewWithBackend(sh, Config{MatchBuffer: 16})
 			}, dataLeakTBQL)
 		})
+	}
+}
+
+// requireFullScatter fails the benchmark unless every standing round's
+// batch routes to all n partitions at sliceUS-wide time slices. A round
+// seals the standingRounds template's events, time-shifted; when no two
+// consecutive start times lie a slice width apart and they span n widths,
+// the slices they start in are more than n consecutive ones whatever the
+// shift, so they cover every partition.
+func requireFullScatter(b *testing.B, n int, sliceUS int64) {
+	sess, _ := emptySession(b, Config{})
+	defer sess.Close()
+	if _, err := sess.IngestRecords(dataLeakRecords(b, 0.25)[:64]); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	var starts []int64
+	for _, ev := range sess.Store().Snapshot().Events {
+		starts = append(starts, ev.StartTime)
+	}
+	slices.Sort(starts)
+	for i := 1; i < len(starts); i++ {
+		if gap := starts[i] - starts[i-1]; gap >= sliceUS {
+			b.Fatalf("batch events %d µs apart may leave a %d µs slice empty", gap, sliceUS)
+		}
+	}
+	if span := starts[len(starts)-1] - starts[0]; span < int64(n)*sliceUS {
+		b.Fatalf("batch spans %d µs, under %d slices of %d µs", span, n, sliceUS)
 	}
 }
 

@@ -104,22 +104,21 @@ func openSingle(t testing.TB, cfg Config) (*Session, RecoveryStats, error) {
 		})
 }
 
-// openSharded opens a durable session over an n-way sharded store.
+// openSharded opens a durable session over an n-way sharded store. The
+// chaos records start 2 s apart, so 2-second slices deal them round-robin
+// across the partitions.
 func openSharded(t testing.TB, cfg Config, n int) (*Session, RecoveryStats, error) {
 	t.Helper()
+	const sliceUS = 2_000_000
 	return OpenDurable(cfg,
 		func() (DurableBackend, error) {
-			return shard.New(audit.NewLog(), n, shard.ByHash())
+			return shard.New(audit.NewLog(), n, sliceUS)
 		},
 		func(imgs []segment.RoleImage, topo segment.Topology) (DurableBackend, error) {
-			if topo.Shards != n {
-				return nil, fmt.Errorf("recovered topology %+v, want %d shards", topo, n)
+			if topo.Shards != n || topo.PartitionBy != shard.SliceName(sliceUS) {
+				return nil, fmt.Errorf("recovered topology %+v, want %d shards by %s", topo, n, shard.SliceName(sliceUS))
 			}
-			part, err := shard.ParsePartitioner(topo.PartitionBy)
-			if err != nil {
-				return nil, err
-			}
-			return shard.OpenImages(imgs, topo.Shards, part)
+			return shard.OpenImages(imgs, topo.Shards, sliceUS)
 		})
 }
 

@@ -165,40 +165,35 @@ func (a *Analyzer) Stats() Stats {
 	return Stats{AlertsTagged: a.tagged, Rounds: a.rounds, Incidents: len(a.incidents)}
 }
 
-// Source is the pinned store generation a tactical round reads: an event
-// frontier, the per-batch op bitmap, the ID-ordered event slice, dense
-// entity resolution, and time-bounded adjacency visits. engine.Snapshot
-// satisfies it through the SnapSource adapter; a sharded store (see
-// internal/shard) feeds the analyzer its global snapshot the same way, so
-// the analyzer itself never knows about sharding.
-type Source interface {
-	// Frontier is the exclusive event-ID ceiling: every readable event
-	// has ID < Frontier().
-	Frontier() int64
-	// OpMaskBetween folds the op-code bits of events with ID in [lo, hi)
-	// (conservative supersets allowed).
-	OpMaskBetween(lo, hi int64) uint32
-	// EventsSince returns the events with ID >= lo in ascending ID order.
-	EventsSince(lo int64) []audit.Event
-	// Entity resolves an entity ID (nil when unknown).
-	Entity(id int64) *audit.Entity
-	// VisitEventEdges calls fn for every event edge incident to entity id
-	// with start_time <= maxStart: outgoing first, then incoming, each in
-	// ascending (start_time, event ID) order; fn returning false stops.
-	VisitEventEdges(id int64, maxStart int64, fn func(graphdb.EventEdgeRef) bool)
-}
-
-// SnapSource adapts an engine snapshot to the Source interface.
+// SnapSource is the pinned store generation a tactical round reads: an
+// event frontier, the per-batch op bitmap, the ID-ordered event slice,
+// dense entity resolution, and time-bounded adjacency visits, all over
+// one engine snapshot. A sharded store (see internal/shard) feeds the
+// analyzer its global snapshot, so the analyzer never knows about
+// sharding.
 type SnapSource struct{ Snap *engine.Snapshot }
 
-func (s SnapSource) Frontier() int64                   { return s.Snap.NextEventID }
+// Frontier is the exclusive event-ID ceiling: every readable event has
+// ID < Frontier().
+func (s SnapSource) Frontier() int64 { return s.Snap.NextEventID }
+
+// OpMaskBetween folds the op-code bits of events with ID in [lo, hi)
+// (a conservative superset).
 func (s SnapSource) OpMaskBetween(lo, hi int64) uint32 { return s.Snap.OpMaskBetween(lo, hi) }
-func (s SnapSource) Entity(id int64) *audit.Entity     { return snapEntity(s.Snap, id) }
+
+// Entity resolves an entity ID (nil when unknown).
+func (s SnapSource) Entity(id int64) *audit.Entity { return snapEntity(s.Snap, id) }
+
+// EventsSince returns the events with ID >= lo in ascending ID order.
 func (s SnapSource) EventsSince(lo int64) []audit.Event {
 	events := s.Snap.Events
 	start := sort.Search(len(events), func(i int) bool { return events[i].ID >= lo })
 	return events[start:]
 }
+
+// VisitEventEdges calls fn for every event edge incident to entity id
+// with start_time <= maxStart: outgoing first, then incoming, each in
+// ascending (start_time, event ID) order; fn returning false stops.
 func (s SnapSource) VisitEventEdges(id int64, maxStart int64, fn func(graphdb.EventEdgeRef) bool) {
 	s.Snap.Graph.VisitEventEdges(id, maxStart, fn)
 }
@@ -209,21 +204,18 @@ func (s SnapSource) VisitEventEdges(id int64, maxStart int64, fn func(graphdb.Ev
 // the pinned snapshot, so it runs strictly after AppendBatch published —
 // a rolled-back append was never published and can produce no alert.
 func (a *Analyzer) Round(snap *engine.Snapshot, lo int64) RoundStats {
-	if snap == nil {
-		return a.RoundOn(nil, lo)
-	}
 	return a.RoundOn(SnapSource{Snap: snap}, lo)
 }
 
-// RoundOn is Round over an abstract source (nil behaves like a nil
-// snapshot: the round counts but tags nothing).
-func (a *Analyzer) RoundOn(src Source, lo int64) RoundStats {
+// RoundOn is Round over src (a nil src.Snap behaves like a nil snapshot:
+// the round counts but tags nothing).
+func (a *Analyzer) RoundOn(src SnapSource, lo int64) RoundStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.rounds++
 	rs := RoundStats{Incidents: len(a.incidents)}
 	set := a.cfg.Rules
-	if set == nil || src == nil {
+	if set == nil || src.Snap == nil {
 		return rs
 	}
 	hi := src.Frontier()
@@ -276,7 +268,7 @@ func (a *Analyzer) RoundOn(src Source, lo int64) RoundStats {
 
 // attribute assigns one alert to an incident, opening a new one when no
 // causal predecessor is marked. Returns true when a new incident opened.
-func (a *Analyzer) attribute(src Source, al Alert, touched map[int]bool) bool {
+func (a *Analyzer) attribute(src SnapSource, al Alert, touched map[int]bool) bool {
 	idx, path := a.findIncident(src, al)
 	opened := false
 	if idx < 0 {
@@ -352,7 +344,7 @@ func (a *Analyzer) mark(id int64, idx int, inc *Incident) {
 // reached decides the incident, and the connecting path (alert subject
 // exclusive, marked entity inclusive) is returned for the IIP subgraph.
 // Direct marks on the subject or object short-circuit the traversal.
-func (a *Analyzer) findIncident(src Source, al Alert) (int, []int64) {
+func (a *Analyzer) findIncident(src SnapSource, al Alert) (int, []int64) {
 	if idx, ok := a.marked[al.SubjectID]; ok {
 		return idx, nil
 	}
@@ -480,14 +472,6 @@ func (a *Analyzer) Ranked() []Incident {
 func Analyze(snap *engine.Snapshot, cfg Config) []Incident {
 	a := NewAnalyzer(cfg)
 	a.Round(snap, 1)
-	return a.Ranked()
-}
-
-// AnalyzeOn is Analyze over an abstract source (a sharded store's global
-// snapshot, typically).
-func AnalyzeOn(src Source, cfg Config) []Incident {
-	a := NewAnalyzer(cfg)
-	a.RoundOn(src, 1)
 	return a.Ranked()
 }
 

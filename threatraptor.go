@@ -62,17 +62,19 @@ type Options struct {
 	// HuntQueueTimeout is how long a hunt waits for a slot when
 	// MaxConcurrentHunts is reached (zero: reject immediately when full).
 	HuntQueueTimeout time.Duration
-	// Shards partitions the store into N host/time/hash partitions with
+	// Shards partitions the store into N start-time-slice partitions with
 	// scatter-gather hunt execution (see internal/shard): pattern data
-	// queries route only to the partitions their window, operation, and
-	// host predicates can touch and run concurrently against per-shard
-	// snapshots, while the global store stays authoritative for
-	// variable-length paths, fuzzy search, and the tactical layer.
+	// queries route only to the partitions their window and operations
+	// can touch and run concurrently against per-shard snapshots, while
+	// the global store stays authoritative for variable-length paths,
+	// fuzzy search, and the tactical layer.
 	// 0 or 1 keeps the classic single store.
 	Shards int
-	// PartitionBy selects the sharding key: "hash" (event ID, the
-	// default), "host" (subject entity's host), or "time"/"time:<dur>"
-	// (start-time slices). Ignored unless Shards > 1.
+	// PartitionBy is the width of the start-time slices events route by:
+	// "time:<dur>" (e.g. "time:5m"), or "time" or "" for 1 h slices.
+	// Slice k goes to partition k mod Shards. A data dir records the
+	// width it was persisted under and reopens only with the same one.
+	// Ignored unless Shards > 1.
 	PartitionBy string
 	// Rules is the compiled detection rule set for the tactical layer.
 	// When set, the live session tags rule-matching events per sealed
@@ -174,11 +176,11 @@ func (s *System) LoadLog(log *audit.Log) error {
 // coordinator whose global store the façade's snapshot readers alias.
 func (s *System) buildStore(log *audit.Log) error {
 	if s.opts.Shards > 1 {
-		part, err := shard.ParsePartitioner(s.opts.PartitionBy)
+		sliceUS, err := shard.ParsePartitioner(s.opts.PartitionBy)
 		if err != nil {
 			return err
 		}
-		sh, err := shard.New(log, s.opts.Shards, part)
+		sh, err := shard.New(log, s.opts.Shards, sliceUS)
 		if err != nil {
 			return err
 		}
@@ -261,12 +263,13 @@ func (s *System) openDurable(cfg stream.Config) (*stream.Session, error) {
 	fromImages := func(imgs []segment.RoleImage, topo segment.Topology) (stream.DurableBackend, error) {
 		wantShards := 0
 		wantPart := ""
+		var sliceUS int64
 		if s.opts.Shards > 1 {
-			p, err := shard.ParsePartitioner(s.opts.PartitionBy)
-			if err != nil {
+			var err error
+			if sliceUS, err = shard.ParsePartitioner(s.opts.PartitionBy); err != nil {
 				return nil, err
 			}
-			wantShards, wantPart = s.opts.Shards, p.Name()
+			wantShards, wantPart = s.opts.Shards, shard.SliceName(sliceUS)
 		}
 		if topo.Shards != wantShards || topo.PartitionBy != wantPart {
 			return nil, fmt.Errorf(
@@ -274,11 +277,7 @@ func (s *System) openDurable(cfg stream.Config) (*stream.Session, error) {
 				s.opts.DataDir, topo.Shards, topo.PartitionBy, wantShards, wantPart)
 		}
 		if topo.Shards > 0 {
-			part, err := shard.ParsePartitioner(topo.PartitionBy)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := shard.OpenImages(imgs, topo.Shards, part)
+			sh, err := shard.OpenImages(imgs, topo.Shards, sliceUS)
 			if err != nil {
 				return nil, err
 			}

@@ -3,10 +3,13 @@ package threatraptor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"threatraptor/internal/cases"
+	"threatraptor/internal/segment"
+	"threatraptor/internal/shard"
 )
 
 func loadCase(t *testing.T, id string) (*System, *cases.GeneratedLog) {
@@ -212,5 +215,51 @@ func TestExplainKeepsHuntPlanCached(t *testing.T) {
 	}
 	if got, err := sys.engine.Compile(q); err != nil || got != want {
 		t.Fatalf("explaining evicted the hunt's cached plan (err %v)", err)
+	}
+}
+
+// TestOldPartitionerDataDirRefused pins that a data dir persisted under
+// the removed host or hash partitioners is refused through the topology
+// check: the error names the persisted partitioner, and no sharded store
+// comes up re-routing the stored events into time slices.
+func TestOldPartitionerDataDirRefused(t *testing.T) {
+	const line = "ts=1800000000000000 call=read pid=4242 exe=/usr/bin/scp user=root fd=file path=/etc/passwd bytes=10\n"
+	for _, old := range []string{"host", "hash"} {
+		t.Run(old, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.DataDir, opts.Shards, opts.PartitionBy = t.TempDir(), 2, "time:2s"
+			sys := New(opts)
+			if _, err := sys.Ingest(strings.NewReader(line)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.FlushStream(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := segment.ReadManifest(opts.DataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Partitioner = old
+			if err := segment.WriteManifest(opts.DataDir, m); err != nil {
+				t.Fatal(err)
+			}
+
+			sys = New(opts)
+			_, err = sys.Live()
+			if want := fmt.Sprintf("partitioner %q", old); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("reopen = %v, want the topology mismatch naming %s", err, want)
+			}
+			if sys.ShardStore() != nil {
+				t.Fatal("the refused data dir still built a sharded store")
+			}
+		})
+	}
+	for _, spec := range []string{"host", "hash"} {
+		if _, err := shard.ParsePartitioner(spec); err == nil || !strings.Contains(err.Error(), "time or time:<duration>") {
+			t.Errorf("ParsePartitioner(%q) = %v, want an error naming the accepted forms", spec, err)
+		}
 	}
 }
