@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -39,26 +40,45 @@ func New(opts Options) *Extractor {
 
 // annTree is a dependency tree annotated for extraction (Step 5): which
 // tokens are IOCs, which are candidate relation verbs, and which are
-// instrumental verbs.
+// instrumental verbs, one annotation per token.
 type annTree struct {
-	tree    *nlp.DepTree
-	iocAt   map[int]ioc.IOC // token index -> restored indicator
-	corefAt map[int]bool    // IOC introduced by coreference (not a mention)
-	verbAt  map[int]string  // token index -> relation verb lemma
-	instrAt map[int]string  // token index -> instrumental verb lemma
-	skip    bool            // Step 6: no candidate verbs => skip
+	tree *nlp.DepTree
+	ann  []tokenAnn // ann[i] annotates tree.Tokens[i]
+	skip bool       // Step 6: no candidate verbs => skip
 }
 
-// iocOrder returns the token indexes of the tree's IOCs in token order, so
-// every walk over them is independent of map iteration order.
-func (a *annTree) iocOrder() []int {
-	idxs := make([]int, 0, len(a.iocAt))
-	for i := range a.iocAt {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	return idxs
+// tokenAnn annotates one token of an annTree.
+type tokenAnn struct {
+	ioc   int32 // 1 + the index of the token's indicator in the document's IOC list; 0 when none
+	coref bool  // the IOC was introduced by coreference (not a mention)
+	verb  verbKind
 }
+
+// verbKind classifies a verb token by its lemma.
+type verbKind uint8
+
+const (
+	notCandidate verbKind = iota
+	relationVerb
+	instrumentalVerb
+)
+
+func (a *annTree) isIOC(i int) bool          { return a.ann[i].ioc != 0 }
+func (a *annTree) isRelationVerb(i int) bool { return a.ann[i].verb == relationVerb }
+
+// isInstrumental reports whether token i is an instrumental verb; i may
+// be a root's head (negative).
+func (a *annTree) isInstrumental(i int) bool { return i >= 0 && a.ann[i].verb == instrumentalVerb }
+
+// document is one Extract call's state: the IOCs that annotations refer
+// to, in block and then source order, and the annotated trees.
+type document struct {
+	iocs  []ioc.IOC
+	trees []annTree
+}
+
+// iocAt returns the indicator of IOC token i of tree at.
+func (doc *document) iocAt(at *annTree, i int) ioc.IOC { return doc.iocs[at.ann[i].ioc-1] }
 
 // block is one OSCTI text block with its byte offset in the document.
 type textBlock struct {
@@ -98,43 +118,45 @@ func segmentBlocks(doc string) []textBlock {
 // Extract runs the full pipeline (Algorithm 1) over an OSCTI document and
 // returns the recognized IOC mentions, the extracted relation triplets,
 // and the constructed threat behavior graph.
-func (e *Extractor) Extract(doc string) *Result {
+func (e *Extractor) Extract(text string) *Result {
 	start := time.Now()
-	blocks := segmentBlocks(doc)
-	var trees []*annTree
-	for _, blk := range blocks {
-		trees = append(trees, e.processBlock(blk)...)
+	doc := &document{}
+	for _, blk := range segmentBlocks(text) {
+		e.processBlock(doc, blk)
 	}
 
 	// Step 7: coreference resolution. A pronominal subject refers to the
 	// most recent acting IOC (the subject of the last triplet or the tool
 	// of the last instrumental verb).
-	resolveCoref(trees)
+	resolveCoref(doc.trees)
 
 	// Step 8: scan and merge IOCs across blocks.
 	merged := newMergeTable(e.pipe, e.opts.MergeThreshold)
-	var mentions []ioc.IOC
-	for _, at := range trees {
-		for _, idx := range at.iocOrder() {
-			if at.corefAt[idx] {
-				continue
+	mentions := make([]ioc.IOC, 0, len(doc.iocs)) // each indicator is at most one mention
+	for t := range doc.trees {
+		at := &doc.trees[t]
+		for i := range at.ann {
+			if at.isIOC(i) && !at.ann[i].coref {
+				ic := doc.iocAt(at, i)
+				merged.add(ic)
+				mentions = append(mentions, ic)
 			}
-			ic := at.iocAt[idx]
-			merged.add(ic)
-			mentions = append(mentions, ic)
 		}
 	}
 
 	// Step 9: IOC relation extraction per tree.
 	var triplets []Triplet
-	for _, at := range trees {
+	for t := range doc.trees {
+		at := &doc.trees[t]
 		if at.skip {
 			continue
 		}
-		for _, idx := range at.iocOrder() { // coref mentions join merge table too
-			merged.add(at.iocAt[idx])
+		for i := range at.ann { // coref mentions join merge table too
+			if at.isIOC(i) {
+				merged.add(doc.iocAt(at, i))
+			}
 		}
-		triplets = append(triplets, extractRelations(at)...)
+		triplets = doc.extractRelations(triplets, at)
 	}
 
 	// Step 10: threat behavior graph construction.
@@ -150,85 +172,72 @@ func (e *Extractor) Extract(doc string) *Result {
 	}
 }
 
-// processBlock applies Steps 2–6 to one block. Token offsets in the
-// returned trees are byte offsets in the document.
-func (e *Extractor) processBlock(blk textBlock) []*annTree {
+// processBlock applies Steps 2–6 to one block, appending its indicators
+// and annotated trees to doc. Token offsets in the trees are byte offsets
+// in the document.
+func (e *Extractor) processBlock(doc *document, blk textBlock) {
 	var deps []*nlp.DepTree
-	iocBySpan := make(map[int]ioc.IOC) // document offset -> IOC
-
+	base := len(doc.iocs)
 	if e.opts.IOCProtection {
 		prot, recs := ioc.Protect(blk.text)
 		deps = e.pipe.ProcessTokens(nlp.Tokenize(prot))
 		toDocOffsets(deps, blk.offset, recs)
 		for _, rec := range recs {
-			ic := rec.IOC
-			ic.Start += blk.offset
-			ic.End += blk.offset
-			iocBySpan[ic.Start] = ic
-		}
-		// Restore the protected indicators inside the trees (Step 4 tail).
-		for _, d := range deps {
-			for i := range d.Tokens {
-				tok := &d.Tokens[i]
-				if tok.Text != ioc.DummyWord {
-					continue
-				}
-				if ic, ok := iocBySpan[tok.Start]; ok {
-					tok.Text = ic.Text
-					tok.Lemma = ic.Text
-					tok.POS = nlp.TagPropn
-				}
-			}
+			doc.iocs = append(doc.iocs, rec.IOC)
 		}
 	} else {
 		// Ablation: general tokenization; only indicators that happen to
 		// align with a single token survive.
 		deps = e.pipe.ProcessTokens(nlp.TokenizeGeneral(blk.text))
 		toDocOffsets(deps, blk.offset, nil)
-		for _, ic := range ioc.Extract(blk.text) {
-			ic.Start += blk.offset
-			ic.End += blk.offset
-			iocBySpan[ic.Start] = ic
-		}
+		doc.iocs = append(doc.iocs, ioc.Extract(blk.text)...)
+	}
+	// The block's indicators, in source order, at document offsets.
+	iocs := doc.iocs[base:]
+	for k := range iocs {
+		iocs[k].Start += blk.offset
+		iocs[k].End += blk.offset
 	}
 
-	var out []*annTree
+	n := 0
 	for _, d := range deps {
-		at := &annTree{
-			tree:    d,
-			iocAt:   make(map[int]ioc.IOC),
-			corefAt: make(map[int]bool),
-			verbAt:  make(map[int]string),
-			instrAt: make(map[int]string),
-		}
+		n += len(d.Tokens)
+	}
+	slab := make([]tokenAnn, n)
+	for _, d := range deps {
+		at := annTree{tree: d, ann: slab[:len(d.Tokens):len(d.Tokens)], skip: true}
+		slab = slab[len(d.Tokens):]
 		for i := range d.Tokens {
 			tok := &d.Tokens[i]
-			if e.opts.IOCProtection {
-				if ic, ok := iocBySpan[tok.Start]; ok && tok.Text == ic.Text {
-					at.iocAt[i] = ic
+			if k, ok := slices.BinarySearchFunc(iocs, tok.Start, func(ic ioc.IOC, start int) int {
+				return ic.Start - start
+			}); ok {
+				ic := &iocs[k]
+				if e.opts.IOCProtection && tok.Text == ioc.DummyWord {
+					// Restore the protected indicator (Step 4 tail).
+					tok.Text = ic.Text
+					tok.Lemma = ic.Text
+					tok.POS = nlp.TagPropn
 				}
-			} else if ic, ok := iocBySpan[tok.Start]; ok &&
-				tok.End-tok.Start == ic.End-ic.Start && tok.Text == ic.Text {
-				at.iocAt[i] = ic
+				if tok.Text == ic.Text && (e.opts.IOCProtection || tok.End-tok.Start == ic.End-ic.Start) {
+					at.ann[i].ioc = int32(base + k + 1)
+				}
 			}
 			if tok.POS == nlp.TagVerb {
 				switch {
 				case IsRelationVerb(tok.Lemma):
-					at.verbAt[i] = tok.Lemma
+					at.ann[i].verb = relationVerb
+					// Step 6 (tree simplification): trees with no
+					// candidate relation verbs cannot yield relations;
+					// skipping them only speeds up extraction.
+					at.skip = false
 				case IsInstrumentalVerb(tok.Lemma):
-					at.instrAt[i] = tok.Lemma
+					at.ann[i].verb = instrumentalVerb
 				}
 			}
 		}
-		// Step 6 (tree simplification): trees with no candidate relation
-		// verbs cannot yield relations; skipping them only speeds up
-		// extraction.
-		if len(at.verbAt) == 0 {
-			at.skip = true
-		}
-		out = append(out, at)
+		doc.trees = append(doc.trees, at)
 	}
-	return out
 }
 
 // toDocOffsets rewrites the token offsets of a block's trees, which index
@@ -257,9 +266,10 @@ func toDocOffsets(deps []*nlp.DepTree, blockOffset int, recs []ioc.Replacement) 
 // across the trees of the document (Step 7 operates within a block; actors
 // rarely change across block boundaries mid-narrative, and the paper's
 // block linking happens at graph construction anyway).
-func resolveCoref(trees []*annTree) {
-	var lastActor *ioc.IOC
-	for _, at := range trees {
+func resolveCoref(trees []annTree) {
+	var lastActor int32 // annotation of the current actor; 0: none yet
+	for t := range trees {
+		at := &trees[t]
 		d := at.tree
 		// Resolve pronoun subjects in this tree against the current actor.
 		for i := range d.Tokens {
@@ -271,26 +281,22 @@ func resolveCoref(trees []*annTree) {
 			if lw != "it" && lw != "he" && lw != "she" && lw != "they" && lw != "this" {
 				continue
 			}
-			if lastActor != nil {
-				at.iocAt[i] = *lastActor
-				at.corefAt[i] = true
+			if lastActor != 0 {
+				at.ann[i].ioc = lastActor
+				at.ann[i].coref = true
 			}
 		}
 		// Update the actor: prefer the subject IOC of this tree, then the
 		// direct object of an instrumental verb (the tool being used).
 		for i := range d.Tokens {
-			ic, isIOC := at.iocAt[i]
-			if !isIOC || at.corefAt[i] {
+			if !at.isIOC(i) || at.ann[i].coref {
 				continue
 			}
 			switch {
 			case d.Rel[i] == nlp.RelNsubj:
-				c := ic
-				lastActor = &c
-			case (d.Rel[i] == nlp.RelDobj || d.Rel[i] == nlp.RelDep) &&
-				d.Head[i] >= 0 && at.instrAt[d.Head[i]] != "":
-				c := ic
-				lastActor = &c
+				lastActor = at.ann[i].ioc
+			case (d.Rel[i] == nlp.RelDobj || d.Rel[i] == nlp.RelDep) && at.isInstrumental(d.Head[i]):
+				lastActor = at.ann[i].ioc
 			}
 		}
 	}

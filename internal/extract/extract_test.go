@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"threatraptor/internal/cases"
@@ -291,12 +292,14 @@ func TestTokenOffsetsAreDocumentOffsets(t *testing.T) {
 		ex := New(opts)
 		for _, c := range caseReports() {
 			doc := c.Report + "\n\nThe attacker then used /bin/sh to read /etc/hosts."
+			d := &document{}
 			for _, blk := range segmentBlocks(doc) {
-				for _, at := range ex.processBlock(blk) {
-					for _, tok := range at.tree.Tokens {
-						if got := doc[tok.Start:tok.End]; got != tok.Text {
-							t.Fatalf("%s: token %q at [%d,%d) spans %q", c.ID, tok.Text, tok.Start, tok.End, got)
-						}
+				ex.processBlock(d, blk)
+			}
+			for _, at := range d.trees {
+				for _, tok := range at.tree.Tokens {
+					if got := doc[tok.Start:tok.End]; got != tok.Text {
+						t.Fatalf("%s: token %q at [%d,%d) spans %q", c.ID, tok.Text, tok.Start, tok.End, got)
 					}
 				}
 			}
@@ -320,6 +323,37 @@ func TestEdgeOrderAcrossLongBlock(t *testing.T) {
 			t.Errorf("verb %q: offset %d points at %.10q", tr.Verb, tr.VerbOffset, doc[tr.VerbOffset:])
 		}
 	}
+}
+
+// TestSharedExtractorConcurrent extracts every case report from two
+// goroutines through one Extractor, as two clients of one System do; run
+// under -race it checks that extraction shares no mutable state, and each
+// goroutine's results must equal a sequential run's.
+func TestSharedExtractorConcurrent(t *testing.T) {
+	ex := New(DefaultOptions())
+	reps := caseReports()
+	want := make([]*Result, len(reps))
+	for i, c := range reps {
+		want[i] = ex.Extract(c.Report)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i, c := range reps {
+					got := ex.Extract(c.Report)
+					if !reflect.DeepEqual(got.IOCs, want[i].IOCs) || !reflect.DeepEqual(got.Triplets, want[i].Triplets) ||
+						!reflect.DeepEqual(got.Graph, want[i].Graph) {
+						t.Errorf("goroutine %d round %d %s: result differs from the sequential run", g, round, c.ID)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkExtract runs the whole pipeline over every case report per op.

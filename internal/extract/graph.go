@@ -6,7 +6,7 @@ package extract
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -89,10 +89,10 @@ type Result struct {
 // and extracted triplets (Step 10 of Algorithm 1).
 func buildGraph(merged *mergeTable, triplets []Triplet) *Graph {
 	g := &Graph{}
-	byCanon := make(map[int]*Node)
+	byCanon := make([]*Node, len(merged.groups)) // group index -> node
 	nodeFor := func(mention ioc.IOC) *Node {
 		ci := merged.canonical(mention.Text)
-		if n, ok := byCanon[ci]; ok {
+		if n := byCanon[ci]; n != nil {
 			return n
 		}
 		group := merged.groups[ci]
@@ -107,15 +107,17 @@ func buildGraph(merged *mergeTable, triplets []Triplet) *Graph {
 		return n
 	}
 
-	sorted := append([]Triplet(nil), triplets...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		return sorted[a].VerbOffset < sorted[b].VerbOffset
-	})
-	seen := make(map[string]bool)
+	sorted := slices.Clone(triplets)
+	slices.SortStableFunc(sorted, func(a, b Triplet) int { return a.VerbOffset - b.VerbOffset })
+	type edgeKey struct {
+		from, to int
+		verb     string
+	}
+	seen := make(map[edgeKey]bool)
 	for _, t := range sorted {
 		from := nodeFor(t.Subj)
 		to := nodeFor(t.Obj)
-		key := fmt.Sprintf("%d|%s|%d", from.ID, t.Verb, to.ID)
+		key := edgeKey{from.ID, to.ID, t.Verb}
 		if seen[key] {
 			continue
 		}

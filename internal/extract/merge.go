@@ -1,7 +1,7 @@
 package extract
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"threatraptor/internal/ioc"
@@ -26,15 +26,12 @@ type mergeTable struct {
 type mergeGroup struct {
 	canonText string
 	typ       ioc.Type
-	forms     map[string]bool
+	forms     []string // distinct surface forms, in order of addition
 }
 
 func (g *mergeGroup) aliases() []string {
-	out := make([]string, 0, len(g.forms))
-	for f := range g.forms {
-		out = append(out, f)
-	}
-	sort.Strings(out)
+	out := slices.Clone(g.forms)
+	slices.Sort(out)
 	return out
 }
 
@@ -53,7 +50,7 @@ func (m *mergeTable) add(ic ioc.IOC) {
 	}
 	for gi, g := range m.groups {
 		if m.mergeable(g, ic) {
-			g.forms[ic.Text] = true
+			g.forms = append(g.forms, ic.Text)
 			m.byText[ic.Text] = gi
 			// Prefer the most specific (longest) form as canonical.
 			if len(ic.Text) > len(g.canonText) {
@@ -62,13 +59,13 @@ func (m *mergeTable) add(ic ioc.IOC) {
 			return
 		}
 	}
-	g := &mergeGroup{canonText: ic.Text, typ: ic.Type, forms: map[string]bool{ic.Text: true}}
+	g := &mergeGroup{canonText: ic.Text, typ: ic.Type, forms: []string{ic.Text}}
 	m.groups = append(m.groups, g)
 	m.byText[ic.Text] = len(m.groups) - 1
 }
 
 func (m *mergeTable) mergeable(g *mergeGroup, ic ioc.IOC) bool {
-	for form := range g.forms {
+	for _, form := range g.forms {
 		if strings.EqualFold(form, ic.Text) {
 			return true
 		}

@@ -1,30 +1,48 @@
 package extract
 
-import "threatraptor/internal/nlp"
+import (
+	"slices"
+
+	"threatraptor/internal/nlp"
+)
+
+// relation is one IOC relation found in a tree, as token indexes: the
+// subject and object IOC tokens and the relation verb.
+type relation struct{ subj, obj, verb int }
 
 // extractRelations implements Step 9 of Algorithm 1: for every pair of IOC
 // nodes in a dependency tree, check whether their dependency paths satisfy
 // a subject-object relation (three path parts: root→LCA, LCA→each node),
 // then pick the annotated candidate verb closest to the object node as the
-// relation verb.
-func extractRelations(at *annTree) []Triplet {
-	idxs := at.iocOrder()
-
-	var out []Triplet
-	for i := 0; i < len(idxs); i++ {
-		for j := i + 1; j < len(idxs); j++ {
-			if t, ok := relate(at, idxs[i], idxs[j]); ok {
-				out = append(out, t)
+// relation verb. It appends the tree's triplets to out.
+func (doc *document) extractRelations(out []Triplet, at *annTree) []Triplet {
+	d := at.tree
+	for a := range at.ann {
+		if !at.isIOC(a) {
+			continue
+		}
+		for b := a + 1; b < len(at.ann); b++ {
+			if !at.isIOC(b) {
+				continue
+			}
+			if r, ok := relate(at, a, b); ok {
+				out = append(out, Triplet{
+					Subj:       doc.iocAt(at, r.subj),
+					Verb:       d.Tokens[r.verb].Lemma,
+					Obj:        doc.iocAt(at, r.obj),
+					VerbOffset: d.Tokens[r.verb].Start,
+				})
 			}
 		}
 	}
 	return out
 }
 
-// chain walks from x up to (excluding) stop, returning the node indexes in
-// bottom-up order. The relation label of node chain[k] is d.Rel[chain[k]].
-func chain(d *nlp.DepTree, x, stop int) []int {
-	var nodes []int
+// chain walks from x up to (excluding) stop, appending the node indexes
+// to buf in bottom-up order. The relation label of node chain[k] is
+// d.Rel[chain[k]].
+func chain(buf []int, d *nlp.DepTree, x, stop int) []int {
+	nodes := buf[:0]
 	for x != stop && x >= 0 && len(nodes) <= len(d.Tokens) {
 		nodes = append(nodes, x)
 		x = d.Head[x]
@@ -54,11 +72,11 @@ func topRel(d *nlp.DepTree, nodes []int) string {
 
 // relate decides whether IOC tokens a < b form a relation and with which
 // direction and verb.
-func relate(at *annTree, a, b int) (Triplet, bool) {
+func relate(at *annTree, a, b int) (relation, bool) {
 	d := at.tree
 	lca := d.LCA(a, b)
 	if lca < 0 {
-		return Triplet{}, false
+		return relation{}, false
 	}
 
 	// Ancestor cases: the nominal that dominates the clause is the
@@ -70,8 +88,9 @@ func relate(at *annTree, a, b int) (Triplet, bool) {
 		return ancestorRelate(at, b, a)
 	}
 
-	chA := chain(d, a, lca)
-	chB := chain(d, b, lca)
+	var bufA, bufB [16]int // deeper chains spill to the heap
+	chA := chain(bufA[:], d, a, lca)
+	chB := chain(bufB[:], d, b, lca)
 
 	subjA := isSubjectChain(at, lca, chA)
 	subjB := isSubjectChain(at, lca, chB)
@@ -80,15 +99,15 @@ func relate(at *annTree, a, b int) (Triplet, bool) {
 
 	switch {
 	case subjA && subjB:
-		return Triplet{}, false // two clause subjects: no relation
+		return relation{}, false // two clause subjects: no relation
 	case subjA && objB:
 		if !subjectAttachmentOK(d, lca, chA, chB) {
-			return Triplet{}, false
+			return relation{}, false
 		}
 		return buildTriplet(at, a, b, lca, chB)
 	case subjB && objA:
 		if !subjectAttachmentOK(d, lca, chB, chA) {
-			return Triplet{}, false
+			return relation{}, false
 		}
 		return buildTriplet(at, b, a, lca, chA)
 	case objA && objB:
@@ -99,7 +118,7 @@ func relate(at *annTree, a, b int) (Triplet, bool) {
 		// directly to the LCA verb, and the clause must not already have
 		// an explicit IOC actor (which the subject-pair rules cover).
 		if hasIOCActor(at, lca) {
-			return Triplet{}, false
+			return relation{}, false
 		}
 		if topRel(d, chA) == nlp.RelDobj && directPrepObject(d, chB, lca) {
 			return buildTriplet(at, a, b, lca, chB)
@@ -107,9 +126,9 @@ func relate(at *annTree, a, b int) (Triplet, bool) {
 		if topRel(d, chB) == nlp.RelDobj && directPrepObject(d, chA, lca) {
 			return buildTriplet(at, b, a, lca, chA)
 		}
-		return Triplet{}, false
+		return relation{}, false
 	default:
-		return Triplet{}, false
+		return relation{}, false
 	}
 }
 
@@ -127,20 +146,15 @@ func directPrepObject(d *nlp.DepTree, ch []int, lca int) bool {
 // instrumental verb governing v.
 func hasIOCActor(at *annTree, v int) bool {
 	d := at.tree
-	for _, c := range d.Children(v) {
-		if d.Rel[c] == nlp.RelNsubj {
-			if _, ok := at.iocAt[c]; ok {
-				return true
-			}
+	for c := range d.Children(v) {
+		if d.Rel[c] == nlp.RelNsubj && at.isIOC(c) {
+			return true
 		}
 	}
-	h := d.Head[v]
-	if h >= 0 && at.instrAt[h] != "" {
-		for _, c := range d.Children(h) {
-			if d.Rel[c] == nlp.RelDobj || d.Rel[c] == nlp.RelDep {
-				if _, ok := at.iocAt[c]; ok {
-					return true
-				}
+	if h := d.Head[v]; at.isInstrumental(h) {
+		for c := range d.Children(h) {
+			if (d.Rel[c] == nlp.RelDobj || d.Rel[c] == nlp.RelDep) && at.isIOC(c) {
+				return true
 			}
 		}
 	}
@@ -179,7 +193,7 @@ func isSubjectChain(at *annTree, lca int, ch []int) bool {
 		return true
 	}
 	top := topRel(d, ch)
-	if (top == nlp.RelDobj || top == nlp.RelDep) && at.instrAt[lca] != "" {
+	if (top == nlp.RelDobj || top == nlp.RelDep) && at.isInstrumental(lca) {
 		return true
 	}
 	// Tool object of an instrumental verb below the LCA:
@@ -188,8 +202,7 @@ func isSubjectChain(at *annTree, lca int, ch []int) bool {
 		if k == len(ch)-1 {
 			break
 		}
-		if (d.Rel[n] == nlp.RelDobj || d.Rel[n] == nlp.RelDep) &&
-			at.instrAt[d.Head[n]] != "" {
+		if (d.Rel[n] == nlp.RelDobj || d.Rel[n] == nlp.RelDep) && at.isInstrumental(d.Head[n]) {
 			return true
 		}
 	}
@@ -199,77 +212,58 @@ func isSubjectChain(at *annTree, lca int, ch []int) bool {
 // ancestorRelate handles the case where subj dominates obj in the tree.
 // The connecting chain must pass through a candidate relation verb and an
 // object-like arc.
-func ancestorRelate(at *annTree, subj, obj int) (Triplet, bool) {
+func ancestorRelate(at *annTree, subj, obj int) (relation, bool) {
 	d := at.tree
-	ch := chain(d, obj, subj)
-	if !hasRel(d, ch, nlp.RelDobj, nlp.RelPobj) {
-		return Triplet{}, false
-	}
-	hasVerb := false
-	for _, n := range ch {
-		if at.verbAt[n] != "" {
-			hasVerb = true
-			break
-		}
-	}
-	if !hasVerb {
-		return Triplet{}, false
+	var buf [16]int
+	ch := chain(buf[:], d, obj, subj)
+	if !hasRel(d, ch, nlp.RelDobj, nlp.RelPobj) || !slices.ContainsFunc(ch, at.isRelationVerb) {
+		return relation{}, false
 	}
 	return buildTriplet(at, subj, obj, subj, ch)
 }
 
-// buildTriplet selects the relation verb and assembles the triplet.
-// objChain is the object-side chain (bottom-up). The verb is the candidate
-// closest to the object: the deepest verb on the object chain, then the
-// LCA itself, then any verb above the LCA on the path to the root.
-func buildTriplet(at *annTree, subj, obj, lca int, objChain []int) (Triplet, bool) {
+// buildTriplet selects the relation verb of the triplet. objChain is the
+// object-side chain (bottom-up). The verb is the candidate closest to the
+// object: the deepest verb on the object chain, then the LCA itself, then
+// any verb above the LCA on the path to the root.
+func buildTriplet(at *annTree, subj, obj, lca int, objChain []int) (relation, bool) {
 	d := at.tree
 
 	// Reject if a verb on the object chain has its own explicit nominal
 	// subject different from subj: that verb's clause belongs to another
 	// actor ("A read X and B wrote Y" must not yield (A, write, Y)).
 	for _, n := range objChain {
-		if at.verbAt[n] == "" && at.instrAt[n] == "" {
+		if at.ann[n].verb == notCandidate {
 			continue
 		}
-		for _, c := range d.Children(n) {
-			if d.Rel[c] == nlp.RelNsubj && c != subj {
-				if _, isIOC := at.iocAt[c]; isIOC || d.Tokens[c].POS.IsNounLike() {
-					return Triplet{}, false
-				}
+		for c := range d.Children(n) {
+			if d.Rel[c] == nlp.RelNsubj && c != subj && (at.isIOC(c) || d.Tokens[c].POS.IsNounLike()) {
+				return relation{}, false
 			}
 		}
 	}
 
-	verbIdx := -1
+	verb := -1
 	for _, n := range objChain { // bottom-up: first hit is closest to obj
-		if at.verbAt[n] != "" {
-			verbIdx = n
+		if at.isRelationVerb(n) {
+			verb = n
 			break
 		}
 	}
-	if verbIdx < 0 && at.verbAt[lca] != "" {
-		verbIdx = lca
+	if verb < 0 && at.isRelationVerb(lca) {
+		verb = lca
 	}
-	if verbIdx < 0 {
+	if verb < 0 {
 		// Root→LCA part: scan upward from the LCA.
-		for _, n := range d.PathToRoot(lca) {
-			if at.verbAt[n] != "" {
-				verbIdx = n
+		for n := range d.PathToRoot(lca) {
+			if at.isRelationVerb(n) {
+				verb = n
 				break
 			}
 		}
 	}
-	if verbIdx < 0 {
-		return Triplet{}, false
+	if verb < 0 {
+		return relation{}, false
 	}
-
-	subjIOC := at.iocAt[subj]
-	objIOC := at.iocAt[obj]
-	return Triplet{
-		Subj:       subjIOC,
-		Verb:       at.verbAt[verbIdx],
-		Obj:        objIOC,
-		VerbOffset: d.Tokens[verbIdx].Start,
-	}, true
+	return relation{subj: subj, obj: obj, verb: verb}, true
 }

@@ -23,7 +23,7 @@ package ioc
 
 import (
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -62,7 +62,10 @@ type IOC struct {
 // in must reach. need must be a necessary condition of re: a token below
 // it cannot hold a match, so skipping the token changes nothing.
 type rule struct {
-	re   *regexp.Regexp
+	re *regexp.Regexp
+	// at, when set, is the hand-written matcher that Extract runs in
+	// place of re; it returns exactly re's matches (match.go).
+	at   matchAt
 	typ  Type
 	prec int
 	need triggers
@@ -75,23 +78,23 @@ type rule struct {
 var rules = []rule{
 	{re: regexp.MustCompile(`\bCVE-\d{4}-\d{4,7}\b`), typ: TypeCVE, prec: 100, need: triggers{n: 13, letters: 3, digits: 8}},
 	{re: regexp.MustCompile(`\bhttps?://[^\s"'<>\)]+`), typ: TypeURL, prec: 90, need: triggers{n: 8, colons: 1, slashes: 2}},
-	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{64}\b`), typ: TypeSHA256, prec: 85, need: triggers{n: 64}},
-	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{40}\b`), typ: TypeSHA1, prec: 84, need: triggers{n: 40}},
-	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{32}\b`), typ: TypeMD5, prec: 83, need: triggers{n: 32}},
+	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{64}\b`), typ: TypeSHA256, at: hashAt(64), prec: 85, need: triggers{n: 64}},
+	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{40}\b`), typ: TypeSHA1, at: hashAt(40), prec: 84, need: triggers{n: 40}},
+	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{32}\b`), typ: TypeMD5, at: hashAt(32), prec: 83, need: triggers{n: 32}},
 	{re: regexp.MustCompile(`\b(?:HKEY_[A-Z_]+|HKLM|HKCU|HKCR|HKU)\\[\w\\ .-]+`), typ: TypeRegistry, prec: 80, whole: "HK"},
-	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b`), typ: TypeCIDR, prec: 75, need: triggers{n: 9, digits: 5, dots: 3, slashes: 1}},
-	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}\b`), typ: TypeIPv4, prec: 70, need: triggers{n: 7, digits: 4, dots: 3}},
+	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b`), typ: TypeCIDR, at: cidrAt, prec: 75, need: triggers{n: 9, digits: 5, dots: 3, slashes: 1}},
+	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}\b`), typ: TypeIPv4, at: ipv4At, prec: 70, need: triggers{n: 7, digits: 4, dots: 3}},
 	{re: regexp.MustCompile(`[\w.+-]+@[\w-]+(?:\.[\w-]+)+`), typ: TypeEmail, prec: 65, need: triggers{n: 5, dots: 1, ats: 1}},
-	{re: regexp.MustCompile(`\b[A-Za-z]:\\(?:[^\\/:*?"<>|\r\n ]+\\)*[^\\/:*?"<>|\r\n ]+`), typ: TypeFilepathWin, prec: 60, need: triggers{n: 4, colons: 1, backslashes: 1}},
+	{re: regexp.MustCompile(`\b[A-Za-z]:\\(?:[^\\/:*?"<>|\r\n ]+\\)*[^\\/:*?"<>|\r\n ]+`), typ: TypeFilepathWin, at: winPathAt, prec: 60, need: triggers{n: 4, colons: 1, backslashes: 1}},
 	// Linux path: at least one slash-separated component; excludes bare
 	// "/" and trailing sentence periods (trimmed in post). Inside a token
 	// the leading separator a whole-text match would consume is the
 	// token's start, which ^ matches; the IOC is the capture group.
-	{re: regexp.MustCompile(`(?:^|[\s"'(])((?:/[\w.+~-]+){1,})`), typ: TypeFilepathLinux, prec: 55, need: triggers{n: 2, slashes: 1}},
+	{re: regexp.MustCompile(`(?:^|[\s"'(])((?:/[\w.+~-]+){1,})`), typ: TypeFilepathLinux, at: linuxPathAt, prec: 55, need: triggers{n: 2, slashes: 1}},
 	// Android/Java package names and APKs: com.example.app, MsgApp.apk.
-	{re: regexp.MustCompile(`\b(?:[a-z][a-z0-9_]*\.){2,}[A-Za-z][A-Za-z0-9_]*\b`), typ: TypePackage, prec: 52, need: triggers{n: 5, letters: 3, dots: 2}},
-	{re: regexp.MustCompile(`\b[\w-]+(?:\.[\w-]+)*\.(?:exe|dll|sh|py|tar|gz|bz2|zip|rar|7z|doc|docx|xls|xlsx|ppt|pdf|apk|jar|bat|ps1|vbs|so|bin|img|elf|iso|deb|rpm|msi|scr|tmp|dat|cfg|conf|log)\b`), typ: TypeFilename, prec: 50, need: triggers{n: 4, letters: 1, dots: 1}},
-	{re: regexp.MustCompile(`\b(?:[a-z0-9][a-z0-9-]*\.)+(?:com|net|org|io|ru|cn|info|biz|xyz|onion|gov|edu|co|me|cc|top)\b`), typ: TypeDomain, prec: 45, need: triggers{n: 4, letters: 2, dots: 1}},
+	{re: regexp.MustCompile(`\b(?:[a-z][a-z0-9_]*\.){2,}[A-Za-z][A-Za-z0-9_]*\b`), typ: TypePackage, at: packageAt, prec: 52, need: triggers{n: 5, letters: 3, dots: 2}},
+	{re: regexp.MustCompile(`\b[\w-]+(?:\.[\w-]+)*\.(?:exe|dll|sh|py|tar|gz|bz2|zip|rar|7z|doc|docx|xls|xlsx|ppt|pdf|apk|jar|bat|ps1|vbs|so|bin|img|elf|iso|deb|rpm|msi|scr|tmp|dat|cfg|conf|log)\b`), typ: TypeFilename, at: filenameAt, prec: 50, need: triggers{n: 4, letters: 1, dots: 1}},
+	{re: regexp.MustCompile(`\b(?:[a-z0-9][a-z0-9-]*\.)+(?:com|net|org|io|ru|cn|info|biz|xyz|onion|gov|edu|co|me|cc|top)\b`), typ: TypeDomain, at: domainAt, prec: 45, need: triggers{n: 4, letters: 2, dots: 1}},
 }
 
 // triggers counts a token's length and the bytes rules key on: ASCII
@@ -174,23 +177,37 @@ func Extract(text string) []IOC {
 
 // match appends r's matches in s, which starts at byte base of the text.
 func match(cands []candidate, r *rule, s string, base int) []candidate {
-	for _, loc := range r.re.FindAllStringSubmatchIndex(s, -1) {
-		start, end := loc[0], loc[1]
-		// Rules with a capture group indicate the IOC is the group.
-		if len(loc) >= 4 && loc[2] >= 0 {
-			start, end = loc[2], loc[3]
+	if r.at == nil {
+		for _, loc := range r.re.FindAllStringSubmatchIndex(s, -1) {
+			start, end := loc[0], loc[1]
+			// Rules with a capture group indicate the IOC is the group.
+			if len(loc) >= 4 && loc[2] >= 0 {
+				start, end = loc[2], loc[3]
+			}
+			cands = appendMatch(cands, r, s[start:end], base+start)
 		}
-		raw := trimIOC(s[start:end])
-		if raw == "" {
-			continue
+		return cands
+	}
+	for p := 0; p < len(s); p++ {
+		if start, end := r.at(s, p); start >= 0 {
+			cands = appendMatch(cands, r, s[start:end], base+start)
+			p = end - 1 // the next search starts where the match ends
 		}
-		if (r.typ == TypeIPv4 || r.typ == TypeCIDR) && !validIP(raw) {
-			continue
-		}
-		at := base + start
-		cands = append(cands, candidate{IOC{Text: raw, Type: r.typ, Start: at, End: at + len(raw)}, r.prec})
 	}
 	return cands
+}
+
+// appendMatch appends the candidate for a match m of r at byte at of the
+// text, with trailing punctuation trimmed and invalid IPs dropped.
+func appendMatch(cands []candidate, r *rule, m string, at int) []candidate {
+	raw := trimIOC(m)
+	if raw == "" {
+		return cands
+	}
+	if (r.typ == TypeIPv4 || r.typ == TypeCIDR) && !validIP(raw) {
+		return cands
+	}
+	return append(cands, candidate{IOC{Text: raw, Type: r.typ, Start: at, End: at + len(raw)}, r.prec})
 }
 
 // resolveOverlaps keeps, in precedence then length order (ties in input
@@ -203,11 +220,11 @@ func resolveOverlaps(cands []candidate) []IOC {
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].prec != cands[b].prec {
-			return cands[a].prec > cands[b].prec
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		if a.prec != b.prec {
+			return b.prec - a.prec
 		}
-		return cands[a].End-cands[a].Start > cands[b].End-cands[b].Start
+		return (b.End - b.Start) - (a.End - a.Start)
 	})
 	end := 0
 	for _, c := range cands {
@@ -228,7 +245,7 @@ func resolveOverlaps(cands []candidate) []IOC {
 		}
 		chosen = append(chosen, c.IOC)
 	}
-	sort.Slice(chosen, func(a, b int) bool { return chosen[a].Start < chosen[b].Start })
+	slices.SortFunc(chosen, func(a, b IOC) int { return a.Start - b.Start })
 	return chosen
 }
 

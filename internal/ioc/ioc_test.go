@@ -340,29 +340,112 @@ func TestExtractMatchesReferenceOnReports(t *testing.T) {
 // TestExtractMatchesReferenceRandom compares Extract with the reference on
 // random strings over separators, class-boundary bytes and IOC fragments.
 func TestExtractMatchesReferenceRandom(t *testing.T) {
-	alphabet := []string{
-		" ", "\n", "\r", "\t", "\v", "\f", "'", "\"", "(", ")", "<", ">", "é", "\xff",
-		".", "/", "\\", ":", "@", "-", "_", "+", "~", ",", ";", "?", "!", "|", "*",
-		"0", "1", "9", "25", "255", "192.168.", "10.0.0.", "/8", "/32",
-		"a", "f", "Z", "com", "ru", "exe", ".tar", ".bz2", "/tmp/", "/bin/tar",
-		"http", "https://", "C:\\", "c:", "HK", "HKLM\\", "HKEY_LOCAL_MACHINE\\",
-		"CVE-", "2014-", "6271", "admin", "deadbeef", "ab12cd34ef56",
-	}
 	rng := rand.New(rand.NewSource(1))
 	n := 20000
 	if testing.Short() {
 		n = 2000
 	}
 	for i := 0; i < n; i++ {
-		var b strings.Builder
-		for k := rng.Intn(24); k >= 0; k-- {
-			b.WriteString(alphabet[rng.Intn(len(alphabet))])
-		}
-		s := b.String()
+		s := randomFragments(rng)
 		if got, want := Extract(s), extractReference(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q:\n got %v\nwant %v", s, got, want)
 		}
 	}
+}
+
+// fragments are separators, class-boundary bytes and IOC fragments.
+var fragments = []string{
+	" ", "\n", "\r", "\t", "\v", "\f", "'", "\"", "(", ")", "<", ">", "é", "\xff",
+	".", "/", "\\", ":", "@", "-", "_", "+", "~", ",", ";", "?", "!", "|", "*",
+	"0", "1", "9", "25", "255", "192.168.", "10.0.0.", "/8", "/32",
+	"a", "f", "Z", "com", "ru", "exe", ".tar", ".bz2", "/tmp/", "/bin/tar",
+	"http", "https://", "C:\\", "c:", "HK", "HKLM\\", "HKEY_LOCAL_MACHINE\\",
+	"CVE-", "2014-", "6271", "admin", "deadbeef", "ab12cd34ef56",
+	"com.", "android.", "App", "x_1", "docx", "-tmp", ".co", ".cc", ".info", "A.",
+}
+
+// randomFragments joins up to 24 random fragments.
+func randomFragments(rng *rand.Rand) string {
+	var b strings.Builder
+	for k := rng.Intn(24); k >= 0; k-- {
+		b.WriteString(fragments[rng.Intn(len(fragments))])
+	}
+	return b.String()
+}
+
+// regexSpans returns the spans of r's regex matches in s, the capture
+// group's where the rule has one: what r.at must return.
+func regexSpans(r *rule, s string) [][2]int {
+	var out [][2]int
+	for _, loc := range r.re.FindAllStringSubmatchIndex(s, -1) {
+		if len(loc) >= 4 && loc[2] >= 0 {
+			loc = loc[2:]
+		}
+		out = append(out, [2]int{loc[0], loc[1]})
+	}
+	return out
+}
+
+// matcherSpans returns the spans of r.at's matches in s, searched the way
+// match searches them.
+func matcherSpans(r *rule, s string) [][2]int {
+	var out [][2]int
+	for p := 0; p < len(s); p++ {
+		if start, end := r.at(s, p); start >= 0 {
+			out = append(out, [2]int{start, end})
+			p = end - 1
+		}
+	}
+	return out
+}
+
+// checkRuleMatchers fails t when a hand-written matcher's spans in s
+// differ from its regex's.
+func checkRuleMatchers(t *testing.T, s string) {
+	t.Helper()
+	for i := range rules {
+		r := &rules[i]
+		if r.at == nil {
+			continue
+		}
+		if got, want := matcherSpans(r, s), regexSpans(r, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on %q:\n got %v\nwant %v", r.typ, s, got, want)
+		}
+	}
+}
+
+// TestRuleMatchersMatchRegex compares every hand-written matcher with its
+// regex on the case reports, their perturbed variants, the boundary seeds
+// and random fragment strings. Whole-text comparison could hide one rule's
+// wrong span behind another rule's precedence; this one cannot.
+func TestRuleMatchersMatchRegex(t *testing.T) {
+	for _, r := range caseReports() {
+		checkRuleMatchers(t, r)
+		checkRuleMatchers(t, perturbed(r, 0xabcdef))
+	}
+	for _, s := range boundarySeeds {
+		checkRuleMatchers(t, s)
+	}
+	rng := rand.New(rand.NewSource(3))
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	for i := 0; i < n; i++ {
+		checkRuleMatchers(t, randomFragments(rng))
+	}
+}
+
+func FuzzRuleMatcherMatchesRegex(f *testing.F) {
+	for _, r := range caseReports() {
+		for _, tok := range strings.Fields(r) {
+			f.Add(tok)
+		}
+	}
+	for _, s := range boundarySeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkRuleMatchers)
 }
 
 func FuzzExtractMatchesReference(f *testing.F) {

@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -208,7 +209,7 @@ func TestParseTreeWellFormed(t *testing.T) {
 			}
 			// No cycles: every PathToRoot terminates.
 			for i := range d.Tokens {
-				path := d.PathToRoot(i)
+				path := slices.Collect(d.PathToRoot(i))
 				if len(path) > n {
 					t.Errorf("%q: cycle through token %q", text, d.Tokens[i].Text)
 				}
@@ -275,8 +276,31 @@ func TestLCA(t *testing.T) {
 func TestChildren(t *testing.T) {
 	d := parse(t, "The attacker used something.")
 	used := find(t, d, "used")
-	kids := d.Children(used)
+	kids := slices.Collect(d.Children(used))
 	if len(kids) < 2 {
 		t.Fatalf("used should have nsubj and dobj children: %v", kids)
+	}
+}
+
+// TestTreeWalksDoNotAllocate pins that LCA, PathToRoot and Children walk
+// the tree without allocating.
+func TestTreeWalksDoNotAllocate(t *testing.T) {
+	d := parse(t, "The attacker used something to read user credentials from something.")
+	read, attacker := find(t, d, "read"), find(t, d, "attacker")
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += d.LCA(read, attacker)
+		for x := range d.PathToRoot(read) {
+			sink += x
+		}
+		for c := range d.Children(d.Root) {
+			sink += c
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("tree walks allocate %.1f times per run", allocs)
+	}
+	if want := slices.Collect(d.PathToRoot(read)); !slices.Equal(slices.Collect(d.PathToRoot(read)), want) || want[len(want)-1] != d.Root {
+		t.Errorf("PathToRoot(read) = %v, want a path ending at the root %d", want, d.Root)
 	}
 }

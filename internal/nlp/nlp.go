@@ -14,6 +14,8 @@
 // inspects (root→LCA and LCA→node dependency paths).
 package nlp
 
+import "iter"
+
 // Tag is a universal part-of-speech tag.
 type Tag string
 
@@ -94,40 +96,37 @@ type DepTree struct {
 	Root   int
 }
 
-// Children returns the indexes of i's direct dependents, in order.
-func (d *DepTree) Children(i int) []int {
-	var out []int
-	for j, h := range d.Head {
-		if h == i {
-			out = append(out, j)
+// Children yields the indexes of i's direct dependents, in order.
+func (d *DepTree) Children(i int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for j, h := range d.Head {
+			if h == i && !yield(j) {
+				return
+			}
 		}
 	}
-	return out
 }
 
-// PathToRoot returns the token indexes from i up to (and including) the
+// PathToRoot yields the token indexes from i up to (and including) the
 // root.
-func (d *DepTree) PathToRoot(i int) []int {
-	var out []int
-	for i >= 0 {
-		out = append(out, i)
-		if len(out) > len(d.Tokens) { // defensive: corrupt tree
-			break
+func (d *DepTree) PathToRoot(i int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for x, n := i, 0; x >= 0 && n <= len(d.Tokens); x, n = d.Head[x], n+1 { // bounded: a corrupt tree may cycle
+			if !yield(x) {
+				return
+			}
 		}
-		i = d.Head[i]
 	}
-	return out
 }
 
-// LCA returns the lowest common ancestor of tokens a and b, or -1.
+// LCA returns the lowest common ancestor of tokens a and b, or -1: the
+// first node on b's path to the root that is also on a's.
 func (d *DepTree) LCA(a, b int) int {
-	onPath := make(map[int]bool)
-	for _, i := range d.PathToRoot(a) {
-		onPath[i] = true
-	}
-	for _, i := range d.PathToRoot(b) {
-		if onPath[i] {
-			return i
+	for x := range d.PathToRoot(b) {
+		for y := range d.PathToRoot(a) {
+			if x == y {
+				return x
+			}
 		}
 	}
 	return -1

@@ -17,20 +17,23 @@ import (
 // before tokenization (IOC protection), so in practice the tokenizer sees
 // ordinary English; the path-run handling is a safety net for unprotected
 // text and for the open-IE baselines that run without protection.
+//
+// The returned slice is allocated once, sized by maxTokens; ASCII bytes
+// are classified by table, other runes by the unicode package.
 func Tokenize(text string) []Token {
-	var toks []Token
+	toks := make([]Token, 0, maxTokens(text))
 	i := 0
 	n := len(text)
 	for i < n {
-		r, size := utf8.DecodeRuneInString(text[i:])
+		space, word, size := classAt(text, i)
 		switch {
-		case unicode.IsSpace(r):
+		case space:
 			i += size
-		case isWordRune(r):
+		case word:
 			start := i
 			for i < n {
-				rr, sz := utf8.DecodeRuneInString(text[i:])
-				if isWordRune(rr) || isConnector(text, i, sz) {
+				_, w, sz := classAt(text, i)
+				if w || isConnector(text, i, sz) {
 					i += sz
 					continue
 				}
@@ -44,7 +47,7 @@ func Tokenize(text string) []Token {
 			}
 			toks = append(toks, Token{Text: text[start:end], Start: start, End: end})
 			for p := end; p < i; p++ {
-				toks = append(toks, Token{Text: string(text[p]), Start: p, End: p + 1})
+				toks = append(toks, Token{Text: text[p : p+1], Start: p, End: p + 1})
 			}
 		default:
 			toks = append(toks, Token{Text: text[i : i+size], Start: i, End: i + size})
@@ -52,6 +55,53 @@ func Tokenize(text string) []Token {
 		}
 	}
 	return toks
+}
+
+// ASCII byte classes for Tokenize: unicode.IsSpace and isWordRune of
+// each ASCII rune.
+const (
+	asciiSpace = 1 << iota
+	asciiWord
+)
+
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := rune(0); c < utf8.RuneSelf; c++ {
+		if unicode.IsSpace(c) {
+			t[c] |= asciiSpace
+		}
+		if isWordRune(c) {
+			t[c] |= asciiWord
+		}
+	}
+	return t
+}()
+
+// classAt classifies the rune at byte i of text as space or word and
+// returns its size.
+func classAt(text string, i int) (space, word bool, size int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return asciiClass[c]&asciiSpace != 0, asciiClass[c]&asciiWord != 0, 1
+	}
+	r, size := utf8.DecodeRuneInString(text[i:])
+	return unicode.IsSpace(r), isWordRune(r), size
+}
+
+// maxTokens bounds the number of tokens Tokenize makes of text. A token
+// starts at a byte that is neither ASCII space nor an ASCII word byte, or
+// at an ASCII word byte after such a byte or at the start; every such
+// byte is counted.
+func maxTokens(text string) int {
+	n := 0
+	prevWord := false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		word := c < utf8.RuneSelf && asciiClass[c]&asciiWord != 0
+		if word && !prevWord || !word && (c >= utf8.RuneSelf || asciiClass[c]&asciiSpace == 0) {
+			n++
+		}
+		prevWord = word
+	}
+	return n
 }
 
 func isWordRune(r rune) bool {
@@ -72,9 +122,15 @@ func isConnector(text string, i, size int) bool {
 	if i == 0 || i+1 >= len(text) {
 		return false
 	}
+	_, next, _ := classAt(text, i+1)
+	if !next {
+		return false
+	}
+	if c := text[i-1]; c < utf8.RuneSelf {
+		return asciiClass[c]&asciiWord != 0
+	}
 	prev, _ := utf8.DecodeLastRuneInString(text[:i])
-	next, _ := utf8.DecodeRuneInString(text[i+1:])
-	return isWordRune(prev) && isWordRune(next)
+	return isWordRune(prev)
 }
 
 // SplitSentences segments text into sentences and tokenizes each. A
@@ -167,15 +223,18 @@ func generalConnector(text string, i, size int) bool {
 }
 
 // SplitSentencesTokens segments a pre-tokenized stream into sentences,
-// using the same boundary rules as SplitSentences.
+// using the same boundary rules as SplitSentences. Each sentence's Tokens
+// is a sub-slice of toks capped at the sentence's end: tagging or editing
+// a sentence's tokens writes through to toks, and appending to them
+// copies.
 func (p *Pipeline) SplitSentencesTokens(toks []Token) []Sentence {
 	var sents []Sentence
 	begin := 0
 	flush := func(endTok int, endOff int) {
 		if endTok > begin {
-			span := toks[begin:endTok]
+			span := toks[begin:endTok:endTok]
 			sents = append(sents, Sentence{
-				Tokens: append([]Token(nil), span...),
+				Tokens: span,
 				Start:  span[0].Start,
 				End:    endOff,
 			})
@@ -193,7 +252,8 @@ func (p *Pipeline) SplitSentencesTokens(toks []Token) []Sentence {
 	return sents
 }
 
-// ProcessTokens tags, lemmatizes, and parses a pre-tokenized text.
+// ProcessTokens tags, lemmatizes, and parses a pre-tokenized text. The
+// trees' Tokens alias toks, sentence by sentence.
 func (p *Pipeline) ProcessTokens(toks []Token) []*DepTree {
 	sents := p.SplitSentencesTokens(toks)
 	trees := make([]*DepTree, 0, len(sents))

@@ -2,8 +2,11 @@ package nlp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 )
 
 func texts(toks []Token) []string {
@@ -168,10 +171,160 @@ func TestVectors(t *testing.T) {
 	}
 }
 
+// TestSimilarityRepeatable checks that Similarity returns the identical
+// value on every call, for the same pair and for the pair reversed.
+func TestSimilarityRepeatable(t *testing.T) {
+	v := NewVectors(64)
+	pairs := [][2]string{{"upload.tar", "/tmp/upload.tar"}, {"Download", "downloads"}, {"passwd", "passwd"}, {"", "x"}}
+	for _, p := range pairs {
+		first := v.Similarity(p[0], p[1])
+		for i := 0; i < 3; i++ {
+			if got := v.Similarity(p[0], p[1]); got != first {
+				t.Errorf("Similarity(%q, %q) call %d = %v, first %v", p[0], p[1], i+2, got, first)
+			}
+			if got := v.Similarity(p[1], p[0]); got != first {
+				t.Errorf("Similarity(%q, %q) = %v, reversed %v", p[1], p[0], got, first)
+			}
+		}
+	}
+}
+
 func TestVectorsDeterministic(t *testing.T) {
 	a := NewVectors(64).Vector("hello")
 	b := NewVectors(64).Vector("hello")
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("vectors must be deterministic across instances")
+	}
+}
+
+// tokenizeReference is Tokenize as it was before its ASCII fast path and
+// up-front sizing: every rune decoded and classified by the unicode
+// package. Tokenize must return exactly what it returns.
+func tokenizeReference(text string) []Token {
+	var toks []Token
+	i := 0
+	n := len(text)
+	for i < n {
+		r, size := utf8.DecodeRuneInString(text[i:])
+		switch {
+		case unicode.IsSpace(r):
+			i += size
+		case isWordRune(r):
+			start := i
+			for i < n {
+				rr, sz := utf8.DecodeRuneInString(text[i:])
+				if isWordRune(rr) || isConnectorReference(text, i, sz) {
+					i += sz
+					continue
+				}
+				break
+			}
+			end := i
+			for end > start+1 && (text[end-1] == '.' || text[end-1] == ',') {
+				end--
+			}
+			toks = append(toks, Token{Text: text[start:end], Start: start, End: end})
+			for p := end; p < i; p++ {
+				toks = append(toks, Token{Text: string(text[p]), Start: p, End: p + 1})
+			}
+		default:
+			toks = append(toks, Token{Text: text[i : i+size], Start: i, End: i + size})
+			i += size
+		}
+	}
+	return toks
+}
+
+func isConnectorReference(text string, i, size int) bool {
+	if size != 1 {
+		return false
+	}
+	b := text[i]
+	if b != '\'' && b != '-' && b != '.' && b != ':' && b != '@' {
+		return false
+	}
+	if i == 0 || i+1 >= len(text) {
+		return false
+	}
+	prev, _ := utf8.DecodeLastRuneInString(text[:i])
+	next, _ := utf8.DecodeRuneInString(text[i+1:])
+	return isWordRune(prev) && isWordRune(next)
+}
+
+// checkTokenize fails t when Tokenize and the reference disagree on s, or
+// when Tokenize outgrows its up-front capacity.
+func checkTokenize(t *testing.T, s string) {
+	t.Helper()
+	got, want := Tokenize(s), tokenizeReference(s)
+	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%q:\n got %v\nwant %v", s, got, want)
+	}
+	if c := maxTokens(s); len(got) > c {
+		t.Fatalf("%q: %d tokens, bound %d", s, len(got), c)
+	}
+}
+
+// tokenizeSeeds hold every class boundary the fast path splits: ASCII
+// space and word bytes, connectors at the edges and between non-ASCII
+// runes, Unicode spaces and letters, invalid UTF-8 and trailing dots.
+var tokenizeSeeds = []string{
+	"The attacker used something to read credentials from something.",
+	"Run /usr/bin/gpg against 192.168.29.128 now. C:\\x\\y.exe $HOME a_b",
+	"é.é é-x x-é ü's 'a' -a a- .a a. a..b a.,b a:b@c.d",
+	"\u00a0word\u0085next\u2003third\v\f\t\r\n end",
+	"\xff.a a.\xff \xc3(x) \xe2\x80 x\xe2\x80\xa8y 日本語.txt",
+	"files, processes, and connections; (/usr/bin/curl) \"x\" !?",
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	for _, s := range tokenizeSeeds {
+		checkTokenize(t, s)
+	}
+	f := func(s string) bool {
+		checkTokenize(t, s)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	pieces := []string{" ", ".", ",", "-", "'", ":", "@", "/", "\\", "$", "_", "a", "Z", "9", "é", "\xff", "\u00a0", "(", "\t"}
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		for k := 0; k < 1+i%17; k++ {
+			b.WriteString(pieces[(i*31+k*7+k*k)%len(pieces)])
+		}
+		checkTokenize(t, b.String())
+	}
+}
+
+func FuzzTokenizeMatchesReference(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkTokenize)
+}
+
+// TestSentencesAliasTokens checks that ProcessTokens' trees share the
+// caller's token slice: a tag set through a tree is visible in it.
+func TestSentencesAliasTokens(t *testing.T) {
+	toks := Tokenize("The attacker used something. It wrote data to something.")
+	trees := NewPipeline().ProcessTokens(toks)
+	if len(trees) != 2 {
+		t.Fatalf("trees = %d, want 2", len(trees))
+	}
+	n := 0
+	for _, d := range trees {
+		for i := range d.Tokens {
+			if &d.Tokens[i] != &toks[n] {
+				t.Fatalf("tree token %d is not token %d of the input", i, n)
+			}
+			n++
+		}
+		if cap(d.Tokens) != len(d.Tokens) {
+			t.Errorf("tree tokens have spare capacity %d: an append would overwrite the next sentence", cap(d.Tokens)-len(d.Tokens))
+		}
+	}
+	if toks[0].POS == "" {
+		t.Error("tagging through the tree did not reach the input slice")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"math"
 	"strings"
-	"sync"
 )
 
 // Vectors produces deterministic word embeddings from hashed character
@@ -14,9 +13,7 @@ import (
 // scan-and-merge step relies on (Step 8 of Algorithm 1, where the paper
 // uses spaCy's vectors).
 type Vectors struct {
-	dim   int
-	mu    sync.Mutex
-	cache map[string][]float32
+	dim int
 }
 
 // NewVectors returns a vector table of the given dimensionality.
@@ -24,23 +21,14 @@ func NewVectors(dim int) *Vectors {
 	if dim <= 0 {
 		dim = 64
 	}
-	return &Vectors{dim: dim, cache: make(map[string][]float32)}
+	return &Vectors{dim: dim}
 }
 
-// Vector returns the (L2-normalized) embedding of w. Vectors are cached.
+// Vector returns the (L2-normalized) embedding of w. Nothing is cached:
+// a vector costs well under a microsecond, and a cache keyed by every
+// word ever compared would grow without bound.
 func (v *Vectors) Vector(w string) []float32 {
-	lw := strings.ToLower(w)
-	v.mu.Lock()
-	if vec, ok := v.cache[lw]; ok {
-		v.mu.Unlock()
-		return vec
-	}
-	v.mu.Unlock()
-	vec := v.compute(lw)
-	v.mu.Lock()
-	v.cache[lw] = vec
-	v.mu.Unlock()
-	return vec
+	return v.compute(strings.ToLower(w))
 }
 
 func (v *Vectors) compute(lw string) []float32 {

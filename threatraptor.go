@@ -74,7 +74,8 @@ type Options struct {
 	// "time:<dur>" (e.g. "time:5m"), or "time" or "" for 1 h slices.
 	// Slice k goes to partition k mod Shards. A data dir records the
 	// width it was persisted under and reopens only with the same one.
-	// Ignored unless Shards > 1.
+	// It is parsed whatever the shard count, so an invalid spec fails
+	// an unsharded run too; it routes only when Shards > 1.
 	PartitionBy string
 	// Rules is the compiled detection rule set for the tactical layer.
 	// When set, the live session tags rule-matching events per sealed
@@ -175,11 +176,11 @@ func (s *System) LoadLog(log *audit.Log) error {
 // the classic single store, or (Options.Shards > 1) the sharded
 // coordinator whose global store the façade's snapshot readers alias.
 func (s *System) buildStore(log *audit.Log) error {
+	sliceUS, err := shard.ParsePartitioner(s.opts.PartitionBy)
+	if err != nil {
+		return err
+	}
 	if s.opts.Shards > 1 {
-		sliceUS, err := shard.ParsePartitioner(s.opts.PartitionBy)
-		if err != nil {
-			return err
-		}
 		sh, err := shard.New(log, s.opts.Shards, sliceUS)
 		if err != nil {
 			return err
@@ -261,14 +262,12 @@ func (s *System) openDurable(cfg stream.Config) (*stream.Session, error) {
 		return stream.NewBackend(s.store, s.engine), nil
 	}
 	fromImages := func(imgs []segment.RoleImage, topo segment.Topology) (stream.DurableBackend, error) {
-		wantShards := 0
-		wantPart := ""
-		var sliceUS int64
+		sliceUS, err := shard.ParsePartitioner(s.opts.PartitionBy)
+		if err != nil {
+			return nil, err
+		}
+		wantShards, wantPart := 0, ""
 		if s.opts.Shards > 1 {
-			var err error
-			if sliceUS, err = shard.ParsePartitioner(s.opts.PartitionBy); err != nil {
-				return nil, err
-			}
 			wantShards, wantPart = s.opts.Shards, shard.SliceName(sliceUS)
 		}
 		if topo.Shards != wantShards || topo.PartitionBy != wantPart {

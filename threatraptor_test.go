@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"threatraptor/internal/audit"
 	"threatraptor/internal/cases"
 	"threatraptor/internal/segment"
 	"threatraptor/internal/shard"
@@ -261,5 +262,47 @@ func TestOldPartitionerDataDirRefused(t *testing.T) {
 		if _, err := shard.ParsePartitioner(spec); err == nil || !strings.Contains(err.Error(), "time or time:<duration>") {
 			t.Errorf("ParsePartitioner(%q) = %v, want an error naming the accepted forms", spec, err)
 		}
+	}
+}
+
+// TestUnshardedRunRejectsBadPartitioner checks that PartitionBy is parsed
+// without shards too: an unsharded LoadLog, an unsharded durable open of a
+// fresh data dir and an unsharded reopen of a persisted one each fail with
+// ParsePartitioner's error instead of ignoring the spec.
+func TestUnshardedRunRejectsBadPartitioner(t *testing.T) {
+	const line = "ts=1800000000000000 call=read pid=4242 exe=/usr/bin/scp user=root fd=file path=/etc/passwd bytes=10\n"
+	_, parseErr := shard.ParsePartitioner("host")
+	if parseErr == nil {
+		t.Fatal(`ParsePartitioner("host") accepted the spec`)
+	}
+	bad := DefaultOptions()
+	bad.PartitionBy = "host"
+	if err := New(bad).LoadLog(audit.NewLog()); err == nil || err.Error() != parseErr.Error() {
+		t.Errorf("unsharded LoadLog = %v, want %v", err, parseErr)
+	}
+
+	bad.DataDir = t.TempDir()
+	if _, err := New(bad).Live(); err == nil || err.Error() != parseErr.Error() {
+		t.Errorf("unsharded durable open of a fresh dir = %v, want %v", err, parseErr)
+	}
+
+	good := DefaultOptions()
+	good.DataDir = t.TempDir()
+	sys := New(good)
+	if _, err := sys.Ingest(strings.NewReader(line)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.FlushStream(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad.DataDir = good.DataDir
+	if _, err := New(bad).Live(); err == nil || err.Error() != parseErr.Error() {
+		t.Errorf("unsharded durable reopen = %v, want %v", err, parseErr)
+	}
+	if _, err := New(good).Live(); err != nil {
+		t.Errorf("reopen with the persisted configuration: %v", err)
 	}
 }
