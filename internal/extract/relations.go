@@ -104,12 +104,12 @@ func relate(at *annTree, a, b int) (relation, bool) {
 		if !subjectAttachmentOK(d, lca, chA, chB) {
 			return relation{}, false
 		}
-		return buildTriplet(at, a, b, lca, chB)
+		return chooseVerb(at, a, b, lca, chB)
 	case subjB && objA:
 		if !subjectAttachmentOK(d, lca, chB, chA) {
 			return relation{}, false
 		}
-		return buildTriplet(at, b, a, lca, chA)
+		return chooseVerb(at, b, a, lca, chA)
 	case objA && objB:
 		// "downloaded /tmp/x from 1.2.3.4": when both IOCs hang off the
 		// same verb, the direct object is the flow subject and the
@@ -121,10 +121,10 @@ func relate(at *annTree, a, b int) (relation, bool) {
 			return relation{}, false
 		}
 		if topRel(d, chA) == nlp.RelDobj && directPrepObject(d, chB, lca) {
-			return buildTriplet(at, a, b, lca, chB)
+			return chooseVerb(at, a, b, lca, chB)
 		}
 		if topRel(d, chB) == nlp.RelDobj && directPrepObject(d, chA, lca) {
-			return buildTriplet(at, b, a, lca, chA)
+			return chooseVerb(at, b, a, lca, chA)
 		}
 		return relation{}, false
 	default:
@@ -219,14 +219,14 @@ func ancestorRelate(at *annTree, subj, obj int) (relation, bool) {
 	if !hasRel(d, ch, nlp.RelDobj, nlp.RelPobj) || !slices.ContainsFunc(ch, at.isRelationVerb) {
 		return relation{}, false
 	}
-	return buildTriplet(at, subj, obj, subj, ch)
+	return chooseVerb(at, subj, obj, subj, ch)
 }
 
-// buildTriplet selects the relation verb of the triplet. objChain is the
+// chooseVerb selects the relation verb of subj and obj. objChain is the
 // object-side chain (bottom-up). The verb is the candidate closest to the
 // object: the deepest verb on the object chain, then the LCA itself, then
 // any verb above the LCA on the path to the root.
-func buildTriplet(at *annTree, subj, obj, lca int, objChain []int) (relation, bool) {
+func chooseVerb(at *annTree, subj, obj, lca int, objChain []int) (relation, bool) {
 	d := at.tree
 
 	// Reject if a verb on the object chain has its own explicit nominal

@@ -13,12 +13,23 @@
 // runs of bytes other than space, '\n' and '\r', and counts each token's
 // length, ASCII letters, digits and the bytes . / \ : @. A rule declares
 // the counts a token must reach to hold a match (an IPv4 needs three dots
-// and four digits, a URL a colon and two slashes, a hash 32 bytes), and its
-// regex runs only on the tokens that reach them. That trigger must be a
-// necessary condition of the regex, or matches are lost; the differential
-// fuzzer in the tests holds the two paths equal. Registry is the one
-// rule that runs over the whole text, because its keys may contain a
-// space; it runs only when the text contains "HK".
+// and four digits, a URL a colon and two slashes, a hash 32 bytes), and it
+// runs only on the tokens that reach them. That trigger must be a
+// necessary condition of the regex, or matches are lost.
+//
+// The rules that run on most tokens (the three hashes, IPv4, CIDR, both
+// file path kinds, Package, Filename and Domain) do not run their regex:
+// each has a hand-written byte matcher (match.go) that returns the same
+// spans, leftmost-first and non-overlapping, without the regex engine's
+// backtracking or allocations. CVE, URL, Email and Registry rarely pass
+// their triggers and keep running their regex. Registry is the one rule
+// that runs over the whole text, because its keys may contain a space; it
+// runs only when the text contains "HK".
+//
+// Two fuzz referees in the tests hold this equal to the specification:
+// FuzzRuleMatcherMatchesRegex compares each hand-written matcher with its
+// own regex on arbitrary strings, and FuzzExtractMatchesReference compares
+// Extract with every regex run over the whole text.
 package ioc
 
 import (

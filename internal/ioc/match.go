@@ -1,5 +1,7 @@
 package ioc
 
+import "strings"
+
 // Hand-written matchers for the token rules that run on most tokens. Each
 // returns what its rule's regex does in Go's leftmost-first semantics, read
 // off the regex:
@@ -91,10 +93,10 @@ func runEnd(s string, i int, c uint16) int {
 // \b before a match whose first byte is a word byte.
 func wordStart(s string, p int) bool { return is(s, p, cWord) && !is(s, p-1, cWord) }
 
-// matchAt returns the span of the match of r whose leftmost-first match
-// starts at byte p of s (the capture group's span for the Linux path
-// rule), or (-1, -1) when none starts there. The span's end is also where
-// the regex's next search would start.
+// matchAt returns the span of the rule's leftmost-first match that starts
+// at byte p of s (the capture group's span for the Linux path rule), or
+// (-1, -1) when none starts there. The span's end is also where the
+// regex's next search would start.
 type matchAt func(s string, p int) (start, end int)
 
 // hashAt matches \b[A-Fa-f0-9]{n}\b: a run of word bytes exactly n long,
@@ -198,19 +200,9 @@ func domainAt(s string, p int) (int, int) {
 		if w := runEnd(s, q, cWord); isTLD(s[q:w]) {
 			return p, w
 		}
-		q = lastDot(s, p, q-1) + 1
+		q = p + strings.LastIndexByte(s[p:q-1], '.') + 1
 	}
 	return -1, -1
-}
-
-// lastDot returns the index of the last '.' in s[lo:hi], or lo-1.
-func lastDot(s string, lo, hi int) int {
-	for i := hi - 1; i >= lo; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return lo - 1
 }
 
 func isTLD(w string) bool {

@@ -50,7 +50,8 @@ type Token struct {
 	End   int // byte offset one past the last byte
 }
 
-// Sentence is a contiguous token span.
+// Sentence is a contiguous token span. Its Tokens alias the token slice
+// it was split from (see SplitSentencesTokens).
 type Sentence struct {
 	Tokens []Token
 	Start  int

@@ -86,10 +86,10 @@ func classAt(text string, i int) (space, word bool, size int) {
 	return unicode.IsSpace(r), isWordRune(r), size
 }
 
-// maxTokens bounds the number of tokens Tokenize makes of text. A token
-// starts at a byte that is neither ASCII space nor an ASCII word byte, or
-// at an ASCII word byte after such a byte or at the start; every such
-// byte is counted.
+// maxTokens bounds the number of tokens Tokenize makes of text: every
+// token starts at a byte that is neither ASCII space nor an ASCII word
+// byte, or at an ASCII word byte that starts the text or follows a byte
+// that is not one, and it counts those bytes.
 func maxTokens(text string) int {
 	n := 0
 	prevWord := false
