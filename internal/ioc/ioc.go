@@ -17,12 +17,12 @@
 // runs only on the tokens that reach them. That trigger must be a
 // necessary condition of the regex, or matches are lost.
 //
-// The rules that run on most tokens (the three hashes, IPv4, CIDR, both
-// file path kinds, Package, Filename and Domain) do not run their regex:
-// each has a hand-written byte matcher (match.go) that returns the same
-// spans, leftmost-first and non-overlapping, without the regex engine's
-// backtracking or allocations. CVE, URL, Email and Registry rarely pass
-// their triggers and keep running their regex. Registry is the one rule
+// The rules that run on most tokens (the three hashes, IPv4, both file
+// path kinds, Package, Filename and Domain) do not run their regex: each
+// has a hand-written byte matcher (match.go) that returns the same spans,
+// leftmost-first and non-overlapping, without the regex engine's
+// backtracking or allocations. CIDR, CVE, URL, Email and Registry rarely
+// pass their triggers and keep running their regex. Registry is the one rule
 // that runs over the whole text, because its keys may contain a space; it
 // runs only when the text contains "HK".
 //
@@ -93,7 +93,7 @@ var rules = []rule{
 	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{40}\b`), typ: TypeSHA1, at: hashAt(40), prec: 84, need: triggers{n: 40}},
 	{re: regexp.MustCompile(`\b[A-Fa-f0-9]{32}\b`), typ: TypeMD5, at: hashAt(32), prec: 83, need: triggers{n: 32}},
 	{re: regexp.MustCompile(`\b(?:HKEY_[A-Z_]+|HKLM|HKCU|HKCR|HKU)\\[\w\\ .-]+`), typ: TypeRegistry, prec: 80, whole: "HK"},
-	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b`), typ: TypeCIDR, at: cidrAt, prec: 75, need: triggers{n: 9, digits: 5, dots: 3, slashes: 1}},
+	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b`), typ: TypeCIDR, prec: 75, need: triggers{n: 9, digits: 5, dots: 3, slashes: 1}},
 	{re: regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}\b`), typ: TypeIPv4, at: ipv4At, prec: 70, need: triggers{n: 7, digits: 4, dots: 3}},
 	{re: regexp.MustCompile(`[\w.+-]+@[\w-]+(?:\.[\w-]+)+`), typ: TypeEmail, prec: 65, need: triggers{n: 5, dots: 1, ats: 1}},
 	{re: regexp.MustCompile(`\b[A-Za-z]:\\(?:[^\\/:*?"<>|\r\n ]+\\)*[^\\/:*?"<>|\r\n ]+`), typ: TypeFilepathWin, at: winPathAt, prec: 60, need: triggers{n: 4, colons: 1, backslashes: 1}},

@@ -139,21 +139,6 @@ func ipv4At(s string, p int) (int, int) {
 	return -1, -1
 }
 
-// cidrAt matches \b(?:\d{1,3}\.){3}\d{1,3}/\d{1,2}\b.
-func cidrAt(s string, p int) (int, int) {
-	if !wordStart(s, p) {
-		return -1, -1
-	}
-	e := quadEnd(s, p)
-	if e < 0 || e == len(s) || s[e] != '/' {
-		return -1, -1
-	}
-	if m := runEnd(s, e+1, cDigit); m > e+1 && m-e-1 <= 2 && !is(s, m, cWord) {
-		return p, m
-	}
-	return -1, -1
-}
-
 // packageAt matches \b(?:[a-z][a-z0-9_]*\.){2,}[A-Za-z][A-Za-z0-9_]*\b.
 // The greedy repetition takes k segments; the tail, a letter and the rest
 // of its word run, always meets its \b. When no letter follows the k-th

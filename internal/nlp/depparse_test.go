@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -270,6 +271,40 @@ func TestLCA(t *testing.T) {
 	read := find(t, d, "read")
 	if got := d.LCA(read, attacker); got != used {
 		t.Errorf("LCA(read, attacker) = %v, want used", tokText(d, got))
+	}
+}
+
+// TestLCAOnLongCoordination checks LCA on a run-on sentence whose
+// coordinated verbs each head the next, so the tree is about as deep as the
+// sentence is long: every pair of tokens must get the first node on b's
+// path to the root that is also on a's.
+func TestLCAOnLongCoordination(t *testing.T) {
+	const verbs = 150
+	d := parse(t, "something read something"+strings.Repeat(" and wrote something", verbs)+".")
+	depth := 0
+	for i := range d.Tokens {
+		depth = max(depth, len(slices.Collect(d.PathToRoot(i))))
+	}
+	if depth < verbs {
+		t.Fatalf("tree depth %d, want at least %d: the verbs no longer chain", depth, verbs)
+	}
+	for a := range d.Tokens {
+		onA := make(map[int]bool)
+		for x := range d.PathToRoot(a) {
+			onA[x] = true
+		}
+		for b := range d.Tokens {
+			want := -1
+			for x := range d.PathToRoot(b) {
+				if onA[x] {
+					want = x
+					break
+				}
+			}
+			if got := d.LCA(a, b); got != want {
+				t.Fatalf("LCA(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }
 

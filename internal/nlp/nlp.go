@@ -120,17 +120,35 @@ func (d *DepTree) PathToRoot(i int) iter.Seq[int] {
 	}
 }
 
-// LCA returns the lowest common ancestor of tokens a and b, or -1: the
-// first node on b's path to the root that is also on a's.
+// LCA returns the lowest common ancestor of tokens a and b, or -1 when
+// their paths to the root share no node. It lifts the deeper token to the
+// other's depth and then steps both up until they meet: O(depth), where a
+// long run of coordinated verbs, each the head of the next, is as deep as
+// it is long.
 func (d *DepTree) LCA(a, b int) int {
-	for x := range d.PathToRoot(b) {
-		for y := range d.PathToRoot(a) {
-			if x == y {
-				return x
-			}
-		}
+	da, db := d.depth(a), d.depth(b)
+	for ; da > db; da-- {
+		a = d.Head[a]
 	}
-	return -1
+	for ; db > da; db-- {
+		b = d.Head[b]
+	}
+	for n := 0; a != b; n++ {
+		if a < 0 || b < 0 || n > len(d.Tokens) { // a corrupt tree may cycle
+			return -1
+		}
+		a, b = d.Head[a], d.Head[b]
+	}
+	return a
+}
+
+// depth returns the number of nodes on i's path to the root.
+func (d *DepTree) depth(i int) int {
+	n := 0
+	for range d.PathToRoot(i) {
+		n++
+	}
+	return n
 }
 
 // Pipeline bundles the NLP components with their shared lexicons.

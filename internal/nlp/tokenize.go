@@ -9,9 +9,9 @@ import (
 // Tokenize splits text into tokens with byte offsets. Words are runs of
 // letters, digits, and intra-word connectors (apostrophes, hyphens,
 // underscores, dots and slashes inside path-like runs); punctuation marks
-// are single-character tokens. A trailing sentence period is split off a
-// word, but an internal dot (e.g. in a protected placeholder or a version
-// number) is kept.
+// are single-character tokens. A dot stays inside a word only between
+// word runes (e.g. in a protected placeholder or a version number), so a
+// sentence period after a word is a token of its own.
 //
 // Note: the extraction pipeline replaces IOCs with a plain dummy word
 // before tokenization (IOC protection), so in practice the tokenizer sees
@@ -39,16 +39,7 @@ func Tokenize(text string) []Token {
 				}
 				break
 			}
-			// Split trailing dots/commas off (sentence period glued to a
-			// word).
-			end := i
-			for end > start+1 && (text[end-1] == '.' || text[end-1] == ',') {
-				end--
-			}
-			toks = append(toks, Token{Text: text[start:end], Start: start, End: end})
-			for p := end; p < i; p++ {
-				toks = append(toks, Token{Text: text[p : p+1], Start: p, End: p + 1})
-			}
+			toks = append(toks, Token{Text: text[start:i], Start: start, End: i})
 		default:
 			toks = append(toks, Token{Text: text[i : i+size], Start: i, End: i + size})
 			i += size
@@ -189,14 +180,7 @@ func TokenizeGeneral(text string) []Token {
 				}
 				break
 			}
-			end := i
-			for end > start+1 && (text[end-1] == '.' || text[end-1] == ',') {
-				end--
-			}
-			toks = append(toks, Token{Text: text[start:end], Start: start, End: end})
-			for p := end; p < i; p++ {
-				toks = append(toks, Token{Text: string(text[p]), Start: p, End: p + 1})
-			}
+			toks = append(toks, Token{Text: text[start:i], Start: start, End: i})
 		default:
 			toks = append(toks, Token{Text: text[i : i+size], Start: i, End: i + size})
 			i += size
