@@ -235,9 +235,13 @@ func formatExpr(e relational.Expr) string {
 	return ""
 }
 
+// quoteEscaper escapes a string literal the way the lexer reads it back:
+// '\' and '"' each behind a backslash.
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 func formatValue(v relational.Value) string {
 	if v.K == relational.KindString {
-		return `"` + strings.ReplaceAll(v.S, `"`, `\"`) + `"`
+		return `"` + quoteEscaper.Replace(v.S) + `"`
 	}
 	return v.String()
 }

@@ -4,13 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/cases"
+	"threatraptor/internal/engine"
 	"threatraptor/internal/segment"
 	"threatraptor/internal/shard"
+	"threatraptor/internal/synth"
+	"threatraptor/internal/tbql"
 )
 
 func loadCase(t *testing.T, id string) (*System, *cases.GeneratedLog) {
@@ -57,6 +62,57 @@ func TestEndToEndDataLeak(t *testing.T) {
 	if len(hits.MatchedEvents) == 0 {
 		t.Fatal("no events matched")
 	}
+}
+
+// TestHuntOSCTIMatchesHuntOfItsText: for every case report over its own
+// log, the pipeline's answer equals a hunt of the query text it returns
+// and an execution of the synthesized query analyzed as built, so the
+// returned text records exactly what ran (a Windows path's backslashes
+// included).
+func TestHuntOSCTIMatchesHuntOfItsText(t *testing.T) {
+	for _, c := range append(cases.All(), cases.Extras()...) {
+		t.Run(c.ID, func(t *testing.T) {
+			sys, _ := loadCase(t, c.ID)
+			query, got, err := sys.HuntOSCTI(nil, c.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ofText, _, err := sys.Hunt(nil, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, _, err := synth.Synthesize(sys.ExtractBehaviorGraph(c.Report).Graph, synth.Options{Mode: sys.opts.SynthesisMode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := tbql.Analyze(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ofAST, _, err := sys.engine.Execute(nil, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, want := range map[string]*engine.Result{"a hunt of the text": ofText, "the analyzed AST": ofAST} {
+				if g, w := sortedResultRows(got), sortedResultRows(want); !slices.Equal(g, w) {
+					t.Errorf("HuntOSCTI rows %v, %s's %v\n%s", g, name, w, query)
+				}
+				if !maps.Equal(got.MatchedEvents, want.MatchedEvents) {
+					t.Errorf("HuntOSCTI matched %d events, %s %d\n%s", len(got.MatchedEvents), name, len(want.MatchedEvents), query)
+				}
+			}
+		})
+	}
+}
+
+// sortedResultRows returns a result's rows, each joined, in sorted order.
+func sortedResultRows(r *engine.Result) []string {
+	var out []string
+	for _, row := range r.Set.Strings() {
+		out = append(out, strings.Join(row, "\x00"))
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestHuntWithoutLogFails(t *testing.T) {
