@@ -8,6 +8,8 @@ package threatraptor
 // these benchmarks measure the steady-state cost of each table's hot path.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/cases"
@@ -95,6 +97,46 @@ func BenchmarkTable6Hunt(b *testing.B) {
 		if _, _, err := sys.HuntOSCTI(nil, c.Report); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHuntOSCTI measures the whole report-to-rows pipeline
+// (extract, synthesize, compile, execute) on the data_leak store.
+// verbatim repeats the data_leak report, whose query the engine has
+// cached. perturbed substitutes one of the report's IOCs per request, as
+// the cti-burst workload does for 70% of its requests, cycling through
+// more distinct reports than the compiled-query cache holds: each
+// synthesized query is new to the cache (its shape is not).
+func BenchmarkHuntOSCTI(b *testing.B) {
+	c, gen := dataLeakCase(b, 1.0)
+	sys := New(DefaultOptions())
+	if err := sys.LoadLog(gen.Log); err != nil {
+		b.Fatal(err)
+	}
+	if _, res, err := sys.HuntOSCTI(nil, c.Report); err != nil || res.Set.Len() != 1 {
+		b.Fatalf("the data_leak report must find its attack: %v", err)
+	}
+	iocs := []string{"/bin/tar", "/etc/passwd", "/bin/bzip2", "/tmp/upload.tar.bz2", "/usr/bin/gpg", "/usr/bin/curl", "192.168.29.128"}
+	perturbed := make([]string, 1024)
+	for i := range perturbed {
+		old := iocs[i%len(iocs)]
+		sub := fmt.Sprintf("%s-%06x", old, i)
+		if strings.Count(old, ".") == 3 {
+			sub = fmt.Sprintf("192.168.%d.%d", 1+i/250, 1+i%250)
+		}
+		perturbed[i] = strings.ReplaceAll(c.Report, old, sub)
+	}
+	for _, leg := range []struct {
+		name    string
+		reports []string
+	}{{"verbatim", []string{c.Report}}, {"perturbed", perturbed}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sys.HuntOSCTI(nil, leg.reports[i%len(leg.reports)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

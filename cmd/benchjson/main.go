@@ -61,10 +61,10 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 func main() {
 	out := flag.String("o", "BENCH_engine.json", "output file (in -gate mode: the committed baseline to compare against)")
 	benchtime := flag.String("benchtime", "2s", "go test -benchtime value")
-	pattern := flag.String("bench", "BenchmarkExecuteScheduled|BenchmarkExecuteUnscheduled|BenchmarkStoreLoadEngine|BenchmarkStoreOpenSegment|BenchmarkStoreOpenFirstAppend|BenchmarkStreamIngest|BenchmarkStandingQuery|BenchmarkStandingQueryScale|BenchmarkStandingQueryVarLen|BenchmarkConcurrentHunts|BenchmarkTacticalRound|BenchmarkCompile|BenchmarkShardedHunt|BenchmarkSegmentFlush|BenchmarkJoinFanout|BenchmarkPathAnchor|BenchmarkIOCExtract|BenchmarkExtract|BenchmarkAttrExprHunt|BenchmarkVarLenHunt|BenchmarkVarLenDFS|BenchmarkEntityLike|BenchmarkFuzzyHunt", "benchmark regexp")
+	pattern := flag.String("bench", "BenchmarkExecuteScheduled|BenchmarkExecuteUnscheduled|BenchmarkStoreLoadEngine|BenchmarkStoreOpenSegment|BenchmarkStoreOpenFirstAppend|BenchmarkStreamIngest|BenchmarkStandingQuery|BenchmarkStandingQueryScale|BenchmarkStandingQueryVarLen|BenchmarkConcurrentHunts|BenchmarkTacticalRound|BenchmarkCompile|BenchmarkShardedHunt|BenchmarkSegmentFlush|BenchmarkJoinFanout|BenchmarkPathAnchor|BenchmarkIOCExtract|BenchmarkExtract|BenchmarkAttrExprHunt|BenchmarkVarLenHunt|BenchmarkVarLenDFS|BenchmarkEntityLike|BenchmarkFuzzyHunt|BenchmarkHuntOSCTI", "benchmark regexp")
 	gate := flag.Bool("gate", false, "compare against the committed baseline instead of rewriting it; exit 1 on regression")
 	gateThreshold := flag.Float64("gate-threshold", 0.25, "fractional regression tolerated by -gate (0.25 = 25%)")
-	gateBench := flag.String("gate-bench", "BenchmarkExecuteScheduled,BenchmarkStreamIngest,BenchmarkStandingQuery,BenchmarkStandingQueryScale/8x,BenchmarkStandingQueryScale/8x-shards2,BenchmarkStandingQueryScale/8x-shards4,BenchmarkStandingQueryVarLen/8x,BenchmarkConcurrentHunts,BenchmarkTacticalRound,BenchmarkCompile/cold,BenchmarkCompile/hit,BenchmarkCompile/variant,BenchmarkShardedHunt/shards4,BenchmarkStoreLoadEngine,BenchmarkStoreOpenSegment,BenchmarkStoreOpenFirstAppend,BenchmarkSegmentFlush/1x,BenchmarkSegmentFlush/8x,BenchmarkJoinFanout,BenchmarkPathAnchor,BenchmarkIOCExtract,BenchmarkExtract,BenchmarkAttrExprHunt/not,BenchmarkAttrExprHunt/or-and,BenchmarkVarLenHunt,BenchmarkVarLenDFS,BenchmarkEntityLike/selective,BenchmarkEntityLike/unselective,BenchmarkFuzzyHunt/exhaustive,BenchmarkFuzzyHunt/poirot", "comma-separated benchmarks checked by -gate")
+	gateBench := flag.String("gate-bench", "BenchmarkExecuteScheduled,BenchmarkStreamIngest,BenchmarkStandingQuery,BenchmarkStandingQueryScale/8x,BenchmarkStandingQueryScale/8x-shards2,BenchmarkStandingQueryScale/8x-shards4,BenchmarkStandingQueryVarLen/8x,BenchmarkConcurrentHunts,BenchmarkTacticalRound,BenchmarkCompile/cold,BenchmarkCompile/hit,BenchmarkCompile/variant,BenchmarkShardedHunt/shards4,BenchmarkStoreLoadEngine,BenchmarkStoreOpenSegment,BenchmarkStoreOpenFirstAppend,BenchmarkSegmentFlush/1x,BenchmarkSegmentFlush/8x,BenchmarkJoinFanout,BenchmarkPathAnchor,BenchmarkIOCExtract,BenchmarkExtract,BenchmarkAttrExprHunt/not,BenchmarkAttrExprHunt/or-and,BenchmarkVarLenHunt,BenchmarkVarLenDFS,BenchmarkEntityLike/selective,BenchmarkEntityLike/unselective,BenchmarkFuzzyHunt/exhaustive,BenchmarkFuzzyHunt/poirot,BenchmarkHuntOSCTI/verbatim,BenchmarkHuntOSCTI/perturbed", "comma-separated benchmarks checked by -gate")
 	flag.Parse()
 
 	if *gate {

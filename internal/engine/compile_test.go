@@ -257,3 +257,54 @@ func TestRenderSQLExprOperators(t *testing.T) {
 		t.Errorf("cypher render = %q", cy)
 	}
 }
+
+// TestCompileQuerySharesTheTextCache: CompileQuery caches a query built as
+// an AST under its formatted text, the entry a Compile of that text finds,
+// and returns the entry a Compile of that text cached first; a query that
+// fails analysis is not cached, and its text is still returned.
+func TestCompileQuerySharesTheTextCache(t *testing.T) {
+	en := &Engine{Store: tinyStore(t)}
+	build := func(file string) *tbql.Query {
+		q, err := tbql.Parse(`proc p["%/bin/tar%"] read file f["` + file + `"] as evt1 return distinct p, f`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+
+	q := build("%/etc/passwd%")
+	a, src, err := en.CompileQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != tbql.Format(q) || a.Query != q {
+		t.Fatalf("CompileQuery returned %q over %p, want Format(q) over q", src, a.Query)
+	}
+	if got, err := en.Compile(src); err != nil || got != a {
+		t.Fatalf("Compile of the returned text = %p (err %v), want CompileQuery's entry %p", got, err, a)
+	}
+	if again, _, _ := en.CompileQuery(build("%/etc/passwd%")); again != a {
+		t.Fatal("a repeat of the query missed its cache entry")
+	}
+
+	first, err := en.Compile(tbql.Format(build("%passwd%")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := en.CompileQuery(build("%passwd%")); got != first {
+		t.Fatal("CompileQuery analyzed a text Compile had cached")
+	}
+	res, _, err := en.Execute(nil, first)
+	if err != nil || res.Set.Len() != 1 {
+		t.Fatalf("the cached query runs to %v (err %v), want the one read", res, err)
+	}
+
+	bad := build("%/etc/passwd%")
+	bad.Return.Items = []tbql.Attr{{EntityID: "nobody"}}
+	if _, src, err := en.CompileQuery(bad); err == nil || src != tbql.Format(bad) {
+		t.Fatalf("CompileQuery of an unknown return entity = %q, %v; want its text and an error", src, err)
+	}
+	if a, err := en.Compile(tbql.Format(bad)); err == nil {
+		t.Fatalf("a query that failed analysis was cached: %p", a)
+	}
+}

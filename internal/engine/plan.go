@@ -286,24 +286,45 @@ func (c *clock[E]) replace(old, e E) {
 // plan (IR, backend plans, routing metadata) already built, and a new
 // text of a cached shape finds its shape's.
 func (en *Engine) Compile(src string) (*tbql.Analyzed, error) {
+	return en.compile(src, func() (*tbql.Analyzed, error) {
+		q, err := tbql.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		return tbql.Analyze(q)
+	})
+}
+
+// CompileQuery is Compile for a query built as an AST (a synthesized
+// one): it formats q once, and that text is both the cache key and src.
+// A cached text returns its entry; a new one analyzes q itself, with no
+// Parse, and caches it under src, where a later Compile(src) finds it
+// (Parse(Format(q)) analyzes to the same query). The cache keeps q, which
+// the caller must not modify afterwards.
+func (en *Engine) CompileQuery(q *tbql.Query) (a *tbql.Analyzed, src string, err error) {
+	src = tbql.Format(q)
+	a, err = en.compile(src, func() (*tbql.Analyzed, error) { return tbql.Analyze(q) })
+	return a, src, err
+}
+
+// compile looks src up in the compiled-query cache and, on a miss,
+// analyzes it with analyze, plans it and caches it under src.
+func (en *Engine) compile(src string, analyze func() (*tbql.Analyzed, error)) (*tbql.Analyzed, error) {
 	en.planMu.Lock()
 	a := en.texts[src]
 	en.planMu.Unlock()
 	if a != nil {
 		return a, nil
 	}
-	q, err := tbql.Parse(src)
+	a, err := analyze()
 	if err != nil {
-		return nil, err
-	}
-	if a, err = tbql.Analyze(q); err != nil {
 		return nil, err
 	}
 	snap := en.Store.Snapshot()
 	en.planMu.Lock()
 	defer en.planMu.Unlock()
 	if won := en.texts[src]; won != nil {
-		return won, nil // a concurrent Compile of the same text got there first
+		return won, nil // a concurrent compile of the same text got there first
 	}
 	en.planLocked(a, snap, false).src = src
 	if en.texts == nil {

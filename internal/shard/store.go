@@ -223,6 +223,11 @@ func (s *Store) View() *View { return s.view.Load() }
 // explain, fuzzy search, and the tactical layer read it.
 func (s *Store) Global() *engine.Store { return s.global }
 
+// GlobalEngine returns the engine over the global store that compiles
+// and caches every query the coordinator executes (Execute takes a query
+// it compiled), and that Explain shares the cache with.
+func (s *Store) GlobalEngine() *engine.Engine { return s.globalEngine }
+
 // GlobalStore implements the stream backend surface (the session's
 // authoritative store for snapshot readers).
 func (s *Store) GlobalStore() *engine.Store { return s.global }

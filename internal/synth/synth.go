@@ -7,6 +7,8 @@ package synth
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"threatraptor/internal/extract"
@@ -69,20 +71,21 @@ var capturedTypes = map[ioc.Type]bool{
 // default synthesis plan. It fails only when screening leaves no edges.
 func Synthesize(g *extract.Graph, opts Options) (*tbql.Query, *Report, error) {
 	rep := &Report{}
-	kept := make(map[int]bool) // node IDs surviving screening
 	for _, n := range g.Nodes {
-		if capturedTypes[n.Type] {
-			kept[n.ID] = true
-		} else {
+		if !capturedTypes[n.Type] {
 			rep.DroppedNodes = append(rep.DroppedNodes, n.Text)
 		}
 	}
+	kept := func(id int) bool { // the node survives screening
+		n := g.Node(id)
+		return n != nil && capturedTypes[n.Type]
+	}
 
-	s := &synthesizer{g: g, opts: opts, entityOf: make(map[roleKey]string)}
-	q := &tbql.Query{}
-	var offsets []int // source verb occurrence per synthesized pattern
+	s := &synthesizer{g: g, opts: opts, entityOf: make(map[roleKey]string, len(g.Nodes))}
+	q := &tbql.Query{Patterns: make([]*tbql.Pattern, 0, len(g.Edges))}
+	offsets := make([]int, 0, len(g.Edges)) // source verb occurrence per synthesized pattern
 	for _, e := range g.Edges {
-		if !kept[e.From] || !kept[e.To] {
+		if !kept(e.From) || !kept(e.To) {
 			continue
 		}
 		patt, ok := s.synthesizePattern(e)
@@ -106,6 +109,7 @@ func Synthesize(g *extract.Graph, opts Options) (*tbql.Query, *Report, error) {
 	// network receive); no order is imposed within a step, since the
 	// underlying system events interleave.
 	if opts.Mode != ModeVarLenPaths {
+		q.Relations = make([]tbql.Relation, 0, len(q.Patterns)-1)
 		groupStart := 0
 		for i := 1; i < len(q.Patterns); i++ {
 			if offsets[i] != offsets[groupStart] {
@@ -122,13 +126,12 @@ func Synthesize(g *extract.Graph, opts Options) (*tbql.Query, *Report, error) {
 	// Step 4: return all entity IDs in first-use order (default attributes
 	// are inferred at execution — TBQL sugar), plus any user-plan extras.
 	q.Return.Distinct = true
-	seen := make(map[string]bool)
+	q.Return.Items = make([]tbql.Attr, 0, s.nProc+s.nFile+s.nIP)
 	for _, p := range q.Patterns {
-		for _, side := range []tbql.Entity{p.Subject, p.Object} {
-			if seen[side.ID] {
+		for _, side := range [2]tbql.Entity{p.Subject, p.Object} {
+			if slices.ContainsFunc(q.Return.Items, func(it tbql.Attr) bool { return it.EntityID == side.ID }) {
 				continue
 			}
-			seen[side.ID] = true
 			q.Return.Items = append(q.Return.Items, tbql.Attr{EntityID: side.ID})
 			for _, attr := range opts.ReturnAttrs[side.Type] {
 				q.Return.Items = append(q.Return.Items, tbql.Attr{EntityID: side.ID, Attr: attr})
@@ -169,13 +172,13 @@ func (s *synthesizer) entity(nodeID int, typ tbql.EntityType) tbql.Entity {
 	switch typ {
 	case tbql.EntProc:
 		s.nProc++
-		id = fmt.Sprintf("p%d", s.nProc)
+		id = "p" + strconv.Itoa(s.nProc)
 	case tbql.EntFile:
 		s.nFile++
-		id = fmt.Sprintf("f%d", s.nFile)
+		id = "f" + strconv.Itoa(s.nFile)
 	case tbql.EntIP:
 		s.nIP++
-		id = fmt.Sprintf("i%d", s.nIP)
+		id = "i" + strconv.Itoa(s.nIP)
 	}
 	s.entityOf[key] = id
 	node := s.g.Node(nodeID)
@@ -183,11 +186,13 @@ func (s *synthesizer) entity(nodeID int, typ tbql.EntityType) tbql.Entity {
 }
 
 // attrFilter synthesizes the bare-value attribute filter (Step 2): file
-// and process names are wrapped in wildcards; IPs match exactly.
+// and process names are wrapped in wildcards; IPs match exactly. The
+// literal owns its bytes: a node's text is a substring of the report, which
+// a compiled-query cache holding the query would otherwise keep alive.
 func attrFilter(node *extract.Node, typ tbql.EntityType) relational.Expr {
 	text := node.Text
 	if typ == tbql.EntIP {
-		return bareValue(cidrToPattern(text))
+		return bareValue(strings.Clone(cidrToPattern(text)))
 	}
 	return bareValue("%" + text + "%")
 }
@@ -235,7 +240,7 @@ func (s *synthesizer) synthesizePattern(e *extract.Edge) (*tbql.Pattern, bool) {
 	patt := &tbql.Pattern{
 		Subject: subj,
 		Object:  obj,
-		ID:      fmt.Sprintf("evt%d", s.nPatt),
+		ID:      "evt" + strconv.Itoa(s.nPatt),
 		Op:      &tbql.OpExpr{Op: op},
 	}
 	switch s.opts.Mode {

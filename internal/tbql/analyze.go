@@ -76,9 +76,11 @@ var errSkipEntity = fmt.Errorf("tbql: filter does not apply to this entity")
 // attributes for bare values and bare return IDs, and entity ID reuse.
 func Analyze(q *Query) (*Analyzed, error) {
 	a := &Analyzed{
-		Query:     q,
-		Entities:  make(map[string]*EntityDecl),
-		PatternID: make(map[string]int),
+		Query:       q,
+		Entities:    make(map[string]*EntityDecl, 2*len(q.Patterns)),
+		EntityOrder: make([]string, 0, 2*len(q.Patterns)),
+		PatternID:   make(map[string]int, len(q.Patterns)),
+		ReturnItems: make([]Attr, 0, len(q.Return.Items)),
 	}
 
 	declare := func(e *Entity) error {
@@ -117,7 +119,7 @@ func Analyze(q *Query) (*Analyzed, error) {
 			return nil, err
 		}
 		if patt.ID == "" {
-			patt.ID = fmt.Sprintf("_evt%d", i+1)
+			patt.ID = "_evt" + strconv.Itoa(i+1)
 		}
 		if _, dup := a.PatternID[patt.ID]; dup {
 			return nil, fmt.Errorf("tbql: duplicate pattern ID %q", patt.ID)
@@ -128,7 +130,7 @@ func Analyze(q *Query) (*Analyzed, error) {
 				return nil, err
 			}
 		}
-		if patt.Op != nil && len(patt.Op.Ops()) == 0 {
+		if patt.Op != nil && !patt.Op.matchesAny() {
 			return nil, fmt.Errorf("tbql: pattern %s: operation expression matches no operation", patt.ID)
 		}
 	}

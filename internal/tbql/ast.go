@@ -76,18 +76,34 @@ type OpExpr struct {
 	Or  [2]*OpExpr
 }
 
+// opVocabulary is the closed vocabulary of operation keywords.
+var opVocabulary = [...]string{"read", "write", "execute", "start", "end", "rename",
+	"connect", "send", "receive"}
+
 // Ops returns the set of operation keywords that satisfy the expression,
 // evaluated over the closed op vocabulary.
 func (o *OpExpr) Ops() map[string]bool {
-	all := []string{"read", "write", "execute", "start", "end", "rename",
-		"connect", "send", "receive"}
 	out := make(map[string]bool)
-	for _, op := range all {
+	for _, op := range opVocabulary {
 		if o.matches(op) {
 			out[op] = true
 		}
 	}
 	return out
+}
+
+// binary reports whether the expression is a conjunction or disjunction.
+func (o *OpExpr) binary() bool { return o.And[0] != nil || o.Or[0] != nil }
+
+// matchesAny reports whether some operation keyword satisfies the
+// expression (Ops is non-empty), without building the set.
+func (o *OpExpr) matchesAny() bool {
+	for _, op := range opVocabulary {
+		if o.matches(op) {
+			return true
+		}
+	}
+	return false
 }
 
 func (o *OpExpr) matches(op string) bool {

@@ -1,7 +1,7 @@
 package tbql
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -10,19 +10,22 @@ import (
 
 // Format renders a query back to concise TBQL text, one pattern per line.
 // It is the inverse of Parse up to whitespace and sugar expansion, and is
-// used by query synthesis and the conciseness evaluation (Table X).
+// used by query synthesis, the engine's compiled-query cache key for a
+// synthesized query, and the conciseness evaluation (Table X). The whole
+// text is written into one builder.
 func Format(q *Query) string {
 	var b strings.Builder
+	b.Grow(96 * (len(q.Patterns) + 1))
 	if q.GlobalWindow != nil {
-		b.WriteString(formatWindow(q.GlobalWindow))
+		formatWindow(&b, q.GlobalWindow)
 		b.WriteByte('\n')
 	}
 	for _, f := range q.GlobalFilters {
-		b.WriteString(formatExpr(f))
+		formatExpr(&b, f)
 		b.WriteByte('\n')
 	}
 	for _, p := range q.Patterns {
-		b.WriteString(formatPattern(p))
+		formatPattern(&b, p)
 		b.WriteByte('\n')
 	}
 	if len(q.Relations) > 0 {
@@ -31,7 +34,7 @@ func Format(q *Query) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(formatRelation(r))
+			formatRelation(&b, r)
 		}
 		b.WriteByte('\n')
 	}
@@ -52,62 +55,58 @@ func Format(q *Query) string {
 	return b.String()
 }
 
-func formatPattern(p *Pattern) string {
-	var b strings.Builder
-	b.WriteString(formatEntity(p.Subject))
+func formatPattern(b *strings.Builder, p *Pattern) {
+	formatEntity(b, p.Subject)
 	b.WriteByte(' ')
 	if p.Path != nil {
-		b.WriteString(formatPath(p))
+		formatPath(b, p)
 	} else {
-		b.WriteString(formatOpExpr(p.Op))
+		formatOpExpr(b, p.Op)
 	}
 	b.WriteByte(' ')
-	b.WriteString(formatEntity(p.Object))
+	formatEntity(b, p.Object)
 	if p.ID != "" && !strings.HasPrefix(p.ID, "_evt") {
 		b.WriteString(" as ")
 		b.WriteString(p.ID)
 		if p.IDFilter != nil {
 			b.WriteByte('[')
-			b.WriteString(formatExpr(p.IDFilter))
+			formatExpr(b, p.IDFilter)
 			b.WriteByte(']')
 		}
 	}
 	if p.Window != nil {
 		b.WriteByte(' ')
-		b.WriteString(formatWindow(p.Window))
+		formatWindow(b, p.Window)
 	}
-	return b.String()
 }
 
-func formatEntity(e Entity) string {
-	var b strings.Builder
+func formatEntity(b *strings.Builder, e Entity) {
 	b.WriteString(string(e.Type))
 	b.WriteByte(' ')
 	b.WriteString(e.ID)
 	if e.Filter != nil {
 		b.WriteByte('[')
-		b.WriteString(formatFilterSugar(e.Filter))
+		formatFilterSugar(b, e.Filter)
 		b.WriteByte(']')
 	}
-	return b.String()
 }
 
 // formatFilterSugar prints a bare-value filter ("= value" on the empty
 // column) as just the value, keeping the synthesized queries as concise as
 // the paper's examples.
-func formatFilterSugar(e relational.Expr) string {
+func formatFilterSugar(b *strings.Builder, e relational.Expr) {
 	if bin, ok := e.(relational.BinOp); ok {
 		if c, isCol := bin.L.(relational.ColRef); isCol && c.Column == "" && c.Qualifier == "" {
 			if lit, isLit := bin.R.(relational.Lit); isLit && (bin.Op == "=" || bin.Op == "like") {
-				return formatValue(lit.V)
+				formatValue(b, lit.V)
+				return
 			}
 		}
 	}
-	return formatExpr(e)
+	formatExpr(b, e)
 }
 
-func formatPath(p *Pattern) string {
-	var b strings.Builder
+func formatPath(b *strings.Builder, p *Pattern) {
 	spec := p.Path
 	if spec.MinLen == 1 && spec.MaxLen == 1 {
 		b.WriteString("->")
@@ -117,131 +116,216 @@ func formatPath(p *Pattern) string {
 		case spec.MinLen == 1 && spec.MaxLen == -1:
 			// default bounds: no annotation
 		case spec.MinLen == spec.MaxLen:
-			fmt.Fprintf(&b, "(%d)", spec.MinLen)
+			b.WriteByte('(')
+			writeInt(b, int64(spec.MinLen))
+			b.WriteByte(')')
 		case spec.MaxLen == -1:
-			fmt.Fprintf(&b, "(%d~)", spec.MinLen)
+			b.WriteByte('(')
+			writeInt(b, int64(spec.MinLen))
+			b.WriteString("~)")
 		case spec.MinLen == 1:
-			fmt.Fprintf(&b, "(~%d)", spec.MaxLen)
+			b.WriteString("(~")
+			writeInt(b, int64(spec.MaxLen))
+			b.WriteByte(')')
 		default:
-			fmt.Fprintf(&b, "(%d~%d)", spec.MinLen, spec.MaxLen)
+			b.WriteByte('(')
+			writeInt(b, int64(spec.MinLen))
+			b.WriteByte('~')
+			writeInt(b, int64(spec.MaxLen))
+			b.WriteByte(')')
 		}
 	}
 	if p.Op != nil {
 		b.WriteByte('[')
-		b.WriteString(formatOpExpr(p.Op))
+		formatOpExpr(b, p.Op)
 		b.WriteByte(']')
 	}
-	return b.String()
 }
 
-func formatOpExpr(o *OpExpr) string {
+// formatOpExpr writes an operation expression, parenthesizing an operand
+// wherever Parse's precedence (|| below && below !) and left
+// associativity would otherwise read back a different tree.
+func formatOpExpr(b *strings.Builder, o *OpExpr) {
 	switch {
 	case o == nil:
-		return ""
 	case o.Op != "":
-		return o.Op
+		b.WriteString(o.Op)
 	case o.Not != nil:
-		return "!" + formatOpExpr(o.Not)
+		b.WriteByte('!')
+		formatOpOperand(b, o.Not, o.Not.binary())
 	case o.And[0] != nil:
-		return formatOpExpr(o.And[0]) + " && " + formatOpExpr(o.And[1])
+		formatOpOperand(b, o.And[0], o.And[0].Or[0] != nil)
+		b.WriteString(" && ")
+		formatOpOperand(b, o.And[1], o.And[1].binary())
 	case o.Or[0] != nil:
-		return formatOpExpr(o.Or[0]) + " || " + formatOpExpr(o.Or[1])
+		formatOpExpr(b, o.Or[0])
+		b.WriteString(" || ")
+		formatOpOperand(b, o.Or[1], o.Or[1].Or[0] != nil)
 	}
-	return ""
 }
 
-func formatWindow(w *Window) string {
+func formatOpOperand(b *strings.Builder, o *OpExpr, paren bool) {
+	if !paren {
+		formatOpExpr(b, o)
+		return
+	}
+	b.WriteByte('(')
+	formatOpExpr(b, o)
+	b.WriteByte(')')
+}
+
+func formatWindow(b *strings.Builder, w *Window) {
 	const layout = "2006-01-02 15:04:05"
 	switch w.Kind {
 	case WindRange:
-		return fmt.Sprintf("from %q to %q", w.From.Format(layout), w.To.Format(layout))
+		b.WriteString("from ")
+		b.WriteString(strconv.Quote(w.From.Format(layout)))
+		b.WriteString(" to ")
+		b.WriteString(strconv.Quote(w.To.Format(layout)))
 	case WindAt:
-		return fmt.Sprintf("at %q", w.From.Format(layout))
+		b.WriteString("at ")
+		b.WriteString(strconv.Quote(w.From.Format(layout)))
 	case WindBefore:
-		return fmt.Sprintf("before %q", w.To.Format(layout))
+		b.WriteString("before ")
+		b.WriteString(strconv.Quote(w.To.Format(layout)))
 	case WindAfter:
-		return fmt.Sprintf("after %q", w.From.Format(layout))
+		b.WriteString("after ")
+		b.WriteString(strconv.Quote(w.From.Format(layout)))
 	case WindLast:
-		return "last " + formatDuration(w.Dur)
+		b.WriteString("last ")
+		formatDuration(b, w.Dur)
 	}
-	return ""
 }
 
-func formatDuration(d time.Duration) string {
+func formatDuration(b *strings.Builder, d time.Duration) {
 	switch {
 	case d%(24*time.Hour) == 0:
-		return fmt.Sprintf("%d day", d/(24*time.Hour))
+		writeInt(b, int64(d/(24*time.Hour)))
+		b.WriteString(" day")
 	case d%time.Hour == 0:
-		return fmt.Sprintf("%d hour", d/time.Hour)
+		writeInt(b, int64(d/time.Hour))
+		b.WriteString(" hour")
 	case d%time.Minute == 0:
-		return fmt.Sprintf("%d min", d/time.Minute)
+		writeInt(b, int64(d/time.Minute))
+		b.WriteString(" min")
 	default:
-		return fmt.Sprintf("%d sec", d/time.Second)
+		writeInt(b, int64(d/time.Second))
+		b.WriteString(" sec")
 	}
 }
 
-func formatRelation(r Relation) string {
+func formatRelation(b *strings.Builder, r Relation) {
+	var kw string
 	switch r.Kind {
 	case RelAttr:
-		return formatExpr(r.Attr)
-	case RelBefore, RelAfter, RelWithin:
-		kw := map[RelationKind]string{RelBefore: "before", RelAfter: "after", RelWithin: "within"}[r.Kind]
-		if r.HasDur {
-			return fmt.Sprintf("%s %s[%d-%d sec] %s", r.A, kw,
-				r.LoDur/time.Second, r.HiDur/time.Second, r.B)
-		}
-		return fmt.Sprintf("%s %s %s", r.A, kw, r.B)
+		formatExpr(b, r.Attr)
+		return
+	case RelBefore:
+		kw = " before"
+	case RelAfter:
+		kw = " after"
+	case RelWithin:
+		kw = " within"
+	default:
+		return
 	}
-	return ""
+	b.WriteString(r.A)
+	b.WriteString(kw)
+	if r.HasDur {
+		b.WriteByte('[')
+		writeInt(b, int64(r.LoDur/time.Second))
+		b.WriteByte('-')
+		writeInt(b, int64(r.HiDur/time.Second))
+		b.WriteString(" sec]")
+	}
+	b.WriteByte(' ')
+	b.WriteString(r.B)
 }
 
-// formatExpr renders a relational expression in TBQL surface syntax.
-func formatExpr(e relational.Expr) string {
+// formatExpr writes a relational expression in TBQL surface syntax.
+func formatExpr(b *strings.Builder, e relational.Expr) {
 	switch v := e.(type) {
 	case relational.ColRef:
 		if v.Qualifier != "" {
-			return v.Qualifier + "." + v.Column
+			b.WriteString(v.Qualifier)
+			b.WriteByte('.')
 		}
-		return v.Column
+		b.WriteString(v.Column)
 	case relational.Lit:
-		return formatValue(v.V)
+		formatValue(b, v.V)
 	case relational.UnOp:
 		if bin, ok := v.E.(relational.BinOp); ok && bin.Op == "like" {
-			return formatExpr(bin.L) + " != " + formatExpr(bin.R)
+			formatExpr(b, bin.L)
+			b.WriteString(" != ")
+			formatExpr(b, bin.R)
+			return
 		}
-		return "!(" + formatExpr(v.E) + ")"
+		b.WriteString("!(")
+		formatExpr(b, v.E)
+		b.WriteByte(')')
 	case relational.InList:
-		var vals []string
-		for _, ve := range v.Vals {
-			vals = append(vals, formatExpr(ve))
-		}
-		neg := ""
+		formatExpr(b, v.E)
 		if v.Negate {
-			neg = "not "
+			b.WriteString(" not")
 		}
-		return formatExpr(v.E) + " " + neg + "in (" + strings.Join(vals, ", ") + ")"
+		b.WriteString(" in (")
+		for i, ve := range v.Vals {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			formatExpr(b, ve)
+		}
+		b.WriteByte(')')
 	case relational.BinOp:
 		op := v.Op
 		switch op {
 		case "and":
-			return formatExpr(v.L) + " && " + formatExpr(v.R)
+			formatExpr(b, v.L)
+			b.WriteString(" && ")
+			formatExpr(b, v.R)
+			return
 		case "or":
-			return "(" + formatExpr(v.L) + " || " + formatExpr(v.R) + ")"
+			b.WriteByte('(')
+			formatExpr(b, v.L)
+			b.WriteString(" || ")
+			formatExpr(b, v.R)
+			b.WriteByte(')')
+			return
 		case "like":
 			op = "="
 		}
-		return formatExpr(v.L) + " " + op + " " + formatExpr(v.R)
+		formatExpr(b, v.L)
+		b.WriteByte(' ')
+		b.WriteString(op)
+		b.WriteByte(' ')
+		formatExpr(b, v.R)
 	}
-	return ""
 }
 
-// quoteEscaper escapes a string literal the way the lexer reads it back:
-// '\' and '"' each behind a backslash.
-var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
-
-func formatValue(v relational.Value) string {
-	if v.K == relational.KindString {
-		return `"` + quoteEscaper.Replace(v.S) + `"`
+// formatValue writes a value literal. A string is double-quoted with '\'
+// and '"' each behind a backslash, the two escapes the lexer reads back.
+func formatValue(b *strings.Builder, v relational.Value) {
+	switch v.K {
+	case relational.KindString:
+		b.WriteByte('"')
+		s := v.S
+		for i := strings.IndexAny(s, `\"`); i >= 0; i = strings.IndexAny(s, `\"`) {
+			b.WriteString(s[:i])
+			b.WriteByte('\\')
+			b.WriteByte(s[i])
+			s = s[i+1:]
+		}
+		b.WriteString(s)
+		b.WriteByte('"')
+	case relational.KindInt:
+		writeInt(b, v.I)
+	default:
+		b.WriteString(v.String())
 	}
-	return v.String()
+}
+
+// writeInt writes n in decimal.
+func writeInt(b *strings.Builder, n int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], n, 10))
 }

@@ -3,6 +3,8 @@ package tbql
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,11 +34,7 @@ func randomQuery(rng *rand.Rand) *Query {
 		procs = append(procs, entdecl{id, EntProc})
 		e := Entity{Type: EntProc, ID: id}
 		if rng.Intn(2) == 0 {
-			e.Filter = relational.BinOp{
-				Op: "like",
-				L:  relational.ColRef{},
-				R:  relational.Lit{V: relational.Str(fmt.Sprintf("%%/bin/x%d%%", rng.Intn(9)))},
-			}
+			e.Filter = bareFilter(randomLiteral(rng, fmt.Sprintf("%%/bin/x%d%%", rng.Intn(9))))
 		}
 		return e
 	}
@@ -54,10 +52,7 @@ func randomQuery(rng *rand.Rand) *Query {
 			if typ == EntIP {
 				val = fmt.Sprintf("10.0.0.%d", 1+rng.Intn(250))
 			}
-			e.Filter = relational.BinOp{Op: "like", L: relational.ColRef{}, R: relational.Lit{V: relational.Str(val)}}
-			if typ == EntIP {
-				e.Filter = relational.BinOp{Op: "=", L: relational.ColRef{}, R: relational.Lit{V: relational.Str(val)}}
-			}
+			e.Filter = bareFilter(randomLiteral(rng, val))
 		}
 		return e
 	}
@@ -80,12 +75,32 @@ func randomQuery(rng *rand.Rand) *Query {
 			ID:      fmt.Sprintf("evt%d", i+1),
 		}
 		if rng.Intn(4) == 0 {
+			// A compound expression that op still satisfies.
+			other := &OpExpr{Op: ops[rng.Intn(len(ops))]}
+			switch rng.Intn(4) {
+			case 0:
+				patt.Op = &OpExpr{Or: [2]*OpExpr{other, patt.Op}}
+			case 1:
+				patt.Op = &OpExpr{And: [2]*OpExpr{patt.Op, {Not: &OpExpr{Not: patt.Op}}}}
+			case 2:
+				patt.Op = &OpExpr{Not: &OpExpr{And: [2]*OpExpr{other, {Not: patt.Op}}}}
+			default:
+				patt.Op = &OpExpr{And: [2]*OpExpr{{Or: [2]*OpExpr{other, patt.Op}}, {Or: [2]*OpExpr{patt.Op, {Or: [2]*OpExpr{other, other}}}}}}
+			}
+		}
+		switch rng.Intn(8) {
+		case 0:
 			patt.Path = &PathSpec{MinLen: 1, MaxLen: 1}
+		case 1:
+			lo := 1 + rng.Intn(3)
+			patt.Path = &PathSpec{MinLen: lo, MaxLen: []int{-1, lo, lo + 2}[rng.Intn(3)]}
 		}
 		q.Patterns = append(q.Patterns, patt)
 	}
-	// Temporal chain over a random prefix of event patterns.
-	for i := 0; i+1 < len(q.Patterns) && rng.Intn(2) == 0; i++ {
+	// Temporal chain over a random prefix of the patterns that bind one
+	// event.
+	oneEvent := func(p *Pattern) bool { return p.Path == nil || p.Path.MaxLen == 1 }
+	for i := 0; i+1 < len(q.Patterns) && oneEvent(q.Patterns[i]) && oneEvent(q.Patterns[i+1]) && rng.Intn(2) == 0; i++ {
 		q.Relations = append(q.Relations, Relation{
 			Kind: RelBefore,
 			A:    q.Patterns[i].ID,
@@ -105,40 +120,101 @@ func randomQuery(rng *rand.Rand) *Query {
 	return q
 }
 
+// randomLiteral draws a string literal around base that may hold the
+// bytes Format escapes ('\\', '"') and the LIKE wildcards ('%', '_').
+func randomLiteral(rng *rand.Rand, base string) string {
+	pieces := []string{`\`, `"`, `%`, `_`, `C:\Windows\`, `\\`, `\"`, `x`}
+	var b strings.Builder
+	b.WriteString(base)
+	for n := rng.Intn(4); n > 0; n-- {
+		piece := pieces[rng.Intn(len(pieces))]
+		if at := rng.Intn(b.Len() + 1); at < b.Len() {
+			s := b.String()
+			b.Reset()
+			b.WriteString(s[:at] + piece + s[at:])
+		} else {
+			b.WriteString(piece)
+		}
+	}
+	return b.String()
+}
+
+// bareFilter is the parser's bare-value filter for v: LIKE when v holds a
+// wildcard, '=' otherwise.
+func bareFilter(v string) relational.Expr {
+	return valueComparison(relational.ColRef{}, "=", relational.Str(v))
+}
+
+// checkRoundTrip fails unless Format(q) parses back to a query that
+// analyzes exactly as q does (same shape, literal vector and return
+// items) and formats to the same text.
+func checkRoundTrip(t *testing.T, q *Query) {
+	t.Helper()
+	text := Format(q)
+	q2, err := Parse(text)
+	if err != nil {
+		t.Fatalf("formatted query must parse: %v\n%s", err, text)
+	}
+	if len(q2.Patterns) != len(q.Patterns) || len(q2.Relations) != len(q.Relations) {
+		t.Fatalf("patterns %d/%d, relations %d/%d after the round trip\n%s",
+			len(q2.Patterns), len(q.Patterns), len(q2.Relations), len(q.Relations), text)
+	}
+	a1, err := Analyze(q)
+	if err != nil {
+		t.Fatalf("original must analyze: %v\n%s", err, text)
+	}
+	a2, err := Analyze(q2)
+	if err != nil {
+		t.Fatalf("reparsed must analyze: %v\n%s", err, text)
+	}
+	if err := sameAnalysis(a1, a2); err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if text2 := Format(q2); text != text2 {
+		t.Fatalf("Format is not a fixpoint:\n%s\nvs\n%s", text, text2)
+	}
+}
+
+// sameAnalysis reports how two analyses of one query differ in what a
+// compiled plan is built from: the shape, the literal vector and the
+// return items.
+func sameAnalysis(a, b *Analyzed) error {
+	switch {
+	case a.Shape != b.Shape:
+		return fmt.Errorf("shapes differ:\n%s\nvs\n%s", a.Shape.Value(), b.Shape.Value())
+	case !slices.Equal(a.Lits, b.Lits):
+		return fmt.Errorf("literals differ: %q vs %q", a.Lits, b.Lits)
+	case !slices.Equal(a.ReturnItems, b.ReturnItems):
+		return fmt.Errorf("return items differ: %v vs %v", a.ReturnItems, b.ReturnItems)
+	}
+	return nil
+}
+
 // TestFormatParseRoundTripProperty: Format(q) reparses and re-analyzes to
-// the same structure for randomly generated queries.
+// the same query for randomly generated queries, whose literals hold
+// escapes and wildcards and whose operation expressions nest.
 func TestFormatParseRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
 		q := randomQuery(rng)
-		text := Format(q)
-		q2, err := Parse(text)
-		if err != nil {
-			t.Fatalf("iteration %d: formatted query must parse: %v\n%s", i, err, text)
-		}
-		if len(q2.Patterns) != len(q.Patterns) {
-			t.Fatalf("iteration %d: pattern count %d != %d\n%s", i, len(q2.Patterns), len(q.Patterns), text)
-		}
-		if len(q2.Relations) != len(q.Relations) {
-			t.Fatalf("iteration %d: relation count %d != %d\n%s", i, len(q2.Relations), len(q.Relations), text)
-		}
-		a1, err := Analyze(q)
-		if err != nil {
-			t.Fatalf("iteration %d: original must analyze: %v\n%s", i, err, text)
-		}
-		a2, err := Analyze(q2)
-		if err != nil {
-			t.Fatalf("iteration %d: reparsed must analyze: %v\n%s", i, err, text)
-		}
-		if len(a1.Entities) != len(a2.Entities) {
-			t.Fatalf("iteration %d: entity count %d != %d\n%s", i, len(a1.Entities), len(a2.Entities), text)
-		}
-		// Second format is a fixpoint.
-		text2 := Format(q2)
-		if text != text2 {
-			t.Fatalf("iteration %d: Format is not a fixpoint:\n%s\nvs\n%s", i, text, text2)
-		}
+		t.Run(strconv.Itoa(i), func(t *testing.T) { checkRoundTrip(t, q) })
 	}
+}
+
+// FuzzFormatParseRoundTrip: a random query with the fuzzed string as one
+// entity's literal and as an event filter's value round-trips exactly.
+func FuzzFormatParseRoundTrip(f *testing.F) {
+	for _, lit := range []string{"", `C:\Windows\excel.exe`, `a"b`, `\`, `%x_`, "\x00\xff\n"} {
+		f.Add(int64(len(lit)), lit)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, lit string) {
+		q := randomQuery(rand.New(rand.NewSource(seed)))
+		q.Patterns[0].Subject.Filter = bareFilter(lit)
+		q.Patterns[0].IDFilter = relational.BinOp{Op: "and",
+			L: relational.BinOp{Op: "=", L: relational.ColRef{Column: "amount"}, R: relational.Lit{V: relational.Int(seed & 0xffffff)}},
+			R: valueComparison(relational.ColRef{Column: "optype"}, "<>", relational.Str(lit))}
+		checkRoundTrip(t, q)
+	})
 }
 
 // TestOpExprProperty: De Morgan behaviour of the op-expression evaluator.

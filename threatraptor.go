@@ -22,6 +22,7 @@ package threatraptor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -124,8 +125,9 @@ type System struct {
 	store     *engine.Store
 	engine    *engine.Engine
 	// shards is the sharded store coordinator (nil unless Options.Shards
-	// > 1); when set, store/engine alias its global store, so snapshot
-	// readers (fuzzy, tactical, explain) are unchanged.
+	// > 1); when set, store is its global store and engine its global
+	// engine, so snapshot readers (fuzzy, tactical, explain) are unchanged
+	// and hunts and explains share one compiled-query cache.
 	shards *shard.Store
 	// live is the streaming ingestion session, created lazily by the
 	// first Ingest or Watch call. No read path locks against it: hunts,
@@ -187,7 +189,7 @@ func (s *System) buildStore(log *audit.Log) error {
 		}
 		s.shards = sh
 		s.store = sh.Global()
-		s.engine = &engine.Engine{Store: s.store}
+		s.engine = sh.GlobalEngine()
 		return nil
 	}
 	store, err := engine.NewStore(log)
@@ -282,7 +284,7 @@ func (s *System) openDurable(cfg stream.Config) (*stream.Session, error) {
 			}
 			s.shards = sh
 			s.store = sh.Global()
-			s.engine = &engine.Engine{Store: s.store}
+			s.engine = sh.GlobalEngine()
 			return sh, nil
 		}
 		var gimg *segment.Image
@@ -382,11 +384,16 @@ func (s *System) ExtractBehaviorGraph(osctiText string) *extract.Result {
 // SynthesizeQuery synthesizes a TBQL query (as text, ready for analyst
 // revision) from a threat behavior graph.
 func (s *System) SynthesizeQuery(g *extract.Graph) (string, error) {
-	q, _, err := synth.Synthesize(g, synth.Options{Mode: s.opts.SynthesisMode})
+	q, err := s.synthesize(g)
 	if err != nil {
 		return "", err
 	}
 	return tbql.Format(q), nil
+}
+
+func (s *System) synthesize(g *extract.Graph) (*tbql.Query, error) {
+	q, _, err := synth.Synthesize(g, synth.Options{Mode: s.opts.SynthesisMode})
+	return q, err
 }
 
 // Hunt parses and executes a TBQL query against the loaded store using
@@ -398,46 +405,66 @@ func (s *System) SynthesizeQuery(g *extract.Graph) (string, error) {
 // engine.ErrOverloaded.
 func (s *System) Hunt(ctx context.Context, tbqlSrc string) (*engine.Result, engine.Stats, error) {
 	if s.engine == nil {
-		return nil, engine.Stats{}, fmt.Errorf("threatraptor: no audit log loaded")
+		return nil, engine.Stats{}, errNoLog
 	}
+	a, err := s.engine.Compile(tbqlSrc)
+	if err != nil {
+		return nil, engine.Stats{}, err
+	}
+	return s.execute(ctx, a)
+}
+
+// errNoLog is what a hunt, explain or analysis returns before any audit
+// log is loaded.
+var errNoLog = errors.New("threatraptor: no audit log loaded")
+
+// execute runs a query s.engine compiled, once admitted:
+// scatter-gather on a sharded store, on s.engine otherwise. Every hunt
+// takes this route, from text (Hunt) or from a report (HuntOSCTI).
+func (s *System) execute(ctx context.Context, a *tbql.Analyzed) (*engine.Result, engine.Stats, error) {
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
 	defer release()
-	if s.live != nil {
-		return s.live.Hunt(ctx, tbqlSrc)
-	}
 	if s.shards != nil {
-		return s.shards.Hunt(ctx, tbqlSrc)
+		return s.shards.Execute(ctx, a)
 	}
-	return s.engine.Hunt(ctx, tbqlSrc)
+	return s.engine.Execute(ctx, a)
 }
 
 // Explain compiles a TBQL query without executing it and prints the plan
 // a hunt of the same text runs: per-pattern logical-plan IR, each
 // pattern's compiled SQL statement or Cypher traversal, the scheduled
 // order, and the monolithic SQL/Cypher baselines. The query compiles
-// through the engine's compiled-query cache, so repeated explains reuse
-// one cache entry (on an unsharded store, the hunt's) instead of filling
-// the cache.
+// through the engine's compiled-query cache, the one hunts use (sharded
+// or not), so repeated explains reuse the hunt's cache entry instead of
+// filling the cache.
 func (s *System) Explain(tbqlSrc string) (string, error) {
 	if s.engine == nil {
-		return "", fmt.Errorf("threatraptor: no audit log loaded")
+		return "", errNoLog
 	}
 	return s.engine.Explain(tbqlSrc)
 }
 
 // HuntOSCTI runs the whole pipeline end to end: extract the threat
 // behavior graph from the report, synthesize a TBQL query, and execute it.
-// It returns the synthesized query text alongside the results.
+// The synthesized query reaches the engine as an AST, never re-parsed;
+// its text, which a Hunt of the same text would run identically, is
+// returned alongside the results.
 func (s *System) HuntOSCTI(ctx context.Context, osctiText string) (string, *engine.Result, error) {
-	res := s.ExtractBehaviorGraph(osctiText)
-	query, err := s.SynthesizeQuery(res.Graph)
+	q, err := s.synthesize(s.ExtractBehaviorGraph(osctiText).Graph)
 	if err != nil {
 		return "", nil, err
 	}
-	hits, _, err := s.Hunt(ctx, query)
+	if s.engine == nil {
+		return tbql.Format(q), nil, errNoLog
+	}
+	a, query, err := s.engine.CompileQuery(q)
+	if err != nil {
+		return query, nil, err
+	}
+	hits, _, err := s.execute(ctx, a)
 	return query, hits, err
 }
 
@@ -468,7 +495,7 @@ func (s *System) FuzzyHunt(ctx context.Context, tbqlSrc string, exhaustive bool)
 
 func (s *System) fuzzyHunt(ctx context.Context, tbqlSrc string, exhaustive bool) ([]FuzzyAlignment, error) {
 	if s.store == nil {
-		return nil, fmt.Errorf("threatraptor: no audit log loaded")
+		return nil, errNoLog
 	}
 	q, err := tbql.Parse(tbqlSrc)
 	if err != nil {
@@ -550,7 +577,7 @@ func (s *System) TacticalStats() tactical.Stats {
 // (same analyzer, one round over the whole snapshot).
 func (s *System) Analyze(set *rules.Set) ([]tactical.Incident, error) {
 	if s.store == nil {
-		return nil, fmt.Errorf("threatraptor: no audit log loaded")
+		return nil, errNoLog
 	}
 	return tactical.Analyze(s.store.Snapshot(), tactical.Config{Rules: set}), nil
 }

@@ -255,23 +255,41 @@ func TestLiveIngestAndWatch(t *testing.T) {
 // TestExplainKeepsHuntPlanCached: Explain compiles through the engine's
 // compiled-query cache, so explaining a hunted text reuses the hunt's entry
 // — however many times it is explained, the hunt's cached plan survives.
+// Sharded, hunts compile on the coordinator's global engine, and Explain
+// shares its cache.
 func TestExplainKeepsHuntPlanCached(t *testing.T) {
-	sys, _ := loadCase(t, "data_leak")
-	const q = `proc p["%/bin/tar%"] read file f["%/etc/passwd%"] return distinct p, f`
-	if _, _, err := sys.Hunt(nil, q); err != nil {
-		t.Fatal(err)
-	}
-	want, err := sys.engine.Compile(q)
+	gen, err := cases.ByID("data_leak").Generate(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		if _, err := sys.Explain(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, err := sys.engine.Compile(q); err != nil || got != want {
-		t.Fatalf("explaining evicted the hunt's cached plan (err %v)", err)
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Shards = shards
+			sys := New(opts)
+			if err := sys.LoadLog(gen.Log); err != nil {
+				t.Fatal(err)
+			}
+			const q = `proc p["%/bin/tar%"] read file f["%/etc/passwd%"] return distinct p, f`
+			if _, _, err := sys.Hunt(nil, q); err != nil {
+				t.Fatal(err)
+			}
+			want, err := sys.engine.Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh := sys.ShardStore(); sh != nil && sh.GlobalEngine() != sys.engine {
+				t.Fatal("the sharded system explains on another engine than its coordinator hunts on")
+			}
+			for i := 0; i < 300; i++ {
+				if _, err := sys.Explain(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := sys.engine.Compile(q); err != nil || got != want {
+				t.Fatalf("explaining evicted the hunt's cached plan (err %v)", err)
+			}
+		})
 	}
 }
 
