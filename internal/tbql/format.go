@@ -11,8 +11,7 @@ import (
 // Format renders a query back to concise TBQL text, one pattern per line.
 // It is the inverse of Parse up to whitespace and sugar expansion, and is
 // used by query synthesis, the engine's compiled-query cache key for a
-// synthesized query, and the conciseness evaluation (Table X). The whole
-// text is written into one builder.
+// synthesized query, and the conciseness evaluation (Table X).
 func Format(q *Query) string {
 	var b strings.Builder
 	b.Grow(96 * (len(q.Patterns) + 1))

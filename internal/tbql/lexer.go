@@ -16,10 +16,10 @@ const (
 	tokSymbol
 )
 
-// tokPerBytes is the source bytes per token lex sizes its slice for: the
+// bytesPerToken is the source bytes per token lex sizes its slice for: the
 // densest hunt-benchmark pool query spends 3.2 bytes a token, a
 // synthesized query 4.4 or more, so the slice is allocated once.
-const tokPerBytes = 3
+const bytesPerToken = 3
 
 type token struct {
 	kind tokKind
@@ -32,7 +32,7 @@ type token struct {
 // backslash (the two escapes Format writes). A string without escapes is a
 // substring of src. '//' starts a line comment.
 func lex(src string) ([]token, error) {
-	toks := make([]token, 0, len(src)/tokPerBytes+2)
+	toks := make([]token, 0, len(src)/bytesPerToken+2)
 	i := 0
 	emit := func(k tokKind, text string, pos int) { toks = append(toks, token{k, text, pos}) }
 	for i < len(src) {
@@ -59,7 +59,7 @@ func lex(src string) ([]token, error) {
 		case c == '"':
 			start := i
 			i++
-			end := strings.IndexAny(src[i:], `"\\`)
+			end := strings.IndexAny(src[i:], "\"\\")
 			if end >= 0 && src[i+end] == '"' {
 				emit(tokString, src[i:i+end], start)
 				i += end + 1
