@@ -493,6 +493,9 @@ func (s *server) handleHunt(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.huntErrors.Inc()
 			http.Error(w, err.Error(), http.StatusGatewayTimeout)
+		case errors.As(err, new(*engine.InternalError)):
+			s.huntErrors.Inc()
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		default:
 			s.huntErrors.Inc()
 			http.Error(w, err.Error(), http.StatusBadRequest)

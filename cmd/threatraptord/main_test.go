@@ -331,6 +331,25 @@ func TestHuntOverloadMaps429(t *testing.T) {
 	}
 }
 
+// TestHuntPanicMaps500: a hunt whose execution panicked returns the
+// engine's recovered *engine.InternalError — the server's fault, not the
+// query's — so it maps to 500 and counts as a hunt error.
+func TestHuntPanicMaps500(t *testing.T) {
+	ts, _ := testServer(t, threatraptor.DefaultOptions())
+	faultinject.Arm(faultinject.Plan{
+		engine.FaultExecutePattern: {Hits: []int{1}, Mode: faultinject.ModePanic},
+	})
+	t.Cleanup(faultinject.Disarm)
+	if code, body := post(t, ts.URL+"/v1/hunt", `proc p read file f return p, f`); code != http.StatusInternalServerError {
+		t.Fatalf("panicking hunt = %d %q, want 500", code, body)
+	}
+	faultinject.Disarm()
+	if code, body := get(t, ts.URL+"/metrics"); code != 200 ||
+		!strings.Contains(body, "threatraptor_hunt_errors_total 1") {
+		t.Fatalf("internal error not counted:\n%s", body)
+	}
+}
+
 // TestIncidentsDisabledMaps404: without a configured rule set the
 // tactical layer is off, and both incident endpoints say so with 404
 // rather than an empty 200 (the operator forgot -rules, not "no attacks").

@@ -77,7 +77,7 @@ func TestAnchorPrefilterIsSuperset(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prepare %s: %v", relational.ExprString(pred), err)
 			}
-			rs, _, err := prep.Query(nil)
+			rs, _, err := prep.QueryCtx(nil, nil)
 			if err != nil {
 				t.Fatalf("prefilter %s: %v", relational.ExprString(pred), err)
 			}
@@ -85,11 +85,11 @@ func TestAnchorPrefilterIsSuperset(t *testing.T) {
 			for _, row := range rs.Rows {
 				pre[row[0].I] = true
 			}
-			grs, _, err := store.Graph.Exec(&graphdb.Query{
+			grs, _, err := store.Graph.ExecPrepared(nil, graphdb.Prepare(&graphdb.Query{
 				Patterns: []graphdb.Pattern{{Nodes: []graphdb.NodePat{{Var: "n", Label: labelOf(kind)}}}},
 				Where:    qualify(pred, "n", nil),
 				Return:   []graphdb.ReturnItem{{Var: "n", Prop: "id"}},
-			})
+			}), nil)
 			if err != nil {
 				continue // the graph rejects this shape (e.g. ordering across kinds)
 			}

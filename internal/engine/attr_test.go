@@ -6,6 +6,7 @@ import (
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/relational"
 )
 
@@ -125,11 +126,11 @@ func TestEntityAttributesAgree(t *testing.T) {
 // viewQuery runs Cypher source against the snapshot's graph view.
 func viewQuery(t *testing.T, s *Store, sn *Snapshot, src string) [][]relational.Value {
 	t.Helper()
-	q, err := graphdb.ParseQuery(src)
+	q, err := cyphertext.Parse(src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	rs, _, err := s.Graph.ExecWith(q, &graphdb.ExecParams{View: &sn.Graph})
+	rs, _, err := s.Graph.ExecPrepared(nil, graphdb.Prepare(q), &graphdb.ExecParams{View: &sn.Graph})
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"threatraptor/internal/extract"
 	"threatraptor/internal/reduction"
 	"threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
@@ -246,7 +247,7 @@ func BenchmarkEntityLike(b *testing.B) {
 		{"unselective", "kind = 'proc' AND exename LIKE '%/%'"},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
-			stmt, err := relational.ParseSelect("SELECT id FROM entities WHERE " + leg.where)
+			stmt, err := sqltext.Parse("SELECT id FROM entities WHERE " + leg.where)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -255,14 +256,14 @@ func BenchmarkEntityLike(b *testing.B) {
 				b.Fatal(err)
 			}
 			params := relational.Params{Snap: &store.Snapshot().Rel}
-			rs, st, err := pr.Query(&params)
+			rs, st, err := pr.QueryCtx(nil, &params)
 			if err != nil || rs.Len() == 0 {
 				b.Fatalf("rows %d, err %v", rs.Len(), err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pr.Query(&params); err != nil {
+				if _, _, err := pr.QueryCtx(nil, &params); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,8 +6,10 @@ import (
 
 	"threatraptor/internal/audit"
 	"threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/qir"
 	"threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 	"threatraptor/internal/tbql"
 )
 
@@ -52,7 +54,7 @@ func TestCompilePatternSQLParsesAndRuns(t *testing.T) {
 	store := tinyStore(t)
 	a := parse(t, `proc p["%tar%"] read file f["%passwd%"] as e1 return distinct p`)
 	sql := patternSQL(t, store, a)
-	rs, err := store.Rel.Query(sql)
+	rs, _, err := sqltext.Query(store.Rel, sql)
 	if err != nil {
 		t.Fatalf("printed SQL must run: %v\n%s", err, sql)
 	}
@@ -85,7 +87,7 @@ func TestCompilePatternSQLWindow(t *testing.T) {
 		!strings.Contains(sql, "e.start_time <= 1000000") {
 		t.Errorf("window bounds missing:\n%s", sql)
 	}
-	rs, err := store.Rel.Query(sql)
+	rs, _, err := sqltext.Query(store.Rel, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ return distinct p, f, g`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := store.Rel.Query(sql)
+	rs, _, err := sqltext.Query(store.Rel, sql)
 	if err != nil {
 		t.Fatalf("monolithic SQL must run: %v\n%s", err, sql)
 	}
@@ -139,11 +141,11 @@ return distinct p, f, g`)
 	if strings.Count(cy, "MATCH") != 2 {
 		t.Errorf("one MATCH per pattern expected:\n%s", cy)
 	}
-	q, err := graphdb.ParseQuery(cy)
+	q, err := cyphertext.Parse(cy)
 	if err != nil {
 		t.Fatalf("compiled Cypher must parse: %v\n%s", err, cy)
 	}
-	rs, _, err := store.Graph.Exec(q)
+	rs, _, err := store.Graph.ExecPrepared(nil, graphdb.Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestCompilePatternCypherVarLenForms(t *testing.T) {
 		if !strings.Contains(cy, c.want) {
 			t.Errorf("%s\nprinted %q, want fragment %q", c.src, cy, c.want)
 		}
-		if _, err := graphdb.ParseQuery(cy); err != nil {
+		if _, err := cyphertext.Parse(cy); err != nil {
 			t.Errorf("%s: printed Cypher must parse: %v\n%s", c.src, err, cy)
 		}
 	}

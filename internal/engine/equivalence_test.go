@@ -9,7 +9,9 @@ import (
 	"threatraptor/internal/cases"
 	"threatraptor/internal/extract"
 	"threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
@@ -105,7 +107,7 @@ func checkPathEquivalence(t *testing.T, store *Store, a *tbql.Analyzed, monolith
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trs, err := store.Graph.Query(cy); err != nil {
+	if trs, _, err := cyphertext.Query(store.Graph, cy); err != nil {
 		t.Errorf("printed monolithic Cypher: %v\n%s", err, cy)
 	} else if !sameRows(cres.Strings(), trs.Strings()) {
 		t.Errorf("printed monolithic Cypher differs:\n%v\n%v", cres.Strings(), trs.Strings())
@@ -131,7 +133,7 @@ func checkPathEquivalence(t *testing.T, store *Store, a *tbql.Analyzed, monolith
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trs, err := store.Rel.Query(sql); err != nil {
+	if trs, _, err := sqltext.Query(store.Rel, sql); err != nil {
 		t.Errorf("printed monolithic SQL: %v\n%s", err, sql)
 	} else if !sameRows(mres.Strings(), trs.Strings()) {
 		t.Errorf("printed monolithic SQL differs:\n%v\n%v", mres.Strings(), trs.Strings())
@@ -159,7 +161,7 @@ func unfilteredReference(t *testing.T, store *Store, a *tbql.Analyzed) *Result {
 		if q.Obj != nil {
 			params.Nodes = append(params.Nodes, graphdb.NodeBinding{Var: "o", IDs: q.Obj})
 		}
-		rs, _, err := store.Graph.ExecWithCtx(ctx, pp.gq, params)
+		rs, _, err := store.Graph.ExecPrepared(ctx, pp.gp, params)
 		if err != nil {
 			return PatternRows{}, Stats{}, err
 		}

@@ -658,13 +658,14 @@ func (en *Engine) ExecuteMonolithicSQL(ctx context.Context, a *tbql.Analyzed) (r
 // ExecuteMonolithicCypher lowers the query into one giant multi-MATCH
 // graph query and runs it with the clause-at-a-time plan that production
 // graph databases use for multi-MATCH statements (query type (d) in RQ4).
+// The query is compiled once per plan, like ExecuteMonolithicSQL's.
 func (en *Engine) ExecuteMonolithicCypher(ctx context.Context, a *tbql.Analyzed) (rs *relational.ResultSet, stats Stats, err error) {
 	defer guard(a, &err)
-	q, err := en.planFor(a, en.Store.Snapshot(), false).monolithicCypher(a)
+	pq, err := en.planFor(a, en.Store.Snapshot(), false).monolithicCypher(a)
 	if err != nil {
 		return nil, stats, err
 	}
-	rs, gs, err := en.Store.Graph.ExecWithCtx(ctx, q, nil)
+	rs, gs, err := en.Store.Graph.ExecPrepared(ctx, pq, nil)
 	stats.DataQueries = 1
 	stats.Graph = gs
 	return rs, stats, err

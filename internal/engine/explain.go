@@ -79,8 +79,8 @@ func (en *Engine) Explain(src string) (string, error) {
 	if pr, err := plan.monolithicSQL(en.Store, a); err == nil {
 		sb.WriteString("--- monolithic SQL (RQ4 comparison) ---\n" + pr.String() + "\n")
 	}
-	if q, err := plan.monolithicCypher(a); err == nil {
-		sb.WriteString("--- monolithic Cypher (RQ4 comparison) ---\n" + q.String() + "\n")
+	if pq, err := plan.monolithicCypher(a); err == nil {
+		sb.WriteString("--- monolithic Cypher (RQ4 comparison) ---\n" + pq.String() + "\n")
 	}
 	return sb.String(), nil
 }

@@ -8,8 +8,10 @@ import (
 	"threatraptor/internal/cases"
 	"threatraptor/internal/extract"
 	"threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/qir"
 	"threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 	"threatraptor/internal/synth"
 	"threatraptor/internal/tbql"
 )
@@ -127,7 +129,7 @@ func literalPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, plan *quer
 	var rows [][5]int64
 	if pp.meta.UsesGraph {
 		cy := literalCypher(pp.gq, sp, a.Lits)
-		rs, err := store.Graph.Query(cy)
+		rs, _, err := cyphertext.Query(store.Graph, cy)
 		if err != nil {
 			t.Fatalf("literal Cypher: %v\n%s", err, cy)
 		}
@@ -146,7 +148,7 @@ func literalPatternRows(t *testing.T, store *Store, a *tbql.Analyzed, plan *quer
 		return rows
 	}
 	sql := literalSQL(lowerEventStmt(plan.bounds, pp.ir.Event), sp, a.Lits)
-	rs, err := store.Rel.Query(sql)
+	rs, _, err := sqltext.Query(store.Rel, sql)
 	if err != nil {
 		t.Fatalf("literal SQL: %v\n%s", err, sql)
 	}

@@ -1,71 +1,39 @@
 package engine
 
 import (
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"threatraptor/internal/audit"
-	"threatraptor/internal/graphdb"
-	"threatraptor/internal/relational"
 )
 
-// TestExecutePathsInvokeNoParser pins the logical-plan IR refactor's core
-// invariant: no relational or graph query parser runs on any Execute*
-// path. Every pattern lowers to a backend plan AST (a length-1-path hunt's
-// graph anchor prefilter included); binding sets and delta floors bind as
-// parameters. Text exists only where EXPLAIN prints the plan ASTs.
-func TestExecutePathsInvokeNoParser(t *testing.T) {
-	store, _ := dataLeakStore(t, 200)
-	a := analyzed(t, dataLeakTBQL)
-	aPath := analyzed(t, `proc p["%/bin/tar%"] ~>(1~3) file f["%upload%"] return distinct p, f`)
-	aHop := analyzed(t, `proc p1["%/bin/tar%"] ->[read] file f1["%/etc/passwd%"] as evt1
-proc p1 ->[write] file f2["%/tmp/upload.tar%"] as evt2
-with evt1 before evt2
-return distinct p1, f1, f2`)
-
-	en := &Engine{Store: store}
-	enUnsched := &Engine{Store: store, DisableScheduling: true}
-
-	rel0, gr0 := relational.ParseCalls(), graphdb.ParseCalls()
-
-	for _, run := range []func() error{
-		func() error { _, _, err := en.Execute(nil, a); return err },
-		func() error { _, _, err := enUnsched.Execute(nil, a); return err },
-		func() error { _, _, err := en.ExecuteDelta(nil, a, 1); return err },
-		func() error { _, _, err := en.ExecuteMonolithicSQL(nil, a); return err },
-		func() error { _, _, err := en.ExecuteMonolithicCypher(nil, a); return err },
-		func() error { _, _, err := en.Execute(nil, aPath); return err },
-		func() error { _, _, err := en.ExecuteDelta(nil, aPath, 1); return err },
-		func() error { _, _, err := en.Execute(nil, aHop); return err },
-		func() error { _, _, err := enUnsched.Execute(nil, aHop); return err },
-		func() error { _, _, err := en.ExecuteDelta(nil, aHop, 1); return err },
-		func() error { _, err := en.MatchEventsPerPattern(nil, a); return err },
-		func() error { _, _, err := en.Hunt(nil, dataLeakTBQL); return err },
-	} {
-		if err := run(); err != nil {
-			t.Fatal(err)
+// TestProductImportsNoTextParser pins that no query text reaches a
+// backend: the SQL and Cypher readers (sqltext, cyphertext) are test
+// support, and no package the product builds depends on either. Every
+// Execute* and Explain path therefore runs on plan ASTs by construction;
+// text exists only where EXPLAIN prints them.
+func TestProductImportsNoTextParser(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(goBin, "list", "-deps", ".", "./cmd/...", "./examples/...")
+	cmd.Dir = filepath.Join("..", "..")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if !slices.Contains(deps, "threatraptor/internal/engine") {
+		t.Fatalf("go list -deps does not list the engine; the dependency scan is broken:\n%s", out)
+	}
+	for _, pkg := range deps {
+		if strings.HasSuffix(pkg, "/sqltext") || strings.HasSuffix(pkg, "/cyphertext") {
+			t.Errorf("the product depends on the test-only query reader %s", pkg)
 		}
-	}
-
-	if got := relational.ParseCalls(); got != rel0 {
-		t.Errorf("execution invoked the SQL parser %d times", got-rel0)
-	}
-	if got := graphdb.ParseCalls(); got != gr0 {
-		t.Errorf("execution invoked the Cypher parser %d times", got-gr0)
-	}
-
-	// EXPLAIN prints the plan ASTs; printing parses nothing either
-	// (parsing only happens if a caller feeds the text back to a backend).
-	if _, err := en.Explain(dataLeakTBQL); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := en.Explain(`proc p["%/bin/tar%"] ~>(1~3) file f["%upload%"] return distinct p, f`); err != nil {
-		t.Fatal(err)
-	}
-	if got := relational.ParseCalls(); got != rel0 {
-		t.Errorf("EXPLAIN invoked the SQL parser %d times", got-rel0)
-	}
-	if got := graphdb.ParseCalls(); got != gr0 {
-		t.Errorf("EXPLAIN invoked the Cypher parser %d times", got-gr0)
 	}
 }
 

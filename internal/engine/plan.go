@@ -211,7 +211,7 @@ type queryState struct {
 	// Monolithic plans (the paper's RQ4 naive comparison), lowered lazily.
 	monoMu    sync.Mutex
 	monoSQL   stmtCache
-	monoCy    *graphdb.Query
+	monoCy    *graphdb.Prepared
 	monoCyErr error
 }
 
@@ -299,8 +299,11 @@ func (en *Engine) Compile(src string) (*tbql.Analyzed, error) {
 // one): it formats q once, and that text is both the cache key and src.
 // A cached text returns its entry; a new one analyzes q itself, with no
 // Parse, and caches it under src, where a later Compile(src) finds it
-// (Parse(Format(q)) analyzes to the same query). The cache keeps q, which
-// the caller must not modify afterwards.
+// (Parse(Format(q)) analyzes to the same query). q must be an AST that
+// Parse can produce — a NOT LIKE on a literal without wildcards, which
+// TBQL cannot spell, formats as a != that reparses as <> — or its cache
+// key would analyze to a different query. The cache keeps q, which the
+// caller must not modify afterwards.
 func (en *Engine) CompileQuery(q *tbql.Query) (a *tbql.Analyzed, src string, err error) {
 	src = tbql.Format(q)
 	a, err = en.compile(src, func() (*tbql.Analyzed, error) { return tbql.Analyze(q) })
@@ -504,21 +507,23 @@ func (p *queryPlan) monolithicSQL(s *Store, a *tbql.Analyzed) (*relational.Prepa
 	})
 }
 
-// monolithicCypher returns the plan's lowered monolithic graph query (the
-// clause-at-a-time flag is set here, as the RQ4 comparison requires).
-func (p *queryPlan) monolithicCypher(a *tbql.Analyzed) (*graphdb.Query, error) {
+// monolithicCypher returns the plan's compiled monolithic graph query,
+// lowering it on first use against the plan's bounds (the clause-at-a-time
+// flag is set here, as the RQ4 comparison requires).
+func (p *queryPlan) monolithicCypher(a *tbql.Analyzed) (*graphdb.Prepared, error) {
 	qs := p.state()
 	qs.monoMu.Lock()
 	defer qs.monoMu.Unlock()
-	if qs.monoCy != nil || qs.monoCyErr != nil {
-		return qs.monoCy, qs.monoCyErr
+	if qs.monoCy == nil && qs.monoCyErr == nil {
+		q, err := lowerMonolithicCypher(p.bounds, a, p.irs)
+		if err != nil {
+			qs.monoCyErr = err
+		} else {
+			q.ClauseAtATime = true
+			qs.monoCy = graphdb.Prepare(q)
+		}
 	}
-	q, err := lowerMonolithicCypher(p.bounds, a, p.irs)
-	if err == nil {
-		q.ClauseAtATime = true
-	}
-	qs.monoCy, qs.monoCyErr = q, err
-	return q, err
+	return qs.monoCy, qs.monoCyErr
 }
 
 // schedule orders pattern indexes by descending pruning score

@@ -21,15 +21,26 @@ func chainGraph(n int) *Graph {
 	return g
 }
 
-// exactDepthQuery matches the nodes exactly depth hops from n0; arrow is
-// the hop's tail, "->" (outgoing) or "-" (either direction).
-func exactDepthQuery(t testing.TB, depth int, arrow string) *Query {
-	q, err := ParseQuery(fmt.Sprintf(
-		`MATCH (a:N {name: 'n0'})-[*%d..%d]%s(x:N) RETURN x.name`, depth, depth, arrow))
-	if err != nil {
-		t.Fatal(err)
+// exactDepthQuery prepares the query matching the nodes exactly depth
+// hops from n0; arrow is the hop's tail, "->" (outgoing) or "-" (either
+// direction). The query is built as an AST and must print as its text.
+func exactDepthQuery(t testing.TB, depth int, arrow string) *Prepared {
+	dir := DirOut
+	if arrow == "-" {
+		dir = DirBoth
 	}
-	return q
+	q := &Query{
+		Patterns: []Pattern{{
+			Nodes: []NodePat{{Var: "a", Label: "N", Props: Props{"name": relational.Str("n0")}}, {Var: "x", Label: "N"}},
+			Rels:  []RelPat{{Dir: dir, Min: depth, Max: depth}},
+		}},
+		Return: []ReturnItem{{Var: "x", Prop: "name"}},
+	}
+	if got, want := q.String(), fmt.Sprintf(
+		`MATCH (a:N {name: 'n0'})-[*%d..%d]%s(x:N) RETURN x.name`, depth, depth, arrow); got != want {
+		t.Fatalf("query prints %q, want %q", got, want)
+	}
+	return Prepare(q)
 }
 
 // TestVarLenDFSConstantAllocs guards the visited-bitset traversal: the
@@ -45,11 +56,11 @@ func TestVarLenDFSConstantAllocs(t *testing.T) {
 		measure := func(depth int) float64 {
 			q := exactDepthQuery(t, depth, arrow)
 			// Warm once so lazy structures exist before measuring.
-			if _, _, err := g.Exec(q); err != nil {
+			if _, _, err := g.ExecPrepared(nil, q, nil); err != nil {
 				t.Fatal(err)
 			}
 			return testing.AllocsPerRun(50, func() {
-				if _, _, err := g.Exec(q); err != nil {
+				if _, _, err := g.ExecPrepared(nil, q, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -71,7 +82,7 @@ func BenchmarkVarLenDFS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, _, err := g.Exec(q)
+		rs, _, err := g.ExecPrepared(nil, q, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

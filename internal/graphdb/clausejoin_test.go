@@ -1,20 +1,23 @@
-package graphdb
+package graphdb_test
 
 import (
 	"reflect"
 	"sort"
 	"testing"
+
+	. "threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 )
 
 // clauseQuery parses a query and switches on the clause-at-a-time plan.
 func clauseQuery(t *testing.T, g *Graph, src string) *ResultSet {
 	t.Helper()
-	q, err := ParseQuery(src)
+	q, err := cyphertext.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.ClauseAtATime = true
-	rs, _, err := g.Exec(q)
+	rs, _, err := g.ExecPrepared(nil, Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +54,11 @@ func TestClauseAtATimeEquivalence(t *testing.T) {
 		`MATCH (p1:Process)-[e1:read]->(f1:File) MATCH (p2:Process)-[e2:connect]->(c:NetConn) WHERE p1.exename = p2.exename RETURN DISTINCT p1.exename, c.dstip`,
 	}
 	for _, src := range queries {
-		q, err := ParseQuery(src)
+		q, err := cyphertext.Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		pipelined, _, err := g.Exec(q)
+		pipelined, _, err := g.ExecPrepared(nil, Prepare(q), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -73,17 +76,17 @@ func TestClauseAtATimeEquivalence(t *testing.T) {
 func TestClauseAtATimeDoesMoreWork(t *testing.T) {
 	g, _ := newAttackGraph(t)
 	src := `MATCH (p1:Process)-[e1:read]->(f1:File) WHERE p1.exename LIKE '%tar%' MATCH (p1)-[e2:write]->(f2:File) RETURN DISTINCT p1.exename, f2.path`
-	q, err := ParseQuery(src)
+	q, err := cyphertext.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pipeStats, err := g.Exec(q)
+	_, pipeStats, err := g.ExecPrepared(nil, Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, _ := ParseQuery(src)
+	q2, _ := cyphertext.Parse(src)
 	q2.ClauseAtATime = true
-	_, clauseStats, err := g.Exec(q2)
+	_, clauseStats, err := g.ExecPrepared(nil, Prepare(q2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +127,12 @@ func TestClauseAtATimeDistinct(t *testing.T) {
 
 func TestSinglePatternIgnoresClauseFlag(t *testing.T) {
 	g, _ := newAttackGraph(t)
-	q, err := ParseQuery(`MATCH (p:Process)-[e:connect]->(c:NetConn) RETURN p.exename`)
+	q, err := cyphertext.Parse(`MATCH (p:Process)-[e:connect]->(c:NetConn) RETURN p.exename`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.ClauseAtATime = true // single pattern: pipelined path is used
-	rs, _, err := g.Exec(q)
+	rs, _, err := g.ExecPrepared(nil, Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

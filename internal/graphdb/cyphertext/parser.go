@@ -1,24 +1,22 @@
-package graphdb
+// Package cyphertext reads the Cypher subset that graphdb.Query prints.
+// It is test support: the printer's round-trip tests and the graph tests
+// that state their queries as text use it, while the product builds every
+// graph query as an AST and never reads Cypher text. Only test files
+// import this package.
+package cyphertext
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"unicode"
 
+	"threatraptor/internal/graphdb"
 	"threatraptor/internal/relational"
 )
 
-// parseCalls counts ParseQuery invocations. The TBQL engine's execution
-// paths build query ASTs directly and must never come through the parser;
-// a test pins that invariant by sampling this counter.
-var parseCalls atomic.Uint64
-
-// ParseCalls reports how many times ParseQuery has run in this process.
-func ParseCalls() uint64 { return parseCalls.Load() }
-
-// ParseQuery parses a Cypher-subset query:
+// Parse parses a Cypher-subset query:
 //
 //	MATCH (a:Process {exename: '/bin/tar'})-[e:read]->(b:File)
 //	MATCH (b)-[*1..4]->(c:NetConn)
@@ -30,8 +28,7 @@ func ParseCalls() uint64 { return parseCalls.Load() }
 // "-[*]", "-[*n]", "-[*n..m]", "-[*n..]", "-[*..m]" (optionally typed).
 // WHERE supports the same operators as the relational engine, with LIKE as
 // a portability extension.
-func ParseQuery(src string) (*Query, error) {
-	parseCalls.Add(1)
+func Parse(src string) (*graphdb.Query, error) {
 	toks, err := lexCypher(src)
 	if err != nil {
 		return nil, err
@@ -45,6 +42,15 @@ func ParseQuery(src string) (*Query, error) {
 		return nil, fmt.Errorf("cypher: unexpected %q after query", p.cur().text)
 	}
 	return q, nil
+}
+
+// Query parses src, prepares it and runs it on g with no parameters.
+func Query(g *graphdb.Graph, src string) (*graphdb.ResultSet, graphdb.ExecStats, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, graphdb.ExecStats{}, err
+	}
+	return g.ExecPrepared(context.Background(), graphdb.Prepare(q), nil)
 }
 
 type ctoken struct {
@@ -193,8 +199,8 @@ var cypherReserved = map[string]bool{
 	"as": true, "order": true, "limit": true,
 }
 
-func (p *cypherParser) parseQuery() (*Query, error) {
-	q := &Query{}
+func (p *cypherParser) parseQuery() (*graphdb.Query, error) {
+	q := &graphdb.Query{}
 	if !p.peekKw("match") {
 		return nil, fmt.Errorf("cypher: query must start with MATCH")
 	}
@@ -232,7 +238,7 @@ func (p *cypherParser) parseQuery() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		item := ReturnItem{Var: v}
+		item := graphdb.ReturnItem{Var: v}
 		if p.sym(".") {
 			prop, err := p.ident()
 			if err != nil {
@@ -255,8 +261,8 @@ func (p *cypherParser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
-func (p *cypherParser) parsePattern() (Pattern, error) {
-	var pat Pattern
+func (p *cypherParser) parsePattern() (graphdb.Pattern, error) {
+	var pat graphdb.Pattern
 	node, err := p.parseNodePat()
 	if err != nil {
 		return pat, err
@@ -280,8 +286,8 @@ func (p *cypherParser) parsePattern() (Pattern, error) {
 	return pat, nil
 }
 
-func (p *cypherParser) parseNodePat() (NodePat, error) {
-	var n NodePat
+func (p *cypherParser) parseNodePat() (graphdb.NodePat, error) {
+	var n graphdb.NodePat
 	if err := p.expectSym("("); err != nil {
 		return n, err
 	}
@@ -298,7 +304,7 @@ func (p *cypherParser) parseNodePat() (NodePat, error) {
 		n.Label = label
 	}
 	if p.sym("{") {
-		n.Props = make(Props)
+		n.Props = make(graphdb.Props)
 		for {
 			key, err := p.ident()
 			if err != nil {
@@ -325,14 +331,14 @@ func (p *cypherParser) parseNodePat() (NodePat, error) {
 
 // parseRelPat parses "-[...]->", "<-[...]-", or "-[...]-"; ok=false when the
 // next token does not begin a relationship.
-func (p *cypherParser) parseRelPat() (RelPat, bool, error) {
-	var r RelPat
+func (p *cypherParser) parseRelPat() (graphdb.RelPat, bool, error) {
+	var r graphdb.RelPat
 	r.Min, r.Max = 1, 1
 	switch {
 	case p.sym("<-"):
-		r.Dir = DirIn
+		r.Dir = graphdb.DirIn
 	case p.sym("-"):
-		r.Dir = DirOut // provisional; decided by the closing arrow
+		r.Dir = graphdb.DirOut // provisional; decided by the closing arrow
 	default:
 		return r, false, nil
 	}
@@ -385,14 +391,14 @@ func (p *cypherParser) parseRelPat() (RelPat, bool, error) {
 		return r, false, err
 	}
 	switch {
-	case r.Dir == DirIn:
+	case r.Dir == graphdb.DirIn:
 		if err := p.expectSym("-"); err != nil {
 			return r, false, err
 		}
 	case p.sym("->"):
-		r.Dir = DirOut
+		r.Dir = graphdb.DirOut
 	case p.sym("-"):
-		r.Dir = DirBoth
+		r.Dir = graphdb.DirBoth
 	default:
 		return r, false, fmt.Errorf("cypher: expected -> or - after relationship at %d", p.cur().pos)
 	}
@@ -416,7 +422,7 @@ func asciiLower(s string) string {
 	return string(b)
 }
 
-func (p *cypherParser) parseLiteral() (Value, error) {
+func (p *cypherParser) parseLiteral() (graphdb.Value, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:

@@ -21,21 +21,6 @@ type ExecStats struct {
 	IndexLookups   int
 }
 
-// Query parses and executes a Cypher-subset query.
-func (g *Graph) Query(src string) (*ResultSet, error) {
-	rs, _, err := g.QueryStats(src)
-	return rs, err
-}
-
-// QueryStats is Query plus execution statistics.
-func (g *Graph) QueryStats(src string) (*ResultSet, ExecStats, error) {
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return g.Exec(q)
-}
-
 // NodeBinding constrains one named node variable to membership in a
 // sorted unique ID list.
 type NodeBinding struct {
@@ -74,8 +59,8 @@ type ExecParams struct {
 // that the walk binds last — and is checked once, right after that
 // binding; the return items compile to slot reads. A Prepared is
 // immutable and safe for concurrent executions; the matchers that run it
-// come from one package-wide pool (see acquire), so a one-shot Prepared
-// (an ad-hoc text query) allocates no matcher of its own.
+// come from one package-wide pool (see acquire), so a Prepared allocates
+// no matcher of its own.
 type Prepared struct {
 	q    *Query
 	cols []string
@@ -592,37 +577,15 @@ func (m *matcher) clearErrs(list []int32) {
 	}
 }
 
-// Exec runs a parsed query.
-func (g *Graph) Exec(q *Query) (*ResultSet, ExecStats, error) {
-	return g.ExecWith(q, nil)
-}
-
-// ExecWith runs a parsed query with execution-time parameter bindings.
-// The query itself stays immutable (and so can be prepared once and
-// reused); the parameters vary per call. The clause-at-a-time execution
-// model (multi-pattern queries with ClauseAtATime set — the naive RQ4
-// comparison plan) does not support parameters.
-func (g *Graph) ExecWith(q *Query, params *ExecParams) (*ResultSet, ExecStats, error) {
-	return g.ExecWithCtx(nil, q, params)
-}
-
-// ExecWithCtx is ExecWith with cooperative cancellation: the matcher polls
-// ctx.Done() at anchor candidates, variable-length DFS depth steps, and
-// edge-driven scan iterations, returning ctx.Err() promptly once the
-// context is cancelled. A nil or never-cancelled context adds no work.
-// The query is compiled (see Prepare) unless it is the one the graph's
-// previous ExecWithCtx compiled.
-func (g *Graph) ExecWithCtx(ctx context.Context, q *Query, params *ExecParams) (*ResultSet, ExecStats, error) {
-	p := g.lastExec.Load()
-	if p == nil || p.q != q {
-		p = Prepare(q)
-		g.lastExec.Store(p)
-	}
-	return g.ExecPrepared(ctx, p, params)
-}
-
-// ExecPrepared runs a prepared query (see ExecWithCtx) and returns its
-// rows as a ResultSet.
+// ExecPrepared runs a prepared query with execution-time parameter
+// bindings and returns its rows as a ResultSet. The query stays immutable,
+// so one Prepared serves every call; the parameters vary per call. The
+// clause-at-a-time execution model (multi-pattern queries with
+// ClauseAtATime set — the naive RQ4 comparison plan) does not support
+// parameters. The matcher polls ctx.Done() at anchor candidates,
+// variable-length DFS depth steps, and edge-driven scan iterations,
+// returning ctx.Err() promptly once the context is cancelled; a nil or
+// never-cancelled context adds no work.
 func (g *Graph) ExecPrepared(ctx context.Context, p *Prepared, params *ExecParams) (*ResultSet, ExecStats, error) {
 	q := p.q
 	if q.ClauseAtATime && len(q.Patterns) > 1 {

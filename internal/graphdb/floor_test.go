@@ -1,53 +1,17 @@
-package graphdb
+package graphdb_test
 
 import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	. "threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/relational"
 )
-
-// TestIntersectSortedIDs drives the galloping intersection against the
-// map-based oracle on random sorted unique lists of skewed sizes.
-func TestIntersectSortedIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	uniqueSorted := func(n, max int) []int64 {
-		seen := map[int64]bool{}
-		for len(seen) < n {
-			seen[int64(rng.Intn(max))] = true
-		}
-		out := make([]int64, 0, n)
-		for v := range seen {
-			out = append(out, v)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-		return out
-	}
-	for trial := 0; trial < 200; trial++ {
-		a := uniqueSorted(1+rng.Intn(20), 500)
-		b := uniqueSorted(1+rng.Intn(400), 500)
-		got := intersectSortedIDs(a, b, nil)
-		inB := map[int64]bool{}
-		for _, v := range b {
-			inB[v] = true
-		}
-		var want []int64
-		for _, v := range a {
-			if inB[v] {
-				want = append(want, v)
-			}
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: a=%v b=%v got %v want %v", trial, a, b, got, want)
-		}
-	}
-	if got := intersectSortedIDs(nil, []int64{1, 2}, nil); len(got) != 0 {
-		t.Fatalf("empty small side: %v", got)
-	}
-}
 
 // floorGraph builds a small two-label graph with typed event edges whose
 // element IDs are dense 1..n, mirroring the engine's event-edge invariant.
@@ -83,12 +47,12 @@ func TestEdgeDrivenFloorMatchesAnchorDriven(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := floorGraph(t, 10, 12, 200, rng)
 
-	q, err := ParseQuery(`MATCH (s:Process)-[e:read]->(o:File) WHERE o.name = '/tmp/f3' RETURN e.id, s.id, o.id`)
+	q, err := cyphertext.Parse(`MATCH (s:Process)-[e:read]->(o:File) WHERE o.name = '/tmp/f3' RETURN e.id, s.id, o.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := func(params *ExecParams) []string {
-		rs, _, err := g.ExecWith(q, params)
+		rs, _, err := g.ExecPrepared(nil, Prepare(q), params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +64,7 @@ func TestEdgeDrivenFloorMatchesAnchorDriven(t *testing.T) {
 		return out
 	}
 	// The oracle is the unfloored run filtered by edge ID.
-	all, _, err := g.ExecWith(q, nil)
+	all, _, err := g.ExecPrepared(nil, Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +91,7 @@ func TestEdgeDrivenFloorMatchesAnchorDriven(t *testing.T) {
 	got := rows(&ExecParams{MinEdgeID: 50, Nodes: []NodeBinding{{Var: "s", IDs: subj}}})
 	var want []string
 	for _, r := range all.Rows {
-		if r[0].I >= 50 && containsID(subj, r[1].I) {
+		if r[0].I >= 50 && slices.Contains(subj, r[1].I) {
 			s := make([]string, len(r))
 			for i, v := range r {
 				s[i] = v.String()
@@ -185,7 +149,7 @@ func TestMinEdgeIDFloorsEveryPatternShape(t *testing.T) {
 	}
 	full := mixedFloorGraph(t, nEdges, seed)
 	rows := func(g *Graph, q *Query, params *ExecParams) map[string]int {
-		rs, _, err := g.ExecWith(q, params)
+		rs, _, err := g.ExecPrepared(nil, Prepare(q), params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +160,7 @@ func TestMinEdgeIDFloorsEveryPatternShape(t *testing.T) {
 		return out
 	}
 	for _, src := range queries {
-		q, err := ParseQuery(src)
+		q, err := cyphertext.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,12 +202,12 @@ func TestMinEdgeIDIntermediateEdge(t *testing.T) {
 	if _, err := g.AddEventEdge(tar, curl, "start", 2, 2000, 2001, 10); err != nil {
 		t.Fatal(err)
 	}
-	q, err := ParseQuery(`MATCH (s:Process)-[*1..1]-(m)-[e:connect]->(o:NetConn) RETURN e.id, s.id, o.id`)
+	q, err := cyphertext.Parse(`MATCH (s:Process)-[*1..1]-(m)-[e:connect]->(o:NetConn) RETURN e.id, s.id, o.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for floor, want := range map[int64]string{1: "[[1 1 3]]", 2: "[[1 1 3]]", 3: "[]"} {
-		rs, _, err := g.ExecWith(q, &ExecParams{MinEdgeID: floor})
+		rs, _, err := g.ExecPrepared(nil, Prepare(q), &ExecParams{MinEdgeID: floor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +222,7 @@ func TestMinEdgeIDIntermediateEdge(t *testing.T) {
 func TestSortedLabelIntersectionAnchors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := floorGraph(t, 8, 8, 60, rng)
-	q, err := ParseQuery(`MATCH (s:Process)-[e:read]->(o:File) RETURN s.id, o.id`)
+	q, err := cyphertext.Parse(`MATCH (s:Process)-[e:read]->(o:File) RETURN s.id, o.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +231,7 @@ func TestSortedLabelIntersectionAnchors(t *testing.T) {
 	bind := []int64{1, 4, 9, 12, 16}
 	objBind := []int64{9, 10, 11, 12, 13, 14, 15, 16, 999, 1000}
 	withBinding := func() []string {
-		rs, _, err := g.ExecWith(q, &ExecParams{Nodes: []NodeBinding{
+		rs, _, err := g.ExecPrepared(nil, Prepare(q), &ExecParams{Nodes: []NodeBinding{
 			{Var: "s", IDs: bind}, {Var: "o", IDs: objBind}}})
 		if err != nil {
 			t.Fatal(err)
@@ -283,7 +247,7 @@ func TestSortedLabelIntersectionAnchors(t *testing.T) {
 
 	// Reference: the same bindings as literal WHERE ID lists, which anchor
 	// through idConstraint and check labels per candidate in bindNode.
-	rs, err := g.Query(`MATCH (s:Process)-[e:read]->(o:File) WHERE s.id IN (1, 4, 9, 12, 16) AND o.id IN (9, 10, 11, 12, 13, 14, 15, 16, 999, 1000) RETURN s.id, o.id`)
+	rs, _, err := cyphertext.Query(g, `MATCH (s:Process)-[e:read]->(o:File) WHERE s.id IN (1, 4, 9, 12, 16) AND o.id IN (9, 10, 11, 12, 13, 14, 15, 16, 999, 1000) RETURN s.id, o.id`)
 	if err != nil {
 		t.Fatal(err)
 	}

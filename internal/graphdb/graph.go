@@ -1,11 +1,14 @@
-// Package graphdb is an in-process property graph database with a
-// Cypher-subset query processor (MATCH with variable-length relationships,
-// WHERE, RETURN DISTINCT).
+// Package graphdb is an in-process property graph database with a matcher
+// for Cypher-subset query ASTs (MATCH with variable-length relationships,
+// WHERE, RETURN DISTINCT), compiled once by Prepare and printed as Cypher
+// for EXPLAIN.
 //
 // It is the Neo4j stand-in for ThreatRaptor's graph storage backend
 // (Section III-B): system entities are stored as nodes and system events as
 // edges, and TBQL variable-length event path patterns are compiled into
-// Cypher data queries executed here.
+// Cypher data queries executed here. The engine builds those queries as
+// ASTs; the package reads no Cypher text (the test support package
+// cyphertext does).
 //
 // Property values and WHERE expressions reuse the typed Value and
 // expression AST of the relational engine so both backends share one
@@ -18,7 +21,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"threatraptor/internal/relational"
 )
@@ -163,10 +165,6 @@ type Graph struct {
 	// label list is sorted, so anchor enumeration can merge-intersect it
 	// against the sorted binding ID lists the TBQL scheduler feeds forward.
 	mu sync.RWMutex
-
-	// lastExec is the query ExecWithCtx compiled last: a caller that runs
-	// one parsed query again and again compiles it once.
-	lastExec atomic.Pointer[Prepared]
 }
 
 // NewGraph returns an empty graph.

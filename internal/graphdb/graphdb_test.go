@@ -1,10 +1,12 @@
-package graphdb
+package graphdb_test
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
+	. "threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/relational"
 )
 
@@ -51,7 +53,7 @@ func newAttackGraph(t *testing.T) (*Graph, map[string]int64) {
 
 func mustQuery(t *testing.T, g *Graph, src string) *ResultSet {
 	t.Helper()
-	rs, err := g.Query(src)
+	rs, _, err := cyphertext.Query(g, src)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", src, err)
 	}
@@ -275,14 +277,14 @@ func TestQueryErrors(t *testing.T) {
 		{`MATCH (p)-[e]->(o) RETURN DISTINCT p.name LIMIT 1`, "LIMIT"}, // no LIMIT
 		{`MATCH (p)-[e]->(o) RETURN p.name extra`, "extra"},            // trailing garbage
 	} {
-		if _, err := g.Query(c.q); err == nil {
+		if _, _, err := cyphertext.Query(g, c.q); err == nil {
 			t.Errorf("Query(%q) should fail", c.q)
 		}
 		if c.tok == "" {
 			continue
 		}
-		if _, err := ParseQuery(c.q); err == nil || !strings.Contains(err.Error(), `"`+c.tok+`"`) {
-			t.Errorf("ParseQuery(%q): err %v, want a parse error naming %q", c.q, err, c.tok)
+		if _, err := cyphertext.Parse(c.q); err == nil || !strings.Contains(err.Error(), `"`+c.tok+`"`) {
+			t.Errorf("cyphertext.Parse(%q): err %v, want a parse error naming %q", c.q, err, c.tok)
 		}
 	}
 }
@@ -304,54 +306,5 @@ func TestSameVarTwiceInPattern(t *testing.T) {
 	rs := mustQuery(t, g, `MATCH (v:N)-[:x]->(w:N)-[:y]->(v) RETURN v.name, w.name`)
 	if !reflect.DeepEqual(rs.Strings(), [][]string{{"a", "b"}}) {
 		t.Fatalf("got %v", rs.Strings())
-	}
-}
-
-// TestOutOfOrderAppendResortsOnlyDirtyLists: edges appended out of time
-// order must be re-sorted lazily, and only the touched adjacency lists
-// should be dirty — the live-append invariant.
-func TestOutOfOrderAppendResortsOnlyDirtyLists(t *testing.T) {
-	g := NewGraph()
-	a := g.AddNode("Process", Props{"exename": relational.Str("/bin/a")})
-	b := g.AddNode("File", Props{"name": relational.Str("/tmp/b")})
-	c := g.AddNode("File", Props{"name": relational.Str("/tmp/c")})
-
-	ts := func(us int64) Props {
-		return Props{"start_time": relational.Int(us), "end_time": relational.Int(us)}
-	}
-	// In-order edges to c: its lists must never be marked dirty.
-	if _, err := g.AddEdge(a, c, "read", ts(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddEdge(a, c, "read", ts(20)); err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-order edge to b (time 5 after time 10/20 went to a's out list).
-	if _, err := g.AddEdge(a, b, "write", ts(5)); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.dirtyOut) != 1 {
-		t.Fatalf("dirtyOut = %v, want exactly a's offset", g.dirtyOut)
-	}
-	if len(g.dirtyIn) != 0 {
-		t.Fatalf("dirtyIn = %v, want empty (b got its first edge, c stayed ordered)", g.dirtyIn)
-	}
-	g.ensureAdjSorted()
-	out := g.outOffsets(a)
-	for i := 1; i < len(out); i++ {
-		if g.edges[out[i-1]].startTime > g.edges[out[i]].startTime {
-			t.Fatalf("a's out list unsorted after ensureAdjSorted: %v", out)
-		}
-	}
-	if len(g.dirtyOut) != 0 || len(g.dirtyIn) != 0 {
-		t.Fatal("dirty sets must be cleared")
-	}
-	// A windowed query over the re-sorted adjacency sees the early edge.
-	rs, err := g.Query("MATCH (s:Process)-[e:write]->(o:File) WHERE e.start_time >= 0 AND e.start_time <= 7 RETURN o.name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Len() != 1 || rs.Rows[0][0].S != "/tmp/b" {
-		t.Fatalf("windowed query after late append = %v", rs.Strings())
 	}
 }

@@ -1,10 +1,12 @@
-package graphdb
+package graphdb_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
 
+	. "threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/relational"
 )
 
@@ -70,7 +72,7 @@ func TestQueryIntsRejectsStringItems(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := ParseQuery("MATCH (s:P)-[e:read]->(o:F) RETURN DISTINCT s.id, o.name")
+	q, err := cyphertext.Parse("MATCH (s:P)-[e:read]->(o:F) RETURN DISTINCT s.id, o.name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestConjunctErrorsSettleAsWholeWhere(t *testing.T) {
 		{"e.name > 7 AND o.name = 'f2'", ""}, // an absent attribute is NULL
 	} {
 		src := "MATCH (s:P)-[e:read]->(o:F) WHERE " + c.where + " RETURN s.id, o.id"
-		rs, err := g.Query(src)
+		rs, _, err := cyphertext.Query(g, src)
 		switch {
 		case c.err == "" && (err != nil || len(rs.Rows) != 0):
 			t.Errorf("%s: rows %v, err %v; want no rows, no error", src, rs, err)

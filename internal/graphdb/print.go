@@ -9,11 +9,14 @@ import (
 )
 
 // String prints the query as Cypher — the only place Cypher text is
-// produced: one MATCH per pattern, then one WHERE. ParseQuery reads the
-// output back to the same AST; ClauseAtATime is an execution choice with
+// produced: one MATCH per pattern, then one WHERE. cyphertext.Parse reads
+// the output back to the same AST; ClauseAtATime is an execution choice with
 // no syntax, and WHERE prints through relational.ExprString (see its
 // exceptions).
 func (q *Query) String() string { return q.BoundString(nil) }
+
+// String prints the query the Prepared was compiled from.
+func (p *Prepared) String() string { return p.q.String() }
 
 // BoundString prints the query with each value slot of its WHERE followed
 // by its value in vals (see relational.BoundExprString).

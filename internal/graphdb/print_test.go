@@ -1,4 +1,4 @@
-package graphdb
+package graphdb_test
 
 import (
 	"go/ast"
@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	. "threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 )
 
 // testQueries collects every string literal in this package's test files
@@ -46,7 +49,7 @@ func testQueries(t testing.TB, prefix string) []string {
 func checkPrintRoundTrip(t *testing.T, src string, q *Query) {
 	t.Helper()
 	text := q.String()
-	again, err := ParseQuery(text)
+	again, err := cyphertext.Parse(text)
 	if err != nil {
 		t.Fatalf("printed Cypher does not parse: %v\nsource:  %q\nprinted: %q", err, src, text)
 	}
@@ -63,7 +66,7 @@ func checkPrintRoundTrip(t *testing.T, src string, q *Query) {
 func TestCypherPrintRoundTrip(t *testing.T) {
 	parsed := 0
 	for _, src := range testQueries(t, "MATCH") {
-		q, err := ParseQuery(src)
+		q, err := cyphertext.Parse(src)
 		if err != nil {
 			continue // a deliberately malformed query, or a format string
 		}
@@ -82,7 +85,7 @@ func FuzzCypherPrintRoundTrip(f *testing.F) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		q, err := ParseQuery(src)
+		q, err := cyphertext.Parse(src)
 		if err != nil {
 			return
 		}

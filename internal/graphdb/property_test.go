@@ -1,4 +1,4 @@
-package graphdb
+package graphdb_test
 
 import (
 	"fmt"
@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	. "threatraptor/internal/graphdb"
+	"threatraptor/internal/graphdb/cyphertext"
 	"threatraptor/internal/relational"
 )
 
@@ -135,7 +137,7 @@ func checkDistinctMatchesTrails(t testing.TB, c varLenCase) (distinctEdges, trai
 	run := func(distinct bool) ([]string, int) {
 		q := c.query()
 		q.Distinct = distinct
-		rs, st, err := g.ExecWith(q, params)
+		rs, st, err := g.ExecPrepared(nil, Prepare(q), params)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
@@ -167,7 +169,7 @@ func checkDistinctMatchesTrails(t testing.TB, c varLenCase) (distinctEdges, trai
 func TestVarLengthAgainstBFSOracle(t *testing.T) {
 	// The cases build their queries as ASTs; pin one to its Cypher text.
 	pinned := varLenCase{hop: RelPat{Dir: DirOut, Min: 1, Max: 3}, dstLabel: "Q"}
-	want, err := ParseQuery(`MATCH (s:P)-[*1..3]->(x:Q) RETURN DISTINCT s.id, x.id`)
+	want, err := cyphertext.Parse(`MATCH (s:P)-[*1..3]->(x:Q) RETURN DISTINCT s.id, x.id`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
 		}
 		return g
 	}
-	q := &Query{
+	q := Prepare(&Query{
 		Patterns: []Pattern{{
 			Nodes: []NodePat{{Var: "s", Label: "Process"}, {Var: "o", Label: "File"}},
 			Rels:  []RelPat{{Var: "e", Types: []string{"read"}, Dir: DirOut, Min: 1, Max: 1}},
@@ -36,7 +36,7 @@ func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
 			L: relational.BinOp{Op: "like", L: relational.ColRef{Qualifier: "s", Column: "exename"}, R: relational.Lit{V: relational.Str("%/bin/p%")}},
 			R: relational.BinOp{Op: "=", L: relational.ColRef{Qualifier: "o", Column: "name"}, R: relational.Lit{V: relational.Str("/tmp/f1")}}},
 		Return: []ReturnItem{{Var: "s", Prop: "id"}, {Var: "o", Prop: "id"}},
-	}
+	})
 	for _, floored := range []bool{false, true} {
 		var allocs [2]float64
 		for i, n := range []int{100, 2000} {
@@ -45,11 +45,11 @@ func TestPruneSkipsUnboundConjunctsWithoutAllocating(t *testing.T) {
 			if floored {
 				params = &ExecParams{MinEdgeID: 3}
 			}
-			if rs, _, err := g.ExecWith(q, params); err != nil || len(rs.Rows) == 0 {
+			if rs, _, err := g.ExecPrepared(nil, q, params); err != nil || len(rs.Rows) == 0 {
 				t.Fatalf("rows %v, err %v", rs, err)
 			}
 			allocs[i] = testing.AllocsPerRun(20, func() {
-				if _, _, err := g.ExecWith(q, params); err != nil {
+				if _, _, err := g.ExecPrepared(nil, q, params); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,6 +1,11 @@
-package relational
+package relational_test
 
-import "testing"
+import (
+	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
+)
 
 func arithDB(t *testing.T) *DB {
 	t.Helper()
@@ -24,14 +29,14 @@ func arithDB(t *testing.T) *DB {
 
 func TestArithmeticInWhere(t *testing.T) {
 	db := arithDB(t)
-	rs, err := db.Query("SELECT a FROM t WHERE a - b > 5")
+	rs, _, err := sqltext.Query(db, "SELECT a FROM t WHERE a - b > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Len() != 2 { // 10-3=7, 100-1=99
 		t.Fatalf("rows = %d: %v", rs.Len(), rs.Strings())
 	}
-	rs, err = db.Query("SELECT a FROM t WHERE a + b = 10")
+	rs, _, err = sqltext.Query(db, "SELECT a FROM t WHERE a + b = 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +48,7 @@ func TestArithmeticInWhere(t *testing.T) {
 func TestArithmeticChained(t *testing.T) {
 	db := arithDB(t)
 	// Left-associative: 100 - 1 - 10 = 89.
-	rs, err := db.Query("SELECT a FROM t WHERE a - b - 10 = 89")
+	rs, _, err := sqltext.Query(db, "SELECT a FROM t WHERE a - b - 10 = 89")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestArithmeticChained(t *testing.T) {
 
 func TestArithmeticInProjection(t *testing.T) {
 	db := arithDB(t)
-	rs, err := db.Query("SELECT a + b AS total FROM t WHERE a = 10")
+	rs, _, err := sqltext.Query(db, "SELECT a + b AS total FROM t WHERE a = 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestArithmeticTypeError(t *testing.T) {
 	if err := tbl.Insert([]Value{Str("hello")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("SELECT x FROM s WHERE x + 1 > 0"); err == nil {
+	if _, _, err := sqltext.Query(db, "SELECT x FROM s WHERE x + 1 > 0"); err == nil {
 		t.Fatal("string arithmetic must fail")
 	}
 }

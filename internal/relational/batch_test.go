@@ -1,8 +1,11 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // batchTestTable builds a deterministic single table of n rows with an int
@@ -40,7 +43,7 @@ func batchTestTable(t *testing.T, n int) *DB {
 // force: EvalExpr over every materialized row, independent of the
 // planner, kernels and batching. It errors when EvalExpr does.
 func oracleSelectIDs(db *DB, sql string) ([]string, error) {
-	stmt, err := ParseSelect(sql)
+	stmt, err := sqltext.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +106,7 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 		db := batchTestTable(t, n)
 		for _, pred := range preds {
 			sql := "SELECT id FROM t WHERE " + pred
-			rs, err := db.Query(sql)
+			rs, _, err := sqltext.Query(db, sql)
 			if err != nil {
 				t.Fatalf("n=%d: %v\n%s", n, err, sql)
 			}
@@ -134,7 +137,7 @@ func TestBatchDistinctAndScanOrder(t *testing.T) {
 	defer func() { BatchSize = origBS }()
 
 	db := batchTestTable(t, 3*64+17)
-	rs, err := db.Query("SELECT DISTINCT name FROM t WHERE size < 90")
+	rs, _, err := sqltext.Query(db, "SELECT DISTINCT name FROM t WHERE size < 90")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestBatchDistinctAndScanOrder(t *testing.T) {
 		}
 	}
 
-	rs, err = db.Query("SELECT id FROM t WHERE size >= 0")
+	rs, _, err = sqltext.Query(db, "SELECT id FROM t WHERE size >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +196,11 @@ func TestCrossLevelVecJoin(t *testing.T) {
 		return db
 	}
 	sql := "SELECT l.id, r.v FROM l, r WHERE r.k = l.k"
-	a, err := build(false).Query(sql)
+	a, _, err := sqltext.Query(build(false), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build(true).Query(sql)
+	b, _, err := sqltext.Query(build(true), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

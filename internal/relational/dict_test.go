@@ -1,9 +1,12 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // buildDictPair creates two identical databases — one with the "op" column
@@ -69,11 +72,11 @@ func TestDictEncodedColumnMatchesPlain(t *testing.T) {
 		"SELECT op, amount FROM events WHERE amount < 10",
 	}
 	for _, q := range queries {
-		want, err := plainDB.Query(q)
+		want, _, err := sqltext.Query(plainDB, q)
 		if err != nil {
 			t.Fatalf("%s (plain): %v", q, err)
 		}
-		got, err := dictDB.Query(q)
+		got, _, err := sqltext.Query(dictDB, q)
 		if err != nil {
 			t.Fatalf("%s (dict): %v", q, err)
 		}
@@ -103,7 +106,7 @@ func TestDictEncodedAppendGrowsDictionary(t *testing.T) {
 	if err := tbl.Insert([]Value{Int(1), Str("read")}); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err := ParseSelect("SELECT id FROM events WHERE op = 'rename'")
+	stmt, err := sqltext.Parse("SELECT id FROM events WHERE op = 'rename'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func TestDictEncodedAppendGrowsDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := pr.Query(nil)
+	rs, _, err := pr.QueryCtx(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestDictEncodedAppendGrowsDictionary(t *testing.T) {
 	if err := tbl.Insert([]Value{Int(2), Str("rename")}); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err = pr.Query(nil)
+	rs, _, err = pr.QueryCtx(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

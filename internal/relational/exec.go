@@ -24,31 +24,6 @@ type ExecStats struct {
 	HashJoinBuilds int
 }
 
-// Query parses and executes a SELECT statement against db.
-func (db *DB) Query(sql string) (*ResultSet, error) {
-	rs, _, err := db.QueryStats(sql)
-	return rs, err
-}
-
-// QueryStats is Query plus execution statistics. Every call parses and
-// plans afresh; repeated queries compile once through Prepare instead.
-func (db *DB) QueryStats(sql string) (*ResultSet, ExecStats, error) {
-	stmt, err := ParseSelect(sql)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return db.Exec(stmt)
-}
-
-// Exec runs a parsed SELECT statement (planned fresh, uncached).
-func (db *DB) Exec(stmt *SelectStmt) (*ResultSet, ExecStats, error) {
-	p, err := db.plan(stmt)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return p.run(nil, nil, nil)
-}
-
 // maxSlabRows caps how many result rows one projection slab holds:
 // emitted rows are sub-slices of a shared backing array, so result
 // materialization costs one allocation per slab instead of one per row.

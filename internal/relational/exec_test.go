@@ -1,10 +1,13 @@
-package relational
+package relational_test
 
 import (
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // newTestDB builds a small entities/events database mirroring the
@@ -63,7 +66,7 @@ func newTestDB(t *testing.T) *DB {
 
 func mustQuery(t *testing.T, db *DB, sql string) *ResultSet {
 	t.Helper()
-	rs, err := db.Query(sql)
+	rs, _, err := sqltext.Query(db, sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -159,7 +162,7 @@ func TestProjectionAliases(t *testing.T) {
 
 func TestIndexAccelerationUsed(t *testing.T) {
 	db := newTestDB(t)
-	_, stats, err := db.QueryStats(`
+	_, stats, err := sqltext.Query(db, `
 	  SELECT o.name FROM events e, entities o
 	  WHERE e.object_id = o.id AND e.op = 'write'`)
 	if err != nil {
@@ -196,21 +199,21 @@ func TestQueryErrors(t *testing.T) {
 		{"SELECT * FROM entities WHERE pid > 0 LIMIT 1", "LIMIT"},
 		{"SELECT o.name FROM events e JOIN entities o ON e.object_id = o.id", "JOIN"},
 	} {
-		if _, err := db.Query(c.sql); err == nil {
+		if _, _, err := sqltext.Query(db, c.sql); err == nil {
 			t.Errorf("Query(%q) should fail", c.sql)
 		}
 		if c.tok == "" {
 			continue
 		}
-		if _, err := ParseSelect(c.sql); err == nil || !strings.Contains(err.Error(), `"`+c.tok+`"`) {
-			t.Errorf("ParseSelect(%q): err %v, want a parse error naming %q", c.sql, err, c.tok)
+		if _, err := sqltext.Parse(c.sql); err == nil || !strings.Contains(err.Error(), `"`+c.tok+`"`) {
+			t.Errorf("sqltext.Parse(%q): err %v, want a parse error naming %q", c.sql, err, c.tok)
 		}
 	}
 }
 
 func TestTrailingGarbageRejected(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Query("SELECT * FROM entities extra garbage here"); err == nil {
+	if _, _, err := sqltext.Query(db, "SELECT * FROM entities extra garbage here"); err == nil {
 		t.Fatal("trailing tokens must be rejected")
 	}
 }
@@ -250,7 +253,7 @@ func TestIndexMaintainedAcrossInserts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, stats, err := db.QueryStats("SELECT v FROM t WHERE k = 'a'")
+	rs, stats, err := sqltext.Query(db, "SELECT v FROM t WHERE k = 'a'")
 	if err != nil {
 		t.Fatal(err)
 	}

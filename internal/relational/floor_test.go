@@ -1,8 +1,10 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
 	"testing"
+
+	. "threatraptor/internal/relational"
 )
 
 // floorStmt is "SELECT id FROM items WHERE id >= ?int1" with a prunable
@@ -32,7 +34,7 @@ func TestScanFloorMatchesFullScan(t *testing.T) {
 		for _, floor := range []int64{0, 1, 25, 50, 51} {
 			var p Params
 			p.Ints[1] = floor
-			rs, stats, err := pr.Query(&p)
+			rs, stats, err := pr.QueryCtx(nil, &p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +72,7 @@ func TestScanFloorUnsortedFallsBack(t *testing.T) {
 	}
 	var p Params
 	p.Ints[1] = 7
-	rs, stats, err := pr.Query(&p)
+	rs, stats, err := pr.QueryCtx(nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestOptionalParamIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unbound: every row.
-	rs, _, err := pr.Query(nil)
+	rs, _, err := pr.QueryCtx(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestOptionalParamIDs(t *testing.T) {
 	// Bound: the listed rows, served by the index multi-probe.
 	var p Params
 	p.Lists[0] = []int64{3, 11, 19}
-	rs, stats, err := pr.Query(&p)
+	rs, stats, err := pr.QueryCtx(nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestPrunedParamFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := pr.Query(nil) // floor unbound -> conjunct pruned
+	rs, _, err := pr.QueryCtx(nil, nil) // floor unbound -> conjunct pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestPrunedParamFloor(t *testing.T) {
 	}
 	var p Params
 	p.Ints[1] = 25
-	rs, _, err = pr.Query(&p) // bound -> v >= 25 (drops NULL and v=10,20)
+	rs, _, err = pr.QueryCtx(nil, &p) // bound -> v >= 25 (drops NULL and v=10,20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // newJoinDB builds a driver table and a deliberately index-free inner
@@ -78,7 +81,7 @@ func TestHashJoinEquivalence(t *testing.T) {
 	HashJoinMinRows, HashJoinMinProbes = 1<<30, 1<<30
 	want := make([]*ResultSet, len(queries))
 	for i, q := range queries {
-		rs, st, err := db.QueryStats(q)
+		rs, st, err := sqltext.Query(db, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -94,7 +97,7 @@ func TestHashJoinEquivalence(t *testing.T) {
 	// Forced: engage on the first outer binding.
 	HashJoinMinRows, HashJoinMinProbes = 1, 1
 	for i, q := range queries {
-		rs, st, err := db.QueryStats(q)
+		rs, st, err := sqltext.Query(db, q)
 		if err != nil {
 			t.Fatalf("query %d (forced): %v", i, err)
 		}
@@ -113,7 +116,7 @@ func TestHashJoinEquivalence(t *testing.T) {
 	// probe must fall back to the scan — same rows either way.
 	mixed := `SELECT d.id, r.id FROM drivers d, rows r WHERE r.key = d.numstr`
 	HashJoinMinRows, HashJoinMinProbes = 1<<30, 1<<30
-	wantMixed, _, err := db.QueryStats(mixed)
+	wantMixed, _, err := sqltext.Query(db, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestHashJoinEquivalence(t *testing.T) {
 		t.Fatal("mixed-kind query returned no rows; leniency check would be vacuous")
 	}
 	HashJoinMinRows, HashJoinMinProbes = 1, 1
-	gotMixed, st, err := db.QueryStats(mixed)
+	gotMixed, st, err := sqltext.Query(db, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +168,7 @@ func TestHashJoinDeltaFloorSuppression(t *testing.T) {
 	// Floor active at a deep suffix: the hash build stays off.
 	var p Params
 	p.Ints[1] = 390
-	_, st, err := prep.Query(&p)
+	_, st, err := prep.QueryCtx(nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +178,7 @@ func TestHashJoinDeltaFloorSuppression(t *testing.T) {
 	// Floor at zero scans everything: the build engages and the rows match
 	// the serial scan of the same statement.
 	p.Ints[1] = 0
-	rs, st, err := prep.Query(&p)
+	rs, st, err := prep.QueryCtx(nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +186,7 @@ func TestHashJoinDeltaFloorSuppression(t *testing.T) {
 		t.Error("build suppressed with no active floor")
 	}
 	HashJoinMinRows, HashJoinMinProbes = 1<<30, 1<<30
-	want, _, err := prep.Query(&p)
+	want, _, err := prep.QueryCtx(nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}

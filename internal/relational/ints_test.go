@@ -1,9 +1,11 @@
-package relational
+package relational_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"threatraptor/internal/relational/sqltext"
 )
 
 // intRowsOf collects a QueryInts run's tuples.
@@ -26,7 +28,7 @@ func TestQueryIntsMatchesQueryCtx(t *testing.T) {
 				"SELECT id, size FROM t WHERE " + pred,
 				"SELECT DISTINCT size FROM t WHERE size >= 0 AND " + pred,
 			} {
-				stmt, err := ParseSelect(sql)
+				stmt, err := sqltext.Parse(sql)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +68,7 @@ func TestQueryIntsRejectsOtherProjections(t *testing.T) {
 		"SELECT id, name FROM t",
 		"SELECT id, id, id, id, id, id FROM t",
 	} {
-		stmt, err := ParseSelect(sql)
+		stmt, err := sqltext.Parse(sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // likeRow is row i of the key-set tables: id i+1 and name "<letter><i/8>"
@@ -51,7 +54,7 @@ func likeIDs(tbl *Table, pattern string) []int64 {
 // it is non-nil, and returns its ids in result order.
 func likeQuery(tb testing.TB, pr *Prepared, snap *Snap) ([]int64, ExecStats) {
 	tb.Helper()
-	rs, st, err := pr.Query(&Params{Snap: snap})
+	rs, st, err := pr.QueryCtx(nil, &Params{Snap: snap})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func likeQuery(tb testing.TB, pr *Prepared, snap *Snap) ([]int64, ExecStats) {
 
 func prepareLike(tb testing.TB, db *DB, pattern string) *Prepared {
 	tb.Helper()
-	stmt, err := ParseSelect("SELECT id FROM t WHERE name LIKE '" + pattern + "'")
+	stmt, err := sqltext.Parse("SELECT id FROM t WHERE name LIKE '" + pattern + "'")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestConcurrentKeySetProbes(t *testing.T) {
 			for n := r; !done.Load(); n++ {
 				s := pub.Load()
 				i := n % len(patterns)
-				rs, st, err := preps[i].Query(&Params{Snap: s})
+				rs, st, err := preps[i].QueryCtx(nil, &Params{Snap: s})
 				if err != nil {
 					errs <- err
 					return

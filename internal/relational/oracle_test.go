@@ -1,9 +1,12 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // oracleNames are the string values of the oracle table's name, note and
@@ -169,7 +172,7 @@ func checkSQLAgainstOracle(t *testing.T, sql string, plain *DB, indexed ...*DB) 
 	t.Helper()
 	want, werr := oracleSelectIDs(plain, sql)
 	for _, db := range append([]*DB{plain}, indexed...) {
-		rs, err := db.Query(sql)
+		rs, _, err := sqltext.Query(db, sql)
 		checkSlottedMatches(t, db, sql, rs, err)
 		switch {
 		case err != nil && werr == nil:
@@ -267,7 +270,7 @@ func TestJoinAgainstOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := db.Query("SELECT l.id, r.v FROM l, r WHERE l.k = r.k AND l.id < 40")
+	got, _, err := sqltext.Query(db, "SELECT l.id, r.v FROM l, r WHERE l.k = r.k AND l.id < 40")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,8 @@ func (db *DB) Prepare(stmt *SelectStmt) (*Prepared, error) {
 	return &Prepared{p: p}, nil
 }
 
-// Query executes the prepared plan with the given parameter bindings
-// (nil binds every slot to its zero value).
-func (pr *Prepared) Query(params *Params) (*ResultSet, ExecStats, error) {
-	return pr.p.run(nil, params, nil)
-}
-
-// QueryCtx is Query with cooperative cancellation: the executor polls
+// QueryCtx executes the prepared plan with the given parameter bindings
+// (nil binds every slot to its zero value). The executor polls
 // ctx.Done() at batch boundaries and (amortized) in index-probe loops and
 // returns ctx.Err() promptly once the context is cancelled. A nil or
 // never-cancelled context adds no per-row work.

@@ -1,8 +1,11 @@
-package relational
+package relational_test
 
 import (
 	"fmt"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // paramTestDB builds a table with an indexed id column, an int value
@@ -82,7 +85,7 @@ func TestPreparedParamRebinding(t *testing.T) {
 		var p Params
 		p.Lists[0] = c.list
 		p.Ints[1] = c.min
-		rs, _, err := pr.Query(&p)
+		rs, _, err := pr.QueryCtx(nil, &p)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -120,14 +123,14 @@ func TestParamMatchesLiteralPlans(t *testing.T) {
 		var p Params
 		p.Lists[0] = list
 		p.Ints[1] = min
-		prs, _, err := pr.Query(&p)
+		prs, _, err := pr.QueryCtx(nil, &p)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// Literal equivalent through the parser path.
 		lit := "SELECT i.id FROM items i WHERE i.id IN (2, 3, 7, 19, 20, 21, 49) AND i.v >= 150"
-		lrs, err := db.Query(lit)
+		lrs, _, err := sqltext.Query(db, lit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +158,11 @@ func TestParamMatchesLiteralPlans(t *testing.T) {
 		var p2 Params
 		p2.Lists[0] = []int64{20, 70, 200, 490}
 		p2.Ints[1] = 3
-		rs2, _, err := pr2.Query(&p2)
+		rs2, _, err := pr2.QueryCtx(nil, &p2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lrs2, err := db.Query("SELECT i.id FROM items i WHERE i.v IN (20, 70, 200, 490) AND i.id >= 3")
+		lrs2, _, err := sqltext.Query(db, "SELECT i.id FROM items i WHERE i.v IN (20, 70, 200, 490) AND i.id >= 3")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +215,7 @@ func slotLits(e Expr, vals *[]Value) Expr {
 // turned into value slots, and the literal vector.
 func slotted(t *testing.T, sql string) (*SelectStmt, []Value) {
 	t.Helper()
-	stmt, err := ParseSelect(sql)
+	stmt, err := sqltext.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func checkSlottedMatches(t *testing.T, db *DB, sql string, want *ResultSet, werr
 	if err != nil {
 		t.Fatalf("prepare slotted: %v\n%s", err, sql)
 	}
-	rs, _, err := pr.Query(&Params{Vals: vals})
+	rs, _, err := pr.QueryCtx(nil, &Params{Vals: vals})
 	if (err != nil) != (werr != nil) {
 		t.Fatalf("slotted error %v, literal error %v\n%s", err, werr, sql)
 	}
@@ -366,11 +369,11 @@ func checkValueSlotGroups(t *testing.T) {
 			if ExprString(stmt.Where) != ExprString(shape.Where) {
 				t.Fatalf("group %d: %q is not of the group's shape", gi, group[i])
 			}
-			want, err := db.Query(group[i])
+			want, _, err := sqltext.Query(db, group[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := pr.Query(&Params{Vals: vals})
+			got, _, err := pr.QueryCtx(nil, &Params{Vals: vals})
 			if err != nil {
 				t.Fatalf("batch %d: %v\n%s", BatchSize, err, group[i])
 			}
@@ -392,11 +395,11 @@ func TestValueSlotBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vals := range [][]Value{nil, {Str("%bin%")}, {Str("%bin%"), Str("3")}} {
-		if _, _, err := pr.Query(&Params{Vals: vals}); err == nil {
+		if _, _, err := pr.QueryCtx(nil, &Params{Vals: vals}); err == nil {
 			t.Fatalf("binding %v must fail", vals)
 		}
 	}
-	if _, _, err := pr.Query(&Params{Vals: []Value{Str("%bin%"), Int(3)}}); err != nil {
+	if _, _, err := pr.QueryCtx(nil, &Params{Vals: []Value{Str("%bin%"), Int(3)}}); err != nil {
 		t.Fatal(err)
 	}
 	bad := &SelectStmt{From: []TableRef{{Table: "items"}}, Where: BinOp{Op: "and",

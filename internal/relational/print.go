@@ -6,7 +6,7 @@ import (
 )
 
 // This file prints statement ASTs as SQL text — the only place SQL text is
-// produced. ParseSelect reads every printed statement back to the same
+// produced. sqltext.Parse reads every printed statement back to the same
 // AST, with two exceptions no parser reads: Param / ParamIDs / ValParam
 // placeholders print as "?N" / "x IN ?listN" / "?vN" (followed by the
 // bound value in brackets, "?vN ['x']", when the printer is given the

@@ -1,4 +1,4 @@
-package relational
+package relational_test
 
 import (
 	"go/ast"
@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	. "threatraptor/internal/relational"
+	"threatraptor/internal/relational/sqltext"
 )
 
 // testQueries collects every string literal in this package's test files
@@ -47,7 +50,7 @@ func testQueries(t testing.TB, prefix string) []string {
 func checkPrintRoundTrip(t *testing.T, src string, stmt *SelectStmt) {
 	t.Helper()
 	text := stmt.String()
-	again, err := ParseSelect(text)
+	again, err := sqltext.Parse(text)
 	if err != nil {
 		t.Fatalf("printed SQL does not parse: %v\nsource:  %q\nprinted: %q", err, src, text)
 	}
@@ -64,7 +67,7 @@ func checkPrintRoundTrip(t *testing.T, src string, stmt *SelectStmt) {
 func TestSQLPrintRoundTrip(t *testing.T) {
 	parsed := 0
 	for _, src := range testQueries(t, "SELECT") {
-		stmt, err := ParseSelect(src)
+		stmt, err := sqltext.Parse(src)
 		if err != nil {
 			continue // a deliberately malformed query, or a format string
 		}
@@ -97,7 +100,7 @@ func FuzzSQLPrintRoundTrip(f *testing.F) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		stmt, err := ParseSelect(src)
+		stmt, err := sqltext.Parse(src)
 		if err != nil {
 			return
 		}

@@ -1,4 +1,4 @@
-package relational
+package sqltext
 
 import (
 	"fmt"

@@ -1,21 +1,20 @@
-package relational
+// Package sqltext reads the SQL subset that relational.SelectStmt prints.
+// It is test support: the printer's round-trip tests and the executor
+// tests that state their statements as text use it, while the product
+// builds every statement as an AST and never reads SQL text. Only test
+// files import this package.
+package sqltext
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
+
+	"threatraptor/internal/relational"
 )
 
-// parseCalls counts ParseSelect invocations. The TBQL engine's execution
-// paths compile statement ASTs directly and must never come through the
-// parser; a test pins that invariant by sampling this counter.
-var parseCalls atomic.Uint64
-
-// ParseCalls reports how many times ParseSelect has run in this process.
-func ParseCalls() uint64 { return parseCalls.Load() }
-
-// ParseSelect parses a SELECT statement in the supported SQL subset:
+// Parse parses a SELECT statement in the supported SQL subset:
 //
 //	SELECT [DISTINCT] item, ... | *
 //	FROM table [alias] (, table [alias])*
@@ -24,8 +23,7 @@ func ParseCalls() uint64 { return parseCalls.Load() }
 // Expressions support =, <>, !=, <, <=, >, >=, LIKE, NOT LIKE, IN, NOT IN,
 // AND, OR, NOT, parentheses, integer and 'string' literals, and
 // alias.column references.
-func ParseSelect(src string) (*SelectStmt, error) {
-	parseCalls.Add(1)
+func Parse(src string) (*relational.SelectStmt, error) {
 	toks, err := lexSQL(src)
 	if err != nil {
 		return nil, err
@@ -39,6 +37,20 @@ func ParseSelect(src string) (*SelectStmt, error) {
 		return nil, fmt.Errorf("sql: unexpected %q after statement", p.cur().text)
 	}
 	return stmt, nil
+}
+
+// Query parses src, prepares it against db and runs it with no
+// parameters.
+func Query(db *relational.DB, src string) (*relational.ResultSet, relational.ExecStats, error) {
+	stmt, err := Parse(src)
+	if err != nil {
+		return nil, relational.ExecStats{}, err
+	}
+	pr, err := db.Prepare(stmt)
+	if err != nil {
+		return nil, relational.ExecStats{}, err
+	}
+	return pr.QueryCtx(context.Background(), nil)
 }
 
 type sqlParser struct {
@@ -103,11 +115,11 @@ var sqlReserved = map[string]bool{
 	"as": true, "join": true, "order": true, "limit": true,
 }
 
-func (p *sqlParser) parseSelect() (*SelectStmt, error) {
+func (p *sqlParser) parseSelect() (*relational.SelectStmt, error) {
 	if err := p.expectKw("select"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{}
+	stmt := &relational.SelectStmt{}
 	stmt.Distinct = p.kw("distinct")
 
 	// Projection list.
@@ -119,7 +131,7 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			item := SelectItem{Expr: e}
+			item := relational.SelectItem{Expr: e}
 			if p.kw("as") {
 				name, err := p.ident()
 				if err != nil {
@@ -157,12 +169,12 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
-func (p *sqlParser) parseTableRef() (TableRef, error) {
+func (p *sqlParser) parseTableRef() (relational.TableRef, error) {
 	name, err := p.ident()
 	if err != nil {
-		return TableRef{}, err
+		return relational.TableRef{}, err
 	}
-	ref := TableRef{Table: name, Alias: name}
+	ref := relational.TableRef{Table: name, Alias: name}
 	p.kw("as")
 	t := p.cur()
 	if t.kind == tokIdent && !sqlReserved[strings.ToLower(t.text)] {
@@ -174,9 +186,9 @@ func (p *sqlParser) parseTableRef() (TableRef, error) {
 
 // Expression grammar (precedence low to high): OR, AND, NOT, comparison,
 // primary.
-func (p *sqlParser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *sqlParser) parseExpr() (relational.Expr, error) { return p.parseOr() }
 
-func (p *sqlParser) parseOr() (Expr, error) {
+func (p *sqlParser) parseOr() (relational.Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -186,12 +198,12 @@ func (p *sqlParser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinOp{Op: "or", L: l, R: r}
+		l = relational.BinOp{Op: "or", L: l, R: r}
 	}
 	return l, nil
 }
 
-func (p *sqlParser) parseAnd() (Expr, error) {
+func (p *sqlParser) parseAnd() (relational.Expr, error) {
 	l, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -201,23 +213,23 @@ func (p *sqlParser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinOp{Op: "and", L: l, R: r}
+		l = relational.BinOp{Op: "and", L: l, R: r}
 	}
 	return l, nil
 }
 
-func (p *sqlParser) parseNot() (Expr, error) {
+func (p *sqlParser) parseNot() (relational.Expr, error) {
 	if p.kw("not") {
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		return UnOp{Op: "not", E: e}, nil
+		return relational.UnOp{Op: "not", E: e}, nil
 	}
 	return p.parseComparison()
 }
 
-func (p *sqlParser) parseComparison() (Expr, error) {
+func (p *sqlParser) parseComparison() (relational.Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -230,13 +242,13 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return UnOp{Op: "not", E: BinOp{Op: "like", L: l, R: r}}, nil
+			return relational.UnOp{Op: "not", E: relational.BinOp{Op: "like", L: l, R: r}}, nil
 		case p.kw("in"):
 			vals, err := p.parseValueList()
 			if err != nil {
 				return nil, err
 			}
-			return InList{E: l, Vals: vals, Negate: true}, nil
+			return relational.InList{E: l, Vals: vals, Negate: true}, nil
 		default:
 			return nil, fmt.Errorf("sql: expected LIKE or IN after NOT at %d", p.cur().pos)
 		}
@@ -246,14 +258,14 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return BinOp{Op: "like", L: l, R: r}, nil
+		return relational.BinOp{Op: "like", L: l, R: r}, nil
 	}
 	if p.kw("in") {
 		vals, err := p.parseValueList()
 		if err != nil {
 			return nil, err
 		}
-		return InList{E: l, Vals: vals}, nil
+		return relational.InList{E: l, Vals: vals}, nil
 	}
 	for _, op := range []string{"=", "<>", "!=", "<=", ">=", "<", ">"} {
 		if p.sym(op) {
@@ -264,13 +276,13 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 			if op == "!=" {
 				op = "<>"
 			}
-			return BinOp{Op: op, L: l, R: r}, nil
+			return relational.BinOp{Op: op, L: l, R: r}, nil
 		}
 	}
 	return l, nil
 }
 
-func (p *sqlParser) parseAdditive() (Expr, error) {
+func (p *sqlParser) parseAdditive() (relational.Expr, error) {
 	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
@@ -289,15 +301,15 @@ func (p *sqlParser) parseAdditive() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = BinOp{Op: op, L: l, R: r}
+		l = relational.BinOp{Op: op, L: l, R: r}
 	}
 }
 
-func (p *sqlParser) parseValueList() ([]Expr, error) {
+func (p *sqlParser) parseValueList() ([]relational.Expr, error) {
 	if err := p.expectSym("("); err != nil {
 		return nil, err
 	}
-	var vals []Expr
+	var vals []relational.Expr
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -314,7 +326,7 @@ func (p *sqlParser) parseValueList() ([]Expr, error) {
 	return vals, nil
 }
 
-func (p *sqlParser) parsePrimary() (Expr, error) {
+func (p *sqlParser) parsePrimary() (relational.Expr, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
@@ -323,10 +335,10 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Lit{V: Int(n)}, nil
+		return relational.Lit{V: relational.Int(n)}, nil
 	case tokString:
 		p.advance()
-		return Lit{V: Str(t.text)}, nil
+		return relational.Lit{V: relational.Str(t.text)}, nil
 	case tokIdent:
 		if sqlReserved[strings.ToLower(t.text)] {
 			return nil, fmt.Errorf("sql: unexpected keyword %q at %d", t.text, t.pos)
@@ -337,9 +349,9 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return ColRef{Qualifier: t.text, Column: col}, nil
+			return relational.ColRef{Qualifier: t.text, Column: col}, nil
 		}
-		return ColRef{Column: t.text}, nil
+		return relational.ColRef{Column: t.text}, nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.advance()

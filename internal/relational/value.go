@@ -1,11 +1,14 @@
 // Package relational is an in-process relational database engine: typed
-// tables, hash indexes, and a SQL-subset query processor (SELECT with
-// comma-separated joins, WHERE filters including LIKE and IN, DISTINCT).
+// tables, hash indexes, and an executor for SELECT statement ASTs
+// (comma-separated joins, WHERE filters including LIKE and IN, DISTINCT),
+// compiled once by Prepare and printed as SQL for EXPLAIN.
 //
 // It is the PostgreSQL stand-in for ThreatRaptor's relational storage
 // backend (Section III-B): system entities and system events are stored in
 // separate tables with indexes on key attributes, and TBQL event patterns
-// are compiled into small SQL data queries executed here.
+// are compiled into small SQL data queries executed here. The engine
+// builds those queries as ASTs; the package reads no SQL text (the test
+// support package sqltext does).
 package relational
 
 import (

@@ -176,7 +176,7 @@ return distinct p1, f1, i1`,
 			if len(want) == 0 {
 				t.Fatalf("reference hunt returned no rows; equivalence would be vacuous")
 			}
-			sres, _, err := sh.Hunt(nil, q)
+			sres, _, err := huntSharded(sh, q)
 			if err != nil {
 				t.Fatalf("%s: %v", cfg.name, err)
 			}
@@ -188,6 +188,16 @@ return distinct p1, f1, i1`,
 			t.Errorf("%s: no pattern routed to the global store", cfg.name)
 		}
 	}
+}
+
+// huntSharded compiles src on the store's global engine and executes it
+// scatter-gather.
+func huntSharded(sh *Store, src string) (*engine.Result, engine.Stats, error) {
+	a, err := sh.GlobalEngine().Compile(src)
+	if err != nil {
+		return nil, engine.Stats{}, err
+	}
+	return sh.Execute(nil, a)
 }
 
 // TestShardedDeltaEquivalence checks the standing-query evaluation rule:

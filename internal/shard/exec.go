@@ -20,17 +20,6 @@ import (
 	"threatraptor/internal/tbql"
 )
 
-// Hunt parses, analyzes, and executes TBQL source scatter-gather against
-// the latest published View. The compiled query (and its routing
-// metadata) is cached by the global engine.
-func (s *Store) Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error) {
-	a, err := s.globalEngine.Compile(src)
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
-	return s.Execute(ctx, a)
-}
-
 // Execute runs an analyzed query scatter-gather against the latest
 // published View. Results equal the unsharded engine's on the same data
 // (row order may differ; scattered rows merge in event-ID order).

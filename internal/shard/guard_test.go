@@ -11,7 +11,7 @@ import (
 
 // TestCoordinatorPanicIsolated pins that the scatter row source runs under
 // the engine's per-query panic boundary: a panic while routing a pattern
-// surfaces from Hunt, Execute, and ExecuteDelta as a typed
+// surfaces from Execute and ExecuteDelta as a typed
 // *engine.InternalError instead of unwinding into the caller. The fault is
 // a published View with no per-partition stats, which route indexes on the
 // hunting goroutine, outside every per-shard ScatterPattern boundary.
@@ -36,7 +36,6 @@ func TestCoordinatorPanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() error{
-		"Hunt":         func() error { _, _, err := sh.Hunt(nil, src); return err },
 		"Execute":      func() error { _, _, err := sh.Execute(nil, a); return err },
 		"ExecuteDelta": func() error { _, _, err := sh.ExecuteDelta(nil, a, 1); return err },
 	} {

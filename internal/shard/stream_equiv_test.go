@@ -99,10 +99,11 @@ func TestShardedStreamEquivalence(t *testing.T) {
 	type lane struct {
 		name string
 		sess *stream.Session
+		hunt func(src string) (*engine.Result, engine.Stats, error)
 		subs []*stream.Subscription
 	}
-	build := func(name string, sess *stream.Session) *lane {
-		l := &lane{name: name, sess: sess}
+	build := func(name string, sess *stream.Session, hunt func(string) (*engine.Result, engine.Stats, error)) *lane {
+		l := &lane{name: name, sess: sess, hunt: hunt}
 		for _, q := range queries {
 			sub, err := sess.Watch(q)
 			if err != nil {
@@ -117,13 +118,18 @@ func TestShardedStreamEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := []*lane{build("classic", stream.New(store, &engine.Engine{Store: store}, newCfg()))}
+	en := &engine.Engine{Store: store}
+	lanes := []*lane{build("classic", stream.New(store, en, newCfg()), func(src string) (*engine.Result, engine.Stats, error) {
+		return en.Hunt(nil, src)
+	})}
 	for _, cfg := range eqConfigs {
 		sh, err := New(audit.NewLog(), cfg.n, cfg.sliceUS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lanes = append(lanes, build(cfg.name, stream.NewWithBackend(sh, newCfg())))
+		lanes = append(lanes, build(cfg.name, stream.NewWithBackend(sh, newCfg()), func(src string) (*engine.Result, engine.Stats, error) {
+			return huntSharded(sh, src)
+		}))
 	}
 
 	const chunk = 512
@@ -168,14 +174,14 @@ func TestShardedStreamEquivalence(t *testing.T) {
 			t.Fatalf("%s sealed event log diverged (%d vs %d events)", l.name,
 				len(l.sess.Store().Log.Events), len(ref.sess.Store().Log.Events))
 		}
-		// Identical hunts through the session surface (the sharded lane's
+		// Identical hunts through each lane's backend (the sharded lane's
 		// hunts scatter-gather; compare canonically sorted).
 		for _, q := range queries {
-			want, _, err := ref.sess.Hunt(nil, q)
+			want, _, err := ref.hunt(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := l.sess.Hunt(nil, q)
+			got, _, err := l.hunt(q)
 			if err != nil {
 				t.Fatalf("%s hunt: %v", l.name, err)
 			}

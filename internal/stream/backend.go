@@ -30,8 +30,6 @@ type Backend interface {
 	// AppendBatch appends one sealed batch atomically (all stores move,
 	// or none).
 	AppendBatch(entities []*audit.Entity, events []audit.Event) error
-	// Hunt parses, analyzes, and executes TBQL source.
-	Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error)
 	// ExecuteDelta evaluates a standing query against an appended delta:
 	// the complete bindings that use at least one event with ID >=
 	// minEventID (see engine.Engine.ExecuteDelta). It is a standing
@@ -72,9 +70,6 @@ func (b engineBackend) Topology() segment.Topology { return segment.Topology{} }
 func (b engineBackend) GlobalStore() *engine.Store { return b.store }
 func (b engineBackend) AppendBatch(entities []*audit.Entity, events []audit.Event) error {
 	return b.store.AppendBatch(entities, events)
-}
-func (b engineBackend) Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error) {
-	return b.en.Hunt(ctx, src)
 }
 func (b engineBackend) ExecuteDelta(ctx context.Context, a *tbql.Analyzed, minEventID int64) (*engine.Result, engine.Stats, error) {
 	return b.en.ExecuteDelta(ctx, a, minEventID)

@@ -77,14 +77,14 @@ func BenchmarkStandingQuery(b *testing.B) {
 // design did whenever a writer was queued.
 func BenchmarkConcurrentHunts(b *testing.B) {
 	sess, _ := benchSession(b, DefaultConfig())
-	if _, _, err := sess.Hunt(nil, dataLeakTBQL); err != nil {
+	if _, _, err := sessionHunt(sess, dataLeakTBQL); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := sess.Hunt(nil, dataLeakTBQL); err != nil {
+			if _, _, err := sessionHunt(sess, dataLeakTBQL); err != nil {
 				b.Error(err)
 				return
 			}

@@ -144,11 +144,26 @@ func feedOne(sess *Session, rec audit.Record) error {
 	return err
 }
 
+// sessionHunt compiles src on the engine of the session's backend and
+// executes it there, scatter-gather on a sharded backend.
+func sessionHunt(sess *Session, src string) (*engine.Result, engine.Stats, error) {
+	switch b := sess.backend.(type) {
+	case *shard.Store:
+		a, err := b.GlobalEngine().Compile(src)
+		if err != nil {
+			return nil, engine.Stats{}, err
+		}
+		return b.Execute(nil, a)
+	default:
+		return b.(engineBackend).en.Hunt(nil, src)
+	}
+}
+
 // sessionRows executes the chaos query on a session and returns its rows
 // joined and sorted.
 func sessionRows(t testing.TB, sess *Session) []string {
 	t.Helper()
-	res, _, err := sess.Hunt(nil, chaosQuery)
+	res, _, err := sessionHunt(sess, chaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

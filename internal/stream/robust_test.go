@@ -177,7 +177,7 @@ func TestQuarantineAfterConsecutiveFailures(t *testing.T) {
 	if _, err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.Hunt(nil, `proc p read file f return p, f`); err != nil {
+	if _, _, err := en.Hunt(nil, `proc p read file f return p, f`); err != nil {
 		t.Fatalf("post-quarantine hunt: %v", err)
 	}
 }
@@ -394,7 +394,7 @@ func chaosBuild(t *testing.T, lines []string, chunks int, plan faultinject.Plan)
 				return
 			}
 			lastNext = snap.NextEventID
-			_, _, err := sess.Hunt(nil, dataLeakTBQL)
+			_, _, err := en.Hunt(nil, dataLeakTBQL)
 			if err != nil && !injectedHuntError(err) {
 				t.Errorf("concurrent hunt during chaos build: %v", err)
 				return
@@ -556,7 +556,7 @@ func TestChaosRandomFaultSchedules(t *testing.T) {
 			if _, err := sess.Flush(); err != nil {
 				t.Fatalf("post-chaos flush: %v", err)
 			}
-			if _, _, err := sess.Hunt(nil, dataLeakTBQL); err != nil {
+			if _, _, err := en.Hunt(nil, dataLeakTBQL); err != nil {
 				t.Fatalf("post-chaos hunt: %v", err)
 			}
 		})

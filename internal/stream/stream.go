@@ -28,7 +28,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -374,17 +373,6 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	return err
-}
-
-// Hunt executes a TBQL query against the store's latest published
-// snapshot. It takes no session lock: the engine pins the snapshot at
-// entry and reads only that generation, so hunts run concurrently with
-// each other and with an in-flight append — an appending batch becomes
-// visible to hunts atomically when its snapshot publishes, never as a
-// torn prefix. The context cancels the hunt cooperatively; nil means no
-// cancellation.
-func (s *Session) Hunt(ctx context.Context, src string) (*engine.Result, engine.Stats, error) {
-	return s.backend.Hunt(ctx, src)
 }
 
 // advanceLocked moves parsed events through the reducer, appends whatever

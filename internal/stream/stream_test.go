@@ -489,7 +489,7 @@ func TestSessionCloseAndReuse(t *testing.T) {
 // reader/writer locking under the race detector.
 func TestConcurrentHuntsDuringIngest(t *testing.T) {
 	recs := dataLeakRecords(t, 0.1)
-	sess, _ := emptySession(t, Config{MatchBuffer: 4096})
+	sess, en := emptySession(t, Config{MatchBuffer: 4096})
 	sub, err := sess.Watch(dataLeakTBQL)
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +506,7 @@ func TestConcurrentHuntsDuringIngest(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := sess.Hunt(nil, graphTBQL); err != nil {
+				if _, _, err := en.Hunt(nil, graphTBQL); err != nil {
 					errc <- err
 					return
 				}

@@ -97,7 +97,7 @@ func (sub *Subscription) Quarantined() bool {
 // Watch — for a variable-length path, a trail through at least one such
 // event — are delivered on the returned subscription's channel, each the
 // first time a binding derives it, even when a pre-Watch binding derived
-// the same row. Query history with Session.Hunt instead.
+// the same row. Query history with the engine's Hunt instead.
 func (s *Session) Watch(src string) (*Subscription, error) {
 	q, err := tbql.Parse(src)
 	if err != nil {

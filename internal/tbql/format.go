@@ -85,24 +85,9 @@ func formatEntity(b *strings.Builder, e Entity) {
 	b.WriteString(e.ID)
 	if e.Filter != nil {
 		b.WriteByte('[')
-		formatFilterSugar(b, e.Filter)
+		formatExpr(b, e.Filter)
 		b.WriteByte(']')
 	}
-}
-
-// formatFilterSugar prints a bare-value filter ("= value" on the empty
-// column) as just the value, keeping the synthesized queries as concise as
-// the paper's examples.
-func formatFilterSugar(b *strings.Builder, e relational.Expr) {
-	if bin, ok := e.(relational.BinOp); ok {
-		if c, isCol := bin.L.(relational.ColRef); isCol && c.Column == "" && c.Qualifier == "" {
-			if lit, isLit := bin.R.(relational.Lit); isLit && (bin.Op == "=" || bin.Op == "like") {
-				formatValue(b, lit.V)
-				return
-			}
-		}
-	}
-	formatExpr(b, e)
 }
 
 func formatPath(b *strings.Builder, p *Pattern) {
@@ -279,9 +264,17 @@ func formatExpr(b *strings.Builder, e relational.Expr) {
 		op := v.Op
 		switch op {
 		case "and":
+			// && groups to the left, so a right operand that is itself a
+			// conjunction keeps its parentheses.
 			formatExpr(b, v.L)
 			b.WriteString(" && ")
-			formatExpr(b, v.R)
+			if r, ok := v.R.(relational.BinOp); ok && r.Op == "and" {
+				b.WriteByte('(')
+				formatExpr(b, v.R)
+				b.WriteByte(')')
+			} else {
+				formatExpr(b, v.R)
+			}
 			return
 		case "or":
 			b.WriteByte('(')
@@ -292,6 +285,15 @@ func formatExpr(b *strings.Builder, e relational.Expr) {
 			return
 		case "like":
 			op = "="
+		}
+		// A bare-value filter ("= value" on the empty column) prints as
+		// just the value, keeping the synthesized queries as concise as
+		// the paper's examples; the column-less form does not parse.
+		if c, ok := v.L.(relational.ColRef); ok && c == (relational.ColRef{}) && op == "=" {
+			if lit, ok := v.R.(relational.Lit); ok {
+				formatValue(b, lit.V)
+				return
+			}
 		}
 		formatExpr(b, v.L)
 		b.WriteByte(' ')

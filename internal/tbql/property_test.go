@@ -33,8 +33,12 @@ func randomQuery(rng *rand.Rand) *Query {
 		id := fmt.Sprintf("p%d", len(procs)+1)
 		procs = append(procs, entdecl{id, EntProc})
 		e := Entity{Type: EntProc, ID: id}
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(4) {
+		case 0, 1:
 			e.Filter = bareFilter(randomLiteral(rng, fmt.Sprintf("%%/bin/x%d%%", rng.Intn(9))))
+		case 2:
+			attr := func(name string) relational.Expr { return attrFilter(name, randomLiteral(rng, name)) }
+			e.Filter = nestedAnd(rng.Intn(2) == 0, bareFilter(randomLiteral(rng, "%/bin/y%")), attr("user"), attr("group"))
 		}
 		return e
 	}
@@ -145,6 +149,20 @@ func bareFilter(v string) relational.Expr {
 	return valueComparison(relational.ColRef{}, "=", relational.Str(v))
 }
 
+// attrFilter is the parser's filter "name = v" on a named attribute.
+func attrFilter(name, v string) relational.Expr {
+	return valueComparison(relational.ColRef{Column: name}, "=", relational.Str(v))
+}
+
+// nestedAnd is "a && (b && c)" when right is set — the parentheses are
+// the only thing that tells it from "a && b && c", the other nesting.
+func nestedAnd(right bool, a, b, c relational.Expr) relational.Expr {
+	if right {
+		return relational.BinOp{Op: "and", L: a, R: relational.BinOp{Op: "and", L: b, R: c}}
+	}
+	return relational.BinOp{Op: "and", L: relational.BinOp{Op: "and", L: a, R: b}, R: c}
+}
+
 // checkRoundTrip fails unless Format(q) parses back to a query that
 // analyzes exactly as q does (same shape, literal vector and return
 // items) and formats to the same text.
@@ -192,7 +210,8 @@ func sameAnalysis(a, b *Analyzed) error {
 
 // TestFormatParseRoundTripProperty: Format(q) reparses and re-analyzes to
 // the same query for randomly generated queries, whose literals hold
-// escapes and wildcards and whose operation expressions nest.
+// escapes and wildcards, whose operation expressions nest, and whose
+// attribute conjunctions nest to the left or to the right.
 func TestFormatParseRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
@@ -202,14 +221,23 @@ func TestFormatParseRoundTripProperty(t *testing.T) {
 }
 
 // FuzzFormatParseRoundTrip: a random query with the fuzzed string as one
-// entity's literal and as an event filter's value round-trips exactly.
+// entity's literal and as an event filter's value round-trips exactly. The
+// entity filter is the bare literal (nest%3 == 0), or the literal compared
+// with three attributes in a conjunction nested to the right (1) or to the
+// left (2).
 func FuzzFormatParseRoundTrip(f *testing.F) {
 	for _, lit := range []string{"", `C:\Windows\excel.exe`, `a"b`, `\`, `%x_`, "\x00\xff\n"} {
-		f.Add(int64(len(lit)), lit)
+		f.Add(int64(len(lit)), lit, uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, lit string) {
+	// user = "a" && (user = "a" && group = "a") once formatted without
+	// its parentheses, which reparse to a left-nested conjunction.
+	f.Add(int64(1), "a", uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, lit string, nest uint8) {
 		q := randomQuery(rand.New(rand.NewSource(seed)))
 		q.Patterns[0].Subject.Filter = bareFilter(lit)
+		if nest%3 != 0 {
+			q.Patterns[0].Subject.Filter = nestedAnd(nest%3 == 1, attrFilter("user", lit), attrFilter("user", lit), attrFilter("group", lit))
+		}
 		q.Patterns[0].IDFilter = relational.BinOp{Op: "and",
 			L: relational.BinOp{Op: "=", L: relational.ColRef{Column: "amount"}, R: relational.Lit{V: relational.Int(seed & 0xffffff)}},
 			R: valueComparison(relational.ColRef{Column: "optype"}, "<>", relational.Str(lit))}
